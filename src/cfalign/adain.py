@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
+from .heads import linear_layer
 from .tensor import (
     Graph,
     Tensor,
@@ -183,14 +184,9 @@ class StyleNet:
 def build_style_net(channels: int, dim: int, rng: np.random.Generator | int | None = None) -> StyleNet:
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    be = 1.0 / np.sqrt(channels)
-    bd = 1.0 / np.sqrt(dim)
-    return StyleNet(
-        enc_w=Tensor(rng.uniform(-be, be, size=(channels, dim)), requires_grad=True),
-        enc_b=Tensor(rng.uniform(-be, be, size=dim), requires_grad=True),
-        dec_w=Tensor(rng.uniform(-bd, bd, size=(dim, channels)), requires_grad=True),
-        dec_b=Tensor(rng.uniform(-bd, bd, size=channels), requires_grad=True),
-    )
+    enc = linear_layer(channels, dim, rng)
+    dec = linear_layer(dim, channels, rng)
+    return StyleNet(enc_w=enc.weight, enc_b=enc.bias, dec_w=dec.weight, dec_b=dec.bias)
 
 
 def encode(net: StyleNet, pixels: Tensor) -> Tensor:

@@ -1,15 +1,14 @@
 """Checkpoint persistence.
 
-One file holds everything a run owns: a JSON header line (format tag,
-config echo, class/channel counts, tensor name list) followed by the named
-tensors in the shared binary layout. Loading rebuilds the state structurally
-from the config echo and then overwrites every array in place, so a
-round-trip reproduces evaluation output bit for bit.
+One container file (see ``tensor.write_container``) holds everything a run
+owns: the header echoes the config and the class/channel counts, and the
+named tensors follow. Loading rebuilds the state structurally from the
+config echo and then overwrites every array in place, so a round-trip
+reproduces evaluation output bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from .adain import ChannelStats, build_style_net
 from .config import RunConfig
 from .errors import ContractError
 from .heads import BatchNormLayer, LinearLayer
-from .tensor import read_tensor, write_tensor
+from .tensor import read_container, write_container
 from .train import StyleContext, TrainState, init_state
 
 __all__ = ["CHECKPOINT_FORMAT", "save_checkpoint", "load_checkpoint"]
@@ -68,20 +67,14 @@ def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(state: TrainState, path: str | Path) -> None:
-    entries = _state_arrays(state)
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": state.config.to_dict(),
         "classes": state.classes,
         "channels": state.channels,
-        "tensors": [name for name, _ in entries],
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for _, array in entries:
-            # bank flags are bool; the layout is float-only, so widen on the way out
-            write_tensor(fh, np.asarray(array, dtype=np.float64))
+    write_container(path, header, dict(_state_arrays(state)))
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
@@ -89,26 +82,17 @@ def load_checkpoint(path: str | Path) -> TrainState:
 
     The state is constructed structurally from the config echo (so shapes and
     layer kinds match by design), then every stored array replaces the fresh
-    one. Mismatched names or shapes raise ContractError.
+    one. A malformed file, mismatched names or shapes, or bank flags other
+    than 0/1 raise ContractError.
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ContractError(f"{path} does not start with a checkpoint header: {exc}") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ContractError(f"{path} has format {header.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
-        config = RunConfig.from_mapping(header["config"])
-        state = init_state(config, int(header["classes"]), int(header["channels"]))
-        names = list(header["tensors"])
-        if any(n.startswith("style.") for n in names):
-            state.style = _empty_style(config, state.channels, with_net="style.net.enc_w" in names)
-        stored = {}
-        for name in names:
-            array, _ = _read_entry(fh, path, name)
-            stored[name] = array
+    header, stored = read_container(path, CHECKPOINT_FORMAT)
+    config, classes, channels = (header.get(k) for k in ("config", "classes", "channels"))
+    if not (isinstance(config, dict) and isinstance(classes, int) and isinstance(channels, int)):
+        raise ContractError(f"{path} header needs a config object and integer classes and channels")
+    config = RunConfig.from_mapping(config)
+    state = init_state(config, classes, channels)
+    if any(n.startswith("style.") for n in stored):
+        state.style = _empty_style(config, state.channels, with_net="style.net.enc_w" in stored)
     targets = dict(_state_arrays(state))
     if set(stored) != set(targets):
         missing = sorted(set(targets) - set(stored))
@@ -118,6 +102,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
         dst = targets[name]
         if dst.shape != array.shape:
             raise ContractError(f"tensor {name} has shape {array.shape}, expected {dst.shape}")
+        if dst.dtype == bool and not np.all((array == 0) | (array == 1)):
+            raise ContractError(f"bank flags {name} hold values other than 0 and 1")
         dst[...] = array  # bool flag rows cast back from their 0/1 float form
     return state
 
@@ -134,11 +120,3 @@ def _empty_style(config: RunConfig, channels: int, with_net: bool) -> StyleConte
             mean=np.zeros(config.style_net_dim), var=np.ones(config.style_net_dim)
         )
     return ctx
-
-
-def _read_entry(fh, path: Path, name: str) -> tuple[np.ndarray, str]:
-    try:
-        array = read_tensor(fh)
-    except Exception as exc:
-        raise ContractError(f"cannot read tensor {name} from {path}: {exc}") from exc
-    return array, name

@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train, eval, ablate, sweep, grad-check. Every knob
 can come from a flat JSON file (--config) holding run and dataset fields by
-name; explicit flags override file values. Exit codes: 0 success, 2 config
-error, 3 numerical divergence.
+name; explicit flags override file values. Exit codes: 0 success, 1 failed
+grad-check, 2 config error or malformed data/checkpoint file, 3 numerical
+divergence.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_flat_config
 from .data import SynthSpec, generate_dataset, load_dataset, save_dataset
-from .errors import ConfigError, DivergenceError, GenerationError
+from .errors import ConfigError, ContractError, DimensionError, DivergenceError, GenerationError
 from .evaluate import eval_to_json, evaluate, save_eval_json
 from .experiments import results_table, run_ablation, run_sensitivity, save_results
 from .gradcheck import loss_battery
@@ -234,6 +235,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, GenerationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (ContractError, DimensionError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

@@ -14,14 +14,13 @@ layout, so identical specs produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError
-from .tensor import read_tensor, write_tensor
+from .errors import ConfigError, ContractError, GenerationError
+from .tensor import read_container, write_container
 
 __all__ = [
     "SynthSpec",
@@ -42,6 +41,7 @@ SPLIT_FILES = {
     "target_eval": "target_eval.bin",
 }
 
+DATASET_FORMAT = "cfalign-dataset"
 _RETRIES = 20
 
 
@@ -196,46 +196,46 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# file layout: one JSON header line, then images and labels tensors
+# split files: a container holding an images tensor and, when known, labels
 
 
 def save_split(path: str | Path, split: Split, spec: SynthSpec, name: str) -> None:
-    tensors = ["images"] + (["labels"] if split.labels is not None else [])
     header = {
-        "format": "cfalign-dataset",
+        "format": DATASET_FORMAT,
         "version": 1,
         "split": name,
         "count": len(split),
         "classes": spec.classes,
         "spec": spec.to_dict(),
-        "tensors": tensors,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        write_tensor(fh, split.images)
-        if split.labels is not None:
-            write_tensor(fh, split.labels.astype(np.float64))
+    arrays = {"images": split.images}
+    if split.labels is not None:
+        arrays["labels"] = split.labels
+    write_container(path, header, arrays)
 
 
 def load_split(path: str | Path) -> tuple[Split, dict]:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} does not start with a dataset header: {exc}") from exc
-        if header.get("format") != "cfalign-dataset":
-            raise ConfigError(f"{path} is not a dataset file")
-        images = None
-        labels = None
-        for name in header["tensors"]:
-            arr = read_tensor(fh)
-            if name == "images":
-                images = arr
-            elif name == "labels":
-                labels = arr.astype(np.int64)
-    if images is None:
-        raise ConfigError(f"{path} holds no images tensor")
+    """Read one split file; any malformed content raises ConfigError.
+
+    Labels must be integers in [0, classes) shaped (n, height, width) to
+    match the (n, channels, height, width) images.
+    """
+    try:
+        header, arrays = read_container(path, DATASET_FORMAT)
+    except ContractError as exc:
+        raise ConfigError(f"bad dataset file: {exc}") from exc
+    images, labels = arrays.get("images"), arrays.get("labels")
+    if images is None or images.ndim != 4:
+        raise ConfigError(f"{path} holds no (n, channels, height, width) images tensor")
+    if labels is not None:
+        n, _, h, w = images.shape
+        classes = header.get("classes")
+        if labels.shape != (n, h, w):
+            raise ConfigError(f"{path} labels have shape {labels.shape}, images need {(n, h, w)}")
+        integral = labels == np.round(labels)
+        if not isinstance(classes, int) or not np.all(integral & (labels >= 0) & (labels < classes)):
+            raise ConfigError(f"{path} labels are not integers in [0, {classes})")
+        labels = labels.astype(np.int64)
     return Split(images=images, labels=labels), header
 
 
@@ -249,12 +249,14 @@ def save_dataset(directory: str | Path, data: Dataset) -> None:
 
 def load_dataset(directory: str | Path) -> Dataset:
     directory = Path(directory)
-    splits = {}
-    header = None
+    splits, specs = {}, []
     for name, fname in SPLIT_FILES.items():
         path = directory / fname
         if not path.exists():
             raise ConfigError(f"missing dataset file {path}")
         splits[name], header = load_split(path)
-    spec = SynthSpec.from_mapping(header["spec"])
+        specs.append(header.get("spec"))
+    if not isinstance(specs[0], dict) or any(s != specs[0] for s in specs):
+        raise ConfigError(f"the splits in {directory} do not share one dataset spec")
+    spec = SynthSpec.from_mapping(specs[0])
     return Dataset(spec, splits["source_train"], splits["target_train"], splits["target_eval"])

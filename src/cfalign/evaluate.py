@@ -68,7 +68,7 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
             f"found range [{labels.min()}, {labels.max()}]"
         )
     preds = predict_labels(state.model, split.images).reshape(-1)
-    per_class, miou = iou_from_confusion(confusion(labels, preds, state.classes))
+    per_class, miou = iou_from_confusion(confusion(preds, labels, state.classes))
 
     pseudo_acc, assigned = 0.0, 0
     if int(state.bank_feat.init_source.sum()) >= 2:

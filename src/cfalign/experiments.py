@@ -15,7 +15,7 @@ from .config import RunConfig
 from .data import Dataset
 from .errors import ConfigError
 from .evaluate import EvalRecord, evaluate
-from .train import MetricsRecord, TrainState, train
+from .train import MetricsRecord, train
 
 __all__ = [
     "ABLATION_VARIANTS",
@@ -55,16 +55,6 @@ def run_single(config: RunConfig, data: Dataset, name: str = "run") -> RunResult
     state, records = train(config, data)
     record = evaluate(state, data.target_eval)
     return RunResult(name=name, config=config, record=record, final=records[-1] if records else None)
-
-
-def run_single_with_state(
-    config: RunConfig, data: Dataset, name: str = "run"
-) -> tuple[RunResult, TrainState, list[MetricsRecord]]:
-    """run_single, but also hand back the state and full metrics series."""
-    state, records = train(config, data)
-    record = evaluate(state, data.target_eval)
-    result = RunResult(name=name, config=config, record=record, final=records[-1] if records else None)
-    return result, state, records
 
 
 def run_ablation(base: RunConfig, data: Dataset) -> list[RunResult]:

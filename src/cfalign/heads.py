@@ -25,7 +25,10 @@ from .tensor import RunningStats, Tensor, add, batch_norm, matmul, relu
 
 HEAD_KINDS = ("none", "linear", "moco", "byol", "simclr")
 
-__all__ = ["HEAD_KINDS", "Head", "LinearLayer", "BatchNormLayer", "build_head", "head_forward", "head_parameters"]
+__all__ = [
+    "HEAD_KINDS", "Head", "LinearLayer", "BatchNormLayer",
+    "linear_layer", "build_head", "head_forward", "head_parameters",
+]
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -53,7 +56,8 @@ class Head:
     layers: list = field(default_factory=list)  # LinearLayer | BatchNormLayer | "relu"
 
 
-def _linear(d_in: int, d_out: int, rng: np.random.Generator) -> LinearLayer:
+def linear_layer(d_in: int, d_out: int, rng: np.random.Generator) -> LinearLayer:
+    """Draws the weight, then the bias, from uniform(-1/sqrt(d_in), +1/sqrt(d_in))."""
     bound = 1.0 / np.sqrt(d_in)
     return LinearLayer(
         weight=Tensor(rng.uniform(-bound, bound, size=(d_in, d_out)), requires_grad=True),
@@ -86,17 +90,17 @@ def build_head(
     if kind == "none":
         return Head(kind, d_in, d_in)
     if kind == "linear":
-        layers = [_linear(d_in, d_out, rng)]
+        layers = [linear_layer(d_in, d_out, rng)]
     elif kind == "moco":
-        layers = [_linear(d_in, d_hidden, rng), "relu", _linear(d_hidden, d_out, rng)]
+        layers = [linear_layer(d_in, d_hidden, rng), "relu", linear_layer(d_hidden, d_out, rng)]
     elif kind == "byol":
-        layers = [_linear(d_in, d_hidden, rng), _bn(d_hidden), "relu", _linear(d_hidden, d_out, rng)]
+        layers = [linear_layer(d_in, d_hidden, rng), _bn(d_hidden), "relu", linear_layer(d_hidden, d_out, rng)]
     else:  # simclr
         layers = [
-            _linear(d_in, d_hidden, rng),
+            linear_layer(d_in, d_hidden, rng),
             _bn(d_hidden),
             "relu",
-            _linear(d_hidden, d_out, rng),
+            linear_layer(d_hidden, d_out, rng),
             _bn(d_out),
         ]
     return Head(kind, d_in, d_out, layers)

@@ -1,146 +1,21 @@
-"""Hot inner-loop kernels with two interchangeable backends.
+"""Hot inner-loop kernels: the label-indexed scans behind pseudo-label
+assignment, class-center accumulation and confusion counting.
 
-The numba backend compiles the label-indexed scans that dominate pseudo-label
-assignment, class-center accumulation and confusion counting; the numpy
-backend is a pure-vectorized fallback with identical semantics (ties resolve
-to the lowest index in both). Select with the ``CFALIGN_BACKEND`` environment
-variable (``numba``, ``numpy`` or ``auto``) or :func:`set_backend` at runtime.
-
-``benchmarks/bench_kernels.py`` times the two backends against each other.
+Each is vectorized numpy; ties resolve to the lowest index.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-__all__ = [
-    "HAVE_NUMBA",
-    "get_backend",
-    "set_backend",
-    "nearest_two",
-    "label_sums",
-    "confusion",
-]
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-
-
-def _nearest_two_numpy(features: np.ndarray, centers: np.ndarray):
-    n = features.shape[0]
-    k = centers.shape[0]
-    idx = np.zeros(n, dtype=np.int64)
-    dmin = np.full(n, np.inf)
-    dsec = np.full(n, np.inf)
-    for c in range(k):  # k is small; each pass is vectorized over n
-        d = ((features - centers[c]) ** 2).sum(axis=1)
-        better = d < dmin
-        second = ~better & (d < dsec)
-        dsec[second] = d[second]
-        dsec[better] = dmin[better]
-        dmin[better] = d[better]
-        idx[better] = c
-    return idx, np.sqrt(dmin), np.sqrt(dsec)
-
-
-def _label_sums_numpy(features: np.ndarray, labels: np.ndarray, num_classes: int):
-    sums = np.zeros((num_classes, features.shape[1]))
-    valid = labels >= 0
-    np.add.at(sums, labels[valid], features[valid])
-    counts = np.bincount(labels[valid], minlength=num_classes).astype(np.int64)
-    return sums, counts
-
-def _confusion_numpy(pred: np.ndarray, truth: np.ndarray, num_classes: int):
-    flat = truth * num_classes + pred
-    return np.bincount(flat, minlength=num_classes * num_classes).reshape(
-        num_classes, num_classes
-    )
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nearest_two_numba(features, centers):
-        n, d = features.shape
-        k = centers.shape[0]
-        idx = np.zeros(n, dtype=np.int64)
-        dmin = np.full(n, np.inf)
-        dsec = np.full(n, np.inf)
-        for i in range(n):
-            for c in range(k):
-                acc = 0.0
-                for j in range(d):
-                    diff = features[i, j] - centers[c, j]
-                    acc += diff * diff
-                if acc < dmin[i]:
-                    dsec[i] = dmin[i]
-                    dmin[i] = acc
-                    idx[i] = c
-                elif acc < dsec[i]:
-                    dsec[i] = acc
-        return idx, np.sqrt(dmin), np.sqrt(dsec)
-
-    @njit(cache=True)
-    def _label_sums_numba(features, labels, num_classes):
-        d = features.shape[1]
-        sums = np.zeros((num_classes, d))
-        counts = np.zeros(num_classes, dtype=np.int64)
-        for i in range(features.shape[0]):
-            lab = labels[i]
-            if lab < 0:
-                continue
-            for j in range(d):
-                sums[lab, j] += features[i, j]
-            counts[lab] += 1
-        return sums, counts
-
-    @njit(cache=True)
-    def _confusion_numba(pred, truth, num_classes):
-        out = np.zeros((num_classes, num_classes), dtype=np.int64)
-        for i in range(pred.shape[0]):
-            out[truth[i], pred[i]] += 1
-        return out
-
-
-_BACKENDS = {"numpy"}
-if HAVE_NUMBA:
-    _BACKENDS.add("numba")
-
-_backend = os.environ.get("CFALIGN_BACKEND", "auto").lower()
-if _backend == "auto":
-    _backend = "numba" if HAVE_NUMBA else "numpy"
-if _backend not in _BACKENDS:
-    raise ConfigError(
-        f"CFALIGN_BACKEND={_backend!r} is not available; choose from {sorted(_BACKENDS)}"
-    )
+__all__ = ["get_backend", "nearest_two", "label_sums", "confusion"]
 
 
 def get_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name == "auto":
-        name = "numba" if HAVE_NUMBA else "numpy"
-    if name not in _BACKENDS:
-        raise ConfigError(f"backend {name!r} is not available; choose from {sorted(_BACKENDS)}")
-    _backend = name
+    """Name of the kernel implementation, as benchmark reports print it."""
+    return "numpy"
 
 
 def _f64c(a: np.ndarray) -> np.ndarray:
@@ -161,9 +36,19 @@ def nearest_two(features: np.ndarray, centers: np.ndarray):
         )
     if centers.shape[0] == 0:
         raise DimensionError("nearest_two needs at least one center")
-    if _backend == "numba":
-        return _nearest_two_numba(features, centers)
-    return _nearest_two_numpy(features, centers)
+    n = features.shape[0]
+    idx = np.zeros(n, dtype=np.int64)
+    dmin = np.full(n, np.inf)
+    dsec = np.full(n, np.inf)
+    for c in range(centers.shape[0]):  # k is small; each pass is vectorized over n
+        d = ((features - centers[c]) ** 2).sum(axis=1)
+        better = d < dmin
+        second = ~better & (d < dsec)
+        dsec[second] = d[second]
+        dsec[better] = dmin[better]
+        dmin[better] = d[better]
+        idx[better] = c
+    return idx, np.sqrt(dmin), np.sqrt(dsec)
 
 
 def label_sums(features: np.ndarray, labels: np.ndarray, num_classes: int):
@@ -175,9 +60,11 @@ def label_sums(features: np.ndarray, labels: np.ndarray, num_classes: int):
         )
     if labels.size and labels.max() >= num_classes:
         raise DimensionError(f"label {labels.max()} out of range for {num_classes} classes")
-    if _backend == "numba":
-        return _label_sums_numba(features, labels, num_classes)
-    return _label_sums_numpy(features, labels, num_classes)
+    sums = np.zeros((num_classes, features.shape[1]))
+    valid = labels >= 0
+    np.add.at(sums, labels[valid], features[valid])
+    counts = np.bincount(labels[valid], minlength=num_classes).astype(np.int64)
+    return sums, counts
 
 
 def confusion(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> np.ndarray:
@@ -190,6 +77,7 @@ def confusion(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> np.ndarr
     for name, a in (("pred", pred), ("truth", truth)):
         if a.size and (a.min() < 0 or a.max() >= num_classes):
             raise DimensionError(f"{name} labels outside [0, {num_classes})")
-    if _backend == "numba":
-        return _confusion_numba(pred, truth, num_classes)
-    return _confusion_numpy(pred, truth, num_classes)
+    flat = truth * num_classes + pred
+    return np.bincount(flat, minlength=num_classes * num_classes).reshape(
+        num_classes, num_classes
+    )

@@ -219,33 +219,24 @@ class LossBreakdown:
 
 
 def total_objective(
-    ce, entropy, contra, lambda_ent: float, lambda_contra: float
-) -> tuple[Tensor | float, LossBreakdown]:
+    ce: Tensor, entropy, contra, lambda_ent: float, lambda_contra: float
+) -> tuple[Tensor, LossBreakdown]:
     """Weighted total ``ce + lambda_ent * entropy + lambda_contra * contra``.
 
-    Tensor inputs keep their graph connection, so the returned total can be
-    the backward root; plain floats are combined arithmetically.
+    The total stays on the graph as a backward root; a disabled term may be
+    passed as a plain float.
     """
     if lambda_ent < 0 or lambda_contra < 0:
         raise ContractError(
             f"loss weights must be nonnegative, got {lambda_ent} and {lambda_contra}"
         )
-
-    def value(x) -> float:
-        return x.item() if isinstance(x, Tensor) else float(x)
-
-    if any(isinstance(x, Tensor) for x in (ce, entropy, contra)):
-        wrap = lambda x: x if isinstance(x, Tensor) else Tensor(float(x))
-        total = add(wrap(ce), add(scale(wrap(entropy), lambda_ent), scale(wrap(contra), lambda_contra)))
-        total_value = total.item()
-    else:
-        total = float(ce) + lambda_ent * float(entropy) + lambda_contra * float(contra)
-        total_value = total
+    entropy, contra = (x if isinstance(x, Tensor) else Tensor(float(x)) for x in (entropy, contra))
+    total = add(ce, add(scale(entropy, lambda_ent), scale(contra, lambda_contra)))
     parts = LossBreakdown(
-        ce=value(ce),
-        entropy=value(entropy),
-        contra=value(contra),
-        total=total_value,
+        ce=ce.item(),
+        entropy=entropy.item(),
+        contra=contra.item(),
+        total=total.item(),
         lambda_ent=lambda_ent,
         lambda_contra=lambda_contra,
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .adain import to_pixels
 from .errors import ConfigError, DimensionError
-from .heads import LinearLayer
+from .heads import LinearLayer, linear_layer
 from .tensor import Tensor, add, matmul, relu, softmax
 
 __all__ = [
@@ -38,14 +38,6 @@ class SegModel:
     classifier: LinearLayer
 
 
-def _linear(d_in: int, d_out: int, rng: np.random.Generator) -> LinearLayer:
-    bound = 1.0 / np.sqrt(d_in)
-    return LinearLayer(
-        weight=Tensor(rng.uniform(-bound, bound, size=(d_in, d_out)), requires_grad=True),
-        bias=Tensor(rng.uniform(-bound, bound, size=d_out), requires_grad=True),
-    )
-
-
 def build_model(
     channels: int,
     hidden_dim: int,
@@ -66,9 +58,9 @@ def build_model(
         hidden_dim=hidden_dim,
         feature_dim=feature_dim,
         classes=classes,
-        enc1=_linear(channels, hidden_dim, rng),
-        enc2=_linear(hidden_dim, feature_dim, rng),
-        classifier=_linear(feature_dim, classes, rng),
+        enc1=linear_layer(channels, hidden_dim, rng),
+        enc2=linear_layer(hidden_dim, feature_dim, rng),
+        classifier=linear_layer(feature_dim, classes, rng),
     )
 
 

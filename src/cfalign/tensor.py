@@ -12,9 +12,13 @@ NaN from a boundary value; each guard is noted on the op.
 
 from __future__ import annotations
 
+import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Sequence
+from pathlib import Path
+from typing import BinaryIO, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -46,12 +50,9 @@ __all__ = [
     "reduce_mean",
     "take_rows",
     "pick",
-    "inner",
     "batch_norm",
-    "tensor_to_bytes",
-    "tensor_from_bytes",
-    "write_tensor",
-    "read_tensor",
+    "write_container",
+    "read_container",
 ]
 
 
@@ -398,14 +399,6 @@ def pick(x: Tensor, cols: np.ndarray) -> Tensor:
     return out
 
 
-def inner(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two same-shape tensors, as a scalar tensor."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"inner needs equal shapes, got {a.data.shape} and {b.data.shape}")
-    return reduce_sum(mul(a, b))
-
-
 # ---------------------------------------------------------------------------
 # batch normalization
 
@@ -515,49 +508,63 @@ def grad_check(fn: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> fl
 
 
 # ---------------------------------------------------------------------------
-# binary serialization: u32 rank, u32 extents, f64 values, all little-endian
+# container files: one JSON header line, then per tensor u32 rank, u32
+# extents and f64 values, all little-endian
 
 
-def tensor_to_bytes(arr) -> bytes:
-    a = arr.data if isinstance(arr, Tensor) else np.asarray(arr, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if not a.flags.c_contiguous:
-        a = np.copy(a, order="C")  # ascontiguousarray would promote rank-0 to rank-1
-    header = struct.pack("<I", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape)
-    return header + a.astype("<f8").tobytes(order="C")
+def write_container(path: str | Path, header: dict, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write `header` plus a "tensors" list naming `arrays` in order, then the arrays.
+
+    Every array is stored as float64 (integer labels and bool flags widen).
+    """
+    header = {**header, "tensors": list(arrays)}
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        for array in arrays.values():
+            a = np.asarray(array, dtype=np.float64)
+            fh.write(struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape))
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
-def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one tensor, returning (array, offset just past it)."""
-    (rank,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+def read_container(path: str | Path, fmt: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container whose header has format tag `fmt`: (header, arrays by name).
+
+    Malformed input raises ContractError: a header line that is not a UTF-8
+    JSON object, another format tag, no list of distinct tensor names, a
+    tensor declaring more bytes than the file has left (checked before any
+    read), or bytes after the last tensor.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContractError(f"{path} does not start with a JSON header line: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ContractError(f"{path} header is not a JSON object")
+        if header.get("format") != fmt:
+            raise ContractError(f"{path} has format {header.get('format')!r}, expected {fmt!r}")
+        names = header.get("tensors")
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ContractError(f"{path} header lacks a list of tensor names")
+        if len(set(names)) != len(names):
+            raise ContractError(f"{path} header names a tensor twice")
+        arrays = {name: _read_array(fh, size, f"{path} tensor {name!r}") for name in names}
+        if fh.tell() != size:
+            raise ContractError(f"{path} has {size - fh.tell()} bytes after its last tensor")
+    return header, arrays
+
+
+def _read_array(fh: BinaryIO, size: int, what: str) -> np.ndarray:
+    def room(n: int) -> int:
+        if n > size - fh.tell():
+            raise ContractError(f"{what} declares {n} more bytes, file has {size - fh.tell()} left")
+        return n
+
+    (rank,) = struct.unpack("<I", fh.read(room(4)))
     if rank > 32:
-        raise ContractError(f"implausible tensor rank {rank}")
-    shape = struct.unpack_from(f"<{rank}I", buf, offset)
-    offset += 4 * rank
-    n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    end = offset + 8 * n
-    if end > len(buf):
-        raise ContractError(f"truncated tensor payload: need {end} bytes, have {len(buf)}")
-    values = np.frombuffer(buf[offset:end], dtype="<f8").astype(np.float64)
-    return values.reshape(shape), end
-
-
-def write_tensor(fh: BinaryIO, arr) -> None:
-    fh.write(tensor_to_bytes(arr))
-
-
-def read_tensor(fh: BinaryIO) -> np.ndarray:
-    head = fh.read(4)
-    if len(head) < 4:
-        raise ContractError("truncated tensor header")
-    (rank,) = struct.unpack("<I", head)
-    if rank > 32:
-        raise ContractError(f"implausible tensor rank {rank}")
-    shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-    n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    payload = fh.read(8 * n)
-    if len(payload) < 8 * n:
-        raise ContractError(f"truncated tensor payload: need {8 * n} bytes, have {len(payload)}")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return values.reshape(shape)
+        raise ContractError(f"{what} has implausible rank {rank}")
+    shape = struct.unpack(f"<{rank}I", fh.read(room(4 * rank)))
+    values = np.empty(room(8 * math.prod(shape)) // 8, dtype="<f8")
+    fh.readinto(values)
+    return values.astype(np.float64, copy=False).reshape(shape)

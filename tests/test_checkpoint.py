@@ -8,6 +8,7 @@ from cfalign.config import RunConfig
 from cfalign.data import SynthSpec, generate_dataset
 from cfalign.errors import ContractError
 from cfalign.evaluate import evaluate
+from cfalign.tensor import read_container, write_container
 from cfalign.train import init_state, train
 
 
@@ -123,3 +124,46 @@ class TestCorruption:
         (tmp_path / "renamed.bin").write_bytes(patched)
         with pytest.raises(ContractError):
             load_checkpoint(tmp_path / "renamed.bin")
+
+    @pytest.fixture
+    def saved(self, tiny_data, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(trained_state(tiny_data, iterations=2), path)
+        header, arrays = read_container(path, "cfalign-checkpoint")
+        return path, header, arrays
+
+    def test_bank_flag_outside_0_1(self, saved):
+        path, header, arrays = saved
+        arrays["bank_head.init_target"][0] = 2.0
+        write_container(path, header, arrays)
+        with pytest.raises(ContractError, match="other than 0 and 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["config", "classes", "channels"])
+    def test_header_field_missing(self, saved, key):
+        path, header, arrays = saved
+        del header[key]
+        write_container(path, header, arrays)
+        with pytest.raises(ContractError, match="header needs"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_tensor(self, saved):
+        path, header, arrays = saved
+        arrays["model.enc1.bias"] = arrays["model.enc1.bias"][:-1]
+        write_container(path, header, arrays)
+        with pytest.raises(ContractError, match="model.enc1.bias has shape"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, saved):
+        path, _, _ = saved
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ContractError, match="after its last tensor"):
+            load_checkpoint(path)
+
+    def test_huge_extent(self, saved):
+        path, _, _ = saved
+        blob = path.read_bytes()
+        extent = blob.index(b"\n") + 5  # past the header line and the first rank
+        path.write_bytes(blob[:extent] + b"\xff\xff\xff\xff" + blob[extent + 4 :])
+        with pytest.raises(ContractError, match="declares"):
+            load_checkpoint(path)

@@ -104,6 +104,18 @@ class TestTrain:
                     + TINY_RUN_FLAGS)
         assert code == 2
 
+    def test_truncated_dataset_file_exits_2(self, dataset_dir, tmp_path, capsys):
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        for src in dataset_dir.iterdir():
+            (cut / src.name).write_bytes(src.read_bytes())
+        blob = (cut / "target_eval.bin").read_bytes()
+        (cut / "target_eval.bin").write_bytes(blob[: len(blob) - 40])
+        code = main(["train", "--data", str(cut), "--out", str(tmp_path / "x")] + TINY_RUN_FLAGS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "target_eval.bin" in err
+
 
 class TestEval:
     def test_eval_matches_train_result(self, dataset_dir, tmp_path, capsys):
@@ -116,6 +128,14 @@ class TestEval:
         trained = json.loads((out / "result.json").read_text())
         assert doc["miou"] == trained["miou"]
         assert doc["per_class_iou"] == trained["per_class_iou"]
+
+    def test_garbage_checkpoint_exits_2(self, dataset_dir, tmp_path, capsys):
+        garbage = tmp_path / "garbage.bin"
+        garbage.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(range(256)))
+        code = main(["eval", "--checkpoint", str(garbage), "--data", str(dataset_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "garbage.bin" in err
 
     def test_other_split(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,11 +1,14 @@
 """Synthetic dataset generator: determinism, shift statistics, coverage, file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from cfalign.config import RunConfig
 from cfalign.data import (
     Dataset,
+    Split,
     SynthSpec,
     generate_dataset,
     load_dataset,
@@ -127,6 +130,69 @@ class TestFiles:
 
     def test_missing_split_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
+            load_dataset(tmp_path)
+
+
+class TestLoaderRejects:
+    """Malformed split files end in ConfigError, never a silent load."""
+
+    @pytest.fixture
+    def split_file(self, tmp_path):
+        data = generate_dataset(tiny_spec())
+        path = tmp_path / "split.bin"
+        save_split(path, data.source_train, data.spec, "source_train")
+        return path, data
+
+    def rewrite_labels(self, split_file, labels):
+        path, data = split_file
+        save_split(path, Split(data.source_train.images, labels), data.spec, "source_train")
+        with pytest.raises(ConfigError, match="labels"):
+            load_split(path)
+
+    def test_fractional_label(self, split_file):
+        labels = split_file[1].source_train.labels.astype(float)
+        labels[0, 0, 0] = 2.7
+        self.rewrite_labels(split_file, labels)
+
+    @pytest.mark.parametrize("value", [-1, 5])
+    def test_label_out_of_range(self, split_file, value):
+        labels = split_file[1].source_train.labels.copy()
+        labels[0, 0, 0] = value
+        self.rewrite_labels(split_file, labels)
+
+    def test_label_shape_mismatch(self, split_file):
+        self.rewrite_labels(split_file, split_file[1].source_train.labels[:, :, :-1])
+
+    def test_truncated(self, split_file):
+        path, _ = split_file
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(ConfigError, match="declares"):
+            load_split(path)
+
+    def test_trailing_bytes(self, split_file):
+        path, _ = split_file
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ConfigError, match="after its last tensor"):
+            load_split(path)
+
+    def test_garbled_header(self, split_file):
+        path, _ = split_file
+        path.write_bytes(b"\xff\xfe\x00garbage\n" + path.read_bytes())
+        with pytest.raises(ConfigError):
+            load_split(path)
+
+    def test_huge_extent(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        header = b'{"format": "cfalign-dataset", "tensors": ["images"]}\n'
+        path.write_bytes(header + struct.pack("<II", 1, 0xFFFFFFFF))
+        with pytest.raises(ConfigError, match="declares 34359738360 more bytes"):
+            load_split(path)
+
+    def test_splits_disagree_on_spec(self, tmp_path):
+        save_dataset(tmp_path, generate_dataset(tiny_spec()))
+        other = generate_dataset(tiny_spec(channels=2))
+        save_split(tmp_path / "target_eval.bin", other.target_eval, other.spec, "target_eval")
+        with pytest.raises(ConfigError, match="spec"):
             load_dataset(tmp_path)
 
 

@@ -6,8 +6,10 @@ import pytest
 from cfalign.config import RunConfig
 from cfalign.data import SynthSpec, generate_dataset
 from cfalign.errors import ContractError
+import cfalign.evaluate as evaluate_module
 from cfalign.evaluate import evaluate, eval_to_json, iou_from_confusion
 from cfalign.kernels import confusion
+from cfalign.model import predict_labels
 from cfalign.train import init_state, train
 
 
@@ -29,7 +31,7 @@ class TestIou:
     def test_hand_counted_case(self):
         truth = np.array([0, 0, 1, 1])
         pred = np.array([0, 1, 1, 1])
-        per_class, miou = iou_from_confusion(confusion(truth, pred, 2))
+        per_class, miou = iou_from_confusion(confusion(pred, truth, 2))
         assert per_class[0] == pytest.approx(1 / 2)
         assert per_class[1] == pytest.approx(2 / 3)
         assert miou == pytest.approx(7 / 12)
@@ -43,14 +45,14 @@ class TestIou:
     def test_binary_complement(self):
         truth = np.array([0, 0, 1, 1])
         pred = 1 - truth
-        per_class, miou = iou_from_confusion(confusion(truth, pred, 2))
+        per_class, miou = iou_from_confusion(confusion(pred, truth, 2))
         assert per_class == [0.0, 0.0]
         assert miou == 0.0
 
     def test_absent_class_is_none_and_excluded(self):
         truth = np.array([0, 0, 1])
         pred = np.array([0, 1, 1])
-        per_class, miou = iou_from_confusion(confusion(truth, pred, 3))
+        per_class, miou = iou_from_confusion(confusion(pred, truth, 3))
         assert per_class[2] is None
         assert miou == pytest.approx((per_class[0] + per_class[1]) / 2)
 
@@ -58,7 +60,7 @@ class TestIou:
         # truth indexes rows: missing a true pixel is FN, inventing one is FP
         truth = np.array([0, 1])
         pred = np.array([1, 1])
-        per_class, _ = iou_from_confusion(confusion(truth, pred, 2))
+        per_class, _ = iou_from_confusion(confusion(pred, truth, 2))
         assert per_class == [0.0, 0.5]
 
     def test_matches_set_oracle(self):
@@ -68,7 +70,7 @@ class TestIou:
             n = int(rng.integers(1, 400))
             truth = rng.integers(0, classes, size=n)
             pred = rng.integers(0, classes, size=n)
-            got_per, got_miou = iou_from_confusion(confusion(truth, pred, classes))
+            got_per, got_miou = iou_from_confusion(confusion(pred, truth, classes))
             want_per, want_miou = iou_oracle(truth, pred, classes)
             assert got_per == pytest.approx(want_per)
             assert got_miou == pytest.approx(want_miou, abs=1e-12)
@@ -136,3 +138,19 @@ class TestEvaluate:
         a = evaluate(state, data.target_eval)
         b = evaluate(state, data.target_eval)
         assert a == b
+
+    def test_confusion_rows_are_truth(self, tiny_setup, monkeypatch):
+        # an untrained model's errors are lopsided, so the matrix is asymmetric
+        # and a [pred, truth] matrix would differ from the [truth, pred] one
+        data, _, state = tiny_setup
+        seen = []
+        monkeypatch.setattr(
+            evaluate_module, "iou_from_confusion", lambda m: seen.append(m) or iou_from_confusion(m)
+        )
+        evaluate(state, data.target_eval)
+        truth = data.target_eval.labels.reshape(-1)
+        pred = predict_labels(state.model, data.target_eval.images).reshape(-1)
+        want = np.zeros((state.classes, state.classes), dtype=np.int64)
+        np.add.at(want, (truth, pred), 1)
+        assert not np.array_equal(want, want.T)
+        np.testing.assert_array_equal(seen[0], want)

@@ -290,20 +290,20 @@ class TestContrastiveCombined:
 
 class TestTotalObjective:
     def test_weighted_sum(self):
-        total, parts = total_objective(1.0, 0.5, 2.0, 1e-3, 1e-3)
-        np.testing.assert_allclose(total, 1.0 + 0.5e-3 + 2e-3, atol=1e-15)
-        assert parts == LossBreakdown(1.0, 0.5, 2.0, total, 1e-3, 1e-3)
+        total, parts = total_objective(Tensor(1.0), Tensor(0.5), Tensor(2.0), 1e-3, 1e-3)
+        np.testing.assert_allclose(total.item(), 1.0 + 0.5e-3 + 2e-3, atol=1e-15)
+        assert parts == LossBreakdown(1.0, 0.5, 2.0, total.item(), 1e-3, 1e-3)
 
     def test_zero_weights_reduce_to_ce(self):
-        total, parts = total_objective(0.7, 123.0, 456.0, 0.0, 0.0)
-        assert total == 0.7 and parts.total == 0.7
+        total, parts = total_objective(Tensor(0.7), Tensor(123.0), Tensor(456.0), 0.0, 0.0)
+        assert total.item() == 0.7 and parts.total == 0.7
 
     def test_breakdown_identity_invariant(self):
         rng = np.random.default_rng(45)
         for _ in range(20):
             ce, ent, con = rng.uniform(0, 5, size=3)
             le, lc = rng.uniform(0, 1, size=2)
-            _, parts = total_objective(ce, ent, con, le, lc)
+            _, parts = total_objective(Tensor(ce), Tensor(ent), Tensor(con), le, lc)
             assert abs(parts.total - (parts.ce + le * parts.entropy + lc * parts.contra)) < 1e-12
 
     def test_tensor_inputs_stay_differentiable(self):
@@ -319,4 +319,4 @@ class TestTotalObjective:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ContractError):
-            total_objective(1.0, 1.0, 1.0, -0.1, 0.0)
+            total_objective(Tensor(1.0), Tensor(1.0), Tensor(1.0), -0.1, 0.0)

@@ -1,6 +1,8 @@
 """Autodiff core: forward values against oracles, gradients against finite differences."""
 
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +18,11 @@ from cfalign.tensor import (
     div,
     exp,
     grad_check,
-    inner,
     log,
     matmul,
     mul,
     pick,
-    read_tensor,
+    read_container,
     reduce_mean,
     reduce_sum,
     relu,
@@ -30,9 +31,7 @@ from cfalign.tensor import (
     sqrt,
     sub,
     take_rows,
-    tensor_from_bytes,
-    tensor_to_bytes,
-    write_tensor,
+    write_container,
 )
 
 
@@ -255,17 +254,6 @@ class TestBackward:
             backward(reduce_sum(pick(x, cols)), g)
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
-    def test_inner_is_sum_of_products(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0])
-        with Graph() as g:
-            y = inner(a, b)
-            backward(y, g)
-        assert y.item() == 11.0
-        np.testing.assert_array_equal(a.grad, [3.0, 4.0])
-        with pytest.raises(DimensionError):
-            inner(Tensor([1.0]), Tensor([1.0, 2.0]))
-
 
 class TestBatchNorm:
     def test_unit_normalization(self):
@@ -343,34 +331,79 @@ class TestGradCheck:
             grad_check(lambda t: reduce_sum(t), Tensor([1.0]))
 
 
-class TestSerialization:
-    def test_golden_layout(self):
-        # independently constructed: u32 rank, u32 extents, little-endian f64 values
-        arr = np.array([1.5, -2.0])
-        expected = struct.pack("<II", 1, 2) + struct.pack("<2d", 1.5, -2.0)
-        assert tensor_to_bytes(arr) == expected
+def container_bytes(header: dict, *tensors: bytes) -> bytes:
+    return json.dumps(header).encode() + b"\n" + b"".join(tensors)
 
-    def test_roundtrip_shapes(self):
+
+class TestSerialization:
+    def test_golden_layout(self, tmp_path):
+        # independently constructed: JSON header line, then u32 rank, u32
+        # extents, little-endian f64 values
+        path = tmp_path / "c.bin"
+        write_container(path, {"format": "t"}, {"a": np.array([1.5, -2.0])})
+        expected = b'{"format": "t", "tensors": ["a"]}\n'
+        expected += struct.pack("<II", 1, 2) + struct.pack("<2d", 1.5, -2.0)
+        assert path.read_bytes() == expected
+
+    def test_roundtrip_shapes(self, tmp_path):
         rng = np.random.default_rng(3)
-        for shape in [(), (1,), (5,), (3, 4), (2, 3, 4)]:
-            a = rng.normal(size=shape)
-            out, end = tensor_from_bytes(tensor_to_bytes(a))
-            assert end == len(tensor_to_bytes(a))
-            np.testing.assert_array_equal(out, a)
-            assert out.shape == a.shape
+        shapes = [(), (1,), (5,), (3, 4), (2, 3, 4), (0, 3)]
+        arrays = {str(i): rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        path = tmp_path / "c.bin"
+        write_container(path, {"format": "t", "extra": [1, 2]}, arrays)
+        header, out = read_container(path, "t")
+        assert header == {"format": "t", "extra": [1, 2], "tensors": list(arrays)}
+        for name, a in arrays.items():
+            np.testing.assert_array_equal(out[name], a)
+            assert out[name].shape == a.shape and out[name].dtype == np.float64
 
     def test_stream_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        a, b = rng.normal(size=(2, 2)), rng.normal(size=7)
-        path = tmp_path / "tensors.bin"
-        with open(path, "wb") as fh:
-            write_tensor(fh, a)
-            write_tensor(fh, b)
-        with open(path, "rb") as fh:
-            np.testing.assert_array_equal(read_tensor(fh), a)
-            np.testing.assert_array_equal(read_tensor(fh), b)
+        # integer and bool arrays widen to float64 on the way out
+        path = tmp_path / "c.bin"
+        write_container(path, {"format": "t"}, {"i": np.arange(3), "b": np.array([True, False])})
+        _, out = read_container(path, "t")
+        np.testing.assert_array_equal(out["i"], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(out["b"], [1.0, 0.0])
 
-    def test_truncated_payload_rejected(self):
-        buf = tensor_to_bytes(np.ones(4))[:-3]
-        with pytest.raises(ContractError):
-            tensor_from_bytes(buf)
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_container(path, {"format": "t"}, {"a": np.ones(4)})
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ContractError, match="declares 32 more bytes"):
+            read_container(path, "t")
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"\xff\xfe not utf-8\n", "JSON header"),
+            (b"not json\n", "JSON header"),
+            (b"[1, 2]\n", "not a JSON object"),
+            (container_bytes({"format": "other", "tensors": []}), "format 'other'"),
+            (container_bytes({"format": "t"}), "tensor names"),
+            (container_bytes({"format": "t", "tensors": "a"}), "tensor names"),
+            (container_bytes({"format": "t", "tensors": ["a", "a"]}), "names a tensor twice"),
+            (container_bytes({"format": "t", "tensors": ["a"]}), "declares 4 more bytes"),
+            (container_bytes({"format": "t", "tensors": ["a"]}, struct.pack("<I", 33)), "rank 33"),
+            (container_bytes({"format": "t", "tensors": []}, b"\x00"), "1 bytes after"),
+        ],
+    )
+    def test_malformed_container_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        with pytest.raises(ContractError, match=message):
+            read_container(path, "t")
+
+    def test_huge_extent_rejected_before_allocating(self, tmp_path):
+        # 0xFFFFFFFF values of 8 bytes would be a 34 GB read
+        path = tmp_path / "huge.bin"
+        path.write_bytes(
+            container_bytes({"format": "t", "tensors": ["a"]}, struct.pack("<II", 1, 0xFFFFFFFF))
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="declares 34359738360 more bytes"):
+                read_container(path, "t")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
