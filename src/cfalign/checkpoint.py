@@ -16,7 +16,7 @@ import numpy as np
 from .adain import ChannelStats, build_style_net
 from .config import RunConfig
 from .errors import ContractError
-from .heads import BatchNormLayer, LinearLayer
+from .heads import BatchNormLayer, LinearLayer, head_plan
 from .tensor import read_container, write_container
 from .train import StyleContext, TrainState, init_state
 
@@ -66,6 +66,47 @@ def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
     return entries
 
 
+def _expected_shapes(
+    config: RunConfig, classes: int, channels: int, style: bool, net: bool
+) -> dict[str, tuple[int, ...]]:
+    """The names and shapes `_state_arrays` gives for this config, without allocating."""
+    hidden, feat = config.hidden_dim, config.feature_dim
+    linears = [
+        ("model.enc1", channels, hidden),
+        ("model.enc2", hidden, feat),
+        ("model.classifier", feat, classes),
+    ]
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, d_in, d_out in linears:
+        shapes[f"{name}.weight"] = (d_in, d_out)
+        shapes[f"{name}.bias"] = (d_out,)
+    plan = head_plan(config.head, feat, config.head_hidden_dim, config.head_out_dim)
+    for i, layer in enumerate(plan):
+        if layer == "relu":
+            continue
+        if layer[0] == "linear":
+            shapes[f"head.{i}.weight"] = layer[1:]
+            shapes[f"head.{i}.bias"] = layer[2:]
+        else:
+            for part in ("gamma", "beta", "running_mean", "running_var"):
+                shapes[f"head.{i}.{part}"] = layer[1:]
+    head_out = plan[-1][-1] if plan else feat
+    for prefix, dim in (("bank_feat", feat), ("bank_head", head_out)):
+        for side in ("source", "target"):
+            shapes[f"{prefix}.v_{side}"] = (classes, dim)
+            shapes[f"{prefix}.init_{side}"] = (classes,)
+    if style:
+        shapes["style.stats_mean"] = shapes["style.stats_var"] = (channels,)
+    if net:
+        dim = config.style_net_dim
+        shapes.update({
+            "style.net.enc_w": (channels, dim), "style.net.enc_b": (dim,),
+            "style.net.dec_w": (dim, channels), "style.net.dec_b": (channels,),
+            "style.net_stats_mean": (dim,), "style.net_stats_var": (dim,),
+        })
+    return shapes
+
+
 def save_checkpoint(state: TrainState, path: str | Path) -> None:
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -80,31 +121,41 @@ def save_checkpoint(state: TrainState, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> TrainState:
     """Rebuild a TrainState from a checkpoint file.
 
-    The state is constructed structurally from the config echo (so shapes and
-    layer kinds match by design), then every stored array replaces the fresh
-    one. A malformed file, mismatched names or shapes, or bank flags other
-    than 0/1 raise ContractError.
+    Every stored name and shape is checked against the config echo first;
+    only then is the state constructed from it (so shapes and layer kinds
+    match by design) and every stored array replaces the fresh one. A
+    malformed file, mismatched names or shapes, bank flags other than 0/1,
+    or an identity-head file whose two banks differ raise ContractError.
     """
     header, stored = read_container(path, CHECKPOINT_FORMAT)
     config, classes, channels = (header.get(k) for k in ("config", "classes", "channels"))
     if not (isinstance(config, dict) and isinstance(classes, int) and isinstance(channels, int)):
         raise ContractError(f"{path} header needs a config object and integer classes and channels")
     config = RunConfig.from_mapping(config)
-    state = init_state(config, classes, channels)
-    if any(n.startswith("style.") for n in stored):
-        state.style = _empty_style(config, state.channels, with_net="style.net.enc_w" in stored)
-    targets = dict(_state_arrays(state))
-    if set(stored) != set(targets):
-        missing = sorted(set(targets) - set(stored))
-        extra = sorted(set(stored) - set(targets))
+    style, net = any(n.startswith("style.") for n in stored), "style.net.enc_w" in stored
+    # every shape is checked before init_state allocates what the config echo asks for
+    expected = _expected_shapes(config, classes, channels, style, net)
+    if set(stored) != set(expected):
+        missing = sorted(set(expected) - set(stored))
+        extra = sorted(set(stored) - set(expected))
         raise ContractError(f"checkpoint tensor set mismatch: missing {missing}, unexpected {extra}")
     for name, array in stored.items():
-        dst = targets[name]
-        if dst.shape != array.shape:
-            raise ContractError(f"tensor {name} has shape {array.shape}, expected {dst.shape}")
-        if dst.dtype == bool and not np.all((array == 0) | (array == 1)):
+        if array.shape != expected[name]:
+            raise ContractError(f"tensor {name} has shape {array.shape}, expected {expected[name]}")
+        if ".init_" in name and not np.all((array == 0) | (array == 1)):
             raise ContractError(f"bank flags {name} hold values other than 0 and 1")
-        dst[...] = array  # bool flag rows cast back from their 0/1 float form
+    if config.head == "none":
+        for name in [n for n in stored if n.startswith("bank_head.")]:
+            if not np.array_equal(stored[name], stored[name.replace("bank_head", "bank_feat", 1)]):
+                raise ContractError(
+                    f"{name} differs from its bank_feat twin; the identity head shares one bank"
+                )
+    state = init_state(config, classes, channels)
+    if style:
+        state.style = _empty_style(config, state.channels, with_net=net)
+    targets = dict(_state_arrays(state))
+    for name, array in stored.items():
+        targets[name][...] = array  # bool flag rows cast back from their 0/1 float form
     return state
 
 

@@ -8,6 +8,7 @@ config-error exit code before touching data.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -17,6 +18,25 @@ from .heads import HEAD_KINDS
 TRANSFER_DIRECTIONS = ("source_to_target", "target_to_source")
 
 __all__ = ["RunConfig", "TRANSFER_DIRECTIONS", "load_flat_config"]
+
+
+_WANT = {"bool": "true or false", "int": "an integer", "int|None": "an integer",
+         "float": "a number", "str": "a string"}
+
+
+def _type_ok(kind: str, value) -> bool:
+    """Whether `value` can fill a field annotated `kind` (spaces removed)."""
+    if kind == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):  # an int subclass, but never a count or a weight
+        return False
+    if kind == "int|None":
+        return value is None or isinstance(value, numbers.Integral)
+    if kind == "int":
+        return isinstance(value, numbers.Integral)
+    if kind == "float":
+        return isinstance(value, numbers.Real)
+    return isinstance(value, str)
 
 
 @dataclass
@@ -57,6 +77,15 @@ class RunConfig:
     style_lr: float = 0.05
 
     def validate(self) -> "RunConfig":
+        mistyped = []
+        for f in fields(self):
+            kind, value = str(f.type).replace(" ", ""), getattr(self, f.name)
+            if not _type_ok(kind, value):
+                got = f"{type(value).__name__} {value!r}"
+                mistyped.append(f"{f.name} must be {_WANT[kind]}, got {got}")
+        if mistyped:
+            # the value checks below would compare across types
+            raise ConfigError("; ".join(mistyped))
         checks = [
             (self.iterations >= 0, "iterations must be nonnegative"),
             (self.learning_rate > 0, "learning_rate must be positive"),

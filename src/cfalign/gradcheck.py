@@ -39,16 +39,19 @@ def _case_entropy(rng):
     return lambda z: entropy_loss(softmax(z)), x
 
 
-def _case_info_nce(rng):
-    n, c, d = 6, 5, 4
-    centers = rng.normal(size=(c, d))
-    mask = np.ones(c, dtype=bool)
-    mask[rng.integers(0, c)] = False
-    labels = _labels(rng, n, c)
-    active = np.flatnonzero(mask)
-    labels[labels >= 0] = rng.choice(active, size=(labels >= 0).sum())
-    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
-    return lambda f: info_nce(f, labels, centers, mask, tau=0.07)[0], x
+def _make_info_nce_case(**flags):
+    def case(rng):
+        n, c, d = 6, 5, 4
+        centers = rng.normal(size=(c, d))
+        mask = np.ones(c, dtype=bool)
+        mask[rng.integers(0, c)] = False
+        labels = _labels(rng, n, c)
+        active = np.flatnonzero(mask)
+        labels[labels >= 0] = rng.choice(active, size=(labels >= 0).sum())
+        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        return lambda f: info_nce(f, labels, centers, mask, tau=0.07, **flags)[0], x
+
+    return case
 
 
 def _bank(rng, c: int, d: int) -> MemoryBank:
@@ -114,12 +117,16 @@ def _make_head_case(kind: str):
 BATTERY_CASES = [
     ("cross_entropy", _case_cross_entropy),
     ("entropy_loss", _case_entropy),
-    ("info_nce", _case_info_nce),
+    ("info_nce", _make_info_nce_case()),
     ("contrastive_combined/source", _case_contrastive_source),
     ("contrastive_combined/target", _case_contrastive_target),
     ("content_loss", _case_content),
     ("style_loss", _case_style),
-] + [(f"info_nce+head[{kind}]", _make_head_case(kind)) for kind in HEAD_KINDS]
+] + [(f"info_nce+head[{kind}]", _make_head_case(kind)) for kind in HEAD_KINDS] + [
+    # appended, so the cases above keep their random draws
+    ("info_nce/exclude_positive", _make_info_nce_case(include_positive=False)),
+    ("info_nce/normalize", _make_info_nce_case(normalize=True)),
+]
 
 
 def loss_battery(instances: int = 20, seed: int = 0) -> dict[str, float]:

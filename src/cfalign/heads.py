@@ -27,7 +27,7 @@ HEAD_KINDS = ("none", "linear", "moco", "byol", "simclr")
 
 __all__ = [
     "HEAD_KINDS", "Head", "LinearLayer", "BatchNormLayer",
-    "linear_layer", "build_head", "head_forward", "head_parameters",
+    "linear_layer", "head_plan", "build_head", "head_forward", "head_parameters",
 ]
 
 BN_EPS = 1e-5
@@ -73,6 +73,23 @@ def _bn(dim: int) -> BatchNormLayer:
     )
 
 
+def head_plan(kind: str, d_in: int, d_hidden: int | None = None, d_out: int | None = None) -> list:
+    """The layers of a head as ``("linear", d_in, d_out)``, ``("bn", dim)`` or
+    ``"relu"``; hidden and output dims default to the input dim."""
+    if kind not in HEAD_KINDS:
+        raise ConfigError(f"unknown head kind {kind!r}; choose from {HEAD_KINDS}")
+    d_hidden = d_in if d_hidden is None else d_hidden
+    d_out = d_in if d_out is None else d_out
+    first, second = ("linear", d_in, d_hidden), ("linear", d_hidden, d_out)
+    return {
+        "none": [],
+        "linear": [("linear", d_in, d_out)],
+        "moco": [first, "relu", second],
+        "byol": [first, ("bn", d_hidden), "relu", second],
+        "simclr": [first, ("bn", d_hidden), "relu", second, ("bn", d_out)],
+    }[kind]
+
+
 def build_head(
     kind: str,
     d_in: int,
@@ -80,30 +97,19 @@ def build_head(
     d_out: int | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> Head:
-    """Construct a head; hidden and output dims default to the input dim."""
-    if kind not in HEAD_KINDS:
-        raise ConfigError(f"unknown head kind {kind!r}; choose from {HEAD_KINDS}")
+    """Construct a head from its plan, drawing the linear layers in order."""
+    plan = head_plan(kind, d_in, d_hidden, d_out)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    d_hidden = d_in if d_hidden is None else d_hidden
-    d_out = d_in if d_out is None else d_out
-    if kind == "none":
-        return Head(kind, d_in, d_in)
-    if kind == "linear":
-        layers = [linear_layer(d_in, d_out, rng)]
-    elif kind == "moco":
-        layers = [linear_layer(d_in, d_hidden, rng), "relu", linear_layer(d_hidden, d_out, rng)]
-    elif kind == "byol":
-        layers = [linear_layer(d_in, d_hidden, rng), _bn(d_hidden), "relu", linear_layer(d_hidden, d_out, rng)]
-    else:  # simclr
-        layers = [
-            linear_layer(d_in, d_hidden, rng),
-            _bn(d_hidden),
-            "relu",
-            linear_layer(d_hidden, d_out, rng),
-            _bn(d_out),
-        ]
-    return Head(kind, d_in, d_out, layers)
+    layers = []
+    for p in plan:
+        if p == "relu":
+            layers.append("relu")
+        elif p[0] == "linear":
+            layers.append(linear_layer(p[1], p[2], rng))
+        else:
+            layers.append(_bn(p[1]))
+    return Head(kind, d_in, plan[-1][-1] if plan else d_in, layers)
 
 
 def head_forward(head: Head, x: Tensor, training: bool = True) -> Tensor:

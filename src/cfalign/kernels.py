@@ -36,18 +36,17 @@ def nearest_two(features: np.ndarray, centers: np.ndarray):
         )
     if centers.shape[0] == 0:
         raise DimensionError("nearest_two needs at least one center")
-    n = features.shape[0]
-    idx = np.zeros(n, dtype=np.int64)
-    dmin = np.full(n, np.inf)
-    dsec = np.full(n, np.inf)
-    for c in range(centers.shape[0]):  # k is small; each pass is vectorized over n
-        d = ((features - centers[c]) ** 2).sum(axis=1)
-        better = d < dmin
-        second = ~better & (d < dsec)
-        dsec[second] = d[second]
-        dsec[better] = dmin[better]
-        dmin[better] = d[better]
-        idx[better] = c
+    n, k = features.shape[0], centers.shape[0]
+    # one center per pass: an (n, k, d) broadcast would cost more than it saves
+    dist = np.empty((n, k))
+    for c in range(k):
+        dist[:, c] = ((features - centers[c]) ** 2).sum(axis=1)
+    idx = dist.argmin(axis=1)
+    if k == 1:
+        dmin, dsec = dist[:, 0], np.full(n, np.inf)
+    else:
+        two = np.partition(dist, 1, axis=1)
+        dmin, dsec = two[:, 0], two[:, 1]
     return idx, np.sqrt(dmin), np.sqrt(dsec)
 
 
@@ -60,11 +59,13 @@ def label_sums(features: np.ndarray, labels: np.ndarray, num_classes: int):
         )
     if labels.size and labels.max() >= num_classes:
         raise DimensionError(f"label {labels.max()} out of range for {num_classes} classes")
-    sums = np.zeros((num_classes, features.shape[1]))
+    d = features.shape[1]
     valid = labels >= 0
-    np.add.at(sums, labels[valid], features[valid])
+    # bin label * d + column; each bin adds its rows in order, as a scatter-add would
+    bins = (labels[valid, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=features[valid].ravel(), minlength=num_classes * d)
     counts = np.bincount(labels[valid], minlength=num_classes).astype(np.int64)
-    return sums, counts
+    return sums.reshape(num_classes, d), counts
 
 
 def confusion(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> np.ndarray:

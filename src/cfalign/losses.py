@@ -3,7 +3,8 @@
 All losses return scalar tensors on the active graph. Class centers enter as
 plain numpy constants so no gradient ever flows into the memory bank, and
 pixels labeled ``-1`` are excluded everywhere. InfoNCE is computed through a
-max-shifted log-sum-exp, so temperatures as small as 1e-2 stay finite.
+max-shifted log-sum-exp, so temperatures as small as 1e-2 stay finite, and
+records one tape node whose backward repeats the per-op chain's rounding.
 """
 
 from __future__ import annotations
@@ -15,19 +16,17 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .membank import MemoryBank
 from .tensor import (
+    EPS,
     Tensor,
+    accum,
     add,
-    div,
-    exp,
     log,
-    matmul,
     mul,
     pick,
+    record,
     reduce_mean,
     reduce_sum,
     scale,
-    sqrt,
-    sub,
     take_rows,
 )
 
@@ -74,11 +73,6 @@ def entropy_loss(pred: Tensor) -> Tensor:
         raise ContractError(f"entropy needs at least 2 classes, got {c}")
     plogp = reduce_sum(mul(pred, log(pred)), axis=1)
     return reduce_mean(scale(plogp, -1.0 / np.log(c)))
-
-
-def _l2_rows(x: Tensor) -> Tensor:
-    norms = sqrt(reduce_sum(mul(x, x), axis=1, keepdims=True))
-    return div(x, norms)
 
 
 def info_nce(
@@ -130,36 +124,65 @@ def info_nce(
     if not include_positive and active.size < 2:
         raise ContractError("excluding the positive needs at least 2 masked-in centers")
 
-    f = take_rows(features, labeled)
-    sub_centers = centers[active]
-    if normalize:
-        f = _l2_rows(f)
-        norms = np.linalg.norm(sub_centers, axis=1, keepdims=True)
-        sub_centers = sub_centers / np.maximum(norms, 1e-12)
     # positions of each label inside the masked-in subset
     pos_of = np.full(centers.shape[0], -1, dtype=np.int64)
     pos_of[active] = np.arange(active.size)
     pos = pos_of[labels[labeled]]
+    m = labeled.size
+    rows = np.arange(m)
+    c = float(1.0 / tau)
 
-    logits = scale(matmul(f, sub_centers.T), 1.0 / tau)
-    if include_positive:
-        shift = logits.data.max(axis=1, keepdims=True)  # constant shift: exact for lse
-        e = exp(sub(logits, shift))
-        z = reduce_sum(e, axis=1)  # >= 1 because the max term contributes exp(0)
+    x = features.data[labeled]
+    C = centers[active]
+    if normalize:
+        x_safe = np.maximum(np.sqrt(np.maximum((x * x).sum(axis=1, keepdims=True), 0.0)), EPS)
+        f = x / x_safe
+        C = C / np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12)
     else:
-        keep = np.ones((labeled.size, active.size))
-        keep[np.arange(labeled.size), pos] = 0.0
+        f = x
+    L = (f @ C.T) * c
+    if include_positive:
+        keep = None
+        shift = L.max(axis=1, keepdims=True)  # constant shift: exact for lse
+        E = np.exp(L - shift)
+        z = E.sum(axis=1)  # >= 1 because the max term contributes exp(0)
+    else:
+        keep = np.ones((m, active.size))
+        keep[rows, pos] = 0.0
         # shift by the largest KEPT logit, not the global max: if the positive
         # dominates, the exclusive sum would underflow past the log guard
-        shift = np.where(keep > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
+        shift = np.where(keep > 0, L, -np.inf).max(axis=1, keepdims=True)
         # push dropped entries far negative before exp so they cannot overflow;
         # the keep mask then zeroes any rounding residue
-        cushion = (1.0 - keep) * (np.maximum(logits.data - shift, 0.0) + 1000.0)
-        e = exp(sub(sub(logits, shift), cushion))
-        z = reduce_sum(mul(e, keep), axis=1)  # >= 1: the kept max contributes exp(0)
-    lse = add(log(z), shift.ravel())
-    loss = reduce_mean(sub(lse, pick(logits, pos)))
-    return loss, int(labeled.size)
+        cushion = (1.0 - keep) * (np.maximum(L - shift, 0.0) + 1000.0)
+        E = np.exp((L - shift) - cushion)
+        z = (E * keep).sum(axis=1)  # >= 1: the kept max contributes exp(0)
+    z_safe = np.maximum(z, EPS)
+    lse = np.log(z_safe) + shift.ravel()
+    loss = Tensor((lse - L[rows, pos]).mean(), features.requires_grad)
+
+    def bwd(g):
+        # the chain rule of gather, l2-normalise, matmul, scale, shifted exp,
+        # row sum, clamped log and mean, in the order and with the rounding
+        # of the per-op tape
+        gm = np.broadcast_to(g, (m,)) / m
+        gl = np.broadcast_to((gm / z_safe)[:, None], E.shape)
+        if keep is not None:
+            gl = gl * keep
+        gl = gl * E
+        gl[rows, pos] -= gm
+        gf = (gl * c) @ C
+        if normalize:
+            # through x / norm, the norm's sqrt and row sum, and x * x (x enters twice)
+            g_norm = ((-gf * x) / (x_safe * x_safe)).sum(axis=1, keepdims=True)
+            t = np.broadcast_to(g_norm * 0.5 / x_safe, x.shape) * x
+            gf = gf / x_safe + t + t
+        gx = np.zeros_like(features.data)
+        gx[labeled] = gf
+        accum(features, gx)
+
+    record("info_nce", (features,), loss, bwd)
+    return loss, m
 
 
 def contrastive_combined(

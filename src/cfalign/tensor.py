@@ -33,6 +33,8 @@ __all__ = [
     "Node",
     "RunningStats",
     "backward",
+    "record",
+    "accum",
     "zero_grads",
     "grad_check",
     "add",
@@ -156,7 +158,8 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into t.grad (allocated as zeros on first use); a no-op for constants."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -164,7 +167,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _record(tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable) -> None:
+def record(tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable) -> None:
+    """Append a node to the active graph when `out` needs a gradient.
+
+    `bwd(out.grad)` must push the input gradients through :func:`accum`;
+    every op in this module and the fused ones elsewhere go through here.
+    """
     g = _active()
     if g is not None and out.requires_grad:
         g.nodes.append(Node(tag, inputs, out, bwd))
@@ -189,10 +197,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        accum(a, _unbroadcast(g, a.data.shape))
+        accum(b, _unbroadcast(g, b.data.shape))
 
-    _record("add", (a, b), out, bwd)
+    record("add", (a, b), out, bwd)
     return out
 
 
@@ -201,10 +209,10 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        accum(a, _unbroadcast(g, a.data.shape))
+        accum(b, _unbroadcast(-g, b.data.shape))
 
-    _record("sub", (a, b), out, bwd)
+    record("sub", (a, b), out, bwd)
     return out
 
 
@@ -213,10 +221,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        accum(a, _unbroadcast(g * b.data, a.data.shape))
+        accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    _record("mul", (a, b), out, bwd)
+    record("mul", (a, b), out, bwd)
     return out
 
 
@@ -227,10 +235,10 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / safe, a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g / safe, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (safe * safe), b.data.shape))
+        accum(a, _unbroadcast(g / safe, a.data.shape))
+        accum(b, _unbroadcast(-g * a.data / (safe * safe), b.data.shape))
 
-    _record("div", (a, b), out, bwd)
+    record("div", (a, b), out, bwd)
     return out
 
 
@@ -239,9 +247,9 @@ def scale(x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * c, x.requires_grad)
 
     def bwd(g):
-        _accum(x, g * c)
+        accum(x, g * c)
 
-    _record("scale", (x,), out, bwd)
+    record("scale", (x,), out, bwd)
     return out
 
 
@@ -252,10 +260,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        accum(a, g @ b.data.T)
+        accum(b, a.data.T @ g)
 
-    _record("matmul", (a, b), out, bwd)
+    record("matmul", (a, b), out, bwd)
     return out
 
 
@@ -265,9 +273,9 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0), x.requires_grad)
 
     def bwd(g):
-        _accum(x, g * mask)
+        accum(x, g * mask)
 
-    _record("relu", (x,), out, bwd)
+    record("relu", (x,), out, bwd)
     return out
 
 
@@ -276,9 +284,9 @@ def exp(x: Tensor) -> Tensor:
     out = Tensor(e, x.requires_grad)
 
     def bwd(g):
-        _accum(x, g * e)
+        accum(x, g * e)
 
-    _record("exp", (x,), out, bwd)
+    record("exp", (x,), out, bwd)
     return out
 
 
@@ -288,9 +296,9 @@ def log(x: Tensor) -> Tensor:
     out = Tensor(np.log(safe), x.requires_grad)
 
     def bwd(g):
-        _accum(x, g / safe)
+        accum(x, g / safe)
 
-    _record("log", (x,), out, bwd)
+    record("log", (x,), out, bwd)
     return out
 
 
@@ -300,9 +308,9 @@ def sqrt(x: Tensor) -> Tensor:
     out = Tensor(s, x.requires_grad)
 
     def bwd(g):
-        _accum(x, g * 0.5 / np.maximum(s, EPS))
+        accum(x, g * 0.5 / np.maximum(s, EPS))
 
-    _record("sqrt", (x,), out, bwd)
+    record("sqrt", (x,), out, bwd)
     return out
 
 
@@ -315,9 +323,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g):
         dot = (g * p).sum(axis=axis, keepdims=True)
-        _accum(x, (g - dot) * p)
+        accum(x, (g - dot) * p)
 
-    _record("softmax", (x,), out, bwd)
+    record("softmax", (x,), out, bwd)
     return out
 
 
@@ -335,9 +343,9 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), x.requires_grad)
 
     def bwd(g):
-        _accum(x, _spread(g, x.data.shape, axis, keepdims))
+        accum(x, _spread(g, x.data.shape, axis, keepdims))
 
-    _record("sum", (x,), out, bwd)
+    record("sum", (x,), out, bwd)
     return out
 
 
@@ -352,9 +360,9 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(x.data.mean(axis=axis, keepdims=keepdims), x.requires_grad)
 
     def bwd(g):
-        _accum(x, _spread(g, x.data.shape, axis, keepdims) / n)
+        accum(x, _spread(g, x.data.shape, axis, keepdims) / n)
 
-    _record("mean", (x,), out, bwd)
+    record("mean", (x,), out, bwd)
     return out
 
 
@@ -371,9 +379,9 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             np.add.at(gx, idx, g)
-            _accum(x, gx)
+            accum(x, gx)
 
-    _record("take_rows", (x,), out, bwd)
+    record("take_rows", (x,), out, bwd)
     return out
 
 
@@ -393,9 +401,9 @@ def pick(x: Tensor, cols: np.ndarray) -> Tensor:
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             np.add.at(gx, (rows, cols), g)
-            _accum(x, gx)
+            accum(x, gx)
 
-    _record("pick", (x,), out, bwd)
+    record("pick", (x,), out, bwd)
     return out
 
 

@@ -13,7 +13,9 @@ in enabled loss terms see the same image sequence.
 
 Two memory banks run in parallel: one over backbone features (it drives
 pseudo-label assignment) and one over head outputs (it feeds the
-contrastive loss). With the identity head they hold identical rows.
+contrastive loss). Both are fed from one label pass over the column-stacked
+``[features | head outputs]``. The identity head shares one bank between
+the two roles, so it is updated once.
 """
 
 from __future__ import annotations
@@ -116,11 +118,22 @@ class TrainState:
     model: SegModel
     head: Head
     bank_feat: MemoryBank  # backbone space, drives pseudo-labeling
-    bank_head: MemoryBank  # head space, feeds the contrastive loss
+    bank_head: MemoryBank  # head space, feeds the contrastive loss; is bank_feat for head "none"
     style: StyleContext | None = None
 
     def parameters(self):
         return model_parameters(self.model) + head_parameters(self.head)
+
+    def bank_columns(self, f: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Rows to average for both banks in one label pass: [f | h], or f alone when shared."""
+        return f if self.bank_head is self.bank_feat else np.hstack([f, h])
+
+    def bank_splits(self, stacked: np.ndarray):
+        """(bank, its columns of a `bank_columns` result) for each distinct bank."""
+        d = self.bank_feat.feature_dim
+        yield self.bank_feat, stacked[:, :d]
+        if self.bank_head is not self.bank_feat:
+            yield self.bank_head, stacked[:, d:]
 
 
 def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
@@ -130,14 +143,19 @@ def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
     head = build_head(
         config.head, config.feature_dim, config.head_hidden_dim, config.head_out_dim, rng_init
     )
+    bank_feat = MemoryBank(classes, config.feature_dim, alpha=config.alpha)
+    if config.head == "none":
+        bank_head = bank_feat  # the identity head sees the backbone features
+    else:
+        bank_head = MemoryBank(classes, head.d_out, alpha=config.alpha)
     return TrainState(
         config=config,
         classes=classes,
         channels=channels,
         model=model,
         head=head,
-        bank_feat=MemoryBank(classes, config.feature_dim, alpha=config.alpha),
-        bank_head=MemoryBank(classes, head.d_out, alpha=config.alpha),
+        bank_feat=bank_feat,
+        bank_head=bank_head,
     )
 
 
@@ -183,8 +201,7 @@ def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
     space the loop will populate.
     """
     images, labels = data.source_train.images, data.source_train.labels
-    sums_f = np.zeros((state.classes, state.bank_feat.feature_dim))
-    sums_h = np.zeros((state.classes, state.bank_head.feature_dim))
+    sums = 0.0
     counts = np.zeros(state.classes, dtype=np.int64)
     for start in range(0, len(images), chunk):
         img = images[start : start + chunk]
@@ -193,14 +210,14 @@ def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
         lab = labels[start : start + chunk].reshape(-1)
         f = model_features(state.model, Tensor(to_pixels(img)))
         h = head_forward(state.head, f, training=False)
-        sf, c = label_sums(f.data, lab, state.classes)
-        sh, _ = label_sums(h.data, lab, state.classes)
-        sums_f += sf
-        sums_h += sh
+        s, c = label_sums(state.bank_columns(f.data, h.data), lab, state.classes)
+        sums = sums + s
         counts += c
     present = counts > 0
-    for bank, sums in ((state.bank_feat, sums_f), (state.bank_head, sums_h)):
-        bank.v_source[present] = sums[present] / counts[present, None]
+    if not present.any():
+        return  # no source pixels: sums never became an array
+    for bank, bank_sums in state.bank_splits(sums):
+        bank.v_source[present] = bank_sums[present] / counts[present, None]
         bank.init_source[present] = True
 
 
@@ -212,20 +229,17 @@ def _update_banks_and_label(state: TrainState, f_s, h_s, lab_s, f_t, h_t) -> np.
     target rows in. Centers are read as plain arrays, so no gradient ever
     reaches the banks.
     """
-    c = state.classes
-    means_f, counts = class_centers(f_s.data, lab_s, c)
-    means_h, _ = class_centers(h_s.data, lab_s, c)
-    update_bank(state.bank_feat, means_f, counts, "source")
-    update_bank(state.bank_head, means_h, counts, "source")
+    means, counts = class_centers(state.bank_columns(f_s.data, h_s.data), lab_s, state.classes)
+    for bank, bank_means in state.bank_splits(means):
+        update_bank(bank, bank_means, counts, "source")
     if int(state.bank_feat.init_source.sum()) >= 2:
         pseudo = assign_pseudo_labels(f_t.data, state.bank_feat, state.config.threshold)
     else:
         # margin needs two centers; until then nothing is labeled
         pseudo = np.full(f_t.data.shape[0], -1, dtype=np.int64)
-    t_means_f, t_counts = class_centers(f_t.data, pseudo, c)
-    t_means_h, _ = class_centers(h_t.data, pseudo, c)
-    update_bank(state.bank_feat, t_means_f, t_counts, "target")
-    update_bank(state.bank_head, t_means_h, t_counts, "target")
+    means, counts = class_centers(state.bank_columns(f_t.data, h_t.data), pseudo, state.classes)
+    for bank, bank_means in state.bank_splits(means):
+        update_bank(bank, bank_means, counts, "target")
     return pseudo
 
 

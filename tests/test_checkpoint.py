@@ -1,13 +1,23 @@
 """Checkpoint persistence: bit-exact round-trips and corruption handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cfalign.checkpoint import _state_arrays, load_checkpoint, save_checkpoint
+from cfalign.checkpoint import (
+    _empty_style,
+    _expected_shapes,
+    _state_arrays,
+    load_checkpoint,
+    save_checkpoint,
+)
+from cfalign.cli import main
 from cfalign.config import RunConfig
-from cfalign.data import SynthSpec, generate_dataset
-from cfalign.errors import ContractError
+from cfalign.data import SynthSpec, generate_dataset, save_dataset
+from cfalign.errors import ConfigError, ContractError
 from cfalign.evaluate import evaluate
+from cfalign.heads import HEAD_KINDS
 from cfalign.tensor import read_container, write_container
 from cfalign.train import init_state, train
 
@@ -93,6 +103,61 @@ class TestRoundTrip:
         assert loaded.bank_feat.init_source.dtype == bool
 
 
+class TestSharedBank:
+    def test_identity_head_shares_one_bank(self, tiny_data, tmp_path):
+        state = trained_state(tiny_data, head="none", iterations=5)
+        assert state.bank_head is state.bank_feat
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(state, path)
+        _, arrays = read_container(path, "cfalign-checkpoint")
+        assert "bank_head.v_source" in arrays  # both prefixes stay in the file
+        loaded = load_checkpoint(path)
+        assert loaded.bank_head is loaded.bank_feat
+        np.testing.assert_array_equal(loaded.bank_feat.v_target, state.bank_feat.v_target)
+
+    @pytest.mark.parametrize("head", [k for k in HEAD_KINDS if k != "none"])
+    def test_other_heads_keep_two_banks(self, tiny_data, tmp_path, head):
+        state = trained_state(tiny_data, head=head, iterations=2)
+        assert state.bank_head is not state.bank_feat
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        assert loaded.bank_head is not loaded.bank_feat
+
+    def test_identity_head_banks_that_differ_rejected(self, tiny_data, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(trained_state(tiny_data, head="none", iterations=3), path)
+        header, arrays = read_container(path, "cfalign-checkpoint")
+        arrays["bank_head.v_source"][0, 0] += 1.0
+        write_container(path, header, arrays)
+        with pytest.raises(ContractError, match="bank_head.v_source differs"):
+            load_checkpoint(path)
+
+    def test_identity_head_banks_that_differ_exit_2(self, tiny_data, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        save_dataset(data_dir, tiny_data)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(trained_state(tiny_data, head="none", iterations=3), path)
+        header, arrays = read_container(path, "cfalign-checkpoint")
+        arrays["bank_head.init_target"][:] = 1 - arrays["bank_head.init_target"]
+        write_container(path, header, arrays)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "bank_head.init_target" in err
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+@pytest.mark.parametrize("style, net", [(False, False), (True, False), (True, True)])
+def test_expected_shapes_match_state(head, style, net):
+    config = RunConfig(head=head, hidden_dim=5, feature_dim=4, head_hidden_dim=6, head_out_dim=3,
+                       style_net_dim=7)
+    state = init_state(config, 3, 2)
+    if style:
+        state.style = _empty_style(config, 2, with_net=net)
+    got = _expected_shapes(config, 3, 2, style, net)
+    assert got == {name: a.shape for name, a in _state_arrays(state)}
+
+
 class TestCorruption:
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -158,6 +223,27 @@ class TestCorruption:
         path, _, _ = saved
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(ContractError, match="after its last tensor"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["hidden_dim", "feature_dim", "head_out_dim"])
+    def test_huge_dim_in_config_echo_allocates_nothing(self, saved, key):
+        path, header, arrays = saved
+        header["config"][key] = 10**6
+        write_container(path, header, arrays)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="has shape"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_wrong_typed_config_echo(self, saved):
+        path, header, arrays = saved
+        header["config"]["iterations"] = "x"
+        write_container(path, header, arrays)
+        with pytest.raises(ConfigError, match="iterations must be an integer"):
             load_checkpoint(path)
 
     def test_huge_extent(self, saved):

@@ -99,6 +99,15 @@ class TestTrain:
         assert code == 2
         assert "tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [{"iterations": "x"}, {"tau": True}, {"entropy": 1}])
+    def test_wrong_typed_config_file_exits_2(self, dataset_dir, tmp_path, capsys, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["train", "--config", str(cfg), "--data", str(dataset_dir), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and next(iter(doc)) in err
+
     def test_missing_dataset_exits_2(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "x")]
                     + TINY_RUN_FLAGS)

@@ -213,6 +213,28 @@ class TestRunConfig:
             with pytest.raises(ConfigError):
                 RunConfig(**overrides).validate()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(iterations="x"),
+            dict(iterations=2.0),
+            dict(seed=True),
+            dict(tau=True),
+            dict(learning_rate="0.1"),
+            dict(contrastive=1),
+            dict(entropy="yes"),
+            dict(head_hidden_dim=4.0),
+            dict(head_out_dim="8"),
+            dict(head=3),
+        ],
+    )
+    def test_wrong_types_rejected(self, overrides):
+        with pytest.raises(ConfigError, match=next(iter(overrides))):
+            RunConfig(**overrides).validate()
+
+    def test_numbers_of_either_kind_fill_float_fields(self):
+        assert RunConfig(tau=1, head_out_dim=None, seed=np.int64(3)).validate().tau == 1
+
     def test_from_mapping_picks_known_fields(self):
         cfg = RunConfig.from_mapping({"tau": 0.5, "height": 8, "classes": 3})
         assert cfg.tau == 0.5  # SynthSpec keys pass through untouched

@@ -25,6 +25,23 @@ def nearest_two_oracle(features, centers):
     return idx, dmin, dsec
 
 
+def nearest_two_loop(features, centers):
+    """The per-center running min / second-min scan with strict comparisons."""
+    n = features.shape[0]
+    idx = np.zeros(n, dtype=np.int64)
+    dmin = np.full(n, np.inf)
+    dsec = np.full(n, np.inf)
+    for c in range(centers.shape[0]):
+        d = ((features - centers[c]) ** 2).sum(axis=1)
+        better = d < dmin
+        second = ~better & (d < dsec)
+        dsec[second] = d[second]
+        dsec[better] = dmin[better]
+        dmin[better] = d[better]
+        idx[better] = c
+    return idx, np.sqrt(dmin), np.sqrt(dsec)
+
+
 class TestNearestTwo:
     def test_against_oracle(self, backend):
         rng = np.random.default_rng(10)
@@ -39,6 +56,23 @@ class TestNearestTwo:
             np.testing.assert_array_equal(idx, oidx)
             np.testing.assert_allclose(dmin, odmin, atol=1e-12)
             np.testing.assert_allclose(dsec, odsec, atol=1e-12)
+
+    def test_bitwise_equal_to_scan(self, backend):
+        rng = np.random.default_rng(13)
+        for trial in range(40):
+            n, k, d = int(rng.integers(1, 150)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            k = 1 if trial < 2 else k
+            f = rng.normal(size=(n, d))
+            c = rng.normal(size=(k, d))
+            if trial % 2:
+                # small integer grids make exact distance ties common, and
+                # duplicated centers tie on every row
+                f = rng.integers(-2, 3, size=(n, d)).astype(float)
+                c = rng.integers(-2, 3, size=(k, d)).astype(float)
+                c[rng.integers(0, k)] = c[rng.integers(0, k)]
+            for got, want in zip(kernels.nearest_two(f, c), nearest_two_loop(f, c)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
     def test_single_center_second_is_inf(self, backend):
         idx, dmin, dsec = kernels.nearest_two(np.zeros((3, 2)), np.ones((1, 2)))
@@ -76,6 +110,19 @@ class TestLabelSums:
                     ref_counts[labels[i]] += 1
             np.testing.assert_allclose(sums, ref_sums, atol=1e-12)
             np.testing.assert_array_equal(counts, ref_counts)
+
+    def test_bitwise_equal_to_scatter_add(self, backend):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n, d, c = int(rng.integers(0, 400)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            # mixed magnitudes make the summation order visible in the last bits
+            f = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+            labels = rng.integers(-1, c, size=n)
+            sums, _ = kernels.label_sums(f, labels, c)
+            ref = np.zeros((c, d))
+            valid = labels >= 0
+            np.add.at(ref, labels[valid], f[valid])
+            assert np.array_equal(sums, ref)
 
     def test_all_ignored(self, backend):
         sums, counts = kernels.label_sums(np.ones((4, 2)), -np.ones(4, dtype=int), 3)

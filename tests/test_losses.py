@@ -15,7 +15,26 @@ from cfalign.losses import (
     total_objective,
 )
 from cfalign.membank import MemoryBank
-from cfalign.tensor import Tensor, grad_check, softmax
+from cfalign.tensor import (
+    Graph,
+    Tensor,
+    add,
+    backward,
+    div,
+    exp,
+    grad_check,
+    log,
+    matmul,
+    mul,
+    pick,
+    reduce_mean,
+    reduce_sum,
+    scale,
+    softmax,
+    sqrt,
+    sub,
+    take_rows,
+)
 
 
 def info_nce_oracle(f, labels, centers, mask, tau, include_positive=True):
@@ -44,6 +63,34 @@ def combined_oracle(f_s, y_s, f_t, y_t, bank, tau):
             if (kept >= 0).any():
                 total += info_nce_oracle(f, kept, centers, mask, tau)
     return total
+
+
+def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, normalize=False):
+    """InfoNCE as the 11-node chain of per-op tape nodes (take_rows, matmul,
+    scale, sub, exp, sum, log, add, pick, sub, mean, plus the l2 and keep
+    nodes of the flags); the fused op must match it bit for bit."""
+    labeled = np.flatnonzero(labels >= 0)
+    active = np.flatnonzero(mask)
+    f = take_rows(features, labeled)
+    sub_centers = centers[active]
+    if normalize:
+        f = div(f, sqrt(reduce_sum(mul(f, f), axis=1, keepdims=True)))
+        sub_centers = sub_centers / np.maximum(np.linalg.norm(sub_centers, axis=1, keepdims=True), 1e-12)
+    pos_of = np.full(centers.shape[0], -1, dtype=np.int64)
+    pos_of[active] = np.arange(active.size)
+    pos = pos_of[labels[labeled]]
+    logits = scale(matmul(f, sub_centers.T), 1.0 / tau)
+    if include_positive:
+        shift = logits.data.max(axis=1, keepdims=True)
+        z = reduce_sum(exp(sub(logits, shift)), axis=1)
+    else:
+        keep = np.ones((labeled.size, active.size))
+        keep[np.arange(labeled.size), pos] = 0.0
+        shift = np.where(keep > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
+        cushion = (1.0 - keep) * (np.maximum(logits.data - shift, 0.0) + 1000.0)
+        z = reduce_sum(mul(exp(sub(sub(logits, shift), cushion)), keep), axis=1)
+    lse = add(log(z), shift.ravel())
+    return reduce_mean(sub(lse, pick(logits, pos)))
 
 
 class TestCrossEntropy:
@@ -207,6 +254,38 @@ class TestInfoNCE:
 
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         assert grad_check(fn, x) < 1e-6
+
+
+    @pytest.mark.parametrize(
+        "include_positive, normalize", [(True, False), (False, False), (True, True)]
+    )
+    def test_fused_node_matches_chain_bitwise(self, include_positive, normalize):
+        rng = np.random.default_rng(46)
+        for _ in range(25):
+            n, c, d = int(rng.integers(1, 40)), int(rng.integers(3, 8)), int(rng.integers(1, 7))
+            centers = rng.normal(size=(c, d)) * rng.uniform(0.1, 10.0)
+            mask = rng.random(c) < 0.7
+            mask[rng.choice(c, size=2, replace=False)] = True
+            labels = rng.choice(np.flatnonzero(mask), size=n)
+            labels[rng.random(n) < 0.3] = -1
+            labels[0] = np.flatnonzero(mask)[0]
+            tau = float(rng.uniform(0.02, 1.5))
+            feats = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+            outs = []
+            for fused in (True, False):
+                x = Tensor(feats.copy(), requires_grad=True)
+                with Graph() as g:
+                    if fused:
+                        loss, _ = info_nce(x, labels, centers, mask, tau, include_positive, normalize)
+                    else:
+                        loss = info_nce_chain(x, labels, centers, mask, tau, include_positive, normalize)
+                    # a non-unit upstream gradient, as the weighted total gives
+                    backward(scale(loss, 1e-3), g)
+                outs.append((loss.data, x.grad, len(g)))
+            (got, got_grad, nodes), (want, want_grad, _) = outs
+            assert nodes == 2  # the fused node plus the scale
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_grad, want_grad)
 
 
 class TestContrastiveCombined:
