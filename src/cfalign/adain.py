@@ -22,9 +22,9 @@ from .tensor import (
     Graph,
     Tensor,
     add,
+    affine,
     backward,
     div,
-    matmul,
     mul,
     reduce_mean,
     relu,
@@ -190,11 +190,11 @@ def build_style_net(channels: int, dim: int, rng: np.random.Generator | int | No
 
 
 def encode(net: StyleNet, pixels: Tensor) -> Tensor:
-    return relu(add(matmul(pixels, net.enc_w), net.enc_b))
+    return relu(affine(pixels, net.enc_w, net.enc_b))
 
 
 def decode(net: StyleNet, features: Tensor) -> Tensor:
-    return add(matmul(features, net.dec_w), net.dec_b)
+    return affine(features, net.dec_w, net.dec_b)
 
 
 def train_style_net(

@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, eval, ablate, sweep, grad-check. Every knob
 can come from a flat JSON file (--config) holding run and dataset fields by
 name; explicit flags override file values. Exit codes: 0 success, 1 failed
-grad-check, 2 config error or malformed data/checkpoint file, 3 numerical
-divergence.
+grad-check, 2 config error, a malformed or unreadable data/checkpoint file
+or an --out that cannot be written, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -92,8 +92,19 @@ def _parse_value(kind: str, text: str):
         raise ConfigError(f"cannot read {text!r} as {kind}") from exc
 
 
+def _out_dir(path: Path | None) -> Path | None:
+    """Create an output directory before any work, so a bad --out fails first."""
+    if path is not None:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+    return path
+
+
 def _cmd_gen_data(args) -> int:
     spec = SynthSpec.from_mapping(_merged(args, SynthSpec))
+    _out_dir(args.out)
     data = generate_dataset(spec)
     save_dataset(args.out, data)
     print(
@@ -105,10 +116,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     config = RunConfig.from_mapping(_merged(args, RunConfig))
+    out = _out_dir(args.out)
     data = load_dataset(args.data)
     state, records = train(config, data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_metrics_csv(records, out / "metrics.csv")
     save_checkpoint(state, out / "checkpoint.bin")
     record = evaluate(state, data.target_eval)
@@ -124,13 +134,17 @@ def _cmd_eval(args) -> int:
     record = evaluate(state, split)
     text = eval_to_json(record, state.config)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from exc
     sys.stdout.write(text)
     return 0
 
 
 def _cmd_ablate(args) -> int:
     config = RunConfig.from_mapping(_merged(args, RunConfig))
+    _out_dir(args.out)
     data = load_dataset(args.data)
     results = run_ablation(config, data)
     sys.stdout.write(results_table(results))
@@ -150,6 +164,7 @@ def _cmd_sweep(args) -> int:
     values = [_parse_value(kind, piece) for piece in args.values.split(",") if piece.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    _out_dir(args.out)
     data = load_dataset(args.data)
     results = run_sensitivity(config, data, {args.param: values})
     sys.stdout.write(results_table(results))

@@ -67,12 +67,13 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
             f"split labels use classes outside [0, {state.classes}); "
             f"found range [{labels.min()}, {labels.max()}]"
         )
-    preds = predict_labels(state.model, split.images).reshape(-1)
+    # one backbone pass feeds both the predictions and the pseudo-labels
+    feats = model_features(state.model, Tensor(to_pixels(split.images)))
+    preds = predict_labels(state.model, split.images, features=feats).reshape(-1)
     per_class, miou = iou_from_confusion(confusion(preds, labels, state.classes))
 
     pseudo_acc, assigned = 0.0, 0
     if int(state.bank_feat.init_source.sum()) >= 2:
-        feats = model_features(state.model, Tensor(to_pixels(split.images)))
         pseudo = assign_pseudo_labels(feats.data, state.bank_feat, state.config.threshold)
         pseudo_acc, assigned = pseudo_label_accuracy(pseudo, labels)
     return EvalRecord(

@@ -14,7 +14,7 @@ from .adain import ChannelStats, content_loss, feature_stats, style_loss
 from .heads import HEAD_KINDS, build_head, head_forward
 from .losses import contrastive_combined, cross_entropy, entropy_loss, info_nce
 from .membank import MemoryBank
-from .tensor import Tensor, grad_check, softmax
+from .tensor import Tensor, add, affine, grad_check, softmax
 
 __all__ = ["loss_battery", "BATTERY_CASES"]
 
@@ -114,6 +114,27 @@ def _make_head_case(kind: str):
     return case
 
 
+def _make_affine_case(part: str):
+    """A classifier layer under CE + entropy, differentiated in its weight or bias."""
+
+    def case(rng):
+        n, d, c = 6, 3, 4
+        labels = _labels(rng, n, c)
+        feats = Tensor(rng.normal(size=(n, d)))
+        layer = {"weight": Tensor(rng.normal(size=(d, c))), "bias": Tensor(rng.normal(size=c))}
+        x = layer[part]
+        x.requires_grad = True
+
+        def fn(t):
+            params = {**layer, part: t}
+            p = softmax(affine(feats, params["weight"], params["bias"]))
+            return add(cross_entropy(p, labels), entropy_loss(p))
+
+        return fn, x
+
+    return case
+
+
 BATTERY_CASES = [
     ("cross_entropy", _case_cross_entropy),
     ("entropy_loss", _case_entropy),
@@ -126,6 +147,8 @@ BATTERY_CASES = [
     # appended, so the cases above keep their random draws
     ("info_nce/exclude_positive", _make_info_nce_case(include_positive=False)),
     ("info_nce/normalize", _make_info_nce_case(normalize=True)),
+    ("affine/weight", _make_affine_case("weight")),
+    ("affine/bias", _make_affine_case("bias")),
 ]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import RunningStats, Tensor, add, batch_norm, matmul, relu
+from .tensor import RunningStats, Tensor, affine, batch_norm, relu
 
 HEAD_KINDS = ("none", "linear", "moco", "byol", "simclr")
 
@@ -121,7 +121,7 @@ def head_forward(head: Head, x: Tensor, training: bool = True) -> Tensor:
         if layer == "relu":
             out = relu(out)
         elif isinstance(layer, LinearLayer):
-            out = add(matmul(out, layer.weight), layer.bias)
+            out = affine(out, layer.weight, layer.bias)
         else:
             out = batch_norm(
                 out, layer.gamma, layer.beta, running=layer.running, eps=layer.eps, training=training

@@ -3,8 +3,9 @@
 All losses return scalar tensors on the active graph. Class centers enter as
 plain numpy constants so no gradient ever flows into the memory bank, and
 pixels labeled ``-1`` are excluded everywhere. InfoNCE is computed through a
-max-shifted log-sum-exp, so temperatures as small as 1e-2 stay finite, and
-records one tape node whose backward repeats the per-op chain's rounding.
+max-shifted log-sum-exp, so temperatures as small as 1e-2 stay finite. Each
+loss records one tape node whose backward repeats the rounding of the per-op
+chain it replaces.
 """
 
 from __future__ import annotations
@@ -15,20 +16,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .membank import MemoryBank
-from .tensor import (
-    EPS,
-    Tensor,
-    accum,
-    add,
-    log,
-    mul,
-    pick,
-    record,
-    reduce_mean,
-    reduce_sum,
-    scale,
-    take_rows,
-)
+from .tensor import EPS, Tensor, accum, add, record, scale
 
 __all__ = [
     "LossBreakdown",
@@ -56,8 +44,20 @@ def cross_entropy(pred: Tensor, labels: np.ndarray) -> Tensor:
         raise ContractError("cross_entropy needs at least one labeled pixel")
     if labels.max() >= pred.data.shape[1]:
         raise ContractError(f"label {labels.max()} out of range for {pred.data.shape[1]} classes")
-    p = pick(take_rows(pred, labeled), labels[labeled])
-    return scale(reduce_mean(log(p)), -1.0)
+    cols = labels[labeled]
+    m = labeled.size
+    safe = np.maximum(pred.data[labeled, cols], EPS)
+    loss = Tensor(np.log(safe).mean() * -1.0, pred.requires_grad)
+
+    def bwd(g):
+        # gather, clamped log, mean and negation with the per-op chain's
+        # rounding; the (row, label) pairs are distinct, so no scatter-add
+        gx = np.zeros_like(pred.data)
+        gx[labeled, cols] = np.broadcast_to(g * -1.0, (m,)) / m / safe
+        accum(pred, gx)
+
+    record("cross_entropy", (pred,), loss, bwd)
+    return loss
 
 
 def entropy_loss(pred: Tensor) -> Tensor:
@@ -71,8 +71,21 @@ def entropy_loss(pred: Tensor) -> Tensor:
     c = pred.data.shape[1]
     if c < 2:
         raise ContractError(f"entropy needs at least 2 classes, got {c}")
-    plogp = reduce_sum(mul(pred, log(pred)), axis=1)
-    return reduce_mean(scale(plogp, -1.0 / np.log(c)))
+    n = pred.data.shape[0]
+    k = float(-1.0 / np.log(c))
+    safe = np.maximum(pred.data, EPS)
+    logp = np.log(safe)
+    loss = Tensor(((pred.data * logp).sum(axis=1) * k).mean(), pred.requires_grad)
+
+    def bwd(g):
+        # mean, scale and row sum, then pred's two uses (the factor of
+        # pred * log pred and the clamped log's argument) in the chain's order
+        G = np.broadcast_to(np.expand_dims(np.broadcast_to(g, (n,)) / n * k, 1), pred.data.shape)
+        accum(pred, G * logp)
+        accum(pred, (G * pred.data) / safe)
+
+    record("entropy", (pred,), loss, bwd)
+    return loss
 
 
 def info_nce(

@@ -15,7 +15,7 @@ import numpy as np
 from .adain import to_pixels
 from .errors import ConfigError, DimensionError
 from .heads import LinearLayer, linear_layer
-from .tensor import Tensor, add, matmul, relu, softmax
+from .tensor import Tensor, affine, relu, softmax
 
 __all__ = [
     "SegModel",
@@ -70,8 +70,8 @@ def model_features(model: SegModel, pixels: Tensor) -> Tensor:
         raise DimensionError(
             f"backbone expects (n, {model.channels}) pixels, got {pixels.data.shape}"
         )
-    hidden = relu(add(matmul(pixels, model.enc1.weight), model.enc1.bias))
-    return add(matmul(hidden, model.enc2.weight), model.enc2.bias)
+    hidden = relu(affine(pixels, model.enc1.weight, model.enc1.bias))
+    return affine(hidden, model.enc2.weight, model.enc2.bias)
 
 
 def model_probs(model: SegModel, features: Tensor) -> Tensor:
@@ -80,8 +80,7 @@ def model_probs(model: SegModel, features: Tensor) -> Tensor:
         raise DimensionError(
             f"classifier expects (n, {model.feature_dim}) features, got {features.data.shape}"
         )
-    logits = add(matmul(features, model.classifier.weight), model.classifier.bias)
-    return softmax(logits)
+    return softmax(affine(features, model.classifier.weight, model.classifier.bias))
 
 
 def model_parameters(model: SegModel) -> list[Tensor]:
@@ -91,9 +90,13 @@ def model_parameters(model: SegModel) -> list[Tensor]:
     return params
 
 
-def predict_labels(model: SegModel, images: np.ndarray) -> np.ndarray:
-    """Forward-only argmax labels for an image batch (b, c, h, w)."""
+def predict_labels(model: SegModel, images: np.ndarray, features: Tensor | None = None) -> np.ndarray:
+    """Forward-only argmax labels for an image batch (b, c, h, w).
+
+    `features`, when given, are the backbone rows of `images` computed
+    already; the backbone then does not run again.
+    """
     b, _, h, w = images.shape
-    feats = model_features(model, Tensor(to_pixels(images)))
-    probs = model_probs(model, feats)
-    return probs.data.argmax(axis=1).reshape(b, h, w)
+    if features is None:
+        features = model_features(model, Tensor(to_pixels(images)))
+    return model_probs(model, features).data.argmax(axis=1).reshape(b, h, w)

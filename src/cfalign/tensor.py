@@ -43,6 +43,7 @@ __all__ = [
     "div",
     "scale",
     "matmul",
+    "affine",
     "relu",
     "exp",
     "log",
@@ -264,6 +265,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         accum(b, a.data.T @ g)
 
     record("matmul", (a, b), out, bwd)
+    return out
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node; same rounding as ``add(matmul(x, w), b)``."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise DimensionError(f"affine needs (n,k)@(k,m), got {x.data.shape} @ {w.data.shape}")
+    out = Tensor(x.data @ w.data + b.data, x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def bwd(g):
+        # bias, then input, then weight: the accumulation order of the chain
+        accum(b, _unbroadcast(g, b.data.shape))
+        accum(x, g @ w.data.T)
+        accum(w, x.data.T @ g)
+
+    record("affine", (x, w, b), out, bwd)
     return out
 
 
@@ -537,12 +555,17 @@ def write_container(path: str | Path, header: dict, arrays: Mapping[str, np.ndar
 def read_container(path: str | Path, fmt: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container whose header has format tag `fmt`: (header, arrays by name).
 
-    Malformed input raises ContractError: a header line that is not a UTF-8
-    JSON object, another format tag, no list of distinct tensor names, a
-    tensor declaring more bytes than the file has left (checked before any
-    read), or bytes after the last tensor.
+    A path that cannot be opened raises ContractError naming it, and so does
+    malformed input: a header line that is not a UTF-8 JSON object, another
+    format tag, no list of distinct tensor names, a tensor declaring more
+    bytes than the file has left (checked before any read), or bytes after
+    the last tensor.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ContractError(f"cannot open {path}: {exc.strerror}") from exc
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         try:
             header = json.loads(fh.readline().decode("utf-8"))

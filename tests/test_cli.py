@@ -126,6 +126,36 @@ class TestTrain:
         assert len(err.splitlines()) == 1 and "target_eval.bin" in err
 
 
+class TestOutPath:
+    """A --out that cannot become a directory fails before any data is read
+    or generated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data"] + TINY_DATA_FLAGS,
+            ["train"] + TINY_RUN_FLAGS,
+            ["ablate"] + TINY_RUN_FLAGS,
+            ["sweep", "--param", "tau", "--values", "0.1"] + TINY_RUN_FLAGS,
+        ],
+        ids=["gen-data", "train", "ablate", "sweep"],
+    )
+    def test_out_is_a_file_exits_2(self, dataset_dir, tmp_path, capsys, monkeypatch, argv):
+        def no_data(*args):
+            raise AssertionError("data read or generated before --out was checked")
+
+        monkeypatch.setattr("cfalign.cli.load_dataset", no_data)
+        monkeypatch.setattr("cfalign.cli.generate_dataset", no_data)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        data = [] if argv[0] == "gen-data" else ["--data", str(dataset_dir)]
+        code = main(argv[:1] + data + ["--out", str(taken)] + argv[1:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "taken" in err
+        assert taken.read_text() == "a file, not a directory"
+
+
 class TestEval:
     def test_eval_matches_train_result(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -145,6 +175,25 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "garbage.bin" in err
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()], ids=["missing", "directory"])
+    def test_unreadable_checkpoint_path_exits_2(self, dataset_dir, tmp_path, capsys, make):
+        path = tmp_path / "ckpt.bin"
+        make(path)
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ckpt.bin" in err
+
+    def test_out_is_a_directory_exits_2(self, dataset_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run)] + TINY_RUN_FLAGS) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(dataset_dir),
+                     "--out", str(run)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(run) in err
 
     def test_other_split(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -93,6 +93,100 @@ def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, 
     return reduce_mean(sub(lse, pick(logits, pos)))
 
 
+def cross_entropy_chain(pred, labels):
+    """CE as the per-op chain take_rows, pick, log, mean, scale; the fused
+    node must match it bit for bit."""
+    labeled = np.flatnonzero(labels >= 0)
+    return scale(reduce_mean(log(pick(take_rows(pred, labeled), labels[labeled]))), -1.0)
+
+
+def entropy_chain(pred):
+    """Normalized entropy as the per-op chain log, mul, sum, scale, mean."""
+    c = pred.data.shape[1]
+    return reduce_mean(scale(reduce_sum(mul(pred, log(pred)), axis=1), -1.0 / np.log(c)))
+
+
+def awkward_probs(rng, n, c):
+    """Probability rows with exact zeros (the log clamp) and one-hot rows."""
+    p = rng.dirichlet(np.full(c, rng.uniform(0.2, 3.0)), size=n)
+    p[rng.random((n, c)) < 0.2] = 0.0
+    hot = rng.random(n) < 0.2
+    p[hot] = np.eye(c)[rng.integers(0, c, size=int(hot.sum()))]
+    p[p.sum(axis=1) == 0, 0] = 1.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def fused_and_chain(loss_fns, inputs, weight):
+    """(loss, grad, tape length) of each loss fn on a fresh leaf, under an
+    upstream gradient of `weight`."""
+    outs = []
+    for fn in loss_fns:
+        x = Tensor(inputs.copy(), requires_grad=True)
+        with Graph() as g:
+            loss = fn(x)
+            backward(scale(loss, weight), g)
+        outs.append((loss.data, x.grad, len(g)))
+    return outs
+
+
+class TestFusedMatchesChain:
+    def test_cross_entropy_bitwise(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            n, c = int(rng.integers(1, 30)), int(rng.integers(2, 7))
+            p = awkward_probs(rng, n, c)
+            labels = rng.integers(0, c, size=n)
+            labels[rng.random(n) < 0.3] = -1
+            labels[rng.integers(0, n)] = rng.integers(0, c)
+            weight = float(rng.uniform(1e-3, 5.0))
+            (got, got_grad, nodes), (want, want_grad, _) = fused_and_chain(
+                (lambda x: cross_entropy(x, labels), lambda x: cross_entropy_chain(x, labels)), p, weight
+            )
+            assert nodes == 2  # the fused node plus the scale
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_grad, want_grad)
+
+    def test_entropy_bitwise(self):
+        rng = np.random.default_rng(48)
+        for _ in range(40):
+            n, c = int(rng.integers(1, 30)), int(rng.integers(2, 7))
+            p = awkward_probs(rng, n, c)
+            weight = float(rng.uniform(1e-3, 5.0))
+            (got, got_grad, nodes), (want, want_grad, _) = fused_and_chain(
+                (entropy_loss, entropy_chain), p, weight
+            )
+            assert nodes == 2
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_grad, want_grad)
+
+    def test_shared_probabilities_bitwise(self):
+        # CE and entropy on one softmax output: both nodes accumulate into it,
+        # CE first (the reverse of tape order), so the entropy node's two
+        # accumulations land on a gradient that is already there
+        rng = np.random.default_rng(49)
+        for _ in range(20):
+            n, c = int(rng.integers(1, 30)), int(rng.integers(2, 7))
+            labels = rng.integers(-1, c, size=n)
+            labels[0] = 0
+            lam = float(rng.uniform(0.0, 2.0))
+            logits = rng.normal(size=(n, c)) * rng.uniform(0.1, 40.0)
+
+            def objective(ce, ent):
+                def fn(x):
+                    p = softmax(x)
+                    return add(scale(ent(p), lam), ce(p, labels))
+
+                return fn
+
+            (got, got_grad, _), (want, want_grad, _) = fused_and_chain(
+                (objective(cross_entropy, entropy_loss), objective(cross_entropy_chain, entropy_chain)),
+                logits,
+                1.0,
+            )
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_grad, want_grad)
+
+
 class TestCrossEntropy:
     def test_uniform_two_classes(self):
         loss = cross_entropy(Tensor([[0.5, 0.5]]), np.array([0]))

@@ -1,6 +1,7 @@
 """Autodiff core: forward values against oracles, gradients against finite differences."""
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -13,6 +14,8 @@ from cfalign.tensor import (
     Graph,
     RunningStats,
     Tensor,
+    add,
+    affine,
     backward,
     batch_norm,
     div,
@@ -255,6 +258,67 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
+def chain_affine(x, w, b):
+    return add(matmul(x, w), b)
+
+
+def run_layers(lin, build, arrays, const=()):
+    """Output, per-input gradients and tape length of `build(lin, tensors)`
+    under a non-uniform upstream gradient (sum of squares)."""
+    tensors = {k: Tensor(v.copy(), requires_grad=k not in const) for k, v in arrays.items()}
+    with Graph() as g:
+        out = build(lin, tensors)
+        backward(reduce_sum(mul(out, out)), g)
+    return out.data, {k: t.grad for k, t in tensors.items()}, len(g)
+
+
+class TestAffine:
+    """The fused affine node against add(matmul(x, w), b), bit for bit."""
+
+    def check(self, build, arrays, const=()):
+        got, got_grads, nodes = run_layers(affine, build, arrays, const)
+        want, want_grads, chain_nodes = run_layers(chain_affine, build, arrays, const)
+        assert np.array_equal(got, want)
+        for name, grad in want_grads.items():
+            if grad is None:
+                assert got_grads[name] is None
+            else:
+                assert np.array_equal(got_grads[name], grad), name
+        return nodes, chain_nodes
+
+    def draw(self, rng, **shapes):
+        return {k: rng.normal(size=s) * rng.uniform(0.1, 10.0) for k, s in shapes.items()}
+
+    def test_one_layer(self):
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            n, k, m = (int(v) for v in rng.integers(1, 9, size=3))
+            arrays = self.draw(rng, x=(n, k), w=(k, m), b=(m,))
+            nodes, chain_nodes = self.check(lambda lin, t: lin(t["x"], t["w"], t["b"]), arrays)
+            assert (nodes, chain_nodes) == (3, 4)  # affine vs matmul + add, then mul, sum
+
+    def test_constant_input(self):
+        rng = np.random.default_rng(61)
+        arrays = self.draw(rng, x=(7, 3), w=(3, 4), b=(4,))
+        self.check(lambda lin, t: lin(t["x"], t["w"], t["b"]), arrays, const=("x",))
+
+    def test_weight_shared_by_two_calls(self):
+        # w receives two accumulations; their order must be the chain's
+        rng = np.random.default_rng(62)
+        for _ in range(10):
+            n, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            arrays = self.draw(rng, x=(n, d), w=(d, d), b1=(d,), b2=(d,))
+
+            def build(lin, t):
+                return lin(relu(lin(t["x"], t["w"], t["b1"])), t["w"], t["b2"])
+
+            self.check(build, arrays)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+
+
 class TestBatchNorm:
     def test_unit_normalization(self):
         x = Tensor([[1.0], [3.0]])
@@ -364,6 +428,11 @@ class TestSerialization:
         _, out = read_container(path, "t")
         np.testing.assert_array_equal(out["i"], [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(out["b"], [1.0, 0.0])
+
+    def test_unopenable_path_rejected(self, tmp_path):
+        for path in (tmp_path / "absent.bin", tmp_path):
+            with pytest.raises(ContractError, match=re.escape(f"cannot open {path}")):
+                read_container(path, "t")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.bin"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import cfalign.train as train_module
 from cfalign.config import RunConfig
 from cfalign.data import Dataset, Split, SynthSpec, generate_dataset
 from cfalign.errors import DivergenceError
@@ -157,6 +158,36 @@ class TestContrastivePath:
             assert np.isfinite(records[-1].total)
             bn = [l for l in state.head.layers if hasattr(l, "running")][0]
             assert not np.array_equal(bn.running.mean, np.zeros_like(bn.running.mean))
+
+
+class TestTapeSize:
+    """Tape nodes per iteration, counted at the `backward` call the loop makes.
+
+    Each layer is one affine node and each loss one node; a change that
+    splits one back into a chain of ops changes these counts.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides, nodes",
+        [
+            ({}, 15),
+            ({"style_transfer": True, "contrastive": True}, 23),
+            ({"style_transfer": True, "contrastive": True, "head": "byol"}, 47),
+            ({"style_transfer": True, "contrastive": True, "head": "simclr"}, 65),
+        ],
+        ids=["ent", "full-none", "full-byol", "full-simclr"],
+    )
+    def test_nodes_per_iteration(self, tiny_data, monkeypatch, overrides, nodes):
+        counts = []
+        real = train_module.backward
+
+        def spy(root, graph):
+            counts.append(len(graph))
+            return real(root, graph)
+
+        monkeypatch.setattr(train_module, "backward", spy)
+        train(tiny_config(iterations=5, **overrides), tiny_data)
+        assert counts == [nodes] * 5
 
 
 class TestStyleTransfer:
