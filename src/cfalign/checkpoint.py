@@ -23,7 +23,7 @@ from .train import StyleContext, TrainState, init_state
 __all__ = ["CHECKPOINT_FORMAT", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_FORMAT = "cfalign-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
@@ -45,11 +45,8 @@ def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
             entries.append((f"head.{i}.beta", layer.beta.data))
             entries.append((f"head.{i}.running_mean", layer.running.mean))
             entries.append((f"head.{i}.running_var", layer.running.var))
-    for prefix, bank in (("bank_feat", state.bank_feat), ("bank_head", state.bank_head)):
-        entries.append((f"{prefix}.v_source", bank.v_source))
-        entries.append((f"{prefix}.v_target", bank.v_target))
-        entries.append((f"{prefix}.init_source", bank.init_source))
-        entries.append((f"{prefix}.init_target", bank.init_target))
+    for part in ("v_source", "v_target", "init_source", "init_target"):
+        entries.append((f"bank.{part}", getattr(state.bank, part)))
     if state.style is not None:
         mean, var = state.style.stats.as_arrays()
         entries.append(("style.stats_mean", mean))
@@ -90,11 +87,10 @@ def _expected_shapes(
         else:
             for part in ("gamma", "beta", "running_mean", "running_var"):
                 shapes[f"head.{i}.{part}"] = layer[1:]
-    head_out = plan[-1][-1] if plan else feat
-    for prefix, dim in (("bank_feat", feat), ("bank_head", head_out)):
-        for side in ("source", "target"):
-            shapes[f"{prefix}.v_{side}"] = (classes, dim)
-            shapes[f"{prefix}.init_{side}"] = (classes,)
+    width = feat + (plan[-1][-1] if plan else 0)
+    for side in ("source", "target"):
+        shapes[f"bank.v_{side}"] = (classes, width)
+        shapes[f"bank.init_{side}"] = (classes,)
     if style:
         shapes["style.stats_mean"] = shapes["style.stats_var"] = (channels,)
     if net:
@@ -124,10 +120,14 @@ def load_checkpoint(path: str | Path) -> TrainState:
     Every stored name and shape is checked against the config echo first;
     only then is the state constructed from it (so shapes and layer kinds
     match by design) and every stored array replaces the fresh one. A
-    malformed file, mismatched names or shapes, bank flags other than 0/1,
-    or an identity-head file whose two banks differ raise ContractError.
+    malformed file, another version, mismatched names or shapes, or bank
+    flags other than 0/1 raise ContractError.
     """
     header, stored = read_container(path, CHECKPOINT_FORMAT)
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ContractError(
+            f"{path} is checkpoint version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"
+        )
     config, classes, channels = (header.get(k) for k in ("config", "classes", "channels"))
     if not (isinstance(config, dict) and isinstance(classes, int) and isinstance(channels, int)):
         raise ContractError(f"{path} header needs a config object and integer classes and channels")
@@ -144,12 +144,6 @@ def load_checkpoint(path: str | Path) -> TrainState:
             raise ContractError(f"tensor {name} has shape {array.shape}, expected {expected[name]}")
         if ".init_" in name and not np.all((array == 0) | (array == 1)):
             raise ContractError(f"bank flags {name} hold values other than 0 and 1")
-    if config.head == "none":
-        for name in [n for n in stored if n.startswith("bank_head.")]:
-            if not np.array_equal(stored[name], stored[name.replace("bank_head", "bank_feat", 1)]):
-                raise ContractError(
-                    f"{name} differs from its bank_feat twin; the identity head shares one bank"
-                )
     state = init_state(config, classes, channels)
     if style:
         state.style = _empty_style(config, state.channels, with_net=net)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_flat_config
-from .data import SynthSpec, generate_dataset, load_dataset, save_dataset
+from .data import SPLIT_FILES, SynthSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ContractError, DimensionError, DivergenceError, GenerationError
 from .evaluate import eval_to_json, evaluate, save_eval_json
 from .experiments import results_table, run_ablation, run_sensitivity, save_results
@@ -142,15 +142,17 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _report(results, out: Path | None) -> int:
+    sys.stdout.write(results_table(results))
+    if out:
+        save_results(results, out)
+    return 0
+
+
 def _cmd_ablate(args) -> int:
     config = RunConfig.from_mapping(_merged(args, RunConfig))
     _out_dir(args.out)
-    data = load_dataset(args.data)
-    results = run_ablation(config, data)
-    sys.stdout.write(results_table(results))
-    if args.out:
-        save_results(results, args.out)
-    return 0
+    return _report(run_ablation(config, load_dataset(args.data)), args.out)
 
 
 def _cmd_sweep(args) -> int:
@@ -165,12 +167,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     _out_dir(args.out)
-    data = load_dataset(args.data)
-    results = run_sensitivity(config, data, {args.param: values})
-    sys.stdout.write(results_table(results))
-    if args.out:
-        save_results(results, args.out)
-    return 0
+    return _report(run_sensitivity(config, load_dataset(args.data), {args.param: values}), args.out)
 
 
 def _cmd_grad_check(args) -> int:
@@ -210,11 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument(
-        "--split",
-        choices=("target_eval", "target_train", "source_train"),
-        default="target_eval",
-    )
+    p.add_argument("--split", choices=tuple(SPLIT_FILES), default="target_eval")
     p.add_argument("--out", type=Path, help="also write the JSON here")
     p.set_defaults(func=_cmd_eval)
 

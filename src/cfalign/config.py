@@ -17,11 +17,12 @@ from .heads import HEAD_KINDS
 
 TRANSFER_DIRECTIONS = ("source_to_target", "target_to_source")
 
-__all__ = ["RunConfig", "TRANSFER_DIRECTIONS", "load_flat_config"]
+__all__ = ["RunConfig", "TRANSFER_DIRECTIONS", "check_field_types", "load_flat_config"]
 
 
 _WANT = {"bool": "true or false", "int": "an integer", "int|None": "an integer",
-         "float": "a number", "str": "a string"}
+         "float": "a number", "str": "a string", "list|None": "a list",
+         "list|float": "a number or a list of numbers"}
 
 
 def _type_ok(kind: str, value) -> bool:
@@ -36,7 +37,26 @@ def _type_ok(kind: str, value) -> bool:
         return isinstance(value, numbers.Integral)
     if kind == "float":
         return isinstance(value, numbers.Real)
+    if kind == "list|None":
+        return value is None or isinstance(value, list)
+    if kind == "list|float":
+        numbers_only = isinstance(value, list) and all(_type_ok("float", v) for v in value)
+        return numbers_only or _type_ok("float", value)
     return isinstance(value, str)
+
+
+def check_field_types(record) -> None:
+    """Raise one ConfigError naming every field of dataclass `record` whose value has the wrong type.
+
+    Value checks compare across types, so they run only after this passes.
+    """
+    mistyped = []
+    for f in fields(record):
+        kind, value = str(f.type).replace(" ", ""), getattr(record, f.name)
+        if not _type_ok(kind, value):
+            mistyped.append(f"{f.name} must be {_WANT[kind]}, got {type(value).__name__} {value!r}")
+    if mistyped:
+        raise ConfigError("; ".join(mistyped))
 
 
 @dataclass
@@ -77,15 +97,7 @@ class RunConfig:
     style_lr: float = 0.05
 
     def validate(self) -> "RunConfig":
-        mistyped = []
-        for f in fields(self):
-            kind, value = str(f.type).replace(" ", ""), getattr(self, f.name)
-            if not _type_ok(kind, value):
-                got = f"{type(value).__name__} {value!r}"
-                mistyped.append(f"{f.name} must be {_WANT[kind]}, got {got}")
-        if mistyped:
-            # the value checks below would compare across types
-            raise ConfigError("; ".join(mistyped))
+        check_field_types(self)
         checks = [
             (self.iterations >= 0, "iterations must be nonnegative"),
             (self.learning_rate > 0, "learning_rate must be positive"),

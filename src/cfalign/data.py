@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_field_types
 from .errors import ConfigError, ContractError, GenerationError
 from .tensor import read_container, write_container
 
@@ -42,6 +43,7 @@ SPLIT_FILES = {
 }
 
 DATASET_FORMAT = "cfalign-dataset"
+DATASET_VERSION = 1
 _RETRIES = 20
 
 
@@ -62,6 +64,7 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> "SynthSpec":
+        check_field_types(self)
         checks = [
             (self.height >= 2 and self.width >= 2, "image sides must be at least 2"),
             (self.channels >= 1, "channels must be at least 1"),
@@ -71,6 +74,10 @@ class SynthSpec:
             (self.regions >= 1, "regions must be at least 1"),
             (self.color_std >= 0, "color_std must be nonnegative"),
             (self.target_noise >= 0, "target_noise must be nonnegative"),
+        ] + [
+            (not isinstance(v, list) or len(v) in (1, self.channels),
+             f"{name} must hold 1 or {self.channels} entries")
+            for name, v in (("shift_scale", self.shift_scale), ("shift_offset", self.shift_offset))
         ]
         problems = [msg for ok, msg in checks if not ok]
         if problems:
@@ -78,7 +85,10 @@ class SynthSpec:
         if not np.all(self.scale_vector() > 0):
             raise ConfigError("shift_scale entries must be positive")
         if self.class_means is not None:
-            m = np.asarray(self.class_means, dtype=float)
+            try:
+                m = np.asarray(self.class_means, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"class_means must be a table of numbers: {exc}") from exc
             if m.shape != (self.classes, self.channels):
                 raise ConfigError(
                     f"class_means must be {self.classes}x{self.channels}, got {m.shape}"
@@ -129,7 +139,7 @@ def default_palette(classes: int, channels: int) -> np.ndarray:
 @dataclass
 class Split:
     images: np.ndarray  # (n, channels, height, width) float64
-    labels: np.ndarray | None  # (n, height, width) int64
+    labels: np.ndarray  # (n, height, width) int64
 
     def __len__(self) -> int:
         return len(self.images)
@@ -196,22 +206,19 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# split files: a container holding an images tensor and, when known, labels
+# split files: a container holding an images tensor and a labels tensor
 
 
 def save_split(path: str | Path, split: Split, spec: SynthSpec, name: str) -> None:
     header = {
         "format": DATASET_FORMAT,
-        "version": 1,
+        "version": DATASET_VERSION,
         "split": name,
         "count": len(split),
         "classes": spec.classes,
         "spec": spec.to_dict(),
     }
-    arrays = {"images": split.images}
-    if split.labels is not None:
-        arrays["labels"] = split.labels
-    write_container(path, header, arrays)
+    write_container(path, header, {"images": split.images, "labels": split.labels})
 
 
 def load_split(path: str | Path) -> tuple[Split, dict]:
@@ -224,27 +231,30 @@ def load_split(path: str | Path) -> tuple[Split, dict]:
         header, arrays = read_container(path, DATASET_FORMAT)
     except ContractError as exc:
         raise ConfigError(f"bad dataset file: {exc}") from exc
+    if header.get("version") != DATASET_VERSION:
+        raise ConfigError(
+            f"{path} is dataset version {header.get('version')!r}, expected {DATASET_VERSION}"
+        )
     images, labels = arrays.get("images"), arrays.get("labels")
     if images is None or images.ndim != 4:
         raise ConfigError(f"{path} holds no (n, channels, height, width) images tensor")
-    if labels is not None:
-        n, _, h, w = images.shape
-        classes = header.get("classes")
-        if labels.shape != (n, h, w):
-            raise ConfigError(f"{path} labels have shape {labels.shape}, images need {(n, h, w)}")
-        integral = labels == np.round(labels)
-        if not isinstance(classes, int) or not np.all(integral & (labels >= 0) & (labels < classes)):
-            raise ConfigError(f"{path} labels are not integers in [0, {classes})")
-        labels = labels.astype(np.int64)
-    return Split(images=images, labels=labels), header
+    if labels is None:
+        raise ConfigError(f"{path} holds no labels tensor")
+    n, _, h, w = images.shape
+    classes = header.get("classes")
+    if labels.shape != (n, h, w):
+        raise ConfigError(f"{path} labels have shape {labels.shape}, images need {(n, h, w)}")
+    integral = labels == np.round(labels)
+    if not isinstance(classes, int) or not np.all(integral & (labels >= 0) & (labels < classes)):
+        raise ConfigError(f"{path} labels are not integers in [0, {classes})")
+    return Split(images=images, labels=labels.astype(np.int64)), header
 
 
 def save_dataset(directory: str | Path, data: Dataset) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_split(directory / SPLIT_FILES["source_train"], data.source_train, data.spec, "source_train")
-    save_split(directory / SPLIT_FILES["target_train"], data.target_train, data.spec, "target_train")
-    save_split(directory / SPLIT_FILES["target_eval"], data.target_eval, data.spec, "target_eval")
+    for name, fname in SPLIT_FILES.items():
+        save_split(directory / fname, getattr(data, name), data.spec, name)
 
 
 def load_dataset(directory: str | Path) -> Dataset:

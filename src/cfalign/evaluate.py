@@ -73,8 +73,8 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
     per_class, miou = iou_from_confusion(confusion(preds, labels, state.classes))
 
     pseudo_acc, assigned = 0.0, 0
-    if int(state.bank_feat.init_source.sum()) >= 2:
-        pseudo = assign_pseudo_labels(feats.data, state.bank_feat, state.config.threshold)
+    if int(state.bank.init_source.sum()) >= 2:
+        pseudo = assign_pseudo_labels(feats.data, state.feature_bank(), state.config.threshold)
         pseudo_acc, assigned = pseudo_label_accuracy(pseudo, labels)
     return EvalRecord(
         per_class_iou=per_class,

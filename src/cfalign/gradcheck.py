@@ -65,24 +65,20 @@ def _bank(rng, c: int, d: int) -> MemoryBank:
     return bank
 
 
-def _case_contrastive_source(rng):
-    n, c, d = 5, 4, 3
-    bank = _bank(rng, c, d)
-    y_s = _labels(rng, n, c)
-    y_t = _labels(rng, n, c)
-    f_t = Tensor(rng.normal(size=(n, d)))
-    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
-    return lambda f: contrastive_combined(f, y_s, f_t, y_t, bank, tau=0.07), x
+def _make_contrastive_case(side: str):
+    """contrastive_combined differentiated in the source or the target features."""
 
+    def case(rng):
+        n, c, d = 5, 4, 3
+        bank = _bank(rng, c, d)
+        y_s, y_t = _labels(rng, n, c), _labels(rng, n, c)
+        other = Tensor(rng.normal(size=(n, d)))
+        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        if side == "source":
+            return lambda f: contrastive_combined(f, y_s, other, y_t, bank, tau=0.07), x
+        return lambda f: contrastive_combined(other, y_s, f, y_t, bank, tau=0.07), x
 
-def _case_contrastive_target(rng):
-    n, c, d = 5, 4, 3
-    bank = _bank(rng, c, d)
-    y_s = _labels(rng, n, c)
-    y_t = _labels(rng, n, c)
-    f_s = Tensor(rng.normal(size=(n, d)))
-    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
-    return lambda f: contrastive_combined(f_s, y_s, f, y_t, bank, tau=0.07), x
+    return case
 
 
 def _case_content(rng):
@@ -139,8 +135,8 @@ BATTERY_CASES = [
     ("cross_entropy", _case_cross_entropy),
     ("entropy_loss", _case_entropy),
     ("info_nce", _make_info_nce_case()),
-    ("contrastive_combined/source", _case_contrastive_source),
-    ("contrastive_combined/target", _case_contrastive_target),
+    ("contrastive_combined/source", _make_contrastive_case("source")),
+    ("contrastive_combined/target", _make_contrastive_case("target")),
     ("content_loss", _case_content),
     ("style_loss", _case_style),
 ] + [(f"info_nce+head[{kind}]", _make_head_case(kind)) for kind in HEAD_KINDS] + [

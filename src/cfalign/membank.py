@@ -13,7 +13,7 @@ gradient computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +62,11 @@ class MemoryBank:
         for name, v in (("v_source", self.v_source), ("v_target", self.v_target)):
             if v.shape != shape:
                 raise DimensionError(f"{name} must have shape {shape}, got {v.shape}")
+
+    def columns(self, cols: slice) -> "MemoryBank":
+        """A bank over columns `cols` of these rows: writes go both ways, flags are shared."""
+        v_source, v_target = self.v_source[:, cols], self.v_target[:, cols]
+        return replace(self, feature_dim=v_source.shape[1], v_source=v_source, v_target=v_target)
 
     def rows(self, domain: str) -> tuple[np.ndarray, np.ndarray]:
         if domain == "source":

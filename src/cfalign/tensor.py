@@ -78,9 +78,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

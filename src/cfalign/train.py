@@ -11,11 +11,11 @@ style-autoencoder fitting. Batch indices come from their own stream and are
 drawn every iteration regardless of toggles, so two runs that differ only
 in enabled loss terms see the same image sequence.
 
-Two memory banks run in parallel: one over backbone features (it drives
-pseudo-label assignment) and one over head outputs (it feeds the
-contrastive loss). Both are fed from one label pass over the column-stacked
-``[features | head outputs]``. The identity head shares one bank between
-the two roles, so it is updated once.
+One memory bank holds each class center as ``[backbone features | head
+outputs]``: the backbone columns drive pseudo-label assignment and the head
+columns feed the contrastive loss, and one label pass per domain fills
+both. The identity head's outputs are the backbone features, so its bank
+holds those columns once.
 """
 
 from __future__ import annotations
@@ -110,52 +110,47 @@ class StyleContext:
 
 @dataclass
 class TrainState:
-    """Everything a run owns: parameters, banks, and the frozen style context."""
+    """Everything a run owns: parameters, the bank, and the frozen style context."""
 
     config: RunConfig
     classes: int
     channels: int
     model: SegModel
     head: Head
-    bank_feat: MemoryBank  # backbone space, drives pseudo-labeling
-    bank_head: MemoryBank  # head space, feeds the contrastive loss; is bank_feat for head "none"
+    bank: MemoryBank  # rows [backbone features | head outputs]; the backbone alone for head "none"
     style: StyleContext | None = None
 
     def parameters(self):
         return model_parameters(self.model) + head_parameters(self.head)
 
-    def bank_columns(self, f: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Rows to average for both banks in one label pass: [f | h], or f alone when shared."""
-        return f if self.bank_head is self.bank_feat else np.hstack([f, h])
+    def bank_rows(self, f: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Per-pixel rows laid out like the bank's: [f | h], or f alone for head "none"."""
+        return f if self.config.head == "none" else np.hstack([f, h])
 
-    def bank_splits(self, stacked: np.ndarray):
-        """(bank, its columns of a `bank_columns` result) for each distinct bank."""
-        d = self.bank_feat.feature_dim
-        yield self.bank_feat, stacked[:, :d]
-        if self.bank_head is not self.bank_feat:
-            yield self.bank_head, stacked[:, d:]
+    def feature_bank(self) -> MemoryBank:
+        """The bank's backbone columns, which pseudo-labeling reads."""
+        return self.bank.columns(slice(None, self.config.feature_dim))
+
+    def head_bank(self) -> MemoryBank:
+        """The bank's head-output columns, which the contrastive loss reads."""
+        return self.bank.columns(slice(self.bank.feature_dim - self.head.d_out, None))
 
 
 def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
-    """Build model, head, and empty banks from the init RNG stream."""
+    """Build model, head, and an empty bank from the init RNG stream."""
     rng_init = np.random.default_rng([config.seed, 0])
     model = build_model(channels, config.hidden_dim, config.feature_dim, classes, rng_init)
     head = build_head(
         config.head, config.feature_dim, config.head_hidden_dim, config.head_out_dim, rng_init
     )
-    bank_feat = MemoryBank(classes, config.feature_dim, alpha=config.alpha)
-    if config.head == "none":
-        bank_head = bank_feat  # the identity head sees the backbone features
-    else:
-        bank_head = MemoryBank(classes, head.d_out, alpha=config.alpha)
+    width = config.feature_dim + (head.d_out if config.head != "none" else 0)
     return TrainState(
         config=config,
         classes=classes,
         channels=channels,
         model=model,
         head=head,
-        bank_feat=bank_feat,
-        bank_head=bank_head,
+        bank=MemoryBank(classes, width, alpha=config.alpha),
     )
 
 
@@ -193,7 +188,7 @@ def _build_style(config: RunConfig, data: Dataset) -> StyleContext:
 
 
 def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
-    """Seed both banks' source rows from a full labeled pass over source train.
+    """Seed the bank's source rows from a full labeled pass over source train.
 
     Uses eval-mode head forwards so batch-norm running statistics stay at
     their initialization. Source images are transferred first when the run
@@ -201,7 +196,7 @@ def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
     space the loop will populate.
     """
     images, labels = data.source_train.images, data.source_train.labels
-    sums = 0.0
+    sums = np.zeros_like(state.bank.v_source)
     counts = np.zeros(state.classes, dtype=np.int64)
     for start in range(0, len(images), chunk):
         img = images[start : start + chunk]
@@ -210,36 +205,31 @@ def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
         lab = labels[start : start + chunk].reshape(-1)
         f = model_features(state.model, Tensor(to_pixels(img)))
         h = head_forward(state.head, f, training=False)
-        s, c = label_sums(state.bank_columns(f.data, h.data), lab, state.classes)
+        s, c = label_sums(state.bank_rows(f.data, h.data), lab, state.classes)
         sums = sums + s
         counts += c
     present = counts > 0
-    if not present.any():
-        return  # no source pixels: sums never became an array
-    for bank, bank_sums in state.bank_splits(sums):
-        bank.v_source[present] = bank_sums[present] / counts[present, None]
-        bank.init_source[present] = True
+    state.bank.v_source[present] = sums[present] / counts[present, None]
+    state.bank.init_source[present] = True
 
 
-def _update_banks_and_label(state: TrainState, f_s, h_s, lab_s, f_t, h_t) -> np.ndarray:
+def _update_bank_and_label(state: TrainState, f_s, h_s, lab_s, f_t, h_t) -> np.ndarray:
     """One iteration of bank bookkeeping; returns target pseudo-labels.
 
-    Order: fold the source batch into the banks first, then assign target
+    Order: fold the source batch into the bank first, then assign target
     pseudo-labels against the refreshed source rows, then fold the labeled
     target rows in. Centers are read as plain arrays, so no gradient ever
-    reaches the banks.
+    reaches the bank.
     """
-    means, counts = class_centers(state.bank_columns(f_s.data, h_s.data), lab_s, state.classes)
-    for bank, bank_means in state.bank_splits(means):
-        update_bank(bank, bank_means, counts, "source")
-    if int(state.bank_feat.init_source.sum()) >= 2:
-        pseudo = assign_pseudo_labels(f_t.data, state.bank_feat, state.config.threshold)
+    means, counts = class_centers(state.bank_rows(f_s.data, h_s.data), lab_s, state.classes)
+    update_bank(state.bank, means, counts, "source")
+    if int(state.bank.init_source.sum()) >= 2:
+        pseudo = assign_pseudo_labels(f_t.data, state.feature_bank(), state.config.threshold)
     else:
         # margin needs two centers; until then nothing is labeled
         pseudo = np.full(f_t.data.shape[0], -1, dtype=np.int64)
-    means, counts = class_centers(state.bank_columns(f_t.data, h_t.data), pseudo, state.classes)
-    for bank, bank_means in state.bank_splits(means):
-        update_bank(bank, bank_means, counts, "target")
+    means, counts = class_centers(state.bank_rows(f_t.data, h_t.data), pseudo, state.classes)
+    update_bank(state.bank, means, counts, "target")
     return pseudo
 
 
@@ -267,13 +257,13 @@ def _step(
         if cfg.contrastive:
             h_s = head_forward(state.head, f_s, training=True)
             h_t = head_forward(state.head, f_t, training=True)
-            pseudo = _update_banks_and_label(state, f_s, h_s, lab_s, f_t, h_t)
+            pseudo = _update_bank_and_label(state, f_s, h_s, lab_s, f_t, h_t)
             contra = contrastive_combined(
                 h_s,
                 lab_s,
                 h_t,
                 pseudo,
-                state.bank_head,
+                state.head_bank(),
                 tau=cfg.tau,
                 include_positive=cfg.include_positive,
                 normalize=cfg.normalize_features,

@@ -98,52 +98,75 @@ class TestRoundTrip:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.bank_feat.init_source, state.bank_feat.init_source)
-        np.testing.assert_array_equal(loaded.bank_feat.init_target, state.bank_feat.init_target)
-        assert loaded.bank_feat.init_source.dtype == bool
+        np.testing.assert_array_equal(loaded.bank.init_source, state.bank.init_source)
+        np.testing.assert_array_equal(loaded.bank.init_target, state.bank.init_target)
+        assert loaded.bank.init_source.dtype == bool
 
 
-class TestSharedBank:
-    def test_identity_head_shares_one_bank(self, tiny_data, tmp_path):
-        state = trained_state(tiny_data, head="none", iterations=5)
-        assert state.bank_head is state.bank_feat
+class TestOneBank:
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_width(self, head):
+        config = RunConfig(head=head, feature_dim=4, head_out_dim=3)
+        state = init_state(config, 3, 2)
+        assert state.bank.feature_dim == (4 if head == "none" else 4 + 3)
+        assert state.feature_bank().feature_dim == 4
+        assert state.head_bank().feature_dim == (4 if head == "none" else 3)
+
+    @pytest.mark.parametrize("head", ["none", "byol"])
+    def test_views_share_rows_and_flags(self, head):
+        state = init_state(RunConfig(head=head, feature_dim=4, head_out_dim=3), 3, 2)
+        feat, proj = state.feature_bank(), state.head_bank()
+        state.bank.v_source[:] = np.arange(state.bank.v_source.size).reshape(3, -1)
+        state.bank.v_target[1] = -1.0
+        state.bank.init_source[2] = True
+        np.testing.assert_array_equal(feat.v_source, state.bank.v_source[:, :4])
+        np.testing.assert_array_equal(proj.v_source, state.bank.v_source[:, -proj.feature_dim:])
+        for view in (feat, proj):
+            assert (view.v_target[1] == -1.0).all()
+            assert view.init_source is state.bank.init_source
+            assert view.init_target is state.bank.init_target
+        feat.v_target[0] = 5.0  # and a write through a view lands in the bank
+        assert (state.bank.v_target[0, :4] == 5.0).all()
+
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_round_trip(self, tiny_data, tmp_path, head):
+        state = trained_state(tiny_data, head=head, iterations=5)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(state, path)
         _, arrays = read_container(path, "cfalign-checkpoint")
-        assert "bank_head.v_source" in arrays  # both prefixes stay in the file
+        assert sorted(n for n in arrays if n.startswith("bank")) == [
+            "bank.init_source", "bank.init_target", "bank.v_source", "bank.v_target"
+        ]
         loaded = load_checkpoint(path)
-        assert loaded.bank_head is loaded.bank_feat
-        np.testing.assert_array_equal(loaded.bank_feat.v_target, state.bank_feat.v_target)
+        assert loaded.bank.feature_dim == state.bank.feature_dim
+        for name in ("v_source", "v_target", "init_source", "init_target"):
+            np.testing.assert_array_equal(getattr(loaded.bank, name), getattr(state.bank, name))
+        assert loaded.bank.init_target.dtype == bool
 
-    @pytest.mark.parametrize("head", [k for k in HEAD_KINDS if k != "none"])
-    def test_other_heads_keep_two_banks(self, tiny_data, tmp_path, head):
-        state = trained_state(tiny_data, head=head, iterations=2)
-        assert state.bank_head is not state.bank_feat
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        assert loaded.bank_head is not loaded.bank_feat
-
-    def test_identity_head_banks_that_differ_rejected(self, tiny_data, tmp_path):
+    @pytest.fixture
+    def version_1_file(self, tiny_data, tmp_path):
+        """A checkpoint laid out as version 1 wrote it: twin bank_feat/bank_head groups."""
         path = tmp_path / "ckpt.bin"
         save_checkpoint(trained_state(tiny_data, head="none", iterations=3), path)
         header, arrays = read_container(path, "cfalign-checkpoint")
-        arrays["bank_head.v_source"][0, 0] += 1.0
+        header["version"] = 1
+        for name in [n for n in arrays if n.startswith("bank.")]:
+            array = arrays.pop(name)
+            arrays[name.replace("bank.", "bank_feat.")] = array
+            arrays[name.replace("bank.", "bank_head.")] = array
         write_container(path, header, arrays)
-        with pytest.raises(ContractError, match="bank_head.v_source differs"):
-            load_checkpoint(path)
+        return path
 
-    def test_identity_head_banks_that_differ_exit_2(self, tiny_data, tmp_path, capsys):
+    def test_version_1_checkpoint_rejected(self, version_1_file):
+        with pytest.raises(ContractError, match="checkpoint version 1, expected 2"):
+            load_checkpoint(version_1_file)
+
+    def test_version_1_checkpoint_exits_2(self, tiny_data, version_1_file, tmp_path, capsys):
         data_dir = tmp_path / "data"
         save_dataset(data_dir, tiny_data)
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(trained_state(tiny_data, head="none", iterations=3), path)
-        header, arrays = read_container(path, "cfalign-checkpoint")
-        arrays["bank_head.init_target"][:] = 1 - arrays["bank_head.init_target"]
-        write_container(path, header, arrays)
-        assert main(["eval", "--checkpoint", str(path), "--data", str(data_dir)]) == 2
+        assert main(["eval", "--checkpoint", str(version_1_file), "--data", str(data_dir)]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "bank_head.init_target" in err
+        assert len(err.splitlines()) == 1 and "version 1, expected 2" in err
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
@@ -185,7 +208,7 @@ class TestCorruption:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(state, path)
         blob = path.read_bytes()
-        patched = blob.replace(b"bank_feat.v_source", b"bank_feat.v_sourcX", 1)
+        patched = blob.replace(b"bank.v_source", b"bank.v_sourcX", 1)
         (tmp_path / "renamed.bin").write_bytes(patched)
         with pytest.raises(ContractError):
             load_checkpoint(tmp_path / "renamed.bin")
@@ -199,7 +222,7 @@ class TestCorruption:
 
     def test_bank_flag_outside_0_1(self, saved):
         path, header, arrays = saved
-        arrays["bank_head.init_target"][0] = 2.0
+        arrays["bank.init_target"][0] = 2.0
         write_container(path, header, arrays)
         with pytest.raises(ContractError, match="other than 0 and 1"):
             load_checkpoint(path)

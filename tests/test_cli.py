@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfalign.cli import main
+from cfalign.tensor import read_container, write_container
 
 TINY_DATA_FLAGS = [
     "--height", "12", "--width", "12", "--train-images", "20",
@@ -53,6 +54,27 @@ class TestGenData:
         cfg.write_text(json.dumps({"heigth": 12}))
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "doc", [{"height": "x"}, {"shift_scale": "x"}, {"class_means": [["x"]]}, {"regions": 1.5}]
+    )
+    def test_wrong_typed_config_file_exits_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and next(iter(doc)) in err
+
+
+def copy_dataset(dataset_dir, to, edit):
+    """Copy every split, passing each (header, arrays) through `edit` on the way."""
+    to.mkdir()
+    for src in dataset_dir.iterdir():
+        header, arrays = read_container(src, "cfalign-dataset")
+        edit(header, arrays)
+        write_container(to / src.name, header, arrays)
+    return to
 
 
 class TestTrain:
@@ -124,6 +146,24 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "target_eval.bin" in err
+
+
+    def test_split_without_labels_exits_2(self, dataset_dir, tmp_path, capsys):
+        data = copy_dataset(dataset_dir, tmp_path / "data", lambda header, arrays: arrays.pop("labels"))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out)] + TINY_RUN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "no labels tensor" in err
+        assert not (out / "metrics.csv").exists()
+
+    def test_wrong_typed_spec_in_split_headers_exits_2(self, dataset_dir, tmp_path, capsys):
+        def stringify_height(header, arrays):
+            header["spec"]["height"] = str(header["spec"]["height"])
+
+        data = copy_dataset(dataset_dir, tmp_path / "data", stringify_height)
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")] + TINY_RUN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "height must be an integer" in err
 
 
 class TestOutPath:

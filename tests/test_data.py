@@ -17,6 +17,7 @@ from cfalign.data import (
     save_split,
 )
 from cfalign.errors import ConfigError, GenerationError
+from cfalign.tensor import read_container, write_container
 
 
 def tiny_spec(**overrides):
@@ -188,12 +189,64 @@ class TestLoaderRejects:
         with pytest.raises(ConfigError, match="declares 34359738360 more bytes"):
             load_split(path)
 
+    def test_labels_missing(self, split_file):
+        path, _ = split_file
+        header, arrays = read_container(path, "cfalign-dataset")
+        del arrays["labels"]
+        write_container(path, header, arrays)
+        with pytest.raises(ConfigError, match="no labels tensor"):
+            load_split(path)
+
+    @pytest.mark.parametrize("version", [0, 2, None, "1"])
+    def test_other_version(self, split_file, version):
+        path, _ = split_file
+        header, arrays = read_container(path, "cfalign-dataset")
+        header["version"] = version
+        write_container(path, header, arrays)
+        with pytest.raises(ConfigError, match=f"dataset version {version!r}, expected 1"):
+            load_split(path)
+
     def test_splits_disagree_on_spec(self, tmp_path):
         save_dataset(tmp_path, generate_dataset(tiny_spec()))
         other = generate_dataset(tiny_spec(channels=2))
         save_split(tmp_path / "target_eval.bin", other.target_eval, other.spec, "target_eval")
         with pytest.raises(ConfigError, match="spec"):
             load_dataset(tmp_path)
+
+
+class TestSynthSpecTypes:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(height="x"),
+            dict(width=2.5),
+            dict(channels=True),
+            dict(seed=None),
+            dict(color_std="0.1"),
+            dict(shift_scale="x"),
+            dict(shift_scale=[1.0, "x", 2.0]),
+            dict(shift_offset=None),
+            dict(shift_offset=[[0.1, 0.2, 0.3]]),
+            dict(class_means=3),
+        ],
+    )
+    def test_wrong_types_rejected(self, overrides):
+        with pytest.raises(ConfigError, match=next(iter(overrides))):
+            tiny_spec(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(shift_scale=[1.0, 2.0]), dict(shift_offset=[]), dict(class_means=[["x"] * 3] * 5),
+         dict(class_means=[[0.1, 0.2, 0.3], [0.4]])],
+    )
+    def test_malformed_lists_rejected(self, overrides):
+        with pytest.raises(ConfigError, match=next(iter(overrides))):
+            tiny_spec(**overrides).validate()
+
+    def test_numbers_or_lists_fill_shift_fields(self):
+        spec = tiny_spec(shift_scale=[1, 2.0, 3], shift_offset=0, color_std=1).validate()
+        np.testing.assert_array_equal(spec.scale_vector(), [1.0, 2.0, 3.0])
+        assert tiny_spec(shift_scale=[2]).validate().scale_vector().tolist() == [2.0] * 3
 
 
 class TestRunConfig:

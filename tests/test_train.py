@@ -116,21 +116,19 @@ class TestContrastivePath:
     def test_banks_fill_up(self, tiny_data):
         cfg = tiny_config(contrastive=True, iterations=60)
         state, _ = train(cfg, tiny_data)
-        assert state.bank_feat.init_source.all()
-        assert state.bank_head.init_source.all()
-        assert state.bank_feat.init_target.any()
+        assert state.bank.init_source.all()
+        assert state.bank.init_target.any()
 
     def test_banks_untouched_without_contrastive(self, tiny_data):
         state, _ = train(tiny_config(iterations=10), tiny_data)
-        assert not state.bank_feat.init_source.any()
-        assert not state.bank_head.init_target.any()
+        assert not state.bank.init_source.any()
+        assert not state.bank.init_target.any()
 
     def test_warm_start_seeds_all_source_rows(self, tiny_data):
         cfg = tiny_config(contrastive=True, bank_warm_start=True, iterations=0)
         state, _ = train(cfg, tiny_data)
-        assert state.bank_feat.init_source.all()
-        assert state.bank_head.init_source.all()
-        assert not state.bank_feat.init_target.any()
+        assert state.bank.init_source.all()
+        assert not state.bank.init_target.any()
 
     def test_warm_start_rows_are_class_means(self, tiny_data):
         cfg = tiny_config(contrastive=True, iterations=0)
@@ -139,7 +137,7 @@ class TestContrastivePath:
         # chunked accumulation must equal one whole-split pass
         whole = init_state(cfg, tiny_data.spec.classes, tiny_data.spec.channels)
         warm_start_banks(whole, tiny_data, chunk=10_000)
-        np.testing.assert_allclose(state.bank_feat.v_source, whole.bank_feat.v_source, atol=1e-12)
+        np.testing.assert_allclose(state.bank.v_source, whole.bank.v_source, atol=1e-12)
 
     def test_head_parameters_move(self, tiny_data):
         cfg = tiny_config(contrastive=True, head="moco", iterations=40, lambda_contra=0.5)
