@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adain import ChannelStats, build_style_net
+from .adain import ChannelStats
 from .config import RunConfig
 from .errors import ContractError
 from .heads import BatchNormLayer, LinearLayer, head_plan
@@ -51,21 +51,10 @@ def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
         mean, var = state.style.stats.as_arrays()
         entries.append(("style.stats_mean", mean))
         entries.append(("style.stats_var", var))
-        if state.style.net is not None:
-            net = state.style.net
-            entries.append(("style.net.enc_w", net.enc_w.data))
-            entries.append(("style.net.enc_b", net.enc_b.data))
-            entries.append(("style.net.dec_w", net.dec_w.data))
-            entries.append(("style.net.dec_b", net.dec_b.data))
-            n_mean, n_var = state.style.net_stats.as_arrays()
-            entries.append(("style.net_stats_mean", n_mean))
-            entries.append(("style.net_stats_var", n_var))
     return entries
 
 
-def _expected_shapes(
-    config: RunConfig, classes: int, channels: int, style: bool, net: bool
-) -> dict[str, tuple[int, ...]]:
+def _expected_shapes(config: RunConfig, classes: int, channels: int) -> dict[str, tuple[int, ...]]:
     """The names and shapes `_state_arrays` gives for this config, without allocating."""
     hidden, feat = config.hidden_dim, config.feature_dim
     linears = [
@@ -91,15 +80,8 @@ def _expected_shapes(
     for side in ("source", "target"):
         shapes[f"bank.v_{side}"] = (classes, width)
         shapes[f"bank.init_{side}"] = (classes,)
-    if style:
+    if config.style_transfer:
         shapes["style.stats_mean"] = shapes["style.stats_var"] = (channels,)
-    if net:
-        dim = config.style_net_dim
-        shapes.update({
-            "style.net.enc_w": (channels, dim), "style.net.enc_b": (dim,),
-            "style.net.dec_w": (dim, channels), "style.net.dec_b": (channels,),
-            "style.net_stats_mean": (dim,), "style.net_stats_var": (dim,),
-        })
     return shapes
 
 
@@ -132,9 +114,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
     if not (isinstance(config, dict) and isinstance(classes, int) and isinstance(channels, int)):
         raise ContractError(f"{path} header needs a config object and integer classes and channels")
     config = RunConfig.from_mapping(config)
-    style, net = any(n.startswith("style.") for n in stored), "style.net.enc_w" in stored
     # every shape is checked before init_state allocates what the config echo asks for
-    expected = _expected_shapes(config, classes, channels, style, net)
+    expected = _expected_shapes(config, classes, channels)
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
@@ -145,23 +126,17 @@ def load_checkpoint(path: str | Path) -> TrainState:
         if ".init_" in name and not np.all((array == 0) | (array == 1)):
             raise ContractError(f"bank flags {name} hold values other than 0 and 1")
     state = init_state(config, classes, channels)
-    if style:
-        state.style = _empty_style(config, state.channels, with_net=net)
+    if config.style_transfer:
+        state.style = _empty_style(config, state.channels)
     targets = dict(_state_arrays(state))
     for name, array in stored.items():
         targets[name][...] = array  # bool flag rows cast back from their 0/1 float form
     return state
 
 
-def _empty_style(config: RunConfig, channels: int, with_net: bool) -> StyleContext:
-    ctx = StyleContext(
+def _empty_style(config: RunConfig, channels: int) -> StyleContext:
+    return StyleContext(
         direction=config.transfer_direction,
         stats=ChannelStats(mean=np.zeros(channels), var=np.ones(channels)),
         eps=config.adain_eps,
     )
-    if with_net:
-        ctx.net = build_style_net(channels, config.style_net_dim, np.random.default_rng(0))
-        ctx.net_stats = ChannelStats(
-            mean=np.zeros(config.style_net_dim), var=np.ones(config.style_net_dim)
-        )
-    return ctx

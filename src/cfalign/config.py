@@ -8,6 +8,7 @@ config-error exit code before touching data.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -45,18 +46,31 @@ def _type_ok(kind: str, value) -> bool:
     return isinstance(value, str)
 
 
-def check_field_types(record) -> None:
-    """Raise one ConfigError naming every field of dataclass `record` whose value has the wrong type.
+def _non_finite(value) -> bool:
+    """Whether `value`, or any number nested in it as lists, is NaN or infinite."""
+    if isinstance(value, list):
+        return any(_non_finite(v) for v in value)
+    if isinstance(value, numbers.Integral) or not isinstance(value, numbers.Real):
+        return False  # ints are finite, and math.isfinite overflows on huge ones
+    return not math.isfinite(value)
 
-    Value checks compare across types, so they run only after this passes.
+
+def check_field_types(record) -> None:
+    """Raise one ConfigError naming every field of dataclass `record` whose value
+    has the wrong type or holds a NaN or infinite number.
+
+    Value checks compare across types, and NaN passes every comparison, so
+    they run only after this passes.
     """
-    mistyped = []
+    problems = []
     for f in fields(record):
         kind, value = str(f.type).replace(" ", ""), getattr(record, f.name)
         if not _type_ok(kind, value):
-            mistyped.append(f"{f.name} must be {_WANT[kind]}, got {type(value).__name__} {value!r}")
-    if mistyped:
-        raise ConfigError("; ".join(mistyped))
+            problems.append(f"{f.name} must be {_WANT[kind]}, got {type(value).__name__} {value!r}")
+        elif _non_finite(value):
+            problems.append(f"{f.name} must be finite, got {value!r}")
+    if problems:
+        raise ConfigError("; ".join(problems))
 
 
 @dataclass
@@ -90,11 +104,6 @@ class RunConfig:
     # style transfer
     transfer_direction: str = "source_to_target"
     adain_eps: float = 1e-8
-    style_net: bool = False  # route transfer through the trained autoencoder
-    style_net_dim: int = 8
-    style_iters: int = 200
-    style_weight: float = 1.0
-    style_lr: float = 0.05
 
     def validate(self) -> "RunConfig":
         check_field_types(self)
@@ -118,10 +127,6 @@ class RunConfig:
             (self.head_hidden_dim is None or self.head_hidden_dim >= 1, "head_hidden_dim must be at least 1"),
             (self.head_out_dim is None or self.head_out_dim >= 1, "head_out_dim must be at least 1"),
             (self.adain_eps > 0, "adain_eps must be positive"),
-            (self.style_net_dim >= 1, "style_net_dim must be at least 1"),
-            (self.style_iters >= 0, "style_iters must be nonnegative"),
-            (self.style_weight >= 0, "style_weight must be nonnegative"),
-            (self.style_lr > 0, "style_lr must be positive"),
         ]
         problems = [msg for ok, msg in checks if not ok]
         if problems:

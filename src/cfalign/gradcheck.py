@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adain import ChannelStats, content_loss, feature_stats, style_loss
 from .heads import HEAD_KINDS, build_head, head_forward
 from .losses import contrastive_combined, cross_entropy, entropy_loss, info_nce
 from .membank import MemoryBank
@@ -81,19 +80,6 @@ def _make_contrastive_case(side: str):
     return case
 
 
-def _case_content(rng):
-    ref = rng.normal(size=(8, 3))
-    x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-    return lambda f: content_loss(f, ref), x
-
-
-def _case_style(rng):
-    # keep style variances comfortably positive so sqrt stays smooth
-    stats = ChannelStats(mean=rng.normal(size=3), var=rng.uniform(0.5, 2.0, size=3))
-    x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-    return lambda f: style_loss(feature_stats(f), stats), x
-
-
 def _make_head_case(kind: str):
     def case(rng):
         n, c, d = 6, 4, 4
@@ -137,8 +123,6 @@ BATTERY_CASES = [
     ("info_nce", _make_info_nce_case()),
     ("contrastive_combined/source", _make_contrastive_case("source")),
     ("contrastive_combined/target", _make_contrastive_case("target")),
-    ("content_loss", _case_content),
-    ("style_loss", _case_style),
 ] + [(f"info_nce+head[{kind}]", _make_head_case(kind)) for kind in HEAD_KINDS] + [
     # appended, so the cases above keep their random draws
     ("info_nce/exclude_positive", _make_info_nce_case(include_positive=False)),

@@ -555,8 +555,8 @@ def read_container(path: str | Path, fmt: str) -> tuple[dict, dict[str, np.ndarr
     A path that cannot be opened raises ContractError naming it, and so does
     malformed input: a header line that is not a UTF-8 JSON object, another
     format tag, no list of distinct tensor names, a tensor declaring more
-    bytes than the file has left (checked before any read), or bytes after
-    the last tensor.
+    bytes than the file has left (checked before any read), a NaN or infinite
+    value in any tensor, or bytes after the last tensor.
     """
     try:
         fh = open(path, "rb")
@@ -595,4 +595,6 @@ def _read_array(fh: BinaryIO, size: int, what: str) -> np.ndarray:
     shape = struct.unpack(f"<{rank}I", fh.read(room(4 * rank)))
     values = np.empty(room(8 * math.prod(shape)) // 8, dtype="<f8")
     fh.readinto(values)
+    if not np.isfinite(values).all():
+        raise ContractError(f"{what} holds a NaN or infinite value")
     return values.astype(np.float64, copy=False).reshape(shape)

@@ -6,10 +6,10 @@ side toward the other domain's channel statistics, forwards the per-pixel
 backbone and classifier, assembles the enabled loss terms, and takes one
 plain gradient-descent step.
 
-Three RNG streams split off the run seed: parameter init, batch order, and
-style-autoencoder fitting. Batch indices come from their own stream and are
-drawn every iteration regardless of toggles, so two runs that differ only
-in enabled loss terms see the same image sequence.
+Two RNG streams split off the run seed: parameter init and batch order.
+Batch indices come from their own stream and are drawn every iteration
+regardless of toggles, so two runs that differ only in enabled loss terms
+see the same image sequence.
 
 One memory bank holds each class center as ``[backbone features | head
 outputs]``: the backbone columns drive pseudo-label assignment and the head
@@ -25,16 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adain import (
-    ChannelStats,
-    StyleNet,
-    adain_transfer,
-    channel_stats,
-    encode,
-    style_net_transfer,
-    to_pixels,
-    train_style_net,
-)
+from .adain import ChannelStats, adain_transfer, channel_stats, to_pixels
 from .config import RunConfig
 from .data import Dataset
 from .errors import DivergenceError
@@ -94,17 +85,13 @@ def save_metrics_csv(records: list[MetricsRecord], path: str | Path) -> None:
 
 @dataclass
 class StyleContext:
-    """Frozen statistics (and optional autoencoder) applied to one domain's batches."""
+    """Frozen statistics applied to one domain's batches."""
 
     direction: str
     stats: ChannelStats  # image-space statistics of the style domain
     eps: float = 1e-8
-    net: StyleNet | None = None
-    net_stats: ChannelStats | None = None  # encoder-space style statistics
 
     def apply(self, images: np.ndarray) -> np.ndarray:
-        if self.net is not None:
-            return style_net_transfer(self.net, images, self.net_stats, self.eps)
         return adain_transfer(images, self.stats, self.eps)
 
 
@@ -155,36 +142,13 @@ def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
 
 
 def _build_style(config: RunConfig, data: Dataset) -> StyleContext:
-    """Fit the style context once, before training starts.
-
-    Image-space statistics always come from the style domain's whole training
-    split. When the autoencoder route is on, it is trained here and the
-    encoder-space style statistics are frozen from the fitted encoder.
-    """
-    if config.transfer_direction == "source_to_target":
-        content, style = data.source_train, data.target_train
-    else:
-        content, style = data.target_train, data.source_train
-    ctx = StyleContext(
+    """Freeze the style domain's statistics over its whole training split, once."""
+    style = data.target_train if config.transfer_direction == "source_to_target" else data.source_train
+    return StyleContext(
         direction=config.transfer_direction,
         stats=channel_stats(style.images),
         eps=config.adain_eps,
     )
-    if config.style_net:
-        net, _ = train_style_net(
-            content.images,
-            style.images,
-            dim=config.style_net_dim,
-            iterations=config.style_iters,
-            learning_rate=config.style_lr,
-            style_weight=config.style_weight,
-            eps=config.adain_eps,
-            seed=[config.seed, 2],
-        )
-        feats = encode(net, Tensor(to_pixels(style.images))).data
-        ctx.net = net
-        ctx.net_stats = ChannelStats(mean=feats.mean(axis=0), var=feats.var(axis=0))
-    return ctx
 
 
 def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:

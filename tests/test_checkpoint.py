@@ -81,18 +81,6 @@ class TestRoundTrip:
         for (name, got), (_, want) in zip(_state_arrays(loaded), _state_arrays(fresh)):
             np.testing.assert_array_equal(got, want, err_msg=name)
 
-    def test_style_net_round_trip(self, tiny_data, tmp_path):
-        state = trained_state(tiny_data, style_net=True, style_iters=10, iterations=5)
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        assert loaded.style is not None and loaded.style.net is not None
-        np.testing.assert_array_equal(loaded.style.net.enc_w.data, state.style.net.enc_w.data)
-        got_mean, got_var = loaded.style.net_stats.as_arrays()
-        want_mean, want_var = state.style.net_stats.as_arrays()
-        np.testing.assert_array_equal(got_mean, want_mean)
-        np.testing.assert_array_equal(got_var, want_var)
-
     def test_bank_flags_survive(self, tiny_data, tmp_path):
         state = trained_state(tiny_data)
         path = tmp_path / "ckpt.bin"
@@ -170,15 +158,79 @@ class TestOneBank:
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
-@pytest.mark.parametrize("style, net", [(False, False), (True, False), (True, True)])
-def test_expected_shapes_match_state(head, style, net):
+@pytest.mark.parametrize("style_transfer", [False, True])
+def test_expected_shapes_match_state(head, style_transfer):
     config = RunConfig(head=head, hidden_dim=5, feature_dim=4, head_hidden_dim=6, head_out_dim=3,
-                       style_net_dim=7)
+                       style_transfer=style_transfer)
     state = init_state(config, 3, 2)
-    if style:
-        state.style = _empty_style(config, 2, with_net=net)
-    got = _expected_shapes(config, 3, 2, style, net)
+    if style_transfer:
+        state.style = _empty_style(config, 2)
+    got = _expected_shapes(config, 3, 2)
     assert got == {name: a.shape for name, a in _state_arrays(state)}
+
+
+class TestStyleEcho:
+    """The config echo's style_transfer alone fixes whether style tensors belong in the file."""
+
+    @pytest.fixture
+    def dataset_dir(self, tiny_data, tmp_path):
+        save_dataset(tmp_path / "data", tiny_data)
+        return tmp_path / "data"
+
+    def saved(self, tiny_data, tmp_path, **overrides):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(trained_state(tiny_data, iterations=3, **overrides), path)
+        header, arrays = read_container(path, "cfalign-checkpoint")
+        return path, header, arrays
+
+    def test_style_tensors_without_style_transfer_rejected(self, tiny_data, tmp_path):
+        path, header, arrays = self.saved(tiny_data, tmp_path)
+        header["config"]["style_transfer"] = False
+        write_container(path, header, arrays)
+        with pytest.raises(ContractError, match=r"unexpected \['style.stats_mean', 'style.stats_var'\]"):
+            load_checkpoint(path)
+
+    def test_style_transfer_without_style_tensors_rejected(self, tiny_data, tmp_path):
+        path, header, arrays = self.saved(tiny_data, tmp_path, style_transfer=False)
+        header["config"]["style_transfer"] = True
+        write_container(path, header, arrays)
+        with pytest.raises(ContractError, match=r"missing \['style.stats_mean', 'style.stats_var'\]"):
+            load_checkpoint(path)
+
+    def test_removed_style_net_keys_in_echo_ignored(self, tiny_data, tmp_path, dataset_dir, capsys):
+        # files written before the style-net route was removed echo its five keys
+        path, header, arrays = self.saved(tiny_data, tmp_path)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir)]) == 0
+        plain = capsys.readouterr().out
+        header["config"].update(style_net=False, style_net_dim=8, style_iters=200,
+                                style_weight=1.0, style_lr=0.05)
+        old = tmp_path / "old.bin"
+        write_container(old, header, arrays)
+        assert main(["eval", "--checkpoint", str(old), "--data", str(dataset_dir)]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("whole_route", [True, False], ids=["route-file", "stray-weights"])
+    def test_style_net_tensors_exit_2(self, tiny_data, tmp_path, dataset_dir, capsys, whole_route):
+        # "route-file" is laid out as the removed autoencoder route wrote it
+        path, header, arrays = self.saved(tiny_data, tmp_path)
+        dim = 4
+        shapes = {"enc_w": (3, dim), "enc_b": (dim,), "dec_w": (dim, 3), "dec_b": (3,)}
+        arrays.update({f"style.net.{name}": np.ones(shape) for name, shape in shapes.items()})
+        if whole_route:
+            header["config"].update(style_net=True, style_net_dim=dim)
+            arrays.update({"style.net_stats_mean": np.zeros(dim), "style.net_stats_var": np.ones(dim)})
+        write_container(path, header, arrays)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "tensor set mismatch" in err and "style.net" in err
+
+    def test_nan_weight_exits_2(self, tiny_data, tmp_path, dataset_dir, capsys):
+        path, header, arrays = self.saved(tiny_data, tmp_path)
+        arrays["model.enc2.weight"][1, 2] = np.nan
+        write_container(path, header, arrays)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "tensor 'model.enc2.weight' holds a NaN" in err
 
 
 class TestCorruption:

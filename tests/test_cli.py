@@ -67,6 +67,21 @@ class TestGenData:
         assert len(err.splitlines()) == 1 and next(iter(doc)) in err
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"color_std": float("inf")}, {"shift_offset": [0.0, float("nan"), 0.0]},
+         {"class_means": [[0.5, 0.5, float("nan")]] * 5}],
+    )
+    def test_non_finite_config_file_exits_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))  # json writes Infinity / NaN, and reads them back
+        out = tmp_path / "x"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{next(iter(doc))} must be finite" in err
+        assert not out.exists()
+
+
 def copy_dataset(dataset_dir, to, edit):
     """Copy every split, passing each (header, arrays) through `edit` on the way."""
     to.mkdir()
@@ -129,6 +144,59 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and next(iter(doc)) in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tau", "inf", "--contrastive"], ["--adain-eps", "inf", "--style-transfer"],
+         ["--learning-rate", "inf"], ["--lambda-ent", "inf"], ["--threshold", "inf"],
+         ["--lambda-contra", "nan"]],
+    )
+    def test_non_finite_flag_exits_2(self, dataset_dir, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(out)] + TINY_RUN_FLAGS + flags) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{flags[0][2:].replace('-', '_')} must be finite" in err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "doc", [{"tau": float("inf")}, {"adain_eps": float("inf")}, {"learning_rate": float("nan")}]
+    )
+    def test_non_finite_config_file_exits_2(self, dataset_dir, tmp_path, capsys, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert "Infinity" in cfg.read_text() or "NaN" in cfg.read_text()
+        code = main(["train", "--config", str(cfg), "--data", str(dataset_dir), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{next(iter(doc))} must be finite" in err
+
+    def test_style_net_flag_is_gone(self, dataset_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x"), "--style-net"])
+        assert exc.value.code == 2
+        assert "--style-net" in capsys.readouterr().err
+
+    def test_style_net_config_key_exits_2(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"style_transfer": True, "style_net": True}))
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--data", str(dataset_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "unknown config keys: ['style_net']" in err
+
+    def test_nan_source_pixel_exits_2(self, dataset_dir, tmp_path, capsys):
+        def poison(header, arrays):
+            if header["split"] == "source_train":
+                arrays["images"][1, 0, 2, 3] = np.nan
+
+        data = copy_dataset(dataset_dir, tmp_path / "data", poison)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out)] + TINY_RUN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "source_train.bin tensor 'images' holds a NaN or infinite value" in err
+        assert not (out / "metrics.csv").exists()
 
     def test_missing_dataset_exits_2(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "x")]
@@ -235,6 +303,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(run) in err
 
+    def test_infinite_eval_split_exits_2(self, dataset_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run)] + TINY_RUN_FLAGS) == 0
+        capsys.readouterr()
+
+        def blow_up(header, arrays):
+            if header["split"] == "target_eval":
+                arrays["images"][:] = np.inf
+
+        data = copy_dataset(dataset_dir, tmp_path / "data", blow_up)
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "target_eval.bin tensor 'images' holds a NaN" in err
+
     def test_other_split(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--data", str(dataset_dir), "--out", str(out)] + TINY_RUN_FLAGS) == 0
@@ -285,15 +368,13 @@ class TestGradCheck:
 
 
 class TestDivergenceExit:
-    def test_exit_3(self, tmp_path, capsys):
-        # a dataset with non-finite pixels must abort with the divergence code
-        from cfalign.data import SynthSpec, generate_dataset, save_dataset
-
-        spec = SynthSpec(height=12, width=12, train_images=8, eval_images=4, regions=4, seed=1)
-        data = generate_dataset(spec)
-        data.source_train.images[:] = np.nan
-        broken = tmp_path / "broken"
-        save_dataset(broken, data)
-        code = main(["train", "--data", str(broken), "--out", str(tmp_path / "x")] + TINY_RUN_FLAGS)
+    def test_exit_3(self, dataset_dir, tmp_path, capsys):
+        # a finite but enormous step overflows the weights after one update;
+        # the run must abort with the divergence code, not write results
+        out = tmp_path / "x"
+        with pytest.warns(RuntimeWarning, match="matmul"):
+            code = main(["train", "--data", str(dataset_dir), "--out", str(out)]
+                        + TINY_RUN_FLAGS + ["--learning-rate", "1e200"])
         assert code == 3
         assert "divergence" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()

@@ -243,6 +243,16 @@ class TestSynthSpecTypes:
         with pytest.raises(ConfigError, match=next(iter(overrides))):
             tiny_spec(**overrides).validate()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(color_std=float("inf")), dict(target_noise=float("nan")),
+         dict(shift_scale=float("inf")), dict(shift_offset=[0.0, float("-inf"), 0.0]),
+         dict(class_means=[[0.1, 0.2, 0.3]] * 4 + [[0.1, float("nan"), 0.3]])],
+    )
+    def test_non_finite_rejected(self, overrides):
+        with pytest.raises(ConfigError, match=f"{next(iter(overrides))} must be finite"):
+            tiny_spec(**overrides).validate()
+
     def test_numbers_or_lists_fill_shift_fields(self):
         spec = tiny_spec(shift_scale=[1, 2.0, 3], shift_offset=0, color_std=1).validate()
         np.testing.assert_array_equal(spec.scale_vector(), [1.0, 2.0, 3.0])
@@ -284,6 +294,16 @@ class TestRunConfig:
     def test_wrong_types_rejected(self, overrides):
         with pytest.raises(ConfigError, match=next(iter(overrides))):
             RunConfig(**overrides).validate()
+
+    @pytest.mark.parametrize("name", ["learning_rate", "lambda_ent", "tau", "threshold", "adain_eps"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            RunConfig(**{name: value}).validate()
+
+    def test_huge_int_passes_the_finite_check(self):
+        # too large for a float, so a finiteness test must not convert it
+        assert RunConfig(iterations=10**400).validate().iterations == 10**400
 
     def test_numbers_of_either_kind_fill_float_fields(self):
         assert RunConfig(tau=1, head_out_dim=None, seed=np.int64(3)).validate().tau == 1

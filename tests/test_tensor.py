@@ -462,6 +462,15 @@ class TestSerialization:
         with pytest.raises(ContractError, match=message):
             read_container(path, "t")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "c.bin"
+        values = np.ones(5)
+        values[3] = bad
+        write_container(path, {"format": "t"}, {"ok": np.zeros(2), "w": values})
+        with pytest.raises(ContractError, match=re.escape(f"{path} tensor 'w' holds a NaN or infinite")):
+            read_container(path, "t")
+
     def test_huge_extent_rejected_before_allocating(self, tmp_path):
         # 0xFFFFFFFF values of 8 bytes would be a 34 GB read
         path = tmp_path / "huge.bin"

@@ -211,12 +211,6 @@ class TestStyleTransfer:
         )
         assert plain[0].ce == t2s[0].ce
 
-    def test_autoencoder_route_runs(self, tiny_data):
-        cfg = tiny_config(style_transfer=True, style_net=True, style_iters=20, iterations=5)
-        state, records = train(cfg, tiny_data)
-        assert state.style.net is not None
-        assert np.isfinite(records[-1].total)
-
     def test_model_init_ignores_style_toggle(self, tiny_data):
         a, _ = train(tiny_config(iterations=0), tiny_data)
         b, _ = train(tiny_config(style_transfer=True, iterations=0), tiny_data)
