@@ -119,9 +119,10 @@ def _cmd_train(args) -> int:
     out = _out_dir(args.out)
     data = load_dataset(args.data)
     state, records = train(config, data)
+    # evaluate first: a state that diverges there leaves no output files behind
+    record = evaluate(state, data.target_eval)
     save_metrics_csv(records, out / "metrics.csv")
     save_checkpoint(state, out / "checkpoint.bin")
-    record = evaluate(state, data.target_eval)
     save_eval_json(record, config, out / "result.json")
     print(f"mIOU {record.miou:.4f}  pseudo_acc {record.pseudo_acc:.4f}  -> {out}")
     return 0
@@ -184,8 +185,18 @@ def _cmd_grad_check(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad or missing flag in one stderr line, exit 2, without the usage block.
+
+    Subcommand parsers are built from the same class, so they report alike.
+    """
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfalign",
         description="Coarse-to-fine feature alignment for pixel-wise domain adaptation.",
     )

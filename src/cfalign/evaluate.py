@@ -16,7 +16,7 @@ import numpy as np
 
 from .adain import to_pixels
 from .data import Split
-from .errors import ContractError
+from .errors import ContractError, DivergenceError
 from .kernels import confusion
 from .membank import assign_pseudo_labels, pseudo_label_accuracy
 from .model import model_features, predict_labels
@@ -57,7 +57,9 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
     """Score a trained state on a labeled split.
 
     Evaluation images are never style-transferred: the point is performance
-    on the raw target domain.
+    on the raw target domain. Raises DivergenceError when the forward pass
+    overflows or produces an invalid value, as parameters blown up by the
+    last training step make it do.
     """
     labels = split.labels.reshape(-1)
     if labels.size == 0:
@@ -67,14 +69,22 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
             f"split labels use classes outside [0, {state.classes}); "
             f"found range [{labels.min()}, {labels.max()}]"
         )
-    # one backbone pass feeds both the predictions and the pseudo-labels
-    feats = model_features(state.model, Tensor(to_pixels(split.images)))
-    preds = predict_labels(state.model, split.images, features=feats).reshape(-1)
+    pseudo = None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # one backbone pass feeds both the predictions and the pseudo-labels
+            feats = model_features(state.model, Tensor(to_pixels(split.images)))
+            preds = predict_labels(state.model, split.images, features=feats).reshape(-1)
+            if int(state.bank.init_source.sum()) >= 2:
+                pseudo = assign_pseudo_labels(
+                    feats.data, state.feature_bank(), state.config.threshold
+                )
+    except FloatingPointError as exc:
+        raise DivergenceError(f"evaluation forward pass left the finite range: {exc}") from exc
     per_class, miou = iou_from_confusion(confusion(preds, labels, state.classes))
 
     pseudo_acc, assigned = 0.0, 0
-    if int(state.bank.init_source.sum()) >= 2:
-        pseudo = assign_pseudo_labels(feats.data, state.feature_bank(), state.config.threshold)
+    if pseudo is not None:
         pseudo_acc, assigned = pseudo_label_accuracy(pseudo, labels)
     return EvalRecord(
         per_class_iou=per_class,

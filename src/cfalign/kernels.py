@@ -2,6 +2,15 @@
 assignment, class-center accumulation and confusion counting.
 
 Each is vectorized numpy; ties resolve to the lowest index.
+
+`nearest_two` works on a column-major copy of its rows: features are
+transposed once to a contiguous (d, n) array and walked in blocks of
+`_BLOCK` rows, so each arithmetic step is one numpy call over a whole block
+instead of one reduction call per d-wide row. `_row_sums` adds the d squared
+differences in the order numpy's pairwise sum adds a length-d row, which
+makes every distance bitwise equal to ``((f - c) ** 2).sum(axis=1)``;
+`tests/test_kernels.py::TestRowSums` is the alarm if a numpy release changes
+that order. Inputs must be finite: a NaN row gets an unspecified index.
 """
 
 from __future__ import annotations
@@ -26,27 +35,73 @@ def _i64c(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
+# rows per block: a (d, _BLOCK) float64 scratch array stays cache-resident at
+# the feature widths the trainer uses
+_BLOCK = 4096
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums of the d rows of a (d, m) array, added in numpy's pairwise order.
+
+    Column j of the result is bitwise ``x[:, j].sum()``: sequential below 8
+    rows, eight stride-8 accumulators folded as a tree up to 128 rows, and
+    above that a split at half (rounded down to a multiple of 8) with both
+    halves summed the same way.
+    """
+    d = x.shape[0]
+    if d < 8:
+        s = np.zeros(x.shape[1:])
+        for j in range(d):
+            s += x[j]
+        return s
+    if d <= 128:
+        body = d - d % 8
+        r = x[:8]
+        for i in range(8, body, 8):
+            r = r + x[i : i + 8]
+        r = r[0::2] + r[1::2]  # (r0+r1), (r2+r3), (r4+r5), (r6+r7)
+        r = r[0::2] + r[1::2]
+        s = r[0] + r[1]
+        for j in range(body, d):
+            s += x[j]
+        return s
+    half = d // 2
+    half -= half % 8
+    return _row_sums(x[:half]) + _row_sums(x[half:])
+
+
 def nearest_two(features: np.ndarray, centers: np.ndarray):
     """Per row: index of the nearest center plus the two smallest Euclidean
     distances. With a single center the second distance is +inf."""
-    features, centers = _f64c(features), _f64c(centers)
+    features, centers = np.asarray(features), _f64c(centers)
     if features.ndim != 2 or centers.ndim != 2 or features.shape[1] != centers.shape[1]:
         raise DimensionError(
             f"nearest_two needs (n,d) and (k,d), got {features.shape} and {centers.shape}"
         )
     if centers.shape[0] == 0:
         raise DimensionError("nearest_two needs at least one center")
-    n, k = features.shape[0], centers.shape[0]
-    # one center per pass: an (n, k, d) broadcast would cost more than it saves
-    dist = np.empty((n, k))
-    for c in range(k):
-        dist[:, c] = ((features - centers[c]) ** 2).sum(axis=1)
-    idx = dist.argmin(axis=1)
-    if k == 1:
-        dmin, dsec = dist[:, 0], np.full(n, np.inf)
-    else:
-        two = np.partition(dist, 1, axis=1)
-        dmin, dsec = two[:, 0], two[:, 1]
+    (n, d), k = features.shape, centers.shape[0]
+    cols = np.ascontiguousarray(features.T, dtype=np.float64)
+    idx = np.zeros(n, dtype=np.intp)
+    dmin = np.empty(n)
+    dsec = np.full(n, np.inf)
+    scratch = np.empty((d, min(n, _BLOCK)))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        sq = scratch[:, : hi - lo]
+        bidx, bmin, bsec = idx[lo:hi], dmin[lo:hi], dsec[lo:hi]
+        for c in range(k):
+            np.subtract(cols[:, lo:hi], centers[c, :, None], out=sq)
+            np.multiply(sq, sq, out=sq)
+            dist = _row_sums(sq)
+            if c == 0:
+                bmin[:] = dist
+                continue
+            # strict < keeps the lowest index on ties; the second smallest of
+            # {bmin, bsec, dist} is min(bsec, max(bmin, dist)), duplicates included
+            np.putmask(bidx, dist < bmin, c)
+            np.minimum(bsec, np.maximum(bmin, dist), out=bsec)
+            np.minimum(bmin, dist, out=bmin)
     return idx, np.sqrt(dmin), np.sqrt(dsec)
 
 

@@ -177,6 +177,28 @@ class TestTrain:
         assert exc.value.code == 2
         assert "--style-net" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["train", "--data", "d", "--out", "o", "--no-such-flag"], "--no-such-flag"),
+            (["train", "--out", "o"], "--data"),
+            (["eval", "--checkpoint", "c", "--data", "d", "--split", "nope"], "--split"),
+        ],
+        ids=["unknown", "missing", "bad_choice"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and needle in err
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cfalign eval")
+
     def test_style_net_config_key_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"style_transfer": True, "style_net": True}))
@@ -378,3 +400,30 @@ class TestDivergenceExit:
         assert code == 3
         assert "divergence" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--contrastive"]], ids=["plain", "contrastive"])
+    def test_last_step_overflow_exits_3(self, dataset_dir, tmp_path, capsys, extra):
+        # one enormous step leaves the weights finite, so training ends cleanly
+        # and the evaluation forward pass is the first to overflow
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(dataset_dir), "--out", str(out)] + TINY_RUN_FLAGS
+                    + ["--iterations", "1", "--learning-rate", "1e308"] + extra)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "divergence" in err
+        assert not any((out / name).exists() for name in ("metrics.csv", "checkpoint.bin", "result.json"))
+
+    def test_eval_of_huge_weights_exits_3(self, dataset_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run)] + TINY_RUN_FLAGS) == 0
+        capsys.readouterr()
+        header, arrays = read_container(run / "checkpoint.bin", "cfalign-checkpoint")
+        for name in arrays:
+            if name.startswith("model.") and name.endswith(".weight"):
+                arrays[name] = arrays[name] * 1e300
+        write_container(run / "checkpoint.bin", header, arrays)
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(dataset_dir)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "divergence" in captured.err
+        assert captured.out == ""

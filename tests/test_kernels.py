@@ -59,12 +59,24 @@ class TestNearestTwo:
 
     def test_bitwise_equal_to_scan(self, backend):
         rng = np.random.default_rng(13)
-        for trial in range(40):
-            n, k, d = int(rng.integers(1, 150)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            k = 1 if trial < 2 else k
+
+        def shapes():
+            for trial in range(40):
+                n, k, d = int(rng.integers(1, 150)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
+                yield n, 1 if trial < 2 else k, d, trial % 2
+            # row counts at the block edges, each with a width from every
+            # summation branch of _row_sums: sequential, eight accumulators, split
+            block = kernels._BLOCK
+            widths = ((1, 5, 7), (8, 13, 128), (129, 203, 300))
+            for i, n in enumerate((block - 1, block, block + 1, 3 * block + 17)):
+                for j, branch in enumerate(widths):
+                    k = 1 if (i, j) == (1, 1) else int(rng.integers(2, 9))
+                    yield n, k, branch[(i + j) % len(branch)], (i + j) % 2
+
+        for n, k, d, grid in shapes():
             f = rng.normal(size=(n, d))
             c = rng.normal(size=(k, d))
-            if trial % 2:
+            if grid:
                 # small integer grids make exact distance ties common, and
                 # duplicated centers tie on every row
                 f = rng.integers(-2, 3, size=(n, d)).astype(float)
@@ -72,7 +84,7 @@ class TestNearestTwo:
                 c[rng.integers(0, k)] = c[rng.integers(0, k)]
             for got, want in zip(kernels.nearest_two(f, c), nearest_two_loop(f, c)):
                 assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
+                assert np.array_equal(got, want), (n, k, d)
 
     def test_single_center_second_is_inf(self, backend):
         idx, dmin, dsec = kernels.nearest_two(np.zeros((3, 2)), np.ones((1, 2)))
@@ -92,6 +104,18 @@ class TestNearestTwo:
             kernels.nearest_two(np.zeros((3, 2)), np.zeros((2, 3)))
         with pytest.raises(DimensionError):
             kernels.nearest_two(np.zeros((3, 2)), np.zeros((0, 2)))
+
+
+class TestRowSums:
+    def test_matches_numpy_sum_order(self):
+        """nearest_two's distances equal ``((f - c) ** 2).sum(axis=1)`` only while
+        numpy adds a row in the order _row_sums repeats; a numpy release that
+        changes its reduction order fails here first."""
+        rng = np.random.default_rng(15)
+        for d in range(1, 301):
+            # mixed magnitudes make the summation order visible in the last bits
+            x = rng.normal(size=(9, d)) * 10.0 ** rng.integers(-8, 9, size=(9, d))
+            assert np.array_equal(kernels._row_sums(x.T), x.sum(axis=1)), d
 
 
 class TestLabelSums:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cfalign import kernels
 from cfalign.errors import ContractError, DimensionError
 from cfalign.membank import (
     MemoryBank,
@@ -165,6 +166,14 @@ class TestAssignPseudoLabels:
             got = assign_pseudo_labels(f, bank, t)
             want = assign_oracle(f, bank.v_source, init, t)
             np.testing.assert_array_equal(got, want)
+
+    def test_against_brute_force_across_blocks(self):
+        rng = np.random.default_rng(25)
+        init = np.array([True, True, False, True, True, True])
+        bank = make_bank(rng.normal(size=(6, 8)), init)
+        f = rng.normal(size=(2 * kernels._BLOCK + 5, 8))
+        got = assign_pseudo_labels(f, bank, 0.1)
+        np.testing.assert_array_equal(got, assign_oracle(f, bank.v_source, init, 0.1))
 
     def test_assigned_labels_point_at_initialized_rows(self):
         rng = np.random.default_rng(24)
