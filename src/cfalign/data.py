@@ -154,12 +154,25 @@ class Dataset:
 
 
 def _voronoi_labels(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
+    """Class of each pixel's nearest seed point, the lowest point index on ties.
+
+    One (height, width) pass per point. A squared distance is its row term
+    plus its column term, the one addition a length-2 sum over the (row,
+    column) offsets makes, so distances and labels equal that form's.
+    """
     points = rng.uniform(0, [spec.height, spec.width], size=(spec.regions, 2))
     classes = rng.integers(0, spec.classes, size=spec.regions)
-    rows, cols = np.meshgrid(np.arange(spec.height), np.arange(spec.width), indexing="ij")
-    grid = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(float)
-    d2 = ((grid[:, None, :] - points[None, :, :]) ** 2).sum(-1)
-    return classes[d2.argmin(axis=1)].reshape(spec.height, spec.width)
+    dr = (np.arange(spec.height, dtype=float)[:, None] - points[:, 0]) ** 2  # (h, regions)
+    dc = (np.arange(spec.width, dtype=float)[:, None] - points[:, 1]) ** 2  # (w, regions)
+    nearest = np.zeros((spec.height, spec.width), dtype=np.intp)
+    best = dr[:, :1] + dc[:, 0]
+    d2 = np.empty_like(best)
+    for r in range(1, spec.regions):
+        np.add(dr[:, r, None], dc[:, r], out=d2)
+        # strict < keeps the lowest point index on ties, as argmin does
+        np.putmask(nearest, d2 < best, r)
+        np.minimum(best, d2, out=best)
+    return classes[nearest]
 
 
 def _paint(labels: np.ndarray, spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

@@ -1,16 +1,26 @@
-"""Hot inner-loop kernels: the label-indexed scans behind pseudo-label
-assignment, class-center accumulation and confusion counting.
+"""Hot inner-loop kernels: the per-pixel row reductions, the nearest-center
+scan behind pseudo-label assignment, class-center accumulation and confusion
+counting.
 
-Each is vectorized numpy; ties resolve to the lowest index.
+Most arrays on the hot paths are narrow: one row per pixel and a handful of
+columns (classes, centers, feature dims). A numpy reduction along ``axis=1``
+of such an array makes one inner-loop call per row, so its cost is per row,
+not per element. The row kernels `row_sum`, `row_max` and `row_argmax`, and
+`nearest_two`, instead walk an (n, k) array in blocks of `_BLOCK` rows and
+copy each block once into a contiguous (k, rows) scratch array; every step
+is then one numpy call over a whole block.
 
-`nearest_two` works on a column-major copy of its rows: features are
-transposed once to a contiguous (d, n) array and walked in blocks of
-`_BLOCK` rows, so each arithmetic step is one numpy call over a whole block
-instead of one reduction call per d-wide row. `_row_sums` adds the d squared
-differences in the order numpy's pairwise sum adds a length-d row, which
-makes every distance bitwise equal to ``((f - c) ** 2).sum(axis=1)``;
-`tests/test_kernels.py::TestRowSums` is the alarm if a numpy release changes
-that order. Inputs must be finite: a NaN row gets an unspecified index.
+Each row kernel repeats numpy's ``axis=1`` result for a C-contiguous array
+bit for bit. `_row_sums` adds the k columns in the order numpy's pairwise
+sum adds a length-k row, so `row_sum` and `nearest_two`'s distances equal
+``a.sum(axis=1)`` and ``((f - c) ** 2).sum(axis=1)``;
+`tests/test_kernels.py::TestRowSums` and `::TestRowKernels` are the alarm if
+a numpy release changes that order. `row_max` is exact because a maximum
+does not round; only the sign of a zero maximum of a row holding both 0.0
+and -0.0 is left open, as numpy's SIMD lane order leaves it. `row_argmax`
+and `nearest_two` resolve ties to the lowest index, as ``argmax`` and
+``argmin`` do. Inputs must be free of NaN: a NaN row gets an unspecified
+result.
 """
 
 from __future__ import annotations
@@ -19,7 +29,15 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["get_backend", "nearest_two", "label_sums", "confusion"]
+__all__ = [
+    "get_backend",
+    "row_sum",
+    "row_max",
+    "row_argmax",
+    "nearest_two",
+    "label_sums",
+    "confusion",
+]
 
 
 def get_backend() -> str:
@@ -35,18 +53,42 @@ def _i64c(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-# rows per block: a (d, _BLOCK) float64 scratch array stays cache-resident at
-# the feature widths the trainer uses
+# rows per block: a (k, _BLOCK) float64 scratch array stays cache-resident at
+# the widths the trainer uses
 _BLOCK = 4096
+
+
+def _column_blocks(a: np.ndarray):
+    """Yield (lo, hi, cols) for each block of rows of the 2-d `a`, where
+    cols[j] is column j of rows lo:hi as a contiguous float64 row. One
+    scratch array serves every block, so cols is only valid until the next."""
+    n, k = a.shape
+    # 8 spare columns: a row stride that is a multiple of 4 KiB maps every
+    # row, and a caller's same-shaped scratch, onto the same cache sets
+    scratch = np.empty((k, min(n, _BLOCK) + 8))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        cols = scratch[:, : hi - lo]
+        np.copyto(cols, a[lo:hi].T)
+        yield lo, hi, cols
+
+
+def _rows(a, name: str, need_column: bool = False) -> np.ndarray:
+    a = np.asarray(a)
+    if a.ndim != 2 or (need_column and a.shape[1] == 0):
+        what = "an (n, k) array with k >= 1" if need_column else "an (n, k) array"
+        raise DimensionError(f"{name} needs {what}, got shape {a.shape}")
+    return a
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """Sums of the d rows of a (d, m) array, added in numpy's pairwise order.
 
-    Column j of the result is bitwise ``x[:, j].sum()``: sequential below 8
-    rows, eight stride-8 accumulators folded as a tree up to 128 rows, and
-    above that a split at half (rounded down to a multiple of 8) with both
-    halves summed the same way.
+    Column j of the result is bitwise ``x[:, j].sum()``: sequential from 0.0
+    below 8 rows; eight stride-8 accumulators folded as a tree, a sequential
+    remainder and then 0.0 added (so -0.0 sums become 0.0, as numpy's do) up
+    to 128 rows; and above that a split at half (rounded down to a multiple
+    of 8) with both halves summed the same way.
     """
     d = x.shape[0]
     if d < 8:
@@ -64,10 +106,62 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
         s = r[0] + r[1]
         for j in range(body, d):
             s += x[j]
+        s += 0.0
         return s
     half = d // 2
     half -= half % 8
     return _row_sums(x[:half]) + _row_sums(x[half:])
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """Per-row sums of an (n, k) array: bitwise ``a.sum(axis=1)``."""
+    a = _rows(a, "row_sum")
+    out = np.empty(a.shape[0])
+    for lo, hi, cols in _column_blocks(a):
+        out[lo:hi] = _row_sums(cols)
+    return out
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """Per-row maxima of an (n, k) array, k >= 1: ``a.max(axis=1)``, bitwise
+    up to the sign of a zero maximum (module docstring)."""
+    a = _rows(a, "row_max", need_column=True)
+    out = np.empty(a.shape[0])
+    for lo, hi, cols in _column_blocks(a):
+        best = out[lo:hi]
+        best[:] = cols[0]
+        for j in range(1, a.shape[1]):
+            np.maximum(best, cols[j], out=best)
+    return out
+
+
+def row_argmax(a: np.ndarray) -> np.ndarray:
+    """Per-row index of the largest entry of an (n, k) array, k >= 1, the
+    lowest on ties: ``a.argmax(axis=1)``."""
+    a = _rows(a, "row_argmax", need_column=True)
+    n, k = a.shape
+    # a running index of the narrowest dtype holding k - 1 keeps the scan's
+    # updates cheap; max(index, j * greater) stands in for a masked store,
+    # which branches per element
+    itype = np.min_scalar_type(k - 1)
+    idx = np.empty(n, dtype=np.intp)
+    m = min(n, _BLOCK)
+    best, greater = np.empty(m), np.empty(m, dtype=bool)
+    run, cand = np.empty(m, dtype=itype), np.empty(m, dtype=itype)
+    for lo, hi, cols in _column_blocks(a):
+        w = hi - lo
+        b, g, r, c = best[:w], greater[:w], run[:w], cand[:w]
+        b[:] = cols[0]
+        r[:] = 0
+        for j in range(1, k):
+            # strict > keeps the lowest index on ties; j is above every index
+            # so far, so the maximum moves r to j exactly where g holds
+            np.greater(cols[j], b, out=g)
+            np.multiply(g, itype.type(j), out=c)
+            np.maximum(r, c, out=r)
+            np.maximum(b, cols[j], out=b)
+        idx[lo:hi] = r
+    return idx
 
 
 def nearest_two(features: np.ndarray, centers: np.ndarray):
@@ -81,17 +175,15 @@ def nearest_two(features: np.ndarray, centers: np.ndarray):
     if centers.shape[0] == 0:
         raise DimensionError("nearest_two needs at least one center")
     (n, d), k = features.shape, centers.shape[0]
-    cols = np.ascontiguousarray(features.T, dtype=np.float64)
     idx = np.zeros(n, dtype=np.intp)
     dmin = np.empty(n)
     dsec = np.full(n, np.inf)
     scratch = np.empty((d, min(n, _BLOCK)))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    for lo, hi, cols in _column_blocks(features):
         sq = scratch[:, : hi - lo]
         bidx, bmin, bsec = idx[lo:hi], dmin[lo:hi], dsec[lo:hi]
         for c in range(k):
-            np.subtract(cols[:, lo:hi], centers[c, :, None], out=sq)
+            np.subtract(cols, centers[c, :, None], out=sq)
             np.multiply(sq, sq, out=sq)
             dist = _row_sums(sq)
             if c == 0:

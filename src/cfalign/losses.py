@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
+from .kernels import row_max, row_sum
 from .membank import MemoryBank
 from .tensor import EPS, Tensor, accum, add, record, scale
 
@@ -75,7 +76,7 @@ def entropy_loss(pred: Tensor) -> Tensor:
     k = float(-1.0 / np.log(c))
     safe = np.maximum(pred.data, EPS)
     logp = np.log(safe)
-    loss = Tensor(((pred.data * logp).sum(axis=1) * k).mean(), pred.requires_grad)
+    loss = Tensor((row_sum(pred.data * logp) * k).mean(), pred.requires_grad)
 
     def bwd(g):
         # mean, scale and row sum, then pred's two uses (the factor of
@@ -148,7 +149,7 @@ def info_nce(
     x = features.data[labeled]
     C = centers[active]
     if normalize:
-        x_safe = np.maximum(np.sqrt(np.maximum((x * x).sum(axis=1, keepdims=True), 0.0)), EPS)
+        x_safe = np.maximum(np.sqrt(np.maximum(row_sum(x * x)[:, None], 0.0)), EPS)
         f = x / x_safe
         C = C / np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12)
     else:
@@ -156,22 +157,22 @@ def info_nce(
     L = (f @ C.T) * c
     if include_positive:
         keep = None
-        shift = L.max(axis=1, keepdims=True)  # constant shift: exact for lse
-        E = np.exp(L - shift)
-        z = E.sum(axis=1)  # >= 1 because the max term contributes exp(0)
+        shift = row_max(L)  # constant shift: exact for lse
+        E = np.exp(L - shift[:, None])
+        z = row_sum(E)  # >= 1 because the max term contributes exp(0)
     else:
         keep = np.ones((m, active.size))
         keep[rows, pos] = 0.0
         # shift by the largest KEPT logit, not the global max: if the positive
         # dominates, the exclusive sum would underflow past the log guard
-        shift = np.where(keep > 0, L, -np.inf).max(axis=1, keepdims=True)
+        shift = row_max(np.where(keep > 0, L, -np.inf))
         # push dropped entries far negative before exp so they cannot overflow;
         # the keep mask then zeroes any rounding residue
-        cushion = (1.0 - keep) * (np.maximum(L - shift, 0.0) + 1000.0)
-        E = np.exp((L - shift) - cushion)
-        z = (E * keep).sum(axis=1)  # >= 1: the kept max contributes exp(0)
+        cushion = (1.0 - keep) * (np.maximum(L - shift[:, None], 0.0) + 1000.0)
+        E = np.exp((L - shift[:, None]) - cushion)
+        z = row_sum(E * keep)  # >= 1: the kept max contributes exp(0)
     z_safe = np.maximum(z, EPS)
-    lse = np.log(z_safe) + shift.ravel()
+    lse = np.log(z_safe) + shift
     loss = Tensor((lse - L[rows, pos]).mean(), features.requires_grad)
 
     def bwd(g):
@@ -187,7 +188,7 @@ def info_nce(
         gf = (gl * c) @ C
         if normalize:
             # through x / norm, the norm's sqrt and row sum, and x * x (x enters twice)
-            g_norm = ((-gf * x) / (x_safe * x_safe)).sum(axis=1, keepdims=True)
+            g_norm = row_sum((-gf * x) / (x_safe * x_safe))[:, None]
             t = np.broadcast_to(g_norm * 0.5 / x_safe, x.shape) * x
             gf = gf / x_safe + t + t
         gx = np.zeros_like(features.data)

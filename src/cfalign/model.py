@@ -15,6 +15,7 @@ import numpy as np
 from .adain import to_pixels
 from .errors import ConfigError, DimensionError
 from .heads import LinearLayer, linear_layer
+from .kernels import row_argmax
 from .tensor import Tensor, affine, relu, softmax
 
 __all__ = [
@@ -99,4 +100,4 @@ def predict_labels(model: SegModel, images: np.ndarray, features: Tensor | None 
     b, _, h, w = images.shape
     if features is None:
         features = model_features(model, Tensor(to_pixels(images)))
-    return model_probs(model, features).data.argmax(axis=1).reshape(b, h, w)
+    return row_argmax(model_probs(model, features).data).reshape(b, h, w)

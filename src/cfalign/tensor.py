@@ -23,6 +23,7 @@ from typing import BinaryIO, Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ContractError, DimensionError
+from .kernels import row_max, row_sum
 
 EPS = 1e-12
 
@@ -270,7 +271,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise DimensionError(f"affine needs (n,k)@(k,m), got {x.data.shape} @ {w.data.shape}")
-    out = Tensor(x.data @ w.data + b.data, x.requires_grad or w.requires_grad or b.requires_grad)
+    y = x.data @ w.data
+    y += b.data  # in place: no second (n, m) array
+    out = Tensor(y, x.requires_grad or w.requires_grad or b.requires_grad)
 
     def bwd(g):
         # bias, then input, then weight: the accumulation order of the chain
@@ -283,12 +286,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # subgradient at 0 is taken as 0
     # maximum (not where) so NaN propagates instead of flushing to 0
     out = Tensor(np.maximum(x.data, 0.0), x.requires_grad)
 
     def bwd(g):
-        accum(x, g * mask)
+        # the mask is built here, so a forward-only pass never allocates it;
+        # the subgradient at 0 is taken as 0
+        accum(x, g * (x.data > 0))
 
     record("relu", (x,), out, bwd)
     return out
@@ -330,15 +334,28 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis`; rows sum to 1 exactly up to rounding."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, x.requires_grad)
+    """Numerically stable softmax along `axis`; rows sum to 1 exactly up to rounding.
+
+    `axis` is swapped with the last and the array flattened to rows, so
+    every axis runs through the row kernels; along the last axis of a
+    C-contiguous array this is bitwise the ``max``/``sum(axis=-1)`` form.
+    """
+    swapped = x.data.swapaxes(axis, -1)
+    rows = swapped.reshape(-1, swapped.shape[-1])
+    # z, exp(z) and p share one buffer: the in-place steps round as the
+    # out-of-place ones do and allocate one (n, k) array, not three
+    p = rows - row_max(rows)[:, None]
+    np.exp(p, out=p)
+    np.divide(p, row_sum(p)[:, None], out=p)
+    out = Tensor(p.reshape(swapped.shape).swapaxes(axis, -1), x.requires_grad)
 
     def bwd(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        accum(x, (g - dot) * p)
+        g = g.swapaxes(axis, -1).reshape(p.shape)
+        gx = g * p
+        dot = row_sum(gx)[:, None]
+        np.subtract(g, dot, out=gx)
+        np.multiply(gx, p, out=gx)
+        accum(x, gx.reshape(swapped.shape).swapaxes(axis, -1))
 
     record("softmax", (x,), out, bwd)
     return out

@@ -255,8 +255,8 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
     """Run the full loop; returns the final state and one record per iteration.
 
     Deterministic given the config: identical config and data give
-    byte-identical metrics. Raises DivergenceError when the total loss
-    leaves the finite range.
+    byte-identical metrics. Raises DivergenceError when an iteration's
+    forward pass, backward pass or step leaves the finite range.
     """
     config.validate()
     state = init_state(config, data.spec.classes, data.spec.channels)
@@ -282,5 +282,11 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
                 img_s = state.style.apply(img_s)
             else:
                 img_t = state.style.apply(img_t)
-        records.append(_step(state, params, img_s, lab_s, img_t, diag_t, it))
+        # an overflow or invalid value ends the run with one DivergenceError
+        # naming the iteration, before numpy can print a warning
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                records.append(_step(state, params, img_s, lab_s, img_t, diag_t, it))
+        except FloatingPointError as exc:
+            raise DivergenceError(f"iteration {it} left the finite range: {exc}") from exc
     return state, records

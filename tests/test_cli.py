@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -392,13 +393,17 @@ class TestGradCheck:
 class TestDivergenceExit:
     def test_exit_3(self, dataset_dir, tmp_path, capsys):
         # a finite but enormous step overflows the weights after one update;
-        # the run must abort with the divergence code, not write results
+        # the run must abort with the divergence code and one line naming
+        # the iteration, before numpy prints a warning, and write no results
         out = tmp_path / "x"
-        with pytest.warns(RuntimeWarning, match="matmul"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["train", "--data", str(dataset_dir), "--out", str(out)]
                         + TINY_RUN_FLAGS + ["--learning-rate", "1e200"])
         assert code == 3
-        assert "divergence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("divergence: iteration 1 ") and "Warning" not in err
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--contrastive"]], ids=["plain", "contrastive"])

@@ -7,6 +7,7 @@ import pytest
 
 from cfalign.config import RunConfig
 from cfalign.data import (
+    _voronoi_labels,
     Dataset,
     Split,
     SynthSpec,
@@ -92,6 +93,52 @@ class TestGeneration:
             SynthSpec(classes=1).validate()
         with pytest.raises(ConfigError):
             SynthSpec(class_means=[[0.1, 0.2]]).validate()
+
+
+def voronoi_broadcast(spec, rng):
+    """The (pixels, regions, 2) broadcast form: argmin of the summed squared
+    (row, column) offsets."""
+    points = rng.uniform(0, [spec.height, spec.width], size=(spec.regions, 2))
+    classes = rng.integers(0, spec.classes, size=spec.regions)
+    rows, cols = np.meshgrid(np.arange(spec.height), np.arange(spec.width), indexing="ij")
+    grid = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(float)
+    d2 = ((grid[:, None, :] - points[None, :, :]) ** 2).sum(-1)
+    return classes[d2.argmin(axis=1)].reshape(spec.height, spec.width)
+
+
+class FixedDraws:
+    """Stands in for the generator: hands out the given points and classes."""
+
+    def __init__(self, points, classes):
+        self.points, self.classes = np.asarray(points, float), np.asarray(classes)
+
+    def uniform(self, low, high, size):
+        return self.points
+
+    def integers(self, low, high, size):
+        return self.classes
+
+
+class TestVoronoiLabels:
+    def test_equals_broadcast_form(self):
+        for seed in range(120):
+            # regions 1..8, square and non-square images down to 2 pixels a side
+            spec = SynthSpec(height=2 + seed % 23, width=2 + (seed * 7) % 19, regions=1 + seed % 8)
+            got = _voronoi_labels(spec, np.random.default_rng(seed))
+            want = voronoi_broadcast(spec, np.random.default_rng(seed))
+            assert got.dtype == want.dtype and np.array_equal(got, want), seed
+
+    @pytest.mark.parametrize(
+        "points",
+        [[[1.0, 1.0], [1.0, 1.0], [4.0, 0.0]], [[0.0, 0.0], [0.0, 2.0], [2.0, 1.0]]],
+        ids=["duplicate-point", "equidistant-pixels"],
+    )
+    def test_ties_take_lowest_point(self, points):
+        # a repeated point ties on every pixel; integer points put pixels at
+        # exactly equal distances; the broadcast form's argmin takes the first
+        spec = SynthSpec(height=5, width=4, regions=3)
+        got = _voronoi_labels(spec, FixedDraws(points, [0, 1, 2]))
+        assert np.array_equal(got, voronoi_broadcast(spec, FixedDraws(points, [0, 1, 2])))
 
 
 class TestFiles:

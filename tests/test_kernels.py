@@ -1,10 +1,17 @@
 """Kernels against brute-force references."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from cfalign import kernels
+from cfalign.config import RunConfig
+from cfalign.data import SynthSpec, generate_dataset
 from cfalign.errors import DimensionError
+from cfalign.evaluate import eval_to_json, evaluate
+from cfalign.heads import HEAD_KINDS
+from cfalign.train import metrics_to_csv, train
 
 
 @pytest.fixture(params=["numpy"])
@@ -116,6 +123,129 @@ class TestRowSums:
             # mixed magnitudes make the summation order visible in the last bits
             x = rng.normal(size=(9, d)) * 10.0 ** rng.integers(-8, 9, size=(9, d))
             assert np.array_equal(kernels._row_sums(x.T), x.sum(axis=1)), d
+
+
+def row_inputs(rng, n, k):
+    """(n, k) rows in four flavours: mixed magnitudes (the summation order
+    shows in the last bits), small integers (exact ties), signed zeros with
+    -inf (the excluded-positive shift's input) and signed zeros alone."""
+    flavour = int(rng.integers(0, 4))
+    if flavour == 0:
+        return rng.normal(size=(n, k)) * 10.0 ** rng.integers(-8, 9, size=(n, k))
+    if flavour == 1:
+        return rng.integers(-2, 3, size=(n, k)).astype(float)
+    values = np.array([0.0, -0.0, -np.inf, 1.5, -2.0]) if flavour == 2 else np.array([0.0, -0.0])
+    return rng.choice(values, size=(n, k))
+
+
+def row_cases():
+    """Widths 1..300 on short runs of rows, then the block edges with
+    widths from every summation branch of _row_sums."""
+    rng = np.random.default_rng(16)
+    for k in range(1, 301):
+        for n in (0, 1, 37):
+            yield row_inputs(rng, n, k)
+    block = kernels._BLOCK
+    for n in (block - 1, block, block + 1, 3 * block + 17):
+        for k in (1, 5, 7, 8, 13, 128, 129, 203, 300):
+            yield row_inputs(rng, n, k)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestRowKernels:
+    """Each row kernel against numpy's ``axis=1`` reduction of the same
+    C-contiguous array, bit for bit."""
+
+    def test_row_sum_bitwise(self):
+        for a in row_cases():
+            # a row cannot hold both infinities, so every sum is a number or -inf
+            got = kernels.row_sum(a)
+            assert got.shape == (a.shape[0],) and got.dtype == np.float64
+            assert np.array_equal(bits(got), bits(a.sum(axis=1))), a.shape
+
+    def test_row_max_bitwise(self):
+        for a in row_cases():
+            got, want = kernels.row_max(a), a.max(axis=1)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want), a.shape
+            # numpy's SIMD lane order picks the sign of a zero maximum of a row
+            # holding both zeros; every other maximum is the same bits
+            zero, neg = a == 0, np.signbit(a)
+            open_sign = (want == 0) & (zero & neg).any(axis=1) & (zero & ~neg).any(axis=1)
+            assert np.array_equal(bits(got)[~open_sign], bits(want)[~open_sign]), a.shape
+
+    def test_row_argmax_equal(self):
+        for a in row_cases():
+            got = kernels.row_argmax(a)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, a.argmax(axis=1)), a.shape
+
+    def test_ties_take_lowest_index(self):
+        a = np.array([[1.0, 3.0, 3.0, 0.0], [-np.inf] * 4, [-0.0, 0.0, 0.0, -0.0], [2.0, 2.0, 2.0, 2.0]])
+        np.testing.assert_array_equal(kernels.row_argmax(a), [1, 0, 0, 0])
+
+    def test_all_negative_zero_sums_to_positive_zero(self):
+        for k in (1, 7, 8, 9, 130):
+            assert not np.signbit(kernels.row_sum(np.full((3, k), -0.0))).any(), k
+
+    def test_shape_validation(self):
+        for fn in (kernels.row_sum, kernels.row_max, kernels.row_argmax):
+            with pytest.raises(DimensionError):
+                fn(np.zeros(4))
+        for fn in (kernels.row_max, kernels.row_argmax):
+            with pytest.raises(DimensionError):
+                fn(np.zeros((3, 0)))
+        np.testing.assert_array_equal(kernels.row_sum(np.zeros((3, 0))), np.zeros(3))
+
+
+class TestNumpyReductionsGiveSameBytes:
+    """End to end, training and evaluation write the same bytes whether the
+    row kernels or numpy's ``axis=1`` reductions do the reducing."""
+
+    NUMPY = {
+        "row_sum": lambda a: np.asarray(a).sum(axis=1),
+        "row_max": lambda a: np.asarray(a).max(axis=1),
+        "row_argmax": lambda a: np.asarray(a).argmax(axis=1),
+    }
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_dataset(
+            SynthSpec(height=12, width=12, train_images=16, eval_images=4, regions=4, seed=7)
+        )
+
+    @staticmethod
+    def outputs(data, head):
+        docs = []
+        for normalize in (False, True):
+            for include_positive in (True, False):
+                cfg = RunConfig(
+                    seed=7, iterations=30, hidden_dim=12, feature_dim=8, head=head,
+                    style_transfer=True, contrastive=True, bank_warm_start=True,
+                    normalize_features=normalize, include_positive=include_positive,
+                )
+                state, records = train(cfg, data)
+                assert any(r.contra != 0 for r in records)  # InfoNCE ran
+                docs.append(metrics_to_csv(records) + eval_to_json(evaluate(state, data.target_eval), cfg))
+        return docs
+
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_outputs_unchanged(self, data, head, monkeypatch):
+        with_kernels = self.outputs(data, head)
+        # patch every module that imported a row kernel by name
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cfalign.") and name != "cfalign.kernels":
+                for attr, numpy_form in self.NUMPY.items():
+                    if getattr(module, attr, None) is getattr(kernels, attr):
+                        monkeypatch.setattr(module, attr, numpy_form)
+                        patched.add((name, attr))
+        assert {m for m, _ in patched} >= {"cfalign.tensor", "cfalign.losses", "cfalign.model"}
+        assert {a for _, a in patched} == set(self.NUMPY)
+        assert self.outputs(data, head) == with_kernels
 
 
 class TestLabelSums:

@@ -121,6 +121,33 @@ class TestForward:
         b = softmax(Tensor(x + 123.0), axis=1).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_softmax_last_axis_bitwise_numpy_form(self):
+        # the row kernels repeat the max / sum(axis=-1) form bit for bit,
+        # forward and backward, across several row blocks
+        rng = np.random.default_rng(3)
+        x = rng.normal(scale=5.0, size=(9000, 5))
+        g = rng.normal(size=x.shape)
+        t = Tensor(x, requires_grad=True)
+        with Graph() as graph:
+            p = softmax(t)
+            backward(reduce_sum(mul(p, Tensor(g))), graph)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert np.array_equal(p.data, want)
+        assert np.array_equal(t.grad, (g - (g * want).sum(axis=-1, keepdims=True)) * want)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -2])
+    def test_softmax_any_axis(self, axis):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 4, 5))
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        np.testing.assert_allclose(
+            softmax(Tensor(x), axis=axis).data, e / e.sum(axis=axis, keepdims=True), rtol=1e-14, atol=0
+        )
+        w = Tensor(rng.normal(size=x.shape))
+        err = grad_check(lambda z: reduce_sum(mul(softmax(z, axis=axis), w)), Tensor(x, requires_grad=True))
+        assert err < 1e-8
+
     def test_log_clamps_at_zero(self):
         y = log(Tensor([0.0, 1.0]))
         np.testing.assert_allclose(y.data, [np.log(EPS), 0.0])
