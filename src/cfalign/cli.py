@@ -3,8 +3,9 @@
 Subcommands: gen-data, train, eval, ablate, sweep, grad-check. Every knob
 can come from a flat JSON file (--config) holding run and dataset fields by
 name; explicit flags override file values. Exit codes: 0 success, 1 failed
-grad-check, 2 config error, a malformed or unreadable data/checkpoint file
-or an --out that cannot be written, 3 numerical divergence.
+grad-check, 2 config error (a size too large to allocate included), a
+malformed or unreadable data/checkpoint file or an --out that cannot be
+written, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ __all__ = ["main", "build_parser"]
 
 _ALL_FIELDS = RunConfig.field_names() | SynthSpec.field_names()
 
-# flags are generated from the dataclasses; fields listed here stay file-only
-_FILE_ONLY = {"class_means"}
-
-
 def _scalar_kind(annotation) -> str | None:
     text = str(annotation).replace(" ", "")
     if text == "bool":
@@ -48,9 +45,9 @@ _PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    # flags are generated from the dataclasses; a field of another type
+    # (SynthSpec.class_means) has none and is set from a --config file
     for f in dataclasses.fields(cls):
-        if f.name in _FILE_ONLY:
-            continue
         kind = _scalar_kind(f.type)
         if kind is None:
             continue
@@ -257,6 +254,10 @@ def main(argv=None) -> int:
         return 2
     except (ContractError, DimensionError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a size flag too large for this machine, e.g. --hidden-dim 10**13
+        print(f"config error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

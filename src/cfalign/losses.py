@@ -5,7 +5,7 @@ plain numpy constants so no gradient ever flows into the memory bank, and
 pixels labeled ``-1`` are excluded everywhere. InfoNCE is computed through a
 max-shifted log-sum-exp, so temperatures as small as 1e-2 stay finite. Each
 loss records one tape node whose backward repeats the rounding of the per-op
-chain it replaces.
+chain it replaced; the chains are kept in ``tests/chain_ops.py``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ a valid topological order, and :func:`backward` replays the tape once in
 reverse. Ops executed with no graph active are forward-only, which is what
 evaluation and finite differencing use.
 
-log, div and sqrt clamp their arguments by ``EPS`` so a pipeline never emits
-NaN from a boundary value; each guard is noted on the op.
+Each layer and loss is one node with a hand-written backward. The per-op
+chains they are pinned against, with the ``EPS`` clamps of log, div and
+sqrt, live in ``tests/chain_ops.py``. Batch norm keeps the chain's guard:
+its standard deviation is clamped below by ``EPS``.
 """
 
 from __future__ import annotations
@@ -39,21 +41,10 @@ __all__ = [
     "zero_grads",
     "grad_check",
     "add",
-    "sub",
-    "mul",
-    "div",
     "scale",
-    "matmul",
     "affine",
     "relu",
-    "exp",
-    "log",
-    "sqrt",
     "softmax",
-    "reduce_sum",
-    "reduce_mean",
-    "take_rows",
-    "pick",
     "batch_norm",
     "write_container",
     "read_container",
@@ -81,41 +72,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all routing goes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
 
 @dataclass
@@ -203,44 +159,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        accum(a, _unbroadcast(g, a.data.shape))
-        accum(b, _unbroadcast(-g, b.data.shape))
-
-    record("sub", (a, b), out, bwd)
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        accum(a, _unbroadcast(g * b.data, a.data.shape))
-        accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    record("mul", (a, b), out, bwd)
-    return out
-
-
-def div(a, b) -> Tensor:
-    """Elementwise a / b. Denominator magnitudes are clamped to EPS."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    safe = np.where(b.data >= 0, np.maximum(b.data, EPS), np.minimum(b.data, -EPS))
-    out = Tensor(a.data / safe, a.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        accum(a, _unbroadcast(g / safe, a.data.shape))
-        accum(b, _unbroadcast(-g * a.data / (safe * safe), b.data.shape))
-
-    record("div", (a, b), out, bwd)
-    return out
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(x.data * c, x.requires_grad)
@@ -249,20 +167,6 @@ def scale(x: Tensor, c: float) -> Tensor:
         accum(x, g * c)
 
     record("scale", (x,), out, bwd)
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul needs (n,k)@(k,m), got {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        accum(a, g @ b.data.T)
-        accum(b, a.data.T @ g)
-
-    record("matmul", (a, b), out, bwd)
     return out
 
 
@@ -298,144 +202,29 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-    out = Tensor(e, x.requires_grad)
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis; rows sum to 1 exactly up to rounding.
 
-    def bwd(g):
-        accum(x, g * e)
-
-    record("exp", (x,), out, bwd)
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    """Natural log with the argument clamped below by EPS."""
-    safe = np.maximum(x.data, EPS)
-    out = Tensor(np.log(safe), x.requires_grad)
-
-    def bwd(g):
-        accum(x, g / safe)
-
-    record("log", (x,), out, bwd)
-    return out
-
-
-def sqrt(x: Tensor) -> Tensor:
-    """Square root with negative arguments clamped to 0; backward guards the pole."""
-    s = np.sqrt(np.maximum(x.data, 0.0))
-    out = Tensor(s, x.requires_grad)
-
-    def bwd(g):
-        accum(x, g * 0.5 / np.maximum(s, EPS))
-
-    record("sqrt", (x,), out, bwd)
-    return out
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis`; rows sum to 1 exactly up to rounding.
-
-    `axis` is swapped with the last and the array flattened to rows, so
-    every axis runs through the row kernels; along the last axis of a
-    C-contiguous array this is bitwise the ``max``/``sum(axis=-1)`` form.
+    The array is flattened to rows for the row kernels, which repeat the
+    ``max``/``sum(axis=-1)`` form bit for bit.
     """
-    swapped = x.data.swapaxes(axis, -1)
-    rows = swapped.reshape(-1, swapped.shape[-1])
+    rows = x.data.reshape(-1, x.data.shape[-1])
     # z, exp(z) and p share one buffer: the in-place steps round as the
     # out-of-place ones do and allocate one (n, k) array, not three
     p = rows - row_max(rows)[:, None]
     np.exp(p, out=p)
     np.divide(p, row_sum(p)[:, None], out=p)
-    out = Tensor(p.reshape(swapped.shape).swapaxes(axis, -1), x.requires_grad)
+    out = Tensor(p.reshape(x.data.shape), x.requires_grad)
 
     def bwd(g):
-        g = g.swapaxes(axis, -1).reshape(p.shape)
+        g = g.reshape(p.shape)
         gx = g * p
         dot = row_sum(gx)[:, None]
         np.subtract(g, dot, out=gx)
         np.multiply(gx, p, out=gx)
-        accum(x, gx.reshape(swapped.shape).swapaxes(axis, -1))
+        accum(x, gx.reshape(x.data.shape))
 
     record("softmax", (x,), out, bwd)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# reductions and indexing
-
-
-def _spread(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), x.requires_grad)
-
-    def bwd(g):
-        accum(x, _spread(g, x.data.shape, axis, keepdims))
-
-    record("sum", (x,), out, bwd)
-    return out
-
-
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = x.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for ax in axes:
-            n *= x.data.shape[ax]
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims), x.requires_grad)
-
-    def bwd(g):
-        accum(x, _spread(g, x.data.shape, axis, keepdims) / n)
-
-    record("mean", (x,), out, bwd)
-    return out
-
-
-def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows x[idx]. Backward scatter-adds, so repeated indices accumulate."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if x.data.ndim != 2:
-        raise DimensionError(f"take_rows needs a 2-d tensor, got shape {x.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise ContractError(f"row index out of range for {x.data.shape[0]} rows")
-    out = Tensor(x.data[idx], x.requires_grad)
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            accum(x, gx)
-
-    record("take_rows", (x,), out, bwd)
-    return out
-
-
-def pick(x: Tensor, cols: np.ndarray) -> Tensor:
-    """Per-row gather: out[i] = x[i, cols[i]]."""
-    cols = np.asarray(cols, dtype=np.int64)
-    if x.data.ndim != 2 or cols.shape != (x.data.shape[0],):
-        raise DimensionError(
-            f"pick needs (n,c) tensor and (n,) columns, got {x.data.shape} and {cols.shape}"
-        )
-    if cols.size and (cols.min() < 0 or cols.max() >= x.data.shape[1]):
-        raise ContractError(f"column index out of range for {x.data.shape[1]} columns")
-    rows = np.arange(x.data.shape[0])
-    out = Tensor(x.data[rows, cols], x.requires_grad)
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (rows, cols), g)
-            accum(x, gx)
-
-    record("pick", (x,), out, bwd)
     return out
 
 
@@ -466,8 +255,9 @@ def batch_norm(
 ) -> Tensor:
     """Normalize columns of an (n, d) tensor.
 
-    Training mode normalizes by the batch mean and population variance and
-    folds them into `running`; eval mode normalizes by the running statistics.
+    Training mode normalizes by the batch mean and population variance,
+    folds them into `running` and records one node. Eval mode normalizes by
+    the running statistics and is forward-only: it records no node.
     """
     if x.data.ndim != 2:
         raise DimensionError(f"batch_norm needs an (n, d) tensor, got shape {x.data.shape}")
@@ -476,20 +266,45 @@ def batch_norm(
         raise DimensionError(
             f"batch_norm scale/shift must have shape ({d},), got {gamma.data.shape} and {beta.data.shape}"
         )
-    if training:
-        m = reduce_mean(x, axis=0)
-        centered = sub(x, m)
-        v = reduce_mean(mul(centered, centered), axis=0)
-        if running is not None:
-            k = running.momentum
-            running.mean = (1.0 - k) * running.mean + k * m.data
-            running.var = (1.0 - k) * running.var + k * v.data
-        denom = sqrt(add(v, eps))
-        return add(mul(gamma, div(centered, denom)), beta)
-    if running is None:
-        raise ContractError("eval-mode batch_norm needs running statistics")
-    inv = 1.0 / np.sqrt(running.var + eps)
-    return add(mul(gamma, mul(sub(x, running.mean), inv)), beta)
+    if not training:
+        if running is None:
+            raise ContractError("eval-mode batch_norm needs running statistics")
+        inv = 1.0 / np.sqrt(running.var + eps)
+        return Tensor(gamma.data * ((x.data - running.mean) * inv) + beta.data)
+    n = x.data.shape[0]
+    m = x.data.mean(axis=0)
+    c = x.data - m
+    v = (c * c).mean(axis=0)
+    if running is not None:
+        k = running.momentum
+        running.mean = (1.0 - k) * running.mean + k * m
+        running.var = (1.0 - k) * running.var + k * v
+    safe = np.maximum(np.sqrt(np.maximum(v + eps, 0.0)), EPS)
+    q = c / safe
+    out = Tensor(gamma.data * q + beta.data, x.requires_grad or gamma.requires_grad or beta.requires_grad)
+
+    def bwd(g):
+        # the chain mean, sub, mul, mean, add, sqrt, div, mul, add in reverse;
+        # each of its intermediate gradients started from zeros, so each is
+        # `0.0 + ...` here, which turns a -0.0 into +0.0 where the chain did
+        g = 0.0 + g
+        accum(beta, _unbroadcast(g, (d,)))
+        accum(gamma, _unbroadcast(g * q, (d,)))
+        if not x.requires_grad:
+            return
+        gq = 0.0 + g * gamma.data
+        gc = 0.0 + gq / safe
+        gs = 0.0 + _unbroadcast(-gq * c / (safe * safe), (d,))
+        gv = 0.0 + (0.0 + gs * 0.5 / safe)  # sqrt, then add eps
+        gsq = 0.0 + gv / n
+        term = gsq * c  # c * c hands the same term to both factors
+        gc += term
+        gc += term
+        accum(x, gc)
+        accum(x, (0.0 + _unbroadcast(-gc, (d,))) / n)
+
+    record("batch_norm", (x, gamma, beta), out, bwd)
+    return out
 
 
 # ---------------------------------------------------------------------------

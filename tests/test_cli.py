@@ -194,6 +194,33 @@ class TestTrain:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and needle in err
 
+    def test_class_means_has_no_flag(self, tmp_path, capsys):
+        # a list field is set from a --config file only
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--out", str(tmp_path / "x"), "--class-means", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--class-means" in err
+
+    # each size needs more than the 128 PiB a 57-bit address space can map,
+    # so the first allocation fails on any machine without touching memory
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--hidden-dim", str(10**16)],
+            ["train", "--batch-source", str(10**17)],
+            ["gen-data", "--height", str(10**7), "--width", str(10**7)],
+        ],
+        ids=["hidden_dim", "batch_source", "image_size"],
+    )
+    def test_unallocatable_size_is_one_line(self, dataset_dir, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        data = ["--data", str(dataset_dir)] if argv[0] == "train" else []
+        assert main(argv[:1] + data + ["--out", str(out)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: out of memory: ")
+        assert list(out.iterdir()) == []
+
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--help"])

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+import cfalign.heads as heads_module
+from cfalign.config import RunConfig
+from cfalign.data import SynthSpec, generate_dataset
 from cfalign.errors import ConfigError, DimensionError
+from cfalign.evaluate import eval_to_json, evaluate
 from cfalign.heads import (
     BatchNormLayer,
     LinearLayer,
@@ -13,6 +17,8 @@ from cfalign.heads import (
 )
 from cfalign.losses import info_nce
 from cfalign.tensor import Graph, Tensor, backward, grad_check
+from cfalign.train import metrics_to_csv, train
+from chain_ops import batch_norm_chain, mul, reduce_mean
 
 
 def param_count(head):
@@ -115,7 +121,7 @@ class TestForwardModes:
         x = Tensor(rng.normal(size=(6, 4)))
         with Graph() as g:
             out = head_forward(head, x, training=True)
-            root = (out * out).mean()
+            root = reduce_mean(mul(out, out))
             backward(root, g)
         for p in head_parameters(head):
             assert p.grad is not None and p.grad.shape == p.data.shape
@@ -134,3 +140,44 @@ class TestForwardModes:
 
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         assert grad_check(fn, x) < 1e-5
+
+
+class TestChainBatchNormGivesSameBytes:
+    """End to end, training and evaluation write the same bytes whether the
+    heads run the one-node batch norm or the 9-op chain it replaced."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_dataset(
+            SynthSpec(height=12, width=12, train_images=16, eval_images=4, regions=4, seed=7)
+        )
+
+    @staticmethod
+    def outputs(data, head):
+        docs = []
+        for normalize in (False, True):
+            cfg = RunConfig(
+                seed=7, iterations=30, hidden_dim=12, feature_dim=8, head=head,
+                style_transfer=True, contrastive=True, bank_warm_start=True,
+                normalize_features=normalize, include_positive=normalize,
+            )
+            state, records = train(cfg, data)
+            docs.append(metrics_to_csv(records) + eval_to_json(evaluate(state, data.target_eval), cfg))
+            for layer in state.head.layers:
+                if isinstance(layer, BatchNormLayer):
+                    docs.append(layer.running.mean.tobytes() + layer.running.var.tobytes())
+        return docs
+
+    @pytest.mark.parametrize("head", ["byol", "simclr"])
+    def test_outputs_unchanged(self, data, head, monkeypatch):
+        fused = self.outputs(data, head)
+        calls = []
+
+        def chain(*args, **kwargs):
+            calls.append(kwargs["training"])
+            return batch_norm_chain(*args, **kwargs)
+
+        monkeypatch.setattr(heads_module, "batch_norm", chain)
+        assert self.outputs(data, head) == fused
+        assert True in calls and False in calls  # training steps and the warm start
+

@@ -15,26 +15,8 @@ from cfalign.losses import (
     total_objective,
 )
 from cfalign.membank import MemoryBank
-from cfalign.tensor import (
-    Graph,
-    Tensor,
-    add,
-    backward,
-    div,
-    exp,
-    grad_check,
-    log,
-    matmul,
-    mul,
-    pick,
-    reduce_mean,
-    reduce_sum,
-    scale,
-    softmax,
-    sqrt,
-    sub,
-    take_rows,
-)
+from cfalign.tensor import Graph, Tensor, add, backward, grad_check, scale, softmax
+from chain_ops import cross_entropy_chain, entropy_chain, info_nce_chain, mul, reduce_mean
 
 
 def info_nce_oracle(f, labels, centers, mask, tau, include_positive=True):
@@ -63,47 +45,6 @@ def combined_oracle(f_s, y_s, f_t, y_t, bank, tau):
             if (kept >= 0).any():
                 total += info_nce_oracle(f, kept, centers, mask, tau)
     return total
-
-
-def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, normalize=False):
-    """InfoNCE as the 11-node chain of per-op tape nodes (take_rows, matmul,
-    scale, sub, exp, sum, log, add, pick, sub, mean, plus the l2 and keep
-    nodes of the flags); the fused op must match it bit for bit."""
-    labeled = np.flatnonzero(labels >= 0)
-    active = np.flatnonzero(mask)
-    f = take_rows(features, labeled)
-    sub_centers = centers[active]
-    if normalize:
-        f = div(f, sqrt(reduce_sum(mul(f, f), axis=1, keepdims=True)))
-        sub_centers = sub_centers / np.maximum(np.linalg.norm(sub_centers, axis=1, keepdims=True), 1e-12)
-    pos_of = np.full(centers.shape[0], -1, dtype=np.int64)
-    pos_of[active] = np.arange(active.size)
-    pos = pos_of[labels[labeled]]
-    logits = scale(matmul(f, sub_centers.T), 1.0 / tau)
-    if include_positive:
-        shift = logits.data.max(axis=1, keepdims=True)
-        z = reduce_sum(exp(sub(logits, shift)), axis=1)
-    else:
-        keep = np.ones((labeled.size, active.size))
-        keep[np.arange(labeled.size), pos] = 0.0
-        shift = np.where(keep > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
-        cushion = (1.0 - keep) * (np.maximum(logits.data - shift, 0.0) + 1000.0)
-        z = reduce_sum(mul(exp(sub(sub(logits, shift), cushion)), keep), axis=1)
-    lse = add(log(z), shift.ravel())
-    return reduce_mean(sub(lse, pick(logits, pos)))
-
-
-def cross_entropy_chain(pred, labels):
-    """CE as the per-op chain take_rows, pick, log, mean, scale; the fused
-    node must match it bit for bit."""
-    labeled = np.flatnonzero(labels >= 0)
-    return scale(reduce_mean(log(pick(take_rows(pred, labeled), labels[labeled]))), -1.0)
-
-
-def entropy_chain(pred):
-    """Normalized entropy as the per-op chain log, mul, sum, scale, mean."""
-    c = pred.data.shape[1]
-    return reduce_mean(scale(reduce_sum(mul(pred, log(pred)), axis=1), -1.0 / np.log(c)))
 
 
 def awkward_probs(rng, n, c):
@@ -219,7 +160,7 @@ class TestCrossEntropy:
         labels = rng.integers(0, 3, size=5)
 
         def fn(x):
-            return cross_entropy(softmax(x, axis=1), labels)
+            return cross_entropy(softmax(x), labels)
 
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         assert grad_check(fn, x) < 1e-6
@@ -252,7 +193,7 @@ class TestEntropyLoss:
         rng = np.random.default_rng(33)
 
         def fn(x):
-            return entropy_loss(softmax(x, axis=1))
+            return entropy_loss(softmax(x))
 
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         assert grad_check(fn, x) < 1e-6
@@ -480,11 +421,9 @@ class TestTotalObjective:
             assert abs(parts.total - (parts.ce + le * parts.entropy + lc * parts.contra)) < 1e-12
 
     def test_tensor_inputs_stay_differentiable(self):
-        from cfalign.tensor import Graph, backward, reduce_mean
-
         x = Tensor([2.0], requires_grad=True)
         with Graph() as g:
-            ce = reduce_mean(x * x)
+            ce = reduce_mean(mul(x, x))
             total, parts = total_objective(ce, 1.0, 0.0, 0.5, 0.5)
             backward(total, g)
         np.testing.assert_allclose(x.grad, [4.0 / 1.0])  # only the ce path touches x

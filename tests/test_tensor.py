@@ -18,23 +18,26 @@ from cfalign.tensor import (
     affine,
     backward,
     batch_norm,
+    grad_check,
+    read_container,
+    relu,
+    scale,
+    softmax,
+    write_container,
+)
+from chain_ops import (
+    batch_norm_chain,
+    chain_affine,
     div,
     exp,
-    grad_check,
     log,
     matmul,
     mul,
     pick,
-    read_container,
     reduce_mean,
     reduce_sum,
-    relu,
-    scale,
-    softmax,
     sqrt,
-    sub,
     take_rows,
-    write_container,
 )
 
 
@@ -110,15 +113,15 @@ class TestForward:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(scale=50.0, size=(7, 5)))
-        p = softmax(x, axis=1)
+        p = softmax(x)
         np.testing.assert_allclose(p.data.sum(axis=1), np.ones(7), atol=1e-12)
         assert (p.data >= 0).all()
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 4))
-        a = softmax(Tensor(x), axis=1).data
-        b = softmax(Tensor(x + 123.0), axis=1).data
+        a = softmax(Tensor(x)).data
+        b = softmax(Tensor(x + 123.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_softmax_last_axis_bitwise_numpy_form(self):
@@ -136,17 +139,13 @@ class TestForward:
         assert np.array_equal(p.data, want)
         assert np.array_equal(t.grad, (g - (g * want).sum(axis=-1, keepdims=True)) * want)
 
-    @pytest.mark.parametrize("axis", [0, 1, 2, -2])
-    def test_softmax_any_axis(self, axis):
+    def test_softmax_last_axis_of_3d(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 4, 5))
-        e = np.exp(x - x.max(axis=axis, keepdims=True))
-        np.testing.assert_allclose(
-            softmax(Tensor(x), axis=axis).data, e / e.sum(axis=axis, keepdims=True), rtol=1e-14, atol=0
-        )
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert np.array_equal(softmax(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
         w = Tensor(rng.normal(size=x.shape))
-        err = grad_check(lambda z: reduce_sum(mul(softmax(z, axis=axis), w)), Tensor(x, requires_grad=True))
-        assert err < 1e-8
+        assert grad_check(lambda z: reduce_sum(mul(softmax(z), w)), Tensor(x, requires_grad=True)) < 1e-8
 
     def test_log_clamps_at_zero(self):
         y = log(Tensor([0.0, 1.0]))
@@ -159,13 +158,13 @@ class TestForward:
     def test_elementwise_broadcast(self):
         a = Tensor(np.ones((3, 4)))
         b = Tensor(np.arange(4.0))
-        np.testing.assert_array_equal((a + b).data, np.ones((3, 4)) + np.arange(4.0))
-        np.testing.assert_array_equal((a * b).data, np.ones((3, 4)) * np.arange(4.0))
+        np.testing.assert_array_equal(add(a, b).data, np.ones((3, 4)) + np.arange(4.0))
+        np.testing.assert_array_equal(mul(a, b).data, np.ones((3, 4)) * np.arange(4.0))
 
     def test_float64_everywhere(self):
         x = Tensor(np.array([1, 2], dtype=np.int32))
         assert x.data.dtype == np.float64
-        assert (x + 1).data.dtype == np.float64
+        assert add(x, 1).data.dtype == np.float64
 
 
 class TestBackward:
@@ -189,7 +188,7 @@ class TestBackward:
         # x feeds two branches; gradients must add
         x = Tensor([1.0, -2.0], requires_grad=True)
         with Graph() as g:
-            root = reduce_sum(scale(x, 3.0)) + reduce_sum(mul(x, x))
+            root = add(reduce_sum(scale(x, 3.0)), reduce_sum(mul(x, x)))
             backward(root, g)
         np.testing.assert_allclose(x.grad, 3.0 + 2.0 * x.data)
 
@@ -205,7 +204,7 @@ class TestBackward:
         x = Tensor([2.0], requires_grad=True)
         with Graph() as g:
             s = mul(x, x)
-            root = reduce_sum(s + s)
+            root = reduce_sum(add(s, s))
             backward(root, g)
         np.testing.assert_allclose(x.grad, [8.0])
 
@@ -246,10 +245,10 @@ class TestBackward:
         [
             ("relu", lambda x: reduce_sum(relu(x))),
             ("exp", lambda x: reduce_sum(exp(x))),
-            ("log_shifted", lambda x: reduce_sum(log(x * x + 0.5))),
-            ("sqrt_shifted", lambda x: reduce_sum(sqrt(x * x + 0.5))),
-            ("softmax_pick", lambda x: reduce_mean(mul(softmax(x, axis=1), softmax(x, axis=1)))),
-            ("div", lambda x: reduce_sum(div(x, x * x + 1.0))),
+            ("log_shifted", lambda x: reduce_sum(log(add(mul(x, x), 0.5)))),
+            ("sqrt_shifted", lambda x: reduce_sum(sqrt(add(mul(x, x), 0.5)))),
+            ("softmax_pick", lambda x: reduce_mean(mul(softmax(x), softmax(x)))),
+            ("div", lambda x: reduce_sum(div(x, add(mul(x, x), 1.0)))),
             ("mean_axis", lambda x: reduce_sum(mul(reduce_mean(x, axis=0), [1.0, -2.0, 0.5]))),
             ("sum_keepdims", lambda x: reduce_sum(mul(x, reduce_sum(x, axis=1, keepdims=True)))),
             ("matmul", lambda x: reduce_sum(matmul(x, _FIXED_W))),
@@ -283,10 +282,6 @@ class TestBackward:
         with Graph() as g:
             backward(reduce_sum(pick(x, cols)), g)
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-
-
-def chain_affine(x, w, b):
-    return add(matmul(x, w), b)
 
 
 def run_layers(lin, build, arrays, const=()):
@@ -391,6 +386,101 @@ class TestBatchNorm:
 
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         np.testing.assert_allclose(analytic_grad(fn, x), numeric_grad(fn, x), rtol=1e-4, atol=1e-8)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape and bytes: unlike np.array_equal, tells -0.0 from 0.0."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchNormMatchesChain:
+    """The one-node batch norm against `batch_norm_chain`, bit for bit: output,
+    gradients, running statistics, signed zeros included."""
+
+    @staticmethod
+    def draw(rng, n, d):
+        scale = 10.0 ** rng.uniform(-6, 6)
+        x = (rng.normal(size=(n, d)) + rng.normal(size=d) * rng.uniform(0, 5)) * scale
+        flat = rng.random(d) < 0.2  # constant columns meet the EPS guard
+        x[:, flat] = rng.normal(size=int(flat.sum())) * scale
+        ternary = rng.random(d) < 0.2  # exact means, so centered values hit 0
+        x[:, ternary] = rng.integers(-1, 2, size=(n, int(ternary.sum()))) * scale
+        gamma = rng.normal(size=d)
+        gamma[rng.random(d) < 0.1] = rng.choice([0.0, -0.0])
+        upstream = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        upstream[rng.random((n, d)) < 0.2] = -0.0
+        upstream[:, rng.random(d) < 0.2] = -0.0
+        upstream[:, rng.random(d) < 0.1] = 0.0
+        case = {
+            "x": x, "gamma": gamma, "beta": rng.normal(size=d), "upstream": upstream,
+            "mean": rng.normal(size=d), "var": rng.uniform(0.1, 3.0, size=d),
+            "momentum": float(rng.uniform(0.0, 1.0)), "eps": float(rng.choice([0.0, 1e-5, 1e-3])),
+        }
+        for k in ("x", "gamma", "beta"):  # a gradient already there from later nodes
+            grad = None
+            if rng.random() < 0.3:
+                grad = rng.normal(size=case[k].shape)
+                grad[rng.random(grad.shape) < 0.5] = -0.0
+            case[k + "_grad"] = grad
+        return case
+
+    @staticmethod
+    def run(bn, case, training=True, trainable=("x", "gamma", "beta")):
+        """Everything `bn` leaves behind, with `case["upstream"]` seeded as the
+        output's gradient and the tape replayed in reverse."""
+        leaves = {}
+        for k in ("x", "gamma", "beta"):
+            leaves[k] = Tensor(case[k].copy(), requires_grad=k in trainable)
+            if k in trainable and case[k + "_grad"] is not None:
+                leaves[k].grad = case[k + "_grad"].copy()
+        x, gamma, beta = leaves.values()
+        running = RunningStats(case["mean"].copy(), case["var"].copy(), case["momentum"])
+        with Graph() as g:
+            out = bn(x, gamma, beta, running=running, eps=case["eps"], training=training)
+        if g.nodes:
+            out.grad = case["upstream"].copy()
+            for node in reversed(g.nodes):
+                if node.output.grad is not None:
+                    node.backward(node.output.grad)
+        kept = (out.data, x.grad, gamma.grad, beta.grad, running.mean, running.var)
+        return kept, [node.tag for node in g.nodes]
+
+    def check(self, case, training=True, trainable=("x", "gamma", "beta")):
+        got, tags = self.run(batch_norm, case, training, trainable)
+        want, chain_tags = self.run(batch_norm_chain, case, training, trainable)
+        for name, a, b in zip(("out", "x", "gamma", "beta", "running.mean", "running.var"), got, want):
+            assert same_bits(a, b), name
+        return tags, chain_tags
+
+    def test_training_grid(self):
+        rng = np.random.default_rng(70)
+        subsets = [("x", "gamma", "beta"), ("x",), ("x", "beta"), ("gamma", "beta"), ("beta",)]
+        for i in range(1500):
+            n = 1 if i % 10 == 0 else int(rng.integers(1, 301))
+            trainable = subsets[i % len(subsets)]
+            tags, chain_tags = self.check(self.draw(rng, n, int(rng.integers(1, 21))), True, trainable)
+            assert tags == ["batch_norm"]
+            if "x" in trainable:
+                assert chain_tags == ["mean", "sub", "mul", "mean", "add", "sqrt", "div", "mul", "add"]
+
+    def test_eval_mode_is_forward_only(self):
+        rng = np.random.default_rng(71)
+        for i in range(100):
+            case = self.draw(rng, 1 if i % 10 == 0 else int(rng.integers(1, 301)), int(rng.integers(1, 21)))
+            (out, *_, mean, var), tags = self.run(batch_norm, case, training=False)
+            (want, *_), chain_tags = self.run(batch_norm_chain, case, training=False)
+            assert same_bits(out, want)
+            assert same_bits(mean, case["mean"]) and same_bits(var, case["var"])
+            assert tags == [] and chain_tags == ["sub", "mul", "mul", "add"]
+
+    def test_eval_output_needs_no_gradient(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        out = batch_norm(x, gamma, beta, running=RunningStats.for_dim(3), training=False)
+        assert not out.requires_grad
 
 
 class TestGradCheck:
