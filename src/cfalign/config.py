@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -18,7 +19,16 @@ from .heads import HEAD_KINDS
 
 TRANSFER_DIRECTIONS = ("source_to_target", "target_to_source")
 
-__all__ = ["RunConfig", "TRANSFER_DIRECTIONS", "check_field_types", "load_flat_config"]
+__all__ = ["MAX_ELEMENTS", "RunConfig", "TRANSFER_DIRECTIONS", "check_field_types", "fits", "load_flat_config"]
+
+# numpy rejects an array whose byte count leaves its index range with a
+# ValueError, not a MemoryError, so sizes are bounded before any allocation
+MAX_ELEMENTS = sys.maxsize // 8  # of one float64 (or int64) array
+
+
+def fits(*extents: int) -> bool:
+    """Whether an array of these extents stays inside numpy's index range."""
+    return math.prod(extents) <= MAX_ELEMENTS
 
 
 _WANT = {"bool": "true or false", "int": "an integer", "int|None": "an integer",
@@ -127,6 +137,18 @@ class RunConfig:
             (self.head_hidden_dim is None or self.head_hidden_dim >= 1, "head_hidden_dim must be at least 1"),
             (self.head_out_dim is None or self.head_out_dim >= 1, "head_out_dim must be at least 1"),
             (self.adain_eps > 0, "adain_eps must be positive"),
+        ]
+        head_hidden = self.feature_dim if self.head_hidden_dim is None else self.head_hidden_dim
+        head_out = self.feature_dim if self.head_out_dim is None else self.head_out_dim
+        checks += [
+            (fits(*extents), f"{what} exceeds numpy's index range ({MAX_ELEMENTS} elements)")
+            for what, extents in (
+                ("batch_source", (self.batch_source,)),
+                ("batch_target", (self.batch_target,)),
+                ("hidden_dim * feature_dim", (self.hidden_dim, self.feature_dim)),
+                ("feature_dim * head_hidden_dim", (self.feature_dim, head_hidden)),
+                ("head_hidden_dim * head_out_dim", (head_hidden, head_out)),
+            )
         ]
         problems = [msg for ok, msg in checks if not ok]
         if problems:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_field_types
+from .config import MAX_ELEMENTS, check_field_types, fits
 from .errors import ConfigError, ContractError, GenerationError
 from .tensor import read_container, write_container
 
@@ -74,6 +74,11 @@ class SynthSpec:
             (self.regions >= 1, "regions must be at least 1"),
             (self.color_std >= 0, "color_std must be nonnegative"),
             (self.target_noise >= 0, "target_noise must be nonnegative"),
+            (
+                fits(self.train_images, self.channels, self.height, self.width)
+                and fits(self.eval_images, self.channels, self.height, self.width),
+                f"an image split exceeds numpy's index range ({MAX_ELEMENTS} elements)",
+            ),
         ] + [
             (not isinstance(v, list) or len(v) in (1, self.channels),
              f"{name} must hold 1 or {self.channels} entries")

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .kernels import row_max, row_sum
 from .membank import MemoryBank
-from .tensor import EPS, Tensor, accum, add, record, scale
+from .tensor import EPS, Tensor, accum, add, buffer, record, release, scale
 
 __all__ = [
     "LossBreakdown",
@@ -53,9 +53,11 @@ def cross_entropy(pred: Tensor, labels: np.ndarray) -> Tensor:
     def bwd(g):
         # gather, clamped log, mean and negation with the per-op chain's
         # rounding; the (row, label) pairs are distinct, so no scatter-add
-        gx = np.zeros_like(pred.data)
+        gx = buffer(pred.data.shape)
+        gx.fill(0.0)
         gx[labeled, cols] = np.broadcast_to(g * -1.0, (m,)) / m / safe
         accum(pred, gx)
+        release(gx)
 
     record("cross_entropy", (pred,), loss, bwd)
     return loss
@@ -191,9 +193,11 @@ def info_nce(
             g_norm = row_sum((-gf * x) / (x_safe * x_safe))[:, None]
             t = np.broadcast_to(g_norm * 0.5 / x_safe, x.shape) * x
             gf = gf / x_safe + t + t
-        gx = np.zeros_like(features.data)
+        gx = buffer(features.data.shape)
+        gx.fill(0.0)
         gx[labeled] = gf
         accum(features, gx)
+        release(gx)
 
     record("info_nce", (features,), loss, bwd)
     return loss, m

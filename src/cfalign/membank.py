@@ -82,15 +82,19 @@ class PseudoAccuracy(NamedTuple):
 
 
 def class_centers(
-    features: np.ndarray, labels: np.ndarray, num_classes: int
+    features: np.ndarray | tuple[np.ndarray, ...], labels: np.ndarray, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class means of the rows labeled with that class.
 
-    Classes absent from `labels` get a zero row and count 0; labels of -1 are
-    skipped. Row order within a class cannot affect the result beyond float
-    rounding.
+    `features` is an (n, d) array or a tuple of (n, d_i) column blocks whose
+    means are joined column-wise, bitwise as for the joined rows, without
+    copying the blocks together. Classes absent from `labels` get a zero row
+    and count 0; labels of -1 are skipped. Row order within a class cannot
+    affect the result beyond float rounding.
     """
-    sums, counts = kernels.label_sums(features, labels, num_classes)
+    blocks = features if isinstance(features, tuple) else (features,)
+    parts = [kernels.label_sums(block, labels, num_classes) for block in blocks]
+    sums, counts = np.hstack([s for s, _ in parts]), parts[0][1]
     means = np.zeros_like(sums)
     present = counts > 0
     means[present] = sums[present] / counts[present, None]

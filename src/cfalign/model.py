@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adain import to_pixels
+from .config import MAX_ELEMENTS, fits
 from .errors import ConfigError, DimensionError
 from .heads import LinearLayer, linear_layer
 from .kernels import row_argmax
@@ -52,6 +53,8 @@ def build_model(
             f"model dims must be positive, got channels={channels} hidden={hidden_dim} "
             f"features={feature_dim} classes={classes}"
         )
+    if not (fits(channels, hidden_dim) and fits(hidden_dim, feature_dim) and fits(feature_dim, classes)):
+        raise ConfigError(f"a model weight exceeds numpy's index range ({MAX_ELEMENTS} elements)")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     return SegModel(

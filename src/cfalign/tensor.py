@@ -10,6 +10,21 @@ Each layer and loss is one node with a hand-written backward. The per-op
 chains they are pinned against, with the ``EPS`` clamps of log, div and
 sqrt, live in ``tests/chain_ops.py``. Batch norm keeps the chain's guard:
 its standard deviation is clamped below by ``EPS``.
+
+Buffer contract. A graph may carry an :class:`ArrayPool`; training gives
+each step's graph the one pool of its run. Under a pooled graph, the output
+arrays of the recorded layers (``affine``, ``relu``, ``softmax``, training
+``batch_norm``), every gradient :func:`accum` allocates and the full-size
+scratch of the relu, affine and loss backwards come from the pool, and
+:func:`backward` hands a node's output data and gradient back as soon as it
+has passed that node, which it can because every reader of them came later
+on the tape. So inside a pooled graph an intermediate's ``data`` and
+``grad`` are valid only until ``backward`` has passed its node; after that
+the array may hold another tensor's values. The root and every
+leaf (parameters, inputs) are never handed back by ``backward``; parameter
+gradients return through :func:`zero_grads`. Without a pool, or with no
+graph active, every array is fresh and stays valid for as long as it is
+referenced.
 """
 
 from __future__ import annotations
@@ -33,11 +48,14 @@ __all__ = [
     "EPS",
     "Tensor",
     "Graph",
+    "ArrayPool",
     "Node",
     "RunningStats",
     "backward",
     "record",
     "accum",
+    "buffer",
+    "release",
     "zero_grads",
     "grad_check",
     "add",
@@ -84,11 +102,52 @@ class Node:
     backward: Callable[[np.ndarray], None]
 
 
+class ArrayPool:
+    """Free float64 arrays by shape, lent to the tapes of one training run.
+
+    `take` lends an array of unspecified contents; `give` takes an array
+    back only if this pool lent it, so any array may be offered. A lent
+    array is referenced from here, so no other object can share its id.
+    """
+
+    def __init__(self) -> None:
+        self._free: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._lent: dict[int, np.ndarray] = {}
+        self.misses = 0  # takes that had to allocate a new array
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        free = self._free.get(shape)
+        if free:
+            a = free.pop()
+        else:
+            a = np.empty(shape)
+            self.misses += 1
+        self._lent[id(a)] = a
+        return a
+
+    def give(self, a: np.ndarray | None) -> bool:
+        """Take `a` back if this pool lent it; returns whether it did."""
+        if a is None or self._lent.pop(id(a), None) is None:
+            return False
+        self._free.setdefault(a.shape, []).append(a)
+        return True
+
+    @property
+    def held(self) -> int:
+        """Arrays waiting to be lent again."""
+        return sum(len(free) for free in self._free.values())
+
+
 @dataclass
 class Graph:
-    """Append-only tape of nodes. Use as a context manager to make it active."""
+    """Append-only tape of nodes. Use as a context manager to make it active.
+
+    With a `pool`, the tape's arrays are drawn from it and handed back
+    during :func:`backward` (see the module's buffer contract).
+    """
 
     nodes: list[Node] = field(default_factory=list)
+    pool: ArrayPool | None = None
 
     def __enter__(self) -> "Graph":
         _GRAPH_STACK.append(self)
@@ -113,13 +172,32 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def buffer(shape: tuple[int, ...], on_tape: bool = True) -> np.ndarray:
+    """An uninitialised float64 array; lent by the active graph's pool when
+    there is one and the array belongs to its tape (`on_tape`)."""
+    g = _active()
+    if on_tape and g is not None and g.pool is not None:
+        return g.pool.take(shape)
+    return np.empty(shape)
+
+
+def release(a: np.ndarray) -> None:
+    """Hand `a` back to the active graph's pool if that pool lent it."""
+    g = _active()
+    if g is not None and g.pool is not None:
+        g.pool.give(a)
+
+
 def accum(t: Tensor, g: np.ndarray) -> None:
-    """Add `g` into t.grad (allocated as zeros on first use); a no-op for constants."""
+    """Add `g` into t.grad (allocated on first use); a no-op for constants."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # bitwise `zeros + g` in one pass: IEEE addition commutes, so a -0.0
+        # in g still becomes +0.0
+        t.grad = np.add(g, 0.0, out=buffer(t.data.shape))
+    else:
+        t.grad += g
 
 
 def record(tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable) -> None:
@@ -175,14 +253,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise DimensionError(f"affine needs (n,k)@(k,m), got {x.data.shape} @ {w.data.shape}")
-    y = x.data @ w.data
+    requires_grad = x.requires_grad or w.requires_grad or b.requires_grad
+    y = np.matmul(x.data, w.data, out=buffer((x.data.shape[0], w.data.shape[1]), requires_grad))
     y += b.data  # in place: no second (n, m) array
-    out = Tensor(y, x.requires_grad or w.requires_grad or b.requires_grad)
+    out = Tensor(y, requires_grad)
 
     def bwd(g):
         # bias, then input, then weight: the accumulation order of the chain
         accum(b, _unbroadcast(g, b.data.shape))
-        accum(x, g @ w.data.T)
+        if x.requires_grad:  # pixel inputs need no gradient
+            gx = np.matmul(g, w.data.T, out=buffer(x.data.shape))
+            accum(x, gx)
+            release(gx)
         accum(w, x.data.T @ g)
 
     record("affine", (x, w, b), out, bwd)
@@ -191,12 +273,14 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     # maximum (not where) so NaN propagates instead of flushing to 0
-    out = Tensor(np.maximum(x.data, 0.0), x.requires_grad)
+    out = Tensor(np.maximum(x.data, 0.0, out=buffer(x.data.shape, x.requires_grad)), x.requires_grad)
 
     def bwd(g):
         # the mask is built here, so a forward-only pass never allocates it;
         # the subgradient at 0 is taken as 0
-        accum(x, g * (x.data > 0))
+        gx = np.multiply(g, x.data > 0, out=buffer(x.data.shape))
+        accum(x, gx)
+        release(gx)
 
     record("relu", (x,), out, bwd)
     return out
@@ -211,10 +295,12 @@ def softmax(x: Tensor) -> Tensor:
     rows = x.data.reshape(-1, x.data.shape[-1])
     # z, exp(z) and p share one buffer: the in-place steps round as the
     # out-of-place ones do and allocate one (n, k) array, not three
-    p = rows - row_max(rows)[:, None]
+    y = buffer(x.data.shape, x.requires_grad)
+    p = y.reshape(rows.shape)
+    np.subtract(rows, row_max(rows)[:, None], out=p)
     np.exp(p, out=p)
     np.divide(p, row_sum(p)[:, None], out=p)
-    out = Tensor(p.reshape(x.data.shape), x.requires_grad)
+    out = Tensor(y, x.requires_grad)
 
     def bwd(g):
         g = g.reshape(p.shape)
@@ -281,7 +367,10 @@ def batch_norm(
         running.var = (1.0 - k) * running.var + k * v
     safe = np.maximum(np.sqrt(np.maximum(v + eps, 0.0)), EPS)
     q = c / safe
-    out = Tensor(gamma.data * q + beta.data, x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    requires_grad = x.requires_grad or gamma.requires_grad or beta.requires_grad
+    y = np.multiply(gamma.data, q, out=buffer(x.data.shape, requires_grad))
+    y += beta.data
+    out = Tensor(y, requires_grad)
 
     def bwd(g):
         # the chain mean, sub, mul, mean, add, sqrt, div, mul, add in reverse;
@@ -312,18 +401,31 @@ def batch_norm(
 
 
 def backward(root: Tensor, graph: Graph) -> None:
-    """Seed d(root)/d(root) = 1 and replay the tape once in reverse order."""
+    """Seed d(root)/d(root) = 1 and replay the tape once in reverse order.
+
+    With a pooled graph, each node's output data and gradient go back to
+    the pool once its backward has run, except the root's.
+    """
     if root.data.size != 1:
         raise ContractError(f"backward needs a scalar root, got shape {root.data.shape}")
     root.grad = np.ones_like(root.data)
+    pool = graph.pool
     for node in reversed(graph.nodes):
-        g = node.output.grad
-        if g is not None:
-            node.backward(g)
+        out = node.output
+        if out.grad is not None:
+            node.backward(out.grad)
+        # every reader of `out` came later on the tape and has run
+        if pool is not None and out is not root:
+            pool.give(out.data)
+            if pool.give(out.grad):
+                out.grad = None
 
 
-def zero_grads(params: Iterable[Tensor]) -> None:
+def zero_grads(params: Iterable[Tensor], pool: ArrayPool | None = None) -> None:
+    """Drop each gradient, handing it back to `pool` if the pool lent it."""
     for p in params:
+        if pool is not None:
+            pool.give(p.grad)
         p.grad = None
 
 

@@ -40,7 +40,7 @@ from .membank import (
     update_bank,
 )
 from .model import SegModel, build_model, model_features, model_parameters, model_probs
-from .tensor import Graph, Tensor, backward, zero_grads
+from .tensor import ArrayPool, Graph, Tensor, backward, zero_grads
 
 __all__ = [
     "METRICS_COLUMNS",
@@ -110,9 +110,10 @@ class TrainState:
     def parameters(self):
         return model_parameters(self.model) + head_parameters(self.head)
 
-    def bank_rows(self, f: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Per-pixel rows laid out like the bank's: [f | h], or f alone for head "none"."""
-        return f if self.config.head == "none" else np.hstack([f, h])
+    def bank_rows(self, f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-pixel rows laid out like the bank's, as column blocks that are
+        never copied together: (f, h), or (f,) for head "none"."""
+        return (f,) if self.config.head == "none" else (f, h)
 
     def feature_bank(self) -> MemoryBank:
         """The bank's backbone columns, which pseudo-labeling reads."""
@@ -169,9 +170,11 @@ def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
         lab = labels[start : start + chunk].reshape(-1)
         f = model_features(state.model, Tensor(to_pixels(img)))
         h = head_forward(state.head, f, training=False)
-        s, c = label_sums(state.bank_rows(f.data, h.data), lab, state.classes)
-        sums = sums + s
-        counts += c
+        # each block's columns summed apart: every bin adds the same rows in
+        # the same order as one pass over the joined rows would
+        parts = [label_sums(block, lab, state.classes) for block in state.bank_rows(f.data, h.data)]
+        sums = sums + np.hstack([s for s, _ in parts])
+        counts += parts[0][1]
     present = counts > 0
     state.bank.v_source[present] = sums[present] / counts[present, None]
     state.bank.init_source[present] = True
@@ -200,6 +203,7 @@ def _update_bank_and_label(state: TrainState, f_s, h_s, lab_s, f_t, h_t) -> np.n
 def _step(
     state: TrainState,
     params: list[Tensor],
+    pool: ArrayPool,
     img_s: np.ndarray,
     lab_s: np.ndarray,
     img_t: np.ndarray,
@@ -209,7 +213,7 @@ def _step(
     cfg = state.config
     pseudo_acc = 0.0
     labeled_frac = 0.0
-    with Graph() as g:
+    with Graph(pool=pool) as g:
         f_s = model_features(state.model, Tensor(to_pixels(img_s)))
         ce = cross_entropy(model_probs(state.model, f_s), lab_s)
         ent = 0.0
@@ -245,7 +249,7 @@ def _step(
     for p in params:
         if p.grad is not None:
             p.data -= cfg.learning_rate * p.grad
-    zero_grads(params)
+    zero_grads(params, pool)
     return MetricsRecord(
         iteration, parts.ce, parts.entropy, parts.contra, parts.total, pseudo_acc, labeled_frac
     )
@@ -257,6 +261,9 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
     Deterministic given the config: identical config and data give
     byte-identical metrics. Raises DivergenceError when an iteration's
     forward pass, backward pass or step leaves the finite range.
+
+    Every step's tape draws its arrays from one pool, so steady-state steps
+    reuse memory that is already mapped; the pool is dropped on return.
     """
     config.validate()
     state = init_state(config, data.spec.classes, data.spec.channels)
@@ -269,6 +276,7 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
     n_s = len(data.source_train.images)
     n_t = len(data.target_train.images)
     records: list[MetricsRecord] = []
+    pool = ArrayPool()
     for it in range(config.iterations):
         si = rng_batch.integers(0, n_s, size=config.batch_source)
         ti = rng_batch.integers(0, n_t, size=config.batch_target)
@@ -286,7 +294,7 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
         # naming the iteration, before numpy can print a warning
         try:
             with np.errstate(over="raise", invalid="raise"):
-                records.append(_step(state, params, img_s, lab_s, img_t, diag_t, it))
+                records.append(_step(state, params, pool, img_s, lab_s, img_t, diag_t, it))
         except FloatingPointError as exc:
             raise DivergenceError(f"iteration {it} left the finite range: {exc}") from exc
     return state, records

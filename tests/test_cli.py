@@ -221,6 +221,27 @@ class TestTrain:
         assert len(err.splitlines()) == 1 and err.startswith("config error: out of memory: ")
         assert list(out.iterdir()) == []
 
+    # each needs an array whose byte count leaves numpy's index range, which
+    # numpy refuses with a ValueError, not a MemoryError
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--hidden-dim", str(10**19)],
+            ["train", "--hidden-dim", str(2 * 10**18)],
+            ["train", "--hidden-dim", str(10**18), "--feature-dim", "1"],
+            ["train", "--batch-source", str(10**20)],
+            ["gen-data", "--height", str(10**11), "--width", str(10**11)],
+        ],
+        ids=["hidden_dim", "hidden_dim_bytes", "input_weight", "batch_source", "image_size"],
+    )
+    def test_size_beyond_index_range_is_one_line(self, dataset_dir, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        data = ["--data", str(dataset_dir)] if argv[0] == "train" else []
+        assert main(argv[:1] + data + ["--out", str(out)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "exceeds numpy's index range" in err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--help"])

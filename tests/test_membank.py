@@ -62,6 +62,24 @@ class TestClassCenters:
         np.testing.assert_allclose(a, b, atol=1e-12)
         np.testing.assert_array_equal(ca, cb)
 
+    def test_column_blocks_match_joined_rows_bitwise(self):
+        # each class adds its rows in the same order either way, so the
+        # blocks' sums (and the means) equal the joined rows' to the bit
+        rng = np.random.default_rng(21)
+        for n, d_f, d_h, c in [(1, 1, 1, 2), (37, 8, 8, 5), (500, 3, 11, 7), (4096, 8, 16, 5)]:
+            f = rng.normal(size=(n, d_f)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+            h = rng.normal(size=(n, d_h))
+            labels = rng.integers(-1, c, size=n)
+            joined = np.hstack([f, h])
+            want_sums, want_counts = kernels.label_sums(joined, labels, c)
+            parts = [kernels.label_sums(block, labels, c) for block in (f, h)]
+            assert np.hstack([s for s, _ in parts]).tobytes() == want_sums.tobytes()
+            assert all(counts.tolist() == want_counts.tolist() for _, counts in parts)
+            means, counts = class_centers((f, h), labels, c)
+            want_means, _ = class_centers(joined, labels, c)
+            assert means.tobytes() == want_means.tobytes()
+            assert counts.tolist() == want_counts.tolist()
+
 
 class TestUpdateBank:
     def test_momentum_blend(self):

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from cfalign.errors import ContractError, DimensionError
+from cfalign.losses import cross_entropy
 from cfalign.tensor import (
     EPS,
+    ArrayPool,
     Graph,
     RunningStats,
     Tensor,
@@ -24,6 +26,7 @@ from cfalign.tensor import (
     scale,
     softmax,
     write_container,
+    zero_grads,
 )
 from chain_ops import (
     batch_norm_chain,
@@ -339,6 +342,54 @@ class TestAffine:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+
+
+class TestArrayPool:
+    def test_takes_back_only_what_it_lent(self):
+        pool = ArrayPool()
+        a = pool.take((3, 2))
+        assert (a.shape, pool.misses, pool.held) == ((3, 2), 1, 0)
+        assert not pool.give(np.empty((3, 2)))
+        assert not pool.give(a[:1])  # a view is another object
+        assert pool.give(a) and not pool.give(a)
+        assert pool.held == 1
+        assert pool.take((3, 2)) is a and pool.misses == 1
+        assert pool.take((2, 3)) is not a and pool.misses == 2
+
+    def test_pooled_backward_matches_and_recycles(self):
+        rng = np.random.default_rng(70)
+        shapes = {"x": (6, 3), "w1": (3, 4), "b1": (4,), "w2": (4, 5), "b2": (5,)}
+        arrays = {k: rng.normal(size=s) for k, s in shapes.items()}
+        labels = np.arange(6) % 5
+
+        def run(pool):
+            t = {k: Tensor(v.copy(), requires_grad=k != "x") for k, v in arrays.items()}
+            with Graph(pool=pool) as g:
+                hidden = relu(affine(t["x"], t["w1"], t["b1"]))
+                backward(cross_entropy(softmax(affine(hidden, t["w2"], t["b2"])), labels), g)
+            return t, g
+
+        want, _ = run(None)
+        pool = ArrayPool()
+        for step in range(3):
+            got, g = run(pool)
+            for k in ("w1", "b1", "w2", "b2"):
+                assert got[k].grad.tobytes() == want[k].grad.tobytes()
+            # intermediates went back as backward passed them; the root did not
+            assert all(node.output.grad is None for node in g.nodes[:-1])
+            zero_grads(got.values(), pool)
+            if step == 0:
+                first = pool.misses
+        assert pool.misses == first  # later steps reuse every array
+
+    def test_pooled_root_is_kept(self):
+        pool = ArrayPool()
+        x = Tensor(np.ones((1, 2)), requires_grad=True)
+        with Graph(pool=pool) as g:
+            root = affine(relu(x), Tensor(np.full((2, 1), 3.0)), Tensor(np.zeros(1)))
+            backward(root, g)
+        assert root.item() == 6.0
+        assert pool.give(root.data)  # still lent: backward did not take it back
 
 
 class TestBatchNorm:

@@ -1,5 +1,8 @@
 """Training loop: determinism, metrics identities, toggles, divergence guard."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from cfalign.data import Dataset, Split, SynthSpec, generate_dataset
 from cfalign.errors import DivergenceError
 from cfalign.heads import head_parameters
 from cfalign.model import model_parameters
+from cfalign.tensor import ArrayPool
 from cfalign.train import (
     METRICS_COLUMNS,
     init_state,
@@ -158,6 +162,15 @@ class TestContrastivePath:
             assert not np.array_equal(bn.running.mean, np.zeros_like(bn.running.mean))
 
 
+TAPE_CONFIGS = [
+    {},
+    {"style_transfer": True, "contrastive": True},
+    {"style_transfer": True, "contrastive": True, "head": "byol"},
+    {"style_transfer": True, "contrastive": True, "head": "simclr"},
+]
+TAPE_IDS = ["ent", "full-none", "full-byol", "full-simclr"]
+
+
 class TestTapeSize:
     """Tape nodes per iteration, counted at the `backward` call the loop makes.
 
@@ -166,16 +179,7 @@ class TestTapeSize:
     these counts.
     """
 
-    @pytest.mark.parametrize(
-        "overrides, nodes",
-        [
-            ({}, 15),
-            ({"style_transfer": True, "contrastive": True}, 23),
-            ({"style_transfer": True, "contrastive": True, "head": "byol"}, 31),
-            ({"style_transfer": True, "contrastive": True, "head": "simclr"}, 33),
-        ],
-        ids=["ent", "full-none", "full-byol", "full-simclr"],
-    )
+    @pytest.mark.parametrize("overrides, nodes", list(zip(TAPE_CONFIGS, [15, 23, 31, 33])), ids=TAPE_IDS)
     def test_nodes_per_iteration(self, tiny_data, monkeypatch, overrides, nodes):
         counts = []
         real = train_module.backward
@@ -187,6 +191,58 @@ class TestTapeSize:
         monkeypatch.setattr(train_module, "backward", spy)
         train(tiny_config(iterations=5, **overrides), tiny_data)
         assert counts == [nodes] * 5
+
+
+def run_bytes(cfg, data):
+    state, records = train(cfg, data)
+    return metrics_to_csv(records), [p.data.tobytes() for p in state.parameters()]
+
+
+class TestArrayPool:
+    """The one array pool a `train` call recycles its tapes' arrays through."""
+
+    @pytest.mark.parametrize("overrides", TAPE_CONFIGS, ids=TAPE_IDS)
+    def test_no_recycled_buffer_is_read(self, tiny_data, monkeypatch, overrides):
+        # every array turns to NaN as it is handed back, so a read after
+        # release shows as a changed byte or a DivergenceError
+        cfg = tiny_config(iterations=5, **overrides)
+        want = run_bytes(cfg, tiny_data)
+        real = ArrayPool.give
+        poisoned = []
+
+        def give(self, a):
+            taken = real(self, a)
+            if taken:
+                a.fill(np.nan)
+                poisoned.append(a.shape)
+            return taken
+
+        monkeypatch.setattr(ArrayPool, "give", give)
+        assert run_bytes(cfg, tiny_data) == want
+        assert len(poisoned) > 0
+
+    def test_steady_state(self, tiny_data, monkeypatch):
+        pools, misses, held = [], [], []
+        real = train_module._step
+
+        def spy(state, params, pool, *args):
+            record = real(state, params, pool, *args)
+            pools.append((id(pool), weakref.ref(pool)))
+            misses.append(pool.misses)
+            held.append(pool.held)
+            return record
+
+        monkeypatch.setattr(train_module, "_step", spy)
+        cfg = tiny_config(iterations=10, style_transfer=True, contrastive=True, head="byol",
+                          batch_source=2, batch_target=2)
+        state, _ = train(cfg, tiny_data)
+        assert misses[1] > 0
+        assert misses[2:] == [misses[1]] * 8  # every take after the second step is served
+        assert held[2:] == [held[1]] * 8  # and every array comes back
+        assert len({pool_id for pool_id, _ in pools}) == 1
+        gc.collect()
+        assert pools[0][1]() is None  # nothing `train` returned holds the pool
+        assert all(p.grad is None for p in state.parameters())
 
 
 class TestStyleTransfer:
