@@ -17,9 +17,9 @@ import numpy as np
 from .adain import to_pixels
 from .data import Split
 from .errors import ContractError, DivergenceError
-from .kernels import confusion
+from .kernels import _BLOCK, confusion
 from .membank import assign_pseudo_labels, pseudo_label_accuracy
-from .model import model_features, predict_labels
+from .model import SegModel, model_features, predict_labels
 from .tensor import Tensor
 from .train import TrainState
 
@@ -53,8 +53,37 @@ def iou_from_confusion(matrix: np.ndarray) -> tuple[list, float]:
     return per_class, float(np.mean(present))
 
 
+def _row_blocks_exact(model: SegModel, rows_per_image: int) -> bool:
+    """Whether x @ w over a block of whole images gives the same bytes as
+    the same rows of the whole split's product, for every layer k -> m.
+
+    Measured with the OpenBLAS numpy 2.4.6 bundles, on a 2-core x86-64
+    host, for k and m up to 40 (and spot checks to 256) over blocks of 2 to
+    8,192 rows at aligned and unaligned offsets: equal when k < 8 or m % 8
+    is 0, 5, 6 or 7. Apart in the last bits (up to 1.8e-15 on unit-scale
+    rows) for k >= 16 with m % 8 in 1..4, such as 16 -> 9 or 32 -> 2, and
+    for k >= 8 with m = 1, because OpenBLAS picks its kernel by problem
+    size. A 1-row block takes numpy's matrix-vector path and is apart at
+    every shape. The trainer's 3 -> 16 -> 8 -> 5 layers are all inside.
+    """
+    layers = (
+        (model.channels, model.hidden_dim),
+        (model.hidden_dim, model.feature_dim),
+        (model.feature_dim, model.classes),
+    )
+    return rows_per_image >= 2 and all(k < 8 or m % 8 in (0, 5, 6, 7) for k, m in layers)
+
+
 def evaluate(state: TrainState, split: Split) -> EvalRecord:
     """Score a trained state on a labeled split.
+
+    The split runs in blocks of whole images, about `kernels._BLOCK` pixel
+    rows each: backbone, classifier, labels and pseudo-labels finish one
+    block while its arrays are still in cache, and each block reuses the
+    memory the last one freed. Every step is row-local, so the labels are
+    bitwise those of one pass over the whole split, as long as the matmuls
+    are; where a layer's shape is outside the measured region
+    (`_row_blocks_exact`), the block is the whole split.
 
     Evaluation images are never style-transferred: the point is performance
     on the raw target domain. Raises DivergenceError when the forward pass
@@ -69,16 +98,24 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
             f"split labels use classes outside [0, {state.classes}); "
             f"found range [{labels.min()}, {labels.max()}]"
         )
+    images, model = split.images, state.model
+    b, _, h, w = images.shape
+    per_block = max(1, _BLOCK // (h * w)) if _row_blocks_exact(model, h * w) else b
+    preds = np.empty(labels.size, dtype=np.intp)
     pseudo = None
+    if int(state.bank.init_source.sum()) >= 2:
+        bank = state.feature_bank()
+        pseudo = np.empty(labels.size, dtype=np.int64)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # one backbone pass feeds both the predictions and the pseudo-labels
-            feats = model_features(state.model, Tensor(to_pixels(split.images)))
-            preds = predict_labels(state.model, split.images, features=feats).reshape(-1)
-            if int(state.bank.init_source.sum()) >= 2:
-                pseudo = assign_pseudo_labels(
-                    feats.data, state.feature_bank(), state.config.threshold
-                )
+            for i in range(0, b, per_block):
+                block = images[i : i + per_block]
+                lo, hi = i * h * w, (i + len(block)) * h * w
+                # one backbone pass feeds both the predictions and the pseudo-labels
+                feats = model_features(model, Tensor(to_pixels(block)))
+                preds[lo:hi] = predict_labels(model, block, features=feats).reshape(-1)
+                if pseudo is not None:
+                    pseudo[lo:hi] = assign_pseudo_labels(feats.data, bank, state.config.threshold)
     except FloatingPointError as exc:
         raise DivergenceError(f"evaluation forward pass left the finite range: {exc}") from exc
     per_class, miou = iou_from_confusion(confusion(preds, labels, state.classes))

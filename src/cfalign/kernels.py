@@ -5,10 +5,10 @@ counting.
 Most arrays on the hot paths are narrow: one row per pixel and a handful of
 columns (classes, centers, feature dims). A numpy reduction along ``axis=1``
 of such an array makes one inner-loop call per row, so its cost is per row,
-not per element. The row kernels `row_sum`, `row_max` and `row_argmax`, and
-`nearest_two`, instead walk an (n, k) array in blocks of `_BLOCK` rows and
-copy each block once into a contiguous (k, rows) scratch array; every step
-is then one numpy call over a whole block.
+not per element. The row kernels `row_sum`, `row_max`, `row_argmax` and
+`softmax_argmax`, and `nearest_two`, instead walk an (n, k) array in blocks
+of `_BLOCK` rows and copy each block once into a contiguous (k, rows)
+scratch array; every step is then one numpy call over a whole block.
 
 Each row kernel repeats numpy's ``axis=1`` result for a C-contiguous array
 bit for bit. `_row_sums` adds the k columns in the order numpy's pairwise
@@ -34,6 +34,7 @@ __all__ = [
     "row_sum",
     "row_max",
     "row_argmax",
+    "softmax_argmax",
     "nearest_two",
     "label_sums",
     "confusion",
@@ -122,16 +123,46 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _max_scan(cols: np.ndarray, best: np.ndarray) -> None:
+    """best[i] = the largest cols[j, i] over j; the one maximum scan."""
+    best[:] = cols[0]
+    for j in range(1, cols.shape[0]):
+        np.maximum(best, cols[j], out=best)
+
+
+def _argmax_scratch(k: int, m: int):
+    """Scratch for `_argmax_scan` over blocks of up to m columns of k rows.
+
+    A running index of the narrowest dtype holding k - 1 keeps the scan's
+    updates cheap."""
+    itype = np.min_scalar_type(k - 1)
+    return np.empty(m), np.empty(m, dtype=bool), np.empty(m, dtype=itype), np.empty(m, dtype=itype)
+
+
+def _argmax_scan(cols: np.ndarray, out: np.ndarray, scratch) -> None:
+    """out[i] = the lowest j holding the largest cols[j, i]; the one argmax scan."""
+    w = cols.shape[1]
+    b, g, r, c = (a[:w] for a in scratch)
+    b[:] = cols[0]
+    r[:] = 0
+    for j in range(1, cols.shape[0]):
+        # strict > keeps the lowest index on ties; j is above every index so
+        # far, so max(r, j * g) moves r to j exactly where g holds, without
+        # the per-element branch of a masked store
+        np.greater(cols[j], b, out=g)
+        np.multiply(g, r.dtype.type(j), out=c)
+        np.maximum(r, c, out=r)
+        np.maximum(b, cols[j], out=b)
+    out[:] = r
+
+
 def row_max(a: np.ndarray) -> np.ndarray:
     """Per-row maxima of an (n, k) array, k >= 1: ``a.max(axis=1)``, bitwise
     up to the sign of a zero maximum (module docstring)."""
     a = _rows(a, "row_max", need_column=True)
     out = np.empty(a.shape[0])
     for lo, hi, cols in _column_blocks(a):
-        best = out[lo:hi]
-        best[:] = cols[0]
-        for j in range(1, a.shape[1]):
-            np.maximum(best, cols[j], out=best)
+        _max_scan(cols, out[lo:hi])
     return out
 
 
@@ -140,27 +171,34 @@ def row_argmax(a: np.ndarray) -> np.ndarray:
     lowest on ties: ``a.argmax(axis=1)``."""
     a = _rows(a, "row_argmax", need_column=True)
     n, k = a.shape
-    # a running index of the narrowest dtype holding k - 1 keeps the scan's
-    # updates cheap; max(index, j * greater) stands in for a masked store,
-    # which branches per element
-    itype = np.min_scalar_type(k - 1)
+    idx = np.empty(n, dtype=np.intp)
+    scratch = _argmax_scratch(k, min(n, _BLOCK))
+    for lo, hi, cols in _column_blocks(a):
+        _argmax_scan(cols, idx[lo:hi], scratch)
+    return idx
+
+
+def softmax_argmax(z: np.ndarray) -> np.ndarray:
+    """Per-row index of the largest softmax probability of (n, k) logits,
+    k >= 1: bitwise ``row_argmax(tensor.softmax(z))``.
+
+    Each block is copied to column-major once and the softmax steps run on
+    that copy in place, where `row_max`, `row_sum` and `row_argmax` in a
+    row would each copy it again. Probabilities are compared, not logits:
+    rounding can tie two of them that the logits order.
+    """
+    z = _rows(z, "softmax_argmax", need_column=True)
+    n, k = z.shape
     idx = np.empty(n, dtype=np.intp)
     m = min(n, _BLOCK)
-    best, greater = np.empty(m), np.empty(m, dtype=bool)
-    run, cand = np.empty(m, dtype=itype), np.empty(m, dtype=itype)
-    for lo, hi, cols in _column_blocks(a):
-        w = hi - lo
-        b, g, r, c = best[:w], greater[:w], run[:w], cand[:w]
-        b[:] = cols[0]
-        r[:] = 0
-        for j in range(1, k):
-            # strict > keeps the lowest index on ties; j is above every index
-            # so far, so the maximum moves r to j exactly where g holds
-            np.greater(cols[j], b, out=g)
-            np.multiply(g, itype.type(j), out=c)
-            np.maximum(r, c, out=r)
-            np.maximum(b, cols[j], out=b)
-        idx[lo:hi] = r
+    top, scratch = np.empty(m), _argmax_scratch(k, m)
+    for lo, hi, cols in _column_blocks(z):
+        t = top[: hi - lo]
+        _max_scan(cols, t)
+        np.subtract(cols, t, out=cols)
+        np.exp(cols, out=cols)
+        np.divide(cols, _row_sums(cols), out=cols)
+        _argmax_scan(cols, idx[lo:hi], scratch)
     return idx
 
 

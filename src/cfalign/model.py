@@ -16,7 +16,7 @@ from .adain import to_pixels
 from .config import MAX_ELEMENTS, fits
 from .errors import ConfigError, DimensionError
 from .heads import LinearLayer, linear_layer
-from .kernels import row_argmax
+from .kernels import softmax_argmax
 from .tensor import Tensor, affine, relu, softmax
 
 __all__ = [
@@ -78,13 +78,17 @@ def model_features(model: SegModel, pixels: Tensor) -> Tensor:
     return affine(hidden, model.enc2.weight, model.enc2.bias)
 
 
-def model_probs(model: SegModel, features: Tensor) -> Tensor:
-    """Classifier forward: (n, feature_dim) to (n, classes) probability rows."""
+def _logits(model: SegModel, features: Tensor) -> Tensor:
     if features.data.ndim != 2 or features.data.shape[1] != model.feature_dim:
         raise DimensionError(
             f"classifier expects (n, {model.feature_dim}) features, got {features.data.shape}"
         )
-    return softmax(affine(features, model.classifier.weight, model.classifier.bias))
+    return affine(features, model.classifier.weight, model.classifier.bias)
+
+
+def model_probs(model: SegModel, features: Tensor) -> Tensor:
+    """Classifier forward: (n, feature_dim) to (n, classes) probability rows."""
+    return softmax(_logits(model, features))
 
 
 def model_parameters(model: SegModel) -> list[Tensor]:
@@ -98,9 +102,10 @@ def predict_labels(model: SegModel, images: np.ndarray, features: Tensor | None 
     """Forward-only argmax labels for an image batch (b, c, h, w).
 
     `features`, when given, are the backbone rows of `images` computed
-    already; the backbone then does not run again.
+    already; the backbone then does not run again. The labels are bitwise
+    ``row_argmax(model_probs(...))``, without a probability array.
     """
     b, _, h, w = images.shape
     if features is None:
         features = model_features(model, Tensor(to_pixels(images)))
-    return row_argmax(model_probs(model, features).data).reshape(b, h, w)
+    return softmax_argmax(_logits(model, features).data).reshape(b, h, w)

@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import collections
 import json
+import math
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
+from cfalign.checkpoint import load_checkpoint
 from cfalign.cli import main
 from cfalign.tensor import read_container, write_container
 
@@ -22,6 +26,28 @@ def dataset_dir(tmp_path_factory):
     code = main(["gen-data", "--out", str(out)] + TINY_DATA_FLAGS)
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def blocked_run(tmp_path_factory):
+    """A 16x16 dataset whose 17 eval images make two evaluation blocks of
+    whole images, and a checkpoint whose class-center bank is filled, so
+    `eval` runs the pseudo-label pass too."""
+    root = tmp_path_factory.mktemp("blocked")
+    data, run = root / "data", root / "run"
+    flags = ["--height", "16", "--width", "16", "--train-images", "8",
+             "--eval-images", "17", "--regions", "4", "--seed", "5"]
+    assert main(["gen-data", "--out", str(data)] + flags) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--contrastive"] + TINY_RUN_FLAGS) == 0
+    assert int(load_checkpoint(run / "checkpoint.bin").bank.init_source.sum()) >= 2
+    return data, run / "checkpoint.bin"
+
+
+def quiet_main(argv):
+    """`main` with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
 
 
 class TestGenData:
@@ -480,3 +506,76 @@ class TestDivergenceExit:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and "divergence" in captured.err
         assert captured.out == ""
+
+    def test_eval_divergence_in_last_block_exits_3(self, blocked_run, tmp_path, capsys):
+        # a finite but huge pixel in the last eval image only: the first
+        # block is clean and the second overflows
+        data, checkpoint = blocked_run
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        header, arrays = read_container(bad / "target_eval.bin", "cfalign-dataset")
+        arrays["images"][-1, :, -1, -1] = 1e200
+        write_container(bad / "target_eval.bin", header, arrays)
+        capsys.readouterr()
+        assert quiet_main(["eval", "--checkpoint", str(checkpoint), "--data", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("divergence: evaluation forward pass left the finite range")
+
+
+class TestLoaderFuzz:
+    """Seeded byte mutations of a checkpoint and of an eval split, each run
+    through `eval`: at most one stderr line, a documented exit code, and no
+    exception or warning."""
+
+    MUTANTS = 300
+    KINDS = ("truncate", "header", "payload")
+
+    @staticmethod
+    def mutate(blob: bytes, kind: str, rng) -> bytes:
+        """Cut the file short, or replace one byte of its JSON header line
+        (a digit by another digit) or of the tensors after it."""
+        blob = bytearray(blob)
+        if kind == "truncate":
+            return bytes(blob[: int(rng.integers(0, len(blob)))])
+        body = blob.index(b"\n") + 1
+        pos = int(rng.integers(0, body) if kind == "header" else rng.integers(body, len(blob)))
+        if chr(blob[pos]).isdigit():
+            blob[pos] = ord("0") + int(rng.integers(0, 10))
+        else:
+            blob[pos] = int(rng.integers(0, 256))
+        return bytes(blob)
+
+    def test_mutants(self, blocked_run, tmp_path, capsys):
+        data, checkpoint = blocked_run
+        shutil.copytree(data, tmp_path / "data")
+        shutil.copy(checkpoint, tmp_path / "checkpoint.bin")
+        targets = [tmp_path / "checkpoint.bin", tmp_path / "data" / "target_eval.bin"]
+        originals = {path: path.read_bytes() for path in targets}
+        out = tmp_path / "result.json"
+        argv = ["eval", "--checkpoint", str(targets[0]), "--data", str(tmp_path / "data"), "--out", str(out)]
+        rng = np.random.default_rng(11)
+        outcomes = collections.Counter()
+        capsys.readouterr()
+        for i in range(self.MUTANTS):
+            path, kind = targets[i % 2], self.KINDS[i // 2 % 3]
+            path.write_bytes(self.mutate(originals[path], kind, rng))
+            out.unlink(missing_ok=True)
+            code = quiet_main(argv)
+            path.write_bytes(originals[path])
+            err = capsys.readouterr().err.splitlines()
+            what = f"mutant {i}: {kind} of {path.name} exits {code} with {err}"
+            if code == 0:
+                assert not err, what
+                doc = json.loads(out.read_text())
+                numbers = [doc["miou"], doc["pseudo_acc"]] + [v for v in doc["per_class_iou"] if v is not None]
+                assert all(math.isfinite(v) for v in numbers), what
+            elif code == 3:
+                assert kind == "payload" and len(err) == 1 and err[0].startswith("divergence: "), what
+            else:
+                assert code == 2 and len(err) == 1, what
+            outcomes[kind, code] += 1
+        # every kind was rejected somewhere, and some mutants still loaded
+        assert all(outcomes[kind, 2] for kind in self.KINDS), outcomes
+        assert outcomes["header", 0] + outcomes["payload", 0] > 0, outcomes

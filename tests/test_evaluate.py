@@ -1,15 +1,21 @@
 """IOU computation against a set-based oracle, plus end-to-end evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cfalign import kernels
+from cfalign.adain import to_pixels
 from cfalign.config import RunConfig
-from cfalign.data import SynthSpec, generate_dataset
-from cfalign.errors import ContractError
+from cfalign.data import Split, SynthSpec, generate_dataset
+from cfalign.errors import ContractError, DivergenceError
 import cfalign.evaluate as evaluate_module
-from cfalign.evaluate import evaluate, eval_to_json, iou_from_confusion
-from cfalign.kernels import confusion
-from cfalign.model import predict_labels
+from cfalign.evaluate import EvalRecord, evaluate, eval_to_json, iou_from_confusion
+from cfalign.kernels import confusion, row_argmax
+from cfalign.membank import assign_pseudo_labels, pseudo_label_accuracy
+from cfalign.model import model_features, model_probs, predict_labels
+from cfalign.tensor import Tensor
 from cfalign.train import init_state, train
 
 
@@ -154,3 +160,110 @@ class TestEvaluate:
         np.add.at(want, (truth, pred), 1)
         assert not np.array_equal(want, want.T)
         np.testing.assert_array_equal(seen[0], want)
+
+
+def reference_eval(state, split):
+    """The pass `evaluate` made before it ran in blocks: one backbone pass,
+    probabilities and pseudo-labels over the whole split at once."""
+    feats = model_features(state.model, Tensor(to_pixels(split.images)))
+    preds = row_argmax(model_probs(state.model, feats).data)
+    pseudo = None
+    if int(state.bank.init_source.sum()) >= 2:
+        pseudo = assign_pseudo_labels(feats.data, state.feature_bank(), state.config.threshold)
+    return preds, pseudo
+
+
+def spy_evaluate(state, split, monkeypatch):
+    """Run `evaluate`; return its record, the number of blocks the backbone
+    ran on, and the predictions and pseudo-labels it scored."""
+    calls = {"model_features": [], "confusion": [], "pseudo_label_accuracy": []}
+    for name, seen in calls.items():
+        def spy(*args, fn=getattr(evaluate_module, name), seen=seen):
+            seen.append(args[0])
+            return fn(*args)
+
+        monkeypatch.setattr(evaluate_module, name, spy)
+    record = evaluate(state, split)
+    return record, len(calls["model_features"]), calls["confusion"][0], calls["pseudo_label_accuracy"][0]
+
+
+class TestBlockedPass:
+    """`evaluate` in blocks of whole images gives the bytes of the one
+    whole-split pass: predictions, pseudo-labels and the record."""
+
+    @staticmethod
+    def per_block(height, width):
+        return max(1, kernels._BLOCK // (height * width))
+
+    @pytest.fixture(scope="class", params=[(32, 32), (7, 9), (65, 65), (2, 2)], ids=str)
+    def trained(self, request):
+        height, width = request.param
+        spec = SynthSpec(
+            height=height, width=width, train_images=6, regions=3, seed=4,
+            eval_images=self.per_block(height, width) + 1,
+        )
+        data = generate_dataset(spec)
+        config = RunConfig(
+            seed=4, iterations=20, hidden_dim=12, feature_dim=8, contrastive=True, threshold=0.0
+        )
+        state, _ = train(config, data)
+        assert int(state.bank.init_source.sum()) >= 2  # the pseudo-label pass runs
+        return state, data.target_eval
+
+    @pytest.mark.parametrize("count", ["one", "block+1"])
+    def test_bitwise_whole_split(self, trained, count, monkeypatch):
+        state, split = trained
+        if count == "one":
+            split = Split(images=split.images[:1], labels=split.labels[:1])
+        want_preds, want_pseudo = reference_eval(state, split)
+        record, blocks, preds, pseudo = spy_evaluate(state, split, monkeypatch)
+        assert blocks == (1 if count == "one" else 2)
+        assert preds.dtype == want_preds.dtype and pseudo.dtype == want_pseudo.dtype
+        np.testing.assert_array_equal(preds, want_preds)
+        np.testing.assert_array_equal(pseudo, want_pseudo)
+        assert (want_pseudo >= 0).any()
+        labels = split.labels.reshape(-1)
+        per_class, miou = iou_from_confusion(confusion(want_preds, labels, state.classes))
+        acc, assigned = pseudo_label_accuracy(want_pseudo, labels)
+        assert record == EvalRecord(per_class, miou, acc, assigned, labels.size)
+        b, _, h, w = split.images.shape
+        np.testing.assert_array_equal(
+            predict_labels(state.model, split.images), want_preds.reshape(b, h, w)
+        )
+
+    def test_narrow_layer_takes_whole_split(self, monkeypatch):
+        # a 16 -> 4 layer is where a row block's matmul rounds apart from the
+        # whole split's, so the split must run as one block
+        spec = SynthSpec(height=16, width=16, train_images=6, eval_images=17, regions=3, seed=5)
+        data = generate_dataset(spec)
+        config = RunConfig(seed=5, iterations=20, hidden_dim=16, feature_dim=4, contrastive=True)
+        state, _ = train(config, data)
+        want_preds, want_pseudo = reference_eval(state, data.target_eval)
+        _, blocks, preds, pseudo = spy_evaluate(state, data.target_eval, monkeypatch)
+        assert blocks == 1
+        np.testing.assert_array_equal(preds, want_preds)
+        np.testing.assert_array_equal(pseudo, want_pseudo)
+
+    def test_memory_peak(self):
+        # blocks of about 4,096 rows keep every intermediate small; one pass
+        # over the 51,200-row default split peaked at 14.3 MB
+        data = generate_dataset(SynthSpec(seed=0))
+        state, _ = train(RunConfig(seed=0, iterations=20, contrastive=True), data)
+        assert int(state.bank.init_source.sum()) >= 2
+        evaluate(state, data.target_eval)
+        tracemalloc.start()
+        try:
+            evaluate(state, data.target_eval)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, peak
+
+    def test_divergence_in_last_block(self, trained):
+        # a finite but huge pixel in the last image only: every block before
+        # it is clean, and the last one still overflows
+        state, split = trained
+        images = split.images.copy()
+        images[-1, :, -1, -1] = 1e200
+        with pytest.raises(DivergenceError, match="evaluation forward pass"):
+            evaluate(state, Split(images=images, labels=split.labels))

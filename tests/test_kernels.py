@@ -11,6 +11,7 @@ from cfalign.data import SynthSpec, generate_dataset
 from cfalign.errors import DimensionError
 from cfalign.evaluate import eval_to_json, evaluate
 from cfalign.heads import HEAD_KINDS
+from cfalign.tensor import Tensor, softmax
 from cfalign.train import metrics_to_csv, train
 
 
@@ -151,6 +152,12 @@ def row_cases():
             yield row_inputs(rng, n, k)
 
 
+def softmax_numpy(z):
+    """``tensor.softmax``'s rows in numpy's ``axis=1`` form."""
+    p = np.exp(z - z.max(axis=1)[:, None])
+    return p / p.sum(axis=1)[:, None]
+
+
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
@@ -187,15 +194,32 @@ class TestRowKernels:
         a = np.array([[1.0, 3.0, 3.0, 0.0], [-np.inf] * 4, [-0.0, 0.0, 0.0, -0.0], [2.0, 2.0, 2.0, 2.0]])
         np.testing.assert_array_equal(kernels.row_argmax(a), [1, 0, 0, 0])
 
+    def test_softmax_argmax_bitwise(self):
+        rng = np.random.default_rng(17)
+        block = kernels._BLOCK
+        for n, k in [(0, 3), (1, 1), (37, 5), (block - 1, 5), (block + 1, 8), (2 * block + 37, 13), (block, 300)]:
+            mixed = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 3, size=(n, k))
+            tied = rng.integers(-2, 3, size=(n, k)).astype(float)
+            saturated = rng.choice([-700.0, 0.0, 700.0], size=(n, k))
+            for z in (mixed, tied, saturated):
+                got = kernels.softmax_argmax(z)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, kernels.row_argmax(softmax(Tensor(z)).data)), (n, k)
+
+    def test_softmax_argmax_compares_probabilities(self):
+        # exp(-1e-17) rounds to 1.0, tying two probabilities the logits order
+        z = np.array([[0.0, 1e-17], [1e-17, 0.0], [-700.0, 700.0], [700.0, 700.0]])
+        np.testing.assert_array_equal(kernels.softmax_argmax(z), [0, 0, 1, 0])
+
     def test_all_negative_zero_sums_to_positive_zero(self):
         for k in (1, 7, 8, 9, 130):
             assert not np.signbit(kernels.row_sum(np.full((3, k), -0.0))).any(), k
 
     def test_shape_validation(self):
-        for fn in (kernels.row_sum, kernels.row_max, kernels.row_argmax):
+        for fn in (kernels.row_sum, kernels.row_max, kernels.row_argmax, kernels.softmax_argmax):
             with pytest.raises(DimensionError):
                 fn(np.zeros(4))
-        for fn in (kernels.row_max, kernels.row_argmax):
+        for fn in (kernels.row_max, kernels.row_argmax, kernels.softmax_argmax):
             with pytest.raises(DimensionError):
                 fn(np.zeros((3, 0)))
         np.testing.assert_array_equal(kernels.row_sum(np.zeros((3, 0))), np.zeros(3))
@@ -208,7 +232,7 @@ class TestNumpyReductionsGiveSameBytes:
     NUMPY = {
         "row_sum": lambda a: np.asarray(a).sum(axis=1),
         "row_max": lambda a: np.asarray(a).max(axis=1),
-        "row_argmax": lambda a: np.asarray(a).argmax(axis=1),
+        "softmax_argmax": lambda z: softmax_numpy(z).argmax(axis=1),
     }
 
     @pytest.fixture(scope="class")
