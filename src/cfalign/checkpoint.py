@@ -18,7 +18,7 @@ from .config import RunConfig
 from .errors import ContractError
 from .heads import BatchNormLayer, LinearLayer, head_plan
 from .tensor import read_container, write_container
-from .train import StyleContext, TrainState, init_state
+from .train import TrainState, init_state
 
 __all__ = ["CHECKPOINT_FORMAT", "save_checkpoint", "load_checkpoint"]
 
@@ -48,7 +48,7 @@ def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
     for part in ("v_source", "v_target", "init_source", "init_target"):
         entries.append((f"bank.{part}", getattr(state.bank, part)))
     if state.style is not None:
-        mean, var = state.style.stats.as_arrays()
+        mean, var = state.style.as_arrays()
         entries.append(("style.stats_mean", mean))
         entries.append(("style.stats_var", var))
     return entries
@@ -127,16 +127,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
             raise ContractError(f"bank flags {name} hold values other than 0 and 1")
     state = init_state(config, classes, channels)
     if config.style_transfer:
-        state.style = _empty_style(config, state.channels)
+        state.style = ChannelStats(mean=np.zeros(channels), var=np.ones(channels))
     targets = dict(_state_arrays(state))
     for name, array in stored.items():
         targets[name][...] = array  # bool flag rows cast back from their 0/1 float form
     return state
-
-
-def _empty_style(config: RunConfig, channels: int) -> StyleContext:
-    return StyleContext(
-        direction=config.transfer_direction,
-        stats=ChannelStats(mean=np.zeros(channels), var=np.ones(channels)),
-        eps=config.adain_eps,
-    )

@@ -17,9 +17,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .heads import HEAD_KINDS
 
-TRANSFER_DIRECTIONS = ("source_to_target", "target_to_source")
-
-__all__ = ["MAX_ELEMENTS", "RunConfig", "TRANSFER_DIRECTIONS", "check_field_types", "fits", "load_flat_config"]
+__all__ = ["MAX_ELEMENTS", "RunConfig", "check_field_types", "fits", "load_flat_config"]
 
 # numpy rejects an array whose byte count leaves its index range with a
 # ValueError, not a MemoryError, so sizes are bounded before any allocation
@@ -112,7 +110,6 @@ class RunConfig:
     hidden_dim: int = 16
     feature_dim: int = 8
     # style transfer
-    transfer_direction: str = "source_to_target"
     adain_eps: float = 1e-8
 
     def validate(self) -> "RunConfig":
@@ -128,10 +125,6 @@ class RunConfig:
             (0.0 <= self.alpha <= 1.0, "alpha must lie in [0, 1]"),
             (self.threshold >= 0, "threshold must be nonnegative"),
             (self.head in HEAD_KINDS, f"head must be one of {HEAD_KINDS}"),
-            (
-                self.transfer_direction in TRANSFER_DIRECTIONS,
-                f"transfer_direction must be one of {TRANSFER_DIRECTIONS}",
-            ),
             (self.hidden_dim >= 1, "hidden_dim must be at least 1"),
             (self.feature_dim >= 1, "feature_dim must be at least 1"),
             (self.head_hidden_dim is None or self.head_hidden_dim >= 1, "head_hidden_dim must be at least 1"),

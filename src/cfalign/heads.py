@@ -1,11 +1,9 @@
 """Projection heads remapping backbone features before the contrastive loss.
 
-Five architectures, selected by name:
+Three architectures, selected by name:
 
 ==========  ==================================================
 ``none``    identity
-``linear``  Linear
-``moco``    Linear, ReLU, Linear
 ``byol``    Linear, BatchNorm, ReLU, Linear
 ``simclr``  Linear, BatchNorm, ReLU, Linear, BatchNorm
 ==========  ==================================================
@@ -23,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .tensor import RunningStats, Tensor, affine, batch_norm, relu
 
-HEAD_KINDS = ("none", "linear", "moco", "byol", "simclr")
+HEAD_KINDS = ("none", "byol", "simclr")
 
 __all__ = [
     "HEAD_KINDS", "Head", "LinearLayer", "BatchNormLayer",
@@ -50,7 +48,6 @@ class BatchNormLayer:
 
 @dataclass
 class Head:
-    kind: str
     d_in: int
     d_out: int
     layers: list = field(default_factory=list)  # LinearLayer | BatchNormLayer | "relu"
@@ -83,8 +80,6 @@ def head_plan(kind: str, d_in: int, d_hidden: int | None = None, d_out: int | No
     first, second = ("linear", d_in, d_hidden), ("linear", d_hidden, d_out)
     return {
         "none": [],
-        "linear": [("linear", d_in, d_out)],
-        "moco": [first, "relu", second],
         "byol": [first, ("bn", d_hidden), "relu", second],
         "simclr": [first, ("bn", d_hidden), "relu", second, ("bn", d_out)],
     }[kind]
@@ -109,7 +104,7 @@ def build_head(
             layers.append(linear_layer(p[1], p[2], rng))
         else:
             layers.append(_bn(p[1]))
-    return Head(kind, d_in, plan[-1][-1] if plan else d_in, layers)
+    return Head(d_in, plan[-1][-1] if plan else d_in, layers)
 
 
 def head_forward(head: Head, x: Tensor, training: bool = True) -> Tensor:

@@ -5,10 +5,10 @@ counting.
 Most arrays on the hot paths are narrow: one row per pixel and a handful of
 columns (classes, centers, feature dims). A numpy reduction along ``axis=1``
 of such an array makes one inner-loop call per row, so its cost is per row,
-not per element. The row kernels `row_sum`, `row_max`, `row_argmax` and
-`softmax_argmax`, and `nearest_two`, instead walk an (n, k) array in blocks
-of `_BLOCK` rows and copy each block once into a contiguous (k, rows)
-scratch array; every step is then one numpy call over a whole block.
+not per element. The row kernels `row_sum`, `row_max` and `softmax_argmax`,
+and `nearest_two`, instead walk an (n, k) array in blocks of `_BLOCK` rows
+and copy each block once into a contiguous (k, rows) scratch array; every
+step is then one numpy call over a whole block.
 
 Each row kernel repeats numpy's ``axis=1`` result for a C-contiguous array
 bit for bit. `_row_sums` adds the k columns in the order numpy's pairwise
@@ -17,10 +17,10 @@ sum adds a length-k row, so `row_sum` and `nearest_two`'s distances equal
 `tests/test_kernels.py::TestRowSums` and `::TestRowKernels` are the alarm if
 a numpy release changes that order. `row_max` is exact because a maximum
 does not round; only the sign of a zero maximum of a row holding both 0.0
-and -0.0 is left open, as numpy's SIMD lane order leaves it. `row_argmax`
-and `nearest_two` resolve ties to the lowest index, as ``argmax`` and
-``argmin`` do. Inputs must be free of NaN: a NaN row gets an unspecified
-result.
+and -0.0 is left open, as numpy's SIMD lane order leaves it.
+`softmax_argmax` and `nearest_two` resolve ties to the lowest index, as
+``argmax`` and ``argmin`` do. Inputs must be free of NaN: a NaN row gets an
+unspecified result.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "get_backend",
     "row_sum",
     "row_max",
-    "row_argmax",
     "softmax_argmax",
     "nearest_two",
     "label_sums",
@@ -166,26 +165,14 @@ def row_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def row_argmax(a: np.ndarray) -> np.ndarray:
-    """Per-row index of the largest entry of an (n, k) array, k >= 1, the
-    lowest on ties: ``a.argmax(axis=1)``."""
-    a = _rows(a, "row_argmax", need_column=True)
-    n, k = a.shape
-    idx = np.empty(n, dtype=np.intp)
-    scratch = _argmax_scratch(k, min(n, _BLOCK))
-    for lo, hi, cols in _column_blocks(a):
-        _argmax_scan(cols, idx[lo:hi], scratch)
-    return idx
-
-
 def softmax_argmax(z: np.ndarray) -> np.ndarray:
     """Per-row index of the largest softmax probability of (n, k) logits,
-    k >= 1: bitwise ``row_argmax(tensor.softmax(z))``.
+    k >= 1, the lowest on ties: ``tensor.softmax(Tensor(z)).data.argmax(axis=1)``.
 
     Each block is copied to column-major once and the softmax steps run on
-    that copy in place, where `row_max`, `row_sum` and `row_argmax` in a
-    row would each copy it again. Probabilities are compared, not logits:
-    rounding can tie two of them that the logits order.
+    that copy in place, where separate row reductions would each copy it
+    again. Probabilities are compared, not logits: rounding can tie two of
+    them that the logits order.
     """
     z = _rows(z, "softmax_argmax", need_column=True)
     n, k = z.shape

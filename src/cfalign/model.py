@@ -103,7 +103,7 @@ def predict_labels(model: SegModel, images: np.ndarray, features: Tensor | None 
 
     `features`, when given, are the backbone rows of `images` computed
     already; the backbone then does not run again. The labels are bitwise
-    ``row_argmax(model_probs(...))``, without a probability array.
+    ``model_probs(...).data.argmax(axis=1)``, without a probability array.
     """
     b, _, h, w = images.shape
     if features is None:

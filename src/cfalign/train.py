@@ -1,10 +1,10 @@
 """Training loop joining coarse statistics transfer, entropy minimization,
 and class-wise contrastive alignment over momentum memory banks.
 
-Each iteration samples one batch per domain, optionally renormalizes one
-side toward the other domain's channel statistics, forwards the per-pixel
-backbone and classifier, assembles the enabled loss terms, and takes one
-plain gradient-descent step.
+Each iteration samples one batch per domain, optionally renormalizes the
+source batch toward the target domain's channel statistics, forwards the
+per-pixel backbone and classifier, assembles the enabled loss terms, and
+takes one plain gradient-descent step.
 
 Two RNG streams split off the run seed: parameter init and batch order.
 Batch indices come from their own stream and are drawn every iteration
@@ -45,7 +45,6 @@ from .tensor import ArrayPool, Graph, Tensor, backward, zero_grads
 __all__ = [
     "METRICS_COLUMNS",
     "MetricsRecord",
-    "StyleContext",
     "TrainState",
     "init_state",
     "train",
@@ -84,20 +83,8 @@ def save_metrics_csv(records: list[MetricsRecord], path: str | Path) -> None:
 
 
 @dataclass
-class StyleContext:
-    """Frozen statistics applied to one domain's batches."""
-
-    direction: str
-    stats: ChannelStats  # image-space statistics of the style domain
-    eps: float = 1e-8
-
-    def apply(self, images: np.ndarray) -> np.ndarray:
-        return adain_transfer(images, self.stats, self.eps)
-
-
-@dataclass
 class TrainState:
-    """Everything a run owns: parameters, the bank, and the frozen style context."""
+    """Everything a run owns: parameters, the bank, and the frozen style statistics."""
 
     config: RunConfig
     classes: int
@@ -105,7 +92,7 @@ class TrainState:
     model: SegModel
     head: Head
     bank: MemoryBank  # rows [backbone features | head outputs]; the backbone alone for head "none"
-    style: StyleContext | None = None
+    style: ChannelStats | None = None  # target-train image statistics, when transferring
 
     def parameters(self):
         return model_parameters(self.model) + head_parameters(self.head)
@@ -142,16 +129,6 @@ def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
     )
 
 
-def _build_style(config: RunConfig, data: Dataset) -> StyleContext:
-    """Freeze the style domain's statistics over its whole training split, once."""
-    style = data.target_train if config.transfer_direction == "source_to_target" else data.source_train
-    return StyleContext(
-        direction=config.transfer_direction,
-        stats=channel_stats(style.images),
-        eps=config.adain_eps,
-    )
-
-
 def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
     """Seed the bank's source rows from a full labeled pass over source train.
 
@@ -165,8 +142,8 @@ def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
     counts = np.zeros(state.classes, dtype=np.int64)
     for start in range(0, len(images), chunk):
         img = images[start : start + chunk]
-        if state.style is not None and state.style.direction == "source_to_target":
-            img = state.style.apply(img)
+        if state.style is not None:
+            img = adain_transfer(img, state.style, state.config.adain_eps)
         lab = labels[start : start + chunk].reshape(-1)
         f = model_features(state.model, Tensor(to_pixels(img)))
         h = head_forward(state.head, f, training=False)
@@ -268,7 +245,8 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
     config.validate()
     state = init_state(config, data.spec.classes, data.spec.channels)
     if config.style_transfer:
-        state.style = _build_style(config, data)
+        # frozen once, over the whole target training split
+        state.style = channel_stats(data.target_train.images)
     if config.contrastive and config.bank_warm_start:
         warm_start_banks(state, data)
     params = state.parameters()
@@ -286,10 +264,7 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
         # held-out truth: used for the pseudo_acc diagnostic only, never in a loss
         diag_t = data.target_train.labels[ti].reshape(-1)
         if state.style is not None:
-            if state.style.direction == "source_to_target":
-                img_s = state.style.apply(img_s)
-            else:
-                img_t = state.style.apply(img_t)
+            img_s = adain_transfer(img_s, state.style, config.adain_eps)
         # an overflow or invalid value ends the run with one DivergenceError
         # naming the iteration, before numpy can print a warning
         try:

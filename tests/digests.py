@@ -1,0 +1,80 @@
+"""Byte-identity digests for a change that must leave every output as it was.
+
+Trains each configuration in `CONFIGS` through the CLI on one dataset and
+prints sha256 values of what each run wrote:
+
+- ``metrics.csv`` as written;
+- ``result.json`` without its ``config`` echo;
+- ``checkpoint.bin`` after its header line.
+
+The config echo lists every config field, in ``result.json`` and in the
+checkpoint header, so adding or removing a field changes those bytes and
+nothing else; the digests leave it out. Run the script on both trees with
+the same dataset and compare the two outputs line by line:
+
+    PYTHONPATH=src python -m cfalign gen-data --seed 0 --out DATA
+    PYTHONPATH=src python tests/digests.py --data DATA --out RUNS --iterations 2000
+
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from cfalign.cli import main as cfalign_main
+
+_FULL = ["--style-transfer", "--contrastive"]
+CONFIGS = {
+    "default": [],
+    "full": _FULL,
+    "full-byol": _FULL + ["--head", "byol"],
+    "full-simclr-normalize-warm-nopos": _FULL + [
+        "--head", "simclr", "--normalize-features", "--bank-warm-start", "--no-include-positive"
+    ],
+    "full-simclr-nopos": _FULL + ["--head", "simclr", "--no-include-positive"],
+    "full-warm": _FULL + ["--bank-warm-start"],
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(run: Path) -> dict[str, str]:
+    result = json.loads((run / "result.json").read_text())
+    del result["config"]
+    checkpoint = (run / "checkpoint.bin").read_bytes()
+    return {
+        "metrics.csv": sha256((run / "metrics.csv").read_bytes()),
+        "result.json": sha256(json.dumps(result, sort_keys=True, indent=2).encode()),
+        "checkpoint.bin": sha256(checkpoint[checkpoint.index(b"\n") + 1 :]),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--data", type=Path, required=True, help="dataset directory from gen-data")
+    parser.add_argument("--out", type=Path, required=True, help="directory for one run per config")
+    parser.add_argument("--iterations", type=int, default=2000)
+    args = parser.parse_args(argv)
+    for name, flags in CONFIGS.items():
+        run = args.out / name
+        argv = ["train", "--data", str(args.data), "--out", str(run), "--iterations", str(args.iterations)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cfalign_main(argv + flags)
+        if code != 0:
+            print(f"{name}: train exited {code}", file=sys.stderr)
+            return code
+        print(name, *(f"{file} {digest}" for file, digest in digests(run).items()), sep="  ")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cfalign.adain import ChannelStats
 from cfalign.checkpoint import (
-    _empty_style,
     _expected_shapes,
     _state_arrays,
     load_checkpoint,
@@ -164,7 +164,7 @@ def test_expected_shapes_match_state(head, style_transfer):
                        style_transfer=style_transfer)
     state = init_state(config, 3, 2)
     if style_transfer:
-        state.style = _empty_style(config, 2)
+        state.style = ChannelStats(mean=np.zeros(2), var=np.ones(2))
     got = _expected_shapes(config, 3, 2)
     assert got == {name: a.shape for name, a in _state_arrays(state)}
 
@@ -198,16 +198,21 @@ class TestStyleEcho:
             load_checkpoint(path)
 
     def test_removed_style_net_keys_in_echo_ignored(self, tiny_data, tmp_path, dataset_dir, capsys):
-        # files written before the style-net route was removed echo its five keys
+        # files written before the style-net route was removed echo its five
+        # keys, and files written before the transfer direction was fixed
+        # echo transfer_direction
         path, header, arrays = self.saved(tiny_data, tmp_path)
         assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir)]) == 0
         plain = capsys.readouterr().out
-        header["config"].update(style_net=False, style_net_dim=8, style_iters=200,
-                                style_weight=1.0, style_lr=0.05)
-        old = tmp_path / "old.bin"
-        write_container(old, header, arrays)
-        assert main(["eval", "--checkpoint", str(old), "--data", str(dataset_dir)]) == 0
-        assert capsys.readouterr().out == plain
+        for removed in (
+            dict(style_net=False, style_net_dim=8, style_iters=200, style_weight=1.0, style_lr=0.05),
+            dict(transfer_direction="source_to_target"),
+            dict(transfer_direction="target_to_source"),
+        ):
+            old = tmp_path / "old.bin"
+            write_container(old, {**header, "config": {**header["config"], **removed}}, arrays)
+            assert main(["eval", "--checkpoint", str(old), "--data", str(dataset_dir)]) == 0
+            assert capsys.readouterr().out == plain
 
     @pytest.mark.parametrize("whole_route", [True, False], ids=["route-file", "stray-weights"])
     def test_style_net_tensors_exit_2(self, tiny_data, tmp_path, dataset_dir, capsys, whole_route):
@@ -314,12 +319,18 @@ class TestCorruption:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_wrong_typed_config_echo(self, saved):
+    def test_wrong_typed_config_echo(self, saved, capsys):
         path, header, arrays = saved
-        header["config"]["iterations"] = "x"
-        write_container(path, header, arrays)
-        with pytest.raises(ConfigError, match="iterations must be an integer"):
-            load_checkpoint(path)
+        # a head kind that was removed reads as any other bad value
+        for key, value, message in (("iterations", "x", "iterations must be an integer"),
+                                    ("head", "linear", "head must be one of")):
+            write_container(path, {**header, "config": {**header["config"], key: value}}, arrays)
+            with pytest.raises(ConfigError, match=message):
+                load_checkpoint(path)
+            # the checkpoint is read before the data directory is
+            assert main(["eval", "--checkpoint", str(path), "--data", str(path.parent / "no-data")]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and message in err
 
     def test_huge_extent(self, saved):
         path, _, _ = saved

@@ -158,10 +158,13 @@ class TestTrain:
         assert doc["config"]["entropy"] is False
 
     def test_bad_value_exits_2(self, dataset_dir, tmp_path, capsys):
-        code = main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
-                     "--tau", "-1"] + TINY_RUN_FLAGS)
-        assert code == 2
-        assert "tau" in capsys.readouterr().err
+        # "moco" was a head kind once; it now reads as any other bad value
+        for flags, needle in ((["--tau", "-1"], "tau"), (["--head", "moco"], "head must be one of")):
+            code = main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x")]
+                        + flags + TINY_RUN_FLAGS)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and needle in err
 
     @pytest.mark.parametrize("doc", [{"iterations": "x"}, {"tau": True}, {"entropy": 1}])
     def test_wrong_typed_config_file_exits_2(self, dataset_dir, tmp_path, capsys, doc):
@@ -210,8 +213,10 @@ class TestTrain:
             (["train", "--data", "d", "--out", "o", "--no-such-flag"], "--no-such-flag"),
             (["train", "--out", "o"], "--data"),
             (["eval", "--checkpoint", "c", "--data", "d", "--split", "nope"], "--split"),
+            (["train", "--data", "d", "--out", "o", "--transfer-direction", "target_to_source"],
+             "--transfer-direction"),
         ],
-        ids=["unknown", "missing", "bad_choice"],
+        ids=["unknown", "missing", "bad_choice", "removed_direction"],
     )
     def test_usage_error_is_one_line(self, capsys, argv, needle):
         with pytest.raises(SystemExit) as exc:

@@ -317,7 +317,6 @@ class TestRunConfig:
             dict(threshold=-1.0),
             dict(learning_rate=0.0),
             dict(head="mlp"),
-            dict(transfer_direction="sideways"),
             dict(lambda_contra=-0.1),
         ):
             with pytest.raises(ConfigError):

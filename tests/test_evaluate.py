@@ -12,7 +12,7 @@ from cfalign.data import Split, SynthSpec, generate_dataset
 from cfalign.errors import ContractError, DivergenceError
 import cfalign.evaluate as evaluate_module
 from cfalign.evaluate import EvalRecord, evaluate, eval_to_json, iou_from_confusion
-from cfalign.kernels import confusion, row_argmax
+from cfalign.kernels import confusion
 from cfalign.membank import assign_pseudo_labels, pseudo_label_accuracy
 from cfalign.model import model_features, model_probs, predict_labels
 from cfalign.tensor import Tensor
@@ -166,7 +166,7 @@ def reference_eval(state, split):
     """The pass `evaluate` made before it ran in blocks: one backbone pass,
     probabilities and pseudo-labels over the whole split at once."""
     feats = model_features(state.model, Tensor(to_pixels(split.images)))
-    preds = row_argmax(model_probs(state.model, feats).data)
+    preds = model_probs(state.model, feats).data.argmax(axis=1)
     pseudo = None
     if int(state.bank.init_source.sum()) >= 2:
         pseudo = assign_pseudo_labels(feats.data, state.feature_bank(), state.config.threshold)

@@ -33,20 +33,13 @@ class TestStructure:
         np.testing.assert_array_equal(out.data, x.data)
         assert param_count(head) == 0
 
-    def test_linear_param_count(self):
-        assert param_count(build_head("linear", 4, rng=0)) == 4 * 4 + 4
-
-    def test_moco_param_count(self):
-        # two 4x4 linears with biases: 2 * (16 + 4)
-        assert param_count(build_head("moco", 4, rng=0)) == 40
-
     def test_byol_param_count(self):
         assert param_count(build_head("byol", 4, rng=0)) == 20 + 8 + 20
 
     def test_simclr_param_count(self):
         assert param_count(build_head("simclr", 4, rng=0)) == 20 + 8 + 20 + 8
 
-    @pytest.mark.parametrize("kind", ["none", "linear", "moco", "byol", "simclr"])
+    @pytest.mark.parametrize("kind", ["none", "byol", "simclr"])
     def test_output_shape(self, kind):
         head = build_head(kind, 6, d_hidden=5, d_out=3, rng=1)
         x = Tensor(np.random.default_rng(2).normal(size=(7, 6)))
@@ -55,8 +48,6 @@ class TestStructure:
 
     def test_layer_sequence_matches_table(self):
         kinds = {
-            "linear": [LinearLayer],
-            "moco": [LinearLayer, str, LinearLayer],
             "byol": [LinearLayer, BatchNormLayer, str, LinearLayer],
             "simclr": [LinearLayer, BatchNormLayer, str, LinearLayer, BatchNormLayer],
         }
@@ -65,19 +56,20 @@ class TestStructure:
             assert [type(l) for l in head.layers] == types
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            build_head("resnet", 4)
+        for kind in ("resnet", "linear", "moco"):  # the last two were heads once
+            with pytest.raises(ConfigError):
+                build_head(kind, 4)
 
     def test_wrong_input_dim_rejected(self):
-        head = build_head("linear", 4, rng=0)
+        head = build_head("byol", 4, rng=0)
         with pytest.raises(DimensionError):
             head_forward(head, Tensor(np.zeros((2, 5))))
 
 
 class TestInitialization:
     def test_uniform_bound_is_inverse_sqrt_fan_in(self):
-        head = build_head("moco", 16, d_hidden=9, rng=3)
-        first, second = head.layers[0], head.layers[2]
+        head = build_head("byol", 16, d_hidden=9, rng=3)
+        first, second = head.layers[0], head.layers[3]
         assert np.abs(first.weight.data).max() <= 1 / 4.0
         assert np.abs(first.bias.data).max() <= 1 / 4.0
         assert np.abs(second.weight.data).max() <= 1 / 3.0
@@ -114,7 +106,7 @@ class TestForwardModes:
         head_forward(head, Tensor(np.random.default_rng(7).normal(size=(32, 3)) + 5.0), training=True)
         assert not np.allclose(bn.running.mean, before)
 
-    @pytest.mark.parametrize("kind", ["linear", "moco", "byol", "simclr"])
+    @pytest.mark.parametrize("kind", ["byol", "simclr"])
     def test_gradients_reach_every_parameter(self, kind):
         rng = np.random.default_rng(8)
         head = build_head(kind, 4, rng=9)
@@ -126,7 +118,7 @@ class TestForwardModes:
         for p in head_parameters(head):
             assert p.grad is not None and p.grad.shape == p.data.shape
 
-    @pytest.mark.parametrize("kind", ["none", "linear", "moco", "byol", "simclr"])
+    @pytest.mark.parametrize("kind", ["none", "byol", "simclr"])
     def test_loss_through_head_gradient(self, kind):
         rng = np.random.default_rng(10)
         head = build_head(kind, 4, d_out=3, rng=11)

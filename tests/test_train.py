@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import cfalign.train as train_module
+from cfalign.adain import adain_transfer, channel_stats, to_pixels
 from cfalign.config import RunConfig
 from cfalign.data import Dataset, Split, SynthSpec, generate_dataset
 from cfalign.errors import DivergenceError
 from cfalign.heads import head_parameters
-from cfalign.model import model_parameters
-from cfalign.tensor import ArrayPool
+from cfalign.model import model_features, model_parameters
+from cfalign.tensor import ArrayPool, Tensor
 from cfalign.train import (
     METRICS_COLUMNS,
     init_state,
@@ -135,16 +136,25 @@ class TestContrastivePath:
         assert not state.bank.init_target.any()
 
     def test_warm_start_rows_are_class_means(self, tiny_data):
-        cfg = tiny_config(contrastive=True, iterations=0)
-        state, _ = train(cfg, tiny_data)
-        warm_start_banks(state, tiny_data, chunk=7)
-        # chunked accumulation must equal one whole-split pass
-        whole = init_state(cfg, tiny_data.spec.classes, tiny_data.spec.channels)
-        warm_start_banks(whole, tiny_data, chunk=10_000)
-        np.testing.assert_allclose(state.bank.v_source, whole.bank.v_source, atol=1e-12)
+        chunk = 7
+        for style_transfer in (False, True):
+            cfg = tiny_config(contrastive=True, style_transfer=style_transfer, iterations=0)
+            state, _ = train(cfg, tiny_data)
+            warm_start_banks(state, tiny_data, chunk=chunk)
+            # chunked accumulation must equal one whole-split pass; a restyled
+            # chunk is normalized by its own statistics, as a batch is
+            images = tiny_data.source_train.images
+            if style_transfer:
+                stats = channel_stats(tiny_data.target_train.images)
+                images = np.concatenate([adain_transfer(images[i : i + chunk], stats, cfg.adain_eps)
+                                         for i in range(0, len(images), chunk)])
+            feats = model_features(state.model, Tensor(to_pixels(images))).data
+            labels = tiny_data.source_train.labels.reshape(-1)
+            want = np.stack([feats[labels == c].mean(axis=0) for c in range(state.classes)])
+            np.testing.assert_allclose(state.bank.v_source, want, atol=1e-12)
 
     def test_head_parameters_move(self, tiny_data):
-        cfg = tiny_config(contrastive=True, head="moco", iterations=40, lambda_contra=0.5)
+        cfg = tiny_config(contrastive=True, head="byol", iterations=40, lambda_contra=0.5)
         state, _ = train(cfg, tiny_data)
         fresh = init_state(cfg, tiny_data.spec.classes, tiny_data.spec.channels)
         moved = [
@@ -250,23 +260,7 @@ class TestStyleTransfer:
         _, plain = train(tiny_config(iterations=1), tiny_data)
         _, styled = train(tiny_config(style_transfer=True, iterations=1), tiny_data)
         assert plain[0].ce != styled[0].ce
-
-    def test_direction_changes_trajectory(self, tiny_data):
-        _, s2t = train(tiny_config(style_transfer=True, iterations=5), tiny_data)
-        _, t2s = train(
-            tiny_config(style_transfer=True, transfer_direction="target_to_source", iterations=5),
-            tiny_data,
-        )
-        assert metrics_to_csv(s2t) != metrics_to_csv(t2s)
-
-    def test_target_to_source_leaves_source_batch_alone(self, tiny_data):
-        # source CE at iteration 0 must match the untransferred run exactly
-        _, plain = train(tiny_config(iterations=1), tiny_data)
-        _, t2s = train(
-            tiny_config(style_transfer=True, transfer_direction="target_to_source", iterations=1),
-            tiny_data,
-        )
-        assert plain[0].ce == t2s[0].ce
+        assert plain[0].entropy == styled[0].entropy  # the target batch is never restyled
 
     def test_model_init_ignores_style_toggle(self, tiny_data):
         a, _ = train(tiny_config(iterations=0), tiny_data)
