@@ -21,6 +21,18 @@ and -0.0 is left open, as numpy's SIMD lane order leaves it.
 `softmax_argmax` and `nearest_two` resolve ties to the lowest index, as
 ``argmax`` and ``argmin`` do. Inputs must be free of NaN: a NaN row gets an
 unspecified result.
+
+Sums down the rows go the other way. `col_sum` is bitwise ``a.sum(axis=0)``:
+for a 2-d float64 array whose rows are contiguous, with k >= 2 columns,
+numpy adds the rows one after another, and ``np.einsum("ij->j", a)`` adds
+them in the same order with a cheaper loop. With one column, or any other
+layout, numpy sums pairwise or in another order, so those arrays go to
+``a.sum(axis=0)`` itself. ``einsum`` ignores ``np.errstate``: an overflow
+gives inf and inf - inf gives NaN silently. So a result that is not all
+finite is computed again by ``a.sum(axis=0)``, which returns the same
+values and raises or warns exactly as it would have.
+`tests/test_kernels.py::TestColSum` is the alarm if a numpy release changes
+the order of either.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from .errors import DimensionError
 
 __all__ = [
     "get_backend",
+    "col_sum",
     "row_sum",
     "row_max",
     "softmax_argmax",
@@ -111,6 +124,16 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     half = d // 2
     half -= half % 8
     return _row_sums(x[:half]) + _row_sums(x[half:])
+
+
+def col_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis: bitwise ``a.sum(axis=0)``, including the
+    errors it raises under ``np.errstate`` (module docstring)."""
+    if a.ndim == 2 and a.shape[1] >= 2 and a.dtype == np.float64 and a.strides[1] == a.itemsize:
+        s = np.einsum("ij->j", a)
+        if np.isfinite(s).all():
+            return s
+    return a.sum(axis=0)
 
 
 def row_sum(a: np.ndarray) -> np.ndarray:

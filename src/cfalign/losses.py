@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .kernels import row_max, row_sum
 from .membank import MemoryBank
-from .tensor import EPS, Tensor, accum, add, buffer, record, release, scale
+from .tensor import EPS, Tensor, accum, accum_scratch, add, buffer, record, scale
 
 __all__ = [
     "LossBreakdown",
@@ -56,8 +56,7 @@ def cross_entropy(pred: Tensor, labels: np.ndarray) -> Tensor:
         gx = buffer(pred.data.shape)
         gx.fill(0.0)
         gx[labeled, cols] = np.broadcast_to(g * -1.0, (m,)) / m / safe
-        accum(pred, gx)
-        release(gx)
+        accum_scratch(pred, gx)
 
     record("cross_entropy", (pred,), loss, bwd)
     return loss
@@ -196,8 +195,7 @@ def info_nce(
         gx = buffer(features.data.shape)
         gx.fill(0.0)
         gx[labeled] = gf
-        accum(features, gx)
-        release(gx)
+        accum_scratch(features, gx)
 
     record("info_nce", (features,), loss, bwd)
     return loss, m

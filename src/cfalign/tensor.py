@@ -15,16 +15,18 @@ Buffer contract. A graph may carry an :class:`ArrayPool`; training gives
 each step's graph the one pool of its run. Under a pooled graph, the output
 arrays of the recorded layers (``affine``, ``relu``, ``softmax``, training
 ``batch_norm``), every gradient :func:`accum` allocates and the full-size
-scratch of the relu, affine and loss backwards come from the pool, and
-:func:`backward` hands a node's output data and gradient back as soon as it
-has passed that node, which it can because every reader of them came later
-on the tape. So inside a pooled graph an intermediate's ``data`` and
-``grad`` are valid only until ``backward`` has passed its node; after that
-the array may hold another tensor's values. The root and every
-leaf (parameters, inputs) are never handed back by ``backward``; parameter
-gradients return through :func:`zero_grads`. Without a pool, or with no
-graph active, every array is fresh and stays valid for as long as it is
-referenced.
+scratch of the relu, affine and loss backwards come from the pool. Such a
+scratch array becomes the input's gradient when it is the first to reach
+that input (:func:`accum_scratch`), instead of being copied into a second
+pool array. :func:`backward` hands a node's output data and gradient back
+as soon as it has passed that node, which it can because every reader of
+them came later on the tape. So inside a pooled graph an intermediate's
+``data`` and ``grad`` are valid only until ``backward`` has passed its
+node; after that the array may hold another tensor's values. The root and
+every leaf (parameters, inputs) are never handed back by ``backward``;
+parameter gradients return through :func:`zero_grads`. Without a pool, or
+with no graph active, every array is fresh and stays valid for as long as
+it is referenced.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import BinaryIO, Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .kernels import row_max, row_sum
+from .kernels import col_sum, row_max, row_sum
 
 EPS = 1e-12
 
@@ -54,8 +56,8 @@ __all__ = [
     "backward",
     "record",
     "accum",
+    "accum_scratch",
     "buffer",
-    "release",
     "zero_grads",
     "grad_check",
     "add",
@@ -200,6 +202,21 @@ def accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def accum_scratch(t: Tensor, g: np.ndarray) -> None:
+    """:func:`accum` for a backward's own scratch `g`, drawn by :func:`buffer`
+    and read by nothing after this call: on the first store `g` becomes
+    t.grad, otherwise it is added in and handed back to the pool.
+
+    Never pass an array the backward was handed, such as its incoming
+    gradient: `add` hands the same one to both of its inputs.
+    """
+    if t.requires_grad and t.grad is None:
+        t.grad = np.add(g, 0.0, out=g)  # the `+ 0.0` of accum, in place
+        return
+    accum(t, g)
+    release(g)
+
+
 def record(tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable) -> None:
     """Append a node to the active graph when `out` needs a gradient.
 
@@ -214,7 +231,7 @@ def record(tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable) -> 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g down to `shape`, undoing numpy broadcasting."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = col_sum(g)
     for ax, extent in enumerate(shape):
         if extent == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
@@ -262,9 +279,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         # bias, then input, then weight: the accumulation order of the chain
         accum(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:  # pixel inputs need no gradient
-            gx = np.matmul(g, w.data.T, out=buffer(x.data.shape))
-            accum(x, gx)
-            release(gx)
+            accum_scratch(x, np.matmul(g, w.data.T, out=buffer(x.data.shape)))
         accum(w, x.data.T @ g)
 
     record("affine", (x, w, b), out, bwd)
@@ -278,9 +293,7 @@ def relu(x: Tensor) -> Tensor:
     def bwd(g):
         # the mask is built here, so a forward-only pass never allocates it;
         # the subgradient at 0 is taken as 0
-        gx = np.multiply(g, x.data > 0, out=buffer(x.data.shape))
-        accum(x, gx)
-        release(gx)
+        accum_scratch(x, np.multiply(g, x.data > 0, out=buffer(x.data.shape)))
 
     record("relu", (x,), out, bwd)
     return out
@@ -358,9 +371,10 @@ def batch_norm(
         inv = 1.0 / np.sqrt(running.var + eps)
         return Tensor(gamma.data * ((x.data - running.mean) * inv) + beta.data)
     n = x.data.shape[0]
-    m = x.data.mean(axis=0)
+    # bitwise `mean(axis=0)`, which divides the same sum by n
+    m = col_sum(x.data) / n
     c = x.data - m
-    v = (c * c).mean(axis=0)
+    v = col_sum(c * c) / n
     if running is not None:
         k = running.momentum
         running.mean = (1.0 - k) * running.mean + k * m

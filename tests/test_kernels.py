@@ -228,11 +228,70 @@ class TestRowKernels:
         np.testing.assert_array_equal(kernels.row_sum(np.zeros((3, 0))), np.zeros(3))
 
 
+class TestColSum:
+    """`col_sum` against numpy's ``axis=0`` sum of the same array, bit for
+    bit. ``einsum`` adds the rows in the order numpy does only while neither
+    changes its loop; a numpy release that changes either fails here first."""
+
+    @staticmethod
+    def check(a):
+        got, want = kernels.col_sum(a), a.sum(axis=0)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(bits(got), bits(want)), (a.shape, a.strides)
+
+    def test_bitwise_over_the_grid(self):
+        # widths 1 (the fallback) to 40 and three wide ones, on every row
+        # count to 399, as C-contiguous arrays and as every-other-row views
+        rng = np.random.default_rng(18)
+        for k in list(range(1, 41)) + [64, 128, 256]:
+            a = row_inputs(rng, 800, k)
+            for n in range(1, 400):
+                self.check(a[:n])
+                self.check(a[: 2 * n : 2])
+
+    def test_bitwise_on_long_arrays(self):
+        rng = np.random.default_rng(19)
+        for n in (1023, 1024, 1025, 4096, 8192, 51200):
+            for k in (1, 2, 3, 5, 8, 16):
+                a = rng.normal(size=(2 * n, k)) * 10.0 ** rng.integers(-8, 9, size=(2 * n, k))
+                self.check(a[:n])
+                self.check(a[::2])
+
+    def test_other_layouts_and_ranks(self):
+        rng = np.random.default_rng(20)
+        a = rng.normal(size=(37, 9)) * 10.0 ** rng.integers(-8, 9, size=(37, 9))
+        for view in (a.T, np.asfortranarray(a), a[:, 2:7], a[::-1], a.reshape(37, 3, 3), a[0], a[:0]):
+            self.check(view)
+
+    def test_signed_zeros_and_ties(self):
+        self.check(np.full((5, 3), -0.0))
+        self.check(np.array([[-0.0, 0.0, 1.0], [-0.0, -0.0, -1.0]]))
+        self.check(np.array([[1.0, 2.0], [1e16, -1e16], [-1e16, 1e16], [1.0, 2.0]]))
+
+    def test_errors_are_numpys(self):
+        overflow = np.array([[1e308, 1.0], [1e308, 1.0]])
+        opposite = np.array([[np.inf, 1.0], [-np.inf, 1.0]])
+        for a in (overflow, opposite):
+            with np.errstate(over="raise", invalid="raise"):
+                with pytest.raises(FloatingPointError):
+                    kernels.col_sum(a)
+            with np.errstate(all="ignore"):
+                want = a.sum(axis=0)
+            # numpy's default error state warns, as the plain sum does
+            with pytest.warns(RuntimeWarning):
+                got = kernels.col_sum(a)
+            assert np.array_equal(bits(got), bits(want))
+        # an infinite input that adds without error stays silent
+        with np.errstate(over="raise", invalid="raise"):
+            self.check(np.array([[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0]]))
+
+
 class TestNumpyReductionsGiveSameBytes:
     """End to end, training and evaluation write the same bytes whether the
     row kernels or numpy's ``axis=1`` reductions do the reducing."""
 
     NUMPY = {
+        "col_sum": lambda a: a.sum(axis=0),
         "row_sum": lambda a: np.asarray(a).sum(axis=1),
         "row_max": lambda a: np.asarray(a).max(axis=1),
         "softmax_argmax": lambda z: softmax_numpy(z).argmax(axis=1),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cfalign.errors import ContractError, DimensionError
-from cfalign.losses import cross_entropy
+from cfalign.losses import cross_entropy, info_nce
 from cfalign.tensor import (
     EPS,
     ArrayPool,
@@ -357,23 +357,33 @@ class TestArrayPool:
         assert pool.take((2, 3)) is not a and pool.misses == 2
 
     def test_pooled_backward_matches_and_recycles(self):
+        # fan-out: `add` hands one gradient to both uses of `hidden`, and the
+        # logits feed both cross-entropy and info_nce, so adopted scratch,
+        # incoming gradients and accumulated sums all meet at the same inputs
         rng = np.random.default_rng(70)
         shapes = {"x": (6, 3), "w1": (3, 4), "b1": (4,), "w2": (4, 5), "b2": (5,)}
         arrays = {k: rng.normal(size=s) for k, s in shapes.items()}
         labels = np.arange(6) % 5
+        centers = rng.normal(size=(5, 5))
 
         def run(pool):
-            t = {k: Tensor(v.copy(), requires_grad=k != "x") for k, v in arrays.items()}
+            t = {k: Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
             with Graph(pool=pool) as g:
                 hidden = relu(affine(t["x"], t["w1"], t["b1"]))
-                backward(cross_entropy(softmax(affine(hidden, t["w2"], t["b2"])), labels), g)
+                logits = affine(add(hidden, hidden), t["w2"], t["b2"])
+                nce, _ = info_nce(logits, labels, centers)
+                backward(add(cross_entropy(softmax(logits), labels), nce), g)
+            # no two tensors share a gradient array
+            tensors = {id(x): x for node in g.nodes for x in (*node.inputs, node.output)}
+            grads = [x.grad for x in tensors.values() if x.grad is not None]
+            assert len({id(a) for a in grads}) == len(grads)
             return t, g
 
         want, _ = run(None)
         pool = ArrayPool()
         for step in range(3):
             got, g = run(pool)
-            for k in ("w1", "b1", "w2", "b2"):
+            for k in shapes:
                 assert got[k].grad.tobytes() == want[k].grad.tobytes()
             # intermediates went back as backward passed them; the root did not
             assert all(node.output.grad is None for node in g.nodes[:-1])

@@ -11,7 +11,7 @@ from cfalign.adain import adain_transfer, channel_stats, to_pixels
 from cfalign.config import RunConfig
 from cfalign.data import Dataset, Split, SynthSpec, generate_dataset
 from cfalign.errors import DivergenceError
-from cfalign.heads import head_parameters
+from cfalign.heads import HEAD_KINDS, head_parameters
 from cfalign.model import model_features, model_parameters
 from cfalign.tensor import ArrayPool, Tensor
 from cfalign.train import (
@@ -267,3 +267,93 @@ class TestStyleTransfer:
         b, _ = train(tiny_config(style_transfer=True, iterations=0), tiny_data)
         for got, want in zip(model_parameters(a.model), model_parameters(b.model)):
             np.testing.assert_array_equal(got.data, want.data)
+
+
+class TestWholeStepGradient:
+    """`backward` of one whole training step against central differences of
+    the same step's total objective, on every parameter.
+
+    The step is `_step` itself: backbone and classifier for both domains, CE
+    and entropy, the head with training-mode batch norm, the four InfoNCE
+    terms, fan-out from the backbone into all of them, and the pool. One
+    iteration's pseudo-labels and bank rows are frozen as constants, so the
+    total is a smooth function of the parameters. Both loss weights are 1,
+    so every term's gradient counts at the tolerance.
+    """
+
+    H = 1e-6
+    ENTRIES = 8  # sampled from a tensor with more entries than this
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_dataset(SynthSpec(height=4, width=4, classes=3, train_images=6,
+                                          eval_images=1, regions=3, seed=3))
+
+    @staticmethod
+    def config(head):
+        extra = {"normalize_features": True, "include_positive": False} if head == "simclr" else {}
+        return RunConfig(seed=3, iterations=0, hidden_dim=4, feature_dim=3, head=head,
+                         batch_source=2, batch_target=2, lambda_ent=1.0, lambda_contra=1.0,
+                         style_transfer=True, contrastive=True, bank_warm_start=True, **extra)
+
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_backward_matches_central_differences(self, data, head, monkeypatch):
+        cfg = self.config(head)
+        state, _ = train(cfg, data)  # init, frozen style statistics, warm bank
+        params = state.parameters()
+        img_s, lab_s = data.source_train.images[:2], data.source_train.labels[:2].reshape(-1)
+        img_t, diag_t = data.target_train.images[:2], data.target_train.labels[:2].reshape(-1)
+        img_s = adain_transfer(img_s, state.style, cfg.adain_eps)
+
+        frozen = []
+        real_update = train_module._update_bank_and_label
+
+        def update_once(*args):
+            if not frozen:
+                frozen.append(real_update(*args))
+            return frozen[0]
+
+        seen = {}
+        real_backward = train_module.backward
+
+        def spy(root, graph):
+            seen["total"] = root.item()
+            if seen.pop("want_grads", False):
+                real_backward(root, graph)
+                seen["grads"] = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                                 for p in params]
+
+        monkeypatch.setattr(train_module, "_update_bank_and_label", update_once)
+        monkeypatch.setattr(train_module, "backward", spy)
+        pool = ArrayPool()
+
+        def total(want_grads=False):
+            # without `want_grads` no gradient exists, so the step leaves the
+            # parameters alone; with it, they are put back after the step
+            seen["want_grads"] = want_grads
+            before = [p.data.copy() for p in params]
+            with np.errstate(over="raise", invalid="raise"):
+                record = train_module._step(state, params, pool, img_s, lab_s, img_t, diag_t, 0)
+            for p, b in zip(params, before):
+                p.data[...] = b
+            return record, seen["total"]
+
+        record, _ = total(want_grads=True)
+        assert record.contra != 0 and record.labeled_frac > 0
+        assert state.bank.init_source.all() and state.bank.init_target.any()
+        rng = np.random.default_rng(4)
+        for p, analytic in zip(params, seen["grads"]):
+            flat = p.data.reshape(-1)
+            assert np.shares_memory(flat, p.data)  # the steps below see each nudge
+            picks = range(flat.size) if flat.size <= self.ENTRIES else rng.choice(
+                flat.size, self.ENTRIES, replace=False)
+            for i in picks:
+                orig = flat[i]
+                flat[i] = orig + self.H
+                plus = total()[1]
+                flat[i] = orig - self.H
+                minus = total()[1]
+                flat[i] = orig
+                numeric = (plus - minus) / (2 * self.H)
+                a = analytic.reshape(-1)[i]
+                assert abs(a - numeric) <= 1e-6 * max(1.0, abs(a), abs(numeric)), (p.shape, i, a, numeric)
