@@ -205,7 +205,8 @@ def _generate_split(
                     img = img + rng.normal(0.0, spec.target_noise, size=img.shape)
             images[i] = img
             labels[i] = lab
-        if len(np.unique(labels)) == spec.classes:
+        # labels lie in [0, classes): every bin filled means every class occurs
+        if np.bincount(labels.ravel(), minlength=spec.classes).all():
             return Split(images=images, labels=labels)
     raise GenerationError(
         f"could not cover all {spec.classes} classes in {count} {domain} images "

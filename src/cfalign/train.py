@@ -133,9 +133,12 @@ def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
     """Seed the bank's source rows from a full labeled pass over source train.
 
     Uses eval-mode head forwards so batch-norm running statistics stay at
-    their initialization. Source images are transferred first when the run
-    transfers them during training, so the seeded centers live in the same
-    space the loop will populate.
+    their initialization. When the run transfers source images during
+    training, they are transferred here too, but `chunk` images at a time:
+    `adain_transfer` standardizes each chunk by that chunk's own channel
+    statistics, while the loop standardizes each batch by its own. So the
+    seeded centers average features of differently restyled images than the
+    loop folds in, and they change with `chunk`.
     """
     images, labels = data.source_train.images, data.source_train.labels
     sums = np.zeros_like(state.bank.v_source)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from cfalign.errors import ContractError, DimensionError
+from cfalign.losses import info_nce
 from cfalign.tensor import EPS, RunningStats, Tensor, _as_tensor, _unbroadcast, accum, add, record, scale
 
 # ---------------------------------------------------------------------------
@@ -244,6 +245,32 @@ def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, 
         z = reduce_sum(mul(exp(sub(sub(logits, shift), cushion)), keep), axis=1)
     lse = add(log(z), shift.ravel())
     return reduce_mean(sub(lse, pick(logits, pos)))
+
+
+def contrastive_chain(
+    f_source, y_source, f_target, y_target, bank, tau=0.07, include_positive=True, normalize=False, term=None
+):
+    """The four cross-domain InfoNCE terms as separate nodes joined by `add`
+    nodes, each term made by `term(features, labels, centers, mask)`
+    (default: one `losses.info_nce` node); `losses.contrastive_combined`
+    must match it bit for bit."""
+    if term is None:
+
+        def term(f, labels, centers, mask):
+            return info_nce(f, labels, centers, mask, tau, include_positive, normalize)[0]
+
+    total = None
+    for f, y in ((f_source, y_source), (f_target, y_target)):
+        for centers, mask in ((bank.v_source, bank.init_source), (bank.v_target, bank.init_target)):
+            if int(mask.sum()) < (1 if include_positive else 2):
+                continue
+            y = np.asarray(y, dtype=np.int64)
+            keep = y >= 0
+            keep[keep] = mask[y[keep]]
+            if keep.any():
+                t = term(f, np.where(keep, y, -1), centers, mask)
+                total = t if total is None else add(total, t)
+    return total if total is not None else Tensor(0.0)
 
 
 def cross_entropy_chain(pred, labels):

@@ -1,14 +1,17 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import collections
+import functools
 import json
 import math
 import shutil
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from cfalign import cli
 from cfalign.checkpoint import load_checkpoint
 from cfalign.cli import main
 from cfalign.tensor import read_container, write_container
@@ -531,11 +534,14 @@ class TestDivergenceExit:
 
 class TestLoaderFuzz:
     """Seeded byte mutations of a checkpoint and of an eval split, each run
-    through `eval`: at most one stderr line, a documented exit code, and no
-    exception or warning."""
+    through `eval`: at most one stderr line, a documented exit code, no
+    exception or warning, and a tracemalloc peak of at most `PEAK_FACTOR`
+    times the unmutated run's, so no loader allocates what a file declares
+    before checking it."""
 
     MUTANTS = 300
     KINDS = ("truncate", "header", "payload")
+    PEAK_FACTOR = 2.0
 
     @staticmethod
     def mutate(blob: bytes, kind: str, rng) -> bytes:
@@ -552,7 +558,20 @@ class TestLoaderFuzz:
             blob[pos] = int(rng.integers(0, 256))
         return bytes(blob)
 
-    def test_mutants(self, blocked_run, tmp_path, capsys):
+    @staticmethod
+    def traced_main(argv) -> tuple[int, int]:
+        """(exit code, tracemalloc peak above the memory traced before the
+        call) of `quiet_main(argv)`."""
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        code = quiet_main(argv)
+        return code, tracemalloc.get_traced_memory()[1] - before
+
+    def test_mutants(self, blocked_run, tmp_path, capsys, monkeypatch, request):
+        # one parser for every call: building it is most of what tracing
+        # slows down, and it reads no file
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+        cli.build_parser()
         data, checkpoint = blocked_run
         shutil.copytree(data, tmp_path / "data")
         shutil.copy(checkpoint, tmp_path / "checkpoint.bin")
@@ -562,15 +581,21 @@ class TestLoaderFuzz:
         argv = ["eval", "--checkpoint", str(targets[0]), "--data", str(tmp_path / "data"), "--out", str(out)]
         rng = np.random.default_rng(11)
         outcomes = collections.Counter()
+        tracemalloc.start()
+        request.addfinalizer(tracemalloc.stop)
+        code, peak = self.traced_main(argv)
+        assert code == 0
+        ceiling = self.PEAK_FACTOR * peak
         capsys.readouterr()
         for i in range(self.MUTANTS):
             path, kind = targets[i % 2], self.KINDS[i // 2 % 3]
             path.write_bytes(self.mutate(originals[path], kind, rng))
             out.unlink(missing_ok=True)
-            code = quiet_main(argv)
+            code, peak = self.traced_main(argv)
             path.write_bytes(originals[path])
             err = capsys.readouterr().err.splitlines()
             what = f"mutant {i}: {kind} of {path.name} exits {code} with {err}"
+            assert peak <= ceiling, f"{what}, tracemalloc peak {peak} bytes"
             if code == 0:
                 assert not err, what
                 doc = json.loads(out.read_text())

@@ -1,5 +1,6 @@
 """Loss values against hand computations and brute-force oracles, gradients against grad_check."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,8 +16,15 @@ from cfalign.losses import (
     total_objective,
 )
 from cfalign.membank import MemoryBank
-from cfalign.tensor import Graph, Tensor, add, backward, grad_check, scale, softmax
-from chain_ops import cross_entropy_chain, entropy_chain, info_nce_chain, mul, reduce_mean
+from cfalign.tensor import ArrayPool, Graph, Tensor, add, backward, grad_check, scale, softmax
+from chain_ops import (
+    contrastive_chain,
+    cross_entropy_chain,
+    entropy_chain,
+    info_nce_chain,
+    mul,
+    reduce_mean,
+)
 
 
 def info_nce_oracle(f, labels, centers, mask, tau, include_positive=True):
@@ -400,6 +408,74 @@ class TestContrastiveCombined:
 
         x2 = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         assert grad_check(fn_t, x2) < 1e-6
+
+
+def contrastive_case(rng, shape):
+    """A bank, two labeled feature sets and a temperature for one seeded
+    case of `shape`, the part of the input space the case is meant to reach."""
+    c, d = int(rng.integers(3, 10)), int(rng.integers(1, 9))
+    bank = MemoryBank(class_count=c, feature_dim=d)
+    bank.v_source[:] = rng.normal(size=(c, d)) * rng.uniform(0.1, 10.0)
+    bank.v_target[:] = rng.normal(size=(c, d)) * rng.uniform(0.1, 10.0)
+    bank.init_source[:] = True
+    bank.init_target[:] = True
+    if shape in ("same-partial", "differ", "one-row", "none-labeled"):
+        partial = rng.random(c) < 0.6
+        partial[rng.choice(c, size=2, replace=False)] = True
+        bank.init_source[:] = partial
+        bank.init_target[:] = partial
+    if shape == "differ":
+        bank.init_target[:] = rng.random(c) < 0.6
+    n_s, n_t = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+    if shape == "shared":
+        n_t = n_s
+    y_s, y_t = rng.integers(-1, c, size=n_s), rng.integers(-1, c, size=n_t)
+    if shape == "one-row":
+        y_t[:] = -1
+        y_t[rng.integers(0, n_t)] = rng.choice(np.flatnonzero(bank.init_source))
+    if shape == "none-labeled":
+        y_s[:] = -1
+    f_s = rng.normal(size=(n_s, d)) * rng.uniform(0.1, 10.0)
+    f_t = rng.normal(size=(n_t, d)) * rng.uniform(0.1, 10.0)
+    return bank, f_s, y_s, f_t, y_t, float(rng.uniform(0.02, 1.5))
+
+
+CONTRASTIVE_SHAPES = ["full", "same-partial", "differ", "one-row", "none-labeled", "shared"]
+
+
+class TestContrastiveMatchesChain:
+    """`contrastive_combined` is one node whose loss and gradients equal the
+    four-term tape's bit for bit, with each term one `info_nce` node or its
+    11-node chain."""
+
+    @pytest.mark.parametrize("include_positive", [True, False])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("shape", CONTRASTIVE_SHAPES)
+    def test_one_node_bitwise(self, shape, include_positive, normalize):
+        rng = np.random.default_rng([51, CONTRASTIVE_SHAPES.index(shape), include_positive, normalize])
+        flags = dict(include_positive=include_positive, normalize=normalize)
+        for trial in range(12):
+            bank, f_s, y_s, f_t, y_t, tau = contrastive_case(rng, shape)
+            weight = float(rng.uniform(1e-3, 5.0))
+            term = functools.partial(info_nce_chain, tau=tau, **flags)
+            chain = functools.partial(contrastive_chain, term=term)
+            outs = []
+            for fn in (contrastive_combined, contrastive_chain, chain):
+                x_s = Tensor(f_s.copy(), requires_grad=True)
+                x_t = x_s if shape == "shared" else Tensor(f_t.copy(), requires_grad=True)
+                # half the cases draw their scratch from a pool, as training does
+                with Graph(pool=ArrayPool() if trial % 2 else None) as g:
+                    loss = fn(x_s, y_s, x_t, y_t, bank, tau, **flags)
+                    if loss.requires_grad:
+                        backward(scale(loss, weight), g)
+                outs.append((loss.data, x_s.grad, x_t.grad, len(g) if loss.requires_grad else None))
+            (got, got_s, got_t, nodes), *chains = outs
+            assert nodes in (2, None)  # one node plus the scale, or a constant 0
+            for want, want_s, want_t, _ in chains:
+                assert np.array_equal(got, want)
+                for a, b in ((got_s, want_s), (got_t, want_t)):
+                    assert (a is None) == (b is None)
+                    assert a is None or np.array_equal(a, b)
 
 
 class TestTotalObjective:

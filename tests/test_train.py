@@ -189,7 +189,7 @@ class TestTapeSize:
     these counts.
     """
 
-    @pytest.mark.parametrize("overrides, nodes", list(zip(TAPE_CONFIGS, [15, 23, 31, 33])), ids=TAPE_IDS)
+    @pytest.mark.parametrize("overrides, nodes", list(zip(TAPE_CONFIGS, [15, 17, 25, 27])), ids=TAPE_IDS)
     def test_nodes_per_iteration(self, tiny_data, monkeypatch, overrides, nodes):
         counts = []
         real = train_module.backward
