@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -192,6 +193,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cfalign",

@@ -105,7 +105,6 @@ class RunConfig:
     head_out_dim: int | None = None
     include_positive: bool = True
     normalize_features: bool = False
-    bank_warm_start: bool = False
     # backbone
     hidden_dim: int = 16
     feature_dim: int = 8
@@ -125,6 +124,10 @@ class RunConfig:
             (0.0 <= self.alpha <= 1.0, "alpha must lie in [0, 1]"),
             (self.threshold >= 0, "threshold must be nonnegative"),
             (self.head in HEAD_KINDS, f"head must be one of {HEAD_KINDS}"),
+            # -pos + logsumexp(negatives) falls without limit as features grow
+            (not self.contrastive or self.include_positive or self.normalize_features,
+             "include_positive=false needs normalize_features: the exclude-positive "
+             "loss has no lower bound without normalization"),
             (self.hidden_dim >= 1, "hidden_dim must be at least 1"),
             (self.feature_dim >= 1, "feature_dim must be at least 1"),
             (self.head_hidden_dim is None or self.head_hidden_dim >= 1, "head_hidden_dim must be at least 1"),

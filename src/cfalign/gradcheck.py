@@ -88,10 +88,7 @@ def _make_head_case(kind: str):
         mask = np.ones(c, dtype=bool)
         labels = _labels(rng, n, c)
         x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
-        return (
-            lambda f: info_nce(head_forward(head, f, training=True), labels, centers, mask, tau=0.07)[0],
-            x,
-        )
+        return lambda f: info_nce(head_forward(head, f), labels, centers, mask, tau=0.07)[0], x
 
     return case
 

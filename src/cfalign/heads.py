@@ -1,12 +1,11 @@
 """Projection heads remapping backbone features before the contrastive loss.
 
-Three architectures, selected by name:
+Two architectures, selected by name:
 
-==========  ==================================================
-``none``    identity
-``byol``    Linear, BatchNorm, ReLU, Linear
-``simclr``  Linear, BatchNorm, ReLU, Linear, BatchNorm
-==========  ==================================================
+========  ==================================================
+``none``  identity
+``byol``  Linear, BatchNorm, ReLU, Linear
+========  ==================================================
 
 Weights and biases draw from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in));
 batch norms use eps 1e-5 and running-stat momentum 0.1.
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .tensor import RunningStats, Tensor, affine, batch_norm, relu
 
-HEAD_KINDS = ("none", "byol", "simclr")
+HEAD_KINDS = ("none", "byol")
 
 __all__ = [
     "HEAD_KINDS", "Head", "LinearLayer", "BatchNormLayer",
@@ -81,7 +80,6 @@ def head_plan(kind: str, d_in: int, d_hidden: int | None = None, d_out: int | No
     return {
         "none": [],
         "byol": [first, ("bn", d_hidden), "relu", second],
-        "simclr": [first, ("bn", d_hidden), "relu", second, ("bn", d_out)],
     }[kind]
 
 
@@ -107,7 +105,7 @@ def build_head(
     return Head(d_in, plan[-1][-1] if plan else d_in, layers)
 
 
-def head_forward(head: Head, x: Tensor, training: bool = True) -> Tensor:
+def head_forward(head: Head, x: Tensor) -> Tensor:
     """Apply the head to (n, d_in) features; the `none` head returns x as is."""
     if x.data.ndim != 2 or x.data.shape[1] != head.d_in:
         raise DimensionError(f"head expects (n, {head.d_in}) features, got {x.data.shape}")
@@ -118,9 +116,7 @@ def head_forward(head: Head, x: Tensor, training: bool = True) -> Tensor:
         elif isinstance(layer, LinearLayer):
             out = affine(out, layer.weight, layer.bias)
         else:
-            out = batch_norm(
-                out, layer.gamma, layer.beta, running=layer.running, eps=layer.eps, training=training
-            )
+            out = batch_norm(out, layer.gamma, layer.beta, running=layer.running, eps=layer.eps)
     return out
 
 

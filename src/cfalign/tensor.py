@@ -13,7 +13,7 @@ its standard deviation is clamped below by ``EPS``.
 
 Buffer contract. A graph may carry an :class:`ArrayPool`; training gives
 each step's graph the one pool of its run. Under a pooled graph, the output
-arrays of the recorded layers (``affine``, ``relu``, ``softmax``, training
+arrays of the recorded layers (``affine``, ``relu``, ``softmax``,
 ``batch_norm``), every gradient :func:`accum` allocates and the full-size
 scratch of the relu, affine and loss backwards come from the pool. Such a
 scratch array becomes the input's gradient when it is the first to reach
@@ -333,7 +333,11 @@ def softmax(x: Tensor) -> Tensor:
 
 @dataclass
 class RunningStats:
-    """Exponential running mean/variance for eval-mode batch norm."""
+    """Exponential running mean/variance of a batch norm's batches.
+
+    Training folds each batch into them and checkpoints keep them; no code
+    in the package reads them back.
+    """
 
     mean: np.ndarray
     var: np.ndarray
@@ -350,13 +354,12 @@ def batch_norm(
     beta: Tensor,
     running: RunningStats | None = None,
     eps: float = 1e-5,
-    training: bool = True,
 ) -> Tensor:
-    """Normalize columns of an (n, d) tensor.
+    """Normalize columns of an (n, d) tensor by the batch mean and population
+    variance, fold them into `running` and record one node.
 
-    Training mode normalizes by the batch mean and population variance,
-    folds them into `running` and records one node. Eval mode normalizes by
-    the running statistics and is forward-only: it records no node.
+    The running statistics are written to checkpoints, but nothing in the
+    package reads them: every forward normalizes by its own batch.
     """
     if x.data.ndim != 2:
         raise DimensionError(f"batch_norm needs an (n, d) tensor, got shape {x.data.shape}")
@@ -365,11 +368,6 @@ def batch_norm(
         raise DimensionError(
             f"batch_norm scale/shift must have shape ({d},), got {gamma.data.shape} and {beta.data.shape}"
         )
-    if not training:
-        if running is None:
-            raise ContractError("eval-mode batch_norm needs running statistics")
-        inv = 1.0 / np.sqrt(running.var + eps)
-        return Tensor(gamma.data * ((x.data - running.mean) * inv) + beta.data)
     n = x.data.shape[0]
     # bitwise `mean(axis=0)`, which divides the same sum by n
     m = col_sum(x.data) / n

@@ -30,7 +30,7 @@ from .config import RunConfig
 from .data import Dataset
 from .errors import DivergenceError
 from .heads import Head, build_head, head_forward, head_parameters
-from .kernels import label_sums
+from .kernels import label_sums  # noqa: F401  not called here; perfbench/tracer.py wraps cfalign.train.label_sums
 from .losses import contrastive_combined, cross_entropy, entropy_loss, total_objective
 from .membank import (
     MemoryBank,
@@ -50,7 +50,6 @@ __all__ = [
     "train",
     "metrics_to_csv",
     "save_metrics_csv",
-    "warm_start_banks",
 ]
 
 METRICS_COLUMNS = ("iteration", "ce", "entropy", "contra", "total", "pseudo_acc", "labeled_frac")
@@ -129,37 +128,6 @@ def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
     )
 
 
-def warm_start_banks(state: TrainState, data: Dataset, chunk: int = 32) -> None:
-    """Seed the bank's source rows from a full labeled pass over source train.
-
-    Uses eval-mode head forwards so batch-norm running statistics stay at
-    their initialization. When the run transfers source images during
-    training, they are transferred here too, but `chunk` images at a time:
-    `adain_transfer` standardizes each chunk by that chunk's own channel
-    statistics, while the loop standardizes each batch by its own. So the
-    seeded centers average features of differently restyled images than the
-    loop folds in, and they change with `chunk`.
-    """
-    images, labels = data.source_train.images, data.source_train.labels
-    sums = np.zeros_like(state.bank.v_source)
-    counts = np.zeros(state.classes, dtype=np.int64)
-    for start in range(0, len(images), chunk):
-        img = images[start : start + chunk]
-        if state.style is not None:
-            img = adain_transfer(img, state.style, state.config.adain_eps)
-        lab = labels[start : start + chunk].reshape(-1)
-        f = model_features(state.model, Tensor(to_pixels(img)))
-        h = head_forward(state.head, f, training=False)
-        # each block's columns summed apart: every bin adds the same rows in
-        # the same order as one pass over the joined rows would
-        parts = [label_sums(block, lab, state.classes) for block in state.bank_rows(f.data, h.data)]
-        sums = sums + np.hstack([s for s, _ in parts])
-        counts += parts[0][1]
-    present = counts > 0
-    state.bank.v_source[present] = sums[present] / counts[present, None]
-    state.bank.init_source[present] = True
-
-
 def _update_bank_and_label(state: TrainState, f_s, h_s, lab_s, f_t, h_t) -> np.ndarray:
     """One iteration of bank bookkeeping; returns target pseudo-labels.
 
@@ -203,8 +171,8 @@ def _step(
         if cfg.entropy:
             ent = entropy_loss(model_probs(state.model, f_t))
         if cfg.contrastive:
-            h_s = head_forward(state.head, f_s, training=True)
-            h_t = head_forward(state.head, f_t, training=True)
+            h_s = head_forward(state.head, f_s)
+            h_t = head_forward(state.head, f_t)
             pseudo = _update_bank_and_label(state, f_s, h_s, lab_s, f_t, h_t)
             contra = contrastive_combined(
                 h_s,
@@ -250,8 +218,6 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
     if config.style_transfer:
         # frozen once, over the whole target training split
         state.style = channel_stats(data.target_train.images)
-    if config.contrastive and config.bank_warm_start:
-        warm_start_banks(state, data)
     params = state.parameters()
     rng_batch = np.random.default_rng([config.seed, 1])
     n_s = len(data.source_train.images)

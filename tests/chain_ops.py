@@ -200,23 +200,18 @@ def batch_norm_chain(
     beta: Tensor,
     running: RunningStats | None = None,
     eps: float = 1e-5,
-    training: bool = True,
 ) -> Tensor:
     """Batch norm as the 9-node chain mean, sub, mul, mean, add, sqrt, div,
-    mul, add in training mode and the 4-node chain sub, mul, mul, add in eval
-    mode; `tensor.batch_norm` must match it bit for bit."""
-    if training:
-        m = reduce_mean(x, axis=0)
-        centered = sub(x, m)
-        v = reduce_mean(mul(centered, centered), axis=0)
-        if running is not None:
-            k = running.momentum
-            running.mean = (1.0 - k) * running.mean + k * m.data
-            running.var = (1.0 - k) * running.var + k * v.data
-        denom = sqrt(add(v, eps))
-        return add(mul(gamma, div(centered, denom)), beta)
-    inv = 1.0 / np.sqrt(running.var + eps)
-    return add(mul(gamma, mul(sub(x, running.mean), inv)), beta)
+    mul, add; `tensor.batch_norm` must match it bit for bit."""
+    m = reduce_mean(x, axis=0)
+    centered = sub(x, m)
+    v = reduce_mean(mul(centered, centered), axis=0)
+    if running is not None:
+        k = running.momentum
+        running.mean = (1.0 - k) * running.mean + k * m.data
+        running.var = (1.0 - k) * running.var + k * v.data
+    denom = sqrt(add(v, eps))
+    return add(mul(gamma, div(centered, denom)), beta)
 
 
 def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, normalize=False):

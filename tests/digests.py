@@ -35,11 +35,8 @@ CONFIGS = {
     "default": [],
     "full": _FULL,
     "full-byol": _FULL + ["--head", "byol"],
-    "full-simclr-normalize-warm-nopos": _FULL + [
-        "--head", "simclr", "--normalize-features", "--bank-warm-start", "--no-include-positive"
-    ],
-    "full-simclr-nopos": _FULL + ["--head", "simclr", "--no-include-positive"],
-    "full-warm": _FULL + ["--bank-warm-start"],
+    "full-byol-normalize-nopos": _FULL + ["--head", "byol", "--normalize-features", "--no-include-positive"],
+    "full-normalize-nopos": _FULL + ["--normalize-features", "--no-include-positive"],
 }
 
 

@@ -199,8 +199,9 @@ class TestStyleEcho:
 
     def test_removed_style_net_keys_in_echo_ignored(self, tiny_data, tmp_path, dataset_dir, capsys):
         # files written before the style-net route was removed echo its five
-        # keys, and files written before the transfer direction was fixed
-        # echo transfer_direction
+        # keys, files written before the transfer direction was fixed echo
+        # transfer_direction, and files written while the bank could be warm
+        # started echo bank_warm_start
         path, header, arrays = self.saved(tiny_data, tmp_path)
         assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir)]) == 0
         plain = capsys.readouterr().out
@@ -208,6 +209,7 @@ class TestStyleEcho:
             dict(style_net=False, style_net_dim=8, style_iters=200, style_weight=1.0, style_lr=0.05),
             dict(transfer_direction="source_to_target"),
             dict(transfer_direction="target_to_source"),
+            dict(bank_warm_start=True),
         ):
             old = tmp_path / "old.bin"
             write_container(old, {**header, "config": {**header["config"], **removed}}, arrays)
@@ -323,7 +325,8 @@ class TestCorruption:
         path, header, arrays = saved
         # a head kind that was removed reads as any other bad value
         for key, value, message in (("iterations", "x", "iterations must be an integer"),
-                                    ("head", "linear", "head must be one of")):
+                                    ("head", "linear", "head must be one of"),
+                                    ("head", "simclr", "head must be one of")):
             write_container(path, {**header, "config": {**header["config"], key: value}}, arrays)
             with pytest.raises(ConfigError, match=message):
                 load_checkpoint(path)

@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import collections
-import functools
 import json
 import math
 import shutil
@@ -162,7 +161,8 @@ class TestTrain:
 
     def test_bad_value_exits_2(self, dataset_dir, tmp_path, capsys):
         # "moco" was a head kind once; it now reads as any other bad value
-        for flags, needle in ((["--tau", "-1"], "tau"), (["--head", "moco"], "head must be one of")):
+        for flags, needle in ((["--tau", "-1"], "tau"), (["--head", "moco"], "head must be one of"),
+                              (["--contrastive", "--no-include-positive"], "no lower bound")):
             code = main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x")]
                         + flags + TINY_RUN_FLAGS)
             assert code == 2
@@ -567,11 +567,8 @@ class TestLoaderFuzz:
         code = quiet_main(argv)
         return code, tracemalloc.get_traced_memory()[1] - before
 
-    def test_mutants(self, blocked_run, tmp_path, capsys, monkeypatch, request):
-        # one parser for every call: building it is most of what tracing
-        # slows down, and it reads no file
-        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
-        cli.build_parser()
+    def test_mutants(self, blocked_run, tmp_path, capsys, request):
+        cli.build_parser()  # cached per process: built here, outside the traced calls
         data, checkpoint = blocked_run
         shutil.copytree(data, tmp_path / "data")
         shutil.copy(checkpoint, tmp_path / "checkpoint.bin")

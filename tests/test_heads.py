@@ -36,10 +36,7 @@ class TestStructure:
     def test_byol_param_count(self):
         assert param_count(build_head("byol", 4, rng=0)) == 20 + 8 + 20
 
-    def test_simclr_param_count(self):
-        assert param_count(build_head("simclr", 4, rng=0)) == 20 + 8 + 20 + 8
-
-    @pytest.mark.parametrize("kind", ["none", "byol", "simclr"])
+    @pytest.mark.parametrize("kind", ["none", "byol"])
     def test_output_shape(self, kind):
         head = build_head(kind, 6, d_hidden=5, d_out=3, rng=1)
         x = Tensor(np.random.default_rng(2).normal(size=(7, 6)))
@@ -47,16 +44,11 @@ class TestStructure:
         assert head_forward(head, x).data.shape == (7, expected)
 
     def test_layer_sequence_matches_table(self):
-        kinds = {
-            "byol": [LinearLayer, BatchNormLayer, str, LinearLayer],
-            "simclr": [LinearLayer, BatchNormLayer, str, LinearLayer, BatchNormLayer],
-        }
-        for kind, types in kinds.items():
-            head = build_head(kind, 4, rng=0)
-            assert [type(l) for l in head.layers] == types
+        head = build_head("byol", 4, rng=0)
+        assert [type(l) for l in head.layers] == [LinearLayer, BatchNormLayer, str, LinearLayer]
 
     def test_unknown_kind_rejected(self):
-        for kind in ("resnet", "linear", "moco"):  # the last two were heads once
+        for kind in ("resnet", "linear", "moco", "simclr"):  # the last three were heads once
             with pytest.raises(ConfigError):
                 build_head(kind, 4)
 
@@ -75,8 +67,8 @@ class TestInitialization:
         assert np.abs(second.weight.data).max() <= 1 / 3.0
 
     def test_seeded_build_is_reproducible(self):
-        a = build_head("simclr", 5, rng=7)
-        b = build_head("simclr", 5, rng=7)
+        a = build_head("byol", 5, rng=7)
+        b = build_head("byol", 5, rng=7)
         for pa, pb in zip(head_parameters(a), head_parameters(b)):
             np.testing.assert_array_equal(pa.data, pb.data)
 
@@ -88,37 +80,26 @@ class TestInitialization:
 
 
 class TestForwardModes:
-    def test_eval_mode_is_rowwise(self):
-        # after warming running stats, a row's eval output must not depend on batch mates
-        rng = np.random.default_rng(4)
-        head = build_head("simclr", 3, rng=5)
-        head_forward(head, Tensor(rng.normal(size=(64, 3))), training=True)
-        row = rng.normal(size=(1, 3))
-        alone = head_forward(head, Tensor(row), training=False).data
-        batch = np.vstack([row, rng.normal(size=(9, 3))])
-        together = head_forward(head, Tensor(batch), training=False).data[:1]
-        np.testing.assert_allclose(alone, together, atol=1e-12)
-
     def test_train_mode_updates_running_stats(self):
         head = build_head("byol", 3, rng=6)
         bn = head.layers[1]
         before = bn.running.mean.copy()
-        head_forward(head, Tensor(np.random.default_rng(7).normal(size=(32, 3)) + 5.0), training=True)
+        head_forward(head, Tensor(np.random.default_rng(7).normal(size=(32, 3)) + 5.0))
         assert not np.allclose(bn.running.mean, before)
 
-    @pytest.mark.parametrize("kind", ["byol", "simclr"])
+    @pytest.mark.parametrize("kind", ["byol"])
     def test_gradients_reach_every_parameter(self, kind):
         rng = np.random.default_rng(8)
         head = build_head(kind, 4, rng=9)
         x = Tensor(rng.normal(size=(6, 4)))
         with Graph() as g:
-            out = head_forward(head, x, training=True)
+            out = head_forward(head, x)
             root = reduce_mean(mul(out, out))
             backward(root, g)
         for p in head_parameters(head):
             assert p.grad is not None and p.grad.shape == p.data.shape
 
-    @pytest.mark.parametrize("kind", ["none", "byol", "simclr"])
+    @pytest.mark.parametrize("kind", ["none", "byol"])
     def test_loss_through_head_gradient(self, kind):
         rng = np.random.default_rng(10)
         head = build_head(kind, 4, d_out=3, rng=11)
@@ -127,7 +108,7 @@ class TestForwardModes:
         labels = np.array([0, 2, 1, -1, 0])
 
         def fn(x):
-            loss, _ = info_nce(head_forward(head, x, training=True), labels, centers, tau=0.3)
+            loss, _ = info_nce(head_forward(head, x), labels, centers, tau=0.3)
             return loss
 
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
@@ -150,8 +131,8 @@ class TestChainBatchNormGivesSameBytes:
         for normalize in (False, True):
             cfg = RunConfig(
                 seed=7, iterations=30, hidden_dim=12, feature_dim=8, head=head,
-                style_transfer=True, contrastive=True, bank_warm_start=True,
-                normalize_features=normalize, include_positive=normalize,
+                style_transfer=True, contrastive=True,
+                normalize_features=normalize, include_positive=not normalize,
             )
             state, records = train(cfg, data)
             docs.append(metrics_to_csv(records) + eval_to_json(evaluate(state, data.target_eval), cfg))
@@ -160,16 +141,16 @@ class TestChainBatchNormGivesSameBytes:
                     docs.append(layer.running.mean.tobytes() + layer.running.var.tobytes())
         return docs
 
-    @pytest.mark.parametrize("head", ["byol", "simclr"])
+    @pytest.mark.parametrize("head", ["byol"])
     def test_outputs_unchanged(self, data, head, monkeypatch):
         fused = self.outputs(data, head)
         calls = []
 
         def chain(*args, **kwargs):
-            calls.append(kwargs["training"])
+            calls.append(args)
             return batch_norm_chain(*args, **kwargs)
 
         monkeypatch.setattr(heads_module, "batch_norm", chain)
         assert self.outputs(data, head) == fused
-        assert True in calls and False in calls  # training steps and the warm start
+        assert calls  # the heads ran the chain
 

@@ -427,16 +427,6 @@ class TestBatchNorm:
         np.testing.assert_allclose(running.mean, [0.1])  # 0.9*0 + 0.1*1
         np.testing.assert_allclose(running.var, [1.0])  # 0.9*1 + 0.1*1
 
-    def test_eval_mode_uses_running_stats(self):
-        running = RunningStats(mean=np.array([2.0]), var=np.array([4.0]))
-        x = Tensor([[4.0]])
-        y = batch_norm(x, Tensor([1.0]), Tensor([0.0]), running=running, eps=0.0, training=False)
-        np.testing.assert_allclose(y.data, [[1.0]])
-
-    def test_eval_mode_without_stats_rejected(self):
-        with pytest.raises(ContractError):
-            batch_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]), training=False)
-
     def test_train_mode_gradient(self):
         rng = np.random.default_rng(7)
         gamma = Tensor(rng.normal(size=4) + 1.0)
@@ -489,7 +479,7 @@ class TestBatchNormMatchesChain:
         return case
 
     @staticmethod
-    def run(bn, case, training=True, trainable=("x", "gamma", "beta")):
+    def run(bn, case, trainable=("x", "gamma", "beta")):
         """Everything `bn` leaves behind, with `case["upstream"]` seeded as the
         output's gradient and the tape replayed in reverse."""
         leaves = {}
@@ -500,18 +490,17 @@ class TestBatchNormMatchesChain:
         x, gamma, beta = leaves.values()
         running = RunningStats(case["mean"].copy(), case["var"].copy(), case["momentum"])
         with Graph() as g:
-            out = bn(x, gamma, beta, running=running, eps=case["eps"], training=training)
-        if g.nodes:
-            out.grad = case["upstream"].copy()
-            for node in reversed(g.nodes):
-                if node.output.grad is not None:
-                    node.backward(node.output.grad)
+            out = bn(x, gamma, beta, running=running, eps=case["eps"])
+        out.grad = case["upstream"].copy()
+        for node in reversed(g.nodes):
+            if node.output.grad is not None:
+                node.backward(node.output.grad)
         kept = (out.data, x.grad, gamma.grad, beta.grad, running.mean, running.var)
         return kept, [node.tag for node in g.nodes]
 
-    def check(self, case, training=True, trainable=("x", "gamma", "beta")):
-        got, tags = self.run(batch_norm, case, training, trainable)
-        want, chain_tags = self.run(batch_norm_chain, case, training, trainable)
+    def check(self, case, trainable=("x", "gamma", "beta")):
+        got, tags = self.run(batch_norm, case, trainable)
+        want, chain_tags = self.run(batch_norm_chain, case, trainable)
         for name, a, b in zip(("out", "x", "gamma", "beta", "running.mean", "running.var"), got, want):
             assert same_bits(a, b), name
         return tags, chain_tags
@@ -522,26 +511,10 @@ class TestBatchNormMatchesChain:
         for i in range(1500):
             n = 1 if i % 10 == 0 else int(rng.integers(1, 301))
             trainable = subsets[i % len(subsets)]
-            tags, chain_tags = self.check(self.draw(rng, n, int(rng.integers(1, 21))), True, trainable)
+            tags, chain_tags = self.check(self.draw(rng, n, int(rng.integers(1, 21))), trainable)
             assert tags == ["batch_norm"]
             if "x" in trainable:
                 assert chain_tags == ["mean", "sub", "mul", "mean", "add", "sqrt", "div", "mul", "add"]
-
-    def test_eval_mode_is_forward_only(self):
-        rng = np.random.default_rng(71)
-        for i in range(100):
-            case = self.draw(rng, 1 if i % 10 == 0 else int(rng.integers(1, 301)), int(rng.integers(1, 21)))
-            (out, *_, mean, var), tags = self.run(batch_norm, case, training=False)
-            (want, *_), chain_tags = self.run(batch_norm_chain, case, training=False)
-            assert same_bits(out, want)
-            assert same_bits(mean, case["mean"]) and same_bits(var, case["var"])
-            assert tags == [] and chain_tags == ["sub", "mul", "mul", "add"]
-
-    def test_eval_output_needs_no_gradient(self):
-        x = Tensor(np.ones((2, 3)), requires_grad=True)
-        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
-        out = batch_norm(x, gamma, beta, running=RunningStats.for_dim(3), training=False)
-        assert not out.requires_grad
 
 
 class TestGradCheck:
