@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .heads import HEAD_KINDS, build_head, head_forward
-from .losses import contrastive_combined, cross_entropy, entropy_loss, info_nce
+from .losses import contrastive_combined, cross_entropy, entropy_from_logits, entropy_loss, info_nce
 from .membank import MemoryBank
 from .tensor import Tensor, add, affine, grad_check, softmax
 
@@ -30,12 +30,27 @@ def _case_cross_entropy(rng):
     n, c = 6, 4
     labels = _labels(rng, n, c)
     x = Tensor(rng.normal(size=(n, c)), requires_grad=True)
-    return lambda z: cross_entropy(softmax(z), labels), x
+    return lambda z: cross_entropy(z, labels), x
+
+
+def _case_saturated_cross_entropy(rng):
+    """Each row has one logit 40 above the rest, and most labels name another
+    class: the regime where a log of clamped probabilities lost the gradient."""
+    n, c = 6, 4
+    labels = _labels(rng, n, c)
+    z = rng.normal(size=(n, c))
+    z[np.arange(n), rng.integers(0, c, size=n)] += 40.0
+    return lambda t: cross_entropy(t, labels), Tensor(z, requires_grad=True)
 
 
 def _case_entropy(rng):
     x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     return lambda z: entropy_loss(softmax(z)), x
+
+
+def _case_entropy_from_logits(rng):
+    x = Tensor(rng.normal(size=(6, 4)) * 3.0, requires_grad=True)
+    return entropy_from_logits, x
 
 
 def _make_info_nce_case(**flags):
@@ -106,8 +121,8 @@ def _make_affine_case(part: str):
 
         def fn(t):
             params = {**layer, part: t}
-            p = softmax(affine(feats, params["weight"], params["bias"]))
-            return add(cross_entropy(p, labels), entropy_loss(p))
+            z = affine(feats, params["weight"], params["bias"])
+            return add(cross_entropy(z, labels), entropy_from_logits(z))
 
         return fn, x
 
@@ -126,6 +141,8 @@ BATTERY_CASES = [
     ("info_nce/normalize", _make_info_nce_case(normalize=True)),
     ("affine/weight", _make_affine_case("weight")),
     ("affine/bias", _make_affine_case("bias")),
+    ("cross_entropy/saturated", _case_saturated_cross_entropy),
+    ("entropy_from_logits", _case_entropy_from_logits),
 ]
 
 

@@ -5,10 +5,10 @@ counting.
 Most arrays on the hot paths are narrow: one row per pixel and a handful of
 columns (classes, centers, feature dims). A numpy reduction along ``axis=1``
 of such an array makes one inner-loop call per row, so its cost is per row,
-not per element. The row kernels `row_sum`, `row_max` and `softmax_argmax`,
-and `nearest_two`, instead walk an (n, k) array in blocks of `_BLOCK` rows
-and copy each block once into a contiguous (k, rows) scratch array; every
-step is then one numpy call over a whole block.
+not per element. The row kernels `row_sum`, `row_max`, `softmax_argmax` and
+`log_softmax`, and `nearest_two`, instead walk an (n, k) array in blocks of
+`_BLOCK` rows and copy each block once into a contiguous (k, rows) scratch
+array; every step is then one numpy call over a whole block.
 
 Each row kernel repeats numpy's ``axis=1`` result for a C-contiguous array
 bit for bit. `_row_sums` adds the k columns in the order numpy's pairwise
@@ -18,6 +18,8 @@ sum adds a length-k row, so `row_sum` and `nearest_two`'s distances equal
 a numpy release changes that order. `row_max` is exact because a maximum
 does not round; only the sign of a zero maximum of a row holding both 0.0
 and -0.0 is left open, as numpy's SIMD lane order leaves it.
+`log_softmax` is its ``axis=1`` form ``z - m - log(exp(z - m).sum(axis=1))``
+with m the row max, up to that same sign of a zero.
 `softmax_argmax` and `nearest_two` resolve ties to the lowest index, as
 ``argmax`` and ``argmin`` do. Inputs must be free of NaN: a NaN row gets an
 unspecified result.
@@ -47,6 +49,7 @@ __all__ = [
     "row_sum",
     "row_max",
     "softmax_argmax",
+    "log_softmax",
     "nearest_two",
     "label_sums",
     "confusion",
@@ -71,17 +74,21 @@ def _i64c(a: np.ndarray) -> np.ndarray:
 _BLOCK = 4096
 
 
-def _column_blocks(a: np.ndarray):
+def _column_blocks(a: np.ndarray, pad: int = 8):
     """Yield (lo, hi, cols) for each block of rows of the 2-d `a`, where
     cols[j] is column j of rows lo:hi as a contiguous float64 row. One
-    scratch array serves every block, so cols is only valid until the next."""
+    scratch array serves every block, so cols is only valid until the next.
+
+    Each row of the scratch has `pad` spare columns: a row stride that is a
+    multiple of 4 KiB maps every row, and a caller's same-shaped scratch,
+    onto the same cache sets. With no padding, cols is one contiguous array,
+    on which a numpy call over a narrow block costs about half as much."""
     n, k = a.shape
-    # 8 spare columns: a row stride that is a multiple of 4 KiB maps every
-    # row, and a caller's same-shaped scratch, onto the same cache sets
-    scratch = np.empty((k, min(n, _BLOCK) + 8))
+    flat = np.empty(k * (min(n, _BLOCK) + pad))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        cols = scratch[:, : hi - lo]
+        w = hi - lo
+        cols = flat[: k * (w + pad)].reshape(k, w + pad)[:, :w]
         np.copyto(cols, a[lo:hi].T)
         yield lo, hi, cols
 
@@ -210,6 +217,36 @@ def softmax_argmax(z: np.ndarray) -> np.ndarray:
         np.divide(cols, _row_sums(cols), out=cols)
         _argmax_scan(cols, idx[lo:hi], scratch)
     return idx
+
+
+def log_softmax(z: np.ndarray, out: np.ndarray, entropy: bool = False) -> np.ndarray | None:
+    """Write the log-softmax rows of the (n, k) logits `z`, k >= 1, into the
+    (n, k) array `out`: ``z - max - log(sum(exp(z - max)))`` per row. With
+    `entropy`, also return each row's ``sum(p * log p)``.
+
+    Each block is copied to column-major once, and the row max, the
+    log-sum-exp and the entropy sum all come from that copy. The shifted
+    exponentials are at most 1 and their sum at least 1, so no log is
+    clamped: the row [0, 800] gives log-probabilities -800 and 0 exactly.
+    """
+    z = _rows(z, "log_softmax", need_column=True)
+    n, k = z.shape
+    m = min(n, _BLOCK)
+    top, scratch = np.empty(m), np.empty(k * m)
+    plogp = np.empty(n) if entropy else None
+    for lo, hi, cols in _column_blocks(z, pad=0):
+        t, e = top[: hi - lo], scratch[: cols.size].reshape(cols.shape)
+        _max_scan(cols, t)
+        np.subtract(cols, t, out=cols)
+        np.exp(cols, out=e)
+        s = _row_sums(e)
+        np.subtract(cols, np.log(s), out=cols)
+        if entropy:
+            # sum(p * log p) = sum(exp(z - max) * log p) / s
+            np.multiply(e, cols, out=e)
+            np.divide(_row_sums(e), s, out=plogp[lo:hi])
+        np.copyto(out[lo:hi], cols.T)
+    return plogp
 
 
 def nearest_two(features: np.ndarray, centers: np.ndarray):

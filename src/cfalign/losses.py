@@ -4,8 +4,15 @@ All losses return scalar tensors on the active graph. Class centers enter as
 plain numpy constants so no gradient ever flows into the memory bank, and
 pixels labeled ``-1`` are excluded everywhere. InfoNCE is computed through a
 max-shifted log-sum-exp, so temperatures as small as 1e-2 stay finite. Each
-loss records one tape node whose backward repeats the rounding of the per-op
-chain it replaced; the chains are kept in ``tests/chain_ops.py``.
+loss records one tape node with a hand-written backward.
+
+`cross_entropy` and `entropy_from_logits` read the classifier's logits and
+work from their log-softmax (`kernels.log_softmax`), so no probability is
+clamped and a saturated row keeps its exact loss and gradient. They agree
+with softmax followed by the per-op probability chains of
+``tests/chain_ops.py`` to within 1e-12 at moderate logits. `entropy_loss`
+keeps the probability-row form with its log clamp, and its backward and
+InfoNCE's repeat the rounding of the per-op chains they replaced.
 
 The fine alignment's four InfoNCE terms (two feature sets against two center
 tables) are one node too, and `info_nce` is its one-term case. The bits of
@@ -33,51 +40,64 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .kernels import _max_scan, _row_sums, row_sum
+from .kernels import _max_scan, _row_sums, log_softmax, row_sum
 from .membank import MemoryBank
-from .tensor import EPS, Tensor, accum, accum_scratch, add, buffer, record, scale
+from .tensor import EPS, Tensor, accum, accum_scratch, add, buffer, record, release, scale
 
 __all__ = [
     "LossBreakdown",
     "cross_entropy",
     "entropy_loss",
+    "entropy_from_logits",
     "info_nce",
     "contrastive_combined",
     "total_objective",
 ]
 
 
-def cross_entropy(pred: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean of -log pred[i, labels[i]] over rows with labels >= 0.
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean of ``-log softmax(logits)[i, labels[i]]`` over rows with labels >= 0.
 
-    `pred` rows are caller-guaranteed probability vectors; the log is clamped
-    so a zero probability yields a large finite loss instead of inf.
+    It is computed from log-softmax, ``lse(z_i) - z_i[y_i]``, so no
+    probability is clamped: logits [0, 40] with label 0 give 40, with
+    gradient [-1, 1]. The backward is ``(p - onehot) / m`` on the m labeled
+    rows and 0 on the others.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if pred.data.ndim != 2 or labels.shape != (pred.data.shape[0],):
+    z = logits.data
+    if z.ndim != 2 or labels.shape != (z.shape[0],):
         raise DimensionError(
-            f"cross_entropy needs (n,c) predictions and (n,) labels, got {pred.data.shape} and {labels.shape}"
+            f"cross_entropy needs (n,c) logits and (n,) labels, got {z.shape} and {labels.shape}"
         )
     labeled = np.flatnonzero(labels >= 0)
     if labeled.size == 0:
         raise ContractError("cross_entropy needs at least one labeled pixel")
-    if labels.max() >= pred.data.shape[1]:
-        raise ContractError(f"label {labels.max()} out of range for {pred.data.shape[1]} classes")
-    cols = labels[labeled]
+    if labels.max() >= z.shape[1]:
+        raise ContractError(f"label {labels.max()} out of range for {z.shape[1]} classes")
     m = labeled.size
-    safe = np.maximum(pred.data[labeled, cols], EPS)
-    loss = Tensor(np.log(safe).mean() * -1.0, pred.requires_grad)
+    at = labeled * z.shape[1] + labels[labeled]  # flat index of each labeled row's label
+    logp = buffer(z.shape, logits.requires_grad)
+    log_softmax(z, logp)
+    loss = Tensor(-logp.reshape(-1)[at].mean(), logits.requires_grad)
 
     def bwd(g):
-        # gather, clamped log, mean and negation with the per-op chain's
-        # rounding; the (row, label) pairs are distinct, so no scatter-add
-        gx = buffer(pred.data.shape)
-        gx.fill(0.0)
-        gx[labeled, cols] = np.broadcast_to(g * -1.0, (m,)) / m / safe
-        accum_scratch(pred, gx)
+        # logp's scratch becomes the gradient
+        gz = np.exp(logp, out=logp)
+        gz.reshape(-1)[at] -= 1.0
+        gz *= g / m
+        if m < z.shape[0]:
+            gz[labels < 0] = 0.0
+        accum_scratch(logits, gz)
 
-    record("cross_entropy", (pred,), loss, bwd)
+    record("cross_entropy", (logits,), loss, bwd)
     return loss
+
+
+def _check_entropy_rows(x: np.ndarray, name: str) -> None:
+    if x.ndim != 2:
+        raise DimensionError(f"{name} needs an (n,c) tensor, got shape {x.shape}")
+    if x.shape[1] < 2:
+        raise ContractError(f"entropy needs at least 2 classes, got {x.shape[1]}")
 
 
 def entropy_loss(pred: Tensor) -> Tensor:
@@ -86,12 +106,8 @@ def entropy_loss(pred: Tensor) -> Tensor:
     Lies in [0, 1] for probability rows: 1 at the uniform distribution, 0 at
     a one-hot row (the 0 * log 0 limit is taken as 0 via the log clamp).
     """
-    if pred.data.ndim != 2:
-        raise DimensionError(f"entropy_loss needs an (n,c) tensor, got shape {pred.data.shape}")
-    c = pred.data.shape[1]
-    if c < 2:
-        raise ContractError(f"entropy needs at least 2 classes, got {c}")
-    n = pred.data.shape[0]
+    _check_entropy_rows(pred.data, "entropy_loss")
+    n, c = pred.data.shape
     k = float(-1.0 / np.log(c))
     safe = np.maximum(pred.data, EPS)
     logp = np.log(safe)
@@ -105,6 +121,33 @@ def entropy_loss(pred: Tensor) -> Tensor:
         accum(pred, (G * pred.data) / safe)
 
     record("entropy", (pred,), loss, bwd)
+    return loss
+
+
+def entropy_from_logits(logits: Tensor) -> Tensor:
+    """`entropy_loss` of ``softmax(logits)``, computed from log-softmax.
+
+    No log is clamped, so a saturated row such as [0, 800] has entropy 0 and
+    a finite gradient. With H_i = -sum(p log p) the entropy of row i, the
+    backward is ``-p * (log p + H_i) / (n log c)``.
+    """
+    z = logits.data
+    _check_entropy_rows(z, "entropy_from_logits")
+    n, c = z.shape
+    k = float(-1.0 / np.log(c))
+    logp = buffer(z.shape, logits.requires_grad)
+    plogp = log_softmax(z, logp, entropy=True)  # -H per row
+    loss = Tensor((plogp * k).mean(), logits.requires_grad)
+
+    def bwd(g):
+        gz = np.exp(logp, out=buffer(z.shape))
+        np.subtract(logp, plogp[:, None], out=logp)  # log p + H
+        gz *= logp
+        gz *= g / n * k
+        release(logp)
+        accum_scratch(logits, gz)
+
+    record("entropy", (logits,), loss, bwd)
     return loss
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "SegModel",
     "build_model",
     "model_features",
+    "model_logits",
     "model_probs",
     "model_parameters",
     "predict_labels",
@@ -78,7 +79,8 @@ def model_features(model: SegModel, pixels: Tensor) -> Tensor:
     return affine(hidden, model.enc2.weight, model.enc2.bias)
 
 
-def _logits(model: SegModel, features: Tensor) -> Tensor:
+def model_logits(model: SegModel, features: Tensor) -> Tensor:
+    """Classifier forward: (n, feature_dim) to (n, classes) logit rows."""
     if features.data.ndim != 2 or features.data.shape[1] != model.feature_dim:
         raise DimensionError(
             f"classifier expects (n, {model.feature_dim}) features, got {features.data.shape}"
@@ -88,7 +90,7 @@ def _logits(model: SegModel, features: Tensor) -> Tensor:
 
 def model_probs(model: SegModel, features: Tensor) -> Tensor:
     """Classifier forward: (n, feature_dim) to (n, classes) probability rows."""
-    return softmax(_logits(model, features))
+    return softmax(model_logits(model, features))
 
 
 def model_parameters(model: SegModel) -> list[Tensor]:
@@ -108,4 +110,4 @@ def predict_labels(model: SegModel, images: np.ndarray, features: Tensor | None 
     b, _, h, w = images.shape
     if features is None:
         features = model_features(model, Tensor(to_pixels(images)))
-    return softmax_argmax(_logits(model, features).data).reshape(b, h, w)
+    return softmax_argmax(model_logits(model, features).data).reshape(b, h, w)

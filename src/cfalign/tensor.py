@@ -14,8 +14,10 @@ its standard deviation is clamped below by ``EPS``.
 Buffer contract. A graph may carry an :class:`ArrayPool`; training gives
 each step's graph the one pool of its run. Under a pooled graph, the output
 arrays of the recorded layers (``affine``, ``relu``, ``softmax``,
-``batch_norm``), every gradient :func:`accum` allocates and the full-size
-scratch of the relu, affine and loss backwards come from the pool. Such a
+``batch_norm``), every gradient :func:`accum` allocates, the full-size
+log-probabilities the cross-entropy and entropy forwards keep for their
+backwards, and the full-size scratch of the relu, affine and loss backwards
+come from the pool. Such a
 scratch array becomes the input's gradient when it is the first to reach
 that input (:func:`accum_scratch`), instead of being copied into a second
 pool array. :func:`backward` hands a node's output data and gradient back
@@ -58,6 +60,7 @@ __all__ = [
     "accum",
     "accum_scratch",
     "buffer",
+    "release",
     "zero_grads",
     "grad_check",
     "add",

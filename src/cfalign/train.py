@@ -31,7 +31,8 @@ from .data import Dataset
 from .errors import DivergenceError
 from .heads import Head, build_head, head_forward, head_parameters
 from .kernels import label_sums  # noqa: F401  not called here; perfbench/tracer.py wraps cfalign.train.label_sums
-from .losses import contrastive_combined, cross_entropy, entropy_loss, total_objective
+from .losses import contrastive_combined, cross_entropy, entropy_from_logits, total_objective
+from .losses import entropy_loss  # noqa: F401  not called here; perfbench/tracer.py wraps cfalign.train.entropy_loss
 from .membank import (
     MemoryBank,
     assign_pseudo_labels,
@@ -39,7 +40,8 @@ from .membank import (
     pseudo_label_accuracy,
     update_bank,
 )
-from .model import SegModel, build_model, model_features, model_parameters, model_probs
+from .model import SegModel, build_model, model_features, model_logits, model_parameters
+from .model import model_probs  # noqa: F401  not called here; perfbench/tracer.py wraps cfalign.train.model_probs
 from .tensor import ArrayPool, Graph, Tensor, backward, zero_grads
 
 __all__ = [
@@ -163,13 +165,13 @@ def _step(
     labeled_frac = 0.0
     with Graph(pool=pool) as g:
         f_s = model_features(state.model, Tensor(to_pixels(img_s)))
-        ce = cross_entropy(model_probs(state.model, f_s), lab_s)
+        ce = cross_entropy(model_logits(state.model, f_s), lab_s)
         ent = 0.0
         contra = 0.0
         if cfg.entropy or cfg.contrastive:
             f_t = model_features(state.model, Tensor(to_pixels(img_t)))
         if cfg.entropy:
-            ent = entropy_loss(model_probs(state.model, f_t))
+            ent = entropy_from_logits(model_logits(state.model, f_t))
         if cfg.contrastive:
             h_s = head_forward(state.head, f_s)
             h_t = head_forward(state.head, f_t)

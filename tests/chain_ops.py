@@ -269,13 +269,17 @@ def contrastive_chain(
 
 
 def cross_entropy_chain(pred, labels):
-    """CE as the per-op chain take_rows, pick, log, mean, scale; the fused
-    node must match it bit for bit."""
+    """CE of probability rows as the per-op chain take_rows, pick, log,
+    mean, scale; `losses.cross_entropy` of logits must match it, applied to
+    their softmax, within 1e-12 at moderate logits."""
     labeled = np.flatnonzero(labels >= 0)
     return scale(reduce_mean(log(pick(take_rows(pred, labeled), labels[labeled]))), -1.0)
 
 
 def entropy_chain(pred):
-    """Normalized entropy as the per-op chain log, mul, sum, scale, mean."""
+    """Normalized entropy as the per-op chain log, mul, sum, scale, mean;
+    `losses.entropy_loss` matches it bit for bit, and
+    `losses.entropy_from_logits` of logits, applied to their softmax, within
+    1e-12 at moderate logits."""
     c = pred.data.shape[1]
     return reduce_mean(scale(reduce_sum(mul(pred, log(pred)), axis=1), -1.0 / np.log(c)))

@@ -158,6 +158,15 @@ def softmax_numpy(z):
     return p / p.sum(axis=1)[:, None]
 
 
+def log_softmax_numpy(z, out, entropy=False):
+    """`kernels.log_softmax` in numpy's ``axis=1`` form."""
+    shifted = z - z.max(axis=1)[:, None]
+    e = np.exp(shifted)
+    s = e.sum(axis=1)
+    np.subtract(shifted, np.log(s)[:, None], out=out)
+    return (e * out).sum(axis=1) / s if entropy else None
+
+
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
@@ -209,6 +218,29 @@ class TestRowKernels:
                 assert got.dtype == np.intp
                 assert np.array_equal(got, softmax(Tensor(z)).data.argmax(axis=1)), (n, k)
 
+    def test_log_softmax_over_row_cases(self):
+        # bitwise up to the sign of a zero, which row_max leaves open
+        for a in row_cases():
+            if np.isfinite(a).all():
+                for entropy in (False, True):
+                    got, want = np.empty(a.shape), np.empty(a.shape)
+                    got_h = kernels.log_softmax(a, got, entropy)
+                    want_h = log_softmax_numpy(a, want, entropy)
+                    assert np.array_equal(got, want), a.shape
+                    if entropy:
+                        assert np.array_equal(got_h, want_h), a.shape
+                    else:
+                        assert got_h is None
+
+    def test_log_softmax_saturated_rows_are_exact(self):
+        z = np.array([[0.0, 800.0], [-800.0, 0.0], [0.0, 40.0]])
+        out = np.empty(z.shape)
+        with np.errstate(over="raise", invalid="raise"):
+            plogp = kernels.log_softmax(z, out, entropy=True)
+        np.testing.assert_array_equal(out[:2], [[-800.0, 0.0], [-800.0, 0.0]])
+        assert out[2, 0] == -40.0
+        assert np.all(np.abs(plogp) < 1e-15)
+
     def test_softmax_argmax_compares_probabilities(self):
         # exp(-1e-17) rounds to 1.0, tying two probabilities the logits order
         z = np.array([[0.0, 1e-17], [1e-17, 0.0], [-700.0, 700.0], [700.0, 700.0]])
@@ -225,6 +257,9 @@ class TestRowKernels:
         for fn in (kernels.row_max, kernels.softmax_argmax):
             with pytest.raises(DimensionError):
                 fn(np.zeros((3, 0)))
+        for z in (np.zeros(4), np.zeros((3, 0))):
+            with pytest.raises(DimensionError):
+                kernels.log_softmax(z, np.empty(z.shape))
         np.testing.assert_array_equal(kernels.row_sum(np.zeros((3, 0))), np.zeros(3))
 
 
@@ -295,6 +330,7 @@ class TestNumpyReductionsGiveSameBytes:
         "row_sum": lambda a: np.asarray(a).sum(axis=1),
         "row_max": lambda a: np.asarray(a).max(axis=1),
         "softmax_argmax": lambda z: softmax_numpy(z).argmax(axis=1),
+        "log_softmax": log_softmax_numpy,
     }
 
     @pytest.fixture(scope="class")

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cfalign.losses import (
     LossBreakdown,
     contrastive_combined,
     cross_entropy,
+    entropy_from_logits,
     entropy_loss,
     info_nce,
     total_objective,
@@ -79,22 +81,6 @@ def fused_and_chain(loss_fns, inputs, weight):
 
 
 class TestFusedMatchesChain:
-    def test_cross_entropy_bitwise(self):
-        rng = np.random.default_rng(47)
-        for _ in range(40):
-            n, c = int(rng.integers(1, 30)), int(rng.integers(2, 7))
-            p = awkward_probs(rng, n, c)
-            labels = rng.integers(0, c, size=n)
-            labels[rng.random(n) < 0.3] = -1
-            labels[rng.integers(0, n)] = rng.integers(0, c)
-            weight = float(rng.uniform(1e-3, 5.0))
-            (got, got_grad, nodes), (want, want_grad, _) = fused_and_chain(
-                (lambda x: cross_entropy(x, labels), lambda x: cross_entropy_chain(x, labels)), p, weight
-            )
-            assert nodes == 2  # the fused node plus the scale
-            assert np.array_equal(got, want)
-            assert np.array_equal(got_grad, want_grad)
-
     def test_entropy_bitwise(self):
         rng = np.random.default_rng(48)
         for _ in range(40):
@@ -108,42 +94,121 @@ class TestFusedMatchesChain:
             assert np.array_equal(got, want)
             assert np.array_equal(got_grad, want_grad)
 
-    def test_shared_probabilities_bitwise(self):
-        # CE and entropy on one softmax output: both nodes accumulate into it,
-        # CE first (the reverse of tape order), so the entropy node's two
-        # accumulations land on a gradient that is already there
+
+def assert_close(got, want):
+    """Equal within 1e-12 of the largest magnitude in `want`."""
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1e-300))
+
+
+def moderate_logits(rng, n, c):
+    return rng.normal(size=(n, c)) * rng.uniform(0.1, 4.0)
+
+
+class TestFromLogits:
+    """CE and entropy read logits; at moderate logits they agree with
+    ``softmax`` followed by the probability chains of ``tests/chain_ops.py``."""
+
+    def test_cross_entropy_matches_softmax_chain(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            n, c = int(rng.integers(1, 30)), int(rng.integers(2, 7))
+            logits = moderate_logits(rng, n, c)
+            labels = rng.integers(0, c, size=n)
+            labels[rng.random(n) < 0.3] = -1
+            labels[rng.integers(0, n)] = rng.integers(0, c)
+            weight = float(rng.uniform(1e-3, 5.0))
+            (got, got_grad, nodes), (want, want_grad, _) = fused_and_chain(
+                (lambda x: cross_entropy(x, labels), lambda x: cross_entropy_chain(softmax(x), labels)),
+                logits,
+                weight,
+            )
+            assert nodes == 2  # the loss node plus the scale
+            assert_close(got, want)
+            assert_close(got_grad, want_grad)
+
+    def test_entropy_matches_softmax_chain(self):
+        rng = np.random.default_rng(50)
+        for _ in range(40):
+            n, c = int(rng.integers(1, 30)), int(rng.integers(2, 7))
+            logits = moderate_logits(rng, n, c)
+            weight = float(rng.uniform(1e-3, 5.0))
+            (got, got_grad, nodes), (want, want_grad, _) = fused_and_chain(
+                (entropy_from_logits, lambda x: entropy_chain(softmax(x))), logits, weight
+            )
+            assert nodes == 2
+            assert_close(got, want)
+            assert_close(got_grad, want_grad)
+
+    def test_shared_logits_match_chain(self):
+        # CE and entropy on one logits tensor: both nodes accumulate into it
         rng = np.random.default_rng(49)
         for _ in range(20):
             n, c = int(rng.integers(1, 30)), int(rng.integers(2, 7))
             labels = rng.integers(-1, c, size=n)
             labels[0] = 0
             lam = float(rng.uniform(0.0, 2.0))
-            logits = rng.normal(size=(n, c)) * rng.uniform(0.1, 40.0)
+            logits = moderate_logits(rng, n, c)
 
-            def objective(ce, ent):
-                def fn(x):
-                    p = softmax(x)
-                    return add(scale(ent(p), lam), ce(p, labels))
-
-                return fn
+            def chain(x):
+                p = softmax(x)
+                return add(scale(entropy_chain(p), lam), cross_entropy_chain(p, labels))
 
             (got, got_grad, _), (want, want_grad, _) = fused_and_chain(
-                (objective(cross_entropy, entropy_loss), objective(cross_entropy_chain, entropy_chain)),
+                (lambda x: add(scale(entropy_from_logits(x), lam), cross_entropy(x, labels)), chain),
                 logits,
                 1.0,
             )
-            assert np.array_equal(got, want)
-            assert np.array_equal(got_grad, want_grad)
+            assert_close(got, want)
+            assert_close(got_grad, want_grad)
+
+    def test_saturated_cross_entropy_is_exact(self):
+        # softmax then a clamped log gave 27.63 and a gradient of 4.2e-6 here
+        x = Tensor([[0.0, 40.0]], requires_grad=True)
+        with Graph() as g:
+            loss = cross_entropy(x, np.array([0]))
+            backward(loss, g)
+        assert abs(loss.item() - 40.0) <= 1e-12
+        np.testing.assert_allclose(x.grad, [[-1.0, 1.0]], rtol=0, atol=1e-12)
+
+    def test_saturated_entropy_is_finite(self):
+        x = Tensor([[0.0, 800.0], [800.0, 0.0], [-800.0, 0.0]], requires_grad=True)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            with Graph() as g:
+                loss = entropy_from_logits(x)
+                backward(loss, g)
+        assert abs(loss.item()) < 1e-12
+        assert np.isfinite(x.grad).all()
+
+    @pytest.mark.parametrize("fn", [lambda x: cross_entropy(x, np.zeros(3, dtype=int)), entropy_from_logits],
+                             ids=["cross_entropy", "entropy"])
+    def test_pooled_backward_returns_its_scratch(self, fn):
+        rng = np.random.default_rng(51)
+        logits = rng.normal(size=(3, 4))
+        want = Tensor(logits.copy(), requires_grad=True)
+        with Graph() as g:
+            backward(fn(want), g)
+        pool = ArrayPool()
+        for step in range(3):
+            x = Tensor(logits.copy(), requires_grad=True)
+            with Graph(pool=pool) as g:
+                backward(fn(x), g)
+            assert x.grad.tobytes() == want.grad.tobytes()
+            assert pool.give(x.grad)  # the scratch became the gradient
+            if step == 0:
+                first = (pool.misses, pool.held)
+        assert (pool.misses, pool.held) == first
 
 
 class TestCrossEntropy:
     def test_uniform_two_classes(self):
-        loss = cross_entropy(Tensor([[0.5, 0.5]]), np.array([0]))
+        loss = cross_entropy(Tensor([[1.5, 1.5]]), np.array([0]))
         np.testing.assert_allclose(loss.item(), np.log(2.0), atol=1e-12)
 
     def test_ignored_rows_do_not_count(self):
-        pred = Tensor([[0.5, 0.5], [0.01, 0.99]])
-        loss = cross_entropy(pred, np.array([0, -1]))
+        logits = Tensor([[0.5, 0.5], [-3.0, 2.0]])
+        loss = cross_entropy(logits, np.array([0, -1]))
         np.testing.assert_allclose(loss.item(), np.log(2.0), atol=1e-12)
 
     def test_all_ignored_rejected(self):
@@ -151,24 +216,36 @@ class TestCrossEntropy:
             cross_entropy(Tensor([[0.5, 0.5]]), np.array([-1]))
 
     def test_zero_probability_is_finite(self):
-        loss = cross_entropy(Tensor([[0.0, 1.0]]), np.array([0]))
-        assert np.isfinite(loss.item())
+        # the label's softmax probability underflows to 0; the loss is the
+        # logit gap, exactly
+        loss = cross_entropy(Tensor([[-1000.0, 0.0]]), np.array([0]))
+        assert loss.item() == 1000.0
 
     def test_matches_loop(self):
         rng = np.random.default_rng(30)
-        p = rng.dirichlet(np.ones(4), size=10)
+        z = rng.normal(size=(10, 4)) * 3
         labels = rng.integers(-1, 4, size=10)
         labels[0] = 2  # keep at least one labeled
-        want = np.mean([-np.log(p[i, l]) for i, l in enumerate(labels) if l >= 0])
-        got = cross_entropy(Tensor(p), labels).item()
+        want = np.mean(
+            [math.log(sum(math.exp(v) for v in z[i])) - z[i, l] for i, l in enumerate(labels) if l >= 0]
+        )
+        got = cross_entropy(Tensor(z), labels).item()
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_label_out_of_range_rejected(self):
+        with pytest.raises(ContractError):
+            cross_entropy(Tensor([[0.5, 0.5]]), np.array([2]))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            cross_entropy(Tensor([[0.5, 0.5]]), np.array([0, 1]))
 
     def test_gradient(self):
         rng = np.random.default_rng(31)
         labels = rng.integers(0, 3, size=5)
 
         def fn(x):
-            return cross_entropy(softmax(x), labels)
+            return cross_entropy(x, labels)
 
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         assert grad_check(fn, x) < 1e-6
@@ -205,6 +282,32 @@ class TestEntropyLoss:
 
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         assert grad_check(fn, x) < 1e-6
+
+
+class TestEntropyFromLogits:
+    def test_uniform_is_one(self):
+        np.testing.assert_allclose(entropy_from_logits(Tensor(np.full((3, 7), 2.5))).item(), 1.0, atol=1e-12)
+
+    def test_skewed_two_class_value(self):
+        # the logits of [0.9, 0.1]: -(0.9 ln 0.9 + 0.1 ln 0.1) / ln 2
+        loss = entropy_from_logits(Tensor([[math.log(9.0), 0.0]]))
+        np.testing.assert_allclose(loss.item(), 0.4689955935892809, atol=1e-12)
+
+    def test_range_on_random_rows(self):
+        rng = np.random.default_rng(52)
+        v = entropy_from_logits(Tensor(rng.normal(size=(40, 5)) * 5)).item()
+        assert 0.0 <= v <= 1.0
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ContractError):
+            entropy_from_logits(Tensor([[1.0]]))
+        with pytest.raises(DimensionError):
+            entropy_from_logits(Tensor([1.0, 2.0]))
+
+    def test_gradient(self):
+        rng = np.random.default_rng(53)
+        x = Tensor(rng.normal(size=(4, 5)) * 3, requires_grad=True)
+        assert grad_check(entropy_from_logits, x) < 1e-6
 
 
 class TestInfoNCE:
