@@ -16,14 +16,18 @@ import numpy as np
 from .adain import ChannelStats
 from .config import RunConfig
 from .errors import ContractError
-from .heads import BatchNormLayer, LinearLayer, head_plan
+from .heads import head_parameters
 from .tensor import read_container, write_container
 from .train import TrainState, init_state
 
 __all__ = ["CHECKPOINT_FORMAT", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_FORMAT = "cfalign-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+# the byol head's tensors, in `head_parameters` order; the index is the
+# layer's place in Linear, BatchNorm, ReLU, Linear
+_HEAD_TENSORS = ("head.0.weight", "head.0.bias", "head.1.gamma", "head.1.beta", "head.3.weight", "head.3.bias")
 
 
 def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
@@ -36,15 +40,7 @@ def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
     ):
         entries.append((f"model.{name}.weight", layer.weight.data))
         entries.append((f"model.{name}.bias", layer.bias.data))
-    for i, layer in enumerate(state.head.layers):
-        if isinstance(layer, LinearLayer):
-            entries.append((f"head.{i}.weight", layer.weight.data))
-            entries.append((f"head.{i}.bias", layer.bias.data))
-        elif isinstance(layer, BatchNormLayer):
-            entries.append((f"head.{i}.gamma", layer.gamma.data))
-            entries.append((f"head.{i}.beta", layer.beta.data))
-            entries.append((f"head.{i}.running_mean", layer.running.mean))
-            entries.append((f"head.{i}.running_var", layer.running.var))
+    entries += [(name, p.data) for name, p in zip(_HEAD_TENSORS, head_parameters(state.head))]
     for part in ("v_source", "v_target", "init_source", "init_target"):
         entries.append((f"bank.{part}", getattr(state.bank, part)))
     if state.style is not None:
@@ -66,17 +62,12 @@ def _expected_shapes(config: RunConfig, classes: int, channels: int) -> dict[str
     for name, d_in, d_out in linears:
         shapes[f"{name}.weight"] = (d_in, d_out)
         shapes[f"{name}.bias"] = (d_out,)
-    plan = head_plan(config.head, feat, config.head_hidden_dim, config.head_out_dim)
-    for i, layer in enumerate(plan):
-        if layer == "relu":
-            continue
-        if layer[0] == "linear":
-            shapes[f"head.{i}.weight"] = layer[1:]
-            shapes[f"head.{i}.bias"] = layer[2:]
-        else:
-            for part in ("gamma", "beta", "running_mean", "running_var"):
-                shapes[f"head.{i}.{part}"] = layer[1:]
-    width = feat + (plan[-1][-1] if plan else 0)
+    width = feat
+    if config.head != "none":
+        d_hidden, d_out = config.head_dims()
+        head = [(feat, d_hidden), (d_hidden,), (d_hidden,), (d_hidden,), (d_hidden, d_out), (d_out,)]
+        shapes.update(zip(_HEAD_TENSORS, head))
+        width += d_out
     for side in ("source", "target"):
         shapes[f"bank.v_{side}"] = (classes, width)
         shapes[f"bank.init_{side}"] = (classes,)
@@ -111,7 +102,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
             f"{path} is checkpoint version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"
         )
     config, classes, channels = (header.get(k) for k in ("config", "classes", "channels"))
-    if not (isinstance(config, dict) and isinstance(classes, int) and isinstance(channels, int)):
+    # `type(...) is int`, not isinstance: True would pass as a count of 1
+    if not (isinstance(config, dict) and type(classes) is int and type(channels) is int):
         raise ContractError(f"{path} header needs a config object and integer classes and channels")
     config = RunConfig.from_mapping(config)
     # every shape is checked before init_state allocates what the config echo asks for

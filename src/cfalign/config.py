@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .heads import HEAD_KINDS
+from .heads import HEAD_KINDS, head_widths
 
 __all__ = ["MAX_ELEMENTS", "RunConfig", "check_field_types", "fits", "load_flat_config"]
 
@@ -134,8 +134,7 @@ class RunConfig:
             (self.head_out_dim is None or self.head_out_dim >= 1, "head_out_dim must be at least 1"),
             (self.adain_eps > 0, "adain_eps must be positive"),
         ]
-        head_hidden = self.feature_dim if self.head_hidden_dim is None else self.head_hidden_dim
-        head_out = self.feature_dim if self.head_out_dim is None else self.head_out_dim
+        head_hidden, head_out = self.head_dims()
         checks += [
             (fits(*extents), f"{what} exceeds numpy's index range ({MAX_ELEMENTS} elements)")
             for what, extents in (
@@ -150,6 +149,10 @@ class RunConfig:
         if problems:
             raise ConfigError("; ".join(problems))
         return self
+
+    def head_dims(self) -> tuple[int, int]:
+        """The head's hidden and output widths, each `feature_dim` when unset."""
+        return head_widths(self.feature_dim, self.head_hidden_dim, self.head_out_dim)
 
     def to_dict(self) -> dict:
         return asdict(self)

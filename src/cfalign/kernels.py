@@ -5,7 +5,7 @@ counting.
 Most arrays on the hot paths are narrow: one row per pixel and a handful of
 columns (classes, centers, feature dims). A numpy reduction along ``axis=1``
 of such an array makes one inner-loop call per row, so its cost is per row,
-not per element. The row kernels `row_sum`, `row_max`, `softmax_argmax` and
+not per element. The row kernels `row_sum`, `softmax_argmax` and
 `log_softmax`, and `nearest_two`, instead walk an (n, k) array in blocks of
 `_BLOCK` rows and copy each block once into a contiguous (k, rows) scratch
 array; every step is then one numpy call over a whole block.
@@ -15,11 +15,12 @@ bit for bit. `_row_sums` adds the k columns in the order numpy's pairwise
 sum adds a length-k row, so `row_sum` and `nearest_two`'s distances equal
 ``a.sum(axis=1)`` and ``((f - c) ** 2).sum(axis=1)``;
 `tests/test_kernels.py::TestRowSums` and `::TestRowKernels` are the alarm if
-a numpy release changes that order. `row_max` is exact because a maximum
-does not round; only the sign of a zero maximum of a row holding both 0.0
-and -0.0 is left open, as numpy's SIMD lane order leaves it.
-`log_softmax` is its ``axis=1`` form ``z - m - log(exp(z - m).sum(axis=1))``
-with m the row max, up to that same sign of a zero.
+a numpy release changes that order. The row maximum (`_max_scan`) is
+exact because a maximum does not round; only the sign of a zero maximum of
+a row holding both 0.0 and -0.0 is left open, as numpy's SIMD lane order
+leaves it. `log_softmax` is its ``axis=1`` form
+``z - m - log(exp(z - m).sum(axis=1))`` with m the row max, up to that
+same sign of a zero.
 `softmax_argmax` and `nearest_two` resolve ties to the lowest index, as
 ``argmax`` and ``argmin`` do. Inputs must be free of NaN: a NaN row gets an
 unspecified result.
@@ -47,7 +48,6 @@ __all__ = [
     "get_backend",
     "col_sum",
     "row_sum",
-    "row_max",
     "softmax_argmax",
     "log_softmax",
     "nearest_two",
@@ -183,16 +183,6 @@ def _argmax_scan(cols: np.ndarray, out: np.ndarray, scratch) -> None:
         np.maximum(r, c, out=r)
         np.maximum(b, cols[j], out=b)
     out[:] = r
-
-
-def row_max(a: np.ndarray) -> np.ndarray:
-    """Per-row maxima of an (n, k) array, k >= 1: ``a.max(axis=1)``, bitwise
-    up to the sign of a zero maximum (module docstring)."""
-    a = _rows(a, "row_max", need_column=True)
-    out = np.empty(a.shape[0])
-    for lo, hi, cols in _column_blocks(a):
-        _max_scan(cols, out[lo:hi])
-    return out
 
 
 def softmax_argmax(z: np.ndarray) -> np.ndarray:

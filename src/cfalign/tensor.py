@@ -44,7 +44,7 @@ from typing import BinaryIO, Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .kernels import col_sum, row_max, row_sum
+from .kernels import col_sum, row_sum
 
 EPS = 1e-12
 
@@ -54,7 +54,6 @@ __all__ = [
     "Graph",
     "ArrayPool",
     "Node",
-    "RunningStats",
     "backward",
     "record",
     "accum",
@@ -305,15 +304,15 @@ def relu(x: Tensor) -> Tensor:
 def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax along the last axis; rows sum to 1 exactly up to rounding.
 
-    The array is flattened to rows for the row kernels, which repeat the
-    ``max``/``sum(axis=-1)`` form bit for bit.
+    The array is flattened to rows; the row sums go through `row_sum`, which
+    repeats ``sum(axis=-1)`` bit for bit.
     """
     rows = x.data.reshape(-1, x.data.shape[-1])
     # z, exp(z) and p share one buffer: the in-place steps round as the
     # out-of-place ones do and allocate one (n, k) array, not three
     y = buffer(x.data.shape, x.requires_grad)
     p = y.reshape(rows.shape)
-    np.subtract(rows, row_max(rows)[:, None], out=p)
+    np.subtract(rows, rows.max(axis=1)[:, None], out=p)
     np.exp(p, out=p)
     np.divide(p, row_sum(p)[:, None], out=p)
     out = Tensor(y, x.requires_grad)
@@ -334,35 +333,12 @@ def softmax(x: Tensor) -> Tensor:
 # batch normalization
 
 
-@dataclass
-class RunningStats:
-    """Exponential running mean/variance of a batch norm's batches.
-
-    Training folds each batch into them and checkpoints keep them; no code
-    in the package reads them back.
-    """
-
-    mean: np.ndarray
-    var: np.ndarray
-    momentum: float = 0.1
-
-    @classmethod
-    def for_dim(cls, dim: int, momentum: float = 0.1) -> "RunningStats":
-        return cls(mean=np.zeros(dim), var=np.ones(dim), momentum=momentum)
-
-
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running: RunningStats | None = None,
-    eps: float = 1e-5,
-) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize columns of an (n, d) tensor by the batch mean and population
-    variance, fold them into `running` and record one node.
+    variance, then scale by `gamma` and shift by `beta`, as one node.
 
-    The running statistics are written to checkpoints, but nothing in the
-    package reads them: every forward normalizes by its own batch.
+    Every call normalizes by its own batch; no statistics are kept across
+    calls.
     """
     if x.data.ndim != 2:
         raise DimensionError(f"batch_norm needs an (n, d) tensor, got shape {x.data.shape}")
@@ -376,10 +352,6 @@ def batch_norm(
     m = col_sum(x.data) / n
     c = x.data - m
     v = col_sum(c * c) / n
-    if running is not None:
-        k = running.momentum
-        running.mean = (1.0 - k) * running.mean + k * m
-        running.var = (1.0 - k) * running.var + k * v
     safe = np.maximum(np.sqrt(np.maximum(v + eps, 0.0)), EPS)
     q = c / safe
     requires_grad = x.requires_grad or gamma.requires_grad or beta.requires_grad

@@ -116,9 +116,7 @@ def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
     """Build model, head, and an empty bank from the init RNG stream."""
     rng_init = np.random.default_rng([config.seed, 0])
     model = build_model(channels, config.hidden_dim, config.feature_dim, classes, rng_init)
-    head = build_head(
-        config.head, config.feature_dim, config.head_hidden_dim, config.head_out_dim, rng_init
-    )
+    head = build_head(config.head, config.feature_dim, *config.head_dims(), rng_init)
     width = config.feature_dim + (head.d_out if config.head != "none" else 0)
     return TrainState(
         config=config,

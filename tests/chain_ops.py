@@ -15,7 +15,7 @@ import numpy as np
 
 from cfalign.errors import ContractError, DimensionError
 from cfalign.losses import info_nce
-from cfalign.tensor import EPS, RunningStats, Tensor, _as_tensor, _unbroadcast, accum, add, record, scale
+from cfalign.tensor import EPS, Tensor, _as_tensor, _unbroadcast, accum, add, record, scale
 
 # ---------------------------------------------------------------------------
 # elementwise and linear ops
@@ -194,22 +194,12 @@ def chain_affine(x, w, b):
     return add(matmul(x, w), b)
 
 
-def batch_norm_chain(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running: RunningStats | None = None,
-    eps: float = 1e-5,
-) -> Tensor:
+def batch_norm_chain(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Batch norm as the 9-node chain mean, sub, mul, mean, add, sqrt, div,
     mul, add; `tensor.batch_norm` must match it bit for bit."""
     m = reduce_mean(x, axis=0)
     centered = sub(x, m)
     v = reduce_mean(mul(centered, centered), axis=0)
-    if running is not None:
-        k = running.momentum
-        running.mean = (1.0 - k) * running.mean + k * m.data
-        running.var = (1.0 - k) * running.var + k * v.data
     denom = sqrt(add(v, eps))
     return add(mul(gamma, div(centered, denom)), beta)
 

@@ -5,12 +5,16 @@ prints sha256 values of what each run wrote:
 
 - ``metrics.csv`` as written;
 - ``result.json`` without its ``config`` echo;
-- ``checkpoint.bin`` after its header line.
+- ``checkpoint.bin`` after its header line;
+- each checkpoint tensor by name, read with ``tensor.read_container``, on
+  one indented line per tensor.
 
-The config echo lists every config field, in ``result.json`` and in the
-checkpoint header, so adding or removing a field changes those bytes and
-nothing else; the digests leave it out. Run the script on both trees with
-the same dataset and compare the two outputs line by line:
+The per-tensor lines show which tensors kept their bytes when a format
+change adds or drops some. The config echo lists every config field, in
+``result.json`` and in the checkpoint header, so adding or removing a field
+changes those bytes and nothing else; the digests leave it out. Run the
+script on both trees with the same dataset and compare the two outputs line
+by line:
 
     PYTHONPATH=src python -m cfalign gen-data --seed 0 --out DATA
     PYTHONPATH=src python tests/digests.py --data DATA --out RUNS --iterations 2000
@@ -28,7 +32,9 @@ import json
 import sys
 from pathlib import Path
 
+from cfalign.checkpoint import CHECKPOINT_FORMAT
 from cfalign.cli import main as cfalign_main
+from cfalign.tensor import read_container
 
 _FULL = ["--style-transfer", "--contrastive"]
 CONFIGS = {
@@ -55,6 +61,12 @@ def digests(run: Path) -> dict[str, str]:
     }
 
 
+def tensor_digests(run: Path) -> dict[str, str]:
+    """sha256 of each checkpoint tensor's float64 bytes, by name."""
+    _, arrays = read_container(run / "checkpoint.bin", CHECKPOINT_FORMAT)
+    return {name: sha256(array.tobytes()) for name, array in arrays.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--data", type=Path, required=True, help="dataset directory from gen-data")
@@ -70,6 +82,8 @@ def main(argv=None) -> int:
             print(f"{name}: train exited {code}", file=sys.stderr)
             return code
         print(name, *(f"{file} {digest}" for file, digest in digests(run).items()), sep="  ")
+        for tensor, digest in tensor_digests(run).items():
+            print(f"  {name} {tensor} {digest}")
     return 0
 
 

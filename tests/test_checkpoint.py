@@ -146,7 +146,7 @@ class TestOneBank:
         return path
 
     def test_version_1_checkpoint_rejected(self, version_1_file):
-        with pytest.raises(ContractError, match="checkpoint version 1, expected 2"):
+        with pytest.raises(ContractError, match="checkpoint version 1, expected 3"):
             load_checkpoint(version_1_file)
 
     def test_version_1_checkpoint_exits_2(self, tiny_data, version_1_file, tmp_path, capsys):
@@ -154,7 +154,33 @@ class TestOneBank:
         save_dataset(data_dir, tiny_data)
         assert main(["eval", "--checkpoint", str(version_1_file), "--data", str(data_dir)]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "version 1, expected 2" in err
+        assert len(err.splitlines()) == 1 and "version 1, expected 3" in err
+
+    def test_version_2_checkpoint_exits_2(self, tiny_data, tmp_path, capsys):
+        """A byol checkpoint as version 2 wrote it, with batch-norm running statistics."""
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(trained_state(tiny_data, iterations=3), path)
+        header, arrays = read_container(path, "cfalign-checkpoint")
+        header["version"] = 2
+        width = arrays["head.1.gamma"].shape
+        arrays = {**arrays, "head.1.running_mean": np.zeros(width), "head.1.running_var": np.ones(width)}
+        write_container(path, header, arrays)
+        data_dir = tmp_path / "data"
+        save_dataset(data_dir, tiny_data)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "version 2, expected 3" in err
+
+    def test_byol_tensor_list(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(init_state(RunConfig(head="byol", feature_dim=4, head_hidden_dim=5), 3, 2), path)
+        header, _ = read_container(path, "cfalign-checkpoint")
+        assert header["tensors"] == [
+            "model.enc1.weight", "model.enc1.bias", "model.enc2.weight", "model.enc2.bias",
+            "model.classifier.weight", "model.classifier.bias",
+            "head.0.weight", "head.0.bias", "head.1.gamma", "head.1.beta", "head.3.weight", "head.3.bias",
+            "bank.v_source", "bank.v_target", "bank.init_source", "bank.init_target",
+        ]
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
@@ -293,6 +319,19 @@ class TestCorruption:
         write_container(path, header, arrays)
         with pytest.raises(ContractError, match="header needs"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["classes", "channels"])
+    def test_header_count_true(self, tmp_path, capsys, key):
+        # True passes isinstance(_, int) and equals a count of 1
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(init_state(RunConfig(), 1, 1), path)
+        header, arrays = read_container(path, "cfalign-checkpoint")
+        write_container(path, {**header, key: True}, arrays)
+        with pytest.raises(ContractError, match="header needs"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "no-data")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "header needs" in err
 
     def test_wrong_shape_tensor(self, saved):
         path, header, arrays = saved

@@ -9,7 +9,6 @@ from cfalign.data import SynthSpec, generate_dataset
 from cfalign.errors import ConfigError, DimensionError
 from cfalign.evaluate import eval_to_json, evaluate
 from cfalign.heads import (
-    BatchNormLayer,
     LinearLayer,
     build_head,
     head_forward,
@@ -44,8 +43,12 @@ class TestStructure:
         assert head_forward(head, x).data.shape == (7, expected)
 
     def test_layer_sequence_matches_table(self):
-        head = build_head("byol", 4, rng=0)
-        assert [type(l) for l in head.layers] == [LinearLayer, BatchNormLayer, str, LinearLayer]
+        head = build_head("byol", 4, d_hidden=5, d_out=3, rng=0)
+        assert isinstance(head.fc1, LinearLayer) and isinstance(head.fc2, LinearLayer)
+        assert head.fc1.weight.shape == (4, 5) and head.fc2.weight.shape == (5, 3)
+        assert head.gamma.shape == head.beta.shape == (5,)
+        none = build_head("none", 4)
+        assert (none.fc1, none.gamma, none.beta, none.fc2) == (None, None, None, None)
 
     def test_unknown_kind_rejected(self):
         for kind in ("resnet", "linear", "moco", "simclr"):  # the last three were heads once
@@ -61,10 +64,24 @@ class TestStructure:
 class TestInitialization:
     def test_uniform_bound_is_inverse_sqrt_fan_in(self):
         head = build_head("byol", 16, d_hidden=9, rng=3)
-        first, second = head.layers[0], head.layers[3]
+        first, second = head.fc1, head.fc2
         assert np.abs(first.weight.data).max() <= 1 / 4.0
         assert np.abs(first.bias.data).max() <= 1 / 4.0
         assert np.abs(second.weight.data).max() <= 1 / 3.0
+
+    def test_draw_order(self):
+        # fc1 weight, fc1 bias, fc2 weight, fc2 bias from the one generator
+        head = build_head("byol", 6, d_hidden=4, d_out=3, rng=np.random.default_rng(21))
+        twin = np.random.default_rng(21)
+        want = [
+            twin.uniform(-1 / np.sqrt(6), 1 / np.sqrt(6), size=(6, 4)),
+            twin.uniform(-1 / np.sqrt(6), 1 / np.sqrt(6), size=4),
+            twin.uniform(-1 / 2.0, 1 / 2.0, size=(4, 3)),
+            twin.uniform(-1 / 2.0, 1 / 2.0, size=3),
+        ]
+        got = [head.fc1.weight, head.fc1.bias, head.fc2.weight, head.fc2.bias]
+        for g, w in zip(got, want):
+            assert g.data.tobytes() == w.tobytes()
 
     def test_seeded_build_is_reproducible(self):
         a = build_head("byol", 5, rng=7)
@@ -74,19 +91,11 @@ class TestInitialization:
 
     def test_bn_starts_as_identity_scale(self):
         head = build_head("byol", 4, rng=0)
-        bn = head.layers[1]
-        np.testing.assert_array_equal(bn.gamma.data, np.ones(4))
-        np.testing.assert_array_equal(bn.beta.data, np.zeros(4))
+        np.testing.assert_array_equal(head.gamma.data, np.ones(4))
+        np.testing.assert_array_equal(head.beta.data, np.zeros(4))
 
 
 class TestForwardModes:
-    def test_train_mode_updates_running_stats(self):
-        head = build_head("byol", 3, rng=6)
-        bn = head.layers[1]
-        before = bn.running.mean.copy()
-        head_forward(head, Tensor(np.random.default_rng(7).normal(size=(32, 3)) + 5.0))
-        assert not np.allclose(bn.running.mean, before)
-
     @pytest.mark.parametrize("kind", ["byol"])
     def test_gradients_reach_every_parameter(self, kind):
         rng = np.random.default_rng(8)
@@ -136,9 +145,6 @@ class TestChainBatchNormGivesSameBytes:
             )
             state, records = train(cfg, data)
             docs.append(metrics_to_csv(records) + eval_to_json(evaluate(state, data.target_eval), cfg))
-            for layer in state.head.layers:
-                if isinstance(layer, BatchNormLayer):
-                    docs.append(layer.running.mean.tobytes() + layer.running.var.tobytes())
         return docs
 
     @pytest.mark.parametrize("head", ["byol"])

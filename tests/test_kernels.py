@@ -182,17 +182,6 @@ class TestRowKernels:
             assert got.shape == (a.shape[0],) and got.dtype == np.float64
             assert np.array_equal(bits(got), bits(a.sum(axis=1))), a.shape
 
-    def test_row_max_bitwise(self):
-        for a in row_cases():
-            got, want = kernels.row_max(a), a.max(axis=1)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert np.array_equal(got, want), a.shape
-            # numpy's SIMD lane order picks the sign of a zero maximum of a row
-            # holding both zeros; every other maximum is the same bits
-            zero, neg = a == 0, np.signbit(a)
-            open_sign = (want == 0) & (zero & neg).any(axis=1) & (zero & ~neg).any(axis=1)
-            assert np.array_equal(bits(got)[~open_sign], bits(want)[~open_sign]), a.shape
-
     def test_softmax_argmax_over_row_cases(self):
         # every width branch of _row_sums, exact ties and signed zeros; a row
         # holding -inf is left out, as a row of them has no probabilities
@@ -219,7 +208,7 @@ class TestRowKernels:
                 assert np.array_equal(got, softmax(Tensor(z)).data.argmax(axis=1)), (n, k)
 
     def test_log_softmax_over_row_cases(self):
-        # bitwise up to the sign of a zero, which row_max leaves open
+        # bitwise up to the sign of a zero, which the row maximum leaves open
         for a in row_cases():
             if np.isfinite(a).all():
                 for entropy in (False, True):
@@ -251,12 +240,11 @@ class TestRowKernels:
             assert not np.signbit(kernels.row_sum(np.full((3, k), -0.0))).any(), k
 
     def test_shape_validation(self):
-        for fn in (kernels.row_sum, kernels.row_max, kernels.softmax_argmax):
+        for fn in (kernels.row_sum, kernels.softmax_argmax):
             with pytest.raises(DimensionError):
                 fn(np.zeros(4))
-        for fn in (kernels.row_max, kernels.softmax_argmax):
-            with pytest.raises(DimensionError):
-                fn(np.zeros((3, 0)))
+        with pytest.raises(DimensionError):
+            kernels.softmax_argmax(np.zeros((3, 0)))
         for z in (np.zeros(4), np.zeros((3, 0))):
             with pytest.raises(DimensionError):
                 kernels.log_softmax(z, np.empty(z.shape))
@@ -328,7 +316,6 @@ class TestNumpyReductionsGiveSameBytes:
     NUMPY = {
         "col_sum": lambda a: a.sum(axis=0),
         "row_sum": lambda a: np.asarray(a).sum(axis=1),
-        "row_max": lambda a: np.asarray(a).max(axis=1),
         "softmax_argmax": lambda z: softmax_numpy(z).argmax(axis=1),
         "log_softmax": log_softmax_numpy,
     }

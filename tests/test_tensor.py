@@ -14,7 +14,6 @@ from cfalign.tensor import (
     EPS,
     ArrayPool,
     Graph,
-    RunningStats,
     Tensor,
     add,
     affine,
@@ -420,13 +419,6 @@ class TestBatchNorm:
         y = batch_norm(x, Tensor([1.0]), Tensor([0.0]), eps=0.0)
         np.testing.assert_allclose(y.data.ravel(), [-1.0, 1.0], atol=1e-12)
 
-    def test_running_stats_update(self):
-        running = RunningStats.for_dim(1, momentum=0.1)
-        x = Tensor([[0.0], [2.0]])
-        batch_norm(x, Tensor([1.0]), Tensor([0.0]), running=running)
-        np.testing.assert_allclose(running.mean, [0.1])  # 0.9*0 + 0.1*1
-        np.testing.assert_allclose(running.var, [1.0])  # 0.9*1 + 0.1*1
-
     def test_train_mode_gradient(self):
         rng = np.random.default_rng(7)
         gamma = Tensor(rng.normal(size=4) + 1.0)
@@ -449,7 +441,7 @@ def same_bits(a, b) -> bool:
 
 class TestBatchNormMatchesChain:
     """The one-node batch norm against `batch_norm_chain`, bit for bit: output,
-    gradients, running statistics, signed zeros included."""
+    gradients, signed zeros included."""
 
     @staticmethod
     def draw(rng, n, d):
@@ -467,8 +459,7 @@ class TestBatchNormMatchesChain:
         upstream[:, rng.random(d) < 0.1] = 0.0
         case = {
             "x": x, "gamma": gamma, "beta": rng.normal(size=d), "upstream": upstream,
-            "mean": rng.normal(size=d), "var": rng.uniform(0.1, 3.0, size=d),
-            "momentum": float(rng.uniform(0.0, 1.0)), "eps": float(rng.choice([0.0, 1e-5, 1e-3])),
+            "eps": float(rng.choice([0.0, 1e-5, 1e-3])),
         }
         for k in ("x", "gamma", "beta"):  # a gradient already there from later nodes
             grad = None
@@ -488,20 +479,19 @@ class TestBatchNormMatchesChain:
             if k in trainable and case[k + "_grad"] is not None:
                 leaves[k].grad = case[k + "_grad"].copy()
         x, gamma, beta = leaves.values()
-        running = RunningStats(case["mean"].copy(), case["var"].copy(), case["momentum"])
         with Graph() as g:
-            out = bn(x, gamma, beta, running=running, eps=case["eps"])
+            out = bn(x, gamma, beta, eps=case["eps"])
         out.grad = case["upstream"].copy()
         for node in reversed(g.nodes):
             if node.output.grad is not None:
                 node.backward(node.output.grad)
-        kept = (out.data, x.grad, gamma.grad, beta.grad, running.mean, running.var)
+        kept = (out.data, x.grad, gamma.grad, beta.grad)
         return kept, [node.tag for node in g.nodes]
 
     def check(self, case, trainable=("x", "gamma", "beta")):
         got, tags = self.run(batch_norm, case, trainable)
         want, chain_tags = self.run(batch_norm_chain, case, trainable)
-        for name, a, b in zip(("out", "x", "gamma", "beta", "running.mean", "running.var"), got, want):
+        for name, a, b in zip(("out", "x", "gamma", "beta"), got, want):
             assert same_bits(a, b), name
         return tags, chain_tags
 

@@ -147,10 +147,8 @@ class TestContrastivePath:
 
     def test_batch_norm_heads_run(self, tiny_data):
         cfg = tiny_config(contrastive=True, head="byol", iterations=8)
-        state, records = train(cfg, tiny_data)
+        _, records = train(cfg, tiny_data)
         assert np.isfinite(records[-1].total)
-        bn = [l for l in state.head.layers if hasattr(l, "running")][0]
-        assert not np.array_equal(bn.running.mean, np.zeros_like(bn.running.mean))
 
 
 TAPE_CONFIGS = [
