@@ -5,7 +5,7 @@ and population variance (taken over batch and spatial positions together),
 then rescale and shift to a style's statistics.
 
 Images are (batch, channel, height, width); `to_pixels` flattens them into
-the (pixels, channels) matrices the per-pixel model consumes.
+the feature-major (channels, pixels) matrices the per-pixel model consumes.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ class ChannelStats:
 
 
 def to_pixels(images: np.ndarray) -> np.ndarray:
-    """(b, c, h, w) -> (b*h*w, c) with pixels of one image contiguous."""
+    """(b, c, h, w) -> (c, b*h*w), one column per pixel in image, row and
+    column order. A view of a contiguous single image (b = 1), else a copy."""
     if images.ndim != 4:
         raise DimensionError(f"expected a 4-d image batch, got shape {images.shape}")
     b, c, h, w = images.shape
-    return images.transpose(0, 2, 3, 1).reshape(b * h * w, c)
+    return images.transpose(1, 0, 2, 3).reshape(c, b * h * w)
 
 
 def channel_stats(images: np.ndarray) -> ChannelStats:

@@ -243,8 +243,9 @@ def save_split(path: str | Path, split: Split, spec: SynthSpec, name: str) -> No
 def load_split(path: str | Path) -> tuple[Split, dict]:
     """Read one split file; any malformed content raises ConfigError.
 
-    Labels must be integers in [0, classes) shaped (n, height, width) to
-    match the (n, channels, height, width) images.
+    The split holds at least one image. The header's class count is an int
+    equal to its spec's, and labels are integers in [0, classes) shaped
+    (n, height, width) to match the (n, channels, height, width) images.
     """
     try:
         header, arrays = read_container(path, DATASET_FORMAT)
@@ -260,11 +261,17 @@ def load_split(path: str | Path) -> tuple[Split, dict]:
     if labels is None:
         raise ConfigError(f"{path} holds no labels tensor")
     n, _, h, w = images.shape
-    classes = header.get("classes")
+    if n == 0:
+        raise ConfigError(f"{path} holds no images")
+    classes, spec = header.get("classes"), header.get("spec")
+    spec_classes = spec.get("classes") if isinstance(spec, dict) else None
+    # `type(...) is int`: a JSON true is a bool, which isinstance(_, int) lets through
+    if type(classes) is not int or classes != spec_classes:
+        raise ConfigError(f"{path} header has {classes!r} classes, its spec {spec_classes!r}")
     if labels.shape != (n, h, w):
         raise ConfigError(f"{path} labels have shape {labels.shape}, images need {(n, h, w)}")
     integral = labels == np.round(labels)
-    if not isinstance(classes, int) or not np.all(integral & (labels >= 0) & (labels < classes)):
+    if not np.all(integral & (labels >= 0) & (labels < classes)):
         raise ConfigError(f"{path} labels are not integers in [0, {classes})")
     return Split(images=images, labels=labels.astype(np.int64)), header
 

@@ -4,6 +4,12 @@ IOU for class c is TP/(TP+FP+FN) over all evaluated pixels; classes whose
 union is empty (never predicted, never true) are reported as None and left
 out of the mean. Pseudo-label accuracy reuses the training-time assignment
 rule against the held-out truth.
+
+A split runs in blocks of whole images. Activations are feature-major, one
+column per pixel, so a block is a run of columns and each layer computes
+``w.T @ X`` over it. `_blocks_exact` states when that gives the bytes of the
+whole split's product; `tests/test_evaluate.py::TestBlockRule` re-derives
+the rule on the installed BLAS.
 """
 
 from __future__ import annotations
@@ -17,13 +23,16 @@ import numpy as np
 from .adain import to_pixels
 from .data import Split
 from .errors import ContractError, DivergenceError
-from .kernels import _BLOCK, confusion
+from .kernels import confusion
 from .membank import assign_pseudo_labels, pseudo_label_accuracy
 from .model import SegModel, model_features, predict_labels
 from .tensor import Tensor
 from .train import TrainState
 
 __all__ = ["EvalRecord", "iou_from_confusion", "evaluate", "eval_to_json", "save_eval_json"]
+
+# pixels per evaluation block: a block's activations stay cache-resident
+_BLOCK = 4096
 
 
 @dataclass
@@ -53,37 +62,34 @@ def iou_from_confusion(matrix: np.ndarray) -> tuple[list, float]:
     return per_class, float(np.mean(present))
 
 
-def _row_blocks_exact(model: SegModel, rows_per_image: int) -> bool:
-    """Whether x @ w over a block of whole images gives the same bytes as
-    the same rows of the whole split's product, for every layer k -> m.
+def _blocks_exact(layers, pixels_per_image: int) -> bool:
+    """Whether ``w.T @ X`` over blocks of whole images gives the bytes of
+    the same columns of the whole split's product, for every layer (k, m).
 
-    Measured with the OpenBLAS numpy 2.4.6 bundles, on a 2-core x86-64
-    host, for k and m up to 40 (and spot checks to 256) over blocks of 2 to
-    8,192 rows at aligned and unaligned offsets: equal when k < 8 or m % 8
-    is 0, 5, 6 or 7. Apart in the last bits (up to 1.8e-15 on unit-scale
-    rows) for k >= 16 with m % 8 in 1..4, such as 16 -> 9 or 32 -> 2, and
-    for k >= 8 with m = 1, because OpenBLAS picks its kernel by problem
-    size. A 1-row block takes numpy's matrix-vector path and is apart at
-    every shape. The trainer's 3 -> 16 -> 8 -> 5 layers are all inside.
+    Measured with the OpenBLAS 0.3.31 that numpy bundles, on a 2-core
+    x86-64 host, with one BLAS thread and with two, for k and m up to 40.
+    When an image holds a multiple of 8 pixels, every block starts and ends
+    on a whole 8-pixel tile and every shape agrees. Otherwise a block edge
+    cuts a tile, and the pixels next to it round apart in the last bits
+    for a layer with one output, which takes numpy's matrix-vector path,
+    and for m >= 12 with k * m >= 48 (from m = 33 with two threads). The
+    trainer's 3 -> 16 -> 8 -> 5 layers on 32 x 32 images are inside.
     """
-    layers = (
-        (model.channels, model.hidden_dim),
-        (model.hidden_dim, model.feature_dim),
-        (model.feature_dim, model.classes),
-    )
-    return rows_per_image >= 2 and all(k < 8 or m % 8 in (0, 5, 6, 7) for k, m in layers)
+    if pixels_per_image % 8 == 0:
+        return True
+    return all(m >= 2 and (m < 12 or k * m < 48) for k, m in layers)
 
 
 def evaluate(state: TrainState, split: Split) -> EvalRecord:
     """Score a trained state on a labeled split.
 
-    The split runs in blocks of whole images, about `kernels._BLOCK` pixel
-    rows each: backbone, classifier, labels and pseudo-labels finish one
-    block while its arrays are still in cache, and each block reuses the
-    memory the last one freed. Every step is row-local, so the labels are
+    The split runs in blocks of whole images, about `_BLOCK` pixels each:
+    backbone, classifier, labels and pseudo-labels finish one block while
+    its arrays are still in cache, and each block reuses the memory the last
+    one freed. Every step is local to a pixel's column, so the labels are
     bitwise those of one pass over the whole split, as long as the matmuls
     are; where a layer's shape is outside the measured region
-    (`_row_blocks_exact`), the block is the whole split.
+    (`_blocks_exact`), the block is the whole split.
 
     Evaluation images are never style-transferred: the point is performance
     on the raw target domain. Raises DivergenceError when the forward pass
@@ -100,7 +106,12 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
         )
     images, model = split.images, state.model
     b, _, h, w = images.shape
-    per_block = max(1, _BLOCK // (h * w)) if _row_blocks_exact(model, h * w) else b
+    layers = (
+        (model.channels, model.hidden_dim),
+        (model.hidden_dim, model.feature_dim),
+        (model.feature_dim, model.classes),
+    )
+    per_block = max(1, _BLOCK // (h * w)) if _blocks_exact(layers, h * w) else b
     preds = np.empty(labels.size, dtype=np.intp)
     pseudo = None
     if int(state.bank.init_source.sum()) >= 2:
@@ -115,7 +126,7 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
                 feats = model_features(model, Tensor(to_pixels(block)))
                 preds[lo:hi] = predict_labels(model, block, features=feats).reshape(-1)
                 if pseudo is not None:
-                    pseudo[lo:hi] = assign_pseudo_labels(feats.data, bank, state.config.threshold)
+                    pseudo[lo:hi] = assign_pseudo_labels(feats.data.T, bank, state.config.threshold)
     except FloatingPointError as exc:
         raise DivergenceError(f"evaluation forward pass left the finite range: {exc}") from exc
     per_class, miou = iou_from_confusion(confusion(preds, labels, state.classes))

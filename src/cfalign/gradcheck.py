@@ -3,7 +3,9 @@
 Each case builds a randomized scalar-valued function of one tensor and
 compares its reverse-mode gradient against central differences. The battery
 reports the worst relative error per case name; it backs both the CLI
-self-test and the test suite.
+self-test and the test suite. Logits and features are feature-major, (c, n)
+and (d, n), as the model makes them; `info_nce` and `entropy_loss` take one
+row per pixel.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from .heads import HEAD_KINDS, build_head, head_forward
 from .losses import contrastive_combined, cross_entropy, entropy_from_logits, entropy_loss, info_nce
 from .membank import MemoryBank
-from .tensor import Tensor, add, affine, grad_check, softmax
+from .tensor import Tensor, add, affine, grad_check, softmax, transpose
 
 __all__ = ["loss_battery", "BATTERY_CASES"]
 
@@ -29,27 +31,27 @@ def _labels(rng: np.random.Generator, n: int, c: int, unlabeled: float = 0.25) -
 def _case_cross_entropy(rng):
     n, c = 6, 4
     labels = _labels(rng, n, c)
-    x = Tensor(rng.normal(size=(n, c)), requires_grad=True)
+    x = Tensor(rng.normal(size=(c, n)), requires_grad=True)
     return lambda z: cross_entropy(z, labels), x
 
 
 def _case_saturated_cross_entropy(rng):
-    """Each row has one logit 40 above the rest, and most labels name another
+    """Each pixel has one logit 40 above the rest, and most labels name another
     class: the regime where a log of clamped probabilities lost the gradient."""
     n, c = 6, 4
     labels = _labels(rng, n, c)
-    z = rng.normal(size=(n, c))
-    z[np.arange(n), rng.integers(0, c, size=n)] += 40.0
+    z = rng.normal(size=(c, n))
+    z[rng.integers(0, c, size=n), np.arange(n)] += 40.0
     return lambda t: cross_entropy(t, labels), Tensor(z, requires_grad=True)
 
 
 def _case_entropy(rng):
-    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    return lambda z: entropy_loss(softmax(z)), x
+    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    return lambda z: entropy_loss(transpose(softmax(z))), x
 
 
 def _case_entropy_from_logits(rng):
-    x = Tensor(rng.normal(size=(6, 4)) * 3.0, requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 6)) * 3.0, requires_grad=True)
     return entropy_from_logits, x
 
 
@@ -86,8 +88,8 @@ def _make_contrastive_case(side: str):
         n, c, d = 5, 4, 3
         bank = _bank(rng, c, d)
         y_s, y_t = _labels(rng, n, c), _labels(rng, n, c)
-        other = Tensor(rng.normal(size=(n, d)))
-        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        other = Tensor(rng.normal(size=(d, n)))
+        x = Tensor(rng.normal(size=(d, n)), requires_grad=True)
         if side == "source":
             return lambda f: contrastive_combined(f, y_s, other, y_t, bank, tau=0.07), x
         return lambda f: contrastive_combined(other, y_s, f, y_t, bank, tau=0.07), x
@@ -102,8 +104,8 @@ def _make_head_case(kind: str):
         centers = rng.normal(size=(c, head.d_out))
         mask = np.ones(c, dtype=bool)
         labels = _labels(rng, n, c)
-        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
-        return lambda f: info_nce(head_forward(head, f), labels, centers, mask, tau=0.07)[0], x
+        x = Tensor(rng.normal(size=(d, n)), requires_grad=True)
+        return lambda f: info_nce(transpose(head_forward(head, f)), labels, centers, mask, tau=0.07)[0], x
 
     return case
 
@@ -114,7 +116,7 @@ def _make_affine_case(part: str):
     def case(rng):
         n, d, c = 6, 3, 4
         labels = _labels(rng, n, c)
-        feats = Tensor(rng.normal(size=(n, d)))
+        feats = Tensor(rng.normal(size=(d, n)))
         layer = {"weight": Tensor(rng.normal(size=(d, c))), "bias": Tensor(rng.normal(size=c))}
         x = layer[part]
         x.requires_grad = True

@@ -83,9 +83,9 @@ def build_head(
 
 
 def head_forward(head: Head, x: Tensor) -> Tensor:
-    """Apply the head to (n, d_in) features; the `none` head returns x as is."""
-    if x.data.ndim != 2 or x.data.shape[1] != head.d_in:
-        raise DimensionError(f"head expects (n, {head.d_in}) features, got {x.data.shape}")
+    """Apply the head to (d_in, n) features; the `none` head returns x as is."""
+    if x.data.ndim != 2 or x.data.shape[0] != head.d_in:
+        raise DimensionError(f"head expects ({head.d_in}, n) features, got {x.data.shape}")
     if head.fc1 is None:
         return x
     h = affine(x, head.fc1.weight, head.fc1.bias)

@@ -1,6 +1,8 @@
 """Training objectives: supervised CE, entropy minimization, and class-wise InfoNCE.
 
-All losses return scalar tensors on the active graph. Class centers enter as
+All losses return scalar tensors on the active graph. Logits and features
+are feature-major, (classes, n) and (d, n), as the model makes them; only
+`info_nce` and `entropy_loss` take one row per pixel. Class centers enter as
 plain numpy constants so no gradient ever flows into the memory bank, and
 pixels labeled ``-1`` are excluded everywhere. InfoNCE is computed through a
 max-shifted log-sum-exp, so temperatures as small as 1e-2 stay finite. Each
@@ -20,12 +22,13 @@ each term are those of a separate `info_nce` node, and the sum and gradients
 those of the four nodes joined by `add` nodes (``tests/chain_ops.py``'s
 ``contrastive_chain``), because:
 
-- each table gets its own ``x @ C.T``, as before. One matmul over both
-  tables stacked rounds apart where BLAS takes its gemv path (one row, or a
-  table with one masked-in center) and at wider features (ROADMAP item 7);
-- everything after the matmuls is elementwise, reduces one row of logits
-  (max, pairwise sum) or averages one term's rows, so laying two terms'
-  logits side by side changes no operand and no order;
+- each table gets its own ``C @ x``, written straight into its own
+  contiguous slice of the logits, so every matmul sees the operands the
+  one-term form gives it (a stacked matmul over both tables, or a strided
+  slice, can take another BLAS path and round apart);
+- everything after the matmuls is elementwise, reduces one pixel's column
+  of logits (max, pairwise sum) or averages one term's pixels, so laying
+  two terms' logits side by side changes no operand and no order;
 - the terms are summed ``((t1 + t2) + t3) + t4`` as the add nodes did, and a
   feature set's gradients reach it in reverse tape order. (The add nodes
   also passed each term ``g + 0.0`` instead of ``g``. That changes only a
@@ -40,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .kernels import _max_scan, _row_sums, log_softmax, row_sum
+from .kernels import _row_max, _row_sums, log_softmax
 from .membank import MemoryBank
-from .tensor import EPS, Tensor, accum, accum_scratch, add, buffer, record, release, scale
+from .tensor import EPS, Tensor, accum, accum_scratch, add, buffer, record, release, scale, transpose
 
 __all__ = [
     "LossBreakdown",
@@ -56,26 +59,27 @@ __all__ = [
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean of ``-log softmax(logits)[i, labels[i]]`` over rows with labels >= 0.
+    """Mean of ``-log softmax(logits)[labels[i], i]`` over the pixels i of
+    the (c, n) logits with labels >= 0.
 
     It is computed from log-softmax, ``lse(z_i) - z_i[y_i]``, so no
     probability is clamped: logits [0, 40] with label 0 give 40, with
     gradient [-1, 1]. The backward is ``(p - onehot) / m`` on the m labeled
-    rows and 0 on the others.
+    pixels and 0 on the others.
     """
     labels = np.asarray(labels, dtype=np.int64)
     z = logits.data
-    if z.ndim != 2 or labels.shape != (z.shape[0],):
+    if z.ndim != 2 or labels.shape != (z.shape[1],):
         raise DimensionError(
-            f"cross_entropy needs (n,c) logits and (n,) labels, got {z.shape} and {labels.shape}"
+            f"cross_entropy needs (c,n) logits and (n,) labels, got {z.shape} and {labels.shape}"
         )
     labeled = np.flatnonzero(labels >= 0)
     if labeled.size == 0:
         raise ContractError("cross_entropy needs at least one labeled pixel")
-    if labels.max() >= z.shape[1]:
-        raise ContractError(f"label {labels.max()} out of range for {z.shape[1]} classes")
+    if labels.max() >= z.shape[0]:
+        raise ContractError(f"label {labels.max()} out of range for {z.shape[0]} classes")
     m = labeled.size
-    at = labeled * z.shape[1] + labels[labeled]  # flat index of each labeled row's label
+    at = labels[labeled] * z.shape[1] + labeled  # flat index of each labeled pixel's label
     logp = buffer(z.shape, logits.requires_grad)
     log_softmax(z, logp)
     loss = Tensor(-logp.reshape(-1)[at].mean(), logits.requires_grad)
@@ -85,33 +89,37 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         gz = np.exp(logp, out=logp)
         gz.reshape(-1)[at] -= 1.0
         gz *= g / m
-        if m < z.shape[0]:
-            gz[labels < 0] = 0.0
+        if m < z.shape[1]:
+            gz[:, labels < 0] = 0.0
         accum_scratch(logits, gz)
 
     record("cross_entropy", (logits,), loss, bwd)
     return loss
 
 
-def _check_entropy_rows(x: np.ndarray, name: str) -> None:
+def _entropy_classes(x: np.ndarray, name: str, axis: int) -> int:
+    """The class count of the 2-d `x`, whose classes lie along `axis`."""
     if x.ndim != 2:
-        raise DimensionError(f"{name} needs an (n,c) tensor, got shape {x.shape}")
-    if x.shape[1] < 2:
-        raise ContractError(f"entropy needs at least 2 classes, got {x.shape[1]}")
+        raise DimensionError(f"{name} needs a 2-d tensor, got shape {x.shape}")
+    c = x.shape[axis]
+    if c < 2:
+        raise ContractError(f"entropy needs at least 2 classes, got {c}")
+    return c
 
 
 def entropy_loss(pred: Tensor) -> Tensor:
-    """Shannon entropy of each row, normalized by log(class count), averaged.
+    """Shannon entropy of each row of the (n, c) `pred`, normalized by
+    log(class count), averaged.
 
     Lies in [0, 1] for probability rows: 1 at the uniform distribution, 0 at
     a one-hot row (the 0 * log 0 limit is taken as 0 via the log clamp).
     """
-    _check_entropy_rows(pred.data, "entropy_loss")
-    n, c = pred.data.shape
+    c = _entropy_classes(pred.data, "entropy_loss", 1)
+    n = pred.data.shape[0]
     k = float(-1.0 / np.log(c))
     safe = np.maximum(pred.data, EPS)
     logp = np.log(safe)
-    loss = Tensor((row_sum(pred.data * logp) * k).mean(), pred.requires_grad)
+    loss = Tensor((_row_sums((pred.data * logp).T) * k).mean(), pred.requires_grad)
 
     def bwd(g):
         # mean, scale and row sum, then pred's two uses (the factor of
@@ -125,23 +133,24 @@ def entropy_loss(pred: Tensor) -> Tensor:
 
 
 def entropy_from_logits(logits: Tensor) -> Tensor:
-    """`entropy_loss` of ``softmax(logits)``, computed from log-softmax.
+    """`entropy_loss` of the columns of ``softmax(logits)`` for (c, n)
+    logits, computed from log-softmax.
 
-    No log is clamped, so a saturated row such as [0, 800] has entropy 0 and
-    a finite gradient. With H_i = -sum(p log p) the entropy of row i, the
-    backward is ``-p * (log p + H_i) / (n log c)``.
+    No log is clamped, so a saturated column such as [0, 800] has entropy 0
+    and a finite gradient. With H_i = -sum(p log p) the entropy of pixel i,
+    the backward is ``-p * (log p + H_i) / (n log c)``.
     """
     z = logits.data
-    _check_entropy_rows(z, "entropy_from_logits")
-    n, c = z.shape
+    c = _entropy_classes(z, "entropy_from_logits", 0)
+    n = z.shape[1]
     k = float(-1.0 / np.log(c))
     logp = buffer(z.shape, logits.requires_grad)
-    plogp = log_softmax(z, logp, entropy=True)  # -H per row
+    plogp = log_softmax(z, logp, entropy=True)  # -H per pixel
     loss = Tensor((plogp * k).mean(), logits.requires_grad)
 
     def bwd(g):
         gz = np.exp(logp, out=buffer(z.shape))
-        np.subtract(logp, plogp[:, None], out=logp)  # log p + H
+        np.subtract(logp, plogp, out=logp)  # log p + H
         gz *= logp
         gz *= g / n * k
         release(logp)
@@ -157,14 +166,15 @@ def _check_tau(tau: float) -> None:
 
 
 def _check_set(features: Tensor, labels, centers: np.ndarray) -> np.ndarray:
-    """`labels` as int64, after the checks every term of one feature set needs."""
+    """`labels` as int64, after the checks every term of one (d, n) feature
+    set needs."""
     labels = np.asarray(labels, dtype=np.int64)
-    if features.data.ndim != 2 or centers.ndim != 2 or features.data.shape[1] != centers.shape[1]:
+    if features.data.ndim != 2 or centers.ndim != 2 or features.data.shape[0] != centers.shape[1]:
         raise DimensionError(
-            f"info_nce needs (n,d) features and (c,d) centers, got {features.data.shape} and {centers.shape}"
+            f"info_nce needs (d,n) features and (c,d) centers, got {features.data.shape} and {centers.shape}"
         )
-    if labels.shape != (features.data.shape[0],):
-        raise DimensionError(f"labels must be ({features.data.shape[0]},), got {labels.shape}")
+    if labels.shape != (features.data.shape[1],):
+        raise DimensionError(f"labels must be ({features.data.shape[1]},), got {labels.shape}")
     if labels.size and labels.max() >= centers.shape[0]:
         raise ContractError(f"label {labels.max()} out of range for {centers.shape[0]} centers")
     return labels
@@ -172,12 +182,12 @@ def _check_set(features: Tensor, labels, centers: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Stack:
-    """One feature set's labeled rows against the center tables that agree
-    on which rows are masked in: one InfoNCE term per table."""
+    """One (d, n) feature set's labeled pixels against the center tables that
+    agree on which rows are masked in: one InfoNCE term per table."""
 
     features: Tensor
-    labeled: np.ndarray  # rows with a label >= 0, ascending
-    pos: np.ndarray  # each labeled row's label as a position among `active`
+    labeled: np.ndarray  # pixels with a label >= 0, ascending
+    pos: np.ndarray  # each labeled pixel's label as a position among `active`
     active: np.ndarray  # masked-in center rows
     tables: list[np.ndarray]  # each table's masked-in centers, in tape order
 
@@ -190,33 +200,33 @@ class _Stack:
         return cls(features, labeled, pos_of[labels[labeled]], active, [])
 
     @property
-    def rows(self):
-        """The labeled rows as an index: a slice when every row is labeled,
-        so gathers and scatters over them are plain copies."""
-        return slice(None) if self.labeled.size == self.features.data.shape[0] else self.labeled
+    def cols(self):
+        """The labeled pixels as an index: a slice when every pixel is
+        labeled, so gathers and scatters over them are plain copies."""
+        return slice(None) if self.labeled.size == self.features.data.shape[1] else self.labeled
 
 
-def _accum_rows(t: Tensor, rows, gfs: list[np.ndarray]) -> None:
-    """Add each term's gradient in `gfs` (reverse tape order) into `rows` of
+def _accum_cols(t: Tensor, cols, gfs: list[np.ndarray]) -> None:
+    """Add each term's gradient in `gfs` (reverse tape order) into `cols` of
     t.grad, bitwise as the per-term nodes did by accumulating a zero array
-    holding it at those rows.
+    holding it at those pixels.
 
     On the first store the terms are added first: ``(a + 0.0) + b`` and
     ``(a + b) + 0.0`` are equal bit for bit. After it, t.grad holds no -0.0
-    (accum adds 0.0), so the other rows' ``+ 0.0`` changes nothing and only
-    `rows` are added to, one term after another.
+    (accum adds 0.0), so the other pixels' ``+ 0.0`` changes nothing and
+    only `cols` are added to, one term after another.
     """
     if t.grad is not None:
         for gf in gfs:
-            t.grad[rows] += gf
+            t.grad[:, cols] += gf
         return
     gf = gfs[0]
     for later in gfs[1:]:
         gf = gf + later
     gx = buffer(t.data.shape)
-    if not isinstance(rows, slice):
+    if not isinstance(cols, slice):
         gx.fill(0.0)
-    gx[rows] = gf
+    gx[:, cols] = gf
     accum_scratch(t, gx)
 
 
@@ -226,10 +236,11 @@ def _nce(
     """The sum of the InfoNCE terms of `stacks`, folded in order, as one tape
     node with `inputs`.
 
-    The T tables of a stack share its m rows and k centers. Their logits are
-    laid out as one column-major (k, T, m) array, so every step after the
-    matmuls is one numpy call over all T terms. Each step is elementwise, or
-    reduces one column, exactly as the one-term form did, so every term's
+    The T tables of a stack share its m pixels and k centers. Their logits
+    are laid out as one (T, k, m) array, so every step after the matmuls is
+    one numpy call over all T terms, and each term's (k, m) slice is as
+    contiguous as the one-term form's. Each step is elementwise, or reduces
+    one pixel's centers, exactly as the one-term form did, so every term's
     loss and gradient keep their bits (module docstring).
     """
     c = float(1.0 / tau)
@@ -239,45 +250,44 @@ def _nce(
     for s in stacks:
         tables = s.tables
         m, k, count = s.labeled.size, s.active.size, len(tables)
-        x = s.features.data[s.rows]
+        x = s.features.data[:, s.cols]
         if normalize:
-            x_safe = np.maximum(np.sqrt(np.maximum(row_sum(x * x)[:, None], 0.0)), EPS)
+            x_safe = np.maximum(np.sqrt(np.maximum(_row_sums(x * x), 0.0)), EPS)
             f = x / x_safe
             tables = [C / np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12) for C in tables]
         else:
             x_safe, f = None, x
-        # one matmul per table, as the one-term form made it, then one scaled
-        # transposing copy: L[:, j, i] is row i of (f @ C_j.T) * c
-        products = np.empty((count, m, k))
+        # L[j] is (C_j @ f) * c, one matmul per table as the one-term form made it
+        L = np.empty((count, k, m))
         for j, C in enumerate(tables):
-            np.matmul(f, C.T, out=products[j])
-        L = np.multiply(products.transpose(2, 0, 1), c, out=np.empty((k, count, m)))
-        # flat index of each row's positive logit, per term
-        at = (s.pos * (count * m) + np.arange(m)) + (np.arange(count) * m)[:, None]
+            np.matmul(C, f, out=L[j])
+        L *= c
+        # flat index of each pixel's positive logit, per term
+        at = (np.arange(count) * (k * m))[:, None] + (s.pos * m + np.arange(m))
         picked = L.reshape(-1)[at]
-        shift = np.empty((count, m))
+        # the reductions run over each pixel's centers: axis 1, led by a view
         if include_positive:
             keep = None
-            _max_scan(L, shift)  # constant shift: exact for lse
-            E = np.exp(np.subtract(L, shift, out=L), out=L)
-            z = _row_sums(E)  # >= 1 because the max term contributes exp(0)
+            shift = _row_max(L.transpose(1, 0, 2))  # constant shift: exact for lse
+            E = np.exp(np.subtract(L, shift[:, None], out=L), out=L)
+            z = _row_sums(E.transpose(1, 0, 2))  # >= 1 because the max term contributes exp(0)
         else:
-            keep = np.ones((k, 1, m))
-            keep[s.pos, 0, np.arange(m)] = 0.0
+            keep = np.ones((k, m))
+            keep[s.pos, np.arange(m)] = 0.0
             # shift by the largest KEPT logit, not the global max: if the
             # positive dominates, the exclusive sum would underflow past the
             # log guard
-            _max_scan(np.where(keep > 0, L, -np.inf), shift)
-            np.subtract(L, shift, out=L)
+            shift = _row_max(np.where(keep > 0, L, -np.inf).transpose(1, 0, 2))
+            np.subtract(L, shift[:, None], out=L)
             # push dropped entries far negative before exp so they cannot
             # overflow; the keep mask then zeroes any rounding residue
             cushion = (1.0 - keep) * (np.maximum(L, 0.0) + 1000.0)
             E = np.exp(L - cushion)
-            z = _row_sums(E * keep)  # >= 1: the kept max contributes exp(0)
+            z = _row_sums((E * keep).transpose(1, 0, 2))  # >= 1: the kept max contributes exp(0)
         z_safe = np.maximum(z, EPS)
         lse = np.log(z_safe) + shift
         terms.extend((lse[j] - picked[j]).mean() for j in range(count))
-        saved.append((s, tables, x, x_safe, keep, E, z_safe, at, products))
+        saved.append((s, tables, x, x_safe, keep, E, z_safe, at))
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -285,31 +295,29 @@ def _nce(
 
     def bwd(g):
         # the chain rule of gather, l2-normalise, matmul, scale, shifted exp,
-        # row sum, clamped log and mean, with the per-op tape's rounding, and
-        # the terms in reverse tape order
-        for s, tables, x, x_safe, keep, E, z_safe, at, gl_rows in reversed(saved):
+        # column sum, clamped log and mean, with the per-op tape's rounding,
+        # and the terms in reverse tape order
+        for s, tables, x, x_safe, keep, E, z_safe, at in reversed(saved):
             if not s.features.requires_grad:
                 continue
             gm = np.broadcast_to(g, (s.labeled.size,)) / s.labeled.size
-            q = gm / z_safe
+            q = (gm / z_safe)[:, None]
             if keep is not None:
                 q = q * keep
             gl = np.multiply(q, E, out=E)
             gl.reshape(-1)[at] -= gm
-            # each term's (gl * c) as a C-contiguous (m, k) array, as the
-            # one-term form multiplied it
-            np.multiply(gl.transpose(1, 2, 0), c, out=gl_rows)
+            gl *= c  # each term's (gl * c), as the one-term form multiplied it
             gfs = []
             for j in reversed(range(len(tables))):
-                gf = gl_rows[j] @ tables[j]
+                gf = tables[j].T @ gl[j]
                 if normalize:
-                    # through x / norm, the norm's sqrt and row sum, and x * x
-                    # (x enters twice)
-                    g_norm = row_sum((-gf * x) / (x_safe * x_safe))[:, None]
+                    # through x / norm, the norm's sqrt and column sum, and
+                    # x * x (x enters twice)
+                    g_norm = _row_sums((-gf * x) / (x_safe * x_safe))
                     t = np.broadcast_to(g_norm * 0.5 / x_safe, x.shape) * x
                     gf = gf / x_safe + t + t
                 gfs.append(gf)
-            _accum_rows(s.features, s.rows, gfs)
+            _accum_cols(s.features, s.cols, gfs)
 
     record("info_nce", inputs, loss, bwd)
     return loss
@@ -326,17 +334,20 @@ def info_nce(
 ) -> tuple[Tensor, int]:
     """Center-based InfoNCE: pull each labeled feature toward its class center.
 
-    Per labeled row i with label y: -log softmax over masked-in centers of
-    inner-product similarities divided by `tau`, evaluated at y. The positive
-    center appears in the denominator by default; ``include_positive=False``
-    restricts the denominator to the other centers, which needs at least two
-    masked-in centers and can push the loss below zero.
+    `features` holds one row per pixel, (n, d); on a tape it is read through
+    a `transpose` node. Per labeled row i with label y: -log softmax over
+    masked-in centers of inner-product similarities divided by `tau`,
+    evaluated at y. The positive center appears in the denominator by
+    default; ``include_positive=False`` restricts the denominator to the
+    other centers, which needs at least two masked-in centers and can push
+    the loss below zero.
 
     Returns (mean loss over labeled rows, labeled row count); with no labeled
     row the loss is a constant 0 and the count is the flag.
     """
     _check_tau(tau)
     centers = np.asarray(centers, dtype=np.float64)
+    features = transpose(features)
     labels = _check_set(features, labels, centers)
     if center_mask is None:
         center_mask = np.ones(centers.shape[0], dtype=bool)
@@ -366,7 +377,8 @@ def contrastive_combined(
     include_positive: bool = True,
     normalize: bool = False,
 ) -> Tensor:
-    """Sum of the four cross-domain InfoNCE terms, as one tape node.
+    """Sum of the four cross-domain InfoNCE terms of two (d, n) feature
+    sets, as one tape node.
 
     Both feature sets are pulled toward both domains' center tables. For each
     term, features whose class row is uninitialized on that side are dropped,

@@ -84,12 +84,12 @@ class PseudoAccuracy(NamedTuple):
 def class_centers(
     features: np.ndarray | tuple[np.ndarray, ...], labels: np.ndarray, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class means of the rows labeled with that class.
+    """Per-class means of the pixels labeled with that class, one row per class.
 
-    `features` is an (n, d) array or a tuple of (n, d_i) column blocks whose
-    means are joined column-wise, bitwise as for the joined rows, without
+    `features` is a (d, n) array or a tuple of (d_i, n) blocks whose means
+    are joined column-wise, bitwise as for the stacked blocks, without
     copying the blocks together. Classes absent from `labels` get a zero row
-    and count 0; labels of -1 are skipped. Row order within a class cannot
+    and count 0; labels of -1 are skipped. Pixel order within a class cannot
     affect the result beyond float rounding.
     """
     blocks = features if isinstance(features, tuple) else (features,)
@@ -126,9 +126,12 @@ def update_bank(
 def assign_pseudo_labels(
     features: np.ndarray, bank: MemoryBank, threshold: float
 ) -> np.ndarray:
-    """Label each row with its nearest initialized source center, or -1.
+    """Label each row of the (n, d) `features` with its nearest initialized
+    source center, or -1.
 
-    A row is labeled only when the Euclidean distance to the second-nearest
+    The kernel reads ``features.T``, so the ``.T`` view of a feature-major
+    (d, n) array costs no copy. A row is labeled only when the Euclidean
+    distance to the second-nearest
     initialized center exceeds the nearest by more than `threshold`; an
     infinite threshold therefore labels nothing. Needs at least two
     initialized source rows so the margin is defined.
@@ -144,7 +147,7 @@ def assign_pseudo_labels(
         raise DimensionError(
             f"features must be (n, {bank.feature_dim}), got {features.shape}"
         )
-    idx, dmin, dsec = kernels.nearest_two(features, bank.v_source[active])
+    idx, dmin, dsec = kernels.nearest_two(features.T, bank.v_source[active])
     labels = np.where(dsec - dmin > threshold, active[idx], -1)
     return labels.astype(np.int64)
 

@@ -1,9 +1,10 @@
 """Per-pixel segmentation network: shared MLP backbone plus linear classifier.
 
 Every pixel is classified independently from its channel vector. An image
-batch (b, c, h, w) flattens to a pixel matrix (b*h*w, c) before the forward
-pass; prediction grids reshape back afterwards. Keeping the backbone
-per-pixel means every feature-space loss sees one row per pixel.
+batch (b, c, h, w) flattens to a feature-major pixel matrix (c, b*h*w)
+before the forward pass, one column per pixel, and every layer keeps that
+layout: features are (feature_dim, n) and logits (classes, n). Prediction
+grids reshape back afterwards.
 """
 
 from __future__ import annotations
@@ -70,26 +71,26 @@ def build_model(
 
 
 def model_features(model: SegModel, pixels: Tensor) -> Tensor:
-    """Backbone forward: (n, channels) pixel rows to (n, feature_dim) rows."""
-    if pixels.data.ndim != 2 or pixels.data.shape[1] != model.channels:
+    """Backbone forward: (channels, n) pixels to (feature_dim, n) features."""
+    if pixels.data.ndim != 2 or pixels.data.shape[0] != model.channels:
         raise DimensionError(
-            f"backbone expects (n, {model.channels}) pixels, got {pixels.data.shape}"
+            f"backbone expects ({model.channels}, n) pixels, got {pixels.data.shape}"
         )
     hidden = relu(affine(pixels, model.enc1.weight, model.enc1.bias))
     return affine(hidden, model.enc2.weight, model.enc2.bias)
 
 
 def model_logits(model: SegModel, features: Tensor) -> Tensor:
-    """Classifier forward: (n, feature_dim) to (n, classes) logit rows."""
-    if features.data.ndim != 2 or features.data.shape[1] != model.feature_dim:
+    """Classifier forward: (feature_dim, n) features to (classes, n) logits."""
+    if features.data.ndim != 2 or features.data.shape[0] != model.feature_dim:
         raise DimensionError(
-            f"classifier expects (n, {model.feature_dim}) features, got {features.data.shape}"
+            f"classifier expects ({model.feature_dim}, n) features, got {features.data.shape}"
         )
     return affine(features, model.classifier.weight, model.classifier.bias)
 
 
 def model_probs(model: SegModel, features: Tensor) -> Tensor:
-    """Classifier forward: (n, feature_dim) to (n, classes) probability rows."""
+    """Classifier forward: (feature_dim, n) features to (classes, n) probabilities."""
     return softmax(model_logits(model, features))
 
 
@@ -103,9 +104,9 @@ def model_parameters(model: SegModel) -> list[Tensor]:
 def predict_labels(model: SegModel, images: np.ndarray, features: Tensor | None = None) -> np.ndarray:
     """Forward-only argmax labels for an image batch (b, c, h, w).
 
-    `features`, when given, are the backbone rows of `images` computed
+    `features`, when given, are the backbone features of `images` computed
     already; the backbone then does not run again. The labels are bitwise
-    ``model_probs(...).data.argmax(axis=1)``, without a probability array.
+    ``model_probs(...).data.argmax(axis=0)``, without a probability array.
     """
     b, _, h, w = images.shape
     if features is None:

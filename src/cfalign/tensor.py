@@ -1,6 +1,8 @@
 """Minimal reverse-mode autodiff on dense float64 tensors.
 
-Values are numpy arrays in row-major order. Differentiable operations record
+Values are float64 numpy arrays. Per-pixel values are feature-major: a (d, n)
+array holds one column per pixel, so a layer is ``w.T @ x`` and every sum
+over pixels is a sum along contiguous rows. Differentiable operations record
 nodes onto an explicit :class:`Graph` tape (define-by-run); insertion order is
 a valid topological order, and :func:`backward` replays the tape once in
 reverse. Ops executed with no graph active are forward-only, which is what
@@ -44,7 +46,7 @@ from typing import BinaryIO, Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .kernels import col_sum, row_sum
+from .kernels import _row_sums
 
 EPS = 1e-12
 
@@ -64,6 +66,7 @@ __all__ = [
     "grad_check",
     "add",
     "scale",
+    "transpose",
     "affine",
     "relu",
     "softmax",
@@ -233,7 +236,7 @@ def record(tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable) -> 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g down to `shape`, undoing numpy broadcasting."""
     while g.ndim > len(shape):
-        g = col_sum(g)
+        g = g.sum(axis=0)
     for ax, extent in enumerate(shape):
         if extent == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
@@ -267,22 +270,41 @@ def scale(x: Tensor, c: float) -> Tensor:
     return out
 
 
+def transpose(x: Tensor) -> Tensor:
+    """The (n, d) view of a (d, n) tensor, or back; its gradient is a view too."""
+    out = Tensor(x.data.T, x.requires_grad)
+
+    def bwd(g):
+        accum(x, g.T)
+
+    record("transpose", (x,), out, bwd)
+    return out
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node; same rounding as ``add(matmul(x, w), b)``."""
+    """``w.T @ x + b[:, None]`` for (k, n) inputs and a (k, m) weight, as
+    one node; same rounding as the matmul-and-add chain of
+    ``tests/chain_ops.py``.
+
+    The weight keeps its (d_in, d_out) storage and the product reads it
+    through a transposed view.
+    """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise DimensionError(f"affine needs (n,k)@(k,m), got {x.data.shape} @ {w.data.shape}")
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[0] != w.data.shape[0]:
+        raise DimensionError(
+            f"affine needs (k,m) weights over (k,n) inputs, got {w.data.shape} and {x.data.shape}"
+        )
     requires_grad = x.requires_grad or w.requires_grad or b.requires_grad
-    y = np.matmul(x.data, w.data, out=buffer((x.data.shape[0], w.data.shape[1]), requires_grad))
-    y += b.data  # in place: no second (n, m) array
+    y = np.matmul(w.data.T, x.data, out=buffer((w.data.shape[1], x.data.shape[1]), requires_grad))
+    y += b.data[:, None]  # in place: no second (m, n) array
     out = Tensor(y, requires_grad)
 
     def bwd(g):
         # bias, then input, then weight: the accumulation order of the chain
-        accum(b, _unbroadcast(g, b.data.shape))
+        accum(b, g.sum(axis=1))
         if x.requires_grad:  # pixel inputs need no gradient
-            accum_scratch(x, np.matmul(g, w.data.T, out=buffer(x.data.shape)))
-        accum(w, x.data.T @ g)
+            accum_scratch(x, np.matmul(w.data, g, out=buffer(x.data.shape)))
+        accum(w, x.data @ g.T)
 
     record("affine", (x, w, b), out, bwd)
     return out
@@ -302,28 +324,22 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax along the last axis; rows sum to 1 exactly up to rounding.
-
-    The array is flattened to rows; the row sums go through `row_sum`, which
-    repeats ``sum(axis=-1)`` bit for bit.
-    """
-    rows = x.data.reshape(-1, x.data.shape[-1])
+    """Numerically stable softmax over the leading axis, the classes of a
+    (c, n) tensor; each column sums to 1 up to rounding. The column sums go
+    through `kernels._row_sums`."""
+    z = x.data
     # z, exp(z) and p share one buffer: the in-place steps round as the
-    # out-of-place ones do and allocate one (n, k) array, not three
-    y = buffer(x.data.shape, x.requires_grad)
-    p = y.reshape(rows.shape)
-    np.subtract(rows, rows.max(axis=1)[:, None], out=p)
+    # out-of-place ones do and allocate one array, not three
+    p = np.subtract(z, z.max(axis=0), out=buffer(z.shape, x.requires_grad))
     np.exp(p, out=p)
-    np.divide(p, row_sum(p)[:, None], out=p)
-    out = Tensor(y, x.requires_grad)
+    np.divide(p, _row_sums(p), out=p)
+    out = Tensor(p, x.requires_grad)
 
     def bwd(g):
-        g = g.reshape(p.shape)
         gx = g * p
-        dot = row_sum(gx)[:, None]
-        np.subtract(g, dot, out=gx)
+        np.subtract(g, _row_sums(gx), out=gx)
         np.multiply(gx, p, out=gx)
-        accum(x, gx.reshape(x.data.shape))
+        accum(x, gx)
 
     record("softmax", (x,), out, bwd)
     return out
@@ -334,29 +350,30 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize columns of an (n, d) tensor by the batch mean and population
-    variance, then scale by `gamma` and shift by `beta`, as one node.
+    """Normalize each row of a (d, n) tensor over its n pixels by the batch
+    mean and population variance, then scale by `gamma` and shift by
+    `beta`, as one node.
 
     Every call normalizes by its own batch; no statistics are kept across
     calls.
     """
     if x.data.ndim != 2:
-        raise DimensionError(f"batch_norm needs an (n, d) tensor, got shape {x.data.shape}")
-    d = x.data.shape[1]
+        raise DimensionError(f"batch_norm needs a (d, n) tensor, got shape {x.data.shape}")
+    d, n = x.data.shape
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise DimensionError(
             f"batch_norm scale/shift must have shape ({d},), got {gamma.data.shape} and {beta.data.shape}"
         )
-    n = x.data.shape[0]
-    # bitwise `mean(axis=0)`, which divides the same sum by n
-    m = col_sum(x.data) / n
+    g_col, b_col = gamma.data[:, None], beta.data[:, None]
+    # bitwise `mean(axis=1, keepdims=True)`, which divides the same sum by n
+    m = x.data.sum(axis=1, keepdims=True) / n
     c = x.data - m
-    v = col_sum(c * c) / n
+    v = (c * c).sum(axis=1, keepdims=True) / n
     safe = np.maximum(np.sqrt(np.maximum(v + eps, 0.0)), EPS)
     q = c / safe
     requires_grad = x.requires_grad or gamma.requires_grad or beta.requires_grad
-    y = np.multiply(gamma.data, q, out=buffer(x.data.shape, requires_grad))
-    y += beta.data
+    y = np.multiply(g_col, q, out=buffer(x.data.shape, requires_grad))
+    y += b_col
     out = Tensor(y, requires_grad)
 
     def bwd(g):
@@ -364,20 +381,20 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         # each of its intermediate gradients started from zeros, so each is
         # `0.0 + ...` here, which turns a -0.0 into +0.0 where the chain did
         g = 0.0 + g
-        accum(beta, _unbroadcast(g, (d,)))
-        accum(gamma, _unbroadcast(g * q, (d,)))
+        accum(beta, g.sum(axis=1))
+        accum(gamma, (g * q).sum(axis=1))
         if not x.requires_grad:
             return
-        gq = 0.0 + g * gamma.data
+        gq = 0.0 + g * g_col
         gc = 0.0 + gq / safe
-        gs = 0.0 + _unbroadcast(-gq * c / (safe * safe), (d,))
+        gs = 0.0 + (-gq * c / (safe * safe)).sum(axis=1, keepdims=True)
         gv = 0.0 + (0.0 + gs * 0.5 / safe)  # sqrt, then add eps
         gsq = 0.0 + gv / n
         term = gsq * c  # c * c hands the same term to both factors
         gc += term
         gc += term
         accum(x, gc)
-        accum(x, (0.0 + _unbroadcast(-gc, (d,))) / n)
+        accum(x, (0.0 + (-gc).sum(axis=1, keepdims=True)) / n)
 
     record("batch_norm", (x, gamma, beta), out, bwd)
     return out

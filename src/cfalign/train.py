@@ -99,8 +99,8 @@ class TrainState:
         return model_parameters(self.model) + head_parameters(self.head)
 
     def bank_rows(self, f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-pixel rows laid out like the bank's, as column blocks that are
-        never copied together: (f, h), or (f,) for head "none"."""
+        """Per-pixel (d, n) features laid out like the bank's rows, as blocks
+        that are never copied together: (f, h), or (f,) for head "none"."""
         return (f,) if self.config.head == "none" else (f, h)
 
     def feature_bank(self) -> MemoryBank:
@@ -139,10 +139,10 @@ def _update_bank_and_label(state: TrainState, f_s, h_s, lab_s, f_t, h_t) -> np.n
     means, counts = class_centers(state.bank_rows(f_s.data, h_s.data), lab_s, state.classes)
     update_bank(state.bank, means, counts, "source")
     if int(state.bank.init_source.sum()) >= 2:
-        pseudo = assign_pseudo_labels(f_t.data, state.feature_bank(), state.config.threshold)
+        pseudo = assign_pseudo_labels(f_t.data.T, state.feature_bank(), state.config.threshold)
     else:
         # margin needs two centers; until then nothing is labeled
-        pseudo = np.full(f_t.data.shape[0], -1, dtype=np.int64)
+        pseudo = np.full(f_t.data.shape[1], -1, dtype=np.int64)
     means, counts = class_centers(state.bank_rows(f_t.data, h_t.data), pseudo, state.classes)
     update_bank(state.bank, means, counts, "target")
     return pseudo

@@ -3,7 +3,9 @@
 Every layer and loss in ``cfalign`` is one tape node with a hand-written
 backward. The chains here compute the same thing one generic op at a time,
 and the fused nodes are pinned against them bit for bit: the fused backwards
-repeat these chains' numpy arithmetic in reverse tape order.
+repeat these chains' numpy arithmetic in reverse tape order. Layers and
+batch norm run feature-major, on (d, n) tensors, as the package does; the
+loss chains take one row per pixel, and `tensor.transpose` joins the two.
 
 log, div and sqrt clamp their arguments by ``EPS`` so a chain never emits
 NaN from a boundary value; each guard is noted on the op.
@@ -15,7 +17,7 @@ import numpy as np
 
 from cfalign.errors import ContractError, DimensionError
 from cfalign.losses import info_nce
-from cfalign.tensor import EPS, Tensor, _as_tensor, _unbroadcast, accum, add, record, scale
+from cfalign.tensor import EPS, Tensor, _as_tensor, _unbroadcast, accum, add, record, scale, transpose
 
 # ---------------------------------------------------------------------------
 # elementwise and linear ops
@@ -70,6 +72,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         accum(b, a.data.T @ g)
 
     record("matmul", (a, b), out, bwd)
+    return out
+
+
+def contiguous(x: Tensor) -> Tensor:
+    """A C-contiguous copy of a view."""
+    out = Tensor(np.ascontiguousarray(x.data), x.requires_grad)
+
+    def bwd(g):
+        accum(x, g)
+
+    record("contiguous", (x,), out, bwd)
+    return out
+
+
+def column(x: Tensor) -> Tensor:
+    """A (d,) tensor as a (d, 1) column, which broadcasts along the pixels of
+    a (d, n) tensor."""
+    out = Tensor(x.data[:, None], x.requires_grad)
+
+    def bwd(g):
+        accum(x, g[:, 0])
+
+    record("column", (x,), out, bwd)
     return out
 
 
@@ -191,23 +216,27 @@ def pick(x: Tensor, cols: np.ndarray) -> Tensor:
 
 
 def chain_affine(x, w, b):
-    return add(matmul(x, w), b)
+    """``w.T @ x + b`` over the pixels of a (k, n) `x`."""
+    return add(matmul(transpose(w), x), column(b))
 
 
 def batch_norm_chain(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Batch norm as the 9-node chain mean, sub, mul, mean, add, sqrt, div,
-    mul, add; `tensor.batch_norm` must match it bit for bit."""
-    m = reduce_mean(x, axis=0)
+    """Batch norm of a (d, n) tensor as the 9-node chain mean, sub, mul,
+    mean, add, sqrt, div, mul, add (plus a `column` node for each of gamma
+    and beta that needs a gradient); `tensor.batch_norm` must match it bit
+    for bit."""
+    m = reduce_mean(x, axis=1, keepdims=True)
     centered = sub(x, m)
-    v = reduce_mean(mul(centered, centered), axis=0)
+    v = reduce_mean(mul(centered, centered), axis=1, keepdims=True)
     denom = sqrt(add(v, eps))
-    return add(mul(gamma, div(centered, denom)), beta)
+    return add(mul(column(gamma), div(centered, denom)), column(beta))
 
 
 def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, normalize=False):
-    """InfoNCE as the 11-node chain of per-op tape nodes (take_rows, matmul,
-    scale, sub, exp, sum, log, add, pick, sub, mean, plus the l2 and keep
-    nodes of the flags); the fused op must match it bit for bit."""
+    """InfoNCE as a chain of per-op tape nodes (take_rows, the logits as
+    ``C @ f.T``, scale, sub, exp, sum, log, add, pick, sub, mean, plus the
+    l2 and keep nodes of the flags); the fused op must match it bit for
+    bit."""
     labeled = np.flatnonzero(labels >= 0)
     active = np.flatnonzero(mask)
     f = take_rows(features, labeled)
@@ -218,7 +247,9 @@ def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, 
     pos_of = np.full(centers.shape[0], -1, dtype=np.int64)
     pos_of[active] = np.arange(active.size)
     pos = pos_of[labels[labeled]]
-    logits = scale(matmul(f, sub_centers.T), 1.0 / tau)
+    # the fused op's (k, m) product, back to C-contiguous rows so that the
+    # row sums below add in the fused op's pairwise order
+    logits = scale(contiguous(transpose(matmul(sub_centers, transpose(f)))), 1.0 / tau)
     if include_positive:
         shift = logits.data.max(axis=1, keepdims=True)
         z = reduce_sum(exp(sub(logits, shift)), axis=1)
@@ -235,8 +266,9 @@ def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, 
 def contrastive_chain(
     f_source, y_source, f_target, y_target, bank, tau=0.07, include_positive=True, normalize=False, term=None
 ):
-    """The four cross-domain InfoNCE terms as separate nodes joined by `add`
-    nodes, each term made by `term(features, labels, centers, mask)`
+    """The four cross-domain InfoNCE terms of two (d, n) feature sets as
+    separate nodes joined by `add` nodes, each term made by
+    `term(rows, labels, centers, mask)` on the set's (n, d) transpose
     (default: one `losses.info_nce` node); `losses.contrastive_combined`
     must match it bit for bit."""
     if term is None:
@@ -253,7 +285,7 @@ def contrastive_chain(
             keep = y >= 0
             keep[keep] = mask[y[keep]]
             if keep.any():
-                t = term(f, np.where(keep, y, -1), centers, mask)
+                t = term(transpose(f), np.where(keep, y, -1), centers, mask)
                 total = t if total is None else add(total, t)
     return total if total is not None else Tensor(0.0)
 

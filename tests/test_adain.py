@@ -86,16 +86,18 @@ class TestAdainTransfer:
 
 class TestToPixels:
     def test_layout(self):
-        # row i*h*w + r*w + c holds image i's channel vector at (r, c)
+        # column i*h*w + r*w + c holds image i's channel vector at (r, c)
         rng = np.random.default_rng(55)
         x = rng.normal(size=(3, 2, 4, 5))
         pixels = to_pixels(x)
         b, _, h, w = x.shape
-        assert pixels.shape == (b * h * w, 2)
+        assert pixels.shape == (2, b * h * w)
         for i in range(b):
             for r in range(h):
                 for c in range(w):
-                    np.testing.assert_array_equal(pixels[i * h * w + r * w + c], x[i, :, r, c])
+                    np.testing.assert_array_equal(pixels[:, i * h * w + r * w + c], x[i, :, r, c])
+        # one image's pixels are a view of it
+        assert np.shares_memory(to_pixels(x[1:2]), x)
 
     def test_rejects_non_4d(self):
         with pytest.raises(DimensionError):

@@ -339,6 +339,44 @@ class TestTrain:
         assert len(err.splitlines()) == 1 and "height must be an integer" in err
 
 
+class TestSplitContents:
+    """A split with no images, or a header class count other than its
+    spec's, ends in one ConfigError line and exit 2 before training starts."""
+
+    @pytest.mark.parametrize("style", [[], ["--style-transfer"]], ids=["plain", "style-transfer"])
+    @pytest.mark.parametrize("split", ["source_train", "target_train"])
+    def test_empty_split_exits_2(self, dataset_dir, tmp_path, capsys, split, style):
+        def empty(header, arrays):
+            if header["split"] == split:
+                arrays["images"] = arrays["images"][:0]
+                arrays["labels"] = arrays["labels"][:0]
+
+        data = copy_dataset(dataset_dir, tmp_path / "data", empty)
+        out = tmp_path / "run"
+        assert quiet_main(["train", "--data", str(data), "--out", str(out)] + style + TINY_RUN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{split}.bin holds no images" in err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("classes", [9, True, 5.0, "5"])
+    def test_header_classes_must_be_the_specs(self, dataset_dir, tmp_path, capsys, classes):
+        # labels all 8 under a 9-class header once trained a 5-class model
+        # whose pseudo-labels could never match
+        def relabel(header, arrays):
+            if header["split"] == "target_train":
+                header["classes"] = classes
+                if classes == 9:
+                    arrays["labels"][:] = 8
+
+        data = copy_dataset(dataset_dir, tmp_path / "data", relabel)
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(data), "--out", str(out), "--contrastive", "--style-transfer"]
+        assert main(argv + TINY_RUN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"target_train.bin header has {classes!r} classes" in err
+        assert not (out / "metrics.csv").exists()
+
+
 class TestOutPath:
     """A --out that cannot become a directory fails before any data is read
     or generated."""

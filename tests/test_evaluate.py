@@ -1,11 +1,14 @@
 """IOU computation against a set-based oracle, plus end-to-end evaluation."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfalign import kernels
 from cfalign.adain import to_pixels
 from cfalign.config import RunConfig
 from cfalign.data import Split, SynthSpec, generate_dataset
@@ -166,10 +169,10 @@ def reference_eval(state, split):
     """The pass `evaluate` made before it ran in blocks: one backbone pass,
     probabilities and pseudo-labels over the whole split at once."""
     feats = model_features(state.model, Tensor(to_pixels(split.images)))
-    preds = model_probs(state.model, feats).data.argmax(axis=1)
+    preds = model_probs(state.model, feats).data.argmax(axis=0)
     pseudo = None
     if int(state.bank.init_source.sum()) >= 2:
-        pseudo = assign_pseudo_labels(feats.data, state.feature_bank(), state.config.threshold)
+        pseudo = assign_pseudo_labels(feats.data.T, state.feature_bank(), state.config.threshold)
     return preds, pseudo
 
 
@@ -193,7 +196,7 @@ class TestBlockedPass:
 
     @staticmethod
     def per_block(height, width):
-        return max(1, kernels._BLOCK // (height * width))
+        return max(1, evaluate_module._BLOCK // (height * width))
 
     @pytest.fixture(scope="class", params=[(32, 32), (7, 9), (65, 65), (2, 2)], ids=str)
     def trained(self, request):
@@ -232,11 +235,13 @@ class TestBlockedPass:
         )
 
     def test_narrow_layer_takes_whole_split(self, monkeypatch):
-        # a 16 -> 4 layer is where a row block's matmul rounds apart from the
-        # whole split's, so the split must run as one block
-        spec = SynthSpec(height=16, width=16, train_images=6, eval_images=17, regions=3, seed=5)
+        # on 15 x 15 images a block edge cuts an 8-pixel tile, and there a
+        # 16 -> 1 layer, which takes numpy's matrix-vector path, rounds
+        # apart from the whole split's product, so the split must run as
+        # one block
+        spec = SynthSpec(height=15, width=15, train_images=6, eval_images=19, regions=3, seed=5)
         data = generate_dataset(spec)
-        config = RunConfig(seed=5, iterations=20, hidden_dim=16, feature_dim=4, contrastive=True)
+        config = RunConfig(seed=5, iterations=20, hidden_dim=16, feature_dim=1, contrastive=True)
         state, _ = train(config, data)
         want_preds, want_pseudo = reference_eval(state, data.target_eval)
         _, blocks, preds, pseudo = spy_evaluate(state, data.target_eval, monkeypatch)
@@ -245,8 +250,8 @@ class TestBlockedPass:
         np.testing.assert_array_equal(pseudo, want_pseudo)
 
     def test_memory_peak(self):
-        # blocks of about 4,096 rows keep every intermediate small; one pass
-        # over the 51,200-row default split peaked at 14.3 MB
+        # blocks of about 4,096 pixels keep every intermediate small; one pass
+        # over the 51,200-pixel default split peaked at 14.3 MB
         data = generate_dataset(SynthSpec(seed=0))
         state, _ = train(RunConfig(seed=0, iterations=20, contrastive=True), data)
         assert int(state.bank.init_source.sum()) >= 2
@@ -267,3 +272,55 @@ class TestBlockedPass:
         images[-1, :, -1, -1] = 1e200
         with pytest.raises(DivergenceError, match="evaluation forward pass"):
             evaluate(state, Split(images=images, labels=split.labels))
+
+
+def block_rule_violations() -> list:
+    """Blocks of whole images where `evaluate._blocks_exact` holds but a
+    layer's ``w.T @ X`` over the block differs from the same columns of the
+    whole split's product, as (pixels per image, k, m, block offset)."""
+    rng = np.random.default_rng(21)
+    apart = []
+    # 8 x 8, 32 x 32 and 2 x 4 images tile evenly; 2, 63 and 4,225 pixels do not
+    for pixels, images in ((64, 70), (1024, 5), (8, 513), (2, 2049), (63, 66), (4225, 2)):
+        per_block = max(1, evaluate_module._BLOCK // pixels)
+        n = pixels * images
+        for k in (1, 2, 3, 4, 8, 16, 40):
+            x = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+            for m in (1, 2, 5, 8, 11, 12, 16, 24, 33, 40):
+                if not evaluate_module._blocks_exact([(k, m)], pixels):
+                    continue
+                w = rng.normal(size=(k, m))
+                whole = w.T @ x
+                for lo in range(0, n, per_block * pixels):
+                    block = x[:, lo : lo + per_block * pixels]
+                    want = whole[:, lo : lo + block.shape[1]]
+                    for got in (w.T @ block, w.T @ np.ascontiguousarray(block)):
+                        if not np.array_equal(got, want):
+                            apart.append((pixels, k, m, lo))
+    return apart
+
+
+class TestBlockRule:
+    """`evaluate._blocks_exact` re-derived on the installed BLAS, with its
+    default threads and with one: wherever it holds, each block of whole
+    images has the bytes of the whole split's product. Blocks of 2 to 4,096
+    pixels, at offsets that are and are not multiples of 8."""
+
+    def test_blocks_match_whole_product(self):
+        apart = block_rule_violations()
+        assert not apart, f"(pixels per image, k, m, offset) where a block's bytes differ: {apart[:10]}"
+
+    def test_blocks_match_whole_product_with_one_thread(self):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env.get("PYTHONPATH", "")])
+        code = "from test_evaluate import block_rule_violations as f; print(f())"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.strip() == "[]", out.stdout[:500]
+
+    def test_default_layers_run_in_blocks(self):
+        layers = [(3, 16), (16, 8), (8, 5)]
+        assert evaluate_module._blocks_exact(layers, 32 * 32)
+        assert not evaluate_module._blocks_exact(layers, 7 * 9)  # (3, 16) cuts a tile apart
+        assert evaluate_module._blocks_exact([(3, 12), (12, 8), (8, 5)], 7 * 9)

@@ -15,7 +15,7 @@ from cfalign.heads import (
     head_parameters,
 )
 from cfalign.losses import info_nce
-from cfalign.tensor import Graph, Tensor, backward, grad_check
+from cfalign.tensor import Graph, Tensor, backward, grad_check, transpose
 from cfalign.train import metrics_to_csv, train
 from chain_ops import batch_norm_chain, mul, reduce_mean
 
@@ -27,7 +27,7 @@ def param_count(head):
 class TestStructure:
     def test_none_is_identity(self):
         head = build_head("none", 4)
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         out = head_forward(head, x)
         np.testing.assert_array_equal(out.data, x.data)
         assert param_count(head) == 0
@@ -38,9 +38,9 @@ class TestStructure:
     @pytest.mark.parametrize("kind", ["none", "byol"])
     def test_output_shape(self, kind):
         head = build_head(kind, 6, d_hidden=5, d_out=3, rng=1)
-        x = Tensor(np.random.default_rng(2).normal(size=(7, 6)))
+        x = Tensor(np.random.default_rng(2).normal(size=(6, 7)))
         expected = 6 if kind == "none" else 3
-        assert head_forward(head, x).data.shape == (7, expected)
+        assert head_forward(head, x).data.shape == (expected, 7)
 
     def test_layer_sequence_matches_table(self):
         head = build_head("byol", 4, d_hidden=5, d_out=3, rng=0)
@@ -58,7 +58,7 @@ class TestStructure:
     def test_wrong_input_dim_rejected(self):
         head = build_head("byol", 4, rng=0)
         with pytest.raises(DimensionError):
-            head_forward(head, Tensor(np.zeros((2, 5))))
+            head_forward(head, Tensor(np.zeros((5, 2))))
 
 
 class TestInitialization:
@@ -100,7 +100,7 @@ class TestForwardModes:
     def test_gradients_reach_every_parameter(self, kind):
         rng = np.random.default_rng(8)
         head = build_head(kind, 4, rng=9)
-        x = Tensor(rng.normal(size=(6, 4)))
+        x = Tensor(rng.normal(size=(4, 6)))
         with Graph() as g:
             out = head_forward(head, x)
             root = reduce_mean(mul(out, out))
@@ -117,10 +117,10 @@ class TestForwardModes:
         labels = np.array([0, 2, 1, -1, 0])
 
         def fn(x):
-            loss, _ = info_nce(head_forward(head, x), labels, centers, tau=0.3)
+            loss, _ = info_nce(transpose(head_forward(head, x)), labels, centers, tau=0.3)
             return loss
 
-        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         assert grad_check(fn, x) < 1e-5
 
 

@@ -1,4 +1,9 @@
-"""Kernels against brute-force references."""
+"""Kernels against brute-force references.
+
+The kernels take feature-major (k, n) arrays, one column per pixel; the
+references here are written on the (n, k) rows and their results compared
+through a transpose.
+"""
 
 import sys
 
@@ -21,6 +26,11 @@ def backend(request):
     parameter keeps each test's id (``test_against_loop[numpy]``) as it was."""
     assert kernels.get_backend() == request.param
     return request.param
+
+
+def cols(rows):
+    """The (n, k) `rows` as a C-contiguous feature-major (k, n) array."""
+    return np.ascontiguousarray(rows.T)
 
 
 def nearest_two_oracle(features, centers):
@@ -59,7 +69,7 @@ class TestNearestTwo:
             d = int(rng.integers(1, 9))
             f = rng.normal(size=(n, d))
             c = rng.normal(size=(k, d))
-            idx, dmin, dsec = kernels.nearest_two(f, c)
+            idx, dmin, dsec = kernels.nearest_two(cols(f), c)
             oidx, odmin, odsec = nearest_two_oracle(f, c)
             np.testing.assert_array_equal(idx, oidx)
             np.testing.assert_allclose(dmin, odmin, atol=1e-12)
@@ -72,9 +82,9 @@ class TestNearestTwo:
             for trial in range(40):
                 n, k, d = int(rng.integers(1, 150)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
                 yield n, 1 if trial < 2 else k, d, trial % 2
-            # row counts at the block edges, each with a width from every
-            # summation branch of _row_sums: sequential, eight accumulators, split
-            block = kernels._BLOCK
+            # long arrays, each with a width from every summation branch of
+            # _row_sums: sequential, eight accumulators, split
+            block = 4096
             widths = ((1, 5, 7), (8, 13, 128), (129, 203, 300))
             for i, n in enumerate((block - 1, block, block + 1, 3 * block + 17)):
                 for j, branch in enumerate(widths):
@@ -90,18 +100,18 @@ class TestNearestTwo:
                 f = rng.integers(-2, 3, size=(n, d)).astype(float)
                 c = rng.integers(-2, 3, size=(k, d)).astype(float)
                 c[rng.integers(0, k)] = c[rng.integers(0, k)]
-            for got, want in zip(kernels.nearest_two(f, c), nearest_two_loop(f, c)):
+            for got, want in zip(kernels.nearest_two(cols(f), c), nearest_two_loop(f, c)):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (n, k, d)
 
     def test_single_center_second_is_inf(self, backend):
-        idx, dmin, dsec = kernels.nearest_two(np.zeros((3, 2)), np.ones((1, 2)))
+        idx, dmin, dsec = kernels.nearest_two(np.zeros((2, 3)), np.ones((1, 2)))
         np.testing.assert_array_equal(idx, [0, 0, 0])
         np.testing.assert_allclose(dmin, np.sqrt(2.0))
         assert np.isinf(dsec).all()
 
     def test_tie_takes_lowest_index(self, backend):
-        f = np.array([[0.0, 0.0]])
+        f = np.array([[0.0], [0.0]])
         c = np.array([[1.0, 0.0], [-1.0, 0.0]])
         idx, dmin, dsec = kernels.nearest_two(f, c)
         assert idx[0] == 0
@@ -109,9 +119,9 @@ class TestNearestTwo:
 
     def test_shape_validation(self, backend):
         with pytest.raises(DimensionError):
-            kernels.nearest_two(np.zeros((3, 2)), np.zeros((2, 3)))
+            kernels.nearest_two(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(DimensionError):
-            kernels.nearest_two(np.zeros((3, 2)), np.zeros((0, 2)))
+            kernels.nearest_two(np.zeros((2, 3)), np.zeros((0, 2)))
 
 
 class TestRowSums:
@@ -140,26 +150,20 @@ def row_inputs(rng, n, k):
 
 
 def row_cases():
-    """Widths 1..300 on short runs of rows, then the block edges with
-    widths from every summation branch of _row_sums."""
+    """Widths 1..300 on short runs of rows, then long runs with widths from
+    every summation branch of _row_sums."""
     rng = np.random.default_rng(16)
     for k in range(1, 301):
         for n in (0, 1, 37):
             yield row_inputs(rng, n, k)
-    block = kernels._BLOCK
+    block = 4096
     for n in (block - 1, block, block + 1, 3 * block + 17):
         for k in (1, 5, 7, 8, 13, 128, 129, 203, 300):
             yield row_inputs(rng, n, k)
 
 
-def softmax_numpy(z):
-    """``tensor.softmax``'s rows in numpy's ``axis=1`` form."""
-    p = np.exp(z - z.max(axis=1)[:, None])
-    return p / p.sum(axis=1)[:, None]
-
-
 def log_softmax_numpy(z, out, entropy=False):
-    """`kernels.log_softmax` in numpy's ``axis=1`` form."""
+    """`kernels.log_softmax` of (n, k) rows in numpy's ``axis=1`` form."""
     shifted = z - z.max(axis=1)[:, None]
     e = np.exp(shifted)
     s = e.sum(axis=1)
@@ -172,13 +176,13 @@ def bits(a):
 
 
 class TestRowKernels:
-    """Each row kernel against numpy's ``axis=1`` reduction of the same
-    C-contiguous array, bit for bit."""
+    """Each kernel over a feature-major (k, n) array against numpy's
+    ``axis=1`` reduction of the C-contiguous (n, k) rows, bit for bit."""
 
     def test_row_sum_bitwise(self):
         for a in row_cases():
             # a row cannot hold both infinities, so every sum is a number or -inf
-            got = kernels.row_sum(a)
+            got = kernels._row_sums(cols(a))
             assert got.shape == (a.shape[0],) and got.dtype == np.float64
             assert np.array_equal(bits(got), bits(a.sum(axis=1))), a.shape
 
@@ -187,137 +191,102 @@ class TestRowKernels:
         # holding -inf is left out, as a row of them has no probabilities
         for a in row_cases():
             if np.isfinite(a).all():
-                got = kernels.softmax_argmax(a)
+                got = kernels.softmax_argmax(cols(a))
                 assert got.dtype == np.intp
-                assert np.array_equal(got, softmax(Tensor(a)).data.argmax(axis=1)), a.shape
+                assert np.array_equal(got, softmax(Tensor(cols(a))).data.argmax(axis=0)), a.shape
 
     def test_ties_take_lowest_index(self):
         a = np.array([[1.0, 3.0, 3.0, 0.0], [-0.0, 0.0, 0.0, -0.0], [2.0, 2.0, 2.0, 2.0]])
-        np.testing.assert_array_equal(kernels.softmax_argmax(a), [1, 0, 0])
+        np.testing.assert_array_equal(kernels.softmax_argmax(cols(a)), [1, 0, 0])
 
     def test_softmax_argmax_bitwise(self):
         rng = np.random.default_rng(17)
-        block = kernels._BLOCK
+        block = 4096
         for n, k in [(0, 3), (1, 1), (37, 5), (block - 1, 5), (block + 1, 8), (2 * block + 37, 13), (block, 300)]:
             mixed = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 3, size=(n, k))
             tied = rng.integers(-2, 3, size=(n, k)).astype(float)
             saturated = rng.choice([-700.0, 0.0, 700.0], size=(n, k))
             for z in (mixed, tied, saturated):
-                got = kernels.softmax_argmax(z)
+                got = kernels.softmax_argmax(cols(z))
                 assert got.dtype == np.intp
-                assert np.array_equal(got, softmax(Tensor(z)).data.argmax(axis=1)), (n, k)
+                assert np.array_equal(got, softmax(Tensor(cols(z))).data.argmax(axis=0)), (n, k)
 
     def test_log_softmax_over_row_cases(self):
-        # bitwise up to the sign of a zero, which the row maximum leaves open
+        # bitwise up to the sign of a zero, which the column maximum leaves open
         for a in row_cases():
             if np.isfinite(a).all():
                 for entropy in (False, True):
-                    got, want = np.empty(a.shape), np.empty(a.shape)
-                    got_h = kernels.log_softmax(a, got, entropy)
+                    got, want = np.empty(a.shape[::-1]), np.empty(a.shape)
+                    got_h = kernels.log_softmax(cols(a), got, entropy)
                     want_h = log_softmax_numpy(a, want, entropy)
-                    assert np.array_equal(got, want), a.shape
+                    assert np.array_equal(got, want.T), a.shape
                     if entropy:
                         assert np.array_equal(got_h, want_h), a.shape
                     else:
                         assert got_h is None
 
     def test_log_softmax_saturated_rows_are_exact(self):
-        z = np.array([[0.0, 800.0], [-800.0, 0.0], [0.0, 40.0]])
+        z = np.array([[0.0, -800.0, 0.0], [800.0, 0.0, 40.0]])
         out = np.empty(z.shape)
         with np.errstate(over="raise", invalid="raise"):
             plogp = kernels.log_softmax(z, out, entropy=True)
-        np.testing.assert_array_equal(out[:2], [[-800.0, 0.0], [-800.0, 0.0]])
-        assert out[2, 0] == -40.0
+        np.testing.assert_array_equal(out[:, :2], [[-800.0, -800.0], [0.0, 0.0]])
+        assert out[0, 2] == -40.0
         assert np.all(np.abs(plogp) < 1e-15)
 
     def test_softmax_argmax_compares_probabilities(self):
         # exp(-1e-17) rounds to 1.0, tying two probabilities the logits order
         z = np.array([[0.0, 1e-17], [1e-17, 0.0], [-700.0, 700.0], [700.0, 700.0]])
-        np.testing.assert_array_equal(kernels.softmax_argmax(z), [0, 0, 1, 0])
+        np.testing.assert_array_equal(kernels.softmax_argmax(cols(z)), [0, 0, 1, 0])
 
     def test_all_negative_zero_sums_to_positive_zero(self):
         for k in (1, 7, 8, 9, 130):
-            assert not np.signbit(kernels.row_sum(np.full((3, k), -0.0))).any(), k
+            assert not np.signbit(kernels._row_sums(np.full((k, 3), -0.0))).any(), k
 
     def test_shape_validation(self):
-        for fn in (kernels.row_sum, kernels.softmax_argmax):
+        for z in (np.zeros(4), np.zeros((0, 3))):
             with pytest.raises(DimensionError):
-                fn(np.zeros(4))
-        with pytest.raises(DimensionError):
-            kernels.softmax_argmax(np.zeros((3, 0)))
-        for z in (np.zeros(4), np.zeros((3, 0))):
+                kernels.softmax_argmax(z)
             with pytest.raises(DimensionError):
                 kernels.log_softmax(z, np.empty(z.shape))
-        np.testing.assert_array_equal(kernels.row_sum(np.zeros((3, 0))), np.zeros(3))
+        np.testing.assert_array_equal(kernels._row_sums(np.zeros((0, 3))), np.zeros(3))
 
 
-class TestColSum:
-    """`col_sum` against numpy's ``axis=0`` sum of the same array, bit for
-    bit. ``einsum`` adds the rows in the order numpy does only while neither
-    changes its loop; a numpy release that changes either fails here first."""
+def softmax_numpy(z):
+    """``tensor.softmax`` of (k, n) logits in numpy's ``axis=0`` form."""
+    p = np.exp(z - z.max(axis=0))
+    return p / p.sum(axis=0)
 
-    @staticmethod
-    def check(a):
-        got, want = kernels.col_sum(a), a.sum(axis=0)
-        assert got.shape == want.shape and got.dtype == np.float64
-        assert np.array_equal(bits(got), bits(want)), (a.shape, a.strides)
 
-    def test_bitwise_over_the_grid(self):
-        # widths 1 (the fallback) to 40 and three wide ones, on every row
-        # count to 399, as C-contiguous arrays and as every-other-row views
-        rng = np.random.default_rng(18)
-        for k in list(range(1, 41)) + [64, 128, 256]:
-            a = row_inputs(rng, 800, k)
-            for n in range(1, 400):
-                self.check(a[:n])
-                self.check(a[: 2 * n : 2])
+def log_softmax_numpy_by_column(z, out, entropy=False):
+    """`kernels.log_softmax` of (k, n) logits in numpy's ``axis=0`` form."""
+    shifted = z - z.max(axis=0)
+    e = np.exp(shifted)
+    s = e.sum(axis=0)
+    np.subtract(shifted, np.log(s), out=out)
+    return (e * out).sum(axis=0) / s if entropy else None
 
-    def test_bitwise_on_long_arrays(self):
-        rng = np.random.default_rng(19)
-        for n in (1023, 1024, 1025, 4096, 8192, 51200):
-            for k in (1, 2, 3, 5, 8, 16):
-                a = rng.normal(size=(2 * n, k)) * 10.0 ** rng.integers(-8, 9, size=(2 * n, k))
-                self.check(a[:n])
-                self.check(a[::2])
 
-    def test_other_layouts_and_ranks(self):
-        rng = np.random.default_rng(20)
-        a = rng.normal(size=(37, 9)) * 10.0 ** rng.integers(-8, 9, size=(37, 9))
-        for view in (a.T, np.asfortranarray(a), a[:, 2:7], a[::-1], a.reshape(37, 3, 3), a[0], a[:0]):
-            self.check(view)
-
-    def test_signed_zeros_and_ties(self):
-        self.check(np.full((5, 3), -0.0))
-        self.check(np.array([[-0.0, 0.0, 1.0], [-0.0, -0.0, -1.0]]))
-        self.check(np.array([[1.0, 2.0], [1e16, -1e16], [-1e16, 1e16], [1.0, 2.0]]))
-
-    def test_errors_are_numpys(self):
-        overflow = np.array([[1e308, 1.0], [1e308, 1.0]])
-        opposite = np.array([[np.inf, 1.0], [-np.inf, 1.0]])
-        for a in (overflow, opposite):
-            with np.errstate(over="raise", invalid="raise"):
-                with pytest.raises(FloatingPointError):
-                    kernels.col_sum(a)
-            with np.errstate(all="ignore"):
-                want = a.sum(axis=0)
-            # numpy's default error state warns, as the plain sum does
-            with pytest.warns(RuntimeWarning):
-                got = kernels.col_sum(a)
-            assert np.array_equal(bits(got), bits(want))
-        # an infinite input that adds without error stays silent
-        with np.errstate(over="raise", invalid="raise"):
-            self.check(np.array([[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0]]))
+def pairwise_sums(a):
+    """`kernels._row_sums` in numpy's own order: numpy's ``a.sum(axis=0)`` of
+    a C-contiguous array adds the rows one after another, so each column is
+    copied contiguous and summed along it instead."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
 
 
 class TestNumpyReductionsGiveSameBytes:
     """End to end, training and evaluation write the same bytes whether the
-    row kernels or numpy's ``axis=1`` reductions do the reducing."""
+    kernels or numpy's reductions over the leading axis do the reducing.
+
+    The models here have 5 classes; below 8 rows, numpy's ``axis=0`` sum
+    and `_row_sums` add in the same order.
+    """
 
     NUMPY = {
-        "col_sum": lambda a: a.sum(axis=0),
-        "row_sum": lambda a: np.asarray(a).sum(axis=1),
-        "softmax_argmax": lambda z: softmax_numpy(z).argmax(axis=1),
-        "log_softmax": log_softmax_numpy,
+        "_row_sums": pairwise_sums,
+        "_row_max": lambda a: a.max(axis=0),
+        "softmax_argmax": lambda z: softmax_numpy(z).argmax(axis=0),
+        "log_softmax": log_softmax_numpy_by_column,
     }
 
     @pytest.fixture(scope="class")
@@ -344,7 +313,7 @@ class TestNumpyReductionsGiveSameBytes:
     @pytest.mark.parametrize("head", HEAD_KINDS)
     def test_outputs_unchanged(self, data, head, monkeypatch):
         with_kernels = self.outputs(data, head)
-        # patch every module that imported a row kernel by name
+        # patch every module that imported a kernel by name
         patched = set()
         for name, module in list(sys.modules.items()):
             if name.startswith("cfalign.") and name != "cfalign.kernels":
@@ -364,7 +333,7 @@ class TestLabelSums:
             n, d, c = int(rng.integers(0, 300)), int(rng.integers(1, 6)), int(rng.integers(1, 9))
             f = rng.normal(size=(n, d))
             labels = rng.integers(-1, c, size=n)
-            sums, counts = kernels.label_sums(f, labels, c)
+            sums, counts = kernels.label_sums(cols(f), labels, c)
             ref_sums = np.zeros((c, d))
             ref_counts = np.zeros(c, dtype=np.int64)
             for i in range(n):
@@ -381,14 +350,14 @@ class TestLabelSums:
             # mixed magnitudes make the summation order visible in the last bits
             f = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
             labels = rng.integers(-1, c, size=n)
-            sums, _ = kernels.label_sums(f, labels, c)
+            sums, _ = kernels.label_sums(cols(f), labels, c)
             ref = np.zeros((c, d))
             valid = labels >= 0
             np.add.at(ref, labels[valid], f[valid])
             assert np.array_equal(sums, ref)
 
     def test_all_ignored(self, backend):
-        sums, counts = kernels.label_sums(np.ones((4, 2)), -np.ones(4, dtype=int), 3)
+        sums, counts = kernels.label_sums(np.ones((2, 4)), -np.ones(4, dtype=int), 3)
         assert (sums == 0).all() and (counts == 0).all()
 
     def test_label_out_of_range(self, backend):

@@ -17,8 +17,8 @@ from cfalign.losses import (
     info_nce,
     total_objective,
 )
-from cfalign.membank import MemoryBank
-from cfalign.tensor import ArrayPool, Graph, Tensor, add, backward, grad_check, scale, softmax
+from cfalign.membank import MemoryBank, assign_pseudo_labels
+from cfalign.tensor import ArrayPool, Graph, Tensor, add, backward, grad_check, scale, softmax, transpose
 from chain_ops import (
     contrastive_chain,
     cross_entropy_chain,
@@ -67,6 +67,11 @@ def awkward_probs(rng, n, c):
     return p / p.sum(axis=1, keepdims=True)
 
 
+def columns(rows, requires_grad=False) -> Tensor:
+    """The (n, d) `rows` as a feature-major (d, n) tensor."""
+    return Tensor(np.ascontiguousarray(rows.T), requires_grad=requires_grad)
+
+
 def fused_and_chain(loss_fns, inputs, weight):
     """(loss, grad, tape length) of each loss fn on a fresh leaf, under an
     upstream gradient of `weight`."""
@@ -102,12 +107,14 @@ def assert_close(got, want):
 
 
 def moderate_logits(rng, n, c):
-    return rng.normal(size=(n, c)) * rng.uniform(0.1, 4.0)
+    """(c, n) logits, one column per pixel."""
+    return rng.normal(size=(c, n)) * rng.uniform(0.1, 4.0)
 
 
 class TestFromLogits:
-    """CE and entropy read logits; at moderate logits they agree with
-    ``softmax`` followed by the probability chains of ``tests/chain_ops.py``."""
+    """CE and entropy read (c, n) logits; at moderate logits they agree with
+    ``softmax`` followed by the probability-row chains of
+    ``tests/chain_ops.py``."""
 
     def test_cross_entropy_matches_softmax_chain(self):
         rng = np.random.default_rng(47)
@@ -119,7 +126,7 @@ class TestFromLogits:
             labels[rng.integers(0, n)] = rng.integers(0, c)
             weight = float(rng.uniform(1e-3, 5.0))
             (got, got_grad, nodes), (want, want_grad, _) = fused_and_chain(
-                (lambda x: cross_entropy(x, labels), lambda x: cross_entropy_chain(softmax(x), labels)),
+                (lambda x: cross_entropy(x, labels), lambda x: cross_entropy_chain(transpose(softmax(x)), labels)),
                 logits,
                 weight,
             )
@@ -134,7 +141,7 @@ class TestFromLogits:
             logits = moderate_logits(rng, n, c)
             weight = float(rng.uniform(1e-3, 5.0))
             (got, got_grad, nodes), (want, want_grad, _) = fused_and_chain(
-                (entropy_from_logits, lambda x: entropy_chain(softmax(x))), logits, weight
+                (entropy_from_logits, lambda x: entropy_chain(transpose(softmax(x)))), logits, weight
             )
             assert nodes == 2
             assert_close(got, want)
@@ -151,7 +158,7 @@ class TestFromLogits:
             logits = moderate_logits(rng, n, c)
 
             def chain(x):
-                p = softmax(x)
+                p = transpose(softmax(x))
                 return add(scale(entropy_chain(p), lam), cross_entropy_chain(p, labels))
 
             (got, got_grad, _), (want, want_grad, _) = fused_and_chain(
@@ -164,15 +171,15 @@ class TestFromLogits:
 
     def test_saturated_cross_entropy_is_exact(self):
         # softmax then a clamped log gave 27.63 and a gradient of 4.2e-6 here
-        x = Tensor([[0.0, 40.0]], requires_grad=True)
+        x = Tensor([[0.0], [40.0]], requires_grad=True)
         with Graph() as g:
             loss = cross_entropy(x, np.array([0]))
             backward(loss, g)
         assert abs(loss.item() - 40.0) <= 1e-12
-        np.testing.assert_allclose(x.grad, [[-1.0, 1.0]], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, [[-1.0], [1.0]], rtol=0, atol=1e-12)
 
     def test_saturated_entropy_is_finite(self):
-        x = Tensor([[0.0, 800.0], [800.0, 0.0], [-800.0, 0.0]], requires_grad=True)
+        x = Tensor([[0.0, 800.0, -800.0], [800.0, 0.0, 0.0]], requires_grad=True)
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
             with Graph() as g:
@@ -185,7 +192,7 @@ class TestFromLogits:
                              ids=["cross_entropy", "entropy"])
     def test_pooled_backward_returns_its_scratch(self, fn):
         rng = np.random.default_rng(51)
-        logits = rng.normal(size=(3, 4))
+        logits = rng.normal(size=(4, 3))
         want = Tensor(logits.copy(), requires_grad=True)
         with Graph() as g:
             backward(fn(want), g)
@@ -203,22 +210,22 @@ class TestFromLogits:
 
 class TestCrossEntropy:
     def test_uniform_two_classes(self):
-        loss = cross_entropy(Tensor([[1.5, 1.5]]), np.array([0]))
+        loss = cross_entropy(Tensor([[1.5], [1.5]]), np.array([0]))
         np.testing.assert_allclose(loss.item(), np.log(2.0), atol=1e-12)
 
     def test_ignored_rows_do_not_count(self):
-        logits = Tensor([[0.5, 0.5], [-3.0, 2.0]])
+        logits = Tensor([[0.5, -3.0], [0.5, 2.0]])
         loss = cross_entropy(logits, np.array([0, -1]))
         np.testing.assert_allclose(loss.item(), np.log(2.0), atol=1e-12)
 
     def test_all_ignored_rejected(self):
         with pytest.raises(ContractError):
-            cross_entropy(Tensor([[0.5, 0.5]]), np.array([-1]))
+            cross_entropy(Tensor([[0.5], [0.5]]), np.array([-1]))
 
     def test_zero_probability_is_finite(self):
         # the label's softmax probability underflows to 0; the loss is the
         # logit gap, exactly
-        loss = cross_entropy(Tensor([[-1000.0, 0.0]]), np.array([0]))
+        loss = cross_entropy(Tensor([[-1000.0], [0.0]]), np.array([0]))
         assert loss.item() == 1000.0
 
     def test_matches_loop(self):
@@ -229,16 +236,16 @@ class TestCrossEntropy:
         want = np.mean(
             [math.log(sum(math.exp(v) for v in z[i])) - z[i, l] for i, l in enumerate(labels) if l >= 0]
         )
-        got = cross_entropy(Tensor(z), labels).item()
+        got = cross_entropy(columns(z), labels).item()
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ContractError):
-            cross_entropy(Tensor([[0.5, 0.5]]), np.array([2]))
+            cross_entropy(Tensor([[0.5], [0.5]]), np.array([2]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            cross_entropy(Tensor([[0.5, 0.5]]), np.array([0, 1]))
+            cross_entropy(Tensor([[0.5], [0.5]]), np.array([0, 1]))
 
     def test_gradient(self):
         rng = np.random.default_rng(31)
@@ -247,7 +254,7 @@ class TestCrossEntropy:
         def fn(x):
             return cross_entropy(x, labels)
 
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         assert grad_check(fn, x) < 1e-6
 
 
@@ -278,24 +285,24 @@ class TestEntropyLoss:
         rng = np.random.default_rng(33)
 
         def fn(x):
-            return entropy_loss(softmax(x))
+            return entropy_loss(transpose(softmax(x)))
 
-        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         assert grad_check(fn, x) < 1e-6
 
 
 class TestEntropyFromLogits:
     def test_uniform_is_one(self):
-        np.testing.assert_allclose(entropy_from_logits(Tensor(np.full((3, 7), 2.5))).item(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(entropy_from_logits(Tensor(np.full((7, 3), 2.5))).item(), 1.0, atol=1e-12)
 
     def test_skewed_two_class_value(self):
         # the logits of [0.9, 0.1]: -(0.9 ln 0.9 + 0.1 ln 0.1) / ln 2
-        loss = entropy_from_logits(Tensor([[math.log(9.0), 0.0]]))
+        loss = entropy_from_logits(Tensor([[math.log(9.0)], [0.0]]))
         np.testing.assert_allclose(loss.item(), 0.4689955935892809, atol=1e-12)
 
     def test_range_on_random_rows(self):
         rng = np.random.default_rng(52)
-        v = entropy_from_logits(Tensor(rng.normal(size=(40, 5)) * 5)).item()
+        v = entropy_from_logits(Tensor(rng.normal(size=(5, 40)) * 5)).item()
         assert 0.0 <= v <= 1.0
 
     def test_bad_shapes_rejected(self):
@@ -429,9 +436,35 @@ class TestInfoNCE:
                     backward(scale(loss, 1e-3), g)
                 outs.append((loss.data, x.grad, len(g)))
             (got, got_grad, nodes), (want, want_grad, _) = outs
-            assert nodes == 2  # the fused node plus the scale
+            assert nodes == 3  # the transpose `info_nce` reads its rows through, the fused node, the scale
             assert np.array_equal(got, want)
             assert np.array_equal(got_grad, want_grad)
+
+
+class TestRowArguments:
+    """`info_nce` and `assign_pseudo_labels` take one row per pixel. The rows
+    of a C-contiguous (n, d) array and the ``.T`` view of a feature-major
+    (d, n) array holding the same values give the same bytes."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_rows_and_feature_major_view_agree(self, normalize):
+        rng = np.random.default_rng(54)
+        rows = rng.normal(size=(37, 6))
+        view = np.ascontiguousarray(rows.T).T
+        assert not view.flags.c_contiguous
+        labels = rng.integers(-1, 5, size=37)
+        bank = MemoryBank(class_count=5, feature_dim=6)
+        bank.v_source[:] = rng.normal(size=(5, 6))
+        bank.init_source[:] = True
+        got = []
+        for features in (rows, view):
+            x = Tensor(features, requires_grad=True)
+            with Graph() as g:
+                loss, _ = info_nce(x, labels, bank.v_source, tau=0.2, normalize=normalize)
+                backward(scale(loss, 0.5), g)
+            pseudo = assign_pseudo_labels(features, bank, 0.05)
+            got.append((loss.data.tobytes(), x.grad.tobytes(), pseudo.tobytes()))
+        assert got[0] == got[1]
 
 
 class TestContrastiveCombined:
@@ -450,7 +483,7 @@ class TestContrastiveCombined:
         f_t = rng.normal(size=(5, 3))
         y_s = rng.integers(0, 4, size=6)
         y_t = np.array([0, -1, 2, 3, 1])  # label 1 must drop from target-side terms
-        got = contrastive_combined(Tensor(f_s), y_s, Tensor(f_t), y_t, bank, tau=0.4)
+        got = contrastive_combined(columns(f_s), y_s, columns(f_t), y_t, bank, tau=0.4)
         want = combined_oracle(f_s, y_s, f_t, y_t, bank, 0.4)
         np.testing.assert_allclose(got.item(), want, atol=1e-10)
 
@@ -459,7 +492,7 @@ class TestContrastiveCombined:
         bank = self.make_bank(rng)
         f_s = rng.normal(size=(4, 3))
         y_s = rng.integers(0, 4, size=4)
-        got = contrastive_combined(Tensor(f_s), y_s, Tensor(np.ones((2, 3))), -np.ones(2, int), bank)
+        got = contrastive_combined(columns(f_s), y_s, Tensor(np.ones((3, 2))), -np.ones(2, int), bank)
         want = combined_oracle(f_s, y_s, np.ones((2, 3)), -np.ones(2, int), bank, 0.07)
         np.testing.assert_allclose(got.item(), want, atol=1e-10)
 
@@ -468,7 +501,7 @@ class TestContrastiveCombined:
         bank = self.make_bank(rng, init_t=np.zeros(4, bool))
         f_s = rng.normal(size=(3, 3))
         y_s = np.array([0, 1, 2])
-        got = contrastive_combined(Tensor(f_s), y_s, Tensor(np.ones((1, 3))), np.array([-1]), bank, tau=0.5)
+        got = contrastive_combined(columns(f_s), y_s, Tensor(np.ones((3, 1))), np.array([-1]), bank, tau=0.5)
         want = info_nce_oracle(f_s, y_s, bank.v_source, bank.init_source, 0.5)
         np.testing.assert_allclose(got.item(), want, atol=1e-10)
 
@@ -486,9 +519,9 @@ class TestContrastiveCombined:
         y_s = rng.integers(0, 4, size=7)
         f_t = rng.normal(size=(6, 3))
         y_t = rng.integers(-1, 4, size=6)
-        a = contrastive_combined(Tensor(f_s), y_s, Tensor(f_t), y_t, bank).item()
+        a = contrastive_combined(columns(f_s), y_s, columns(f_t), y_t, bank).item()
         ps, pt = rng.permutation(7), rng.permutation(6)
-        b = contrastive_combined(Tensor(f_s[ps]), y_s[ps], Tensor(f_t[pt]), y_t[pt], bank).item()
+        b = contrastive_combined(columns(f_s[ps]), y_s[ps], columns(f_t[pt]), y_t[pt], bank).item()
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_gradients_both_domains(self):
@@ -496,26 +529,27 @@ class TestContrastiveCombined:
         bank = self.make_bank(rng)
         y_s = rng.integers(0, 4, size=5)
         y_t = np.array([1, -1, 3, 0, 2])
-        f_t_fixed = Tensor(rng.normal(size=(5, 3)))
+        f_t_fixed = Tensor(rng.normal(size=(3, 5)))
 
         def fn_s(x):
             return contrastive_combined(x, y_s, f_t_fixed, y_t, bank, tau=0.25)
 
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         assert grad_check(fn_s, x) < 1e-6
 
-        f_s_fixed = Tensor(rng.normal(size=(5, 3)))
+        f_s_fixed = Tensor(rng.normal(size=(3, 5)))
 
         def fn_t(x):
             return contrastive_combined(f_s_fixed, y_s, x, y_t, bank, tau=0.25)
 
-        x2 = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        x2 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         assert grad_check(fn_t, x2) < 1e-6
 
 
 def contrastive_case(rng, shape):
-    """A bank, two labeled feature sets and a temperature for one seeded
-    case of `shape`, the part of the input space the case is meant to reach."""
+    """A bank, two labeled (n, d) feature sets and a temperature for one
+    seeded case of `shape`, the part of the input space the case is meant to
+    reach."""
     c, d = int(rng.integers(3, 10)), int(rng.integers(1, 9))
     bank = MemoryBank(class_count=c, feature_dim=d)
     bank.v_source[:] = rng.normal(size=(c, d)) * rng.uniform(0.1, 10.0)
@@ -549,7 +583,7 @@ CONTRASTIVE_SHAPES = ["full", "same-partial", "differ", "one-row", "none-labeled
 class TestContrastiveMatchesChain:
     """`contrastive_combined` is one node whose loss and gradients equal the
     four-term tape's bit for bit, with each term one `info_nce` node or its
-    11-node chain."""
+    11-node chain on the feature sets' transposes."""
 
     @pytest.mark.parametrize("include_positive", [True, False])
     @pytest.mark.parametrize("normalize", [False, True])
@@ -564,8 +598,8 @@ class TestContrastiveMatchesChain:
             chain = functools.partial(contrastive_chain, term=term)
             outs = []
             for fn in (contrastive_combined, contrastive_chain, chain):
-                x_s = Tensor(f_s.copy(), requires_grad=True)
-                x_t = x_s if shape == "shared" else Tensor(f_t.copy(), requires_grad=True)
+                x_s = columns(f_s, requires_grad=True)
+                x_t = x_s if shape == "shared" else columns(f_t, requires_grad=True)
                 # half the cases draw their scratch from a pool, as training does
                 with Graph(pool=ArrayPool() if trial % 2 else None) as g:
                     loss = fn(x_s, y_s, x_t, y_t, bank, tau, **flags)

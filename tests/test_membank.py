@@ -36,18 +36,18 @@ def make_bank(v_source, init_source, alpha=0.9):
 
 class TestClassCenters:
     def test_known_means(self):
-        f = np.array([[1.0, 1.0], [3.0, 3.0], [5.0, 5.0]])
+        f = np.array([[1.0, 3.0, 5.0], [1.0, 3.0, 5.0]])
         means, counts = class_centers(f, np.array([0, 0, 1]), 2)
         np.testing.assert_array_equal(means, [[2.0, 2.0], [5.0, 5.0]])
         np.testing.assert_array_equal(counts, [2, 1])
 
     def test_absent_class_zero_row(self):
-        means, counts = class_centers(np.ones((2, 3)), np.array([2, 2]), 4)
+        means, counts = class_centers(np.ones((3, 2)), np.array([2, 2]), 4)
         assert counts.tolist() == [0, 0, 2, 0]
         assert (means[[0, 1, 3]] == 0).all()
 
     def test_ignored_labels_skipped(self):
-        f = np.array([[1.0], [100.0], [3.0]])
+        f = np.array([[1.0, 100.0, 3.0]])
         means, counts = class_centers(f, np.array([0, -1, 0]), 1)
         np.testing.assert_allclose(means, [[2.0]])
         np.testing.assert_array_equal(counts, [2])
@@ -57,20 +57,21 @@ class TestClassCenters:
         f = rng.normal(size=(50, 4))
         labels = rng.integers(0, 5, size=50)
         perm = rng.permutation(50)
-        a, ca = class_centers(f, labels, 5)
-        b, cb = class_centers(f[perm], labels[perm], 5)
+        a, ca = class_centers(f.T, labels, 5)
+        b, cb = class_centers(f[perm].T, labels[perm], 5)
         np.testing.assert_allclose(a, b, atol=1e-12)
         np.testing.assert_array_equal(ca, cb)
 
     def test_column_blocks_match_joined_rows_bitwise(self):
-        # each class adds its rows in the same order either way, so the
-        # blocks' sums (and the means) equal the joined rows' to the bit
+        # each class adds its pixels in the same order either way, so the
+        # (d, n) blocks' sums (and the means) equal the stacked features' to
+        # the bit
         rng = np.random.default_rng(21)
         for n, d_f, d_h, c in [(1, 1, 1, 2), (37, 8, 8, 5), (500, 3, 11, 7), (4096, 8, 16, 5)]:
-            f = rng.normal(size=(n, d_f)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
-            h = rng.normal(size=(n, d_h))
+            f = rng.normal(size=(d_f, n)) * 10.0 ** rng.integers(-6, 7, size=(1, n))
+            h = rng.normal(size=(d_h, n))
             labels = rng.integers(-1, c, size=n)
-            joined = np.hstack([f, h])
+            joined = np.vstack([f, h])
             want_sums, want_counts = kernels.label_sums(joined, labels, c)
             parts = [kernels.label_sums(block, labels, c) for block in (f, h)]
             assert np.hstack([s for s, _ in parts]).tobytes() == want_sums.tobytes()
@@ -133,7 +134,7 @@ class TestUpdateBank:
         for _ in range(50):
             f = rng.normal(size=(20, 3)) * 100
             labels = rng.integers(-1, 4, size=20)
-            means, counts = class_centers(f, labels, 4)
+            means, counts = class_centers(f.T, labels, 4)
             update_bank(bank, means, counts, "source")
             update_bank(bank, means, counts, "target")
         assert np.isfinite(bank.v_source).all() and np.isfinite(bank.v_target).all()
@@ -189,7 +190,7 @@ class TestAssignPseudoLabels:
         rng = np.random.default_rng(25)
         init = np.array([True, True, False, True, True, True])
         bank = make_bank(rng.normal(size=(6, 8)), init)
-        f = rng.normal(size=(2 * kernels._BLOCK + 5, 8))
+        f = rng.normal(size=(8197, 8))
         got = assign_pseudo_labels(f, bank, 0.1)
         np.testing.assert_array_equal(got, assign_oracle(f, bank.v_source, init, 0.1))
 

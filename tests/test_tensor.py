@@ -24,6 +24,7 @@ from cfalign.tensor import (
     relu,
     scale,
     softmax,
+    transpose,
     write_container,
     zero_grads,
 )
@@ -114,9 +115,10 @@ class TestForward:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
+        # softmax runs over the leading axis: here 7 classes of 5 pixels
         x = Tensor(rng.normal(scale=50.0, size=(7, 5)))
         p = softmax(x)
-        np.testing.assert_allclose(p.data.sum(axis=1), np.ones(7), atol=1e-12)
+        np.testing.assert_allclose(p.data.sum(axis=0), np.ones(5), atol=1e-12)
         assert (p.data >= 0).all()
 
     def test_softmax_shift_invariance(self):
@@ -127,27 +129,30 @@ class TestForward:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_softmax_last_axis_bitwise_numpy_form(self):
-        # the row kernels repeat the max / sum(axis=-1) form bit for bit,
-        # forward and backward, across several row blocks
+        # softmax over the leading axis of the feature-major array repeats
+        # numpy's max / sum(axis=-1) form of the (pixels, classes) rows bit
+        # for bit, forward and backward
         rng = np.random.default_rng(3)
         x = rng.normal(scale=5.0, size=(9000, 5))
         g = rng.normal(size=x.shape)
-        t = Tensor(x, requires_grad=True)
+        t = Tensor(x.T.copy(), requires_grad=True)
         with Graph() as graph:
             p = softmax(t)
-            backward(reduce_sum(mul(p, Tensor(g))), graph)
+            backward(reduce_sum(mul(p, Tensor(g.T.copy()))), graph)
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
-        assert np.array_equal(p.data, want)
-        assert np.array_equal(t.grad, (g - (g * want).sum(axis=-1, keepdims=True)) * want)
+        assert np.array_equal(p.data, want.T)
+        assert np.array_equal(t.grad, ((g - (g * want).sum(axis=-1, keepdims=True)) * want).T)
 
     def test_softmax_last_axis_of_3d(self):
+        # the leading axis of a 3-d array against numpy's last-axis form
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 4, 5))
         e = np.exp(x - x.max(axis=-1, keepdims=True))
-        assert np.array_equal(softmax(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
-        w = Tensor(rng.normal(size=x.shape))
-        assert grad_check(lambda z: reduce_sum(mul(softmax(z), w)), Tensor(x, requires_grad=True)) < 1e-8
+        lead = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        assert np.array_equal(softmax(Tensor(lead)).data, np.moveaxis(e / e.sum(axis=-1, keepdims=True), -1, 0))
+        w = Tensor(rng.normal(size=lead.shape))
+        assert grad_check(lambda z: reduce_sum(mul(softmax(z), w)), Tensor(lead, requires_grad=True)) < 1e-8
 
     def test_log_clamps_at_zero(self):
         y = log(Tensor([0.0, 1.0]))
@@ -297,7 +302,8 @@ def run_layers(lin, build, arrays, const=()):
 
 
 class TestAffine:
-    """The fused affine node against add(matmul(x, w), b), bit for bit."""
+    """The fused affine node over (k, n) inputs against
+    add(matmul(transpose(w), x), column(b)), bit for bit."""
 
     def check(self, build, arrays, const=()):
         got, got_grads, nodes = run_layers(affine, build, arrays, const)
@@ -317,13 +323,14 @@ class TestAffine:
         rng = np.random.default_rng(60)
         for _ in range(20):
             n, k, m = (int(v) for v in rng.integers(1, 9, size=3))
-            arrays = self.draw(rng, x=(n, k), w=(k, m), b=(m,))
+            arrays = self.draw(rng, x=(k, n), w=(k, m), b=(m,))
             nodes, chain_nodes = self.check(lambda lin, t: lin(t["x"], t["w"], t["b"]), arrays)
-            assert (nodes, chain_nodes) == (3, 4)  # affine vs matmul + add, then mul, sum
+            # affine vs transpose, matmul, column, add; then mul, sum
+            assert (nodes, chain_nodes) == (3, 6)
 
     def test_constant_input(self):
         rng = np.random.default_rng(61)
-        arrays = self.draw(rng, x=(7, 3), w=(3, 4), b=(4,))
+        arrays = self.draw(rng, x=(3, 7), w=(3, 4), b=(4,))
         self.check(lambda lin, t: lin(t["x"], t["w"], t["b"]), arrays, const=("x",))
 
     def test_weight_shared_by_two_calls(self):
@@ -331,7 +338,7 @@ class TestAffine:
         rng = np.random.default_rng(62)
         for _ in range(10):
             n, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
-            arrays = self.draw(rng, x=(n, d), w=(d, d), b1=(d,), b2=(d,))
+            arrays = self.draw(rng, x=(d, n), w=(d, d), b1=(d,), b2=(d,))
 
             def build(lin, t):
                 return lin(relu(lin(t["x"], t["w"], t["b1"])), t["w"], t["b2"])
@@ -360,7 +367,7 @@ class TestArrayPool:
         # logits feed both cross-entropy and info_nce, so adopted scratch,
         # incoming gradients and accumulated sums all meet at the same inputs
         rng = np.random.default_rng(70)
-        shapes = {"x": (6, 3), "w1": (3, 4), "b1": (4,), "w2": (4, 5), "b2": (5,)}
+        shapes = {"x": (3, 6), "w1": (3, 4), "b1": (4,), "w2": (4, 5), "b2": (5,)}
         arrays = {k: rng.normal(size=s) for k, s in shapes.items()}
         labels = np.arange(6) % 5
         centers = rng.normal(size=(5, 5))
@@ -370,7 +377,7 @@ class TestArrayPool:
             with Graph(pool=pool) as g:
                 hidden = relu(affine(t["x"], t["w1"], t["b1"]))
                 logits = affine(add(hidden, hidden), t["w2"], t["b2"])
-                nce, _ = info_nce(logits, labels, centers)
+                nce, _ = info_nce(transpose(logits), labels, centers)
                 backward(add(cross_entropy(logits, labels), nce), g)
             # no two tensors share a gradient array
             tensors = {id(x): x for node in g.nodes for x in (*node.inputs, node.output)}
@@ -393,7 +400,7 @@ class TestArrayPool:
 
     def test_pooled_root_is_kept(self):
         pool = ArrayPool()
-        x = Tensor(np.ones((1, 2)), requires_grad=True)
+        x = Tensor(np.ones((2, 1)), requires_grad=True)
         with Graph(pool=pool) as g:
             root = affine(relu(x), Tensor(np.full((2, 1), 3.0)), Tensor(np.zeros(1)))
             backward(root, g)
@@ -403,19 +410,19 @@ class TestArrayPool:
 
 class TestBatchNorm:
     def test_unit_normalization(self):
-        x = Tensor([[1.0], [3.0]])
+        x = Tensor([[1.0, 3.0]])
         gamma, beta = Tensor([1.0]), Tensor([0.0])
         y = batch_norm(x, gamma, beta, eps=1e-12)
-        np.testing.assert_allclose(y.data, [[-1.0], [1.0]], atol=1e-6)
+        np.testing.assert_allclose(y.data, [[-1.0, 1.0]], atol=1e-6)
 
     def test_affine_output(self):
-        x = Tensor([[1.0], [3.0]])
+        x = Tensor([[1.0, 3.0]])
         y = batch_norm(x, Tensor([2.0]), Tensor([1.0]), eps=1e-12)
-        np.testing.assert_allclose(y.data, [[-1.0], [3.0]], atol=1e-6)
+        np.testing.assert_allclose(y.data, [[-1.0, 3.0]], atol=1e-6)
 
     def test_population_variance(self):
         # batch [0, 2]: mean 1, population var 1 (not the sample var 2)
-        x = Tensor([[0.0], [2.0]])
+        x = Tensor([[0.0, 2.0]])
         y = batch_norm(x, Tensor([1.0]), Tensor([0.0]), eps=0.0)
         np.testing.assert_allclose(y.data.ravel(), [-1.0, 1.0], atol=1e-12)
 
@@ -425,9 +432,9 @@ class TestBatchNorm:
         beta = Tensor(rng.normal(size=4))
 
         def fn(x):
-            return reduce_mean(mul(batch_norm(x, gamma, beta), np.arange(4.0) - 1.5))
+            return reduce_mean(mul(batch_norm(x, gamma, beta), (np.arange(4.0) - 1.5)[:, None]))
 
-        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         np.testing.assert_allclose(analytic_grad(fn, x), numeric_grad(fn, x), rtol=1e-4, atol=1e-8)
 
 
@@ -441,7 +448,8 @@ def same_bits(a, b) -> bool:
 
 class TestBatchNormMatchesChain:
     """The one-node batch norm against `batch_norm_chain`, bit for bit: output,
-    gradients, signed zeros included."""
+    gradients, signed zeros included. Cases are drawn as (n, d) rows and
+    run feature-major, as (d, n)."""
 
     @staticmethod
     def draw(rng, n, d):
@@ -467,6 +475,9 @@ class TestBatchNormMatchesChain:
                 grad = rng.normal(size=case[k].shape)
                 grad[rng.random(grad.shape) < 0.5] = -0.0
             case[k + "_grad"] = grad
+        for k in ("x", "upstream", "x_grad"):
+            if case[k] is not None:
+                case[k] = np.ascontiguousarray(case[k].T)
         return case
 
     @staticmethod
@@ -504,7 +515,8 @@ class TestBatchNormMatchesChain:
             tags, chain_tags = self.check(self.draw(rng, n, int(rng.integers(1, 21))), trainable)
             assert tags == ["batch_norm"]
             if "x" in trainable:
-                assert chain_tags == ["mean", "sub", "mul", "mean", "add", "sqrt", "div", "mul", "add"]
+                chain_ops = [tag for tag in chain_tags if tag != "column"]
+                assert chain_ops == ["mean", "sub", "mul", "mean", "add", "sqrt", "div", "mul", "add"]
 
 
 class TestGradCheck:
