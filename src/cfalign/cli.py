@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -170,6 +171,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    checks = [
+        (args.instances >= 1, "--instances must be at least 1"),
+        (args.seed >= 0, "--seed must be nonnegative"),
+        (math.isfinite(args.tolerance) and args.tolerance > 0, "--tolerance must be a finite number above 0"),
+    ]
+    problems = [msg for ok, msg in checks if not ok]
+    if problems:
+        raise ConfigError("; ".join(problems))
     worst = loss_battery(instances=args.instances, seed=args.seed)
     failed = False
     for name, err in worst.items():

@@ -114,6 +114,7 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         check_field_types(self)
         checks = [
+            (self.seed >= 0, "seed must be nonnegative"),
             (self.iterations >= 0, "iterations must be nonnegative"),
             (self.learning_rate > 0, "learning_rate must be positive"),
             (self.batch_source >= 1, "batch_source must be at least 1"),

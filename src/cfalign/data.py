@@ -74,6 +74,7 @@ class SynthSpec:
             (self.regions >= 1, "regions must be at least 1"),
             (self.color_std >= 0, "color_std must be nonnegative"),
             (self.target_noise >= 0, "target_noise must be nonnegative"),
+            (self.seed >= 0, "seed must be nonnegative"),
             (
                 fits(self.train_images, self.channels, self.height, self.width)
                 and fits(self.eval_images, self.channels, self.height, self.width),

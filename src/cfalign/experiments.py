@@ -69,14 +69,13 @@ def run_sensitivity(base: RunConfig, data: Dataset, grid: dict[str, list]) -> li
     that value substituted.
     """
     known = RunConfig.field_names()
-    results = []
+    runs = []
     for param, values in grid.items():
         if param not in known:
             raise ConfigError(f"unknown sweep parameter {param!r}")
-        for value in values:
-            cfg = base.replace(**{param: value})
-            results.append(run_single(cfg, data, name=f"{param}={value}"))
-    return results
+        # every value is validated before the first run trains
+        runs += [(base.replace(**{param: value}), f"{param}={value}") for value in values]
+    return [run_single(cfg, data, name=name) for cfg, name in runs]
 
 
 def results_table(results: list[RunResult]) -> str:

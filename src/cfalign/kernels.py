@@ -4,21 +4,12 @@ counting.
 
 Per-pixel arrays are feature-major: a (k, n) array holds one column per
 pixel and one row per class, center or feature dimension, so k is small and
-n is large. A reduction over the k rows is k - 1 numpy calls, each over
-whole contiguous rows, never one inner-loop call per pixel.
+n is large. A reduction over the k rows is one numpy call that walks whole
+contiguous rows, never one inner-loop call per pixel.
 
-`_row_sums` is the one summation order over those rows. It adds them in the
-order numpy's pairwise sum adds a contiguous length-k vector, so column j of
-its result is bitwise ``np.ascontiguousarray(a.T)[j].sum()``, and
-`nearest_two`'s distances are each pixel's ``((f - c) ** 2).sum()``.
-(numpy's own ``a.sum(axis=0)`` of a C-contiguous array adds the rows one
-after another, which rounds differently from k = 8 on.)
-`tests/test_kernels.py::TestRowSums` and `::TestRowKernels` are the alarm
-if a numpy release changes that order. The row maximum (`_row_max`) is
-exact because a maximum does not round; only the sign of a zero maximum of
-a column holding both 0.0 and -0.0 is left open. `log_softmax` is
-``z - m - log(exp(z - m).sum())`` per column with m the column max, up to
-that same sign of a zero.
+`log_softmax` is ``z - m - log(exp(z - m).sum(axis=0))`` with m the column
+maximum, and `nearest_two`'s distances are ``((f - c[:, None]) ** 2).sum(axis=0)``
+for each center c: numpy's own reductions over the leading axis.
 `softmax_argmax` and `nearest_two` resolve ties to the lowest index, as
 ``argmax`` and ``argmin`` do. Inputs must be free of NaN: a NaN column gets
 an unspecified result.
@@ -61,46 +52,6 @@ def _classes(z, name: str) -> np.ndarray:
     return z
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Sums of the d rows of a (d, ...) array, added in numpy's pairwise order.
-
-    Column j of the result is bitwise ``np.ascontiguousarray(x[:, j]).sum()``:
-    sequential from 0.0 below 8 rows; eight stride-8 accumulators folded as
-    a tree, a sequential remainder and then 0.0 added (so -0.0 sums become
-    0.0, as numpy's do) up to 128 rows; and above that a split at half
-    (rounded down to a multiple of 8) with both halves summed the same way.
-    """
-    d = x.shape[0]
-    if d < 8:
-        s = np.zeros(x.shape[1:])
-        for j in range(d):
-            s += x[j]
-        return s
-    if d <= 128:
-        body = d - d % 8
-        r = x[:8]
-        for i in range(8, body, 8):
-            r = r + x[i : i + 8]
-        r = r[0::2] + r[1::2]  # (r0+r1), (r2+r3), (r4+r5), (r6+r7)
-        r = r[0::2] + r[1::2]
-        s = r[0] + r[1]
-        for j in range(body, d):
-            s += x[j]
-        s += 0.0
-        return s
-    half = d // 2
-    half -= half % 8
-    return _row_sums(x[:half]) + _row_sums(x[half:])
-
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """The largest x[j, ...] over j; the one maximum scan."""
-    best = x[0].copy()
-    for j in range(1, x.shape[0]):
-        np.maximum(best, x[j], out=best)
-    return best
-
-
 def softmax_argmax(z: np.ndarray) -> np.ndarray:
     """Per-column index of the largest softmax probability of (k, n) logits,
     k >= 1, the lowest on ties: ``tensor.softmax(Tensor(z)).data.argmax(axis=0)``.
@@ -109,9 +60,9 @@ def softmax_argmax(z: np.ndarray) -> np.ndarray:
     that the logits order.
     """
     z = _classes(z, "softmax_argmax")
-    p = np.subtract(z, _row_max(z))
+    p = np.subtract(z, z.max(axis=0))
     np.exp(p, out=p)
-    np.divide(p, _row_sums(p), out=p)
+    np.divide(p, p.sum(axis=0), out=p)
     k, n = p.shape
     # a running index of the narrowest dtype holding k - 1 keeps the updates cheap
     itype = np.min_scalar_type(k - 1)
@@ -138,14 +89,14 @@ def log_softmax(z: np.ndarray, out: np.ndarray, entropy: bool = False) -> np.nda
     exactly.
     """
     z = _classes(z, "log_softmax")
-    np.subtract(z, _row_max(z), out=out)
+    np.subtract(z, z.max(axis=0), out=out)
     e = np.exp(out)
-    s = _row_sums(e)
+    s = e.sum(axis=0)
     np.subtract(out, np.log(s), out=out)
     if not entropy:
         return None
     # sum(p * log p) = sum(exp(z - max) * log p) / s
-    return _row_sums(np.multiply(e, out, out=e)) / s
+    return np.multiply(e, out, out=e).sum(axis=0) / s
 
 
 def nearest_two(features: np.ndarray, centers: np.ndarray):
@@ -166,7 +117,7 @@ def nearest_two(features: np.ndarray, centers: np.ndarray):
     for c, center in enumerate(centers):
         np.subtract(features, center[:, None], out=sq)
         np.multiply(sq, sq, out=sq)
-        dist = _row_sums(sq)
+        dist = sq.sum(axis=0)
         if c == 0:
             dmin = dist
             continue

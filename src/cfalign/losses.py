@@ -27,7 +27,7 @@ those of the four nodes joined by `add` nodes (``tests/chain_ops.py``'s
   one-term form gives it (a stacked matmul over both tables, or a strided
   slice, can take another BLAS path and round apart);
 - everything after the matmuls is elementwise, reduces one pixel's column
-  of logits (max, pairwise sum) or averages one term's pixels, so laying
+  of logits (its max and sum) or averages one term's pixels, so laying
   two terms' logits side by side changes no operand and no order;
 - the terms are summed ``((t1 + t2) + t3) + t4`` as the add nodes did, and a
   feature set's gradients reach it in reverse tape order. (The add nodes
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .kernels import _row_max, _row_sums, log_softmax
+from .kernels import log_softmax
 from .membank import MemoryBank
 from .tensor import EPS, Tensor, accum, accum_scratch, add, buffer, record, release, scale, transpose
 
@@ -119,7 +119,7 @@ def entropy_loss(pred: Tensor) -> Tensor:
     k = float(-1.0 / np.log(c))
     safe = np.maximum(pred.data, EPS)
     logp = np.log(safe)
-    loss = Tensor((_row_sums((pred.data * logp).T) * k).mean(), pred.requires_grad)
+    loss = Tensor(((pred.data * logp).sum(axis=1) * k).mean(), pred.requires_grad)
 
     def bwd(g):
         # mean, scale and row sum, then pred's two uses (the factor of
@@ -165,16 +165,19 @@ def _check_tau(tau: float) -> None:
         raise ContractError(f"temperature must be positive, got {tau}")
 
 
-def _check_set(features: Tensor, labels, centers: np.ndarray) -> np.ndarray:
-    """`labels` as int64, after the checks every term of one (d, n) feature
-    set needs."""
+def _check_set(x: np.ndarray, labels, centers: np.ndarray, rows: bool = False) -> np.ndarray:
+    """`labels` as int64, after the checks every term of one feature set
+    needs; `x` is (d, n), or (n, d) with `rows`."""
     labels = np.asarray(labels, dtype=np.int64)
-    if features.data.ndim != 2 or centers.ndim != 2 or features.data.shape[0] != centers.shape[1]:
+    d_axis = 1 if rows else 0
+    if x.ndim != 2 or centers.ndim != 2 or x.shape[d_axis] != centers.shape[1]:
+        layout = "(n,d)" if rows else "(d,n)"
         raise DimensionError(
-            f"info_nce needs (d,n) features and (c,d) centers, got {features.data.shape} and {centers.shape}"
+            f"info_nce needs {layout} features and (c,d) centers, got {x.shape} and {centers.shape}"
         )
-    if labels.shape != (features.data.shape[1],):
-        raise DimensionError(f"labels must be ({features.data.shape[1]},), got {labels.shape}")
+    n = x.shape[1 - d_axis]
+    if labels.shape != (n,):
+        raise DimensionError(f"labels must be ({n},), got {labels.shape}")
     if labels.size and labels.max() >= centers.shape[0]:
         raise ContractError(f"label {labels.max()} out of range for {centers.shape[0]} centers")
     return labels
@@ -252,7 +255,12 @@ def _nce(
         m, k, count = s.labeled.size, s.active.size, len(tables)
         x = s.features.data[:, s.cols]
         if normalize:
-            x_safe = np.maximum(np.sqrt(np.maximum(_row_sums(x * x), 0.0)), EPS)
+            # x is column-major after a gather of some pixels or as
+            # `info_nce`'s transposed rows, and numpy's axis=0 sum adds the
+            # features of such an array pairwise, of a C-contiguous one in
+            # turn: made contiguous, every call sums them in turn
+            x = np.ascontiguousarray(x)
+            x_safe = np.maximum(np.sqrt(np.maximum((x * x).sum(axis=0), 0.0)), EPS)
             f = x / x_safe
             tables = [C / np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12) for C in tables]
         else:
@@ -265,25 +273,25 @@ def _nce(
         # flat index of each pixel's positive logit, per term
         at = (np.arange(count) * (k * m))[:, None] + (s.pos * m + np.arange(m))
         picked = L.reshape(-1)[at]
-        # the reductions run over each pixel's centers: axis 1, led by a view
+        # the reductions run over each pixel's centers: axis 1
         if include_positive:
             keep = None
-            shift = _row_max(L.transpose(1, 0, 2))  # constant shift: exact for lse
+            shift = L.max(axis=1)  # constant shift: exact for lse
             E = np.exp(np.subtract(L, shift[:, None], out=L), out=L)
-            z = _row_sums(E.transpose(1, 0, 2))  # >= 1 because the max term contributes exp(0)
+            z = E.sum(axis=1)  # >= 1 because the max term contributes exp(0)
         else:
             keep = np.ones((k, m))
             keep[s.pos, np.arange(m)] = 0.0
             # shift by the largest KEPT logit, not the global max: if the
             # positive dominates, the exclusive sum would underflow past the
             # log guard
-            shift = _row_max(np.where(keep > 0, L, -np.inf).transpose(1, 0, 2))
+            shift = np.where(keep > 0, L, -np.inf).max(axis=1)
             np.subtract(L, shift[:, None], out=L)
             # push dropped entries far negative before exp so they cannot
             # overflow; the keep mask then zeroes any rounding residue
             cushion = (1.0 - keep) * (np.maximum(L, 0.0) + 1000.0)
             E = np.exp(L - cushion)
-            z = _row_sums((E * keep).transpose(1, 0, 2))  # >= 1: the kept max contributes exp(0)
+            z = (E * keep).sum(axis=1)  # >= 1: the kept max contributes exp(0)
         z_safe = np.maximum(z, EPS)
         lse = np.log(z_safe) + shift
         terms.extend((lse[j] - picked[j]).mean() for j in range(count))
@@ -313,7 +321,7 @@ def _nce(
                 if normalize:
                     # through x / norm, the norm's sqrt and column sum, and
                     # x * x (x enters twice)
-                    g_norm = _row_sums((-gf * x) / (x_safe * x_safe))
+                    g_norm = ((-gf * x) / (x_safe * x_safe)).sum(axis=0)
                     t = np.broadcast_to(g_norm * 0.5 / x_safe, x.shape) * x
                     gf = gf / x_safe + t + t
                 gfs.append(gf)
@@ -347,8 +355,8 @@ def info_nce(
     """
     _check_tau(tau)
     centers = np.asarray(centers, dtype=np.float64)
+    labels = _check_set(features.data, labels, centers, rows=True)
     features = transpose(features)
-    labels = _check_set(features, labels, centers)
     if center_mask is None:
         center_mask = np.ones(centers.shape[0], dtype=bool)
     center_mask = np.asarray(center_mask, dtype=bool)
@@ -393,7 +401,7 @@ def contrastive_combined(
     ]
     stacks: list[_Stack] = []
     for f, y in ((f_source, y_source), (f_target, y_target)):
-        y = _check_set(f, y, bank.v_source)
+        y = _check_set(f.data, y, bank.v_source)
         stack, stack_mask = None, None
         for centers, mask in tables:
             # tables with the same initialized rows share one stack

@@ -46,7 +46,6 @@ from typing import BinaryIO, Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .kernels import _row_sums
 
 EPS = 1e-12
 
@@ -325,19 +324,18 @@ def relu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax over the leading axis, the classes of a
-    (c, n) tensor; each column sums to 1 up to rounding. The column sums go
-    through `kernels._row_sums`."""
+    (c, n) tensor; each column sums to 1 up to rounding."""
     z = x.data
     # z, exp(z) and p share one buffer: the in-place steps round as the
     # out-of-place ones do and allocate one array, not three
     p = np.subtract(z, z.max(axis=0), out=buffer(z.shape, x.requires_grad))
     np.exp(p, out=p)
-    np.divide(p, _row_sums(p), out=p)
+    np.divide(p, p.sum(axis=0), out=p)
     out = Tensor(p, x.requires_grad)
 
     def bwd(g):
         gx = g * p
-        np.subtract(g, _row_sums(gx), out=gx)
+        np.subtract(g, gx.sum(axis=0), out=gx)
         np.multiply(gx, p, out=gx)
         accum(x, gx)
 

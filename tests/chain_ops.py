@@ -233,34 +233,34 @@ def batch_norm_chain(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) 
 
 
 def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, normalize=False):
-    """InfoNCE as a chain of per-op tape nodes (take_rows, the logits as
-    ``C @ f.T``, scale, sub, exp, sum, log, add, pick, sub, mean, plus the
-    l2 and keep nodes of the flags); the fused op must match it bit for
-    bit."""
+    """InfoNCE as a chain of per-op tape nodes (take_rows, the (d, m)
+    columns, the logits as ``C @ f``, scale, sub, exp, sum, log, add, pick,
+    sub, mean, plus the l2 and keep nodes of the flags); the fused op must
+    match it bit for bit."""
     labeled = np.flatnonzero(labels >= 0)
     active = np.flatnonzero(mask)
-    f = take_rows(features, labeled)
+    # the labeled rows as C-contiguous (d, m) columns, the fused op's layout,
+    # so every sum over features or centers below is numpy's axis=0 sum of it
+    f = contiguous(transpose(take_rows(features, labeled)))
     sub_centers = centers[active]
     if normalize:
-        f = div(f, sqrt(reduce_sum(mul(f, f), axis=1, keepdims=True)))
+        f = div(f, sqrt(reduce_sum(mul(f, f), axis=0, keepdims=True)))
         sub_centers = sub_centers / np.maximum(np.linalg.norm(sub_centers, axis=1, keepdims=True), 1e-12)
     pos_of = np.full(centers.shape[0], -1, dtype=np.int64)
     pos_of[active] = np.arange(active.size)
     pos = pos_of[labels[labeled]]
-    # the fused op's (k, m) product, back to C-contiguous rows so that the
-    # row sums below add in the fused op's pairwise order
-    logits = scale(contiguous(transpose(matmul(sub_centers, transpose(f)))), 1.0 / tau)
+    logits = scale(matmul(sub_centers, f), 1.0 / tau)  # (k, m)
     if include_positive:
-        shift = logits.data.max(axis=1, keepdims=True)
-        z = reduce_sum(exp(sub(logits, shift)), axis=1)
+        shift = logits.data.max(axis=0, keepdims=True)
+        z = reduce_sum(exp(sub(logits, shift)), axis=0)
     else:
-        keep = np.ones((labeled.size, active.size))
-        keep[np.arange(labeled.size), pos] = 0.0
-        shift = np.where(keep > 0, logits.data, -np.inf).max(axis=1, keepdims=True)
+        keep = np.ones((active.size, labeled.size))
+        keep[pos, np.arange(labeled.size)] = 0.0
+        shift = np.where(keep > 0, logits.data, -np.inf).max(axis=0, keepdims=True)
         cushion = (1.0 - keep) * (np.maximum(logits.data - shift, 0.0) + 1000.0)
-        z = reduce_sum(mul(exp(sub(sub(logits, shift), cushion)), keep), axis=1)
+        z = reduce_sum(mul(exp(sub(sub(logits, shift), cushion)), keep), axis=0)
     lse = add(log(z), shift.ravel())
-    return reduce_mean(sub(lse, pick(logits, pos)))
+    return reduce_mean(sub(lse, pick(transpose(logits), pos)))
 
 
 def contrastive_chain(

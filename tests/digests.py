@@ -9,6 +9,10 @@ prints sha256 values of what each run wrote:
 - each checkpoint tensor by name, read with ``tensor.read_container``, on
   one indented line per tensor.
 
+It then prints the worst relative error of each `grad-check` case,
+``loss_battery(instances=20, seed=0)``, one line per case, in full
+precision, so one ``diff`` of two outputs also compares the gradients.
+
 The per-tensor lines show which tensors kept their bytes when a format
 change adds or drops some. The config echo lists every config field, in
 ``result.json`` and in the checkpoint header, so adding or removing a field
@@ -34,6 +38,7 @@ from pathlib import Path
 
 from cfalign.checkpoint import CHECKPOINT_FORMAT
 from cfalign.cli import main as cfalign_main
+from cfalign.gradcheck import loss_battery
 from cfalign.tensor import read_container
 
 _FULL = ["--style-transfer", "--contrastive"]
@@ -84,6 +89,8 @@ def main(argv=None) -> int:
         print(name, *(f"{file} {digest}" for file, digest in digests(run).items()), sep="  ")
         for tensor, digest in tensor_digests(run).items():
             print(f"  {name} {tensor} {digest}")
+    for case, err in loss_battery(instances=20, seed=0).items():
+        print(f"grad-check {case} {float(err)!r}")
     return 0
 
 

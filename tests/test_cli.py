@@ -78,6 +78,13 @@ class TestGenData:
         from cfalign.data import load_dataset
         assert load_dataset(out).spec.seed == 3
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gen-data", "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "seed must be nonnegative" in err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"heigth": 12}))
@@ -162,12 +169,23 @@ class TestTrain:
     def test_bad_value_exits_2(self, dataset_dir, tmp_path, capsys):
         # "moco" was a head kind once; it now reads as any other bad value
         for flags, needle in ((["--tau", "-1"], "tau"), (["--head", "moco"], "head must be one of"),
-                              (["--contrastive", "--no-include-positive"], "no lower bound")):
+                              (["--contrastive", "--no-include-positive"], "no lower bound"),
+                              (["--seed", "-1"], "seed must be nonnegative")):
+            # the flags come last, so they win over TINY_RUN_FLAGS' --seed
             code = main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x")]
-                        + flags + TINY_RUN_FLAGS)
+                        + TINY_RUN_FLAGS + flags)
             assert code == 2
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and needle in err
+
+    def test_negative_seed_in_config_exits_2(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--data", str(dataset_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "seed must be nonnegative" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc", [{"iterations": "x"}, {"tau": True}, {"entropy": 1}])
     def test_wrong_typed_config_file_exits_2(self, dataset_dir, tmp_path, capsys, doc):
@@ -497,6 +515,15 @@ class TestAblateAndSweep:
     def test_sweep_bad_value_exits_2(self, dataset_dir):
         assert main(["sweep", "--data", str(dataset_dir), "--param", "tau", "--values", "abc"]) == 2
 
+    def test_sweep_negative_seed_exits_2_before_training(self, dataset_dir, capsys):
+        # the good first value must not train before the bad second one is read
+        code = main(["sweep", "--data", str(dataset_dir), "--param", "seed", "--values", "0,-1"]
+                    + ["--iterations", "1000000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "seed must be nonnegative" in captured.err
+
 
 class TestGradCheck:
     def test_passes_quickly(self, capsys):
@@ -508,6 +535,19 @@ class TestGradCheck:
     def test_loose_tolerance_cannot_fail(self, capsys):
         assert main(["grad-check", "--instances", "1", "--tolerance", "1e6"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [(["--instances", "0"], "--instances"), (["--instances", "-3"], "--instances"),
+         (["--seed", "-1"], "--seed"), (["--tolerance", "nan"], "--tolerance"),
+         (["--tolerance", "inf"], "--tolerance"), (["--tolerance", "0"], "--tolerance"),
+         (["--tolerance=-1e-4"], "--tolerance")],
+    )
+    def test_bad_flag_exits_2(self, capsys, flags, needle):
+        assert main(["grad-check"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and needle in captured.err
 
 
 class TestDivergenceExit:

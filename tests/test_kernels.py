@@ -1,23 +1,17 @@
 """Kernels against brute-force references.
 
-The kernels take feature-major (k, n) arrays, one column per pixel; the
-references here are written on the (n, k) rows and their results compared
+The kernels take feature-major (k, n) arrays, one column per pixel. The
+bitwise references reduce that (k, n) array with numpy's ``axis=0`` sums;
+the others are written on the (n, k) rows and their results compared
 through a transpose.
 """
-
-import sys
 
 import numpy as np
 import pytest
 
 from cfalign import kernels
-from cfalign.config import RunConfig
-from cfalign.data import SynthSpec, generate_dataset
 from cfalign.errors import DimensionError
-from cfalign.evaluate import eval_to_json, evaluate
-from cfalign.heads import HEAD_KINDS
 from cfalign.tensor import Tensor, softmax
-from cfalign.train import metrics_to_csv, train
 
 
 @pytest.fixture(params=["numpy"])
@@ -44,13 +38,14 @@ def nearest_two_oracle(features, centers):
 
 
 def nearest_two_loop(features, centers):
-    """The per-center running min / second-min scan with strict comparisons."""
-    n = features.shape[0]
+    """The per-center running min / second-min scan with strict comparisons,
+    over C-contiguous (d, n) `features` with numpy's ``axis=0`` sums."""
+    n = features.shape[1]
     idx = np.zeros(n, dtype=np.int64)
     dmin = np.full(n, np.inf)
     dsec = np.full(n, np.inf)
     for c in range(centers.shape[0]):
-        d = ((features - centers[c]) ** 2).sum(axis=1)
+        d = ((features - centers[c][:, None]) ** 2).sum(axis=0)
         better = d < dmin
         second = ~better & (d < dsec)
         dsec[second] = d[second]
@@ -82,8 +77,7 @@ class TestNearestTwo:
             for trial in range(40):
                 n, k, d = int(rng.integers(1, 150)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
                 yield n, 1 if trial < 2 else k, d, trial % 2
-            # long arrays, each with a width from every summation branch of
-            # _row_sums: sequential, eight accumulators, split
+            # long arrays, with feature widths from 1 to 300
             block = 4096
             widths = ((1, 5, 7), (8, 13, 128), (129, 203, 300))
             for i, n in enumerate((block - 1, block, block + 1, 3 * block + 17)):
@@ -100,9 +94,19 @@ class TestNearestTwo:
                 f = rng.integers(-2, 3, size=(n, d)).astype(float)
                 c = rng.integers(-2, 3, size=(k, d)).astype(float)
                 c[rng.integers(0, k)] = c[rng.integers(0, k)]
-            for got, want in zip(kernels.nearest_two(cols(f), c), nearest_two_loop(f, c)):
+            for got, want in zip(kernels.nearest_two(cols(f), c), nearest_two_loop(cols(f), c)):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (n, k, d)
+
+    def test_distances_are_numpy_column_sums(self, backend):
+        rng = np.random.default_rng(18)
+        for d in (1, 7, 8, 9, 16, 300):
+            # mixed magnitudes make the summation order visible in the last bits
+            F = rng.normal(size=(d, 53)) * 10.0 ** rng.integers(-8, 9, size=(d, 53))
+            centers = rng.normal(size=(3, d))
+            _, dmin, dsec = kernels.nearest_two(F, centers)
+            dist = np.sort([np.sqrt(((F - c[:, None]) ** 2).sum(axis=0)) for c in centers], axis=0)
+            assert np.array_equal(dmin, dist[0]) and np.array_equal(dsec, dist[1]), d
 
     def test_single_center_second_is_inf(self, backend):
         idx, dmin, dsec = kernels.nearest_two(np.zeros((2, 3)), np.ones((1, 2)))
@@ -124,18 +128,6 @@ class TestNearestTwo:
             kernels.nearest_two(np.zeros((2, 3)), np.zeros((0, 2)))
 
 
-class TestRowSums:
-    def test_matches_numpy_sum_order(self):
-        """nearest_two's distances equal ``((f - c) ** 2).sum(axis=1)`` only while
-        numpy adds a row in the order _row_sums repeats; a numpy release that
-        changes its reduction order fails here first."""
-        rng = np.random.default_rng(15)
-        for d in range(1, 301):
-            # mixed magnitudes make the summation order visible in the last bits
-            x = rng.normal(size=(9, d)) * 10.0 ** rng.integers(-8, 9, size=(9, d))
-            assert np.array_equal(kernels._row_sums(x.T), x.sum(axis=1)), d
-
-
 def row_inputs(rng, n, k):
     """(n, k) rows in four flavours: mixed magnitudes (the summation order
     shows in the last bits), small integers (exact ties), signed zeros with
@@ -150,8 +142,8 @@ def row_inputs(rng, n, k):
 
 
 def row_cases():
-    """Widths 1..300 on short runs of rows, then long runs with widths from
-    every summation branch of _row_sums."""
+    """Widths 1..300 on short runs of rows, then long runs of narrow and
+    wide rows."""
     rng = np.random.default_rng(16)
     for k in range(1, 301):
         for n in (0, 1, 37):
@@ -163,12 +155,12 @@ def row_cases():
 
 
 def log_softmax_numpy(z, out, entropy=False):
-    """`kernels.log_softmax` of (n, k) rows in numpy's ``axis=1`` form."""
-    shifted = z - z.max(axis=1)[:, None]
+    """`kernels.log_softmax` of (k, n) logits in numpy's ``axis=0`` form."""
+    shifted = z - z.max(axis=0)
     e = np.exp(shifted)
-    s = e.sum(axis=1)
-    np.subtract(shifted, np.log(s)[:, None], out=out)
-    return (e * out).sum(axis=1) / s if entropy else None
+    s = e.sum(axis=0)
+    np.subtract(shifted, np.log(s), out=out)
+    return (e * out).sum(axis=0) / s if entropy else None
 
 
 def bits(a):
@@ -177,18 +169,11 @@ def bits(a):
 
 class TestRowKernels:
     """Each kernel over a feature-major (k, n) array against numpy's
-    ``axis=1`` reduction of the C-contiguous (n, k) rows, bit for bit."""
-
-    def test_row_sum_bitwise(self):
-        for a in row_cases():
-            # a row cannot hold both infinities, so every sum is a number or -inf
-            got = kernels._row_sums(cols(a))
-            assert got.shape == (a.shape[0],) and got.dtype == np.float64
-            assert np.array_equal(bits(got), bits(a.sum(axis=1))), a.shape
+    ``axis=0`` reductions of that array, bit for bit."""
 
     def test_softmax_argmax_over_row_cases(self):
-        # every width branch of _row_sums, exact ties and signed zeros; a row
-        # holding -inf is left out, as a row of them has no probabilities
+        # narrow and wide rows, exact ties and signed zeros; a row holding
+        # -inf is left out, as a row of them has no probabilities
         for a in row_cases():
             if np.isfinite(a).all():
                 got = kernels.softmax_argmax(cols(a))
@@ -212,16 +197,15 @@ class TestRowKernels:
                 assert np.array_equal(got, softmax(Tensor(cols(z))).data.argmax(axis=0)), (n, k)
 
     def test_log_softmax_over_row_cases(self):
-        # bitwise up to the sign of a zero, which the column maximum leaves open
         for a in row_cases():
             if np.isfinite(a).all():
                 for entropy in (False, True):
-                    got, want = np.empty(a.shape[::-1]), np.empty(a.shape)
+                    got, want = np.empty(a.shape[::-1]), np.empty(a.shape[::-1])
                     got_h = kernels.log_softmax(cols(a), got, entropy)
-                    want_h = log_softmax_numpy(a, want, entropy)
-                    assert np.array_equal(got, want.T), a.shape
+                    want_h = log_softmax_numpy(cols(a), want, entropy)
+                    assert np.array_equal(bits(got), bits(want)), a.shape
                     if entropy:
-                        assert np.array_equal(got_h, want_h), a.shape
+                        assert np.array_equal(bits(got_h), bits(want_h)), a.shape
                     else:
                         assert got_h is None
 
@@ -239,91 +223,12 @@ class TestRowKernels:
         z = np.array([[0.0, 1e-17], [1e-17, 0.0], [-700.0, 700.0], [700.0, 700.0]])
         np.testing.assert_array_equal(kernels.softmax_argmax(cols(z)), [0, 0, 1, 0])
 
-    def test_all_negative_zero_sums_to_positive_zero(self):
-        for k in (1, 7, 8, 9, 130):
-            assert not np.signbit(kernels._row_sums(np.full((k, 3), -0.0))).any(), k
-
     def test_shape_validation(self):
         for z in (np.zeros(4), np.zeros((0, 3))):
             with pytest.raises(DimensionError):
                 kernels.softmax_argmax(z)
             with pytest.raises(DimensionError):
                 kernels.log_softmax(z, np.empty(z.shape))
-        np.testing.assert_array_equal(kernels._row_sums(np.zeros((0, 3))), np.zeros(3))
-
-
-def softmax_numpy(z):
-    """``tensor.softmax`` of (k, n) logits in numpy's ``axis=0`` form."""
-    p = np.exp(z - z.max(axis=0))
-    return p / p.sum(axis=0)
-
-
-def log_softmax_numpy_by_column(z, out, entropy=False):
-    """`kernels.log_softmax` of (k, n) logits in numpy's ``axis=0`` form."""
-    shifted = z - z.max(axis=0)
-    e = np.exp(shifted)
-    s = e.sum(axis=0)
-    np.subtract(shifted, np.log(s), out=out)
-    return (e * out).sum(axis=0) / s if entropy else None
-
-
-def pairwise_sums(a):
-    """`kernels._row_sums` in numpy's own order: numpy's ``a.sum(axis=0)`` of
-    a C-contiguous array adds the rows one after another, so each column is
-    copied contiguous and summed along it instead."""
-    return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
-
-
-class TestNumpyReductionsGiveSameBytes:
-    """End to end, training and evaluation write the same bytes whether the
-    kernels or numpy's reductions over the leading axis do the reducing.
-
-    The models here have 5 classes; below 8 rows, numpy's ``axis=0`` sum
-    and `_row_sums` add in the same order.
-    """
-
-    NUMPY = {
-        "_row_sums": pairwise_sums,
-        "_row_max": lambda a: a.max(axis=0),
-        "softmax_argmax": lambda z: softmax_numpy(z).argmax(axis=0),
-        "log_softmax": log_softmax_numpy_by_column,
-    }
-
-    @pytest.fixture(scope="class")
-    def data(self):
-        return generate_dataset(
-            SynthSpec(height=12, width=12, train_images=16, eval_images=4, regions=4, seed=7)
-        )
-
-    @staticmethod
-    def outputs(data, head):
-        docs = []
-        # exclude-positive without normalization is a config error
-        for normalize, include_positive in ((False, True), (True, True), (True, False)):
-            cfg = RunConfig(
-                seed=7, iterations=30, hidden_dim=12, feature_dim=8, head=head,
-                style_transfer=True, contrastive=True,
-                normalize_features=normalize, include_positive=include_positive,
-            )
-            state, records = train(cfg, data)
-            assert any(r.contra != 0 for r in records)  # InfoNCE ran
-            docs.append(metrics_to_csv(records) + eval_to_json(evaluate(state, data.target_eval), cfg))
-        return docs
-
-    @pytest.mark.parametrize("head", HEAD_KINDS)
-    def test_outputs_unchanged(self, data, head, monkeypatch):
-        with_kernels = self.outputs(data, head)
-        # patch every module that imported a kernel by name
-        patched = set()
-        for name, module in list(sys.modules.items()):
-            if name.startswith("cfalign.") and name != "cfalign.kernels":
-                for attr, numpy_form in self.NUMPY.items():
-                    if getattr(module, attr, None) is getattr(kernels, attr):
-                        monkeypatch.setattr(module, attr, numpy_form)
-                        patched.add((name, attr))
-        assert {m for m, _ in patched} >= {"cfalign.tensor", "cfalign.losses", "cfalign.model"}
-        assert {a for _, a in patched} == set(self.NUMPY)
-        assert self.outputs(data, head) == with_kernels
 
 
 class TestLabelSums:

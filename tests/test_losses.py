@@ -336,6 +336,16 @@ class TestInfoNCE:
         loss, n = info_nce(Tensor(np.ones((3, 2))), -np.ones(3, dtype=int), np.ones((2, 2)))
         assert n == 0 and loss.item() == 0.0
 
+    def test_shape_error_names_the_rows_given(self):
+        # the (n, d) rows are checked before info_nce reads them as (d, n)
+        with pytest.raises(DimensionError, match=r"\(n,d\) features .* got \(3, 5\) and \(2, 2\)"):
+            info_nce(Tensor(np.ones((3, 5))), np.zeros(3, dtype=int), np.ones((2, 2)))
+        with pytest.raises(DimensionError, match=r"labels must be \(3,\)"):
+            info_nce(Tensor(np.ones((3, 2))), np.zeros(5, dtype=int), np.ones((2, 2)))
+        with pytest.raises(DimensionError, match=r"\(d,n\) features .* got \(5, 3\)"):
+            contrastive_combined(Tensor(np.ones((5, 3))), np.zeros(3, dtype=int),
+                                 Tensor(np.ones((2, 3))), np.zeros(3, dtype=int), MemoryBank(2, 2))
+
     def test_masked_center_label_rejected(self):
         mask = np.array([True, False])
         with pytest.raises(ContractError):
@@ -449,22 +459,25 @@ class TestRowArguments:
     @pytest.mark.parametrize("normalize", [False, True])
     def test_rows_and_feature_major_view_agree(self, normalize):
         rng = np.random.default_rng(54)
-        rows = rng.normal(size=(37, 6))
-        view = np.ascontiguousarray(rows.T).T
-        assert not view.flags.c_contiguous
-        labels = rng.integers(-1, 5, size=37)
-        bank = MemoryBank(class_count=5, feature_dim=6)
-        bank.v_source[:] = rng.normal(size=(5, 6))
-        bank.init_source[:] = True
-        got = []
-        for features in (rows, view):
-            x = Tensor(features, requires_grad=True)
-            with Graph() as g:
-                loss, _ = info_nce(x, labels, bank.v_source, tau=0.2, normalize=normalize)
-                backward(scale(loss, 0.5), g)
-            pseudo = assign_pseudo_labels(features, bank, 0.05)
-            got.append((loss.data.tobytes(), x.grad.tobytes(), pseudo.tobytes()))
-        assert got[0] == got[1]
+        # from 8 features on, numpy's sum over them depends on the layout;
+        # with every pixel labeled, info_nce reads its rows as a view, not a gather
+        for d, lowest_label in ((6, -1), (9, -1), (9, 0)):
+            rows = rng.normal(size=(37, d))
+            view = np.ascontiguousarray(rows.T).T
+            assert not view.flags.c_contiguous
+            labels = rng.integers(lowest_label, 5, size=37)
+            bank = MemoryBank(class_count=5, feature_dim=d)
+            bank.v_source[:] = rng.normal(size=(5, d))
+            bank.init_source[:] = True
+            got = []
+            for features in (rows, view):
+                x = Tensor(features, requires_grad=True)
+                with Graph() as g:
+                    loss, _ = info_nce(x, labels, bank.v_source, tau=0.2, normalize=normalize)
+                    backward(scale(loss, 0.5), g)
+                pseudo = assign_pseudo_labels(features, bank, 0.05)
+                got.append((loss.data.tobytes(), x.grad.tobytes(), pseudo.tobytes()))
+            assert got[0] == got[1], d
 
 
 class TestContrastiveCombined:
