@@ -13,27 +13,14 @@ work from their log-softmax (`kernels.log_softmax`), so no probability is
 clamped and a saturated row keeps its exact loss and gradient. They agree
 with softmax followed by the per-op probability chains of
 ``tests/chain_ops.py`` to within 1e-12 at moderate logits. `entropy_loss`
-keeps the probability-row form with its log clamp, and its backward and
-InfoNCE's repeat the rounding of the per-op chains they replaced.
+keeps the probability-row form with its log clamp, and matches its chain bit
+for bit.
 
 The fine alignment's four InfoNCE terms (two feature sets against two center
-tables) are one node too, and `info_nce` is its one-term case. The bits of
-each term are those of a separate `info_nce` node, and the sum and gradients
-those of the four nodes joined by `add` nodes (``tests/chain_ops.py``'s
-``contrastive_chain``), because:
-
-- each table gets its own ``C @ x``, written straight into its own
-  contiguous slice of the logits, so every matmul sees the operands the
-  one-term form gives it (a stacked matmul over both tables, or a strided
-  slice, can take another BLAS path and round apart);
-- everything after the matmuls is elementwise, reduces one pixel's column
-  of logits (its max and sum) or averages one term's pixels, so laying
-  two terms' logits side by side changes no operand and no order;
-- the terms are summed ``((t1 + t2) + t3) + t4`` as the add nodes did, and a
-  feature set's gradients reach it in reverse tape order. (The add nodes
-  also passed each term ``g + 0.0`` instead of ``g``. That changes only a
-  -0.0, and a zero upstream gradient leaves the feature gradients the same
-  either way, because `accum` adds 0.0 on the first store.)
+tables) are one node too, and `info_nce` is its one-term case. A feature
+set's tables that agree on their initialized rows are stacked into one
+table, so one matmul makes their logits and one matmul their feature
+gradient.
 """
 
 from __future__ import annotations
@@ -117,16 +104,19 @@ def entropy_loss(pred: Tensor) -> Tensor:
     c = _entropy_classes(pred.data, "entropy_loss", 1)
     n = pred.data.shape[0]
     k = float(-1.0 / np.log(c))
-    safe = np.maximum(pred.data, EPS)
+    # numpy's axis=1 sum adds the classes of a C-contiguous array pairwise,
+    # of a column-major one in turn: made contiguous, every layout sums alike
+    p = np.ascontiguousarray(pred.data)
+    safe = np.maximum(p, EPS)
     logp = np.log(safe)
-    loss = Tensor(((pred.data * logp).sum(axis=1) * k).mean(), pred.requires_grad)
+    loss = Tensor(((p * logp).sum(axis=1) * k).mean(), pred.requires_grad)
 
     def bwd(g):
         # mean, scale and row sum, then pred's two uses (the factor of
         # pred * log pred and the clamped log's argument) in the chain's order
-        G = np.broadcast_to(np.expand_dims(np.broadcast_to(g, (n,)) / n * k, 1), pred.data.shape)
+        G = np.broadcast_to(np.expand_dims(np.broadcast_to(g, (n,)) / n * k, 1), p.shape)
         accum(pred, G * logp)
-        accum(pred, (G * pred.data) / safe)
+        accum(pred, (G * p) / safe)
 
     record("entropy", (pred,), loss, bwd)
     return loss
@@ -192,7 +182,7 @@ class _Stack:
     labeled: np.ndarray  # pixels with a label >= 0, ascending
     pos: np.ndarray  # each labeled pixel's label as a position among `active`
     active: np.ndarray  # masked-in center rows
-    tables: list[np.ndarray]  # each table's masked-in centers, in tape order
+    tables: list[np.ndarray]  # each table's masked-in centers, in the order of their terms
 
     @classmethod
     def of(cls, features: Tensor, labels: np.ndarray, mask: np.ndarray) -> "_Stack":
@@ -209,50 +199,22 @@ class _Stack:
         return slice(None) if self.labeled.size == self.features.data.shape[1] else self.labeled
 
 
-def _accum_cols(t: Tensor, cols, gfs: list[np.ndarray]) -> None:
-    """Add each term's gradient in `gfs` (reverse tape order) into `cols` of
-    t.grad, bitwise as the per-term nodes did by accumulating a zero array
-    holding it at those pixels.
-
-    On the first store the terms are added first: ``(a + 0.0) + b`` and
-    ``(a + b) + 0.0`` are equal bit for bit. After it, t.grad holds no -0.0
-    (accum adds 0.0), so the other pixels' ``+ 0.0`` changes nothing and
-    only `cols` are added to, one term after another.
-    """
-    if t.grad is not None:
-        for gf in gfs:
-            t.grad[:, cols] += gf
-        return
-    gf = gfs[0]
-    for later in gfs[1:]:
-        gf = gf + later
-    gx = buffer(t.data.shape)
-    if not isinstance(cols, slice):
-        gx.fill(0.0)
-    gx[:, cols] = gf
-    accum_scratch(t, gx)
-
-
 def _nce(
     stacks: list[_Stack], inputs: tuple[Tensor, ...], tau: float, include_positive: bool, normalize: bool
 ) -> Tensor:
-    """The sum of the InfoNCE terms of `stacks`, folded in order, as one tape
-    node with `inputs`.
+    """The sum of the InfoNCE terms of `stacks` as one tape node with `inputs`.
 
-    The T tables of a stack share its m pixels and k centers. Their logits
-    are laid out as one (T, k, m) array, so every step after the matmuls is
-    one numpy call over all T terms, and each term's (k, m) slice is as
-    contiguous as the one-term form's. Each step is elementwise, or reduces
-    one pixel's centers, exactly as the one-term form did, so every term's
-    loss and gradient keep their bits (module docstring).
+    The T tables of a stack share its m pixels and k centers, so they are one
+    (T*k, d) table: one matmul makes all T terms' logits, laid out as one
+    (T, k, m) array, and one matmul takes the feature gradient of all T.
     """
     c = float(1.0 / tau)
     requires_grad = any(s.features.requires_grad for s in stacks)
-    terms: list[np.float64] = []
+    means = []
     saved = []
     for s in stacks:
-        tables = s.tables
-        m, k, count = s.labeled.size, s.active.size, len(tables)
+        m, k, count = s.labeled.size, s.active.size, len(s.tables)
+        C = np.concatenate(s.tables)
         x = s.features.data[:, s.cols]
         if normalize:
             # x is column-major after a gather of some pixels or as
@@ -262,13 +224,10 @@ def _nce(
             x = np.ascontiguousarray(x)
             x_safe = np.maximum(np.sqrt(np.maximum((x * x).sum(axis=0), 0.0)), EPS)
             f = x / x_safe
-            tables = [C / np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12) for C in tables]
+            C = C / np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12)
         else:
             x_safe, f = None, x
-        # L[j] is (C_j @ f) * c, one matmul per table as the one-term form made it
-        L = np.empty((count, k, m))
-        for j, C in enumerate(tables):
-            np.matmul(C, f, out=L[j])
+        L = np.matmul(C, f).reshape(count, k, m)
         L *= c
         # flat index of each pixel's positive logit, per term
         at = (np.arange(count) * (k * m))[:, None] + (s.pos * m + np.arange(m))
@@ -293,19 +252,14 @@ def _nce(
             E = np.exp(L - cushion)
             z = (E * keep).sum(axis=1)  # >= 1: the kept max contributes exp(0)
         z_safe = np.maximum(z, EPS)
-        lse = np.log(z_safe) + shift
-        terms.extend((lse[j] - picked[j]).mean() for j in range(count))
-        saved.append((s, tables, x, x_safe, keep, E, z_safe, at))
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    loss = Tensor(total, requires_grad)
+        means.append((np.log(z_safe) + shift - picked).mean(axis=1))
+        saved.append((s, C, x, x_safe, keep, E, z_safe, at))
+    loss = Tensor(np.concatenate(means).sum(), requires_grad)
 
     def bwd(g):
         # the chain rule of gather, l2-normalise, matmul, scale, shifted exp,
-        # column sum, clamped log and mean, with the per-op tape's rounding,
-        # and the terms in reverse tape order
-        for s, tables, x, x_safe, keep, E, z_safe, at in reversed(saved):
+        # column sum, clamped log and mean
+        for s, C, x, x_safe, keep, E, z_safe, at in saved:
             if not s.features.requires_grad:
                 continue
             gm = np.broadcast_to(g, (s.labeled.size,)) / s.labeled.size
@@ -314,18 +268,19 @@ def _nce(
                 q = q * keep
             gl = np.multiply(q, E, out=E)
             gl.reshape(-1)[at] -= gm
-            gl *= c  # each term's (gl * c), as the one-term form multiplied it
-            gfs = []
-            for j in reversed(range(len(tables))):
-                gf = tables[j].T @ gl[j]
-                if normalize:
-                    # through x / norm, the norm's sqrt and column sum, and
-                    # x * x (x enters twice)
-                    g_norm = ((-gf * x) / (x_safe * x_safe)).sum(axis=0)
-                    t = np.broadcast_to(g_norm * 0.5 / x_safe, x.shape) * x
-                    gf = gf / x_safe + t + t
-                gfs.append(gf)
-            _accum_cols(s.features, s.cols, gfs)
+            gl *= c
+            gf = C.T @ gl.reshape(C.shape[0], -1)  # summed over the T terms
+            if normalize:
+                # through x / norm, the norm's sqrt and column sum, and
+                # x * x (x enters twice), in the per-op chain's order
+                g_norm = ((-gf * x) / (x_safe * x_safe)).sum(axis=0)
+                t = np.broadcast_to(g_norm * 0.5 / x_safe, x.shape) * x
+                gf = gf / x_safe + t + t
+            gx = buffer(s.features.data.shape)
+            if not isinstance(s.cols, slice):
+                gx.fill(0.0)
+            gx[:, s.cols] = gf
+            accum_scratch(s.features, gx)
 
     record("info_nce", inputs, loss, bwd)
     return loss

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from cfalign.errors import ContractError, DimensionError
-from cfalign.losses import info_nce
 from cfalign.tensor import EPS, Tensor, _as_tensor, _unbroadcast, accum, add, record, scale, transpose
 
 # ---------------------------------------------------------------------------
@@ -211,6 +210,18 @@ def pick(x: Tensor, cols: np.ndarray) -> Tensor:
     return out
 
 
+def stack(xs: list[Tensor]) -> Tensor:
+    """Scalars or same-shape tensors stacked along a new leading axis."""
+    out = Tensor(np.stack([x.data for x in xs]), any(x.requires_grad for x in xs))
+
+    def bwd(g):
+        for x, gx in zip(xs, g):
+            accum(x, gx)
+
+    record("stack", tuple(xs), out, bwd)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # reference chains of the fused nodes
 
@@ -232,62 +243,82 @@ def batch_norm_chain(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) 
     return add(mul(column(gamma), div(centered, denom)), column(beta))
 
 
+def _stack_terms(rows, labels, mask, tables, tau, include_positive, normalize):
+    """The InfoNCE terms of (n, d) `rows` against `tables`, each the (k, d)
+    centers that `mask` keeps: one `matmul` node of the stacked tables with
+    the labeled rows' (d, m) columns, then per term (when there are several)
+    a `take_rows` node of its k products, and the per-op tail."""
+    labeled = np.flatnonzero(labels >= 0)
+    # C-contiguous columns, the fused op's layout, so every sum over features
+    # or centers below is numpy's axis=0 sum of it
+    f = contiguous(transpose(take_rows(rows, labeled)))
+    centers = np.concatenate(tables)
+    if normalize:
+        f = div(f, sqrt(reduce_sum(mul(f, f), axis=0, keepdims=True)))
+        centers = centers / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-12)
+    products = matmul(centers, f)
+    k, m = centers.shape[0] // len(tables), labeled.size
+    pos = (np.cumsum(mask) - 1)[labels[labeled]]  # each label's row among the kept centers
+    terms = []
+    for j in range(len(tables)):
+        term = products if len(tables) == 1 else take_rows(products, np.arange(j * k, (j + 1) * k))
+        logits = scale(term, 1.0 / tau)
+        if include_positive:
+            shift = logits.data.max(axis=0, keepdims=True)
+            z = reduce_sum(exp(sub(logits, shift)), axis=0)
+        else:
+            keep = np.ones((k, m))
+            keep[pos, np.arange(m)] = 0.0
+            shift = np.where(keep > 0, logits.data, -np.inf).max(axis=0, keepdims=True)
+            cushion = (1.0 - keep) * (np.maximum(logits.data - shift, 0.0) + 1000.0)
+            z = reduce_sum(mul(exp(sub(sub(logits, shift), cushion)), keep), axis=0)
+        lse = add(log(z), shift.ravel())
+        terms.append(reduce_mean(sub(lse, pick(transpose(logits), pos))))
+    return terms
+
+
 def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, normalize=False):
     """InfoNCE as a chain of per-op tape nodes (take_rows, the (d, m)
     columns, the logits as ``C @ f``, scale, sub, exp, sum, log, add, pick,
     sub, mean, plus the l2 and keep nodes of the flags); the fused op must
     match it bit for bit."""
-    labeled = np.flatnonzero(labels >= 0)
-    active = np.flatnonzero(mask)
-    # the labeled rows as C-contiguous (d, m) columns, the fused op's layout,
-    # so every sum over features or centers below is numpy's axis=0 sum of it
-    f = contiguous(transpose(take_rows(features, labeled)))
-    sub_centers = centers[active]
-    if normalize:
-        f = div(f, sqrt(reduce_sum(mul(f, f), axis=0, keepdims=True)))
-        sub_centers = sub_centers / np.maximum(np.linalg.norm(sub_centers, axis=1, keepdims=True), 1e-12)
-    pos_of = np.full(centers.shape[0], -1, dtype=np.int64)
-    pos_of[active] = np.arange(active.size)
-    pos = pos_of[labels[labeled]]
-    logits = scale(matmul(sub_centers, f), 1.0 / tau)  # (k, m)
-    if include_positive:
-        shift = logits.data.max(axis=0, keepdims=True)
-        z = reduce_sum(exp(sub(logits, shift)), axis=0)
-    else:
-        keep = np.ones((active.size, labeled.size))
-        keep[pos, np.arange(labeled.size)] = 0.0
-        shift = np.where(keep > 0, logits.data, -np.inf).max(axis=0, keepdims=True)
-        cushion = (1.0 - keep) * (np.maximum(logits.data - shift, 0.0) + 1000.0)
-        z = reduce_sum(mul(exp(sub(sub(logits, shift), cushion)), keep), axis=0)
-    lse = add(log(z), shift.ravel())
-    return reduce_mean(sub(lse, pick(transpose(logits), pos)))
+    return _stack_terms(features, labels, mask, [centers[mask]], tau, include_positive, normalize)[0]
 
 
 def contrastive_chain(
-    f_source, y_source, f_target, y_target, bank, tau=0.07, include_positive=True, normalize=False, term=None
+    f_source, y_source, f_target, y_target, bank, tau=0.07, include_positive=True, normalize=False
 ):
-    """The four cross-domain InfoNCE terms of two (d, n) feature sets as
-    separate nodes joined by `add` nodes, each term made by
-    `term(rows, labels, centers, mask)` on the set's (n, d) transpose
-    (default: one `losses.info_nce` node); `losses.contrastive_combined`
-    must match it bit for bit."""
-    if term is None:
+    """The cross-domain InfoNCE terms of two (d, n) feature sets, laid out as
+    `losses.contrastive_combined` lays them out; it must match this bit for
+    bit.
 
-        def term(f, labels, centers, mask):
-            return info_nce(f, labels, centers, mask, tau, include_positive, normalize)[0]
-
-    total = None
+    Per feature set, the tables that agree on their initialized rows form a
+    stack of T terms: one `matmul` node of the (T*k, d) stacked centers, and
+    per term a `take_rows` node of its k rows and `info_nce_chain`'s tail.
+    One `stack` node and a `reduce_sum` add all the terms. The stacks are
+    recorded last first, so their gradients reach a feature set in the fused
+    node's order.
+    """
+    needed = 1 if include_positive else 2
+    tables = [
+        (centers, mask)
+        for centers, mask in ((bank.v_source, bank.init_source), (bank.v_target, bank.init_target))
+        if int(mask.sum()) >= needed
+    ]
+    stacks = []  # (features, labels, mask, tables), in the fused node's order
     for f, y in ((f_source, y_source), (f_target, y_target)):
-        for centers, mask in ((bank.v_source, bank.init_source), (bank.v_target, bank.init_target)):
-            if int(mask.sum()) < (1 if include_positive else 2):
-                continue
-            y = np.asarray(y, dtype=np.int64)
-            keep = y >= 0
-            keep[keep] = mask[y[keep]]
-            if keep.any():
-                t = term(transpose(f), np.where(keep, y, -1), centers, mask)
-                total = t if total is None else add(total, t)
-    return total if total is not None else Tensor(0.0)
+        y = np.asarray(y, dtype=np.int64)
+        for i, (centers, mask) in enumerate(tables):
+            if i == 0 or not np.array_equal(mask, tables[0][1]):
+                keep = y >= 0
+                keep[keep] = mask[y[keep]]
+                stacks.append((f, np.where(keep, y, -1), mask, []))
+            stacks[-1][3].append(centers[mask])
+    terms = []
+    for f, labels, mask, group in reversed(stacks):
+        if (labels >= 0).any():
+            terms = _stack_terms(transpose(f), labels, mask, group, tau, include_positive, normalize) + terms
+    return reduce_sum(stack(terms)) if terms else Tensor(0.0)
 
 
 def cross_entropy_chain(pred, labels):

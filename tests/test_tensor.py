@@ -345,6 +345,16 @@ class TestAffine:
 
             self.check(build, arrays)
 
+    def test_weight_gradient_rule(self):
+        # the node takes w's gradient as x @ g.T, the chain, through its
+        # matmul and transpose nodes, as (g @ x.T).T; on every shape drawn
+        # above they round alike
+        rng = np.random.default_rng(63)
+        for _ in range(200):
+            n, k, m = (int(v) for v in rng.integers(1, 9, size=3))
+            t = self.draw(rng, x=(k, n), g=(m, n))
+            assert np.array_equal(t["x"] @ t["g"].T, (t["g"] @ t["x"].T).T), (n, k, m)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
