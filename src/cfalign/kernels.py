@@ -10,9 +10,17 @@ contiguous rows, never one inner-loop call per pixel.
 `log_softmax` is ``z - m - log(exp(z - m).sum(axis=0))`` with m the column
 maximum, and `nearest_two`'s distances are ``((f - c[:, None]) ** 2).sum(axis=0)``
 for each center c: numpy's own reductions over the leading axis.
+`nearest_two` builds those sums for all k centers at once, as one (k, n)
+array to which the squared differences of feature rows 0, 1, ..., d-1 are
+added in turn: a C-contiguous ``sum(axis=0)`` adds its rows one after
+another in that order, so the bits are the same.
 `softmax_argmax` and `nearest_two` resolve ties to the lowest index, as
 ``argmax`` and ``argmin`` do. Inputs must be free of NaN: a NaN column gets
 an unspecified result.
+
+`label_sums` adds each class's pixels in pixel order, as ``np.add.at``
+does: one ``np.bincount`` per feature row, with labels below 0 mapped to
+an extra bin that is dropped, so skipped pixels need no gather.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ def log_softmax(z: np.ndarray, out: np.ndarray, entropy: bool = False) -> np.nda
 def nearest_two(features: np.ndarray, centers: np.ndarray):
     """Per pixel of the (d, n) `features`: index of the nearest of the (k, d)
     `centers` plus the two smallest Euclidean distances. With a single
-    center the second distance is +inf."""
+    center the second distance is +inf; with d = 0 every distance is 0."""
     features, centers = _f64c(features), _f64c(centers)
     if features.ndim != 2 or centers.ndim != 2 or features.shape[0] != centers.shape[1]:
         raise DimensionError(
@@ -110,42 +118,55 @@ def nearest_two(features: np.ndarray, centers: np.ndarray):
         )
     if centers.shape[0] == 0:
         raise DimensionError("nearest_two needs at least one center")
-    n = features.shape[1]
-    idx = np.zeros(n, dtype=np.intp)
-    dsec = np.full(n, np.inf)
-    sq = np.empty(features.shape)
-    for c, center in enumerate(centers):
-        np.subtract(features, center[:, None], out=sq)
+    k, n = centers.shape[0], features.shape[1]
+    dist, sq = np.zeros((k, n)), np.empty((k, n))
+    for f, c in zip(features, centers.T[:, :, None]):
+        np.subtract(f, c, out=sq)
         np.multiply(sq, sq, out=sq)
-        dist = sq.sum(axis=0)
-        if c == 0:
-            dmin = dist
-            continue
-        # strict < keeps the lowest index on ties; the second smallest of
-        # {dmin, dsec, dist} is min(dsec, max(dmin, dist)), duplicates included
-        np.putmask(idx, dist < dmin, c)
-        np.minimum(dsec, np.maximum(dmin, dist), out=dsec)
-        np.minimum(dmin, dist, out=dmin)
-    return idx, np.sqrt(dmin), np.sqrt(dsec)
+        np.add(dist, sq, out=dist)
+    # strict < keeps the lowest index on ties; c is above every index so
+    # far, so max(idx, c * closer) moves idx to c exactly where closer holds,
+    # with a narrow running index as in softmax_argmax; the second smallest
+    # of {dmin, dsec, row} is min(dsec, max(dmin, row)), duplicates included
+    itype = np.min_scalar_type(k - 1)
+    idx, at = np.zeros(n, dtype=itype), np.empty(n, dtype=itype)
+    dmin, dsec, top, closer = dist[0], np.full(n, np.inf), sq[0], np.empty(n, dtype=bool)
+    for c in range(1, k):
+        row = dist[c]
+        np.less(row, dmin, out=closer)
+        np.multiply(closer, itype.type(c), out=at)
+        np.maximum(idx, at, out=idx)
+        np.maximum(dmin, row, out=top)
+        np.minimum(dsec, top, out=dsec)
+        np.minimum(dmin, row, out=dmin)
+    return idx.astype(np.intp), np.sqrt(dmin), np.sqrt(dsec)
 
 
-def label_sums(features: np.ndarray, labels: np.ndarray, num_classes: int):
+def label_sums(features, labels: np.ndarray, num_classes: int):
     """Per-class sums of the (d, n) `features`' pixels, as a (classes, d)
-    array, and per-class counts; labels below 0 are skipped."""
-    features, labels = _f64c(features), _i64c(labels)
-    if features.ndim != 2 or labels.shape != (features.shape[1],):
-        raise DimensionError(
-            f"label_sums needs (d,n) features and (n,) labels, got {features.shape} and {labels.shape}"
-        )
+    array, and per-class counts; labels below 0 are skipped.
+
+    `features` may also be a tuple of (d_i, n) blocks over the same pixels,
+    whose sums come out joined column-wise, bitwise as for the stacked
+    blocks, without copying the blocks together; the counts are taken once.
+    """
+    labels = _i64c(labels)
+    blocks = features if isinstance(features, tuple) else (features,)
+    blocks = [np.asarray(block, dtype=np.float64) for block in blocks]
+    for block in blocks:
+        if block.ndim != 2 or labels.shape != (block.shape[1],):
+            raise DimensionError(
+                f"label_sums needs (d,n) features and (n,) labels, got {block.shape} and {labels.shape}"
+            )
     if labels.size and labels.max() >= num_classes:
         raise DimensionError(f"label {labels.max()} out of range for {num_classes} classes")
-    d = features.shape[0]
-    valid = labels >= 0
-    # bin row * classes + label; each bin adds its pixels in order, as a scatter-add would
-    bins = (np.arange(d)[:, None] * num_classes + labels[valid]).ravel()
-    sums = np.bincount(bins, weights=features[:, valid].ravel(), minlength=d * num_classes)
-    counts = np.bincount(labels[valid], minlength=num_classes).astype(np.int64)
-    return sums.reshape(d, num_classes).T, counts
+    bins = np.where(labels < 0, num_classes, labels)
+    rows = [row for block in blocks for row in block]
+    sums = np.empty((num_classes, len(rows)))
+    for r, row in enumerate(rows):
+        sums[:, r] = np.bincount(bins, weights=row, minlength=num_classes + 1)[:num_classes]
+    counts = np.bincount(bins, minlength=num_classes + 1)[:num_classes].astype(np.int64)
+    return sums, counts
 
 
 def confusion(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> np.ndarray:

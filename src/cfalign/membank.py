@@ -92,9 +92,7 @@ def class_centers(
     and count 0; labels of -1 are skipped. Pixel order within a class cannot
     affect the result beyond float rounding.
     """
-    blocks = features if isinstance(features, tuple) else (features,)
-    parts = [kernels.label_sums(block, labels, num_classes) for block in blocks]
-    sums, counts = np.hstack([s for s, _ in parts]), parts[0][1]
+    sums, counts = kernels.label_sums(features, labels, num_classes)
     means = np.zeros_like(sums)
     present = counts > 0
     means[present] = sums[present] / counts[present, None]

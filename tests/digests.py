@@ -48,6 +48,7 @@ CONFIGS = {
     "full-byol": _FULL + ["--head", "byol"],
     "full-byol-normalize-nopos": _FULL + ["--head", "byol", "--normalize-features", "--no-include-positive"],
     "full-normalize-nopos": _FULL + ["--normalize-features", "--no-include-positive"],
+    "full-byol-b8": _FULL + ["--head", "byol", "--batch-source", "8", "--batch-target", "8"],
 }
 
 

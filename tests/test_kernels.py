@@ -76,16 +76,25 @@ class TestNearestTwo:
         def shapes():
             for trial in range(40):
                 n, k, d = int(rng.integers(1, 150)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
-                yield n, 1 if trial < 2 else k, d, trial % 2
+                yield n, 1 if trial < 2 else k, d, trial % 2, False
             # long arrays, with feature widths from 1 to 300
             block = 4096
             widths = ((1, 5, 7), (8, 13, 128), (129, 203, 300))
             for i, n in enumerate((block - 1, block, block + 1, 3 * block + 17)):
                 for j, branch in enumerate(widths):
                     k = 1 if (i, j) == (1, 1) else int(rng.integers(2, 9))
-                    yield n, k, branch[(i + j) % len(branch)], (i + j) % 2
+                    yield n, k, branch[(i + j) % len(branch)], (i + j) % 2, False
+            # the shapes training and evaluation run: 8 features, 5 centers,
+            # one 32 x 32 image, an evaluation block and 8 images; then the
+            # same as column slices of a wider array
+            for view in (False, True):
+                for n in (1024, 4096, 8192):
+                    for grid in (0, 1):
+                        yield n, 5, 8, grid, view
+            # more centers than a one-byte running index holds
+            yield 300, 300, 3, 1, False
 
-        for n, k, d, grid in shapes():
+        for n, k, d, grid, view in shapes():
             f = rng.normal(size=(n, d))
             c = rng.normal(size=(k, d))
             if grid:
@@ -94,9 +103,13 @@ class TestNearestTwo:
                 f = rng.integers(-2, 3, size=(n, d)).astype(float)
                 c = rng.integers(-2, 3, size=(k, d)).astype(float)
                 c[rng.integers(0, k)] = c[rng.integers(0, k)]
-            for got, want in zip(kernels.nearest_two(cols(f), c), nearest_two_loop(cols(f), c)):
+            F = cols(f)
+            if view:
+                F = np.hstack([rng.normal(size=(d, 3)), F, rng.normal(size=(d, 2))])[:, 3 : 3 + n]
+                assert not F.flags.c_contiguous
+            for got, want in zip(kernels.nearest_two(F, c), nearest_two_loop(cols(f), c)):
                 assert got.dtype == want.dtype
-                assert np.array_equal(got, want), (n, k, d)
+                assert np.array_equal(got, want), (n, k, d, view)
 
     def test_distances_are_numpy_column_sums(self, backend):
         rng = np.random.default_rng(18)
@@ -120,6 +133,14 @@ class TestNearestTwo:
         idx, dmin, dsec = kernels.nearest_two(f, c)
         assert idx[0] == 0
         assert dmin[0] == dsec[0] == 1.0
+
+    def test_no_features(self, backend):
+        # d = 0: every distance is the empty sum 0, so center 0 is nearest
+        # and a second center is as near
+        for k in (1, 3):
+            idx, dmin, dsec = kernels.nearest_two(np.zeros((0, 4)), np.zeros((k, 0)))
+            assert idx.tolist() == [0] * 4 and dmin.tolist() == [0.0] * 4
+            assert dsec.tolist() == [np.inf if k == 1 else 0.0] * 4
 
     def test_shape_validation(self, backend):
         with pytest.raises(DimensionError):
@@ -260,10 +281,48 @@ class TestLabelSums:
             valid = labels >= 0
             np.add.at(ref, labels[valid], f[valid])
             assert np.array_equal(sums, ref)
+        # the shapes training runs: 8 features, 5 classes, one 32 x 32
+        # image, an evaluation block and 8 images; labels down to -7, class
+        # 3 never present, int32 labels, and the features a column slice of
+        # a wider array
+        c, d = 5, 8
+        for n in (1024, 4096, 8192):
+            for dtype, view in ((np.int64, False), (np.int32, True)):
+                f = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+                labels = rng.integers(-7, c, size=n)
+                labels[labels == 3] = 4
+                labels = labels.astype(dtype)
+                F = cols(f)
+                if view:
+                    F = np.hstack([rng.normal(size=(d, 5)), F])[:, 5:]
+                    assert not F.flags.c_contiguous
+                sums, counts = kernels.label_sums(F, labels, c)
+                ref = np.zeros((c, d))
+                valid = labels >= 0
+                np.add.at(ref, labels[valid], f[valid])
+                assert sums.dtype == ref.dtype and np.array_equal(sums, ref), (n, view)
+                assert counts.tolist() == np.bincount(labels[valid], minlength=c).tolist()
+                assert counts[3] == 0 and (sums[3] == 0).all()
 
     def test_all_ignored(self, backend):
         sums, counts = kernels.label_sums(np.ones((2, 4)), -np.ones(4, dtype=int), 3)
         assert (sums == 0).all() and (counts == 0).all()
+
+    def test_no_features(self, backend):
+        sums, counts = kernels.label_sums(np.zeros((0, 4)), np.array([0, 2, -1, 2]), 3)
+        assert sums.shape == (3, 0) and sums.dtype == np.float64
+        assert counts.tolist() == [1, 0, 2]
+
+    def test_blocks_join_column_wise(self, backend):
+        rng = np.random.default_rng(19)
+        f, h = rng.normal(size=(3, 50)), rng.normal(size=(0, 50))
+        g = rng.normal(size=(70, 4))[:50].T
+        labels = rng.integers(-2, 4, size=50)
+        sums, counts = kernels.label_sums((f, h, g), labels, 4)
+        want, want_counts = kernels.label_sums(np.vstack([f, h, g]), labels, 4)
+        assert sums.tobytes() == want.tobytes() and counts.tolist() == want_counts.tolist()
+        with pytest.raises(DimensionError):
+            kernels.label_sums((f, np.zeros((2, 49))), labels, 4)
 
     def test_label_out_of_range(self, backend):
         with pytest.raises(DimensionError):

@@ -582,15 +582,15 @@ def contrastive_case(rng, shape):
     bank.v_target[:] = rng.normal(size=(c, d)) * rng.uniform(0.1, 10.0)
     bank.init_source[:] = True
     bank.init_target[:] = True
-    if shape in ("same-partial", "differ", "one-row", "none-labeled"):
+    if shape in ("same-partial", "differ", "one-row", "none-labeled", "shared-differ"):
         partial = rng.random(c) < 0.6
         partial[rng.choice(c, size=2, replace=False)] = True
         bank.init_source[:] = partial
         bank.init_target[:] = partial
-    if shape == "differ":
+    if shape in ("differ", "shared-differ"):
         bank.init_target[:] = rng.random(c) < 0.6
     n_s, n_t = int(rng.integers(1, 40)), int(rng.integers(1, 40))
-    if shape == "shared":
+    if shape in ("shared", "shared-differ"):
         n_t = n_s
     y_s, y_t = rng.integers(-1, c, size=n_s), rng.integers(-1, c, size=n_t)
     if shape == "one-row":
@@ -603,7 +603,12 @@ def contrastive_case(rng, shape):
     return bank, f_s, y_s, f_t, y_t, float(rng.uniform(0.02, 1.5))
 
 
-CONTRASTIVE_SHAPES = ["full", "same-partial", "differ", "one-row", "none-labeled", "shared"]
+# "shared-differ" passes one tensor as both feature sets with differing
+# source and target tables, so it takes four stack gradients and the order
+# of their stores shows
+CONTRASTIVE_SHAPES = [
+    "full", "same-partial", "differ", "one-row", "none-labeled", "shared", "shared-differ"
+]
 
 
 class TestContrastiveMatchesChain:
@@ -625,7 +630,7 @@ class TestContrastiveMatchesChain:
             outs = []
             for fn in (contrastive_combined, contrastive_chain):
                 x_s = columns(f_s, requires_grad=True)
-                x_t = x_s if shape == "shared" else columns(f_t, requires_grad=True)
+                x_t = x_s if shape.startswith("shared") else columns(f_t, requires_grad=True)
                 # half the cases draw their scratch from a pool, as training does
                 with Graph(pool=ArrayPool() if trial % 2 else None) as g:
                     loss = fn(x_s, y_s, x_t, y_t, bank, tau, **flags)
