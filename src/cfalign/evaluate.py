@@ -5,11 +5,12 @@ union is empty (never predicted, never true) are reported as None and left
 out of the mean. Pseudo-label accuracy reuses the training-time assignment
 rule against the held-out truth.
 
-A split runs in blocks of whole images. Activations are feature-major, one
-column per pixel, so a block is a run of columns and each layer computes
-``w.T @ X`` over it. `_blocks_exact` states when that gives the bytes of the
-whole split's product; `tests/test_evaluate.py::TestBlockRule` re-derives
-the rule on the installed BLAS.
+A split runs in blocks of whole images, about 8,192 pixels each (8 images
+of 32 x 32). Activations are feature-major, one column per pixel, so a
+block is a run of columns and each layer computes ``w.T @ X`` over it.
+`_blocks_exact` states when that gives the bytes of the whole split's
+product; `tests/test_evaluate.py::TestBlockRule` re-derives the rule on the
+installed BLAS.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .train import TrainState
 
 __all__ = ["EvalRecord", "iou_from_confusion", "evaluate", "eval_to_json", "save_eval_json"]
 
-# pixels per evaluation block: a block's activations stay cache-resident
-_BLOCK = 4096
+# pixels per evaluation block: a block's activations stay cache-resident,
+# and fewer blocks pay less per-block call overhead; larger blocks would
+# lift a call's peak memory over test_memory_peak's 4 MB
+_BLOCK = 8192
 
 
 @dataclass
@@ -96,6 +99,12 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
     overflows or produces an invalid value, as parameters blown up by the
     last training step make it do.
     """
+    images, model = split.images, state.model
+    b, _, h, w = images.shape
+    if split.labels.shape != (b, h, w):
+        raise ContractError(
+            f"split labels must have shape {(b, h, w)} to match its images, got {split.labels.shape}"
+        )
     labels = split.labels.reshape(-1)
     if labels.size == 0:
         raise ContractError("evaluation split is empty")
@@ -104,8 +113,6 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
             f"split labels use classes outside [0, {state.classes}); "
             f"found range [{labels.min()}, {labels.max()}]"
         )
-    images, model = split.images, state.model
-    b, _, h, w = images.shape
     layers = (
         (model.channels, model.hidden_dim),
         (model.hidden_dim, model.feature_dim),

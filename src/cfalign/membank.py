@@ -129,10 +129,10 @@ def assign_pseudo_labels(
 
     The kernel reads ``features.T``, so the ``.T`` view of a feature-major
     (d, n) array costs no copy. A row is labeled only when the Euclidean
-    distance to the second-nearest
-    initialized center exceeds the nearest by more than `threshold`; an
-    infinite threshold therefore labels nothing. Needs at least two
-    initialized source rows so the margin is defined.
+    distance to the second-nearest initialized center exceeds the nearest
+    by more than `threshold`; an infinite threshold therefore labels
+    nothing. Needs at least two initialized source rows so the margin is
+    defined.
     """
     if threshold < 0:
         raise ContractError(f"threshold must be nonnegative, got {threshold}")
@@ -154,13 +154,15 @@ def pseudo_label_accuracy(pseudo: np.ndarray, truth: np.ndarray) -> PseudoAccura
     """Fraction of assigned (non -1) pseudo-labels that match the truth.
 
     Returns accuracy 0.0 with ``assigned == 0`` when nothing was assigned.
+    Both counts are exact integers, so their quotient has the bits of the
+    mean over the gathered matches, without gathering them.
     """
     pseudo = np.asarray(pseudo)
     truth = np.asarray(truth)
     if pseudo.shape != truth.shape:
         raise DimensionError(f"label shapes differ: {pseudo.shape} vs {truth.shape}")
     mask = pseudo >= 0
-    assigned = int(mask.sum())
+    assigned = int(np.count_nonzero(mask))
     if assigned == 0:
         return PseudoAccuracy(0.0, 0)
-    return PseudoAccuracy(float((pseudo[mask] == truth[mask]).mean()), assigned)
+    return PseudoAccuracy(int(np.count_nonzero((pseudo == truth) & mask)) / assigned, assigned)

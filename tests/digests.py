@@ -23,7 +23,8 @@ by line:
     PYTHONPATH=src python -m cfalign gen-data --seed 0 --out DATA
     PYTHONPATH=src python tests/digests.py --data DATA --out RUNS --iterations 2000
 
-pytest does not collect this file.
+pytest does not collect this file; `tests/test_digests.py` runs it twice on
+a tiny dataset and checks that both runs print the same lines.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cfalign import cli
+from cfalign import evaluate as evaluate_module
 from cfalign.checkpoint import load_checkpoint
 from cfalign.cli import main
 from cfalign.tensor import read_container, write_container
@@ -32,13 +33,14 @@ def dataset_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def blocked_run(tmp_path_factory):
-    """A 16x16 dataset whose 17 eval images make two evaluation blocks of
-    whole images, and a checkpoint whose class-center bank is filled, so
-    `eval` runs the pseudo-label pass too."""
+    """A 16x16 dataset whose eval images make two evaluation blocks of
+    whole images, the second of one image, and a checkpoint whose
+    class-center bank is filled, so `eval` runs the pseudo-label pass too."""
     root = tmp_path_factory.mktemp("blocked")
     data, run = root / "data", root / "run"
+    eval_images = evaluate_module._BLOCK // (16 * 16) + 1
     flags = ["--height", "16", "--width", "16", "--train-images", "8",
-             "--eval-images", "17", "--regions", "4", "--seed", "5"]
+             "--eval-images", str(eval_images), "--regions", "4", "--seed", "5"]
     assert main(["gen-data", "--out", str(data)] + flags) == 0
     assert main(["train", "--data", str(data), "--out", str(run), "--contrastive"] + TINY_RUN_FLAGS) == 0
     assert int(load_checkpoint(run / "checkpoint.bin").bank.init_source.sum()) >= 2

@@ -123,6 +123,18 @@ class TestEvaluate:
         assert record.pseudo_assigned > 0
         assert 0.0 <= record.pseudo_acc <= 1.0
 
+    @pytest.mark.parametrize("bad", ["fewer-labels", "sides-swapped"])
+    def test_labels_must_match_images(self, tiny_setup, bad):
+        # 5 x 7 images: swapping the label sides keeps the pixel count
+        data, _, state = tiny_setup
+        rng = np.random.default_rng(3)
+        images = rng.normal(size=(8, data.spec.channels, 5, 7))
+        labels = rng.integers(0, data.spec.classes, size=(8, 5, 7))
+        labels = labels[:4] if bad == "fewer-labels" else np.ascontiguousarray(labels.transpose(0, 2, 1))
+        with pytest.raises(ContractError, match=r"labels must have shape \(8, 5, 7\)") as info:
+            evaluate(state, Split(images=images, labels=labels))
+        assert "\n" not in str(info.value)
+
     def test_class_count_mismatch(self, tiny_setup):
         data, _, state = tiny_setup
         bad = type(data.target_eval)(
@@ -238,8 +250,12 @@ class TestBlockedPass:
         # on 15 x 15 images a block edge cuts an 8-pixel tile, and there a
         # 16 -> 1 layer, which takes numpy's matrix-vector path, rounds
         # apart from the whole split's product, so the split must run as
-        # one block
-        spec = SynthSpec(height=15, width=15, train_images=6, eval_images=19, regions=3, seed=5)
+        # one block; it holds enough images for three blocks otherwise
+        per_block = self.per_block(15, 15)
+        spec = SynthSpec(
+            height=15, width=15, train_images=6, eval_images=2 * per_block + 1, regions=3, seed=5
+        )
+        assert spec.eval_images > 2 * per_block
         data = generate_dataset(spec)
         config = RunConfig(seed=5, iterations=20, hidden_dim=16, feature_dim=1, contrastive=True)
         state, _ = train(config, data)
@@ -250,8 +266,9 @@ class TestBlockedPass:
         np.testing.assert_array_equal(pseudo, want_pseudo)
 
     def test_memory_peak(self):
-        # blocks of about 4,096 pixels keep every intermediate small; one pass
-        # over the 51,200-pixel default split peaked at 14.3 MB
+        # blocks of about 8,192 pixels keep every intermediate small: the
+        # peak is about 3.64 MB, where 12,288-pixel blocks reach 5.05 MB and
+        # one pass over the 51,200-pixel default split 14.3 MB
         data = generate_dataset(SynthSpec(seed=0))
         state, _ = train(RunConfig(seed=0, iterations=20, contrastive=True), data)
         assert int(state.bank.init_source.sum()) >= 2
@@ -274,15 +291,26 @@ class TestBlockedPass:
             evaluate(state, Split(images=images, labels=split.labels))
 
 
+def block_cases() -> list:
+    """(pixels per image, images, images per block) for each block-rule case.
+
+    Each split holds ``2 * per_block + 1`` images, so it runs as two full
+    blocks and a last one of one image."""
+    cases = []
+    # 8 x 8, 32 x 32 and 2 x 4 images tile evenly; 2, 63 and 4,225 pixels do not
+    for pixels in (64, 1024, 8, 2, 63, 4225):
+        per_block = max(1, evaluate_module._BLOCK // pixels)
+        cases.append((pixels, 2 * per_block + 1, per_block))
+    return cases
+
+
 def block_rule_violations() -> list:
     """Blocks of whole images where `evaluate._blocks_exact` holds but a
     layer's ``w.T @ X`` over the block differs from the same columns of the
     whole split's product, as (pixels per image, k, m, block offset)."""
     rng = np.random.default_rng(21)
     apart = []
-    # 8 x 8, 32 x 32 and 2 x 4 images tile evenly; 2, 63 and 4,225 pixels do not
-    for pixels, images in ((64, 70), (1024, 5), (8, 513), (2, 2049), (63, 66), (4225, 2)):
-        per_block = max(1, evaluate_module._BLOCK // pixels)
+    for pixels, images, per_block in block_cases():
         n = pixels * images
         for k in (1, 2, 3, 4, 8, 16, 40):
             x = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
@@ -300,24 +328,42 @@ def block_rule_violations() -> list:
     return apart
 
 
+def violations_with_threads(threads: int) -> str:
+    """`block_rule_violations` printed by a process that runs `threads`
+    OpenBLAS threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env.get("PYTHONPATH", "")])
+    code = "from test_evaluate import block_rule_violations as f; print(f())"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    return out.stdout.strip()
+
+
 class TestBlockRule:
     """`evaluate._blocks_exact` re-derived on the installed BLAS, with its
-    default threads and with one: wherever it holds, each block of whole
-    images has the bytes of the whole split's product. Blocks of 2 to 4,096
+    default threads, one and four: wherever it holds, each block of whole
+    images has the bytes of the whole split's product. Blocks of 2 to 8,192
     pixels, at offsets that are and are not multiples of 8."""
+
+    def test_cases_cross_block_edges(self):
+        for pixels, images, per_block in block_cases():
+            assert per_block * pixels <= evaluate_module._BLOCK
+            assert images // per_block >= 2  # at least two full blocks
+            if per_block > 1:
+                assert images % per_block == 1  # and a short last block
 
     def test_blocks_match_whole_product(self):
         apart = block_rule_violations()
         assert not apart, f"(pixels per image, k, m, offset) where a block's bytes differ: {apart[:10]}"
 
     def test_blocks_match_whole_product_with_one_thread(self):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env.get("PYTHONPATH", "")])
-        code = "from test_evaluate import block_rule_violations as f; print(f())"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
-        )
-        assert out.stdout.strip() == "[]", out.stdout[:500]
+        out = violations_with_threads(1)
+        assert out == "[]", out[:500]
+
+    def test_blocks_match_whole_product_with_four_threads(self):
+        out = violations_with_threads(4)
+        assert out == "[]", out[:500]
 
     def test_default_layers_run_in_blocks(self):
         layers = [(3, 16), (16, 8), (8, 5)]

@@ -85,8 +85,9 @@ class TestNearestTwo:
                     k = 1 if (i, j) == (1, 1) else int(rng.integers(2, 9))
                     yield n, k, branch[(i + j) % len(branch)], (i + j) % 2, False
             # the shapes training and evaluation run: 8 features, 5 centers,
-            # one 32 x 32 image, an evaluation block and 8 images; then the
-            # same as column slices of a wider array
+            # 1, 4 and 8 images of 32 x 32, where 8 images are a batch-8 step
+            # and an evaluation block; then the same as column slices of a
+            # wider array
             for view in (False, True):
                 for n in (1024, 4096, 8192):
                     for grid in (0, 1):
@@ -281,10 +282,10 @@ class TestLabelSums:
             valid = labels >= 0
             np.add.at(ref, labels[valid], f[valid])
             assert np.array_equal(sums, ref)
-        # the shapes training runs: 8 features, 5 classes, one 32 x 32
-        # image, an evaluation block and 8 images; labels down to -7, class
-        # 3 never present, int32 labels, and the features a column slice of
-        # a wider array
+        # 8 features, 5 classes and 1, 4 and 8 images of 32 x 32, where 1
+        # and 8 are the training batches; labels down to -7, class 3 never
+        # present, int32 labels, and the features a column slice of a wider
+        # array
         c, d = 5, 8
         for n in (1024, 4096, 8192):
             for dtype, view in ((np.int64, False), (np.int32, True)):

@@ -203,7 +203,47 @@ class TestAssignPseudoLabels:
         assert set(assigned.tolist()) <= {0, 2, 3}
 
 
+def gather_accuracy(pseudo, truth):
+    """Accuracy as the mean over the gathered assigned labels, and their count."""
+    mask = pseudo >= 0
+    if not mask.any():
+        return 0.0, 0
+    return float((pseudo[mask] == truth[mask]).mean()), int(mask.sum())
+
+
 class TestPseudoLabelAccuracy:
+    @staticmethod
+    def assert_bitwise_gather(pseudo, truth):
+        acc, assigned = pseudo_label_accuracy(pseudo, truth)
+        want_acc, want_assigned = gather_accuracy(pseudo, truth)
+        assert type(acc) is float and type(assigned) is int
+        assert np.float64(acc).tobytes() == np.float64(want_acc).tobytes(), (acc, want_acc)
+        assert assigned == want_assigned
+
+    def test_bitwise_equal_to_gather_mean(self):
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            n = int(rng.integers(1, 60_000)) if rng.random() < 0.1 else int(rng.integers(1, 500))
+            classes = int(rng.integers(1, 8))
+            pseudo = rng.integers(-1, classes, size=n)
+            truth = rng.integers(0, classes, size=n)
+            self.assert_bitwise_gather(pseudo, truth)
+
+    @pytest.mark.parametrize(
+        "pseudo, truth",
+        [
+            (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+            (np.full(7, -1), np.arange(7)),
+            (np.array([0, 1, 2, -1, 2]), np.array([0, -1, -2, -1, 2])),
+            (np.array([0, 1, 2, 3]), np.array([0.0, 1.5, 2.0, -3.0])),
+            (np.arange(51_200) % 5, np.arange(51_200) % 5),
+            (np.array([[0, -1], [3, 3]]), np.array([[0, 1], [3, 2]])),
+        ],
+        ids=["empty", "all-unassigned", "negative-truth", "float-truth", "all-correct", "2-d"],
+    )
+    def test_edge_cases_match_gather_mean(self, pseudo, truth):
+        self.assert_bitwise_gather(pseudo, truth)
+
     def test_half_right(self):
         acc = pseudo_label_accuracy(np.array([0, 1, -1]), np.array([0, 0, 2]))
         assert acc == (0.5, 2)
