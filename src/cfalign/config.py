@@ -17,11 +17,17 @@ from pathlib import Path
 from .errors import ConfigError
 from .heads import HEAD_KINDS, head_widths
 
-__all__ = ["MAX_ELEMENTS", "RunConfig", "check_field_types", "fits", "load_flat_config"]
+__all__ = ["BLOCK", "MAX_ELEMENTS", "RunConfig", "check_field_types", "fits", "load_flat_config"]
 
 # numpy rejects an array whose byte count leaves its index range with a
 # ValueError, not a MemoryError, so sizes are bounded before any allocation
 MAX_ELEMENTS = sys.maxsize // 8  # of one float64 (or int64) array
+
+# pixels in one block of whole images, the unit data generation and
+# evaluation compute on: a block's arrays stay cache-resident, and fewer
+# blocks pay less per-block call overhead; larger blocks would lift an
+# evaluate call's peak memory over test_memory_peak's 4 MB
+BLOCK = 8192
 
 
 def fits(*extents: int) -> bool:

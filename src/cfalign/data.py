@@ -6,6 +6,26 @@ contiguous regions of varying shape. Pixel colors are the class palette color
 plus Gaussian noise. Target-domain images run through an extra per-channel
 affine shift plus noise, so source-trained classifiers degrade there.
 
+Draw order. One generator, seeded by `spec.seed`, makes every draw: the
+source-train split, then target-train, then target-eval. Within a split,
+each image makes these calls before the next image makes any:
+`uniform(0, [height, width], (regions, 2))` for its points,
+`integers(0, classes, regions)` for their classes,
+`normal(0, color_std, (height, width, channels))` for its color noise, and
+for target splits with `target_noise > 0` a
+`normal(0, target_noise, (channels, height, width))`. A split that misses a
+class is drawn again from the start, with the generator where the last
+attempt left it. Draws of the same bits may replace these calls (`random`
+times the range, `standard_normal` times the deviation plus 0.0), but none
+may move; `tests/data_reference.py` is the image-by-image loop the bytes
+must equal.
+
+Chunks. The draws go into buffers for a chunk of whole images, and the
+arithmetic runs on the chunk at once: about `config.BLOCK` pixels, and
+fewer images when the chunk's per-point distance tables, `regions * (height
++ width)` entries an image, would hold more than `BLOCK` entries. Every
+step is per pixel or per (image, point), so the chunk size moves no byte.
+
 Target-train labels are still written to disk: the trainer may read them to
 score pseudo-label accuracy for the metrics log, never to compute a loss.
 Files are one JSON header line followed by tensors in the shared binary
@@ -19,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_ELEMENTS, check_field_types, fits
+from .config import BLOCK, MAX_ELEMENTS, check_field_types, fits
 from .errors import ConfigError, ContractError, GenerationError
 from .tensor import read_container, write_container
 
@@ -159,53 +179,97 @@ class Dataset:
     target_eval: Split
 
 
-def _voronoi_labels(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
+def _chunk_images(spec: SynthSpec) -> int:
+    """Images per generation chunk: about `BLOCK` pixels, and fewer when the
+    chunk's (row, column) distance tables would hold more than `BLOCK` entries."""
+    h, w = spec.height, spec.width
+    return max(1, min(BLOCK // (h * w), BLOCK // (spec.regions * (h + w))))
+
+
+def _voronoi_labels(points: np.ndarray, classes: np.ndarray, height: int, width: int) -> np.ndarray:
     """Class of each pixel's nearest seed point, the lowest point index on ties.
 
-    One (height, width) pass per point. A squared distance is its row term
-    plus its column term, the one addition a length-2 sum over the (row,
-    column) offsets makes, so distances and labels equal that form's.
+    `points` is (k, regions, 2) as (row, column) and `classes` (k, regions),
+    one row per image; the labels are (k, height, width). One (k, height,
+    width) pass per point. A squared distance is its row term plus its
+    column term, the one addition a length-2 sum over the (row, column)
+    offsets makes, so distances and labels equal that form's.
     """
-    points = rng.uniform(0, [spec.height, spec.width], size=(spec.regions, 2))
-    classes = rng.integers(0, spec.classes, size=spec.regions)
-    dr = (np.arange(spec.height, dtype=float)[:, None] - points[:, 0]) ** 2  # (h, regions)
-    dc = (np.arange(spec.width, dtype=float)[:, None] - points[:, 1]) ** 2  # (w, regions)
-    nearest = np.zeros((spec.height, spec.width), dtype=np.intp)
-    best = dr[:, :1] + dc[:, 0]
+    # region-major tables, one (k, h, 1) row and (k, 1, w) column term per point
+    rows = (np.arange(height, dtype=float) - points[:, :, 0].T[:, :, None]) ** 2
+    cols = (np.arange(width, dtype=float) - points[:, :, 1].T[:, :, None]) ** 2
+    rows, cols, point_classes = rows[..., None], cols[:, :, None, :], classes.T[:, :, None, None]
+    best = rows[0] + cols[0]
+    labels = np.empty(best.shape, dtype=classes.dtype)
+    labels[...] = point_classes[0]
     d2 = np.empty_like(best)
-    for r in range(1, spec.regions):
-        np.add(dr[:, r, None], dc[:, r], out=d2)
+    closer = np.empty(best.shape, dtype=bool)
+    for row, col, cls in zip(rows[1:], cols[1:], point_classes[1:]):
+        np.add(row, col, out=d2)
         # strict < keeps the lowest point index on ties, as argmin does
-        np.putmask(nearest, d2 < best, r)
+        np.less(d2, best, out=closer)
+        np.copyto(labels, cls, where=closer)
         np.minimum(best, d2, out=best)
-    return classes[nearest]
+    return labels
 
 
-def _paint(labels: np.ndarray, spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
+def _generate_split(spec: SynthSpec, rng: np.random.Generator, count: int, name: str) -> Split:
+    """One split; regenerated wholesale until every class occurs somewhere.
+
+    Draws image by image, in the order of the module docstring, into
+    per-chunk buffers, then labels, paints and shifts the chunk at once.
+    Raises GenerationError when an image leaves the finite float range.
+    """
+    domain = name.split("_")[0]
+    h, w, c, regions = spec.height, spec.width, spec.channels, spec.regions
     palette = spec.palette()
-    base = palette[labels]  # (h, w, channels)
-    noisy = base + rng.normal(0.0, spec.color_std, size=base.shape)
-    return noisy.transpose(2, 0, 1)
-
-
-def _generate_split(
-    spec: SynthSpec, rng: np.random.Generator, count: int, domain: str
-) -> Split:
-    """One split; regenerated wholesale until every class occurs somewhere."""
     scale = spec.scale_vector().reshape(-1, 1, 1)
     offset = spec.offset_vector().reshape(-1, 1, 1)
+    size = min(count, _chunk_images(spec))
+    points = np.empty((size, regions, 2))
+    classes = np.empty((size, regions), dtype=np.int64)
+    noise = np.empty((size, h, w, c))
+    shift_noise = None
+    if domain == "target" and spec.target_noise > 0:
+        shift_noise = np.empty((size, c, h, w))
     for _ in range(_RETRIES):
-        images = np.empty((count, spec.channels, spec.height, spec.width))
-        labels = np.empty((count, spec.height, spec.width), dtype=np.int64)
-        for i in range(count):
-            lab = _voronoi_labels(spec, rng)
-            img = _paint(lab, spec, rng)
-            if domain == "target":
-                img = scale * img + offset
-                if spec.target_noise > 0:
-                    img = img + rng.normal(0.0, spec.target_noise, size=img.shape)
-            images[i] = img
-            labels[i] = lab
+        images = np.empty((count, c, h, w))
+        labels = np.empty((count, h, w), dtype=np.int64)
+        for start in range(0, count, size):
+            k = min(size, count - start)
+            for j in range(k):
+                rng.random(out=points[j])
+                classes[j] = rng.integers(0, spec.classes, size=regions)
+                rng.standard_normal(out=noise[j])
+                if shift_noise is not None:
+                    rng.standard_normal(out=shift_noise[j])
+            # uniform(0, high) is 0 + high * u and normal(0, std) is 0 + std * z:
+            # the same products, and `+= 0.0` the same zero signs
+            pts, noisy = points[:k], noise[:k]
+            pts *= (float(h), float(w))
+            lab = labels[start : start + k] = _voronoi_labels(pts, classes[:k], h, w)
+            img = images[start : start + k]
+            # flags are silenced and the images checked instead: normal(0, 1e308)
+            # overflows inside numpy's sampler, where it sets no flag
+            with np.errstate(over="ignore", invalid="ignore"):
+                noisy *= spec.color_std
+                noisy += 0.0
+                noisy += palette.take(lab, axis=0)
+                if domain == "target":
+                    np.multiply(scale, noisy.transpose(0, 3, 1, 2), out=img)
+                    img += offset
+                    if shift_noise is not None:
+                        more = shift_noise[:k]
+                        more *= spec.target_noise
+                        more += 0.0
+                        img += more
+                else:
+                    img[...] = noisy.transpose(0, 3, 1, 2)
+            if not np.isfinite(img).all():
+                raise GenerationError(
+                    f"{name} images leave the finite float range; lower color_std, "
+                    "target_noise, class_means, shift_scale or shift_offset"
+                )
         # labels lie in [0, classes): every bin filled means every class occurs
         if np.bincount(labels.ravel(), minlength=spec.classes).all():
             return Split(images=images, labels=labels)
@@ -219,10 +283,10 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
     """Deterministic by spec.seed: same spec, same arrays, byte for byte."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    source_train = _generate_split(spec, rng, spec.train_images, "source")
-    target_train = _generate_split(spec, rng, spec.train_images, "target")
-    target_eval = _generate_split(spec, rng, spec.eval_images, "target")
-    return Dataset(spec, source_train, target_train, target_eval)
+    counts = {"source_train": spec.train_images, "target_train": spec.train_images,
+              "target_eval": spec.eval_images}
+    splits = {name: _generate_split(spec, rng, count, name) for name, count in counts.items()}
+    return Dataset(spec, **splits)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .adain import to_pixels
+from .config import BLOCK
 from .data import Split
 from .errors import ContractError, DivergenceError
 from .kernels import confusion
@@ -31,11 +32,6 @@ from .tensor import Tensor
 from .train import TrainState
 
 __all__ = ["EvalRecord", "iou_from_confusion", "evaluate", "eval_to_json", "save_eval_json"]
-
-# pixels per evaluation block: a block's activations stay cache-resident,
-# and fewer blocks pay less per-block call overhead; larger blocks would
-# lift a call's peak memory over test_memory_peak's 4 MB
-_BLOCK = 8192
 
 
 @dataclass
@@ -86,7 +82,7 @@ def _blocks_exact(layers, pixels_per_image: int) -> bool:
 def evaluate(state: TrainState, split: Split) -> EvalRecord:
     """Score a trained state on a labeled split.
 
-    The split runs in blocks of whole images, about `_BLOCK` pixels each:
+    The split runs in blocks of whole images, about `config.BLOCK` pixels each:
     backbone, classifier, labels and pseudo-labels finish one block while
     its arrays are still in cache, and each block reuses the memory the last
     one freed. Every step is local to a pixel's column, so the labels are
@@ -118,7 +114,7 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
         (model.hidden_dim, model.feature_dim),
         (model.feature_dim, model.classes),
     )
-    per_block = max(1, _BLOCK // (h * w)) if _blocks_exact(layers, h * w) else b
+    per_block = max(1, BLOCK // (h * w)) if _blocks_exact(layers, h * w) else b
     preds = np.empty(labels.size, dtype=np.intp)
     pseudo = None
     if int(state.bank.init_source.sum()) >= 2:

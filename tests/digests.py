@@ -1,6 +1,9 @@
 """Byte-identity digests for a change that must leave every output as it was.
 
-Trains each configuration in `CONFIGS` through the CLI on one dataset and
+First regenerates the dataset spec found in the header of ``--data``'s
+split files with ``gen-data`` into a temporary directory and prints one
+sha256 line per split file, so the generator's bytes are compared too.
+Then trains each configuration in `CONFIGS` through the CLI on one dataset and
 prints sha256 values of what each run wrote:
 
 - ``metrics.csv`` as written;
@@ -35,10 +38,12 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from cfalign.checkpoint import CHECKPOINT_FORMAT
 from cfalign.cli import main as cfalign_main
+from cfalign.data import SPLIT_FILES
 from cfalign.gradcheck import loss_battery
 from cfalign.tensor import read_container
 
@@ -74,12 +79,28 @@ def tensor_digests(run: Path) -> dict[str, str]:
     return {name: sha256(array.tobytes()) for name, array in arrays.items()}
 
 
+def dataset_digests(data: Path) -> dict[str, str]:
+    """sha256 of each split file `gen-data` writes for the spec in `data`'s header."""
+    with open(data / SPLIT_FILES["source_train"], "rb") as fh:
+        spec = json.loads(fh.readline())["spec"]
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "spec.json", Path(tmp) / "data"
+        config.write_text(json.dumps(spec))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cfalign_main(["gen-data", "--config", str(config), "--out", str(out)])
+        if code != 0:
+            raise SystemExit(f"gen-data exited {code}")
+        return {fname: sha256((out / fname).read_bytes()) for fname in SPLIT_FILES.values()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--data", type=Path, required=True, help="dataset directory from gen-data")
     parser.add_argument("--out", type=Path, required=True, help="directory for one run per config")
     parser.add_argument("--iterations", type=int, default=2000)
     args = parser.parse_args(argv)
+    for fname, digest in dataset_digests(args.data).items():
+        print(f"gen-data {fname} {digest}")
     for name, flags in CONFIGS.items():
         run = args.out / name
         argv = ["train", "--data", str(args.data), "--out", str(run), "--iterations", str(args.iterations)]

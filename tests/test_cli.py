@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cfalign import cli
-from cfalign import evaluate as evaluate_module
+from cfalign.config import BLOCK
 from cfalign.checkpoint import load_checkpoint
 from cfalign.cli import main
 from cfalign.tensor import read_container, write_container
@@ -38,7 +38,7 @@ def blocked_run(tmp_path_factory):
     class-center bank is filled, so `eval` runs the pseudo-label pass too."""
     root = tmp_path_factory.mktemp("blocked")
     data, run = root / "data", root / "run"
-    eval_images = evaluate_module._BLOCK // (16 * 16) + 1
+    eval_images = BLOCK // (16 * 16) + 1
     flags = ["--height", "16", "--width", "16", "--train-images", "8",
              "--eval-images", str(eval_images), "--regions", "4", "--seed", "5"]
     assert main(["gen-data", "--out", str(data)] + flags) == 0
@@ -118,6 +118,22 @@ class TestGenData:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and f"{next(iter(doc))} must be finite" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "flags,split",
+        [(["--color-std", "1e308"], "source_train"),
+         (["--shift-scale", "1e308", "--shift-offset", "1e308"], "target_train")],
+        ids=["color-std", "shift"],
+    )
+    def test_overflowing_images_exit_2(self, tmp_path, capsys, flags, split):
+        # finite flags whose images are not: train would reject the files
+        out = tmp_path / "d"
+        argv = ["gen-data", "--out", str(out), "--train-images", "4", "--eval-images", "2"]
+        assert quiet_main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{split} images leave the finite float range" in err
+        assert not any(out.iterdir())
 
 
 def copy_dataset(dataset_dir, to, edit):

@@ -1,14 +1,18 @@
 """Synthetic dataset generator: determinism, shift statistics, coverage, file format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import data_reference
 from cfalign.config import RunConfig
 from cfalign.data import (
+    _chunk_images,
     _voronoi_labels,
     Dataset,
+    SPLIT_FILES,
     Split,
     SynthSpec,
     generate_dataset,
@@ -84,9 +88,17 @@ class TestGeneration:
         assert spec.offset_vector().tolist() == [0.0, 1.0, -1.0]
 
     def test_impossible_coverage_raises(self):
-        # one region per image and one image: 5 classes cannot all appear
-        with pytest.raises(GenerationError):
-            generate_dataset(tiny_spec(train_images=1, regions=1))
+        # one region per image and one image: 5 classes cannot all appear;
+        # the message is the per-image loop's, word for word
+        spec = tiny_spec(train_images=1, regions=1)
+        with pytest.raises(GenerationError) as want:
+            data_reference.generate_dataset(spec)
+        with pytest.raises(GenerationError) as got:
+            generate_dataset(spec)
+        assert str(got.value) == str(want.value) == (
+            "could not cover all 5 classes in 1 source images after 20 attempts; "
+            "raise train_images or regions"
+        )
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
@@ -95,38 +107,108 @@ class TestGeneration:
             SynthSpec(class_means=[[0.1, 0.2]]).validate()
 
 
-def voronoi_broadcast(spec, rng):
-    """The (pixels, regions, 2) broadcast form: argmin of the summed squared
-    (row, column) offsets."""
-    points = rng.uniform(0, [spec.height, spec.width], size=(spec.regions, 2))
-    classes = rng.integers(0, spec.classes, size=spec.regions)
-    rows, cols = np.meshgrid(np.arange(spec.height), np.arange(spec.width), indexing="ij")
+class TestMatchesReference:
+    """The chunked generator against the image-by-image loop of
+    `tests/data_reference.py`: the same bytes and dtypes, the same split
+    files, or the same GenerationError."""
+
+    @staticmethod
+    def variants(channels):
+        """Spec fields beyond the geometry, one set per split-size case."""
+        ramp = [0.5 + j for j in range(channels)]
+        means = [[-0.0] * channels, [0.25 * (j + 1) for j in range(channels)]]
+        return [
+            {},
+            dict(target_noise=0.0),
+            dict(class_means=means, color_std=0.0),  # a -0.0 mean keeps its sign
+            dict(shift_scale=ramp, shift_offset=[-r for r in ramp]),
+            dict(class_means=means, shift_scale=ramp, shift_offset=[0.3], target_noise=0.0),
+        ]
+
+    @staticmethod
+    def assert_same(spec, tmp_path):
+        try:
+            want, _ = data_reference.generate_dataset(spec)
+        except GenerationError as exc:
+            with pytest.raises(GenerationError) as got:
+                generate_dataset(spec)
+            assert str(got.value) == str(exc)
+            return
+        got = generate_dataset(spec)
+        for name in SPLIT_FILES:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.images.dtype == b.images.dtype and a.labels.dtype == b.labels.dtype
+            assert a.images.tobytes() == b.images.tobytes(), (spec, name)
+            assert a.labels.tobytes() == b.labels.tobytes(), (spec, name)
+        save_dataset(tmp_path / "got", got)
+        save_dataset(tmp_path / "want", want)
+        for fname in SPLIT_FILES.values():
+            assert (tmp_path / "got" / fname).read_bytes() == (tmp_path / "want" / fname).read_bytes()
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("regions", [1, 12])
+    @pytest.mark.parametrize("height,width", [(7, 9), (5, 40), (2, 2)])
+    def test_bytes_equal_per_image_loop(self, height, width, channels, regions, tmp_path):
+        chunk = _chunk_images(SynthSpec(height=height, width=width, regions=regions))
+        assert chunk > 1
+        # split sizes around the chunk edges; one image a split only in the
+        # first case, where one region cannot cover two classes
+        sizes = [(1, 1), (chunk - 1, 2 * chunk + 3), (chunk, chunk + 1), (chunk + 1, chunk),
+                 (2 * chunk + 3, chunk - 1)]
+        for case, ((train, evals), extra) in enumerate(zip(sizes, self.variants(channels))):
+            spec = SynthSpec(height=height, width=width, channels=channels, classes=2,
+                             regions=regions, train_images=train, eval_images=evals,
+                             seed=case % 3, **extra)
+            self.assert_same(spec, tmp_path / str(case))
+
+    def test_retry_path(self, tmp_path):
+        # seed 12's first source-train attempt misses a class
+        spec = SynthSpec(height=4, width=4, channels=1, classes=3, regions=2,
+                         train_images=2, eval_images=2, seed=12)
+        assert data_reference.generate_dataset(spec)[1] == [2, 1, 1]
+        self.assert_same(spec, tmp_path)
+
+    def test_memory_peak(self):
+        # the chunk tables stay within a fixed budget. tracemalloc peaks,
+        # per-image loop at the parent -> chunks: the default spec 14.88 ->
+        # 15.57 MB (its split arrays alone are 14.4 MB); 2x2 images with
+        # 5,000 regions 0.37 -> 0.42 MB, where chunks bounded by pixels
+        # alone reach 2.38 MB
+        generate_dataset(tiny_spec())
+        many_regions = SynthSpec(height=2, width=2, regions=5_000, classes=2,
+                                 train_images=8, eval_images=8, seed=0)
+        for spec, bound in ((SynthSpec(seed=0), 15_900_000), (many_regions, 750_000)):
+            tracemalloc.start()
+            try:
+                generate_dataset(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (spec, peak)
+
+
+def voronoi_broadcast(points, classes, height, width):
+    """The (pixels, regions, 2) broadcast form for one image: argmin of the
+    summed squared (row, column) offsets."""
+    rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     grid = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(float)
     d2 = ((grid[:, None, :] - points[None, :, :]) ** 2).sum(-1)
-    return classes[d2.argmin(axis=1)].reshape(spec.height, spec.width)
-
-
-class FixedDraws:
-    """Stands in for the generator: hands out the given points and classes."""
-
-    def __init__(self, points, classes):
-        self.points, self.classes = np.asarray(points, float), np.asarray(classes)
-
-    def uniform(self, low, high, size):
-        return self.points
-
-    def integers(self, low, high, size):
-        return self.classes
+    return classes[d2.argmin(axis=1)].reshape(height, width)
 
 
 class TestVoronoiLabels:
     def test_equals_broadcast_form(self):
         for seed in range(120):
-            # regions 1..8, square and non-square images down to 2 pixels a side
-            spec = SynthSpec(height=2 + seed % 23, width=2 + (seed * 7) % 19, regions=1 + seed % 8)
-            got = _voronoi_labels(spec, np.random.default_rng(seed))
-            want = voronoi_broadcast(spec, np.random.default_rng(seed))
-            assert got.dtype == want.dtype and np.array_equal(got, want), seed
+            # 1..4 images of 1..8 regions, square and non-square down to 2 pixels a side
+            k, regions = 1 + seed % 4, 1 + seed % 8
+            height, width = 2 + seed % 23, 2 + (seed * 7) % 19
+            rng = np.random.default_rng(seed)
+            points = rng.uniform(0, [height, width], size=(k, regions, 2))
+            classes = rng.integers(0, 5, size=(k, regions))
+            got = _voronoi_labels(points, classes, height, width)
+            assert got.shape == (k, height, width) and got.dtype == classes.dtype, seed
+            for i in range(k):
+                assert np.array_equal(got[i], voronoi_broadcast(points[i], classes[i], height, width)), seed
 
     @pytest.mark.parametrize(
         "points",
@@ -135,10 +217,13 @@ class TestVoronoiLabels:
     )
     def test_ties_take_lowest_point(self, points):
         # a repeated point ties on every pixel; integer points put pixels at
-        # exactly equal distances; the broadcast form's argmin takes the first
-        spec = SynthSpec(height=5, width=4, regions=3)
-        got = _voronoi_labels(spec, FixedDraws(points, [0, 1, 2]))
-        assert np.array_equal(got, voronoi_broadcast(spec, FixedDraws(points, [0, 1, 2])))
+        # exactly equal distances; the broadcast form's argmin takes the
+        # first. The second image, the points reversed, shares the chunk.
+        points = np.array([points, points[::-1]])
+        classes = np.array([[0, 1, 2], [0, 1, 2]])
+        got = _voronoi_labels(points, classes, 5, 4)
+        for i in range(2):
+            assert np.array_equal(got[i], voronoi_broadcast(points[i], classes[i], 5, 4))
 
 
 class TestFiles:

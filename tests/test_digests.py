@@ -1,6 +1,7 @@
 """`tests/digests.py`, the byte-identity tool, run end to end on a tiny
 dataset so that it cannot rot unnoticed."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import cfalign
 from cfalign.cli import main
+from cfalign.data import SPLIT_FILES
 from digests import CONFIGS
 
 SCRIPT = Path(__file__).parent / "digests.py"
@@ -28,6 +30,9 @@ def test_digests_smoke(tmp_path):
     for run in (first, second):
         assert run.returncode == 0, run.stderr[-2000:]
     lines = first.stdout.splitlines()
+    for fname in SPLIT_FILES.values():
+        # regenerating the header's spec gives the files gen-data wrote above
+        assert f"gen-data {fname} {hashlib.sha256((data / fname).read_bytes()).hexdigest()}" in lines
     for name in CONFIGS:
         heads = [line for line in lines if line.startswith(f"{name}  metrics.csv ")]
         assert len(heads) == 1, name

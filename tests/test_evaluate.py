@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cfalign.adain import to_pixels
-from cfalign.config import RunConfig
+from cfalign.config import BLOCK, RunConfig
 from cfalign.data import Split, SynthSpec, generate_dataset
 from cfalign.errors import ContractError, DivergenceError
 import cfalign.evaluate as evaluate_module
@@ -208,7 +208,7 @@ class TestBlockedPass:
 
     @staticmethod
     def per_block(height, width):
-        return max(1, evaluate_module._BLOCK // (height * width))
+        return max(1, BLOCK // (height * width))
 
     @pytest.fixture(scope="class", params=[(32, 32), (7, 9), (65, 65), (2, 2)], ids=str)
     def trained(self, request):
@@ -299,7 +299,7 @@ def block_cases() -> list:
     cases = []
     # 8 x 8, 32 x 32 and 2 x 4 images tile evenly; 2, 63 and 4,225 pixels do not
     for pixels in (64, 1024, 8, 2, 63, 4225):
-        per_block = max(1, evaluate_module._BLOCK // pixels)
+        per_block = max(1, BLOCK // pixels)
         cases.append((pixels, 2 * per_block + 1, per_block))
     return cases
 
@@ -348,7 +348,7 @@ class TestBlockRule:
 
     def test_cases_cross_block_edges(self):
         for pixels, images, per_block in block_cases():
-            assert per_block * pixels <= evaluate_module._BLOCK
+            assert per_block * pixels <= BLOCK
             assert images // per_block >= 2  # at least two full blocks
             if per_block > 1:
                 assert images % per_block == 1  # and a short last block
