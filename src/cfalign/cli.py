@@ -11,6 +11,7 @@ written, 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -258,21 +259,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    # --out and its parents that do not exist yet, deepest first: a command
+    # that fails removes those it created while they are still empty
+    created = [p for p in (out, *out.parents) if not p.exists()] if out else []
+    code = None
     try:
-        return args.func(args)
+        code = args.func(args)
     except (ConfigError, GenerationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (ContractError, DimensionError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except MemoryError as exc:
         # a size flag too large for this machine, e.g. --hidden-dim 10**13
         print(f"config error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return 2
+        code = 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    finally:
+        if code != 0:
+            with contextlib.suppress(OSError):  # stop at one not empty, or not made
+                for d in created:
+                    d.rmdir()
+    return code
 
 
 if __name__ == "__main__":

@@ -6,11 +6,10 @@ out of the mean. Pseudo-label accuracy reuses the training-time assignment
 rule against the held-out truth.
 
 A split runs in blocks of whole images, about 8,192 pixels each (8 images
-of 32 x 32). Activations are feature-major, one column per pixel, so a
-block is a run of columns and each layer computes ``w.T @ X`` over it.
-`_blocks_exact` states when that gives the bytes of the whole split's
-product; `tests/test_evaluate.py::TestBlockRule` re-derives the rule on the
-installed BLAS.
+of 32 x 32), for every image size and layer shape. Activations are
+feature-major, one column per pixel, so a block is a run of columns and
+each layer computes ``w.T @ X`` over it. The output bytes are those of
+these blocks at a given BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .data import Split
 from .errors import ContractError, DivergenceError
 from .kernels import confusion
 from .membank import assign_pseudo_labels, pseudo_label_accuracy
-from .model import SegModel, model_features, predict_labels
+from .model import model_features, predict_labels
 from .tensor import Tensor
 from .train import TrainState
 
@@ -61,34 +60,15 @@ def iou_from_confusion(matrix: np.ndarray) -> tuple[list, float]:
     return per_class, float(np.mean(present))
 
 
-def _blocks_exact(layers, pixels_per_image: int) -> bool:
-    """Whether ``w.T @ X`` over blocks of whole images gives the bytes of
-    the same columns of the whole split's product, for every layer (k, m).
-
-    Measured with the OpenBLAS 0.3.31 that numpy bundles, on a 2-core
-    x86-64 host, with one BLAS thread and with two, for k and m up to 40.
-    When an image holds a multiple of 8 pixels, every block starts and ends
-    on a whole 8-pixel tile and every shape agrees. Otherwise a block edge
-    cuts a tile, and the pixels next to it round apart in the last bits
-    for a layer with one output, which takes numpy's matrix-vector path,
-    and for m >= 12 with k * m >= 48 (from m = 33 with two threads). The
-    trainer's 3 -> 16 -> 8 -> 5 layers on 32 x 32 images are inside.
-    """
-    if pixels_per_image % 8 == 0:
-        return True
-    return all(m >= 2 and (m < 12 or k * m < 48) for k, m in layers)
-
-
 def evaluate(state: TrainState, split: Split) -> EvalRecord:
     """Score a trained state on a labeled split.
 
     The split runs in blocks of whole images, about `config.BLOCK` pixels each:
     backbone, classifier, labels and pseudo-labels finish one block while
     its arrays are still in cache, and each block reuses the memory the last
-    one freed. Every step is local to a pixel's column, so the labels are
-    bitwise those of one pass over the whole split, as long as the matmuls
-    are; where a layer's shape is outside the measured region
-    (`_blocks_exact`), the block is the whole split.
+    one freed, so only the per-pixel outputs grow with the split. Every
+    step is local to a pixel's column; the bytes are those of the per-block
+    matmuls at a given BLAS thread count.
 
     Evaluation images are never style-transferred: the point is performance
     on the raw target domain. Raises DivergenceError when the forward pass
@@ -109,12 +89,7 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
             f"split labels use classes outside [0, {state.classes}); "
             f"found range [{labels.min()}, {labels.max()}]"
         )
-    layers = (
-        (model.channels, model.hidden_dim),
-        (model.hidden_dim, model.feature_dim),
-        (model.feature_dim, model.classes),
-    )
-    per_block = max(1, BLOCK // (h * w)) if _blocks_exact(layers, h * w) else b
+    per_block = max(1, BLOCK // (h * w))
     preds = np.empty(labels.size, dtype=np.intp)
     pseudo = None
     if int(state.bank.init_source.sum()) >= 2:

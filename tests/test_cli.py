@@ -133,7 +133,7 @@ class TestGenData:
         assert quiet_main(argv + flags) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and f"{split} images leave the finite float range" in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 def copy_dataset(dataset_dir, to, edit):
@@ -289,7 +289,7 @@ class TestTrain:
         assert main(argv[:1] + data + ["--out", str(out)] + argv[1:]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: out of memory: ")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     # each needs an array whose byte count leaves numpy's index range, which
     # numpy refuses with a ValueError, not a MemoryError
@@ -310,7 +310,7 @@ class TestTrain:
         assert main(argv[:1] + data + ["--out", str(out)] + argv[1:]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "exceeds numpy's index range" in err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -415,7 +415,7 @@ class TestSplitContents:
 
 class TestOutPath:
     """A --out that cannot become a directory fails before any data is read
-    or generated."""
+    or generated, and a command that fails removes the --out it created."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -441,6 +441,26 @@ class TestOutPath:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "taken" in err
         assert taken.read_text() == "a file, not a directory"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--train-images", "1", "--regions", "1"],
+            ["train"] + TINY_RUN_FLAGS,
+        ],
+        ids=["gen-data", "train"],
+    )
+    def test_failed_command_removes_the_out_it_created(self, tmp_path, capsys, argv):
+        # an uncoverable spec, and a data directory that does not exist
+        if argv[0] == "train":
+            argv = argv + ["--data", str(tmp_path / "absent")]
+        assert main(argv + ["--out", str(tmp_path / "new" / "run")]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main(argv + ["--out", str(kept)]) == 2
+        assert kept.is_dir() and list(kept.iterdir()) == []
 
 
 class TestEval:

@@ -1,10 +1,6 @@
 """IOU computation against a set-based oracle, plus end-to-end evaluation."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,8 +174,8 @@ class TestEvaluate:
 
 
 def reference_eval(state, split):
-    """The pass `evaluate` made before it ran in blocks: one backbone pass,
-    probabilities and pseudo-labels over the whole split at once."""
+    """One backbone pass, probabilities and pseudo-labels over the whole
+    split at once, as `evaluate` runs each block."""
     feats = model_features(state.model, Tensor(to_pixels(split.images)))
     preds = model_probs(state.model, feats).data.argmax(axis=0)
     pseudo = None
@@ -203,8 +199,9 @@ def spy_evaluate(state, split, monkeypatch):
 
 
 class TestBlockedPass:
-    """`evaluate` in blocks of whole images gives the bytes of the one
-    whole-split pass: predictions, pseudo-labels and the record."""
+    """`evaluate` in blocks of whole images for every shape. Where the
+    blocks' matmuls round as the whole split's do, it gives the bytes of
+    one whole-split pass: predictions, pseudo-labels and the record."""
 
     @staticmethod
     def per_block(height, width):
@@ -246,24 +243,27 @@ class TestBlockedPass:
             predict_labels(state.model, split.images), want_preds.reshape(b, h, w)
         )
 
-    def test_narrow_layer_takes_whole_split(self, monkeypatch):
-        # on 15 x 15 images a block edge cuts an 8-pixel tile, and there a
-        # 16 -> 1 layer, which takes numpy's matrix-vector path, rounds
-        # apart from the whole split's product, so the split must run as
-        # one block; it holds enough images for three blocks otherwise
+    def test_narrow_layer_runs_in_blocks(self, monkeypatch):
+        # a 16 -> 1 layer takes numpy's matrix-vector path, and on 15 x 15
+        # images a block edge cuts an 8-pixel tile; the split still runs as
+        # two full blocks and a last one of one image, each scored as itself
         per_block = self.per_block(15, 15)
         spec = SynthSpec(
             height=15, width=15, train_images=6, eval_images=2 * per_block + 1, regions=3, seed=5
         )
-        assert spec.eval_images > 2 * per_block
         data = generate_dataset(spec)
         config = RunConfig(seed=5, iterations=20, hidden_dim=16, feature_dim=1, contrastive=True)
         state, _ = train(config, data)
-        want_preds, want_pseudo = reference_eval(state, data.target_eval)
-        _, blocks, preds, pseudo = spy_evaluate(state, data.target_eval, monkeypatch)
-        assert blocks == 1
-        np.testing.assert_array_equal(preds, want_preds)
-        np.testing.assert_array_equal(pseudo, want_pseudo)
+        assert int(state.bank.init_source.sum()) >= 2
+        split = data.target_eval
+        want = [
+            reference_eval(state, Split(split.images[i : i + per_block], split.labels[i : i + per_block]))
+            for i in range(0, spec.eval_images, per_block)
+        ]
+        _, blocks, preds, pseudo = spy_evaluate(state, split, monkeypatch)
+        assert blocks == len(want) == 3
+        np.testing.assert_array_equal(preds, np.concatenate([p for p, _ in want]))
+        np.testing.assert_array_equal(pseudo, np.concatenate([q for _, q in want]))
 
     def test_memory_peak(self):
         # blocks of about 8,192 pixels keep every intermediate small: the
@@ -281,6 +281,28 @@ class TestBlockedPass:
             tracemalloc.stop()
         assert peak < 4_000_000, peak
 
+    def test_memory_does_not_grow_with_the_split(self):
+        # 7 x 9 images with 40- and 33-wide layers: from 261 to 1,041 images
+        # only the per-pixel outputs grow, about 0.8 MB; one pass over the
+        # whole split would add about 33 MB
+        spec = SynthSpec(height=7, width=9, train_images=6, eval_images=1041, regions=3, seed=6)
+        data = generate_dataset(spec)
+        config = RunConfig(seed=6, iterations=20, hidden_dim=40, feature_dim=33, contrastive=True)
+        state, _ = train(config, data)
+        assert int(state.bank.init_source.sum()) >= 2
+        split = data.target_eval
+        peaks = []
+        for count in (261, 1041):
+            part = Split(images=split.images[:count], labels=split.labels[:count])
+            evaluate(state, part)
+            tracemalloc.start()
+            try:
+                evaluate(state, part)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1_500_000, peaks
+
     def test_divergence_in_last_block(self, trained):
         # a finite but huge pixel in the last image only: every block before
         # it is clean, and the last one still overflows
@@ -289,84 +311,3 @@ class TestBlockedPass:
         images[-1, :, -1, -1] = 1e200
         with pytest.raises(DivergenceError, match="evaluation forward pass"):
             evaluate(state, Split(images=images, labels=split.labels))
-
-
-def block_cases() -> list:
-    """(pixels per image, images, images per block) for each block-rule case.
-
-    Each split holds ``2 * per_block + 1`` images, so it runs as two full
-    blocks and a last one of one image."""
-    cases = []
-    # 8 x 8, 32 x 32 and 2 x 4 images tile evenly; 2, 63 and 4,225 pixels do not
-    for pixels in (64, 1024, 8, 2, 63, 4225):
-        per_block = max(1, BLOCK // pixels)
-        cases.append((pixels, 2 * per_block + 1, per_block))
-    return cases
-
-
-def block_rule_violations() -> list:
-    """Blocks of whole images where `evaluate._blocks_exact` holds but a
-    layer's ``w.T @ X`` over the block differs from the same columns of the
-    whole split's product, as (pixels per image, k, m, block offset)."""
-    rng = np.random.default_rng(21)
-    apart = []
-    for pixels, images, per_block in block_cases():
-        n = pixels * images
-        for k in (1, 2, 3, 4, 8, 16, 40):
-            x = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
-            for m in (1, 2, 5, 8, 11, 12, 16, 24, 33, 40):
-                if not evaluate_module._blocks_exact([(k, m)], pixels):
-                    continue
-                w = rng.normal(size=(k, m))
-                whole = w.T @ x
-                for lo in range(0, n, per_block * pixels):
-                    block = x[:, lo : lo + per_block * pixels]
-                    want = whole[:, lo : lo + block.shape[1]]
-                    for got in (w.T @ block, w.T @ np.ascontiguousarray(block)):
-                        if not np.array_equal(got, want):
-                            apart.append((pixels, k, m, lo))
-    return apart
-
-
-def violations_with_threads(threads: int) -> str:
-    """`block_rule_violations` printed by a process that runs `threads`
-    OpenBLAS threads."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env.get("PYTHONPATH", "")])
-    code = "from test_evaluate import block_rule_violations as f; print(f())"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
-    return out.stdout.strip()
-
-
-class TestBlockRule:
-    """`evaluate._blocks_exact` re-derived on the installed BLAS, with its
-    default threads, one and four: wherever it holds, each block of whole
-    images has the bytes of the whole split's product. Blocks of 2 to 8,192
-    pixels, at offsets that are and are not multiples of 8."""
-
-    def test_cases_cross_block_edges(self):
-        for pixels, images, per_block in block_cases():
-            assert per_block * pixels <= BLOCK
-            assert images // per_block >= 2  # at least two full blocks
-            if per_block > 1:
-                assert images % per_block == 1  # and a short last block
-
-    def test_blocks_match_whole_product(self):
-        apart = block_rule_violations()
-        assert not apart, f"(pixels per image, k, m, offset) where a block's bytes differ: {apart[:10]}"
-
-    def test_blocks_match_whole_product_with_one_thread(self):
-        out = violations_with_threads(1)
-        assert out == "[]", out[:500]
-
-    def test_blocks_match_whole_product_with_four_threads(self):
-        out = violations_with_threads(4)
-        assert out == "[]", out[:500]
-
-    def test_default_layers_run_in_blocks(self):
-        layers = [(3, 16), (16, 8), (8, 5)]
-        assert evaluate_module._blocks_exact(layers, 32 * 32)
-        assert not evaluate_module._blocks_exact(layers, 7 * 9)  # (3, 16) cuts a tile apart
-        assert evaluate_module._blocks_exact([(3, 12), (12, 8), (8, 5)], 7 * 9)
