@@ -64,10 +64,8 @@ def _expected_shapes(config: RunConfig, classes: int, channels: int) -> dict[str
         shapes[f"{name}.bias"] = (d_out,)
     width = feat
     if config.head != "none":
-        d_hidden, d_out = config.head_dims()
-        head = [(feat, d_hidden), (d_hidden,), (d_hidden,), (d_hidden,), (d_hidden, d_out), (d_out,)]
-        shapes.update(zip(_HEAD_TENSORS, head))
-        width += d_out
+        shapes.update(zip(_HEAD_TENSORS, [(feat, feat), (feat,), (feat,), (feat,), (feat, feat), (feat,)]))
+        width = 2 * feat
     for side in ("source", "target"):
         shapes[f"bank.v_{side}"] = (classes, width)
         shapes[f"bank.init_{side}"] = (classes,)

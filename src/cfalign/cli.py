@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, load_flat_config
+from .config import RunConfig, kind_of, load_flat_config, require
 from .data import SPLIT_FILES, SynthSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ContractError, DimensionError, DivergenceError, GenerationError
 from .evaluate import eval_to_json, evaluate, save_eval_json
@@ -31,34 +31,17 @@ __all__ = ["main", "build_parser"]
 
 _ALL_FIELDS = RunConfig.field_names() | SynthSpec.field_names()
 
-def _scalar_kind(annotation) -> str | None:
-    text = str(annotation).replace(" ", "")
-    if text == "bool":
-        return "bool"
-    if text in ("int", "int|None"):
-        return "int"
-    if text in ("float", "list|float"):
-        return "float"
-    if text == "str":
-        return "str"
-    return None
-
-
-_PARSERS = {"int": int, "float": float, "str": str}
-
 
 def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
-    # flags are generated from the dataclasses; a field of another type
-    # (SynthSpec.class_means) has none and is set from a --config file
+    # flags are generated from the dataclasses; a field whose kind reads no
+    # text (SynthSpec.class_means) has none and is set from a --config file
     for f in dataclasses.fields(cls):
-        kind = _scalar_kind(f.type)
-        if kind is None:
-            continue
+        parse = kind_of(f).parse
         flag = "--" + f.name.replace("_", "-")
-        if kind == "bool":
+        if parse is bool:
             parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=argparse.SUPPRESS)
-        else:
-            parser.add_argument(flag, type=_PARSERS[kind], default=argparse.SUPPRESS, metavar=kind.upper())
+        elif parse is not None:
+            parser.add_argument(flag, type=parse, default=argparse.SUPPRESS, metavar=parse.__name__.upper())
 
 
 def _load_doc(path) -> dict:
@@ -78,8 +61,8 @@ def _merged(args, cls) -> dict:
     return doc
 
 
-def _parse_value(kind: str, text: str):
-    if kind == "bool":
+def _parse_value(parse: type, text: str):
+    if parse is bool:
         lowered = text.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
@@ -87,9 +70,9 @@ def _parse_value(kind: str, text: str):
             return False
         raise ConfigError(f"cannot read {text!r} as a boolean")
     try:
-        return _PARSERS[kind](text.strip())
+        return parse(text.strip())
     except ValueError as exc:
-        raise ConfigError(f"cannot read {text!r} as {kind}") from exc
+        raise ConfigError(f"cannot read {text!r} as {parse.__name__}") from exc
 
 
 def _out_dir(path: Path | None) -> Path | None:
@@ -158,13 +141,11 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = RunConfig.from_mapping(_merged(args, RunConfig))
-    annotations = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    if args.param not in annotations:
+    known = {f.name: f for f in dataclasses.fields(RunConfig)}
+    if args.param not in known:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
-    kind = _scalar_kind(annotations[args.param])
-    if kind is None:
-        raise ConfigError(f"parameter {args.param!r} cannot be swept from the command line")
-    values = [_parse_value(kind, piece) for piece in args.values.split(",") if piece.strip()]
+    parse = kind_of(known[args.param]).parse
+    values = [_parse_value(parse, piece) for piece in args.values.split(",") if piece.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
     _out_dir(args.out)
@@ -172,14 +153,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    checks = [
+    require([
         (args.instances >= 1, "--instances must be at least 1"),
         (args.seed >= 0, "--seed must be nonnegative"),
         (math.isfinite(args.tolerance) and args.tolerance > 0, "--tolerance must be a finite number above 0"),
-    ]
-    problems = [msg for ok, msg in checks if not ok]
-    if problems:
-        raise ConfigError("; ".join(problems))
+    ])
     worst = loss_battery(instances=args.instances, seed=args.seed)
     failed = False
     for name, err in worst.items():

@@ -2,7 +2,9 @@
 
 A config can come from a flat JSON document, CLI flags, or both (flags win).
 Validation happens in one place so the CLI can map any bad value to its
-config-error exit code before touching data.
+config-error exit code before touching data. `KINDS` describes each field
+annotation once, for RunConfig and the dataset's SynthSpec alike: what a
+value must be, and how a flag or sweep value is read.
 """
 
 from __future__ import annotations
@@ -13,11 +15,15 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
-from .heads import HEAD_KINDS, head_widths
+from .heads import HEAD_KINDS
 
-__all__ = ["BLOCK", "MAX_ELEMENTS", "RunConfig", "check_field_types", "fits", "load_flat_config"]
+__all__ = [
+    "BLOCK", "KINDS", "MAX_ELEMENTS", "Kind", "Record", "RunConfig",
+    "check_field_types", "fits", "kind_of", "load_flat_config", "require",
+]
 
 # numpy rejects an array whose byte count leaves its index range with a
 # ValueError, not a MemoryError, so sizes are bounded before any allocation
@@ -35,29 +41,43 @@ def fits(*extents: int) -> bool:
     return math.prod(extents) <= MAX_ELEMENTS
 
 
-_WANT = {"bool": "true or false", "int": "an integer", "int|None": "an integer",
-         "float": "a number", "str": "a string", "list|None": "a list",
-         "list|float": "a number or a list of numbers"}
+def require(checks) -> None:
+    """Raise one ConfigError joining the message of every failed (ok, message) check."""
+    problems = [message for ok, message in checks if not ok]
+    if problems:
+        raise ConfigError("; ".join(problems))
 
 
-def _type_ok(kind: str, value) -> bool:
-    """Whether `value` can fill a field annotated `kind` (spaces removed)."""
-    if kind == "bool":
-        return isinstance(value, bool)
-    if isinstance(value, bool):  # an int subclass, but never a count or a weight
-        return False
-    if kind == "int|None":
-        return value is None or isinstance(value, numbers.Integral)
-    if kind == "int":
-        return isinstance(value, numbers.Integral)
-    if kind == "float":
-        return isinstance(value, numbers.Real)
-    if kind == "list|None":
-        return value is None or isinstance(value, list)
-    if kind == "list|float":
-        numbers_only = isinstance(value, list) and all(_type_ok("float", v) for v in value)
-        return numbers_only or _type_ok("float", value)
-    return isinstance(value, str)
+def _number(value) -> bool:
+    # bool is an int subclass, but never a count or a weight
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+class Kind(NamedTuple):
+    want: str  # what a value must be, as error messages say it
+    ok: Callable[[object], bool]  # whether a value fills the field
+    parse: type | None  # reads a flag or sweep value; None: no flag, set from --config only
+
+
+# every annotation a config field carries, with spaces removed
+KINDS = {
+    "bool": Kind("true or false", lambda v: isinstance(v, bool), bool),
+    "int": Kind("an integer", _integer, int),
+    "float": Kind("a number", _number, float),
+    "str": Kind("a string", lambda v: isinstance(v, str), str),
+    "list|None": Kind("a list", lambda v: v is None or isinstance(v, list), None),
+    "list|float": Kind("a number or a list of numbers",
+                       lambda v: _number(v) or (isinstance(v, list) and all(map(_number, v))), float),
+}
+
+
+def kind_of(field) -> Kind:
+    """The kind of a dataclass field, from its annotation."""
+    return KINDS[str(field.type).replace(" ", "")]
 
 
 def _non_finite(value) -> bool:
@@ -78,17 +98,34 @@ def check_field_types(record) -> None:
     """
     problems = []
     for f in fields(record):
-        kind, value = str(f.type).replace(" ", ""), getattr(record, f.name)
-        if not _type_ok(kind, value):
-            problems.append(f"{f.name} must be {_WANT[kind]}, got {type(value).__name__} {value!r}")
+        kind, value = kind_of(f), getattr(record, f.name)
+        if not kind.ok(value):
+            problems.append(f"{f.name} must be {kind.want}, got {type(value).__name__} {value!r}")
         elif _non_finite(value):
             problems.append(f"{f.name} must be finite, got {value!r}")
     if problems:
         raise ConfigError("; ".join(problems))
 
 
+class Record:
+    """What RunConfig and SynthSpec share: a flat dataclass with a `validate`."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def field_names(cls) -> set[str]:
+        return {f.name for f in fields(cls)}
+
+    @classmethod
+    def from_mapping(cls, mapping: dict):
+        """Build from a flat mapping, taking only this record's fields."""
+        known = cls.field_names()
+        return cls(**{k: v for k, v in mapping.items() if k in known}).validate()
+
+
 @dataclass
-class RunConfig:
+class RunConfig(Record):
     # optimization
     seed: int = 0
     iterations: int = 2000
@@ -107,19 +144,15 @@ class RunConfig:
     alpha: float = 0.9
     threshold: float = 0.05
     head: str = "none"
-    head_hidden_dim: int | None = None  # None: backbone feature_dim
-    head_out_dim: int | None = None
     include_positive: bool = True
     normalize_features: bool = False
     # backbone
     hidden_dim: int = 16
     feature_dim: int = 8
-    # style transfer
-    adain_eps: float = 1e-8
 
     def validate(self) -> "RunConfig":
         check_field_types(self)
-        checks = [
+        require([
             (self.seed >= 0, "seed must be nonnegative"),
             (self.iterations >= 0, "iterations must be nonnegative"),
             (self.learning_rate > 0, "learning_rate must be positive"),
@@ -137,43 +170,16 @@ class RunConfig:
              "loss has no lower bound without normalization"),
             (self.hidden_dim >= 1, "hidden_dim must be at least 1"),
             (self.feature_dim >= 1, "feature_dim must be at least 1"),
-            (self.head_hidden_dim is None or self.head_hidden_dim >= 1, "head_hidden_dim must be at least 1"),
-            (self.head_out_dim is None or self.head_out_dim >= 1, "head_out_dim must be at least 1"),
-            (self.adain_eps > 0, "adain_eps must be positive"),
-        ]
-        head_hidden, head_out = self.head_dims()
-        checks += [
+        ] + [
             (fits(*extents), f"{what} exceeds numpy's index range ({MAX_ELEMENTS} elements)")
             for what, extents in (
                 ("batch_source", (self.batch_source,)),
                 ("batch_target", (self.batch_target,)),
                 ("hidden_dim * feature_dim", (self.hidden_dim, self.feature_dim)),
-                ("feature_dim * head_hidden_dim", (self.feature_dim, head_hidden)),
-                ("head_hidden_dim * head_out_dim", (head_hidden, head_out)),
+                ("feature_dim * feature_dim", (self.feature_dim, self.feature_dim)),  # byol head weights
             )
-        ]
-        problems = [msg for ok, msg in checks if not ok]
-        if problems:
-            raise ConfigError("; ".join(problems))
+        ])
         return self
-
-    def head_dims(self) -> tuple[int, int]:
-        """The head's hidden and output widths, each `feature_dim` when unset."""
-        return head_widths(self.feature_dim, self.head_hidden_dim, self.head_out_dim)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in fields(cls)}
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "RunConfig":
-        """Build from a flat mapping, taking only RunConfig fields."""
-        known = cls.field_names()
-        kwargs = {k: v for k, v in mapping.items() if k in known}
-        return cls(**kwargs).validate()
 
     def replace(self, **overrides) -> "RunConfig":
         merged = {**self.to_dict(), **overrides}
@@ -183,8 +189,8 @@ class RunConfig:
 def load_flat_config(path: str | Path) -> dict:
     """Read a flat JSON config document, rejecting non-object payloads."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object, got {type(doc).__name__}")

@@ -34,12 +34,12 @@ layout, so identical specs produce byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import BLOCK, MAX_ELEMENTS, check_field_types, fits
+from .config import BLOCK, MAX_ELEMENTS, Record, check_field_types, fits, require
 from .errors import ConfigError, ContractError, GenerationError
 from .tensor import read_container, write_container
 
@@ -68,7 +68,7 @@ _RETRIES = 20
 
 
 @dataclass
-class SynthSpec:
+class SynthSpec(Record):
     height: int = 32
     width: int = 32
     channels: int = 3
@@ -85,7 +85,7 @@ class SynthSpec:
 
     def validate(self) -> "SynthSpec":
         check_field_types(self)
-        checks = [
+        require([
             (self.height >= 2 and self.width >= 2, "image sides must be at least 2"),
             (self.channels >= 1, "channels must be at least 1"),
             (self.classes >= 2, "classes must be at least 2"),
@@ -104,10 +104,7 @@ class SynthSpec:
             (not isinstance(v, list) or len(v) in (1, self.channels),
              f"{name} must hold 1 or {self.channels} entries")
             for name, v in (("shift_scale", self.shift_scale), ("shift_offset", self.shift_offset))
-        ]
-        problems = [msg for ok, msg in checks if not ok]
-        if problems:
-            raise ConfigError("; ".join(problems))
+        ])
         if not np.all(self.scale_vector() > 0):
             raise ConfigError("shift_scale entries must be positive")
         if self.class_means is not None:
@@ -131,19 +128,6 @@ class SynthSpec:
 
     def offset_vector(self) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.shift_offset, float), (self.channels,)).copy()
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in fields(cls)}
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "SynthSpec":
-        known = cls.field_names()
-        kwargs = {k: v for k, v in mapping.items() if k in known}
-        return cls(**kwargs).validate()
 
 
 def default_palette(classes: int, channels: int) -> np.ndarray:

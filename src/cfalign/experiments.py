@@ -15,7 +15,7 @@ from .config import RunConfig
 from .data import Dataset
 from .errors import ConfigError
 from .evaluate import EvalRecord, evaluate
-from .train import MetricsRecord, train
+from .train import train
 
 __all__ = [
     "ABLATION_VARIANTS",
@@ -44,7 +44,6 @@ class RunResult:
     name: str
     config: RunConfig
     record: EvalRecord
-    final: MetricsRecord | None  # last training row; None for zero-iteration runs
 
     @property
     def miou(self) -> float:
@@ -52,9 +51,8 @@ class RunResult:
 
 
 def run_single(config: RunConfig, data: Dataset, name: str = "run") -> RunResult:
-    state, records = train(config, data)
-    record = evaluate(state, data.target_eval)
-    return RunResult(name=name, config=config, record=record, final=records[-1] if records else None)
+    state, _ = train(config, data)
+    return RunResult(name=name, config=config, record=evaluate(state, data.target_eval))
 
 
 def run_ablation(base: RunConfig, data: Dataset) -> list[RunResult]:

@@ -101,7 +101,7 @@ def _make_head_case(kind: str):
     def case(rng):
         n, c, d = 6, 4, 4
         head = build_head(kind, d, rng=rng)
-        centers = rng.normal(size=(c, head.d_out))
+        centers = rng.normal(size=(c, d))
         mask = np.ones(c, dtype=bool)
         labels = _labels(rng, n, c)
         x = Tensor(rng.normal(size=(d, n)), requires_grad=True)

@@ -24,7 +24,7 @@ HEAD_KINDS = ("none", "byol")
 
 __all__ = [
     "HEAD_KINDS", "Head", "LinearLayer",
-    "linear_layer", "head_widths", "build_head", "head_forward", "head_parameters",
+    "linear_layer", "build_head", "head_forward", "head_parameters",
 ]
 
 
@@ -36,12 +36,12 @@ class LinearLayer:
 
 @dataclass
 class Head:
-    """The identity head (`none`) holds no layers; `byol` holds all four fields."""
+    """The identity head (`none`) holds no layers; `byol` holds all four fields,
+    and its hidden and output widths are its input width `d`."""
 
-    d_in: int
-    d_out: int
+    d: int
     fc1: LinearLayer | None = None
-    gamma: Tensor | None = None  # batch-norm scale and shift, (d_hidden,)
+    gamma: Tensor | None = None  # batch-norm scale and shift, (d,)
     beta: Tensor | None = None
     fc2: LinearLayer | None = None
 
@@ -55,37 +55,25 @@ def linear_layer(d_in: int, d_out: int, rng: np.random.Generator) -> LinearLayer
     )
 
 
-def head_widths(d_in: int, d_hidden: int | None = None, d_out: int | None = None) -> tuple[int, int]:
-    """The hidden and output widths of a head; a missing one is the input width."""
-    return (d_in if d_hidden is None else d_hidden, d_in if d_out is None else d_out)
-
-
-def build_head(
-    kind: str,
-    d_in: int,
-    d_hidden: int | None = None,
-    d_out: int | None = None,
-    rng: np.random.Generator | int | None = None,
-) -> Head:
-    """Construct a head, drawing fc1's weight and bias, then fc2's, from `rng`."""
+def build_head(kind: str, d: int, rng: np.random.Generator | int | None = None) -> Head:
+    """Construct a head of width `d`, drawing fc1's weight and bias, then fc2's, from `rng`."""
     if kind not in HEAD_KINDS:
         raise ConfigError(f"unknown head kind {kind!r}; choose from {HEAD_KINDS}")
     if kind == "none":
-        return Head(d_in, d_in)
-    d_hidden, d_out = head_widths(d_in, d_hidden, d_out)
+        return Head(d)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    fc1 = linear_layer(d_in, d_hidden, rng)
-    fc2 = linear_layer(d_hidden, d_out, rng)
-    gamma = Tensor(np.ones(d_hidden), requires_grad=True)
-    beta = Tensor(np.zeros(d_hidden), requires_grad=True)
-    return Head(d_in, d_out, fc1, gamma, beta, fc2)
+    fc1 = linear_layer(d, d, rng)
+    fc2 = linear_layer(d, d, rng)
+    gamma = Tensor(np.ones(d), requires_grad=True)
+    beta = Tensor(np.zeros(d), requires_grad=True)
+    return Head(d, fc1, gamma, beta, fc2)
 
 
 def head_forward(head: Head, x: Tensor) -> Tensor:
-    """Apply the head to (d_in, n) features; the `none` head returns x as is."""
-    if x.data.ndim != 2 or x.data.shape[0] != head.d_in:
-        raise DimensionError(f"head expects ({head.d_in}, n) features, got {x.data.shape}")
+    """Apply the head to (d, n) features; the `none` head returns x as is."""
+    if x.data.ndim != 2 or x.data.shape[0] != head.d:
+        raise DimensionError(f"head expects ({head.d}, n) features, got {x.data.shape}")
     if head.fc1 is None:
         return x
     h = affine(x, head.fc1.weight, head.fc1.bias)

@@ -489,10 +489,11 @@ def read_container(path: str | Path, fmt: str) -> tuple[dict, dict[str, np.ndarr
     """Read a container whose header has format tag `fmt`: (header, arrays by name).
 
     A path that cannot be opened raises ContractError naming it, and so does
-    malformed input: a header line that is not a UTF-8 JSON object, another
-    format tag, no list of distinct tensor names, a tensor declaring more
-    bytes than the file has left (checked before any read), a NaN or infinite
-    value in any tensor, or bytes after the last tensor.
+    malformed input: a header line that is not a UTF-8 JSON object (nesting
+    past the recursion limit or an integer too long to convert included),
+    another format tag, no list of distinct tensor names, a tensor declaring
+    more bytes than the file has left (checked before any read), a NaN or
+    infinite value in any tensor, or bytes after the last tensor.
     """
     try:
         fh = open(path, "rb")
@@ -502,7 +503,7 @@ def read_container(path: str | Path, fmt: str) -> tuple[dict, dict[str, np.ndarr
         size = os.fstat(fh.fileno()).st_size
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
             raise ContractError(f"{path} does not start with a JSON header line: {exc}") from exc
         if not isinstance(header, dict):
             raise ContractError(f"{path} header is not a JSON object")

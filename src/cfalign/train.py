@@ -109,15 +109,15 @@ class TrainState:
 
     def head_bank(self) -> MemoryBank:
         """The bank's head-output columns, which the contrastive loss reads."""
-        return self.bank.columns(slice(self.bank.feature_dim - self.head.d_out, None))
+        return self.bank.columns(slice(-self.config.feature_dim, None))
 
 
 def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
     """Build model, head, and an empty bank from the init RNG stream."""
     rng_init = np.random.default_rng([config.seed, 0])
     model = build_model(channels, config.hidden_dim, config.feature_dim, classes, rng_init)
-    head = build_head(config.head, config.feature_dim, *config.head_dims(), rng_init)
-    width = config.feature_dim + (head.d_out if config.head != "none" else 0)
+    head = build_head(config.head, config.feature_dim, rng_init)
+    width = config.feature_dim * (1 if config.head == "none" else 2)
     return TrainState(
         config=config,
         classes=classes,
@@ -233,7 +233,7 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
         # held-out truth: used for the pseudo_acc diagnostic only, never in a loss
         diag_t = data.target_train.labels[ti].reshape(-1)
         if state.style is not None:
-            img_s = adain_transfer(img_s, state.style, config.adain_eps)
+            img_s = adain_transfer(img_s, state.style)
         # an overflow or invalid value ends the run with one DivergenceError
         # naming the iteration, before numpy can print a warning
         try:

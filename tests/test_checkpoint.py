@@ -94,15 +94,14 @@ class TestRoundTrip:
 class TestOneBank:
     @pytest.mark.parametrize("head", HEAD_KINDS)
     def test_width(self, head):
-        config = RunConfig(head=head, feature_dim=4, head_out_dim=3)
+        config = RunConfig(head=head, feature_dim=4)
         state = init_state(config, 3, 2)
-        assert state.bank.feature_dim == (4 if head == "none" else 4 + 3)
-        assert state.feature_bank().feature_dim == 4
-        assert state.head_bank().feature_dim == (4 if head == "none" else 3)
+        assert state.bank.feature_dim == (4 if head == "none" else 4 + 4)
+        assert state.feature_bank().feature_dim == state.head_bank().feature_dim == 4
 
     @pytest.mark.parametrize("head", ["none", "byol"])
     def test_views_share_rows_and_flags(self, head):
-        state = init_state(RunConfig(head=head, feature_dim=4, head_out_dim=3), 3, 2)
+        state = init_state(RunConfig(head=head, feature_dim=4), 3, 2)
         feat, proj = state.feature_bank(), state.head_bank()
         state.bank.v_source[:] = np.arange(state.bank.v_source.size).reshape(3, -1)
         state.bank.v_target[1] = -1.0
@@ -173,7 +172,7 @@ class TestOneBank:
 
     def test_byol_tensor_list(self, tmp_path):
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(init_state(RunConfig(head="byol", feature_dim=4, head_hidden_dim=5), 3, 2), path)
+        save_checkpoint(init_state(RunConfig(head="byol", feature_dim=4), 3, 2), path)
         header, _ = read_container(path, "cfalign-checkpoint")
         assert header["tensors"] == [
             "model.enc1.weight", "model.enc1.bias", "model.enc2.weight", "model.enc2.bias",
@@ -186,8 +185,7 @@ class TestOneBank:
 @pytest.mark.parametrize("head", HEAD_KINDS)
 @pytest.mark.parametrize("style_transfer", [False, True])
 def test_expected_shapes_match_state(head, style_transfer):
-    config = RunConfig(head=head, hidden_dim=5, feature_dim=4, head_hidden_dim=6, head_out_dim=3,
-                       style_transfer=style_transfer)
+    config = RunConfig(head=head, hidden_dim=5, feature_dim=4, style_transfer=style_transfer)
     state = init_state(config, 3, 2)
     if style_transfer:
         state.style = ChannelStats(mean=np.zeros(2), var=np.ones(2))
@@ -346,7 +344,7 @@ class TestCorruption:
         with pytest.raises(ContractError, match="after its last tensor"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["hidden_dim", "feature_dim", "head_out_dim"])
+    @pytest.mark.parametrize("key", ["hidden_dim", "feature_dim"])
     def test_huge_dim_in_config_echo_allocates_nothing(self, saved, key):
         path, header, arrays = saved
         header["config"][key] = 10**6
@@ -359,6 +357,43 @@ class TestCorruption:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("line", [b"[" * 100_000 + b"]" * 100_000, b'{"format": ' + b"1" * 5000 + b"}"],
+                             ids=["over-nested", "long-integer"])
+    def test_unparsable_header_exits_2(self, saved, capsys, line):
+        path, _, _ = saved
+        path.write_bytes(line + b"\n")
+        message = f"{path} does not start with a JSON header line"
+        with pytest.raises(ContractError, match=message):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(path.parent / "no-data")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+
+    def test_echo_of_removed_knobs_loads(self, saved):
+        """Older checkpoints echo the head widths and AdaIN eps that are now
+        constants; at their default values the file loads as it is."""
+        path, header, arrays = saved
+        echo = {**header["config"], "head_hidden_dim": None, "head_out_dim": None, "adain_eps": 1e-8}
+        write_container(path, {**header, "config": echo}, arrays)
+        loaded = load_checkpoint(path)
+        for name, array in _state_arrays(loaded):
+            np.testing.assert_array_equal(array, arrays[name], err_msg=name)
+
+    def test_non_default_head_width_exits_2(self, saved, capsys):
+        """A byol head narrower than feature_dim, as a settable output width once wrote it."""
+        path, header, arrays = saved
+        feat, out = header["config"]["feature_dim"], 3
+        arrays["head.3.weight"] = arrays["head.3.weight"][:, :out]
+        arrays["head.3.bias"] = arrays["head.3.bias"][:out]
+        for name in ("bank.v_source", "bank.v_target"):
+            arrays[name] = arrays[name][:, :feat + out]
+        write_container(path, {**header, "config": {**header["config"], "head_out_dim": out}}, arrays)
+        with pytest.raises(ContractError, match="has shape"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(path.parent / "no-data")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "has shape" in err
 
     def test_wrong_typed_config_echo(self, saved, capsys):
         path, header, arrays = saved

@@ -3,6 +3,7 @@
 import collections
 import json
 import math
+import re
 import shutil
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from cfalign import cli
-from cfalign.config import BLOCK
+from cfalign.config import BLOCK, RunConfig
 from cfalign.checkpoint import load_checkpoint
 from cfalign.cli import main
 from cfalign.tensor import read_container, write_container
@@ -216,7 +217,7 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--tau", "inf", "--contrastive"], ["--adain-eps", "inf", "--style-transfer"],
+        [["--tau", "inf", "--contrastive"], ["--alpha", "inf", "--contrastive"],
          ["--learning-rate", "inf"], ["--lambda-ent", "inf"], ["--threshold", "inf"],
          ["--lambda-contra", "nan"]],
     )
@@ -229,7 +230,7 @@ class TestTrain:
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
-        "doc", [{"tau": float("inf")}, {"adain_eps": float("inf")}, {"learning_rate": float("nan")}]
+        "doc", [{"tau": float("inf")}, {"alpha": float("inf")}, {"learning_rate": float("nan")}]
     )
     def test_non_finite_config_file_exits_2(self, dataset_dir, tmp_path, capsys, doc):
         cfg = tmp_path / "c.json"
@@ -239,6 +240,40 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and f"{next(iter(doc))} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "blob", [b'\xff\xfe{"seed": 1}', b"[" * 100_000 + b"]" * 100_000, b'{"seed": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf-8", "over-nested", "long-integer"],
+    )
+    def test_unparsable_config_file_exits_2(self, dataset_dir, tmp_path, capsys, blob):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(blob)
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--data", str(dataset_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"cannot read config {cfg}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["head_hidden_dim", "head_out_dim", "adain_eps"])
+    def test_removed_knob_exits_2(self, dataset_dir, tmp_path, capsys, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: 1}))
+        argv = ["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x")]
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"unknown config keys: [{key!r}]" in err
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "1"])
+        assert exc.value.code == 2 and flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+    def test_every_run_config_field_has_a_flag(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        missing = [name for name in RunConfig.field_names() if "--" + name.replace("_", "-") not in flags]
+        assert not missing, f"RunConfig fields without a {command} flag: {missing}"
 
     def test_style_net_flag_is_gone(self, dataset_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,16 @@
 """Synthetic dataset generator: determinism, shift statistics, coverage, file format."""
 
 import struct
+import sys
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import data_reference
-from cfalign.config import RunConfig
+from cfalign.config import KINDS, RunConfig
 from cfalign.data import (
     _chunk_images,
     _voronoi_labels,
@@ -23,6 +26,11 @@ from cfalign.data import (
 )
 from cfalign.errors import ConfigError, GenerationError
 from cfalign.tensor import read_container, write_container
+
+
+# JSON header lines that json.loads refuses with a RecursionError and a
+# ValueError other than a decode error
+UNPARSABLE_HEADERS = [b"[" * 100_000 + b"]" * 100_000, b'{"format": ' + b"1" * 5000 + b"}"]
 
 
 def tiny_spec(**overrides):
@@ -314,6 +322,13 @@ class TestLoaderRejects:
         with pytest.raises(ConfigError):
             load_split(path)
 
+    @pytest.mark.parametrize("line", UNPARSABLE_HEADERS, ids=["over-nested", "long-integer"])
+    def test_unparsable_header(self, split_file, line):
+        path, _ = split_file
+        path.write_bytes(line + b"\n")
+        with pytest.raises(ConfigError, match=f"{path} does not start with a JSON header line"):
+            load_split(path)
+
     def test_huge_extent(self, tmp_path):
         path = tmp_path / "huge.bin"
         header = b'{"format": "cfalign-dataset", "tensors": ["images"]}\n'
@@ -417,8 +432,8 @@ class TestRunConfig:
             dict(learning_rate="0.1"),
             dict(contrastive=1),
             dict(entropy="yes"),
-            dict(head_hidden_dim=4.0),
-            dict(head_out_dim="8"),
+            dict(hidden_dim=4.0),
+            dict(feature_dim="8"),
             dict(head=3),
         ],
     )
@@ -426,7 +441,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=next(iter(overrides))):
             RunConfig(**overrides).validate()
 
-    @pytest.mark.parametrize("name", ["learning_rate", "lambda_ent", "tau", "threshold", "adain_eps"])
+    @pytest.mark.parametrize("name", ["learning_rate", "lambda_ent", "tau", "threshold", "alpha"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
@@ -437,11 +452,26 @@ class TestRunConfig:
         assert RunConfig(iterations=10**400).validate().iterations == 10**400
 
     def test_numbers_of_either_kind_fill_float_fields(self):
-        assert RunConfig(tau=1, head_out_dim=None, seed=np.int64(3)).validate().tau == 1
+        assert RunConfig(tau=1, seed=np.int64(3)).validate().tau == 1
 
     def test_from_mapping_picks_known_fields(self):
         cfg = RunConfig.from_mapping({"tau": 0.5, "height": 8, "classes": 3})
         assert cfg.tau == 0.5  # SynthSpec keys pass through untouched
+
+    @pytest.mark.parametrize("cls", [RunConfig, SynthSpec])
+    def test_every_annotation_has_a_kind(self, cls):
+        unlisted = [f"{f.name}: {f.type}" for f in fields(cls) if str(f.type).replace(" ", "") not in KINDS]
+        assert not unlisted, f"annotations missing from config.KINDS: {unlisted}"
+
+    def test_every_benchmark_workload_key_is_a_field(self, monkeypatch):
+        # perfbench builds RunConfig(**workload.config); an unknown key crashes every run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.modules.pop("workloads", None)
+        unknown = {w.name: sorted(set(w.config) - RunConfig.field_names()) for w in WORKLOADS}
+        assert not any(unknown.values()), f"workload config keys that are not RunConfig fields: {unknown}"
 
     def test_replace_validates(self):
         cfg = RunConfig()

@@ -37,16 +37,15 @@ class TestStructure:
 
     @pytest.mark.parametrize("kind", ["none", "byol"])
     def test_output_shape(self, kind):
-        head = build_head(kind, 6, d_hidden=5, d_out=3, rng=1)
+        head = build_head(kind, 6, rng=1)
         x = Tensor(np.random.default_rng(2).normal(size=(6, 7)))
-        expected = 6 if kind == "none" else 3
-        assert head_forward(head, x).data.shape == (expected, 7)
+        assert head_forward(head, x).data.shape == (6, 7)
 
     def test_layer_sequence_matches_table(self):
-        head = build_head("byol", 4, d_hidden=5, d_out=3, rng=0)
+        head = build_head("byol", 4, rng=0)
         assert isinstance(head.fc1, LinearLayer) and isinstance(head.fc2, LinearLayer)
-        assert head.fc1.weight.shape == (4, 5) and head.fc2.weight.shape == (5, 3)
-        assert head.gamma.shape == head.beta.shape == (5,)
+        assert head.fc1.weight.shape == head.fc2.weight.shape == (4, 4)
+        assert head.fc1.bias.shape == head.fc2.bias.shape == head.gamma.shape == head.beta.shape == (4,)
         none = build_head("none", 4)
         assert (none.fc1, none.gamma, none.beta, none.fc2) == (None, None, None, None)
 
@@ -63,21 +62,20 @@ class TestStructure:
 
 class TestInitialization:
     def test_uniform_bound_is_inverse_sqrt_fan_in(self):
-        head = build_head("byol", 16, d_hidden=9, rng=3)
-        first, second = head.fc1, head.fc2
-        assert np.abs(first.weight.data).max() <= 1 / 4.0
-        assert np.abs(first.bias.data).max() <= 1 / 4.0
-        assert np.abs(second.weight.data).max() <= 1 / 3.0
+        head = build_head("byol", 16, rng=3)
+        for layer in (head.fc1, head.fc2):
+            assert np.abs(layer.weight.data).max() <= 1 / 4.0
+            assert np.abs(layer.bias.data).max() <= 1 / 4.0
 
     def test_draw_order(self):
         # fc1 weight, fc1 bias, fc2 weight, fc2 bias from the one generator
-        head = build_head("byol", 6, d_hidden=4, d_out=3, rng=np.random.default_rng(21))
+        head = build_head("byol", 4, rng=np.random.default_rng(21))
         twin = np.random.default_rng(21)
         want = [
-            twin.uniform(-1 / np.sqrt(6), 1 / np.sqrt(6), size=(6, 4)),
-            twin.uniform(-1 / np.sqrt(6), 1 / np.sqrt(6), size=4),
-            twin.uniform(-1 / 2.0, 1 / 2.0, size=(4, 3)),
-            twin.uniform(-1 / 2.0, 1 / 2.0, size=3),
+            twin.uniform(-1 / 2.0, 1 / 2.0, size=(4, 4)),
+            twin.uniform(-1 / 2.0, 1 / 2.0, size=4),
+            twin.uniform(-1 / 2.0, 1 / 2.0, size=(4, 4)),
+            twin.uniform(-1 / 2.0, 1 / 2.0, size=4),
         ]
         got = [head.fc1.weight, head.fc1.bias, head.fc2.weight, head.fc2.bias]
         for g, w in zip(got, want):
@@ -111,9 +109,8 @@ class TestForwardModes:
     @pytest.mark.parametrize("kind", ["none", "byol"])
     def test_loss_through_head_gradient(self, kind):
         rng = np.random.default_rng(10)
-        head = build_head(kind, 4, d_out=3, rng=11)
-        d_out = 4 if kind == "none" else 3
-        centers = rng.normal(size=(3, d_out))
+        head = build_head(kind, 4, rng=11)
+        centers = rng.normal(size=(3, 4))
         labels = np.array([0, 2, 1, -1, 0])
 
         def fn(x):

@@ -284,7 +284,7 @@ class TestWholeStepGradient:
         params = state.parameters()
         img_s, lab_s = data.source_train.images[:2], data.source_train.labels[:2].reshape(-1)
         img_t, diag_t = data.target_train.images[:2], data.target_train.labels[:2].reshape(-1)
-        img_s = adain_transfer(img_s, state.style, cfg.adain_eps)
+        img_s = adain_transfer(img_s, state.style)
 
         frozen = []
         real_update = train_module._update_bank_and_label
