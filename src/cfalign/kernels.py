@@ -14,9 +14,8 @@ for each center c: numpy's own reductions over the leading axis.
 array to which the squared differences of feature rows 0, 1, ..., d-1 are
 added in turn: a C-contiguous ``sum(axis=0)`` adds its rows one after
 another in that order, so the bits are the same.
-`softmax_argmax` and `nearest_two` resolve ties to the lowest index, as
-``argmax`` and ``argmin`` do. Inputs must be free of NaN: a NaN column gets
-an unspecified result.
+`nearest_two` resolves ties to the lowest index, as ``argmin`` does.
+Inputs must be free of NaN: a NaN column gets an unspecified result.
 
 `label_sums` adds each class's pixels in pixel order, as ``np.add.at``
 does: one ``np.bincount`` per feature row, with labels below 0 mapped to
@@ -31,7 +30,6 @@ from .errors import DimensionError
 
 __all__ = [
     "get_backend",
-    "softmax_argmax",
     "log_softmax",
     "nearest_two",
     "label_sums",
@@ -52,41 +50,6 @@ def _i64c(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _classes(z, name: str) -> np.ndarray:
-    """`z` as an array, after checking it is (k, n) with k >= 1 classes."""
-    z = np.asarray(z)
-    if z.ndim != 2 or z.shape[0] == 0:
-        raise DimensionError(f"{name} needs a (k, n) array with k >= 1, got shape {z.shape}")
-    return z
-
-
-def softmax_argmax(z: np.ndarray) -> np.ndarray:
-    """Per-column index of the largest softmax probability of (k, n) logits,
-    k >= 1, the lowest on ties: ``tensor.softmax(Tensor(z)).data.argmax(axis=0)``.
-
-    Probabilities are compared, not logits: rounding can tie two of them
-    that the logits order.
-    """
-    z = _classes(z, "softmax_argmax")
-    p = np.subtract(z, z.max(axis=0))
-    np.exp(p, out=p)
-    np.divide(p, p.sum(axis=0), out=p)
-    k, n = p.shape
-    # a running index of the narrowest dtype holding k - 1 keeps the updates cheap
-    itype = np.min_scalar_type(k - 1)
-    best, idx = p[0].copy(), np.zeros(n, dtype=itype)
-    above, at = np.empty(n, dtype=bool), np.empty(n, dtype=itype)
-    for j in range(1, k):
-        # strict > keeps the lowest index on ties; j is above every index so
-        # far, so max(idx, j * above) moves idx to j exactly where above
-        # holds, without the per-element branch of a masked store
-        np.greater(p[j], best, out=above)
-        np.multiply(above, itype.type(j), out=at)
-        np.maximum(idx, at, out=idx)
-        np.maximum(best, p[j], out=best)
-    return idx.astype(np.intp)
-
-
 def log_softmax(z: np.ndarray, out: np.ndarray, entropy: bool = False) -> np.ndarray | None:
     """Write the log-softmax columns of the (k, n) logits `z`, k >= 1, into
     the (k, n) array `out`: ``z - max - log(sum(exp(z - max)))`` per column.
@@ -96,7 +59,9 @@ def log_softmax(z: np.ndarray, out: np.ndarray, entropy: bool = False) -> np.nda
     log is clamped: the column [0, 800] gives log-probabilities -800 and 0
     exactly.
     """
-    z = _classes(z, "log_softmax")
+    z = np.asarray(z)
+    if z.ndim != 2 or z.shape[0] == 0:
+        raise DimensionError(f"log_softmax needs a (k, n) array with k >= 1, got shape {z.shape}")
     np.subtract(z, z.max(axis=0), out=out)
     e = np.exp(out)
     s = e.sum(axis=0)
@@ -126,8 +91,10 @@ def nearest_two(features: np.ndarray, centers: np.ndarray):
         np.add(dist, sq, out=dist)
     # strict < keeps the lowest index on ties; c is above every index so
     # far, so max(idx, c * closer) moves idx to c exactly where closer holds,
-    # with a narrow running index as in softmax_argmax; the second smallest
-    # of {dmin, dsec, row} is min(dsec, max(dmin, row)), duplicates included
+    # without the per-element branch of a masked store, and an index of the
+    # narrowest dtype holding k - 1 keeps those updates cheap; the second
+    # smallest of {dmin, dsec, row} is min(dsec, max(dmin, row)), duplicates
+    # included
     itype = np.min_scalar_type(k - 1)
     idx, at = np.zeros(n, dtype=itype), np.empty(n, dtype=itype)
     dmin, dsec, top, closer = dist[0], np.full(n, np.inf), sq[0], np.empty(n, dtype=bool)

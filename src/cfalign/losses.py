@@ -380,8 +380,6 @@ class LossBreakdown:
     entropy: float
     contra: float
     total: float
-    lambda_ent: float
-    lambda_contra: float
 
 
 def total_objective(
@@ -403,7 +401,5 @@ def total_objective(
         entropy=entropy.item(),
         contra=contra.item(),
         total=total.item(),
-        lambda_ent=lambda_ent,
-        lambda_contra=lambda_contra,
     )
     return total, parts

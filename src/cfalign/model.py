@@ -17,7 +17,6 @@ from .adain import to_pixels
 from .config import MAX_ELEMENTS, fits
 from .errors import ConfigError, DimensionError
 from .heads import LinearLayer, linear_layer
-from .kernels import softmax_argmax
 from .tensor import Tensor, affine, relu, softmax
 
 __all__ = [
@@ -90,7 +89,11 @@ def model_logits(model: SegModel, features: Tensor) -> Tensor:
 
 
 def model_probs(model: SegModel, features: Tensor) -> Tensor:
-    """Classifier forward: (feature_dim, n) features to (classes, n) probabilities."""
+    """Classifier forward: (feature_dim, n) features to (classes, n) probabilities.
+
+    No run path calls it: it stays for the benchmark's ``model.probs`` site,
+    which wraps ``cfalign.train.model_probs``.
+    """
     return softmax(model_logits(model, features))
 
 
@@ -105,10 +108,11 @@ def predict_labels(model: SegModel, images: np.ndarray, features: Tensor | None 
     """Forward-only argmax labels for an image batch (b, c, h, w).
 
     `features`, when given, are the backbone features of `images` computed
-    already; the backbone then does not run again. The labels are bitwise
-    ``model_probs(...).data.argmax(axis=0)``, without a probability array.
+    already; the backbone then does not run again. Each label is the argmax
+    of the pixel's logits, the lowest index on ties: the argmax of its
+    probabilities, except where rounding ties two probabilities.
     """
     b, _, h, w = images.shape
     if features is None:
         features = model_features(model, Tensor(to_pixels(images)))
-    return softmax_argmax(model_logits(model, features).data).reshape(b, h, w)
+    return model_logits(model, features).data.argmax(axis=0).reshape(b, h, w)

@@ -13,6 +13,7 @@ import cfalign.evaluate as evaluate_module
 from cfalign.evaluate import EvalRecord, evaluate, eval_to_json, iou_from_confusion
 from cfalign.kernels import confusion
 from cfalign.membank import assign_pseudo_labels, pseudo_label_accuracy
+import cfalign.model as model_module
 from cfalign.model import model_features, model_probs, predict_labels
 from cfalign.tensor import Tensor
 from cfalign.train import init_state, train
@@ -171,6 +172,21 @@ class TestEvaluate:
         np.add.at(want, (truth, pred), 1)
         assert not np.array_equal(want, want.T)
         np.testing.assert_array_equal(seen[0], want)
+
+
+class TestPredictLabels:
+    def test_ties_take_lowest_index(self, tiny_setup, monkeypatch):
+        # exact ties, -0.0 against 0.0, and logits 0 and 1e-17, whose
+        # probabilities round to a tie: the logits decide
+        _, _, state = tiny_setup
+        pixels = np.array(
+            [[1.0, 3.0, 3.0, 0.0], [-0.0, 0.0, 0.0, -0.0], [2.0, 2.0, 2.0, 2.0], [0.0, 1e-17, -1.0, -1.0]]
+        )
+        monkeypatch.setattr(model_module, "model_logits", lambda model, features: Tensor(pixels.T.copy()))
+        images = np.zeros((1, 3, 2, 2))
+        np.testing.assert_array_equal(
+            predict_labels(state.model, images, features=Tensor(np.zeros((8, 4)))), [[[1, 0], [0, 1]]]
+        )
 
 
 def reference_eval(state, split):

@@ -11,7 +11,6 @@ import pytest
 
 from cfalign import kernels
 from cfalign.errors import DimensionError
-from cfalign.tensor import Tensor, softmax
 
 
 @pytest.fixture(params=["numpy"])
@@ -193,31 +192,6 @@ class TestRowKernels:
     """Each kernel over a feature-major (k, n) array against numpy's
     ``axis=0`` reductions of that array, bit for bit."""
 
-    def test_softmax_argmax_over_row_cases(self):
-        # narrow and wide rows, exact ties and signed zeros; a row holding
-        # -inf is left out, as a row of them has no probabilities
-        for a in row_cases():
-            if np.isfinite(a).all():
-                got = kernels.softmax_argmax(cols(a))
-                assert got.dtype == np.intp
-                assert np.array_equal(got, softmax(Tensor(cols(a))).data.argmax(axis=0)), a.shape
-
-    def test_ties_take_lowest_index(self):
-        a = np.array([[1.0, 3.0, 3.0, 0.0], [-0.0, 0.0, 0.0, -0.0], [2.0, 2.0, 2.0, 2.0]])
-        np.testing.assert_array_equal(kernels.softmax_argmax(cols(a)), [1, 0, 0])
-
-    def test_softmax_argmax_bitwise(self):
-        rng = np.random.default_rng(17)
-        block = 4096
-        for n, k in [(0, 3), (1, 1), (37, 5), (block - 1, 5), (block + 1, 8), (2 * block + 37, 13), (block, 300)]:
-            mixed = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 3, size=(n, k))
-            tied = rng.integers(-2, 3, size=(n, k)).astype(float)
-            saturated = rng.choice([-700.0, 0.0, 700.0], size=(n, k))
-            for z in (mixed, tied, saturated):
-                got = kernels.softmax_argmax(cols(z))
-                assert got.dtype == np.intp
-                assert np.array_equal(got, softmax(Tensor(cols(z))).data.argmax(axis=0)), (n, k)
-
     def test_log_softmax_over_row_cases(self):
         for a in row_cases():
             if np.isfinite(a).all():
@@ -240,15 +214,8 @@ class TestRowKernels:
         assert out[0, 2] == -40.0
         assert np.all(np.abs(plogp) < 1e-15)
 
-    def test_softmax_argmax_compares_probabilities(self):
-        # exp(-1e-17) rounds to 1.0, tying two probabilities the logits order
-        z = np.array([[0.0, 1e-17], [1e-17, 0.0], [-700.0, 700.0], [700.0, 700.0]])
-        np.testing.assert_array_equal(kernels.softmax_argmax(cols(z)), [0, 0, 1, 0])
-
     def test_shape_validation(self):
         for z in (np.zeros(4), np.zeros((0, 3))):
-            with pytest.raises(DimensionError):
-                kernels.softmax_argmax(z)
             with pytest.raises(DimensionError):
                 kernels.log_softmax(z, np.empty(z.shape))
 

@@ -649,7 +649,7 @@ class TestTotalObjective:
     def test_weighted_sum(self):
         total, parts = total_objective(Tensor(1.0), Tensor(0.5), Tensor(2.0), 1e-3, 1e-3)
         np.testing.assert_allclose(total.item(), 1.0 + 0.5e-3 + 2e-3, atol=1e-15)
-        assert parts == LossBreakdown(1.0, 0.5, 2.0, total.item(), 1e-3, 1e-3)
+        assert parts == LossBreakdown(1.0, 0.5, 2.0, total.item())
 
     def test_zero_weights_reduce_to_ce(self):
         total, parts = total_objective(Tensor(0.7), Tensor(123.0), Tensor(456.0), 0.0, 0.0)
