@@ -23,7 +23,7 @@ from .config import RunConfig, kind_of, load_flat_config, require
 from .data import SPLIT_FILES, SynthSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ContractError, DimensionError, DivergenceError, GenerationError
 from .evaluate import eval_to_json, evaluate, save_eval_json
-from .experiments import results_table, run_ablation, run_sensitivity, save_results
+from .experiments import results_table, run_ablation, run_sweep, save_results
 from .gradcheck import loss_battery
 from .train import save_metrics_csv, train
 
@@ -33,14 +33,12 @@ _ALL_FIELDS = RunConfig.field_names() | SynthSpec.field_names()
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
-    # flags are generated from the dataclasses; a field whose kind reads no
-    # text (SynthSpec.class_means) has none and is set from a --config file
     for f in dataclasses.fields(cls):
         parse = kind_of(f).parse
         flag = "--" + f.name.replace("_", "-")
         if parse is bool:
             parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=argparse.SUPPRESS)
-        elif parse is not None:
+        else:
             parser.add_argument(flag, type=parse, default=argparse.SUPPRESS, metavar=parse.__name__.upper())
 
 
@@ -149,7 +147,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     _out_dir(args.out)
-    return _report(run_sensitivity(config, load_dataset(args.data), {args.param: values}), args.out)
+    return _report(run_sweep(config, load_dataset(args.data), args.param, values), args.out)
 
 
 def _cmd_grad_check(args) -> int:

@@ -2,9 +2,10 @@
 
 A config can come from a flat JSON document, CLI flags, or both (flags win).
 Validation happens in one place so the CLI can map any bad value to its
-config-error exit code before touching data. `KINDS` describes each field
-annotation once, for RunConfig and the dataset's SynthSpec alike: what a
-value must be, and how a flag or sweep value is read.
+config-error exit code before touching data. `KINDS` describes the four
+scalar kinds a field of RunConfig or the dataset's SynthSpec can have,
+once for both: what a value must be, and how a flag or sweep value is read.
+Every field has a flag.
 """
 
 from __future__ import annotations
@@ -60,33 +61,29 @@ def _integer(value) -> bool:
 class Kind(NamedTuple):
     want: str  # what a value must be, as error messages say it
     ok: Callable[[object], bool]  # whether a value fills the field
-    parse: type | None  # reads a flag or sweep value; None: no flag, set from --config only
+    parse: type  # reads a flag or sweep value
 
 
-# every annotation a config field carries, with spaces removed
+# every annotation a config field carries
 KINDS = {
     "bool": Kind("true or false", lambda v: isinstance(v, bool), bool),
     "int": Kind("an integer", _integer, int),
     "float": Kind("a number", _number, float),
     "str": Kind("a string", lambda v: isinstance(v, str), str),
-    "list|None": Kind("a list", lambda v: v is None or isinstance(v, list), None),
-    "list|float": Kind("a number or a list of numbers",
-                       lambda v: _number(v) or (isinstance(v, list) and all(map(_number, v))), float),
 }
 
 
 def kind_of(field) -> Kind:
     """The kind of a dataclass field, from its annotation."""
-    return KINDS[str(field.type).replace(" ", "")]
+    return KINDS[str(field.type)]
 
 
-def _non_finite(value) -> bool:
-    """Whether `value`, or any number nested in it as lists, is NaN or infinite."""
-    if isinstance(value, list):
-        return any(_non_finite(v) for v in value)
-    if isinstance(value, numbers.Integral) or not isinstance(value, numbers.Real):
-        return False  # ints are finite, and math.isfinite overflows on huge ones
-    return not math.isfinite(value)
+def _finite(value) -> bool:
+    """Whether a number converts to a finite float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def check_field_types(record) -> None:
@@ -101,7 +98,7 @@ def check_field_types(record) -> None:
         kind, value = kind_of(f), getattr(record, f.name)
         if not kind.ok(value):
             problems.append(f"{f.name} must be {kind.want}, got {type(value).__name__} {value!r}")
-        elif _non_finite(value):
+        elif kind.parse is float and not _finite(value):
             problems.append(f"{f.name} must be finite, got {value!r}")
     if problems:
         raise ConfigError("; ".join(problems))

@@ -2,9 +2,10 @@
 
 Each image is a Voronoi partition of the plane: a few seed points get class
 labels and every pixel takes the class of its nearest point, which yields
-contiguous regions of varying shape. Pixel colors are the class palette color
-plus Gaussian noise. Target-domain images run through an extra per-channel
-affine shift plus noise, so source-trained classifiers degrade there.
+contiguous regions of varying shape. Pixel colors are the class's
+`default_palette` color plus Gaussian noise. Target-domain images run through
+an extra affine shift, the same scale and offset on every channel, plus
+noise, so source-trained classifiers degrade there.
 
 Draw order. One generator, seeded by `spec.seed`, makes every draw: the
 source-train split, then target-train, then target-eval. Within a split,
@@ -77,9 +78,8 @@ class SynthSpec(Record):
     eval_images: int = 50
     regions: int = 6  # Voronoi seed points per image
     color_std: float = 0.14
-    class_means: list | None = None  # (classes, channels); None: default palette
-    shift_scale: list | float = 2.2
-    shift_offset: list | float = 0.7
+    shift_scale: float = 2.2
+    shift_offset: float = 0.7
     target_noise: float = 0.12
     seed: int = 0
 
@@ -93,41 +93,20 @@ class SynthSpec(Record):
             (self.eval_images >= 1, "eval_images must be at least 1"),
             (self.regions >= 1, "regions must be at least 1"),
             (self.color_std >= 0, "color_std must be nonnegative"),
+            (self.shift_scale > 0, "shift_scale must be positive"),
             (self.target_noise >= 0, "target_noise must be nonnegative"),
             (self.seed >= 0, "seed must be nonnegative"),
-            (
-                fits(self.train_images, self.channels, self.height, self.width)
-                and fits(self.eval_images, self.channels, self.height, self.width),
-                f"an image split exceeds numpy's index range ({MAX_ELEMENTS} elements)",
-            ),
         ] + [
-            (not isinstance(v, list) or len(v) in (1, self.channels),
-             f"{name} must hold 1 or {self.channels} entries")
-            for name, v in (("shift_scale", self.shift_scale), ("shift_offset", self.shift_offset))
+            (fits(*extents), f"{what} exceeds numpy's index range ({MAX_ELEMENTS} elements)")
+            for what, extents in (
+                ("an image split", (max(self.train_images, self.eval_images),
+                                    self.channels, self.height, self.width)),
+                ("classes * channels", (self.classes, self.channels)),  # the palette
+                # a chunk's per-point distance tables, which outgrow its (regions, 2) points
+                ("regions * (height + width)", (self.regions, self.height + self.width)),
+            )
         ])
-        if not np.all(self.scale_vector() > 0):
-            raise ConfigError("shift_scale entries must be positive")
-        if self.class_means is not None:
-            try:
-                m = np.asarray(self.class_means, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"class_means must be a table of numbers: {exc}") from exc
-            if m.shape != (self.classes, self.channels):
-                raise ConfigError(
-                    f"class_means must be {self.classes}x{self.channels}, got {m.shape}"
-                )
         return self
-
-    def palette(self) -> np.ndarray:
-        if self.class_means is not None:
-            return np.asarray(self.class_means, dtype=float)
-        return default_palette(self.classes, self.channels)
-
-    def scale_vector(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.shift_scale, float), (self.channels,)).copy()
-
-    def offset_vector(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.shift_offset, float), (self.channels,)).copy()
 
 
 def default_palette(classes: int, channels: int) -> np.ndarray:
@@ -206,9 +185,7 @@ def _generate_split(spec: SynthSpec, rng: np.random.Generator, count: int, name:
     """
     domain = name.split("_")[0]
     h, w, c, regions = spec.height, spec.width, spec.channels, spec.regions
-    palette = spec.palette()
-    scale = spec.scale_vector().reshape(-1, 1, 1)
-    offset = spec.offset_vector().reshape(-1, 1, 1)
+    palette = default_palette(spec.classes, c)
     size = min(count, _chunk_images(spec))
     points = np.empty((size, regions, 2))
     classes = np.empty((size, regions), dtype=np.int64)
@@ -240,8 +217,8 @@ def _generate_split(spec: SynthSpec, rng: np.random.Generator, count: int, name:
                 noisy += 0.0
                 noisy += palette.take(lab, axis=0)
                 if domain == "target":
-                    np.multiply(scale, noisy.transpose(0, 3, 1, 2), out=img)
-                    img += offset
+                    np.multiply(spec.shift_scale, noisy.transpose(0, 3, 1, 2), out=img)
+                    img += spec.shift_offset
                     if shift_noise is not None:
                         more = shift_noise[:k]
                         more *= spec.target_noise
@@ -252,7 +229,7 @@ def _generate_split(spec: SynthSpec, rng: np.random.Generator, count: int, name:
             if not np.isfinite(img).all():
                 raise GenerationError(
                     f"{name} images leave the finite float range; lower color_std, "
-                    "target_noise, class_means, shift_scale or shift_offset"
+                    "target_noise, shift_scale or shift_offset"
                 )
         # labels lie in [0, classes): every bin filled means every class occurs
         if np.bincount(labels.ravel(), minlength=spec.classes).all():

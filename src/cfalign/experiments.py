@@ -1,8 +1,8 @@
 """Experiment runners: the four-way toggle ablation and parameter sweeps.
 
 Every run inside one ablation shares the seed and the dataset, so the only
-difference between rows is which loss terms are enabled. Sweeps vary one
-config field at a time around a base config.
+difference between rows is which loss terms are enabled. A sweep varies
+one config field over a list of values around a base config.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ __all__ = [
     "RunResult",
     "run_single",
     "run_ablation",
-    "run_sensitivity",
+    "run_sweep",
     "results_table",
     "results_to_json",
     "save_results",
@@ -60,20 +60,17 @@ def run_ablation(base: RunConfig, data: Dataset) -> list[RunResult]:
     return [run_single(base.replace(**toggles), data, name) for name, toggles in ABLATION_VARIANTS]
 
 
-def run_sensitivity(base: RunConfig, data: Dataset, grid: dict[str, list]) -> list[RunResult]:
-    """One run per grid point, varying a single field per run.
+def run_sweep(base: RunConfig, data: Dataset, param: str, values: list) -> list[RunResult]:
+    """One run per value of field `param`, named `param=value`.
 
-    A singleton grid {field: [value]} is exactly one plain training run with
-    that value substituted.
+    A single value is exactly one plain training run with that value
+    substituted.
     """
-    known = RunConfig.field_names()
-    runs = []
-    for param, values in grid.items():
-        if param not in known:
-            raise ConfigError(f"unknown sweep parameter {param!r}")
-        # every value is validated before the first run trains
-        runs += [(base.replace(**{param: value}), f"{param}={value}") for value in values]
-    return [run_single(cfg, data, name=name) for cfg, name in runs]
+    if param not in RunConfig.field_names():
+        raise ConfigError(f"unknown sweep parameter {param!r}")
+    # every value is validated before the first run trains
+    configs = [base.replace(**{param: value}) for value in values]
+    return [run_single(cfg, data, name=f"{param}={value}") for cfg, value in zip(configs, values)]
 
 
 def results_table(results: list[RunResult]) -> str:

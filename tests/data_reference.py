@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cfalign.data import _RETRIES, Dataset, Split, SynthSpec
+from cfalign.data import _RETRIES, Dataset, Split, SynthSpec, default_palette
 from cfalign.errors import GenerationError
 
 
@@ -35,7 +35,7 @@ def voronoi_labels(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def paint(labels: np.ndarray, spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    base = spec.palette()[labels]  # (h, w, channels)
+    base = default_palette(spec.classes, spec.channels)[labels]  # (h, w, channels)
     noisy = base + rng.normal(0.0, spec.color_std, size=base.shape)
     return noisy.transpose(2, 0, 1)
 
@@ -44,8 +44,6 @@ def generate_split(
     spec: SynthSpec, rng: np.random.Generator, count: int, domain: str
 ) -> tuple[Split, int]:
     """One split and the number of attempts it took."""
-    scale = spec.scale_vector().reshape(-1, 1, 1)
-    offset = spec.offset_vector().reshape(-1, 1, 1)
     for attempt in range(1, _RETRIES + 1):
         images = np.empty((count, spec.channels, spec.height, spec.width))
         labels = np.empty((count, spec.height, spec.width), dtype=np.int64)
@@ -53,7 +51,7 @@ def generate_split(
             lab = voronoi_labels(spec, rng)
             img = paint(lab, spec, rng)
             if domain == "target":
-                img = scale * img + offset
+                img = spec.shift_scale * img + spec.shift_offset
                 if spec.target_noise > 0:
                     img = img + rng.normal(0.0, spec.target_noise, size=img.shape)
             images[i] = img

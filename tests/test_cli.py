@@ -15,6 +15,7 @@ from cfalign import cli
 from cfalign.config import BLOCK, RunConfig
 from cfalign.checkpoint import load_checkpoint
 from cfalign.cli import main
+from cfalign.data import SynthSpec
 from cfalign.tensor import read_container, write_container
 
 TINY_DATA_FLAGS = [
@@ -94,9 +95,18 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_removed_class_means_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"class_means": None}))
+        out = tmp_path / "x"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "unknown config keys: ['class_means']" in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
-        "doc", [{"height": "x"}, {"shift_scale": "x"}, {"class_means": [["x"]]}, {"regions": 1.5}]
+        "doc", [{"height": "x"}, {"shift_scale": "x"}, {"shift_offset": [0.7]}, {"regions": 1.5}]
     )
     def test_wrong_typed_config_file_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "c.json"
@@ -108,12 +118,14 @@ class TestGenData:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"color_std": float("inf")}, {"shift_offset": [0.0, float("nan"), 0.0]},
-         {"class_means": [[0.5, 0.5, float("nan")]] * 5}],
+        [{"color_std": float("inf")}, {"shift_offset": float("nan")}, {"shift_scale": float("-inf")},
+         {"target_noise": 10**400}],
     )
     def test_non_finite_config_file_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(doc))  # json writes Infinity / NaN, and reads them back
+        # json writes Infinity / NaN, and reads them back; an integer too
+        # large for a float is read as an int
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "x"
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -267,13 +279,14 @@ class TestTrain:
             main(argv + [flag, "1"])
         assert exc.value.code == 2 and flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep", "gen-data"])
     def test_every_run_config_field_has_a_flag(self, capsys, command):
+        cls = SynthSpec if command == "gen-data" else RunConfig
         with pytest.raises(SystemExit):
             main([command, "--help"])
         flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-        missing = [name for name in RunConfig.field_names() if "--" + name.replace("_", "-") not in flags]
-        assert not missing, f"RunConfig fields without a {command} flag: {missing}"
+        missing = [name for name in cls.field_names() if "--" + name.replace("_", "-") not in flags]
+        assert not missing, f"{cls.__name__} fields without a {command} flag: {missing}"
 
     def test_style_net_flag_is_gone(self, dataset_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -298,14 +311,6 @@ class TestTrain:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and needle in err
-
-    def test_class_means_has_no_flag(self, tmp_path, capsys):
-        # a list field is set from a --config file only
-        with pytest.raises(SystemExit) as exc:
-            main(["gen-data", "--out", str(tmp_path / "x"), "--class-means", "1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "--class-means" in err
 
     # each size needs more than the 128 PiB a 57-bit address space can map,
     # so the first allocation fails on any machine without touching memory
@@ -336,8 +341,12 @@ class TestTrain:
             ["train", "--hidden-dim", str(10**18), "--feature-dim", "1"],
             ["train", "--batch-source", str(10**20)],
             ["gen-data", "--height", str(10**11), "--width", str(10**11)],
+            ["gen-data", "--classes", str(10**19)],
+            ["gen-data", "--regions", str(10**19), "--height", "2", "--width", "2",
+             "--train-images", "1", "--eval-images", "1"],
         ],
-        ids=["hidden_dim", "hidden_dim_bytes", "input_weight", "batch_source", "image_size"],
+        ids=["hidden_dim", "hidden_dim_bytes", "input_weight", "batch_source", "image_size",
+             "classes", "regions"],
     )
     def test_size_beyond_index_range_is_one_line(self, dataset_dir, tmp_path, capsys, argv):
         out = tmp_path / "x"
@@ -408,6 +417,27 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")] + TINY_RUN_FLAGS) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "height must be an integer" in err
+
+    def test_spec_with_removed_class_means_trains(self, dataset_dir, tmp_path):
+        # every split header written before class_means was removed holds it
+        def add_class_means(header, arrays):
+            header["spec"]["class_means"] = None
+
+        data = copy_dataset(dataset_dir, tmp_path / "data", add_class_means)
+        for source, out in ((dataset_dir, tmp_path / "a"), (data, tmp_path / "b")):
+            assert main(["train", "--data", str(source), "--out", str(out)] + TINY_RUN_FLAGS) == 0
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
+
+    def test_spec_with_list_shift_exits_2(self, dataset_dir, tmp_path, capsys):
+        def listify_shift(header, arrays):
+            header["spec"]["shift_scale"] = [2.2, 2.2, 2.2]
+
+        data = copy_dataset(dataset_dir, tmp_path / "data", listify_shift)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out)] + TINY_RUN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "shift_scale must be a number, got list" in err
+        assert not out.exists()
 
 
 class TestSplitContents:

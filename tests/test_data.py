@@ -90,11 +90,6 @@ class TestGeneration:
         t_var = data.target_train.images.var(axis=(0, 2, 3))
         np.testing.assert_allclose(t_var / s_var, 4.0, rtol=0.2)
 
-    def test_per_channel_shift_vectors(self):
-        spec = tiny_spec(shift_scale=[1.0, 2.0, 0.5], shift_offset=[0.0, 1.0, -1.0])
-        assert spec.scale_vector().tolist() == [1.0, 2.0, 0.5]
-        assert spec.offset_vector().tolist() == [0.0, 1.0, -1.0]
-
     def test_impossible_coverage_raises(self):
         # one region per image and one image: 5 classes cannot all appear;
         # the message is the per-image loop's, word for word
@@ -111,8 +106,8 @@ class TestGeneration:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
             SynthSpec(classes=1).validate()
-        with pytest.raises(ConfigError):
-            SynthSpec(class_means=[[0.1, 0.2]]).validate()
+        with pytest.raises(ConfigError, match="shift_scale must be positive"):
+            SynthSpec(shift_scale=0.0).validate()
 
 
 class TestMatchesReference:
@@ -120,18 +115,14 @@ class TestMatchesReference:
     `tests/data_reference.py`: the same bytes and dtypes, the same split
     files, or the same GenerationError."""
 
-    @staticmethod
-    def variants(channels):
-        """Spec fields beyond the geometry, one set per split-size case."""
-        ramp = [0.5 + j for j in range(channels)]
-        means = [[-0.0] * channels, [0.25 * (j + 1) for j in range(channels)]]
-        return [
-            {},
-            dict(target_noise=0.0),
-            dict(class_means=means, color_std=0.0),  # a -0.0 mean keeps its sign
-            dict(shift_scale=ramp, shift_offset=[-r for r in ramp]),
-            dict(class_means=means, shift_scale=ramp, shift_offset=[0.3], target_noise=0.0),
-        ]
+    # spec fields beyond the geometry, one set per split-size case
+    VARIANTS = [
+        {},
+        dict(target_noise=0.0),
+        dict(color_std=0.0),
+        dict(shift_scale=0.5, shift_offset=-1.5),
+        dict(shift_scale=3, shift_offset=-0.0, color_std=0.0, target_noise=0.0),
+    ]
 
     @staticmethod
     def assert_same(spec, tmp_path):
@@ -163,7 +154,7 @@ class TestMatchesReference:
         # first case, where one region cannot cover two classes
         sizes = [(1, 1), (chunk - 1, 2 * chunk + 3), (chunk, chunk + 1), (chunk + 1, chunk),
                  (2 * chunk + 3, chunk - 1)]
-        for case, ((train, evals), extra) in enumerate(zip(sizes, self.variants(channels))):
+        for case, ((train, evals), extra) in enumerate(zip(sizes, self.VARIANTS)):
             spec = SynthSpec(height=height, width=width, channels=channels, classes=2,
                              regions=regions, train_images=train, eval_images=evals,
                              seed=case % 3, **extra)
@@ -371,10 +362,10 @@ class TestSynthSpecTypes:
             dict(seed=None),
             dict(color_std="0.1"),
             dict(shift_scale="x"),
-            dict(shift_scale=[1.0, "x", 2.0]),
+            dict(shift_scale=[2.0]),
             dict(shift_offset=None),
-            dict(shift_offset=[[0.1, 0.2, 0.3]]),
-            dict(class_means=3),
+            dict(shift_offset=[0.7]),
+            dict(target_noise=[0.1]),
         ],
     )
     def test_wrong_types_rejected(self, overrides):
@@ -383,27 +374,23 @@ class TestSynthSpecTypes:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(shift_scale=[1.0, 2.0]), dict(shift_offset=[]), dict(class_means=[["x"] * 3] * 5),
-         dict(class_means=[[0.1, 0.2, 0.3], [0.4]])],
+        [dict(shift_scale=[1.0, 2.0, 0.5]), dict(shift_offset=[0.0, 1.0, -1.0]), dict(shift_scale=[2]),
+         dict(shift_offset=[])],
     )
     def test_malformed_lists_rejected(self, overrides):
-        with pytest.raises(ConfigError, match=next(iter(overrides))):
+        # the per-channel and one-entry lists the shift fields once took
+        with pytest.raises(ConfigError, match=f"{next(iter(overrides))} must be a number, got list"):
             tiny_spec(**overrides).validate()
 
     @pytest.mark.parametrize(
         "overrides",
         [dict(color_std=float("inf")), dict(target_noise=float("nan")),
-         dict(shift_scale=float("inf")), dict(shift_offset=[0.0, float("-inf"), 0.0]),
-         dict(class_means=[[0.1, 0.2, 0.3]] * 4 + [[0.1, float("nan"), 0.3]])],
+         dict(shift_scale=float("inf")), dict(shift_offset=float("-inf")),
+         dict(shift_offset=10**400)],
     )
     def test_non_finite_rejected(self, overrides):
         with pytest.raises(ConfigError, match=f"{next(iter(overrides))} must be finite"):
             tiny_spec(**overrides).validate()
-
-    def test_numbers_or_lists_fill_shift_fields(self):
-        spec = tiny_spec(shift_scale=[1, 2.0, 3], shift_offset=0, color_std=1).validate()
-        np.testing.assert_array_equal(spec.scale_vector(), [1.0, 2.0, 3.0])
-        assert tiny_spec(shift_scale=[2]).validate().scale_vector().tolist() == [2.0] * 3
 
 
 class TestRunConfig:

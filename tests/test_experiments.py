@@ -13,8 +13,8 @@ from cfalign.experiments import (
     results_table,
     results_to_json,
     run_ablation,
-    run_sensitivity,
     run_single,
+    run_sweep,
     save_results,
 )
 
@@ -61,28 +61,25 @@ class TestAblation:
 
 class TestSensitivity:
     def test_singleton_grid_equals_plain_run(self, tiny_data, base_config):
-        results = run_sensitivity(base_config, tiny_data, {"tau": [0.05]})
+        results = run_sweep(base_config, tiny_data, "tau", [0.05])
         assert len(results) == 1
         plain = run_single(base_config.replace(tau=0.05), tiny_data)
         assert results[0].miou == plain.miou
         assert results[0].record.per_class_iou == plain.record.per_class_iou
 
-    def test_one_run_per_grid_point(self, tiny_data, base_config):
-        grid = {"lambda_contra": [0.1, 0.001], "alpha": [0.5]}
-        results = run_sensitivity(base_config, tiny_data, grid)
-        assert len(results) == 3
-        assert [r.name for r in results] == ["lambda_contra=0.1", "lambda_contra=0.001", "alpha=0.5"]
-        assert results[0].config.lambda_contra == 0.1
-        assert results[2].config.alpha == 0.5
-        assert results[2].config.lambda_contra == base_config.lambda_contra
+    def test_one_run_per_value(self, tiny_data, base_config):
+        results = run_sweep(base_config, tiny_data, "lambda_contra", [0.1, 0.001])
+        assert [r.name for r in results] == ["lambda_contra=0.1", "lambda_contra=0.001"]
+        assert [r.config.lambda_contra for r in results] == [0.1, 0.001]
+        assert all(r.config.replace(lambda_contra=base_config.lambda_contra) == base_config for r in results)
 
     def test_unknown_parameter(self, tiny_data, base_config):
         with pytest.raises(ConfigError):
-            run_sensitivity(base_config, tiny_data, {"not_a_field": [1]})
+            run_sweep(base_config, tiny_data, "not_a_field", [1])
 
     def test_invalid_value_propagates_config_error(self, tiny_data, base_config):
         with pytest.raises(ConfigError):
-            run_sensitivity(base_config, tiny_data, {"tau": [-1.0]})
+            run_sweep(base_config, tiny_data, "tau", [-1.0])
 
 
 class TestReporting:
