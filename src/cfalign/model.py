@@ -17,6 +17,7 @@ from .adain import to_pixels
 from .config import MAX_ELEMENTS, fits
 from .errors import ConfigError, DimensionError
 from .heads import LinearLayer, linear_layer
+from .kernels import argmax
 from .tensor import Tensor, affine, relu, softmax
 
 __all__ = [
@@ -108,11 +109,21 @@ def predict_labels(model: SegModel, images: np.ndarray, features: Tensor | None 
     """Forward-only argmax labels for an image batch (b, c, h, w).
 
     `features`, when given, are the backbone features of `images` computed
-    already; the backbone then does not run again. Each label is the argmax
-    of the pixel's logits, the lowest index on ties: the argmax of its
-    probabilities, except where rounding ties two probabilities.
+    already, of shape (feature_dim, b*h*w); the backbone then does not run
+    again. Each label is the argmax of the pixel's logits, the lowest index
+    on ties, by `kernels.argmax`'s scan over the class rows: the argmax of
+    its probabilities, except where rounding ties two probabilities.
+    Raises DimensionError, before any forward work, when `images` is not
+    4-d or `features` does not match it.
     """
+    if images.ndim != 4:
+        raise DimensionError(f"predict_labels needs a (b, c, h, w) image batch, got shape {images.shape}")
     b, _, h, w = images.shape
     if features is None:
         features = model_features(model, Tensor(to_pixels(images)))
-    return model_logits(model, features).data.argmax(axis=0).reshape(b, h, w)
+    elif features.data.shape != (model.feature_dim, b * h * w):
+        raise DimensionError(
+            f"predict_labels needs ({model.feature_dim}, {b * h * w}) features for images of shape "
+            f"{images.shape}, got {features.data.shape}"
+        )
+    return argmax(model_logits(model, features).data).reshape(b, h, w)

@@ -1,5 +1,6 @@
 """IOU computation against a set-based oracle, plus end-to-end evaluation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from cfalign.adain import to_pixels
 from cfalign.config import BLOCK, RunConfig
 from cfalign.data import Split, SynthSpec, generate_dataset
-from cfalign.errors import ContractError, DivergenceError
+from cfalign.errors import ContractError, DimensionError, DivergenceError
 import cfalign.evaluate as evaluate_module
 from cfalign.evaluate import EvalRecord, evaluate, eval_to_json, iou_from_confusion
 from cfalign.kernels import confusion
 from cfalign.membank import assign_pseudo_labels, pseudo_label_accuracy
 import cfalign.model as model_module
-from cfalign.model import model_features, model_probs, predict_labels
+from cfalign.model import model_features, model_logits, model_probs, predict_labels
 from cfalign.tensor import Tensor
 from cfalign.train import init_state, train
 
@@ -189,6 +190,30 @@ class TestPredictLabels:
         )
 
 
+    @pytest.mark.parametrize(
+        "images, features, shapes",
+        [
+            ((2, 3, 4, 4), (8, 10), [r"\(8, 32\)", r"\(2, 3, 4, 4\)", r"\(8, 10\)"]),
+            ((2, 3, 4, 4), (5, 32), [r"\(8, 32\)", r"\(5, 32\)"]),
+            ((3, 4, 4), None, [r"\(3, 4, 4\)"]),
+            ((3, 4, 4), (8, 16), [r"\(3, 4, 4\)"]),
+        ],
+        ids=["pixel-count", "feature-width", "3d-images", "3d-images-with-features"],
+    )
+    def test_mismatched_inputs(self, tiny_setup, monkeypatch, images, features, shapes):
+        # a one-line DimensionError naming the shapes, before any forward work
+        _, _, state = tiny_setup
+        for name in ("model_features", "model_logits"):
+            monkeypatch.setattr(model_module, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        features = None if features is None else Tensor(np.zeros(features))
+        with pytest.raises(DimensionError) as info:
+            predict_labels(state.model, np.zeros(images), features=features)
+        message = str(info.value)
+        assert "\n" not in message
+        for shape in shapes:
+            assert re.search(shape, message), (shape, message)
+
+
 def reference_eval(state, split):
     """One backbone pass, probabilities and pseudo-labels over the whole
     split at once, as `evaluate` runs each block."""
@@ -258,6 +283,15 @@ class TestBlockedPass:
         np.testing.assert_array_equal(
             predict_labels(state.model, split.images), want_preds.reshape(b, h, w)
         )
+
+    def test_labels_are_numpy_argmax_of_logits(self, trained):
+        # on every fixture shape, 7 x 9 images among them, where a block holds
+        # 130 images and the split 131: the row scan gives numpy's labels
+        state, split = trained
+        feats = model_features(state.model, Tensor(to_pixels(split.images)))
+        want = model_logits(state.model, feats).data.argmax(axis=0)
+        b, _, h, w = split.images.shape
+        np.testing.assert_array_equal(predict_labels(state.model, split.images), want.reshape(b, h, w))
 
     def test_narrow_layer_runs_in_blocks(self, monkeypatch):
         # a 16 -> 1 layer takes numpy's matrix-vector path, and on 15 x 15

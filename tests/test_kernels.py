@@ -220,6 +220,73 @@ class TestRowKernels:
                 kernels.log_softmax(z, np.empty(z.shape))
 
 
+class TestArgmax:
+    """`kernels.argmax` against numpy's ``argmax(axis=0)``, element for
+    element and in dtype."""
+
+    @staticmethod
+    def check(z):
+        got, want = kernels.argmax(z), z.argmax(axis=0)
+        assert got.dtype == np.intp, got.dtype
+        assert np.array_equal(got, want), z.shape
+
+    @staticmethod
+    def special(rng, k, n):
+        """(k, n) small integers, so ties are common, with ±0.0, ±inf and
+        NaN scattered over every row, row 0 included."""
+        z = rng.integers(-2, 3, size=(k, n)).astype(float)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        hit = rng.random((k, n)) < 0.1
+        z[hit] = rng.choice(values, size=int(hit.sum()))
+        return z
+
+    def test_random_ties_and_specials(self):
+        rng = np.random.default_rng(20)
+        for k in (1, 2, 5, 256, 257):
+            for n in (0, 1, 37, 1024, 8192 + 3):
+                self.check(rng.integers(-2, 3, size=(k, n)).astype(float))
+                self.check(self.special(rng, k, n))
+                self.check(rng.normal(size=(k, n)))
+
+    def test_index_past_one_byte(self):
+        # k = 257 needs a uint16 running index: the largest entry is in row 256
+        z = np.zeros((257, 3))
+        z[256, 0], z[255, 1], z[128, 2] = 1.0, 1.0, 1.0
+        np.testing.assert_array_equal(kernels.argmax(z), [256, 255, 128])
+        self.check(z)
+
+    def test_named_columns(self):
+        # ties, signed zeros, infinities, and NaN in row 0 and in later rows,
+        # where the first NaN wins even after a larger or infinite entry
+        z = np.array(
+            [
+                [1.0, -0.0, 0.0, -np.inf, np.nan, 2.0, 1.0, np.inf, -np.inf],
+                [1.0, 0.0, -0.0, -np.inf, 3.0, np.nan, np.inf, np.nan, np.nan],
+                [0.0, 0.0, 1.0, -np.inf, np.nan, np.nan, np.nan, 1.0, np.inf],
+            ]
+        )
+        np.testing.assert_array_equal(kernels.argmax(z), [0, 0, 2, 0, 0, 1, 2, 1, 1])
+        self.check(z)
+
+    def test_views_and_dtypes(self):
+        rng = np.random.default_rng(21)
+        a = self.special(rng, 5, 301)
+        ints = rng.integers(-3, 4, size=(6, 500))
+        for z in (a[:, ::2], a[::-1], self.special(rng, 301, 5).T, a[:, :0], a.astype(np.float32), ints):
+            self.check(z)
+
+    def test_nan_raises_nothing_under_raise(self):
+        z = np.array([[np.nan, 1.0, 0.0], [2.0, np.nan, -np.inf]])
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(kernels.argmax(z), [0, 1, 0])
+
+    def test_shape_validation(self):
+        for z in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(DimensionError, match=r"^argmax needs a \(k, n\) array with k >= 1, got shape") as info:
+                kernels.argmax(z)
+            assert "\n" not in str(info.value)
+
+
 class TestLabelSums:
     def test_against_loop(self, backend):
         rng = np.random.default_rng(11)
