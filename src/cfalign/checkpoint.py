@@ -16,7 +16,6 @@ import numpy as np
 from .adain import ChannelStats
 from .config import RunConfig
 from .errors import ContractError
-from .heads import head_parameters
 from .tensor import read_container, write_container
 from .train import TrainState, init_state
 
@@ -30,48 +29,48 @@ CHECKPOINT_VERSION = 3
 _HEAD_TENSORS = ("head.0.weight", "head.0.bias", "head.1.gamma", "head.1.beta", "head.3.weight", "head.3.bias")
 
 
-def _state_arrays(state: TrainState) -> list[tuple[str, np.ndarray]]:
-    """Name every array a run owns, in a fixed order shared by save and load."""
-    entries: list[tuple[str, np.ndarray]] = []
-    for name, layer in (
-        ("enc1", state.model.enc1),
-        ("enc2", state.model.enc2),
-        ("classifier", state.model.classifier),
-    ):
-        entries.append((f"model.{name}.weight", layer.weight.data))
-        entries.append((f"model.{name}.bias", layer.bias.data))
-    entries += [(name, p.data) for name, p in zip(_HEAD_TENSORS, head_parameters(state.head))]
-    for part in ("v_source", "v_target", "init_source", "init_target"):
-        entries.append((f"bank.{part}", getattr(state.bank, part)))
-    if state.style is not None:
-        mean, var = state.style.as_arrays()
-        entries.append(("style.stats_mean", mean))
-        entries.append(("style.stats_var", var))
-    return entries
-
-
-def _expected_shapes(config: RunConfig, classes: int, channels: int) -> dict[str, tuple[int, ...]]:
-    """The names and shapes `_state_arrays` gives for this config, without allocating."""
-    hidden, feat = config.hidden_dim, config.feature_dim
-    linears = [
-        ("model.enc1", channels, hidden),
-        ("model.enc2", hidden, feat),
-        ("model.classifier", feat, classes),
-    ]
-    shapes: dict[str, tuple[int, ...]] = {}
-    for name, d_in, d_out in linears:
-        shapes[f"{name}.weight"] = (d_in, d_out)
-        shapes[f"{name}.bias"] = (d_out,)
-    width = feat
+def _layout(config: RunConfig, classes: int, channels: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor name a checkpoint of this config holds, in file order,
+    with its shape; allocates nothing."""
+    feat, dims = config.feature_dim, (channels, config.hidden_dim, config.feature_dim, classes)
+    layout: dict[str, tuple[int, ...]] = {}
+    for name, d_in, d_out in zip(("model.enc1", "model.enc2", "model.classifier"), dims, dims[1:]):
+        layout.update({f"{name}.weight": (d_in, d_out), f"{name}.bias": (d_out,)})
     if config.head != "none":
-        shapes.update(zip(_HEAD_TENSORS, [(feat, feat), (feat,), (feat,), (feat,), (feat, feat), (feat,)]))
-        width = 2 * feat
-    for side in ("source", "target"):
-        shapes[f"bank.v_{side}"] = (classes, width)
-        shapes[f"bank.init_{side}"] = (classes,)
+        layout.update(zip(_HEAD_TENSORS, [(feat, feat), (feat,), (feat,), (feat,), (feat, feat), (feat,)]))
+    width = feat * (1 if config.head == "none" else 2)
+    layout.update({"bank.v_source": (classes, width), "bank.v_target": (classes, width)})
+    layout.update({"bank.init_source": (classes,), "bank.init_target": (classes,)})
     if config.style_transfer:
-        shapes["style.stats_mean"] = shapes["style.stats_var"] = (channels,)
-    return shapes
+        layout["style.stats_mean"] = layout["style.stats_var"] = (channels,)
+    return layout
+
+
+def _check_arrays(arrays: dict[str, np.ndarray], layout: dict[str, tuple[int, ...]]) -> None:
+    """Raise ContractError at the first array not of its layout shape, or bank flags other than 0/1."""
+    for name, array in arrays.items():
+        if array.shape != layout[name]:
+            raise ContractError(f"tensor {name} has shape {array.shape}, expected {layout[name]}")
+        if ".init_" in name and not np.all((array == 0) | (array == 1)):
+            raise ContractError(f"bank flags {name} hold values other than 0 and 1")
+
+
+def _state_arrays(state: TrainState) -> dict[str, np.ndarray]:
+    """Every array a run owns, named by its config's `_layout`. A state that
+    layout does not describe raises ContractError naming the mismatch."""
+    bank, style, config = state.bank, state.style, state.config
+    arrays = [p.data for p in state.parameters()]
+    arrays += [bank.v_source, bank.v_target, bank.init_source, bank.init_target]
+    arrays += () if style is None else style.as_arrays()
+    layout = _layout(config, state.classes, state.channels)
+    if len(arrays) != len(layout):
+        raise ContractError(
+            f"state has {len(arrays)} arrays (style statistics {'unset' if style is None else 'set'}), "
+            f"but head {config.head!r} with style_transfer={config.style_transfer} lays out {len(layout)}"
+        )
+    named = dict(zip(layout, arrays))
+    _check_arrays(named, layout)
+    return named
 
 
 def save_checkpoint(state: TrainState, path: str | Path) -> None:
@@ -82,17 +81,18 @@ def save_checkpoint(state: TrainState, path: str | Path) -> None:
         "classes": state.classes,
         "channels": state.channels,
     }
-    write_container(path, header, dict(_state_arrays(state)))
+    write_container(path, header, _state_arrays(state))
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
     """Rebuild a TrainState from a checkpoint file.
 
-    Every stored name and shape is checked against the config echo first;
-    only then is the state constructed from it (so shapes and layer kinds
-    match by design) and every stored array replaces the fresh one. A
-    malformed file, another version, mismatched names or shapes, or bank
-    flags other than 0/1 raise ContractError.
+    Every stored name and shape is checked against the config echo's
+    `_layout` first; only then is the state constructed from it (so shapes
+    and layer kinds match by design) and every stored array replaces the
+    fresh one. A malformed file, another version, mismatched names or
+    shapes, or bank flags other than 0/1 raise ContractError; a config echo
+    that fails `RunConfig` validation raises ConfigError.
     """
     header, stored = read_container(path, CHECKPOINT_FORMAT)
     if header.get("version") != CHECKPOINT_VERSION:
@@ -105,20 +105,16 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise ContractError(f"{path} header needs a config object and integer classes and channels")
     config = RunConfig.from_mapping(config)
     # every shape is checked before init_state allocates what the config echo asks for
-    expected = _expected_shapes(config, classes, channels)
-    if set(stored) != set(expected):
-        missing = sorted(set(expected) - set(stored))
-        extra = sorted(set(stored) - set(expected))
+    layout = _layout(config, classes, channels)
+    if set(stored) != set(layout):
+        missing = sorted(set(layout) - set(stored))
+        extra = sorted(set(stored) - set(layout))
         raise ContractError(f"checkpoint tensor set mismatch: missing {missing}, unexpected {extra}")
-    for name, array in stored.items():
-        if array.shape != expected[name]:
-            raise ContractError(f"tensor {name} has shape {array.shape}, expected {expected[name]}")
-        if ".init_" in name and not np.all((array == 0) | (array == 1)):
-            raise ContractError(f"bank flags {name} hold values other than 0 and 1")
+    _check_arrays(stored, layout)
     state = init_state(config, classes, channels)
     if config.style_transfer:
         state.style = ChannelStats(mean=np.zeros(channels), var=np.ones(channels))
-    targets = dict(_state_arrays(state))
+    targets = _state_arrays(state)
     for name, array in stored.items():
         targets[name][...] = array  # bool flag rows cast back from their 0/1 float form
     return state

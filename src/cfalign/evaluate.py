@@ -15,7 +15,7 @@ these blocks at a given BLAS thread count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,8 @@ __all__ = ["EvalRecord", "iou_from_confusion", "evaluate", "eval_to_json", "save
 
 @dataclass
 class EvalRecord:
-    """Final quality numbers for one checkpoint on one labeled split."""
+    """Final quality numbers for one checkpoint on one labeled split. With
+    the config echo, the fields are the keys of ``result.json``."""
 
     per_class_iou: list  # float per class, None where the union is empty
     miou: float
@@ -122,16 +123,9 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
 
 
 def eval_to_json(record: EvalRecord, config) -> str:
-    """Render the final-results document; key order is fixed for determinism."""
-    payload = {
-        "per_class_iou": record.per_class_iou,
-        "miou": record.miou,
-        "pseudo_acc": record.pseudo_acc,
-        "pseudo_assigned": record.pseudo_assigned,
-        "pixel_count": record.pixel_count,
-        "config": config.to_dict(),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Render the final-results document: every `EvalRecord` field plus the
+    config echo, keys sorted for determinism."""
+    return json.dumps({**asdict(record), "config": config.to_dict()}, sort_keys=True, indent=2) + "\n"
 
 
 def save_eval_json(record: EvalRecord, config, path: str | Path) -> None:

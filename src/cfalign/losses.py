@@ -35,7 +35,6 @@ from .membank import MemoryBank
 from .tensor import EPS, Tensor, accum, accum_scratch, add, buffer, record, release, scale, transpose
 
 __all__ = [
-    "LossBreakdown",
     "cross_entropy",
     "entropy_loss",
     "entropy_from_logits",
@@ -372,34 +371,14 @@ def contrastive_combined(
     return _nce(stacks, (f_source, f_target), tau, include_positive, normalize)
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Scalar values of the objective's parts for one iteration."""
-
-    ce: float
-    entropy: float
-    contra: float
-    total: float
-
-
 def total_objective(
-    ce: Tensor, entropy, contra, lambda_ent: float, lambda_contra: float
-) -> tuple[Tensor, LossBreakdown]:
-    """Weighted total ``ce + lambda_ent * entropy + lambda_contra * contra``.
-
-    The total stays on the graph as a backward root; a disabled term may be
-    passed as a plain float.
+    ce: Tensor, entropy: Tensor, contra: Tensor, lambda_ent: float, lambda_contra: float
+) -> Tensor:
+    """Weighted total ``ce + lambda_ent * entropy + lambda_contra * contra``,
+    on the graph as a backward root. A disabled term is passed as ``Tensor(0.0)``.
     """
     if lambda_ent < 0 or lambda_contra < 0:
         raise ContractError(
             f"loss weights must be nonnegative, got {lambda_ent} and {lambda_contra}"
         )
-    entropy, contra = (x if isinstance(x, Tensor) else Tensor(float(x)) for x in (entropy, contra))
-    total = add(ce, add(scale(entropy, lambda_ent), scale(contra, lambda_contra)))
-    parts = LossBreakdown(
-        ce=ce.item(),
-        entropy=entropy.item(),
-        contra=contra.item(),
-        total=total.item(),
-    )
-    return total, parts
+    return add(ce, add(scale(entropy, lambda_ent), scale(contra, lambda_contra)))

@@ -20,7 +20,7 @@ holds those columns once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +54,10 @@ __all__ = [
     "save_metrics_csv",
 ]
 
-METRICS_COLUMNS = ("iteration", "ce", "entropy", "contra", "total", "pseudo_acc", "labeled_frac")
-
 
 @dataclass
 class MetricsRecord:
-    """One training iteration's loss values and pseudo-label diagnostics."""
+    """One training iteration's loss values and pseudo-label diagnostics, in ``metrics.csv`` column order."""
 
     iteration: int
     ce: float
@@ -70,12 +68,15 @@ class MetricsRecord:
     labeled_frac: float
 
     def row(self) -> str:
-        values = (self.ce, self.entropy, self.contra, self.total, self.pseudo_acc, self.labeled_frac)
-        return ",".join([str(self.iteration)] + [repr(float(v)) for v in values])
+        # repr keeps full float precision, so equal runs give equal bytes
+        iteration, *values = (getattr(self, name) for name in METRICS_COLUMNS)
+        return ",".join([str(iteration)] + [repr(float(v)) for v in values])
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def metrics_to_csv(records: list[MetricsRecord]) -> str:
-    # repr keeps full float precision, so equal runs give equal bytes
     return "\n".join([",".join(METRICS_COLUMNS)] + [r.row() for r in records]) + "\n"
 
 
@@ -164,8 +165,7 @@ def _step(
     with Graph(pool=pool) as g:
         f_s = model_features(state.model, Tensor(to_pixels(img_s)))
         ce = cross_entropy(model_logits(state.model, f_s), lab_s)
-        ent = 0.0
-        contra = 0.0
+        ent, contra = Tensor(0.0), Tensor(0.0)
         if cfg.entropy or cfg.contrastive:
             f_t = model_features(state.model, Tensor(to_pixels(img_t)))
         if cfg.entropy:
@@ -187,20 +187,19 @@ def _step(
             acc = pseudo_label_accuracy(pseudo, diag_t)
             pseudo_acc = acc.accuracy
             labeled_frac = acc.assigned / pseudo.size
-        total, parts = total_objective(ce, ent, contra, cfg.lambda_ent, cfg.lambda_contra)
-        if not np.isfinite(parts.total):
+        total = total_objective(ce, ent, contra, cfg.lambda_ent, cfg.lambda_contra)
+        record = MetricsRecord(iteration, ce.item(), ent.item(), contra.item(), total.item(), pseudo_acc, labeled_frac)
+        if not np.isfinite(record.total):
             raise DivergenceError(
                 f"total loss is not finite at iteration {iteration}: "
-                f"ce={parts.ce} entropy={parts.entropy} contra={parts.contra}"
+                f"ce={record.ce} entropy={record.entropy} contra={record.contra}"
             )
         backward(total, g)
     for p in params:
         if p.grad is not None:
             p.data -= cfg.learning_rate * p.grad
     zero_grads(params, pool)
-    return MetricsRecord(
-        iteration, parts.ce, parts.entropy, parts.contra, parts.total, pseudo_acc, labeled_frac
-    )
+    return record
 
 
 def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRecord]]:

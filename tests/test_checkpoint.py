@@ -7,7 +7,7 @@ import pytest
 
 from cfalign.adain import ChannelStats
 from cfalign.checkpoint import (
-    _expected_shapes,
+    _layout,
     _state_arrays,
     load_checkpoint,
     save_checkpoint,
@@ -49,8 +49,8 @@ class TestRoundTrip:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
-        got = dict(_state_arrays(loaded))
-        for name, want in _state_arrays(state):
+        got = _state_arrays(loaded)
+        for name, want in _state_arrays(state).items():
             np.testing.assert_array_equal(got[name], want, err_msg=name)
 
     def test_evaluation_identical(self, tiny_data, tmp_path):
@@ -78,7 +78,7 @@ class TestRoundTrip:
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
         fresh = init_state(config, tiny_data.spec.classes, tiny_data.spec.channels)
-        for (name, got), (_, want) in zip(_state_arrays(loaded), _state_arrays(fresh)):
+        for (name, got), (_, want) in zip(_state_arrays(loaded).items(), _state_arrays(fresh).items()):
             np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_bank_flags_survive(self, tiny_data, tmp_path):
@@ -189,8 +189,112 @@ def test_expected_shapes_match_state(head, style_transfer):
     state = init_state(config, 3, 2)
     if style_transfer:
         state.style = ChannelStats(mean=np.zeros(2), var=np.ones(2))
-    got = _expected_shapes(config, 3, 2)
-    assert got == {name: a.shape for name, a in _state_arrays(state)}
+    got = _layout(config, 3, 2)
+    assert got == {name: a.shape for name, a in _state_arrays(state).items()}
+
+
+MODEL_TENSORS = [
+    "model.enc1.weight", "model.enc1.bias", "model.enc2.weight", "model.enc2.bias",
+    "model.classifier.weight", "model.classifier.bias",
+]
+HEAD_TENSORS = ["head.0.weight", "head.0.bias", "head.1.gamma", "head.1.beta", "head.3.weight", "head.3.bias"]
+BANK_TENSORS = ["bank.v_source", "bank.v_target", "bank.init_source", "bank.init_target"]
+STYLE_TENSORS = ["style.stats_mean", "style.stats_var"]
+
+
+def styled_state(head="none", style_transfer=True):
+    state = init_state(RunConfig(head=head, hidden_dim=5, feature_dim=4, style_transfer=style_transfer), 3, 2)
+    if style_transfer:
+        state.style = ChannelStats(mean=np.zeros(2), var=np.ones(2))
+    return state
+
+
+class TestSchema:
+    """The file's tensor names, their order and the arrays they name, pinned as literals."""
+
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    @pytest.mark.parametrize("style_transfer", [False, True])
+    def test_tensor_names_in_file_order(self, tmp_path, head, style_transfer):
+        state = styled_state(head, style_transfer)
+        save_checkpoint(state, tmp_path / "ckpt.bin")
+        header, _ = read_container(tmp_path / "ckpt.bin", "cfalign-checkpoint")
+        want = MODEL_TENSORS + (HEAD_TENSORS if head == "byol" else []) + BANK_TENSORS
+        want += STYLE_TENSORS if style_transfer else []
+        assert header["tensors"] == want
+        assert list(_layout(state.config, 3, 2)) == want
+
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_each_name_is_the_array_it_names(self, head):
+        # a swap of two same-shaped arrays (v_source and v_target) round-trips
+        # unchanged, so only identity catches it
+        state = styled_state(head)
+        model, bank = state.model, state.bank
+        owners = {
+            "model.enc1.weight": model.enc1.weight.data,
+            "model.enc1.bias": model.enc1.bias.data,
+            "model.enc2.weight": model.enc2.weight.data,
+            "model.enc2.bias": model.enc2.bias.data,
+            "model.classifier.weight": model.classifier.weight.data,
+            "model.classifier.bias": model.classifier.bias.data,
+            "bank.v_source": bank.v_source,
+            "bank.v_target": bank.v_target,
+            "bank.init_source": bank.init_source,
+            "bank.init_target": bank.init_target,
+            "style.stats_mean": state.style.mean,
+            "style.stats_var": state.style.var,
+        }
+        if head == "byol":
+            h = state.head
+            owners.update({
+                "head.0.weight": h.fc1.weight.data,
+                "head.0.bias": h.fc1.bias.data,
+                "head.1.gamma": h.gamma.data,
+                "head.1.beta": h.beta.data,
+                "head.3.weight": h.fc2.weight.data,
+                "head.3.bias": h.fc2.bias.data,
+            })
+        arrays = _state_arrays(state)
+        assert set(arrays) == set(owners)
+        for name, array in arrays.items():
+            assert array is owners[name], name
+
+
+class TestSaveRejectsWhatLoadRejects:
+    """A state its own config does not describe raises before the file is opened."""
+
+    def rejected(self, tmp_path, state, match):
+        path = tmp_path / "ckpt.bin"
+        with pytest.raises(ContractError, match=match):
+            save_checkpoint(state, path)
+        assert not path.exists()
+
+    def test_style_transfer_without_style(self, tmp_path):
+        state = init_state(RunConfig(style_transfer=True), 5, 3)
+        self.rejected(tmp_path, state, r"style statistics unset.*style_transfer=True")
+
+    def test_style_without_style_transfer(self, tmp_path):
+        state = styled_state(style_transfer=False)
+        state.style = ChannelStats(mean=np.zeros(2), var=np.ones(2))
+        self.rejected(tmp_path, state, r"style statistics set.*style_transfer=False")
+
+    @pytest.mark.parametrize("field", ["bias", "bank", "style"])
+    def test_shape_against_config_echo(self, tmp_path, field):
+        state = styled_state("byol")
+        if field == "bias":
+            state.model.enc2.bias.data = np.zeros(3)
+            match = r"model.enc2.bias has shape \(3,\), expected \(4,\)"
+        elif field == "bank":
+            state.bank.v_target = np.zeros((3, 4))
+            match = r"bank.v_target has shape \(3, 4\), expected \(3, 8\)"
+        else:
+            state.style = ChannelStats(mean=np.zeros(3), var=np.ones(3))
+            match = r"style.stats_mean has shape \(3,\), expected \(2,\)"
+        self.rejected(tmp_path, state, match)
+
+    def test_head_against_config_echo(self, tmp_path):
+        state = styled_state("byol")
+        state.head = init_state(RunConfig(head="none", hidden_dim=5, feature_dim=4), 3, 2).head
+        self.rejected(tmp_path, state, "head 'byol'")
 
 
 class TestStyleEcho:
@@ -377,7 +481,7 @@ class TestCorruption:
         echo = {**header["config"], "head_hidden_dim": None, "head_out_dim": None, "adain_eps": 1e-8}
         write_container(path, {**header, "config": echo}, arrays)
         loaded = load_checkpoint(path)
-        for name, array in _state_arrays(loaded):
+        for name, array in _state_arrays(loaded).items():
             np.testing.assert_array_equal(array, arrays[name], err_msg=name)
 
     def test_non_default_head_width_exits_2(self, saved, capsys):
@@ -408,6 +512,13 @@ class TestCorruption:
             assert main(["eval", "--checkpoint", str(path), "--data", str(path.parent / "no-data")]) == 2
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and message in err
+
+    def test_config_echo_failing_validation_raises_config_error(self, saved):
+        # the echo is validated as a RunConfig, so its errors are ConfigErrors, not ContractErrors
+        path, header, arrays = saved
+        write_container(path, {**header, "config": {**header["config"], "tau": -1.0}}, arrays)
+        with pytest.raises(ConfigError, match="tau must be positive"):
+            load_checkpoint(path)
 
     def test_huge_extent(self, saved):
         path, _, _ = saved

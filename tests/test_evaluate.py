@@ -148,6 +148,7 @@ class TestEvaluate:
         data, config, state = tiny_setup
         record = evaluate(state, data.target_eval)
         doc = json.loads(eval_to_json(record, config))
+        assert set(doc) == {"config", "miou", "per_class_iou", "pixel_count", "pseudo_acc", "pseudo_assigned"}
         assert doc["miou"] == record.miou
         assert doc["per_class_iou"] == record.per_class_iou
         assert doc["config"]["seed"] == config.seed

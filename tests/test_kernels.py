@@ -13,14 +13,6 @@ from cfalign import kernels
 from cfalign.errors import DimensionError
 
 
-@pytest.fixture(params=["numpy"])
-def backend(request):
-    """The one implementation, under the name get_backend() reports; the
-    parameter keeps each test's id (``test_against_loop[numpy]``) as it was."""
-    assert kernels.get_backend() == request.param
-    return request.param
-
-
 def cols(rows):
     """The (n, k) `rows` as a C-contiguous feature-major (k, n) array."""
     return np.ascontiguousarray(rows.T)
@@ -55,7 +47,7 @@ def nearest_two_loop(features, centers):
 
 
 class TestNearestTwo:
-    def test_against_oracle(self, backend):
+    def test_against_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             n = int(rng.integers(1, 200))
@@ -69,7 +61,7 @@ class TestNearestTwo:
             np.testing.assert_allclose(dmin, odmin, atol=1e-12)
             np.testing.assert_allclose(dsec, odsec, atol=1e-12)
 
-    def test_bitwise_equal_to_scan(self, backend):
+    def test_bitwise_equal_to_scan(self):
         rng = np.random.default_rng(13)
 
         def shapes():
@@ -111,7 +103,7 @@ class TestNearestTwo:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (n, k, d, view)
 
-    def test_distances_are_numpy_column_sums(self, backend):
+    def test_distances_are_numpy_column_sums(self):
         rng = np.random.default_rng(18)
         for d in (1, 7, 8, 9, 16, 300):
             # mixed magnitudes make the summation order visible in the last bits
@@ -121,20 +113,20 @@ class TestNearestTwo:
             dist = np.sort([np.sqrt(((F - c[:, None]) ** 2).sum(axis=0)) for c in centers], axis=0)
             assert np.array_equal(dmin, dist[0]) and np.array_equal(dsec, dist[1]), d
 
-    def test_single_center_second_is_inf(self, backend):
+    def test_single_center_second_is_inf(self):
         idx, dmin, dsec = kernels.nearest_two(np.zeros((2, 3)), np.ones((1, 2)))
         np.testing.assert_array_equal(idx, [0, 0, 0])
         np.testing.assert_allclose(dmin, np.sqrt(2.0))
         assert np.isinf(dsec).all()
 
-    def test_tie_takes_lowest_index(self, backend):
+    def test_tie_takes_lowest_index(self):
         f = np.array([[0.0], [0.0]])
         c = np.array([[1.0, 0.0], [-1.0, 0.0]])
         idx, dmin, dsec = kernels.nearest_two(f, c)
         assert idx[0] == 0
         assert dmin[0] == dsec[0] == 1.0
 
-    def test_no_features(self, backend):
+    def test_no_features(self):
         # d = 0: every distance is the empty sum 0, so center 0 is nearest
         # and a second center is as near
         for k in (1, 3):
@@ -142,7 +134,7 @@ class TestNearestTwo:
             assert idx.tolist() == [0] * 4 and dmin.tolist() == [0.0] * 4
             assert dsec.tolist() == [np.inf if k == 1 else 0.0] * 4
 
-    def test_shape_validation(self, backend):
+    def test_shape_validation(self):
         with pytest.raises(DimensionError):
             kernels.nearest_two(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(DimensionError):
@@ -288,7 +280,7 @@ class TestArgmax:
 
 
 class TestLabelSums:
-    def test_against_loop(self, backend):
+    def test_against_loop(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             n, d, c = int(rng.integers(0, 300)), int(rng.integers(1, 6)), int(rng.integers(1, 9))
@@ -304,7 +296,7 @@ class TestLabelSums:
             np.testing.assert_allclose(sums, ref_sums, atol=1e-12)
             np.testing.assert_array_equal(counts, ref_counts)
 
-    def test_bitwise_equal_to_scatter_add(self, backend):
+    def test_bitwise_equal_to_scatter_add(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             n, d, c = int(rng.integers(0, 400)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -339,16 +331,16 @@ class TestLabelSums:
                 assert counts.tolist() == np.bincount(labels[valid], minlength=c).tolist()
                 assert counts[3] == 0 and (sums[3] == 0).all()
 
-    def test_all_ignored(self, backend):
+    def test_all_ignored(self):
         sums, counts = kernels.label_sums(np.ones((2, 4)), -np.ones(4, dtype=int), 3)
         assert (sums == 0).all() and (counts == 0).all()
 
-    def test_no_features(self, backend):
+    def test_no_features(self):
         sums, counts = kernels.label_sums(np.zeros((0, 4)), np.array([0, 2, -1, 2]), 3)
         assert sums.shape == (3, 0) and sums.dtype == np.float64
         assert counts.tolist() == [1, 0, 2]
 
-    def test_blocks_join_column_wise(self, backend):
+    def test_blocks_join_column_wise(self):
         rng = np.random.default_rng(19)
         f, h = rng.normal(size=(3, 50)), rng.normal(size=(0, 50))
         g = rng.normal(size=(70, 4))[:50].T
@@ -359,13 +351,13 @@ class TestLabelSums:
         with pytest.raises(DimensionError):
             kernels.label_sums((f, np.zeros((2, 49))), labels, 4)
 
-    def test_label_out_of_range(self, backend):
+    def test_label_out_of_range(self):
         with pytest.raises(DimensionError):
             kernels.label_sums(np.ones((2, 2)), np.array([0, 5]), 3)
 
 
 class TestConfusion:
-    def test_against_loop(self, backend):
+    def test_against_loop(self):
         rng = np.random.default_rng(12)
         c = 6
         pred = rng.integers(0, c, size=500)
@@ -377,6 +369,6 @@ class TestConfusion:
         np.testing.assert_array_equal(cm, ref)
         assert cm.sum() == 500
 
-    def test_rejects_out_of_range(self, backend):
+    def test_rejects_out_of_range(self):
         with pytest.raises(DimensionError):
             kernels.confusion(np.array([0, 7]), np.array([0, 1]), 4)

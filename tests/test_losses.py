@@ -8,7 +8,6 @@ import pytest
 
 from cfalign.errors import ContractError, DimensionError
 from cfalign.losses import (
-    LossBreakdown,
     contrastive_combined,
     cross_entropy,
     entropy_from_logits,
@@ -647,30 +646,30 @@ class TestContrastiveMatchesChain:
 
 class TestTotalObjective:
     def test_weighted_sum(self):
-        total, parts = total_objective(Tensor(1.0), Tensor(0.5), Tensor(2.0), 1e-3, 1e-3)
+        total = total_objective(Tensor(1.0), Tensor(0.5), Tensor(2.0), 1e-3, 1e-3)
         np.testing.assert_allclose(total.item(), 1.0 + 0.5e-3 + 2e-3, atol=1e-15)
-        assert parts == LossBreakdown(1.0, 0.5, 2.0, total.item())
 
     def test_zero_weights_reduce_to_ce(self):
-        total, parts = total_objective(Tensor(0.7), Tensor(123.0), Tensor(456.0), 0.0, 0.0)
-        assert total.item() == 0.7 and parts.total == 0.7
+        total = total_objective(Tensor(0.7), Tensor(123.0), Tensor(456.0), 0.0, 0.0)
+        assert total.item() == 0.7
 
     def test_breakdown_identity_invariant(self):
+        # the total is ce + (lambda_ent * entropy + lambda_contra * contra), in that order
         rng = np.random.default_rng(45)
         for _ in range(20):
             ce, ent, con = rng.uniform(0, 5, size=3)
             le, lc = rng.uniform(0, 1, size=2)
-            _, parts = total_objective(Tensor(ce), Tensor(ent), Tensor(con), le, lc)
-            assert abs(parts.total - (parts.ce + le * parts.entropy + lc * parts.contra)) < 1e-12
+            total = total_objective(Tensor(ce), Tensor(ent), Tensor(con), le, lc)
+            assert total.item() == ce + (le * ent + lc * con)
 
     def test_tensor_inputs_stay_differentiable(self):
         x = Tensor([2.0], requires_grad=True)
         with Graph() as g:
             ce = reduce_mean(mul(x, x))
-            total, parts = total_objective(ce, 1.0, 0.0, 0.5, 0.5)
+            total = total_objective(ce, Tensor(1.0), Tensor(0.0), 0.5, 0.5)
             backward(total, g)
         np.testing.assert_allclose(x.grad, [4.0 / 1.0])  # only the ce path touches x
-        assert parts.total == pytest.approx(4.0 + 0.5)
+        assert total.item() == pytest.approx(4.0 + 0.5)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ContractError):

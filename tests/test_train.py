@@ -14,7 +14,7 @@ from cfalign.errors import DivergenceError
 from cfalign.heads import head_parameters
 from cfalign.model import model_parameters
 from cfalign.tensor import ArrayPool
-from cfalign.train import METRICS_COLUMNS, init_state, metrics_to_csv, train
+from cfalign.train import METRICS_COLUMNS, MetricsRecord, init_state, metrics_to_csv, train
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +61,16 @@ class TestMetrics:
         _, records = train(tiny_config(iterations=4), tiny_data)
         text = metrics_to_csv(records)
         lines = text.strip().split("\n")
-        assert lines[0] == ",".join(METRICS_COLUMNS)
+        assert lines[0] == "iteration,ce,entropy,contra,total,pseudo_acc,labeled_frac"
         assert len(lines) == 5
         cells = lines[2].split(",")
         assert int(cells[0]) == 1
         assert float(cells[1]) == records[1].ce  # repr round-trips exactly
+
+    def test_columns_are_the_record_fields(self):
+        record = MetricsRecord(3, 0.5, 0.25, np.float64(1.0), 2.0, np.float64(0.75), 0.125)
+        assert METRICS_COLUMNS == ("iteration", "ce", "entropy", "contra", "total", "pseudo_acc", "labeled_frac")
+        assert record.row() == "3,0.5,0.25,1.0,2.0,0.75,0.125"
 
     def test_diagnostics_in_range(self, tiny_data):
         _, records = train(tiny_config(contrastive=True, iterations=30), tiny_data)
