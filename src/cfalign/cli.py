@@ -76,10 +76,7 @@ def _parse_value(parse: type, text: str):
 def _out_dir(path: Path | None) -> Path | None:
     """Create an output directory before any work, so a bad --out fails first."""
     if path is not None:
-        try:
-            path.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -116,10 +113,7 @@ def _cmd_eval(args) -> int:
     record = evaluate(state, split)
     text = eval_to_json(record, state.config)
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from exc
+        Path(args.out).write_text(text)
     sys.stdout.write(text)
     return 0
 
@@ -255,6 +249,10 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         code = 3
+    except OSError as exc:  # reads raise their own errors: an output cannot be written
+        where = "" if exc.filename is None else f" {exc.filename}"
+        print(f"cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
+        code = 2
     finally:
         if code != 0:
             with contextlib.suppress(OSError):  # stop at one not empty, or not made

@@ -5,8 +5,10 @@ are feature-major, (classes, n) and (d, n), as the model makes them; only
 `info_nce` and `entropy_loss` take one row per pixel. Class centers enter as
 plain numpy constants so no gradient ever flows into the memory bank, and
 pixels labeled ``-1`` are excluded everywhere. InfoNCE is computed through a
-max-shifted log-sum-exp, so temperatures as small as 1e-2 stay finite. Each
-loss records one tape node with a hand-written backward.
+max-shifted log-sum-exp, so temperatures as small as 1e-2 stay finite; a
+positive left out of the denominator enters it as the logit -inf, which adds
+exactly 0 however far it leads. Each loss records one tape node with a
+hand-written backward.
 
 `cross_entropy` and `entropy_from_logits` read the classifier's logits and
 work from their log-softmax (`kernels.log_softmax`), so no probability is
@@ -221,7 +223,7 @@ def _nce(
             # features of such an array pairwise, of a C-contiguous one in
             # turn: made contiguous, every call sums them in turn
             x = np.ascontiguousarray(x)
-            x_safe = np.maximum(np.sqrt(np.maximum((x * x).sum(axis=0), 0.0)), EPS)
+            x_safe = np.maximum(np.sqrt((x * x).sum(axis=0)), EPS)
             f = x / x_safe
             C = C / np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12)
         else:
@@ -231,41 +233,25 @@ def _nce(
         # flat index of each pixel's positive logit, per term
         at = (np.arange(count) * (k * m))[:, None] + (s.pos * m + np.arange(m))
         picked = L.reshape(-1)[at]
+        if not include_positive:  # exp(-inf) = 0, and the shift is the largest other logit
+            L.reshape(-1)[at] = -np.inf
         # the reductions run over each pixel's centers: axis 1
-        if include_positive:
-            keep = None
-            shift = L.max(axis=1)  # constant shift: exact for lse
-            E = np.exp(np.subtract(L, shift[:, None], out=L), out=L)
-            z = E.sum(axis=1)  # >= 1 because the max term contributes exp(0)
-        else:
-            keep = np.ones((k, m))
-            keep[s.pos, np.arange(m)] = 0.0
-            # shift by the largest KEPT logit, not the global max: if the
-            # positive dominates, the exclusive sum would underflow past the
-            # log guard
-            shift = np.where(keep > 0, L, -np.inf).max(axis=1)
-            np.subtract(L, shift[:, None], out=L)
-            # push dropped entries far negative before exp so they cannot
-            # overflow; the keep mask then zeroes any rounding residue
-            cushion = (1.0 - keep) * (np.maximum(L, 0.0) + 1000.0)
-            E = np.exp(L - cushion)
-            z = (E * keep).sum(axis=1)  # >= 1: the kept max contributes exp(0)
-        z_safe = np.maximum(z, EPS)
-        means.append((np.log(z_safe) + shift - picked).mean(axis=1))
-        saved.append((s, C, x, x_safe, keep, E, z_safe, at))
+        shift = L.max(axis=1)  # constant shift: exact for lse
+        E = np.exp(np.subtract(L, shift[:, None], out=L), out=L)
+        z = E.sum(axis=1)  # >= 1 because the max term contributes exp(0)
+        means.append((np.log(z) + shift - picked).mean(axis=1))
+        saved.append((s, C, x, x_safe, E, z, at))
     loss = Tensor(np.concatenate(means).sum(), requires_grad)
 
     def bwd(g):
         # the chain rule of gather, l2-normalise, matmul, scale, shifted exp,
-        # column sum, clamped log and mean
-        for s, C, x, x_safe, keep, E, z_safe, at in saved:
+        # column sum, log and mean; an excluded positive's E is 0, so its
+        # logit's gradient is the pick's alone
+        for s, C, x, x_safe, E, z, at in saved:
             if not s.features.requires_grad:
                 continue
             gm = np.broadcast_to(g, (s.labeled.size,)) / s.labeled.size
-            q = (gm / z_safe)[:, None]
-            if keep is not None:
-                q = q * keep
-            gl = np.multiply(q, E, out=E)
+            gl = np.multiply((gm / z)[:, None], E, out=E)
             gl.reshape(-1)[at] -= gm
             gl *= c
             gf = C.T @ gl.reshape(C.shape[0], -1)  # summed over the T terms
@@ -301,8 +287,8 @@ def info_nce(
     masked-in centers of inner-product similarities divided by `tau`,
     evaluated at y. The positive center appears in the denominator by
     default; ``include_positive=False`` restricts the denominator to the
-    other centers, which needs at least two masked-in centers and can push
-    the loss below zero.
+    other centers by giving the positive a logit of -inf there. That needs
+    at least two masked-in centers and can push the loss below zero.
 
     Returns (mean loss over labeled rows, labeled row count); with no labeled
     row the loss is a constant 0 and the count is the flag.

@@ -527,6 +527,33 @@ class TestOutPath:
         assert main(argv + ["--out", str(kept)]) == 2
         assert kept.is_dir() and list(kept.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["gen-data"] + TINY_DATA_FLAGS, "source_train.bin"),
+            (["train"] + TINY_RUN_FLAGS, "metrics.csv"),
+            (["ablate"] + TINY_RUN_FLAGS, "results.json"),
+            (["sweep", "--param", "tau", "--values", "0.1"] + TINY_RUN_FLAGS, "results.json"),
+            (["eval"], "result.json"),
+        ],
+        ids=["gen-data", "train", "ablate", "sweep", "eval"],
+    )
+    def test_unwritable_output_file_exits_2(self, dataset_dir, tmp_path, capsys, request, argv, blocked):
+        # a directory stands where the command writes a file
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        if argv[0] == "gen-data":
+            argv = argv + ["--out", str(out)]
+        elif argv[0] == "eval":
+            data, checkpoint = request.getfixturevalue("blocked_run")
+            argv = argv + ["--checkpoint", str(checkpoint), "--data", str(data), "--out", str(out / blocked)]
+        else:
+            argv = argv + ["--data", str(dataset_dir), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"cannot write {out / blocked}: " in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_eval_matches_train_result(self, dataset_dir, tmp_path, capsys):

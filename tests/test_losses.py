@@ -28,7 +28,9 @@ from chain_ops import (
 
 
 def info_nce_oracle(f, labels, centers, mask, tau, include_positive=True):
-    """Row-by-row loop with explicit max shift; no shared code with the implementation."""
+    """Row-by-row loop shifted by the largest similarity in the denominator,
+    so a positive left out of it may lead by any margin; no shared code with
+    the implementation."""
     active = [j for j in range(len(centers)) if mask[j]]
     per_row = []
     for i in range(len(f)):
@@ -36,23 +38,37 @@ def info_nce_oracle(f, labels, centers, mask, tau, include_positive=True):
         if y < 0:
             continue
         sims = {j: float(np.dot(f[i], centers[j])) / tau for j in active}
-        m = max(sims.values())
-        num = math.exp(sims[y] - m)
-        den = sum(math.exp(s - m) for j, s in sims.items() if include_positive or j != y)
-        per_row.append(-math.log(num / den))
+        den = [s for j, s in sims.items() if include_positive or j != y]
+        m = max(den)
+        per_row.append(m + math.log(sum(math.exp(s - m) for s in den)) - sims[y])
     return sum(per_row) / len(per_row)
 
 
-def combined_oracle(f_s, y_s, f_t, y_t, bank, tau):
+def combined_oracle(f_s, y_s, f_t, y_t, bank, tau, include_positive=True):
     total = 0.0
     for f, y in ((f_s, y_s), (f_t, y_t)):
         for centers, mask in ((bank.v_source, bank.init_source), (bank.v_target, bank.init_target)):
-            if mask.sum() == 0:
+            if mask.sum() < (1 if include_positive else 2):
                 continue
             kept = np.array([lab if lab >= 0 and mask[lab] else -1 for lab in y])
             if (kept >= 0).any():
-                total += info_nce_oracle(f, kept, centers, mask, tau)
+                total += info_nce_oracle(f, kept, centers, mask, tau, include_positive)
     return total
+
+
+def dominant_rows(rng, n, tables, tau):
+    """(n, d) unit rows near the unit rows of ``tables[0]``, and their
+    labels: in every table, a row's similarity over `tau` to its own center
+    leads its similarity to each other center by at least 1000."""
+    c, d = tables[0].shape
+    labels = rng.integers(0, c, size=n)
+    f = tables[0][labels] + rng.uniform(-0.05, 0.05, size=(n, d))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    own = np.eye(c, dtype=bool)[labels]
+    for centers in tables:
+        sims = f @ centers.T / tau
+        assert (sims[own] - np.where(own, -np.inf, sims).max(axis=1)).min() >= 1000.0
+    return f, labels
 
 
 def awkward_probs(rng, n, c):
@@ -432,7 +448,7 @@ class TestInfoNCE:
 
 
     @pytest.mark.parametrize(
-        "include_positive, normalize", [(True, False), (False, False), (True, True)]
+        "include_positive, normalize", [(True, False), (False, False), (True, True), (False, True)]
     )
     def test_fused_node_matches_chain_bitwise(self, include_positive, normalize):
         rng = np.random.default_rng(46)
@@ -461,6 +477,33 @@ class TestInfoNCE:
             assert nodes == 3  # the transpose `info_nce` reads its rows through, the fused node, the scale
             assert np.array_equal(got, want)
             assert np.array_equal(got_grad, want_grad)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_dominant_excluded_positive(self, normalize):
+        # each positive leads by at least 1000, far past exp's range, under
+        # the error state a training iteration runs in
+        rng = np.random.default_rng([53, normalize])
+        centers = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+        mask = np.ones(5, dtype=bool)
+        tau = 5e-4
+        feats, labels = dominant_rows(rng, 30, [centers], tau)
+        outs = []
+        with np.errstate(over="raise", invalid="raise"):
+            for fused in (True, False):
+                x = Tensor(feats.copy(), requires_grad=True)
+                with Graph() as g:
+                    if fused:
+                        loss, _ = info_nce(x, labels, centers, mask, tau, False, normalize)
+                    else:
+                        loss = info_nce_chain(x, labels, centers, mask, tau, False, normalize)
+                    backward(scale(loss, 1e-3), g)
+                outs.append((loss.data, x.grad))
+        (got, got_grad), (want, want_grad) = outs
+        assert np.isfinite(got) and np.isfinite(got_grad).all()
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_grad, want_grad)
+        oracle = info_nce_oracle(feats, labels, centers, mask, tau, include_positive=False)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
 
 
 class TestRowArguments:
@@ -642,6 +685,35 @@ class TestContrastiveMatchesChain:
             for a, b in ((got_s, want_s), (got_t, want_t)):
                 assert (a is None) == (b is None)
                 assert a is None or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_dominant_excluded_positive(self, normalize):
+        # each positive leads by at least 1000 in both tables, far past exp's
+        # range, under the error state a training iteration runs in
+        rng = np.random.default_rng([54, normalize])
+        bank = MemoryBank(class_count=4, feature_dim=6)
+        bank.v_source[:] = np.linalg.qr(rng.normal(size=(6, 4)))[0].T
+        target = bank.v_source + rng.uniform(-0.02, 0.02, size=(4, 6))
+        bank.v_target[:] = target / np.linalg.norm(target, axis=1, keepdims=True)
+        bank.init_source[:] = True
+        bank.init_target[:] = True
+        tau = 5e-4
+        f_s, y_s = dominant_rows(rng, 20, [bank.v_source, bank.v_target], tau)
+        f_t, y_t = dominant_rows(rng, 15, [bank.v_source, bank.v_target], tau)
+        outs = []
+        with np.errstate(over="raise", invalid="raise"):
+            for fn in (contrastive_combined, contrastive_chain):
+                x_s, x_t = columns(f_s, requires_grad=True), columns(f_t, requires_grad=True)
+                with Graph() as g:
+                    loss = fn(x_s, y_s, x_t, y_t, bank, tau, include_positive=False, normalize=normalize)
+                    backward(scale(loss, 1e-3), g)
+                outs.append((loss.data, x_s.grad, x_t.grad))
+        (got, got_s, got_t), (want, want_s, want_t) = outs
+        assert np.isfinite(got) and np.isfinite(got_s).all() and np.isfinite(got_t).all()
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_s, want_s) and np.array_equal(got_t, want_t)
+        oracle = combined_oracle(f_s, y_s, f_t, y_t, bank, tau, include_positive=False)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
 
 
 class TestTotalObjective:
