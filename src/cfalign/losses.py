@@ -19,10 +19,14 @@ keeps the probability-row form with its log clamp, and matches its chain bit
 for bit.
 
 The fine alignment's four InfoNCE terms (two feature sets against two center
-tables) are one node too, and `info_nce` is its one-term case. A feature
-set's tables that agree on their initialized rows are stacked into one
-table, so one matmul makes their logits and one matmul their feature
-gradient.
+tables) are one node too, and `info_nce` is its one-term case. Tables that
+agree on their initialized rows are stacked into one table, built once for
+both feature sets, so one matmul makes a feature set's logits against all
+of them and one matmul its feature gradient.
+
+`total_objective` joins the three terms as one more node, evaluated as
+``ce + (lambda_ent * entropy + lambda_contra * contra)``; it matches two
+scales under two adds bit for bit, in value and gradients.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .kernels import log_softmax
 from .membank import MemoryBank
-from .tensor import EPS, Tensor, accum, accum_scratch, add, buffer, record, release, scale, transpose
+from .tensor import EPS, Tensor, accum, accum_scratch, buffer, record, release, transpose
 
 __all__ = [
     "cross_entropy",
@@ -180,24 +184,39 @@ class _Stack:
     agree on which rows are masked in: one InfoNCE term per table."""
 
     features: Tensor
-    labeled: np.ndarray  # pixels with a label >= 0, ascending
-    pos: np.ndarray  # each labeled pixel's label as a position among `active`
-    active: np.ndarray  # masked-in center rows
-    tables: list[np.ndarray]  # each table's masked-in centers, in the order of their terms
+    # the labeled pixels, ascending; a slice when every pixel is labeled, so
+    # gathers and scatters over them are plain copies
+    cols: np.ndarray | slice
+    m: int  # labeled pixels
+    at: np.ndarray  # each term's positive logits, as a (T, m) flat index into the (T, k, m) logits
+    C: np.ndarray  # the T tables' masked-in rows, stacked: (T*k, d)
 
     @classmethod
-    def of(cls, features: Tensor, labels: np.ndarray, mask: np.ndarray) -> "_Stack":
-        labeled = np.flatnonzero(labels >= 0)
-        active = np.flatnonzero(mask)
-        pos_of = np.full(mask.size, -1, dtype=np.int64)
-        pos_of[active] = np.arange(active.size)
-        return cls(features, labeled, pos_of[labels[labeled]], active, [])
+    def of(cls, features: Tensor, labels: np.ndarray, keep: np.ndarray, tables: "_Tables") -> "_Stack | None":
+        """The pixels of `keep` against `tables`, or None when `keep` holds none."""
+        labeled = keep.nonzero()[0]
+        m = labeled.size
+        if m == 0:
+            return None
+        k = tables.C.shape[0] // tables.count
+        # term t's logit of pixel j at its label's row i lies at t*k*m + i*m + j
+        at = (tables.pos_of[labels[labeled]] * m + np.arange(m)) + np.arange(0, tables.count * k * m, k * m)[:, None]
+        return cls(features, slice(None) if m == keep.size else labeled, m, at, tables.C)
 
-    @property
-    def cols(self):
-        """The labeled pixels as an index: a slice when every pixel is
-        labeled, so gathers and scatters over them are plain copies."""
-        return slice(None) if self.labeled.size == self.features.data.shape[1] else self.labeled
+
+@dataclass
+class _Tables:
+    """Center tables with the same masked-in rows, stacked once for every
+    feature set that reads them."""
+
+    mask: np.ndarray
+    pos_of: np.ndarray  # each masked-in row's position among them
+    C: np.ndarray  # the tables' masked-in rows, stacked: (T*k, d)
+    count: int  # T
+
+    @classmethod
+    def of(cls, mask: np.ndarray, tables: list[np.ndarray]) -> "_Tables":
+        return cls(mask, mask.cumsum() - 1, np.concatenate([t[mask] for t in tables]), len(tables))
 
 
 def _nce(
@@ -208,14 +227,15 @@ def _nce(
     The T tables of a stack share its m pixels and k centers, so they are one
     (T*k, d) table: one matmul makes all T terms' logits, laid out as one
     (T, k, m) array, and one matmul takes the feature gradient of all T.
+    The reductions are the ufunc reductions numpy's `max`, `sum` and
+    `mean` run, called directly.
     """
     c = float(1.0 / tau)
-    requires_grad = any(s.features.requires_grad for s in stacks)
+    requires_grad = any([s.features.requires_grad for s in stacks])
     means = []
     saved = []
     for s in stacks:
-        m, k, count = s.labeled.size, s.active.size, len(s.tables)
-        C = np.concatenate(s.tables)
+        m, C = s.m, s.C
         x = s.features.data[:, s.cols]
         if normalize:
             # x is column-major after a gather of some pixels or as
@@ -228,31 +248,29 @@ def _nce(
             C = C / np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12)
         else:
             x_safe, f = None, x
-        L = np.matmul(C, f).reshape(count, k, m)
+        L = np.matmul(C, f).reshape(s.at.shape[0], -1, m)
         L *= c
-        # flat index of each pixel's positive logit, per term
-        at = (np.arange(count) * (k * m))[:, None] + (s.pos * m + np.arange(m))
-        picked = L.reshape(-1)[at]
+        picked = L.reshape(-1)[s.at]
         if not include_positive:  # exp(-inf) = 0, and the shift is the largest other logit
-            L.reshape(-1)[at] = -np.inf
+            L.reshape(-1)[s.at] = -np.inf
         # the reductions run over each pixel's centers: axis 1
-        shift = L.max(axis=1)  # constant shift: exact for lse
+        shift = np.maximum.reduce(L, axis=1)  # constant shift: exact for lse
         E = np.exp(np.subtract(L, shift[:, None], out=L), out=L)
-        z = E.sum(axis=1)  # >= 1 because the max term contributes exp(0)
-        means.append((np.log(z) + shift - picked).mean(axis=1))
-        saved.append((s, C, x, x_safe, E, z, at))
+        z = np.add.reduce(E, axis=1)  # >= 1 because the max term contributes exp(0)
+        means.append(np.add.reduce(np.log(z) + shift - picked, axis=1) / m)
+        saved.append((s, C, x, x_safe, E, z))
     loss = Tensor(np.concatenate(means).sum(), requires_grad)
 
     def bwd(g):
         # the chain rule of gather, l2-normalise, matmul, scale, shifted exp,
         # column sum, log and mean; an excluded positive's E is 0, so its
         # logit's gradient is the pick's alone
-        for s, C, x, x_safe, E, z, at in saved:
+        for s, C, x, x_safe, E, z in saved:
             if not s.features.requires_grad:
                 continue
-            gm = np.broadcast_to(g, (s.labeled.size,)) / s.labeled.size
+            gm = g / s.m
             gl = np.multiply((gm / z)[:, None], E, out=E)
-            gl.reshape(-1)[at] -= gm
+            gl.reshape(-1)[s.at] -= gm
             gl *= c
             gf = C.T @ gl.reshape(C.shape[0], -1)  # summed over the T terms
             if normalize:
@@ -304,15 +322,15 @@ def info_nce(
         raise DimensionError(
             f"center mask must be ({centers.shape[0]},), got {center_mask.shape}"
         )
-    stack = _Stack.of(features, labels, center_mask)
-    if stack.labeled.size == 0:
+    keep = labels >= 0
+    stack = _Stack.of(features, labels, keep, _Tables.of(center_mask, [centers]))
+    if stack is None:
         return Tensor(0.0), 0
-    if not center_mask[labels[stack.labeled]].all():
+    if not center_mask[labels[keep]].all():
         raise ContractError("a label points at a masked-out center")
-    if not include_positive and stack.active.size < 2:
+    if not include_positive and stack.C.shape[0] < 2:
         raise ContractError("excluding the positive needs at least 2 masked-in centers")
-    stack.tables.append(centers[stack.active])
-    return _nce([stack], (features,), tau, include_positive, normalize), stack.labeled.size
+    return _nce([stack], (features,), tau, include_positive, normalize), stack.m
 
 
 def contrastive_combined(
@@ -334,24 +352,25 @@ def contrastive_combined(
     """
     _check_tau(tau)
     needed = 2 if not include_positive else 1
-    tables = [
-        (centers, mask)
-        for centers, mask in ((bank.v_source, bank.init_source), (bank.v_target, bank.init_target))
-        if int(mask.sum()) >= needed
-    ]
+    groups: list[tuple[np.ndarray, list[np.ndarray]]] = []
+    for centers, mask in ((bank.v_source, bank.init_source), (bank.v_target, bank.init_target)):
+        if np.count_nonzero(mask) < needed:
+            continue
+        # tables with the same initialized rows share one stack
+        if groups and (mask == groups[-1][0]).all():
+            groups[-1][1].append(centers)
+        else:
+            groups.append((mask, [centers]))
+    tables = [_Tables.of(mask, centers) for mask, centers in groups]
     stacks: list[_Stack] = []
     for f, y in ((f_source, y_source), (f_target, y_target)):
         y = _check_set(f.data, y, bank.v_source)
-        stack, stack_mask = None, None
-        for centers, mask in tables:
-            # tables with the same initialized rows share one stack
-            if stack is None or not np.array_equal(mask, stack_mask):
-                keep = y >= 0
-                keep[keep] = mask[y[keep]]
-                stack, stack_mask = _Stack.of(f, np.where(keep, y, -1), mask), mask
-                if stack.labeled.size:
-                    stacks.append(stack)
-            stack.tables.append(centers[stack.active])
+        labeled = y >= 0
+        for t in tables:
+            # a -1 label reads row 0 of the mask and is dropped by `labeled`
+            stack = _Stack.of(f, y, labeled & t.mask.take(y, mode="clip"), t)
+            if stack is not None:
+                stacks.append(stack)
     if not stacks:
         return Tensor(0.0)
     return _nce(stacks, (f_source, f_target), tau, include_positive, normalize)
@@ -360,11 +379,26 @@ def contrastive_combined(
 def total_objective(
     ce: Tensor, entropy: Tensor, contra: Tensor, lambda_ent: float, lambda_contra: float
 ) -> Tensor:
-    """Weighted total ``ce + lambda_ent * entropy + lambda_contra * contra``,
-    on the graph as a backward root. A disabled term is passed as ``Tensor(0.0)``.
+    """Weighted total ``ce + (lambda_ent * entropy + lambda_contra * contra)``,
+    evaluated in that order, as one tape node and a backward root. A
+    disabled term is passed as ``Tensor(0.0)``.
+
+    The backward hands `g` to ce and ``g * lambda`` to each weighted term:
+    one accumulation per input, as the chain of two adds and two scales
+    makes.
     """
     if lambda_ent < 0 or lambda_contra < 0:
         raise ContractError(
             f"loss weights must be nonnegative, got {lambda_ent} and {lambda_contra}"
         )
-    return add(ce, add(scale(entropy, lambda_ent), scale(contra, lambda_contra)))
+    le, lc = float(lambda_ent), float(lambda_contra)
+    requires_grad = ce.requires_grad or entropy.requires_grad or contra.requires_grad
+    out = Tensor(ce.data + (entropy.data * le + contra.data * lc), requires_grad)
+
+    def bwd(g):
+        accum(ce, g)
+        accum(entropy, g * le)
+        accum(contra, g * lc)
+
+    record("objective", (ce, entropy, contra), out, bwd)
+    return out

@@ -94,8 +94,7 @@ def class_centers(
     """
     sums, counts = kernels.label_sums(features, labels, num_classes)
     means = np.zeros_like(sums)
-    present = counts > 0
-    means[present] = sums[present] / counts[present, None]
+    np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
     return means, counts
 
 
@@ -106,6 +105,8 @@ def update_bank(
 
     Initialized rows move by ``alpha * V + (1 - alpha) * M``; a row seeing its
     class for the first time takes M exactly. Rows with count 0 are untouched.
+    The blend is computed for every row and copied into the seen rows alone,
+    so no row is gathered or scattered; `rows` may be a column view.
     """
     rows, init = bank.rows(domain)
     if means.shape != rows.shape:
@@ -115,9 +116,9 @@ def update_bank(
     present = counts > 0
     seen = present & init
     fresh = present & ~init
-    rows[seen] = bank.alpha * rows[seen] + (1.0 - bank.alpha) * means[seen]
-    rows[fresh] = means[fresh]
-    init[fresh] = True
+    np.copyto(rows, bank.alpha * rows + (1.0 - bank.alpha) * means, where=seen[:, None])
+    np.copyto(rows, means, where=fresh[:, None])
+    init |= fresh
     return bank
 
 
@@ -147,7 +148,7 @@ def assign_pseudo_labels(
         )
     idx, dmin, dsec = kernels.nearest_two(features.T, bank.v_source[active])
     labels = np.where(dsec - dmin > threshold, active[idx], -1)
-    return labels.astype(np.int64)
+    return labels.astype(np.int64, copy=False)
 
 
 def pseudo_label_accuracy(pseudo: np.ndarray, truth: np.ndarray) -> PseudoAccuracy:

@@ -64,7 +64,6 @@ __all__ = [
     "zero_grads",
     "grad_check",
     "add",
-    "scale",
     "transpose",
     "affine",
     "relu",
@@ -255,17 +254,6 @@ def add(a, b) -> Tensor:
         accum(b, _unbroadcast(g, b.data.shape))
 
     record("add", (a, b), out, bwd)
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(x.data * c, x.requires_grad)
-
-    def bwd(g):
-        accum(x, g * c)
-
-    record("scale", (x,), out, bwd)
     return out
 
 

@@ -20,7 +20,7 @@ holds those columns once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,14 @@ class TrainState:
     head: Head
     bank: MemoryBank  # rows [backbone features | head outputs]; the backbone alone for head "none"
     style: ChannelStats | None = None  # target-train image statistics, when transferring
+    # column views of `bank`, built once: they share its rows and flags
+    _feature_bank: MemoryBank = field(init=False, repr=False, compare=False)
+    _head_bank: MemoryBank = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = self.config.feature_dim
+        self._feature_bank = self.bank.columns(slice(None, d))
+        self._head_bank = self.bank.columns(slice(-d, None))
 
     def parameters(self):
         return model_parameters(self.model) + head_parameters(self.head)
@@ -106,11 +114,11 @@ class TrainState:
 
     def feature_bank(self) -> MemoryBank:
         """The bank's backbone columns, which pseudo-labeling reads."""
-        return self.bank.columns(slice(None, self.config.feature_dim))
+        return self._feature_bank
 
     def head_bank(self) -> MemoryBank:
         """The bank's head-output columns, which the contrastive loss reads."""
-        return self.bank.columns(slice(-self.config.feature_dim, None))
+        return self._head_bank
 
 
 def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
@@ -197,7 +205,8 @@ def _step(
         backward(total, g)
     for p in params:
         if p.grad is not None:
-            p.data -= cfg.learning_rate * p.grad
+            # the gradient is dropped after the step, so it holds lr * g
+            p.data -= np.multiply(p.grad, cfg.learning_rate, out=p.grad)
     zero_grads(params, pool)
     return record
 

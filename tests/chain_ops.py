@@ -16,10 +16,23 @@ from __future__ import annotations
 import numpy as np
 
 from cfalign.errors import ContractError, DimensionError
-from cfalign.tensor import EPS, Tensor, _as_tensor, _unbroadcast, accum, add, record, scale, transpose
+from cfalign.tensor import EPS, Tensor, _as_tensor, _unbroadcast, accum, add, record, transpose
 
 # ---------------------------------------------------------------------------
 # elementwise and linear ops
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    """x * c; `losses.total_objective`'s node is pinned against two of
+    these under two adds."""
+    c = float(c)
+    out = Tensor(x.data * c, x.requires_grad)
+
+    def bwd(g):
+        accum(x, g * c)
+
+    record("scale", (x,), out, bwd)
+    return out
 
 
 def sub(a, b) -> Tensor:

@@ -5,6 +5,7 @@ import pytest
 
 from cfalign.adain import ChannelStats, adain_transfer, channel_stats, to_pixels
 from cfalign.errors import ContractError, DimensionError
+from step_reference import adain_transfer_reference
 
 
 def img(values):
@@ -82,6 +83,22 @@ class TestAdainTransfer:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ContractError):
             adain_transfer(np.zeros((1, 1, 2, 2)), ChannelStats(np.zeros(1), np.ones(1)), eps=0.0)
+
+
+class TestMatchesReference:
+    """`adain_transfer` against the ``np.mean`` / ``np.var`` form of
+    ``tests/step_reference.py``, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 3, 32, 32), (8, 3, 32, 32), (1, 3, 7, 5), (8, 2, 9, 11)])
+    def test_bitwise(self, shape):
+        rng = np.random.default_rng(33)
+        c = shape[1]
+        for _ in range(10):
+            content = rng.normal(rng.normal(size=(1, c, 1, 1)) * 5, rng.uniform(0.1, 3, size=(1, c, 1, 1)), size=shape)
+            content[:, 0] = rng.normal()  # a constant channel
+            style = ChannelStats(mean=rng.normal(size=c), var=rng.uniform(0.05, 4.0, size=c))
+            got = adain_transfer(content, style)
+            assert got.tobytes() == adain_transfer_reference(content, style).tobytes()
 
 
 class TestToPixels:

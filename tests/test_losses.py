@@ -16,7 +16,7 @@ from cfalign.losses import (
     total_objective,
 )
 from cfalign.membank import MemoryBank, assign_pseudo_labels
-from cfalign.tensor import ArrayPool, Graph, Tensor, add, backward, grad_check, scale, softmax, transpose
+from cfalign.tensor import ArrayPool, Graph, Tensor, add, backward, grad_check, softmax, transpose
 from chain_ops import (
     contrastive_chain,
     cross_entropy_chain,
@@ -24,6 +24,7 @@ from chain_ops import (
     info_nce_chain,
     mul,
     reduce_mean,
+    scale,
 )
 
 
@@ -746,3 +747,54 @@ class TestTotalObjective:
     def test_negative_weight_rejected(self):
         with pytest.raises(ContractError):
             total_objective(Tensor(1.0), Tensor(1.0), Tensor(1.0), -0.1, 0.0)
+
+
+def objective_chain(ce, entropy, contra, lambda_ent, lambda_contra):
+    """The chain `total_objective`'s one node replaced: two scales under two adds."""
+    return add(ce, add(scale(entropy, lambda_ent), scale(contra, lambda_contra)))
+
+
+class TestObjectiveMatchesChain:
+    """`total_objective` is one tape node that matches `objective_chain` bit
+    for bit: its value, and each input's gradient under an upstream weight."""
+
+    @staticmethod
+    def run(fn, values, live, lambdas, weight):
+        """(value bytes, each input's gradient bytes or None, tape length)."""
+        inputs = [Tensor(v, requires_grad=r) for v, r in zip(values, live)]
+        with Graph() as g:
+            total = fn(*inputs, *lambdas)
+            backward(scale(total, weight), g)
+        return total.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in inputs], len(g)
+
+    def compare(self, values, live, lambdas, weight):
+        got = self.run(total_objective, values, live, lambdas, weight)
+        want = self.run(objective_chain, values, live, lambdas, weight)
+        assert got[:2] == want[:2]
+        assert got[2] == 2  # the objective node and the upstream scale
+        return got
+
+    def test_random_values_and_weights(self):
+        rng = np.random.default_rng(46)
+        for _ in range(200):
+            values = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=3)
+            lambdas = rng.uniform(0, 2, size=2) * 10.0 ** rng.integers(-4, 1, size=2)
+            self.compare(values, (True, True, True), lambdas, float(rng.normal()))
+
+    @pytest.mark.parametrize("lambdas", [(0.0, 0.0), (0.0, 1e-3), (1e-3, 0.0)])
+    def test_zero_weights(self, lambdas):
+        _, grads, _ = self.compare((0.7, -1.3, 2.9), (True, True, True), lambdas, 1.5)
+        assert [np.frombuffer(b)[0] for b in grads] == [1.5, 1.5 * lambdas[0], 1.5 * lambdas[1]]
+
+    @pytest.mark.parametrize("live", [(True, False, True), (True, True, False), (True, False, False)])
+    def test_disabled_terms_as_constant_zero(self, live):
+        # a disabled term enters as Tensor(0.0) and gets no gradient
+        values = [v if on else 0.0 for v, on in zip((0.7, 0.4, 3.2), live)]
+        _, grads, _ = self.compare(values, live, (1e-3, 1e-3), 1.0)
+        assert [g is None for g in grads] == [not on for on in live]
+
+    @pytest.mark.parametrize("weight", [1.0, -0.0, 0.0, -2.5])
+    def test_negative_zero_inputs(self, weight):
+        for values in ((-0.0, -0.0, -0.0), (0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, 0.0)):
+            for lambdas in ((0.0, 0.0), (1e-3, 0.5)):
+                self.compare(values, (True, True, True), lambdas, weight)

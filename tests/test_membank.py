@@ -1,5 +1,7 @@
 """Memory bank: batch means, momentum updates, and distance-gap pseudo-labels."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cfalign.membank import (
     pseudo_label_accuracy,
     update_bank,
 )
+from step_reference import class_centers_reference, update_bank_reference
 
 
 def assign_oracle(features, centers, init_mask, threshold):
@@ -138,6 +141,47 @@ class TestUpdateBank:
             update_bank(bank, means, counts, "source")
             update_bank(bank, means, counts, "target")
         assert np.isfinite(bank.v_source).all() and np.isfinite(bank.v_target).all()
+
+
+class TestMatchesReference:
+    """`class_centers` and `update_bank` against the gather-and-scatter forms
+    of ``tests/step_reference.py``, bit for bit."""
+
+    def test_class_centers_bitwise(self):
+        rng = np.random.default_rng(31)
+        for n, d, c in [(1, 1, 2), (37, 8, 5), (500, 3, 7), (1024, 16, 5)]:
+            for _ in range(5):
+                f = rng.normal(size=(d, n)) * 10.0 ** rng.integers(-6, 7, size=(1, n))
+                labels = rng.integers(-1, c, size=n)
+                labels[labels == rng.integers(0, c)] = -1  # one class absent
+                got, got_counts = class_centers(f, labels, c)
+                want, want_counts = class_centers_reference(f, labels, c)
+                assert got.tobytes() == want.tobytes()
+                assert got_counts.tobytes() == want_counts.tobytes()
+            unlabeled = -np.ones(n, dtype=np.int64)
+            assert class_centers(f, unlabeled, c)[0].tobytes() == class_centers_reference(f, unlabeled, c)[0].tobytes()
+
+    @pytest.mark.parametrize("view", [False, True], ids=["bank", "columns"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_update_bank_bitwise(self, alpha, view):
+        # rows seen before, seen for the first time and absent from the
+        # batch, updated through the whole bank or a view of its last columns
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            c, d = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            bank = MemoryBank(c, 2 * d, alpha=alpha)
+            for rows, init in (bank.rows("source"), bank.rows("target")):
+                rows[:] = rng.normal(size=rows.shape)
+                init[:] = rng.random(c) < 0.5
+            ref = copy.deepcopy(bank)
+            got, want = (bank.columns(slice(d, None)), ref.columns(slice(d, None))) if view else (bank, ref)
+            for domain in ("source", "target", "source"):
+                means = rng.normal(size=(c, got.feature_dim))
+                counts = rng.integers(0, 3, size=c)
+                update_bank(got, means, counts, domain)
+                update_bank_reference(want, means, counts, domain)
+                for name in ("v_source", "v_target", "init_source", "init_target"):
+                    assert getattr(bank, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 class TestAssignPseudoLabels:

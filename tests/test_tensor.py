@@ -22,7 +22,6 @@ from cfalign.tensor import (
     grad_check,
     read_container,
     relu,
-    scale,
     softmax,
     transpose,
     write_container,
@@ -39,6 +38,7 @@ from chain_ops import (
     pick,
     reduce_mean,
     reduce_sum,
+    scale,
     sqrt,
     take_rows,
 )
