@@ -54,8 +54,9 @@ def adain_transfer(content: np.ndarray, style: ChannelStats, eps: float = 1e-8) 
     with `eps` guarding the division, then scaled by sqrt(style var) and
     shifted to the style mean. A constant channel maps to the style mean.
     The content statistics are summed in the steps numpy's `mean` and
-    `var` take, so they equal `channel_stats`'s bit for bit, and one
-    centered batch serves both the variance and the normalisation.
+    `var` take, so they equal `channel_stats`'s bit for bit; one centered
+    batch serves both the variance and the normalisation, and one output
+    array holds the squares and then the result.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
@@ -70,6 +71,11 @@ def adain_transfer(content: np.ndarray, style: ChannelStats, eps: float = 1e-8) 
     content = np.asarray(content, dtype=np.float64)
     count = b * h * w
     centered = content - np.add.reduce(content, axis=(0, 2, 3), keepdims=True) / count
-    var = np.add.reduce(centered * centered, axis=(0, 2, 3), keepdims=True) / count
+    # one output array holds the squares, then the transferred batch
+    out = np.multiply(centered, centered)
+    var = np.add.reduce(out, axis=(0, 2, 3), keepdims=True) / count
     col = lambda a: a.reshape(1, c, 1, 1)
-    return centered / np.sqrt(var + eps) * np.sqrt(col(s_var)) + col(s_mean)
+    np.divide(centered, np.sqrt(var + eps), out=out)
+    out *= np.sqrt(col(s_var))
+    out += col(s_mean)
+    return out

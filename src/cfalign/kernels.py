@@ -62,10 +62,12 @@ def _i64c(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def log_softmax(z: np.ndarray, out: np.ndarray, entropy: bool = False) -> np.ndarray | None:
+def log_softmax(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, entropy: bool = False) -> np.ndarray | None:
     """Write the log-softmax columns of the (k, n) logits `z`, k >= 1, into
     the (k, n) array `out`: ``z - max - log(sum(exp(z - max)))`` per column.
-    With `entropy`, also return each column's ``sum(p * log p)``.
+    The shifted exponentials go into the (k, n) array `scratch`, whose
+    contents are undefined afterwards. With `entropy`, also return each
+    column's ``sum(p * log p)``.
 
     The shifted exponentials are at most 1 and their sum at least 1, so no
     log is clamped: the column [0, 800] gives log-probabilities -800 and 0
@@ -75,7 +77,7 @@ def log_softmax(z: np.ndarray, out: np.ndarray, entropy: bool = False) -> np.nda
     if z.ndim != 2 or z.shape[0] == 0:
         raise DimensionError(f"log_softmax needs a (k, n) array with k >= 1, got shape {z.shape}")
     np.subtract(z, z.max(axis=0), out=out)
-    e = np.exp(out)
+    e = np.exp(out, out=scratch)
     s = e.sum(axis=0)
     np.subtract(out, np.log(s), out=out)
     if not entropy:

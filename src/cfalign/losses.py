@@ -73,11 +73,14 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     m = labeled.size
     at = labels[labeled] * z.shape[1] + labeled  # flat index of each labeled pixel's label
     logp = buffer(z.shape, logits.requires_grad)
-    log_softmax(z, logp)
+    e = buffer(z.shape)
+    log_softmax(z, logp, e)
+    release(e)
     loss = Tensor(-logp.reshape(-1)[at].mean(), logits.requires_grad)
 
     def bwd(g):
-        # logp's scratch becomes the gradient
+        # logp becomes the gradient, so the node no longer owns it
+        owned.clear()
         gz = np.exp(logp, out=logp)
         gz.reshape(-1)[at] -= 1.0
         gz *= g / m
@@ -85,7 +88,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             gz[:, labels < 0] = 0.0
         accum_scratch(logits, gz)
 
-    record("cross_entropy", (logits,), loss, bwd)
+    owned = [logp]
+    record("cross_entropy", (logits,), loss, bwd, owned)
     return loss
 
 
@@ -139,19 +143,22 @@ def entropy_from_logits(logits: Tensor) -> Tensor:
     c = _entropy_classes(z, "entropy_from_logits", 0)
     n = z.shape[1]
     k = float(-1.0 / np.log(c))
-    logp = buffer(z.shape, logits.requires_grad)
-    plogp = log_softmax(z, logp, entropy=True)  # -H per pixel
+    logp, e = buffer(z.shape, logits.requires_grad), buffer(z.shape, logits.requires_grad)
+    plogp = log_softmax(z, logp, e, entropy=True)  # -H per pixel
     loss = Tensor((plogp * k).mean(), logits.requires_grad)
 
     def bwd(g):
-        gz = np.exp(logp, out=buffer(z.shape))
+        # the exponentials' scratch becomes the gradient, so the node no
+        # longer owns it
+        del owned[1]
+        gz = np.exp(logp, out=e)
         np.subtract(logp, plogp, out=logp)  # log p + H
         gz *= logp
         gz *= g / n * k
-        release(logp)
         accum_scratch(logits, gz)
 
-    record("entropy", (logits,), loss, bwd)
+    owned = [logp, e]
+    record("entropy", (logits,), loss, bwd, owned)
     return loss
 
 
@@ -185,7 +192,8 @@ class _Stack:
 
     features: Tensor
     # the labeled pixels, ascending; a slice when every pixel is labeled, so
-    # gathers and scatters over them are plain copies
+    # the gather is a plain copy and the backward writes the feature
+    # gradient in place, with no scatter
     cols: np.ndarray | slice
     m: int  # labeled pixels
     at: np.ndarray  # each term's positive logits, as a (T, m) flat index into the (T, k, m) logits
@@ -272,17 +280,21 @@ def _nce(
             gl = np.multiply((gm / z)[:, None], E, out=E)
             gl.reshape(-1)[s.at] -= gm
             gl *= c
-            gf = C.T @ gl.reshape(C.shape[0], -1)  # summed over the T terms
+            gx = buffer(s.features.data.shape)
+            every = isinstance(s.cols, slice)
+            # summed over the T terms, straight into gx when every pixel is labeled
+            gf = np.matmul(C.T, gl.reshape(C.shape[0], -1), out=gx if every else None)
             if normalize:
                 # through x / norm, the norm's sqrt and column sum, and
                 # x * x (x enters twice), in the per-op chain's order
                 g_norm = ((-gf * x) / (x_safe * x_safe)).sum(axis=0)
                 t = np.broadcast_to(g_norm * 0.5 / x_safe, x.shape) * x
-                gf = gf / x_safe + t + t
-            gx = buffer(s.features.data.shape)
-            if not isinstance(s.cols, slice):
+                gf /= x_safe
+                gf += t
+                gf += t
+            if not every:
                 gx.fill(0.0)
-            gx[:, s.cols] = gf
+                gx[:, s.cols] = gf
             accum_scratch(s.features, gx)
 
     record("info_nce", inputs, loss, bwd)

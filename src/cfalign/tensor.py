@@ -17,20 +17,26 @@ Buffer contract. A graph may carry an :class:`ArrayPool`; training gives
 each step's graph the one pool of its run. Under a pooled graph, the output
 arrays of the recorded layers (``affine``, ``relu``, ``softmax``,
 ``batch_norm``), every gradient :func:`accum` allocates, the full-size
-log-probabilities the cross-entropy and entropy forwards keep for their
-backwards, and the full-size scratch of the relu, affine and loss backwards
-come from the pool. Such a
-scratch array becomes the input's gradient when it is the first to reach
-that input (:func:`accum_scratch`), instead of being copied into a second
-pool array. :func:`backward` hands a node's output data and gradient back
-as soon as it has passed that node, which it can because every reader of
-them came later on the tape. So inside a pooled graph an intermediate's
-``data`` and ``grad`` are valid only until ``backward`` has passed its
-node; after that the array may hold another tensor's values. The root and
-every leaf (parameters, inputs) are never handed back by ``backward``;
-parameter gradients return through :func:`zero_grads`. Without a pool, or
-with no graph active, every array is fresh and stays valid for as long as
-it is referenced.
+scratch of the batch-norm and loss forwards, and that of the relu, affine,
+batch-norm and loss backwards come from the pool. Scratch a forward keeps
+for its backward (batch norm's centered and normalized rows, the losses'
+log-probabilities) is owned by the node: :func:`record` takes it as the
+node's `scratch`, and :func:`backward` hands it back once it has passed the
+node, whether or not that node's backward ran (it does not when the root
+does not depend on the node), unless that backward passed it on as a
+gradient (cross-entropy's). A backward's own scratch becomes the input's
+gradient when it is the first to reach that input (:func:`accum_scratch`),
+instead of being copied into a second pool array; scratch that is read and
+dropped inside one call goes back through :func:`release`.
+:func:`backward` hands a node's output data and gradient back as soon as it
+has passed that node, which it can because every reader of them came later
+on the tape. So inside a pooled graph an intermediate's ``data`` and
+``grad`` are valid only until ``backward`` has passed its node; after that
+the array may hold another tensor's values. The root and every leaf
+(parameters, inputs) are never handed back by ``backward``; parameter
+gradients return through :func:`zero_grads`. Without a pool, or with no
+graph active, every array is fresh and stays valid for as long as it is
+referenced.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Mapping
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,12 +105,14 @@ class Tensor:
 
 @dataclass
 class Node:
-    """One recorded operation: tag, input tensors, output, and its backward."""
+    """One recorded operation: tag, input tensors, output, its backward, and
+    the pooled scratch it keeps for that backward."""
 
     tag: str
     inputs: tuple[Tensor, ...]
     output: Tensor
     backward: Callable[[np.ndarray], None]
+    scratch: Sequence[np.ndarray] = ()
 
 
 class ArrayPool:
@@ -141,6 +149,11 @@ class ArrayPool:
     def held(self) -> int:
         """Arrays waiting to be lent again."""
         return sum(len(free) for free in self._free.values())
+
+    @property
+    def lent(self) -> int:
+        """Arrays lent and not yet given back."""
+        return len(self._lent)
 
 
 @dataclass
@@ -220,15 +233,22 @@ def accum_scratch(t: Tensor, g: np.ndarray) -> None:
     release(g)
 
 
-def record(tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable) -> None:
+def record(
+    tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable, scratch: Sequence[np.ndarray] = ()
+) -> None:
     """Append a node to the active graph when `out` needs a gradient.
 
     `bwd(out.grad)` must push the input gradients through :func:`accum`;
     every op in this module and the fused ones elsewhere go through here.
+    `scratch` holds the arrays the forward drew by ``buffer(shape,
+    out.requires_grad)`` for `bwd` to read: exactly when the node is
+    recorded they are the pool's, and :func:`backward` hands back those
+    still in it. A `bwd` that passes one on as a gradient removes it from
+    the list it was recorded with.
     """
     g = _active()
     if g is not None and out.requires_grad:
-        g.nodes.append(Node(tag, inputs, out, bwd))
+        g.nodes.append(Node(tag, inputs, out, bwd, scratch))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -351,38 +371,50 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"batch_norm scale/shift must have shape ({d},), got {gamma.data.shape} and {beta.data.shape}"
         )
     g_col, b_col = gamma.data[:, None], beta.data[:, None]
+    requires_grad = x.requires_grad or gamma.requires_grad or beta.requires_grad
     # bitwise `mean(axis=1, keepdims=True)`, which divides the same sum by n
     m = x.data.sum(axis=1, keepdims=True) / n
-    c = x.data - m
-    v = (c * c).sum(axis=1, keepdims=True) / n
+    c = np.subtract(x.data, m, out=buffer(x.data.shape, requires_grad))
+    # one buffer holds c * c, then q = c / safe, which the backward reads
+    q = np.multiply(c, c, out=buffer(x.data.shape, requires_grad))
+    v = q.sum(axis=1, keepdims=True) / n
     safe = np.maximum(np.sqrt(np.maximum(v + eps, 0.0)), EPS)
-    q = c / safe
-    requires_grad = x.requires_grad or gamma.requires_grad or beta.requires_grad
+    np.divide(c, safe, out=q)
     y = np.multiply(g_col, q, out=buffer(x.data.shape, requires_grad))
     y += b_col
     out = Tensor(y, requires_grad)
 
     def bwd(g):
-        # the chain mean, sub, mul, mean, add, sqrt, div, mul, add in reverse;
-        # each of its intermediate gradients started from zeros, so each is
-        # `0.0 + ...` here, which turns a -0.0 into +0.0 where the chain did
-        g = 0.0 + g
-        accum(beta, g.sum(axis=1))
-        accum(gamma, (g * q).sum(axis=1))
+        # the chain mean, sub, mul, mean, add, sqrt, div, mul, add in reverse,
+        # in place on one copy of g and on q. Each of the chain's intermediate
+        # gradients started from zeros, so each is `0.0 + ...`, which turns a
+        # -0.0 into +0.0 where the chain did. Two are left out, on the (d, n)
+        # gradients gq = g * gamma and gq / safe: a zero's sign in them
+        # reaches only gs, which is `0.0 + -sum` and so never -0.0, and x's
+        # gradient, which ends with `+ gm`, also never -0.0. A negation is
+        # taken after its sum or quotient, since sum(-a) == -sum(a) and
+        # (-a) * b / s == -(a * b / s)
+        gc = np.add(g, 0.0, out=buffer(x.data.shape))
+        accum(beta, gc.sum(axis=1))
+        accum(gamma, np.multiply(gc, q, out=q).sum(axis=1))
         if not x.requires_grad:
+            release(gc)
             return
-        gq = 0.0 + g * g_col
-        gc = 0.0 + gq / safe
-        gs = 0.0 + (-gq * c / (safe * safe)).sum(axis=1, keepdims=True)
+        gc *= g_col
+        np.multiply(gc, c, out=q)
+        np.divide(q, safe * safe, out=q)
+        gs = 0.0 + -q.sum(axis=1, keepdims=True)
+        gc /= safe
         gv = 0.0 + (0.0 + gs * 0.5 / safe)  # sqrt, then add eps
         gsq = 0.0 + gv / n
-        term = gsq * c  # c * c hands the same term to both factors
+        term = np.multiply(gsq, c, out=q)  # c * c hands the same term to both factors
         gc += term
         gc += term
-        accum(x, gc)
-        accum(x, (0.0 + (-gc).sum(axis=1, keepdims=True)) / n)
+        gm = (0.0 + -gc.sum(axis=1, keepdims=True)) / n
+        accum_scratch(x, gc)
+        accum(x, gm)
 
-    record("batch_norm", (x, gamma, beta), out, bwd)
+    record("batch_norm", (x, gamma, beta), out, bwd, (c, q))
     return out
 
 
@@ -393,8 +425,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def backward(root: Tensor, graph: Graph) -> None:
     """Seed d(root)/d(root) = 1 and replay the tape once in reverse order.
 
-    With a pooled graph, each node's output data and gradient go back to
-    the pool once its backward has run, except the root's.
+    With a pooled graph, each node's scratch, output data and gradient go
+    back to the pool once backward has passed it, except the root's output;
+    a node the root does not depend on runs no backward and still returns
+    its scratch.
     """
     if root.data.size != 1:
         raise ContractError(f"backward needs a scalar root, got shape {root.data.shape}")
@@ -404,8 +438,12 @@ def backward(root: Tensor, graph: Graph) -> None:
         out = node.output
         if out.grad is not None:
             node.backward(out.grad)
+        if pool is None:
+            continue
+        for a in node.scratch:
+            pool.give(a)
         # every reader of `out` came later on the tape and has run
-        if pool is not None and out is not root:
+        if out is not root:
             pool.give(out.data)
             if pool.give(out.grad):
                 out.grad = None

@@ -24,6 +24,12 @@ and the change's, to the file's ``rows``. A row holds:
 The change row also holds ``pair_wins``: per metric, the pairs in which the
 change did better than the parent by the metric's ``better`` direction.
 
+Each pair prints its ``iter_ms`` on both sides and whether the two runs'
+``metrics_csv_sha256`` are equal. A run that reports ``correct: false`` or
+a failed operation ends the tool with exit 1 and one line naming its side
+and seed, and nothing is written: a row is only a measurement of code that
+gave the right answers.
+
     python3 tests/bench_rows.py --parent PARENT_TREE --change . \\
         --workload full_b1 --seeds 301-310 --seconds 20
 
@@ -134,9 +140,18 @@ def main(argv=None) -> int:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
-        p, c = runs["parent"][-1]["values"]["iter_ms"], runs["change"][-1]["values"]["iter_ms"]
-        print(f"seed {seed}: iter_ms parent {p:.4g} change {c:.4g} ({c / p - 1:+.1%})", flush=True)
+            run = run_once(trees[side], args.workload, seed, args.seconds)
+            if not run["correct"] or run["failed"]:
+                raise SystemExit(
+                    f"{side} run at seed {seed} reported correct: {str(run['correct']).lower()}, "
+                    f"failed: {run['failed']}; no rows written"
+                )
+            runs[side].append(run)
+        parent, change = runs["parent"][-1], runs["change"][-1]
+        p, c = parent["values"]["iter_ms"], change["values"]["iter_ms"]
+        same = "equal" if parent["digest"] is not None and parent["digest"] == change["digest"] else "DIFFERENT"
+        print(f"seed {seed}: iter_ms parent {p:.4g} change {c:.4g} ({c / p - 1:+.1%}); "
+              f"metrics_csv_sha256 {same}", flush=True)
     rows = [summarise(runs[side], args.seeds, args.seconds, args.workload, side, commit) for side in ("parent", "change")]
     rows[1]["pair_wins"] = pair_wins(runs["parent"], runs["change"])
     path = ROOT / f"BENCH_{args.workload}.json"

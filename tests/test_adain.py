@@ -5,7 +5,7 @@ import pytest
 
 from cfalign.adain import ChannelStats, adain_transfer, channel_stats, to_pixels
 from cfalign.errors import ContractError, DimensionError
-from step_reference import adain_transfer_reference
+from step_reference import adain_transfer_fresh, adain_transfer_reference
 
 
 def img(values):
@@ -86,8 +86,8 @@ class TestAdainTransfer:
 
 
 class TestMatchesReference:
-    """`adain_transfer` against the ``np.mean`` / ``np.var`` form of
-    ``tests/step_reference.py``, bit for bit."""
+    """`adain_transfer` against the ``np.mean`` / ``np.var`` form and the
+    fresh-temporaries form of ``tests/step_reference.py``, bit for bit."""
 
     @pytest.mark.parametrize("shape", [(1, 3, 32, 32), (8, 3, 32, 32), (1, 3, 7, 5), (8, 2, 9, 11)])
     def test_bitwise(self, shape):
@@ -99,6 +99,22 @@ class TestMatchesReference:
             style = ChannelStats(mean=rng.normal(size=c), var=rng.uniform(0.05, 4.0, size=c))
             got = adain_transfer(content, style)
             assert got.tobytes() == adain_transfer_reference(content, style).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 3, 32, 32), (8, 3, 32, 32), (1, 3, 7, 5), (8, 2, 9, 11)])
+    def test_bitwise_fresh_form(self, shape):
+        # signed zeros included: a channel of them, and zero style statistics
+        rng = np.random.default_rng(34)
+        c = shape[1]
+        for trial in range(10):
+            content = rng.normal(rng.normal(size=(1, c, 1, 1)) * 5, rng.uniform(0.1, 3, size=(1, c, 1, 1)), size=shape)
+            content[:, 0] = rng.normal()  # a constant channel
+            if trial % 2:
+                content[:, -1] = rng.choice([0.0, -0.0], size=content[:, -1].shape)
+            style = ChannelStats(mean=rng.normal(size=c), var=rng.uniform(0.05, 4.0, size=c))
+            if trial % 3 == 0:
+                style.mean[0], style.var[-1] = -0.0, 0.0  # a zero scale keeps each value's sign
+            got = adain_transfer(content, style)
+            assert got.tobytes() == adain_transfer_fresh(content, style).tobytes()
 
 
 class TestToPixels:

@@ -3,7 +3,9 @@ repository root is a file `tests/bench_rows.py` could have written.
 
 A performance claim cites these rows, so a row that lost a key, names a
 workload the benchmark does not run, or states a metric in another unit
-than ``BENCHMARK.json`` would make the claim unreadable.
+than ``BENCHMARK.json`` would make the claim unreadable, and a row whose
+runs were not all correct, or failed an operation, measures code that gave
+wrong answers.
 """
 
 import json
@@ -39,8 +41,8 @@ def row_problems(row: dict) -> list[str]:
             stats["q1"] <= stats["median"] <= stats["q3"]
         ):
             problems.append(f"{name} quartiles {stats['q1']}, {stats['median']}, {stats['q3']}")
-    if not isinstance(row["correct"], bool) or not isinstance(row["failed"], int):
-        problems.append("correct must be a bool and failed an int")
+    if row["correct"] is not True or type(row["failed"]) is not int or row["failed"] != 0:
+        problems.append(f"correct {row['correct']!r} and failed {row['failed']!r}, expected true and 0")
     if row["side"] == "change":
         wins = row["pair_wins"]
         if set(wins) != set(UNITS) or not all(isinstance(w, int) and 0 <= w <= runs for w in wins.values()):

@@ -11,6 +11,7 @@ import pytest
 
 from cfalign import kernels
 from cfalign.errors import DimensionError
+from step_reference import log_softmax_fresh
 
 
 def cols(rows):
@@ -185,15 +186,20 @@ class TestRowKernels:
     ``axis=0`` reductions of that array, bit for bit."""
 
     def test_log_softmax_over_row_cases(self):
+        # the scratch starts as NaN, so a read of its old contents shows;
+        # `log_softmax_fresh` is the kernel before it took a scratch array
         for a in row_cases():
             if np.isfinite(a).all():
                 for entropy in (False, True):
-                    got, want = np.empty(a.shape[::-1]), np.empty(a.shape[::-1])
-                    got_h = kernels.log_softmax(cols(a), got, entropy)
+                    got, want, fresh = (np.empty(a.shape[::-1]) for _ in range(3))
+                    got_h = kernels.log_softmax(cols(a), got, np.full(got.shape, np.nan), entropy)
                     want_h = log_softmax_numpy(cols(a), want, entropy)
+                    fresh_h = log_softmax_fresh(cols(a), fresh, entropy)
                     assert np.array_equal(bits(got), bits(want)), a.shape
+                    assert np.array_equal(bits(got), bits(fresh)), a.shape
                     if entropy:
                         assert np.array_equal(bits(got_h), bits(want_h)), a.shape
+                        assert np.array_equal(bits(got_h), bits(fresh_h)), a.shape
                     else:
                         assert got_h is None
 
@@ -201,7 +207,7 @@ class TestRowKernels:
         z = np.array([[0.0, -800.0, 0.0], [800.0, 0.0, 40.0]])
         out = np.empty(z.shape)
         with np.errstate(over="raise", invalid="raise"):
-            plogp = kernels.log_softmax(z, out, entropy=True)
+            plogp = kernels.log_softmax(z, out, np.empty(z.shape), entropy=True)
         np.testing.assert_array_equal(out[:, :2], [[-800.0, -800.0], [0.0, 0.0]])
         assert out[0, 2] == -40.0
         assert np.all(np.abs(plogp) < 1e-15)
@@ -209,7 +215,7 @@ class TestRowKernels:
     def test_shape_validation(self):
         for z in (np.zeros(4), np.zeros((0, 3))):
             with pytest.raises(DimensionError):
-                kernels.log_softmax(z, np.empty(z.shape))
+                kernels.log_softmax(z, np.empty(z.shape), np.empty(z.shape))
 
 
 class TestArgmax:

@@ -688,6 +688,37 @@ class TestContrastiveMatchesChain:
                 assert a is None or np.array_equal(a, b)
 
     @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("labeled", ["all", "some"])
+    def test_sign_bits(self, labeled, normalize):
+        # with every pixel labeled the feature gradient is written in place,
+        # with some unlabeled it is scattered; both match the chain byte for
+        # byte, signed zeros included, under one pool whose buffers are dirty
+        # from the trial before
+        rng = np.random.default_rng([55, labeled == "all", normalize])
+        pool = ArrayPool()
+        for trial in range(12):
+            bank, f_s, y_s, f_t, y_t, tau = contrastive_case(rng, "full")
+            c = bank.v_source.shape[0]
+            if labeled == "all":
+                y_s, y_t = rng.integers(0, c, size=y_s.size), rng.integers(0, c, size=y_t.size)
+            else:
+                y_s[0], y_t[0], y_s[-1] = -1, -1, 0
+            for f in (f_s, f_t):
+                f[rng.random(f.shape) < 0.2] = -0.0
+                f[rng.random(f.shape) < 0.1] = 0.0
+            outs = []
+            for fn, p in ((contrastive_combined, pool), (contrastive_chain, None)):
+                x_s, x_t = columns(f_s, requires_grad=True), columns(f_t, requires_grad=True)
+                with Graph(pool=p) as g:
+                    loss = fn(x_s, y_s, x_t, y_t, bank, tau, include_positive=bool(trial % 2), normalize=normalize)
+                    backward(scale(loss, -0.5), g)
+                outs.append([a.tobytes() for a in (loss.data, x_s.grad, x_t.grad)])
+                if p is not None:
+                    pool.give(x_s.grad)
+                    pool.give(x_t.grad)
+            assert outs[0] == outs[1], trial
+
+    @pytest.mark.parametrize("normalize", [False, True])
     def test_dominant_excluded_positive(self, normalize):
         # each positive leads by at least 1000 in both tables, far past exp's
         # range, under the error state a training iteration runs in

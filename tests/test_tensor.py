@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cfalign.errors import ContractError, DimensionError
-from cfalign.losses import cross_entropy, info_nce
+from cfalign.losses import cross_entropy, entropy_from_logits, info_nce
 from cfalign.tensor import (
     EPS,
     ArrayPool,
@@ -42,6 +42,7 @@ from chain_ops import (
     sqrt,
     take_rows,
 )
+from step_reference import batch_norm_fresh
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -408,6 +409,32 @@ class TestArrayPool:
                 first = pool.misses
         assert pool.misses == first  # later steps reuse every array
 
+    def test_unreached_node_returns_its_scratch(self):
+        # the root depends on none of the batch norm and the two losses, so
+        # their backwards never run; the scratch their forwards drew still
+        # goes back to the pool
+        rng = np.random.default_rng(71)
+        pool = ArrayPool()
+        for step in range(3):
+            held = pool.held
+            leaves = [Tensor(rng.normal(size=(3, 6)), requires_grad=True),
+                      Tensor(rng.normal(size=3), requires_grad=True),
+                      Tensor(rng.normal(size=3), requires_grad=True),
+                      Tensor(np.ones(()), requires_grad=True)]
+            with Graph(pool=pool) as g:
+                hidden = batch_norm(*leaves[:3])
+                losses = [cross_entropy(hidden, np.arange(6) % 3), entropy_from_logits(hidden)]
+                root = add(leaves[3], 1.0)
+                backward(root, g)
+            assert len(g) == 4
+            assert all(t.grad is None for t in [hidden, leaves[0], *losses])
+            zero_grads(leaves, pool)
+            assert pool.lent == 0  # nothing stays lent
+            if step == 0:
+                misses = pool.misses
+            else:
+                assert pool.held == held and pool.misses == misses
+
     def test_pooled_root_is_kept(self):
         pool = ArrayPool()
         x = Tensor(np.ones((2, 1)), requires_grad=True)
@@ -527,6 +554,64 @@ class TestBatchNormMatchesChain:
             if "x" in trainable:
                 chain_ops = [tag for tag in chain_tags if tag != "column"]
                 assert chain_ops == ["mean", "sub", "mul", "mean", "add", "sqrt", "div", "mul", "add"]
+
+
+def batch_norm_inputs(rng, case):
+    """x (d, n), gamma, beta and an upstream gradient for one named case."""
+    d, n = {"one-pixel": (4, 1), "one-feature": (1, 9)}.get(case, (5, 7))
+    x = rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-3, 3)
+    gamma, beta = rng.normal(size=d), rng.normal(size=d)
+    upstream = rng.normal(size=(d, n))
+    if case == "signed-zero-grads":
+        upstream[rng.random((d, n)) < 0.5] = -0.0
+        upstream[rng.random((d, n)) < 0.3] = 0.0
+        upstream[0] = -0.0
+    if case == "gamma-zero-negative":
+        gamma[:3] = [0.0, -0.0, -abs(gamma[2])]
+        gamma[3:] = -np.abs(gamma[3:])
+    if case == "constant-rows":  # v = 0: the eps and EPS guards decide
+        x[::2] = rng.normal(size=(len(x[::2]), 1))
+        x[1] = 0.0
+    return x, gamma, beta, upstream
+
+
+class TestBatchNormMatchesFresh:
+    """The batch norm that works in pooled buffers and in place against
+    `step_reference.batch_norm_fresh`, the form with fresh temporaries, bit
+    for bit (signed zeros included) on the inputs where signs and guards
+    decide. It runs under one pooled graph for all trials, as training runs
+    it, so every trial after the first reuses dirty buffers."""
+
+    CASES = ["random", "signed-zero-grads", "gamma-zero-negative", "one-pixel", "one-feature", "constant-rows"]
+
+    @staticmethod
+    def run(bn, inputs, trainable, pool, eps):
+        leaves = [Tensor(a.copy(), requires_grad=k in trainable) for k, a in zip(("x", "gamma", "beta"), inputs)]
+        with Graph(pool=pool) as g:
+            out = bn(*leaves, eps=eps)
+            out.grad = inputs[3].copy()
+            g.nodes[-1].backward(out.grad)
+        kept = [a if a is None else a.copy() for a in [out.data] + [t.grad for t in leaves]]
+        if pool is not None:
+            zero_grads(leaves, pool)
+            for a in (out.data, *g.nodes[-1].scratch):
+                pool.give(a)
+        return kept
+
+    @pytest.mark.parametrize("trainable", [("x", "gamma", "beta"), ("gamma", "beta"), ("x",)],
+                             ids=["all", "no-x-grad", "x-only"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_bitwise(self, case, trainable):
+        rng = np.random.default_rng([72, self.CASES.index(case)])
+        pool = ArrayPool()
+        for trial in range(20):
+            inputs = batch_norm_inputs(rng, case)
+            eps = (0.0, 1e-5)[trial % 2]
+            got = self.run(batch_norm, inputs, trainable, pool, eps)
+            want = self.run(batch_norm_fresh, inputs, trainable, None, eps)
+            for name, a, b in zip(("out", "x", "gamma", "beta"), got, want):
+                assert same_bits(a, b), (name, trial)
+        assert pool.lent == 0
 
 
 class TestGradCheck:
