@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .kernels import log_softmax
 from .membank import MemoryBank
-from .tensor import EPS, Tensor, accum, accum_scratch, buffer, record, release, transpose
+from .tensor import EPS, Tensor, accum, accum_scratch, buffer, record, transpose
 
 __all__ = [
     "cross_entropy",
@@ -72,15 +72,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ContractError(f"label {labels.max()} out of range for {z.shape[0]} classes")
     m = labeled.size
     at = labels[labeled] * z.shape[1] + labeled  # flat index of each labeled pixel's label
-    logp = buffer(z.shape, logits.requires_grad)
-    e = buffer(z.shape)
-    log_softmax(z, logp, e)
-    release(e)
+    logp = buffer(z.shape)
+    log_softmax(z, logp, buffer(z.shape))
     loss = Tensor(-logp.reshape(-1)[at].mean(), logits.requires_grad)
 
     def bwd(g):
-        # logp becomes the gradient, so the node no longer owns it
-        owned.clear()
         gz = np.exp(logp, out=logp)
         gz.reshape(-1)[at] -= 1.0
         gz *= g / m
@@ -88,8 +84,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             gz[:, labels < 0] = 0.0
         accum_scratch(logits, gz)
 
-    owned = [logp]
-    record("cross_entropy", (logits,), loss, bwd, owned)
+    record("cross_entropy", (logits,), loss, bwd)
     return loss
 
 
@@ -143,22 +138,18 @@ def entropy_from_logits(logits: Tensor) -> Tensor:
     c = _entropy_classes(z, "entropy_from_logits", 0)
     n = z.shape[1]
     k = float(-1.0 / np.log(c))
-    logp, e = buffer(z.shape, logits.requires_grad), buffer(z.shape, logits.requires_grad)
+    logp, e = buffer(z.shape), buffer(z.shape)
     plogp = log_softmax(z, logp, e, entropy=True)  # -H per pixel
     loss = Tensor((plogp * k).mean(), logits.requires_grad)
 
     def bwd(g):
-        # the exponentials' scratch becomes the gradient, so the node no
-        # longer owns it
-        del owned[1]
         gz = np.exp(logp, out=e)
         np.subtract(logp, plogp, out=logp)  # log p + H
         gz *= logp
         gz *= g / n * k
         accum_scratch(logits, gz)
 
-    owned = [logp, e]
-    record("entropy", (logits,), loss, bwd, owned)
+    record("entropy", (logits,), loss, bwd)
     return loss
 
 

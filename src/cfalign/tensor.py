@@ -14,29 +14,13 @@ sqrt, live in ``tests/chain_ops.py``. Batch norm keeps the chain's guard:
 its standard deviation is clamped below by ``EPS``.
 
 Buffer contract. A graph may carry an :class:`ArrayPool`; training gives
-each step's graph the one pool of its run. Under a pooled graph, the output
-arrays of the recorded layers (``affine``, ``relu``, ``softmax``,
-``batch_norm``), every gradient :func:`accum` allocates, the full-size
-scratch of the batch-norm and loss forwards, and that of the relu, affine,
-batch-norm and loss backwards come from the pool. Scratch a forward keeps
-for its backward (batch norm's centered and normalized rows, the losses'
-log-probabilities) is owned by the node: :func:`record` takes it as the
-node's `scratch`, and :func:`backward` hands it back once it has passed the
-node, whether or not that node's backward ran (it does not when the root
-does not depend on the node), unless that backward passed it on as a
-gradient (cross-entropy's). A backward's own scratch becomes the input's
-gradient when it is the first to reach that input (:func:`accum_scratch`),
-instead of being copied into a second pool array; scratch that is read and
-dropped inside one call goes back through :func:`release`.
-:func:`backward` hands a node's output data and gradient back as soon as it
-has passed that node, which it can because every reader of them came later
-on the tape. So inside a pooled graph an intermediate's ``data`` and
-``grad`` are valid only until ``backward`` has passed its node; after that
-the array may hold another tensor's values. The root and every leaf
-(parameters, inputs) are never handed back by ``backward``; parameter
-gradients return through :func:`zero_grads`. Without a pool, or with no
-graph active, every array is fresh and stays valid for as long as it is
-referenced.
+each step's graph the one pool of its run. Under a pooled graph every array
+:func:`buffer` draws is lent until :meth:`ArrayPool.reclaim`, which
+training calls when the step ends, except that :func:`backward` hands a
+node's output data and gradient back as soon as it has passed the node:
+every reader of them came later on the tape. The root's output is never
+handed back early. Without a pool, or with no graph active, every array is
+fresh.
 """
 
 from __future__ import annotations
@@ -47,7 +31,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -66,7 +50,6 @@ __all__ = [
     "accum",
     "accum_scratch",
     "buffer",
-    "release",
     "zero_grads",
     "grad_check",
     "add",
@@ -105,22 +88,21 @@ class Tensor:
 
 @dataclass
 class Node:
-    """One recorded operation: tag, input tensors, output, its backward, and
-    the pooled scratch it keeps for that backward."""
+    """One recorded operation: tag, input tensors, output and its backward."""
 
     tag: str
     inputs: tuple[Tensor, ...]
     output: Tensor
     backward: Callable[[np.ndarray], None]
-    scratch: Sequence[np.ndarray] = ()
 
 
 class ArrayPool:
     """Free float64 arrays by shape, lent to the tapes of one training run.
 
     `take` lends an array of unspecified contents; `give` takes an array
-    back only if this pool lent it, so any array may be offered. A lent
-    array is referenced from here, so no other object can share its id.
+    back only if this pool lent it, so any array may be offered; `reclaim`
+    takes back every array still lent. A lent array is referenced from
+    here, so no other object can share its id.
     """
 
     def __init__(self) -> None:
@@ -145,6 +127,12 @@ class ArrayPool:
         self._free.setdefault(a.shape, []).append(a)
         return True
 
+    def reclaim(self) -> None:
+        """Take back every array still lent."""
+        for a in self._lent.values():
+            self._free.setdefault(a.shape, []).append(a)
+        self._lent.clear()
+
     @property
     def held(self) -> int:
         """Arrays waiting to be lent again."""
@@ -160,8 +148,8 @@ class ArrayPool:
 class Graph:
     """Append-only tape of nodes. Use as a context manager to make it active.
 
-    With a `pool`, the tape's arrays are drawn from it and handed back
-    during :func:`backward` (see the module's buffer contract).
+    With a `pool`, the tape's arrays are drawn from it (see the module's
+    buffer contract).
     """
 
     nodes: list[Node] = field(default_factory=list)
@@ -190,20 +178,13 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def buffer(shape: tuple[int, ...], on_tape: bool = True) -> np.ndarray:
-    """An uninitialised float64 array; lent by the active graph's pool when
-    there is one and the array belongs to its tape (`on_tape`)."""
-    g = _active()
-    if on_tape and g is not None and g.pool is not None:
-        return g.pool.take(shape)
-    return np.empty(shape)
-
-
-def release(a: np.ndarray) -> None:
-    """Hand `a` back to the active graph's pool if that pool lent it."""
+def buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array, lent by the active graph's pool when
+    there is one."""
     g = _active()
     if g is not None and g.pool is not None:
-        g.pool.give(a)
+        return g.pool.take(shape)
+    return np.empty(shape)
 
 
 def accum(t: Tensor, g: np.ndarray) -> None:
@@ -221,7 +202,7 @@ def accum(t: Tensor, g: np.ndarray) -> None:
 def accum_scratch(t: Tensor, g: np.ndarray) -> None:
     """:func:`accum` for a backward's own scratch `g`, drawn by :func:`buffer`
     and read by nothing after this call: on the first store `g` becomes
-    t.grad, otherwise it is added in and handed back to the pool.
+    t.grad, otherwise it is added in.
 
     Never pass an array the backward was handed, such as its incoming
     gradient: `add` hands the same one to both of its inputs.
@@ -230,25 +211,17 @@ def accum_scratch(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.add(g, 0.0, out=g)  # the `+ 0.0` of accum, in place
         return
     accum(t, g)
-    release(g)
 
 
-def record(
-    tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable, scratch: Sequence[np.ndarray] = ()
-) -> None:
+def record(tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable) -> None:
     """Append a node to the active graph when `out` needs a gradient.
 
     `bwd(out.grad)` must push the input gradients through :func:`accum`;
     every op in this module and the fused ones elsewhere go through here.
-    `scratch` holds the arrays the forward drew by ``buffer(shape,
-    out.requires_grad)`` for `bwd` to read: exactly when the node is
-    recorded they are the pool's, and :func:`backward` hands back those
-    still in it. A `bwd` that passes one on as a gradient removes it from
-    the list it was recorded with.
     """
     g = _active()
     if g is not None and out.requires_grad:
-        g.nodes.append(Node(tag, inputs, out, bwd, scratch))
+        g.nodes.append(Node(tag, inputs, out, bwd))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -302,7 +275,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"affine needs (k,m) weights over (k,n) inputs, got {w.data.shape} and {x.data.shape}"
         )
     requires_grad = x.requires_grad or w.requires_grad or b.requires_grad
-    y = np.matmul(w.data.T, x.data, out=buffer((w.data.shape[1], x.data.shape[1]), requires_grad))
+    y = np.matmul(w.data.T, x.data, out=buffer((w.data.shape[1], x.data.shape[1])))
     y += b.data[:, None]  # in place: no second (m, n) array
     out = Tensor(y, requires_grad)
 
@@ -319,7 +292,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     # maximum (not where) so NaN propagates instead of flushing to 0
-    out = Tensor(np.maximum(x.data, 0.0, out=buffer(x.data.shape, x.requires_grad)), x.requires_grad)
+    out = Tensor(np.maximum(x.data, 0.0, out=buffer(x.data.shape)), x.requires_grad)
 
     def bwd(g):
         # the mask is built here, so a forward-only pass never allocates it;
@@ -336,7 +309,7 @@ def softmax(x: Tensor) -> Tensor:
     z = x.data
     # z, exp(z) and p share one buffer: the in-place steps round as the
     # out-of-place ones do and allocate one array, not three
-    p = np.subtract(z, z.max(axis=0), out=buffer(z.shape, x.requires_grad))
+    p = np.subtract(z, z.max(axis=0), out=buffer(z.shape))
     np.exp(p, out=p)
     np.divide(p, p.sum(axis=0), out=p)
     out = Tensor(p, x.requires_grad)
@@ -374,13 +347,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     requires_grad = x.requires_grad or gamma.requires_grad or beta.requires_grad
     # bitwise `mean(axis=1, keepdims=True)`, which divides the same sum by n
     m = x.data.sum(axis=1, keepdims=True) / n
-    c = np.subtract(x.data, m, out=buffer(x.data.shape, requires_grad))
+    c = np.subtract(x.data, m, out=buffer(x.data.shape))
     # one buffer holds c * c, then q = c / safe, which the backward reads
-    q = np.multiply(c, c, out=buffer(x.data.shape, requires_grad))
+    q = np.multiply(c, c, out=buffer(x.data.shape))
     v = q.sum(axis=1, keepdims=True) / n
     safe = np.maximum(np.sqrt(np.maximum(v + eps, 0.0)), EPS)
     np.divide(c, safe, out=q)
-    y = np.multiply(g_col, q, out=buffer(x.data.shape, requires_grad))
+    y = np.multiply(g_col, q, out=buffer(x.data.shape))
     y += b_col
     out = Tensor(y, requires_grad)
 
@@ -398,7 +371,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         accum(beta, gc.sum(axis=1))
         accum(gamma, np.multiply(gc, q, out=q).sum(axis=1))
         if not x.requires_grad:
-            release(gc)
             return
         gc *= g_col
         np.multiply(gc, c, out=q)
@@ -414,7 +386,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         accum_scratch(x, gc)
         accum(x, gm)
 
-    record("batch_norm", (x, gamma, beta), out, bwd, (c, q))
+    record("batch_norm", (x, gamma, beta), out, bwd)
     return out
 
 
@@ -425,10 +397,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def backward(root: Tensor, graph: Graph) -> None:
     """Seed d(root)/d(root) = 1 and replay the tape once in reverse order.
 
-    With a pooled graph, each node's scratch, output data and gradient go
-    back to the pool once backward has passed it, except the root's output;
-    a node the root does not depend on runs no backward and still returns
-    its scratch.
+    With a pooled graph, each node's output data and gradient go back to
+    the pool once backward has passed it, except the root's output.
     """
     if root.data.size != 1:
         raise ContractError(f"backward needs a scalar root, got shape {root.data.shape}")
@@ -440,8 +410,6 @@ def backward(root: Tensor, graph: Graph) -> None:
             node.backward(out.grad)
         if pool is None:
             continue
-        for a in node.scratch:
-            pool.give(a)
         # every reader of `out` came later on the tape and has run
         if out is not root:
             pool.give(out.data)
@@ -449,11 +417,9 @@ def backward(root: Tensor, graph: Graph) -> None:
                 out.grad = None
 
 
-def zero_grads(params: Iterable[Tensor], pool: ArrayPool | None = None) -> None:
-    """Drop each gradient, handing it back to `pool` if the pool lent it."""
+def zero_grads(params: Iterable[Tensor]) -> None:
+    """Drop each gradient."""
     for p in params:
-        if pool is not None:
-            pool.give(p.grad)
         p.grad = None
 
 

@@ -207,7 +207,8 @@ def _step(
         if p.grad is not None:
             # the gradient is dropped after the step, so it holds lr * g
             p.data -= np.multiply(p.grad, cfg.learning_rate, out=p.grad)
-    zero_grads(params, pool)
+    zero_grads(params)
+    pool.reclaim()
     return record
 
 
@@ -218,8 +219,9 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
     byte-identical metrics. Raises DivergenceError when an iteration's
     forward pass, backward pass or step leaves the finite range.
 
-    Every step's tape draws its arrays from one pool, so steady-state steps
-    reuse memory that is already mapped; the pool is dropped on return.
+    Every step's tape draws its arrays from one pool, which takes all of
+    them back when the step ends, so steady-state steps reuse memory that
+    is already mapped; the pool is dropped on return.
     """
     config.validate()
     state = init_state(config, data.spec.classes, data.spec.channels)

@@ -90,7 +90,7 @@ def batch_norm_fresh(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) 
     safe = np.maximum(np.sqrt(np.maximum(v + eps, 0.0)), EPS)
     q = c / safe
     requires_grad = x.requires_grad or gamma.requires_grad or beta.requires_grad
-    y = np.multiply(g_col, q, out=buffer(x.data.shape, requires_grad))
+    y = np.multiply(g_col, q, out=buffer(x.data.shape))
     y += b_col
     out = Tensor(y, requires_grad)
 

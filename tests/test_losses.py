@@ -206,6 +206,8 @@ class TestFromLogits:
     @pytest.mark.parametrize("fn", [lambda x: cross_entropy(x, np.zeros(3, dtype=int)), entropy_from_logits],
                              ids=["cross_entropy", "entropy"])
     def test_pooled_backward_returns_its_scratch(self, fn):
+        # the log-probabilities and the exponentials are the only arrays
+        # drawn; one of them becomes the gradient
         rng = np.random.default_rng(51)
         logits = rng.normal(size=(4, 3))
         want = Tensor(logits.copy(), requires_grad=True)
@@ -217,10 +219,9 @@ class TestFromLogits:
             with Graph(pool=pool) as g:
                 backward(fn(x), g)
             assert x.grad.tobytes() == want.grad.tobytes()
-            assert pool.give(x.grad)  # the scratch became the gradient
-            if step == 0:
-                first = (pool.misses, pool.held)
-        assert (pool.misses, pool.held) == first
+            assert pool.lent == 2 and pool.give(x.grad)  # the scratch became the gradient
+            pool.reclaim()
+            assert (pool.misses, pool.held, pool.lent) == (2, 2, 0)
 
 
 class TestCrossEntropy:
@@ -714,8 +715,7 @@ class TestContrastiveMatchesChain:
                     backward(scale(loss, -0.5), g)
                 outs.append([a.tobytes() for a in (loss.data, x_s.grad, x_t.grad)])
                 if p is not None:
-                    pool.give(x_s.grad)
-                    pool.give(x_t.grad)
+                    pool.reclaim()
             assert outs[0] == outs[1], trial
 
     @pytest.mark.parametrize("normalize", [False, True])

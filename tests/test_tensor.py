@@ -373,6 +373,22 @@ class TestArrayPool:
         assert pool.take((3, 2)) is a and pool.misses == 1
         assert pool.take((2, 3)) is not a and pool.misses == 2
 
+    def test_reclaim_takes_back_every_lent_array_and_only_those(self):
+        pool = ArrayPool()
+        a, b, c = pool.take((3, 2)), pool.take((3, 2)), pool.take((4,))
+        assert pool.give(b)
+        pool.reclaim()
+        # the three arrays it lent, b once though it was given back before
+        assert (pool.lent, pool.held, pool.misses) == (0, 3, 3)
+        assert not pool.give(a) and not pool.give(c)
+        assert {id(pool.take((3, 2))), id(pool.take((3, 2)))} == {id(a), id(b)}
+        assert pool.take((4,)) is c and pool.misses == 3
+        assert pool.take((4,)) is not c and pool.misses == 4
+        pool.reclaim()
+        assert (pool.lent, pool.held) == (0, 4)
+        pool.reclaim()  # with nothing lent, nothing changes
+        assert (pool.lent, pool.held, pool.misses) == (0, 4, 4)
+
     def test_pooled_backward_matches_and_recycles(self):
         # fan-out: `add` hands one gradient to both uses of `hidden`, and the
         # logits feed both cross-entropy and info_nce, so adopted scratch,
@@ -404,19 +420,20 @@ class TestArrayPool:
                 assert got[k].grad.tobytes() == want[k].grad.tobytes()
             # intermediates went back as backward passed them; the root did not
             assert all(node.output.grad is None for node in g.nodes[:-1])
-            zero_grads(got.values(), pool)
+            zero_grads(got.values())
+            pool.reclaim()
+            assert pool.lent == 0
             if step == 0:
-                first = pool.misses
-        assert pool.misses == first  # later steps reuse every array
+                first = (pool.misses, pool.held)
+        assert (pool.misses, pool.held) == first  # later steps reuse every array
 
     def test_unreached_node_returns_its_scratch(self):
         # the root depends on none of the batch norm and the two losses, so
         # their backwards never run; the scratch their forwards drew still
-        # goes back to the pool
+        # goes back to the pool when it reclaims what it lent
         rng = np.random.default_rng(71)
         pool = ArrayPool()
         for step in range(3):
-            held = pool.held
             leaves = [Tensor(rng.normal(size=(3, 6)), requires_grad=True),
                       Tensor(rng.normal(size=3), requires_grad=True),
                       Tensor(rng.normal(size=3), requires_grad=True),
@@ -428,12 +445,15 @@ class TestArrayPool:
                 backward(root, g)
             assert len(g) == 4
             assert all(t.grad is None for t in [hidden, leaves[0], *losses])
-            zero_grads(leaves, pool)
+            # the two scratch arrays of each of the three nodes, and the gradient
+            # of the leaf the root depends on
+            assert pool.lent == 7
+            zero_grads(leaves)
+            pool.reclaim()
             assert pool.lent == 0  # nothing stays lent
             if step == 0:
-                misses = pool.misses
-            else:
-                assert pool.held == held and pool.misses == misses
+                first = (pool.misses, pool.held)
+            assert (pool.misses, pool.held) == first
 
     def test_pooled_root_is_kept(self):
         pool = ArrayPool()
@@ -593,9 +613,8 @@ class TestBatchNormMatchesFresh:
             g.nodes[-1].backward(out.grad)
         kept = [a if a is None else a.copy() for a in [out.data] + [t.grad for t in leaves]]
         if pool is not None:
-            zero_grads(leaves, pool)
-            for a in (out.data, *g.nodes[-1].scratch):
-                pool.give(a)
+            zero_grads(leaves)
+            pool.reclaim()
         return kept
 
     @pytest.mark.parametrize("trainable", [("x", "gamma", "beta"), ("gamma", "beta"), ("x",)],

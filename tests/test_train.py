@@ -206,7 +206,9 @@ class TestCallCount:
     # counts 12 to 15 more). The bound sits 15% above 803 and 13% below
     # 1,056: room for numpy's own wrappers to change, none for the old
     # bookkeeping to return. Drawing log-softmax's scratch from the pool
-    # later brought the count to 815.
+    # later brought the count to 815, and giving every pooled array one
+    # lifetime (no scratch kept by nodes; the pool reclaims what it lent
+    # when the step ends) to 781.
     BOUND = 920
 
     def test_full_batch_one(self):
@@ -241,6 +243,8 @@ class TestTransientMemory:
     # 3.39 MB after. The bound sits 47% above 3.39 and 34% below 7.62: an
     # (8, 8,192) float64 array is 0.52 MB, so about three such temporaries
     # coming back fail it, while room stays for numpy's own scratch to vary.
+    # Reclaiming every pooled array when the step ends, in place of the
+    # nodes' scratch handed back during backward, left it at 3.39 MB.
     BOUND = 5.0e6
 
     def test_byol_batch_eight(self, monkeypatch):
@@ -277,28 +281,44 @@ class TestArrayPool:
 
     @pytest.mark.parametrize("overrides", TAPE_CONFIGS, ids=TAPE_IDS)
     def test_no_recycled_buffer_is_read(self, tiny_data, monkeypatch, overrides):
-        # every array turns to NaN as it is handed back, so a read after
-        # release shows as a changed byte or a DivergenceError
+        # every array turns to NaN as it is handed back, by `give` during
+        # backward or by `reclaim` when the step ends, so a read after that
+        # shows as a changed byte or a DivergenceError
         cfg = tiny_config(iterations=5, **overrides)
         want = run_bytes(cfg, tiny_data)
-        real = ArrayPool.give
-        poisoned = []
+        real_take, real_give, real_reclaim = ArrayPool.take, ArrayPool.give, ArrayPool.reclaim
+        lent = {}  # id -> array, mirroring the pool's loans
+        given, reclaimed = [], []
+
+        def take(self, shape):
+            a = real_take(self, shape)
+            lent[id(a)] = a
+            return a
 
         def give(self, a):
-            taken = real(self, a)
+            taken = real_give(self, a)
             if taken:
                 a.fill(np.nan)
-                poisoned.append(a.shape)
+                given.append(lent.pop(id(a)).shape)
             return taken
 
+        def reclaim(self):
+            real_reclaim(self)
+            for a in lent.values():
+                a.fill(np.nan)
+                reclaimed.append(a.shape)
+            lent.clear()
+
+        monkeypatch.setattr(ArrayPool, "take", take)
         monkeypatch.setattr(ArrayPool, "give", give)
+        monkeypatch.setattr(ArrayPool, "reclaim", reclaim)
         assert run_bytes(cfg, tiny_data) == want
-        assert len(poisoned) > 0
+        assert len(given) > 0 and len(reclaimed) > 0
 
     def test_steady_state(self, tiny_data):
         # the second run's contrastive term is a constant 0, so the head's
-        # outputs never reach the loss and its nodes run no backward; they
-        # still hand their scratch back
+        # outputs never reach the loss and its nodes run no backward; the
+        # pool still takes their scratch back when the step ends
         for unreached_head in (False, True):
             with pytest.MonkeyPatch.context() as mp:
                 self.check_steady_state(tiny_data, mp, unreached_head)
