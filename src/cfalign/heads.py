@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, affine, batch_norm, relu
+from .tensor import Tensor, affine, batch_norm_relu
 
 HEAD_KINDS = ("none", "byol")
 
@@ -76,8 +76,7 @@ def head_forward(head: Head, x: Tensor) -> Tensor:
         raise DimensionError(f"head expects ({head.d}, n) features, got {x.data.shape}")
     if head.fc1 is None:
         return x
-    h = affine(x, head.fc1.weight, head.fc1.bias)
-    h = relu(batch_norm(h, head.gamma, head.beta))
+    h = batch_norm_relu(affine(x, head.fc1.weight, head.fc1.bias), head.gamma, head.beta)
     return affine(h, head.fc2.weight, head.fc2.bias)
 
 

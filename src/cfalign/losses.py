@@ -89,12 +89,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def _entropy_classes(x: np.ndarray, name: str, axis: int) -> int:
-    """The class count of the 2-d `x`, whose classes lie along `axis`."""
+    """The class count of the 2-d `x`, whose classes lie along `axis` and
+    pixels along the other; the mean over no pixels is not a loss."""
     if x.ndim != 2:
         raise DimensionError(f"{name} needs a 2-d tensor, got shape {x.shape}")
     c = x.shape[axis]
     if c < 2:
         raise ContractError(f"entropy needs at least 2 classes, got {c}")
+    if x.shape[1 - axis] == 0:
+        raise ContractError(f"{name} needs at least one pixel, got shape {x.shape}")
     return c
 
 

@@ -18,7 +18,7 @@ from .config import MAX_ELEMENTS, fits
 from .errors import ConfigError, DimensionError
 from .heads import LinearLayer, linear_layer
 from .kernels import argmax
-from .tensor import Tensor, affine, relu, softmax
+from .tensor import Tensor, affine, softmax
 
 __all__ = [
     "SegModel",
@@ -76,7 +76,7 @@ def model_features(model: SegModel, pixels: Tensor) -> Tensor:
         raise DimensionError(
             f"backbone expects ({model.channels}, n) pixels, got {pixels.data.shape}"
         )
-    hidden = relu(affine(pixels, model.enc1.weight, model.enc1.bias))
+    hidden = affine(pixels, model.enc1.weight, model.enc1.bias, relu=True)
     return affine(hidden, model.enc2.weight, model.enc2.bias)
 
 

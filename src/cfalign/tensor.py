@@ -11,7 +11,10 @@ evaluation and finite differencing use.
 Each layer and loss is one node with a hand-written backward. The per-op
 chains they are pinned against, with the ``EPS`` clamps of log, div and
 sqrt, live in ``tests/chain_ops.py``. Batch norm keeps the chain's guard:
-its standard deviation is clamped below by ``EPS``.
+its standard deviation is clamped below by ``EPS``. A ReLU is the last step
+of the layer it follows, in place on that layer's output: ``affine`` takes
+it on request and ``batch_norm_relu`` always, so each layer with its
+activation is one node and one output array.
 
 Buffer contract. A graph may carry an :class:`ArrayPool`; training gives
 each step's graph the one pool of its run. Under a pooled graph every array
@@ -55,9 +58,8 @@ __all__ = [
     "add",
     "transpose",
     "affine",
-    "relu",
     "softmax",
-    "batch_norm",
+    "batch_norm_relu",
     "write_container",
     "read_container",
 ]
@@ -261,10 +263,11 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``w.T @ x + b[:, None]`` for (k, n) inputs and a (k, m) weight, as
     one node; same rounding as the matmul-and-add chain of
-    ``tests/chain_ops.py``.
+    ``tests/chain_ops.py``. With `relu`, the node also applies the ReLU of
+    that chain's ``relu`` op, in place on its output.
 
     The weight keeps its (d_in, d_out) storage and the product reads it
     through a transposed view.
@@ -277,9 +280,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     requires_grad = x.requires_grad or w.requires_grad or b.requires_grad
     y = np.matmul(w.data.T, x.data, out=buffer((w.data.shape[1], x.data.shape[1])))
     y += b.data[:, None]  # in place: no second (m, n) array
+    if relu:
+        np.maximum(y, 0.0, out=y)  # maximum, not where: NaN propagates
     out = Tensor(y, requires_grad)
 
     def bwd(g):
+        if relu:
+            g = _relu_grad(g, y)
         # bias, then input, then weight: the accumulation order of the chain
         accum(b, g.sum(axis=1))
         if x.requires_grad:  # pixel inputs need no gradient
@@ -290,17 +297,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    # maximum (not where) so NaN propagates instead of flushing to 0
-    out = Tensor(np.maximum(x.data, 0.0, out=buffer(x.data.shape)), x.requires_grad)
-
-    def bwd(g):
-        # the mask is built here, so a forward-only pass never allocates it;
-        # the subgradient at 0 is taken as 0
-        accum_scratch(x, np.multiply(g, x.data > 0, out=buffer(x.data.shape)))
-
-    record("relu", (x,), out, bwd)
-    return out
+def _relu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient reaching a ReLU's input, from `g` at its output `y`, in
+    a buffer: the chain's ``g * mask``, then the ``+ 0.0`` of its first
+    store. ``y > 0`` holds exactly where the input was above 0 (at -0.0,
+    +0.0 and NaN inputs too), so the subgradient at 0 is taken as 0."""
+    gm = np.multiply(g, y > 0, out=buffer(y.shape))
+    return np.add(gm, 0.0, out=gm)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -328,20 +331,20 @@ def softmax(x: Tensor) -> Tensor:
 # batch normalization
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row of a (d, n) tensor over its n pixels by the batch
-    mean and population variance, then scale by `gamma` and shift by
-    `beta`, as one node.
+    mean and population variance, scale by `gamma`, shift by `beta` and
+    apply a ReLU in place, as one node tagged ``batch_norm``.
 
     Every call normalizes by its own batch; no statistics are kept across
     calls.
     """
     if x.data.ndim != 2:
-        raise DimensionError(f"batch_norm needs a (d, n) tensor, got shape {x.data.shape}")
+        raise DimensionError(f"batch_norm_relu needs a (d, n) tensor, got shape {x.data.shape}")
     d, n = x.data.shape
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise DimensionError(
-            f"batch_norm scale/shift must have shape ({d},), got {gamma.data.shape} and {beta.data.shape}"
+            f"batch_norm_relu scale/shift must have shape ({d},), got {gamma.data.shape} and {beta.data.shape}"
         )
     g_col, b_col = gamma.data[:, None], beta.data[:, None]
     requires_grad = x.requires_grad or gamma.requires_grad or beta.requires_grad
@@ -355,11 +358,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     np.divide(c, safe, out=q)
     y = np.multiply(g_col, q, out=buffer(x.data.shape))
     y += b_col
+    np.maximum(y, 0.0, out=y)  # the ReLU, as in `affine`
     out = Tensor(y, requires_grad)
 
     def bwd(g):
-        # the chain mean, sub, mul, mean, add, sqrt, div, mul, add in reverse,
-        # in place on one copy of g and on q. Each of the chain's intermediate
+        # the ReLU's backward, whose `+ 0.0` is also the batch norm's first
+        # step (adding 0.0 twice rounds as adding it once); then the chain
+        # mean, sub, mul, mean, add, sqrt, div, mul, add in reverse, in
+        # place on that copy of g and on q. Each of the chain's intermediate
         # gradients started from zeros, so each is `0.0 + ...`, which turns a
         # -0.0 into +0.0 where the chain did. Two are left out, on the (d, n)
         # gradients gq = g * gamma and gq / safe: a zero's sign in them
@@ -367,7 +373,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         # gradient, which ends with `+ gm`, also never -0.0. A negation is
         # taken after its sum or quotient, since sum(-a) == -sum(a) and
         # (-a) * b / s == -(a * b / s)
-        gc = np.add(g, 0.0, out=buffer(x.data.shape))
+        gc = _relu_grad(g, y)
         accum(beta, gc.sum(axis=1))
         accum(gamma, np.multiply(gc, q, out=q).sum(axis=1))
         if not x.requires_grad:

@@ -25,7 +25,8 @@ The change row also holds ``pair_wins``: per metric, the pairs in which the
 change did better than the parent by the metric's ``better`` direction.
 
 Each pair prints its ``iter_ms`` on both sides and whether the two runs'
-``metrics_csv_sha256`` are equal. A run that reports ``correct: false`` or
+``metrics_csv_sha256`` are equal, and the closing line says in how many
+pairs they were. A run that reports ``correct: false`` or
 a failed operation ends the tool with exit 1 and one line naming its side
 and seed, and nothing is written: a row is only a measurement of code that
 gave the right answers.
@@ -138,6 +139,7 @@ def main(argv=None) -> int:
     ).stdout.strip()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    equal = 0  # pairs whose two metrics_csv_sha256 are equal
     for i, seed in enumerate(args.seeds):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             run = run_once(trees[side], args.workload, seed, args.seconds)
@@ -150,6 +152,7 @@ def main(argv=None) -> int:
         parent, change = runs["parent"][-1], runs["change"][-1]
         p, c = parent["values"]["iter_ms"], change["values"]["iter_ms"]
         same = "equal" if parent["digest"] is not None and parent["digest"] == change["digest"] else "DIFFERENT"
+        equal += same == "equal"
         print(f"seed {seed}: iter_ms parent {p:.4g} change {c:.4g} ({c / p - 1:+.1%}); "
               f"metrics_csv_sha256 {same}", flush=True)
     rows = [summarise(runs[side], args.seeds, args.seconds, args.workload, side, commit) for side in ("parent", "change")]
@@ -158,7 +161,8 @@ def main(argv=None) -> int:
     doc = json.loads(path.read_text()) if path.exists() else {"workload": args.workload, "rows": []}
     doc["rows"] += rows
     path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"appended 2 rows to {path.name}; change pair wins: {rows[1]['pair_wins']}")
+    print(f"appended 2 rows to {path.name}; change pair wins: {rows[1]['pair_wins']}; "
+          f"metrics_csv_sha256 equal in {equal} of {len(args.seeds)} pairs")
     return 0
 
 

@@ -35,6 +35,19 @@ def scale(x: Tensor, c: float) -> Tensor:
     return out
 
 
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0), NaN kept; the subgradient at 0 is taken as 0.
+    `tensor.affine(..., relu=True)` and `tensor.batch_norm_relu` are pinned
+    against this op after their layer's chain."""
+    out = Tensor(np.maximum(x.data, 0.0), x.requires_grad)
+
+    def bwd(g):
+        accum(x, g * (x.data > 0))
+
+    record("relu", (x,), out, bwd)
+    return out
+
+
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
@@ -247,8 +260,8 @@ def chain_affine(x, w, b):
 def batch_norm_chain(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Batch norm of a (d, n) tensor as the 9-node chain mean, sub, mul,
     mean, add, sqrt, div, mul, add (plus a `column` node for each of gamma
-    and beta that needs a gradient); `tensor.batch_norm` must match it bit
-    for bit."""
+    and beta that needs a gradient); `tensor.batch_norm_relu` must match it,
+    followed by `relu`, bit for bit."""
     m = reduce_mean(x, axis=1, keepdims=True)
     centered = sub(x, m)
     v = reduce_mean(mul(centered, centered), axis=1, keepdims=True)

@@ -7,7 +7,7 @@ rows, `membank.class_centers` divides under a `where` mask, and
 calls per step. The first functions here are the gather-and-scatter and
 `np.mean` / `np.var` forms they replaced.
 
-`tensor.batch_norm`, `kernels.log_softmax` and `adain.adain_transfer` then
+`tensor.batch_norm_relu`, `kernels.log_softmax` and `adain.adain_transfer` then
 moved their large temporaries into pooled or reused buffers and run in
 place. The `*_fresh` functions are the forms before that, which allocate
 every temporary anew: the same operations in the same order, so the tests
@@ -81,7 +81,9 @@ def log_softmax_fresh(z: np.ndarray, out: np.ndarray, entropy: bool = False) -> 
 
 def batch_norm_fresh(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """The batch-norm node with fresh centered rows, quotients and
-    backward temporaries, each negation taken before its sum."""
+    backward temporaries, each negation taken before its sum;
+    `tensor.batch_norm_relu` is pinned against it followed by
+    `chain_ops.relu`."""
     d, n = x.data.shape
     g_col, b_col = gamma.data[:, None], beta.data[:, None]
     m = x.data.sum(axis=1, keepdims=True) / n

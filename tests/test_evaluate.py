@@ -318,8 +318,10 @@ class TestBlockedPass:
 
     def test_memory_peak(self):
         # blocks of about 8,192 pixels keep every intermediate small: the
-        # peak is about 3.64 MB, where 12,288-pixel blocks reach 5.05 MB and
-        # one pass over the 51,200-pixel default split 14.3 MB
+        # peak is about 3.12 MB, where 12,288-pixel blocks reach 5.05 MB and
+        # one pass over the 51,200-pixel default split 14.3 MB (both
+        # measured before the ReLU ran in place on its layer's output, when
+        # 8,192-pixel blocks peaked at 3.64 MB)
         data = generate_dataset(SynthSpec(seed=0))
         state, _ = train(RunConfig(seed=0, iterations=20, contrastive=True), data)
         assert int(state.bank.init_source.sum()) >= 2

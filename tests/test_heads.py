@@ -17,7 +17,7 @@ from cfalign.heads import (
 from cfalign.losses import info_nce
 from cfalign.tensor import Graph, Tensor, backward, grad_check, transpose
 from cfalign.train import metrics_to_csv, train
-from chain_ops import batch_norm_chain, mul, reduce_mean
+from chain_ops import batch_norm_chain, mul, reduce_mean, relu
 
 
 def param_count(head):
@@ -123,7 +123,8 @@ class TestForwardModes:
 
 class TestChainBatchNormGivesSameBytes:
     """End to end, training and evaluation write the same bytes whether the
-    heads run the one-node batch norm or the 9-op chain it replaced."""
+    heads run the one-node batch norm and ReLU or the 9-op chain and the
+    `relu` node it replaced."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -151,9 +152,9 @@ class TestChainBatchNormGivesSameBytes:
 
         def chain(*args, **kwargs):
             calls.append(args)
-            return batch_norm_chain(*args, **kwargs)
+            return relu(batch_norm_chain(*args, **kwargs))
 
-        monkeypatch.setattr(heads_module, "batch_norm", chain)
+        monkeypatch.setattr(heads_module, "batch_norm_relu", chain)
         assert self.outputs(data, head) == fused
         assert calls  # the heads ran the chain
 

@@ -321,6 +321,16 @@ class TestEntropyLoss:
         assert grad_check(fn, x) < 1e-6
 
 
+@pytest.mark.parametrize("loss, shape", [(entropy_loss, (0, 3)), (entropy_from_logits, (3, 0))],
+                         ids=["entropy_loss", "entropy_from_logits"])
+def test_entropy_of_no_pixels_rejected(loss, shape):
+    # the mean over no pixels would be NaN, with numpy's "Mean of empty slice" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="at least one pixel"):
+            loss(Tensor(np.zeros(shape)))
+
+
 class TestEntropyFromLogits:
     def test_uniform_is_one(self):
         np.testing.assert_allclose(entropy_from_logits(Tensor(np.full((7, 3), 2.5))).item(), 1.0, atol=1e-12)

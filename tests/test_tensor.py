@@ -18,10 +18,9 @@ from cfalign.tensor import (
     add,
     affine,
     backward,
-    batch_norm,
+    batch_norm_relu,
     grad_check,
     read_container,
-    relu,
     softmax,
     transpose,
     write_container,
@@ -38,6 +37,7 @@ from chain_ops import (
     pick,
     reduce_mean,
     reduce_sum,
+    relu,
     scale,
     sqrt,
     take_rows,
@@ -272,10 +272,16 @@ class TestBackward:
 
     def test_relu_propagates_nan(self):
         # a comparison-based relu would flush NaN to 0 and hide bad inputs
-        # from the divergence guard downstream
-        out = relu(Tensor([np.nan, -1.0, 2.0]))
-        assert np.isnan(out.data[0])
-        np.testing.assert_array_equal(out.data[1:], [0.0, 2.0])
+        # from the divergence guard downstream; both layers that end in one
+        # keep it. Pre-activations: NaN, -1 and 2
+        out = affine(Tensor([[np.nan, -1.0, 2.0]]), Tensor([[1.0]]), Tensor([0.0]), relu=True)
+        assert np.isnan(out.data[0, 0])
+        np.testing.assert_array_equal(out.data[0, 1:], [0.0, 2.0])
+        # batch norm over [NaN, ...] is NaN in the whole row; [-1, 1] stays
+        # [-1, 1], which the ReLU takes to [0, 1]
+        out = batch_norm_relu(Tensor([[np.nan, 0.0], [-1.0, 1.0]]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), eps=0.0)
+        assert np.isnan(out.data[0]).all()
+        np.testing.assert_array_equal(out.data[1], [0.0, 1.0])
 
     def test_take_rows_gradient_accumulates_repeats(self):
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
@@ -402,7 +408,7 @@ class TestArrayPool:
         def run(pool):
             t = {k: Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
             with Graph(pool=pool) as g:
-                hidden = relu(affine(t["x"], t["w1"], t["b1"]))
+                hidden = affine(t["x"], t["w1"], t["b1"], relu=True)
                 logits = affine(add(hidden, hidden), t["w2"], t["b2"])
                 nce, _ = info_nce(transpose(logits), labels, centers)
                 backward(add(cross_entropy(logits, labels), nce), g)
@@ -439,7 +445,7 @@ class TestArrayPool:
                       Tensor(rng.normal(size=3), requires_grad=True),
                       Tensor(np.ones(()), requires_grad=True)]
             with Graph(pool=pool) as g:
-                hidden = batch_norm(*leaves[:3])
+                hidden = batch_norm_relu(*leaves[:3])
                 losses = [cross_entropy(hidden, np.arange(6) % 3), entropy_from_logits(hidden)]
                 root = add(leaves[3], 1.0)
                 backward(root, g)
@@ -466,22 +472,27 @@ class TestArrayPool:
 
 
 class TestBatchNorm:
+    """Batch norm and its ReLU; a shift by `beta` keeps the normalized
+    values above 0, where the ReLU passes them unchanged."""
+
     def test_unit_normalization(self):
         x = Tensor([[1.0, 3.0]])
         gamma, beta = Tensor([1.0]), Tensor([0.0])
-        y = batch_norm(x, gamma, beta, eps=1e-12)
-        np.testing.assert_allclose(y.data, [[-1.0, 1.0]], atol=1e-6)
+        y = batch_norm_relu(x, gamma, beta, eps=1e-12)
+        np.testing.assert_allclose(y.data, [[0.0, 1.0]], atol=1e-6)  # -1 clipped to 0
+        y = batch_norm_relu(x, gamma, Tensor([1.5]), eps=1e-12)
+        np.testing.assert_allclose(y.data, [[0.5, 2.5]], atol=1e-6)
 
     def test_affine_output(self):
         x = Tensor([[1.0, 3.0]])
-        y = batch_norm(x, Tensor([2.0]), Tensor([1.0]), eps=1e-12)
-        np.testing.assert_allclose(y.data, [[-1.0, 3.0]], atol=1e-6)
+        y = batch_norm_relu(x, Tensor([2.0]), Tensor([2.5]), eps=1e-12)
+        np.testing.assert_allclose(y.data, [[0.5, 4.5]], atol=1e-6)
 
     def test_population_variance(self):
         # batch [0, 2]: mean 1, population var 1 (not the sample var 2)
         x = Tensor([[0.0, 2.0]])
-        y = batch_norm(x, Tensor([1.0]), Tensor([0.0]), eps=0.0)
-        np.testing.assert_allclose(y.data.ravel(), [-1.0, 1.0], atol=1e-12)
+        y = batch_norm_relu(x, Tensor([1.0]), Tensor([1.5]), eps=0.0)
+        np.testing.assert_allclose(y.data.ravel(), [0.5, 2.5], atol=1e-12)
 
     def test_train_mode_gradient(self):
         rng = np.random.default_rng(7)
@@ -489,7 +500,7 @@ class TestBatchNorm:
         beta = Tensor(rng.normal(size=4))
 
         def fn(x):
-            return reduce_mean(mul(batch_norm(x, gamma, beta), (np.arange(4.0) - 1.5)[:, None]))
+            return reduce_mean(mul(batch_norm_relu(x, gamma, beta), (np.arange(4.0) - 1.5)[:, None]))
 
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         np.testing.assert_allclose(analytic_grad(fn, x), numeric_grad(fn, x), rtol=1e-4, atol=1e-8)
@@ -503,10 +514,14 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def batch_norm_relu_chain(x, gamma, beta, eps=1e-5):
+    return relu(batch_norm_chain(x, gamma, beta, eps=eps))
+
+
 class TestBatchNormMatchesChain:
-    """The one-node batch norm against `batch_norm_chain`, bit for bit: output,
-    gradients, signed zeros included. Cases are drawn as (n, d) rows and
-    run feature-major, as (d, n)."""
+    """The one-node batch norm and ReLU against `batch_norm_chain` and
+    `relu`, bit for bit: output, gradients, signed zeros included. Cases
+    are drawn as (n, d) rows and run feature-major, as (d, n)."""
 
     @staticmethod
     def draw(rng, n, d):
@@ -557,8 +572,8 @@ class TestBatchNormMatchesChain:
         return kept, [node.tag for node in g.nodes]
 
     def check(self, case, trainable=("x", "gamma", "beta")):
-        got, tags = self.run(batch_norm, case, trainable)
-        want, chain_tags = self.run(batch_norm_chain, case, trainable)
+        got, tags = self.run(batch_norm_relu, case, trainable)
+        want, chain_tags = self.run(batch_norm_relu_chain, case, trainable)
         for name, a, b in zip(("out", "x", "gamma", "beta"), got, want):
             assert same_bits(a, b), name
         return tags, chain_tags
@@ -573,7 +588,7 @@ class TestBatchNormMatchesChain:
             assert tags == ["batch_norm"]
             if "x" in trainable:
                 chain_ops = [tag for tag in chain_tags if tag != "column"]
-                assert chain_ops == ["mean", "sub", "mul", "mean", "add", "sqrt", "div", "mul", "add"]
+                assert chain_ops == ["mean", "sub", "mul", "mean", "add", "sqrt", "div", "mul", "add", "relu"]
 
 
 def batch_norm_inputs(rng, case):
@@ -595,12 +610,17 @@ def batch_norm_inputs(rng, case):
     return x, gamma, beta, upstream
 
 
+def batch_norm_relu_fresh(x, gamma, beta, eps=1e-5):
+    return relu(batch_norm_fresh(x, gamma, beta, eps=eps))
+
+
 class TestBatchNormMatchesFresh:
-    """The batch norm that works in pooled buffers and in place against
-    `step_reference.batch_norm_fresh`, the form with fresh temporaries, bit
-    for bit (signed zeros included) on the inputs where signs and guards
-    decide. It runs under one pooled graph for all trials, as training runs
-    it, so every trial after the first reuses dirty buffers."""
+    """The batch norm and ReLU that work in pooled buffers and in place
+    against `step_reference.batch_norm_fresh`, the form with fresh
+    temporaries, followed by `relu`, bit for bit (signed zeros included) on
+    the inputs where signs and guards decide. It runs under one pooled graph
+    for all trials, as training runs it, so every trial after the first
+    reuses dirty buffers."""
 
     CASES = ["random", "signed-zero-grads", "gamma-zero-negative", "one-pixel", "one-feature", "constant-rows"]
 
@@ -610,7 +630,9 @@ class TestBatchNormMatchesFresh:
         with Graph(pool=pool) as g:
             out = bn(*leaves, eps=eps)
             out.grad = inputs[3].copy()
-            g.nodes[-1].backward(out.grad)
+            for node in reversed(g.nodes):
+                if node.output.grad is not None:
+                    node.backward(node.output.grad)
         kept = [a if a is None else a.copy() for a in [out.data] + [t.grad for t in leaves]]
         if pool is not None:
             zero_grads(leaves)
@@ -626,11 +648,144 @@ class TestBatchNormMatchesFresh:
         for trial in range(20):
             inputs = batch_norm_inputs(rng, case)
             eps = (0.0, 1e-5)[trial % 2]
-            got = self.run(batch_norm, inputs, trainable, pool, eps)
-            want = self.run(batch_norm_fresh, inputs, trainable, None, eps)
+            got = self.run(batch_norm_relu, inputs, trainable, pool, eps)
+            want = self.run(batch_norm_relu_fresh, inputs, trainable, None, eps)
             for name, a, b in zip(("out", "x", "gamma", "beta"), got, want):
                 assert same_bits(a, b), (name, trial)
         assert pool.lent == 0
+
+
+class NaNPool(ArrayPool):
+    """A pool that fills every array it lends with NaN, so a node that reads
+    a buffer before writing it shows as NaN in what it returns."""
+
+    def take(self, shape):
+        a = super().take(shape)
+        a.fill(np.nan)
+        return a
+
+
+class TestFusedReluMatchesChain:
+    """The layers that end in a ReLU against their chain followed by
+    `chain_ops.relu`, bit for bit: output and every input gradient, sign
+    bits and NaNs included. The fused node runs under a `NaNPool` shared by
+    all trials, the chain with fresh arrays. Upstream gradients hold -0.0,
+    +0.0 and NaN, and some inputs start with a gradient from later nodes.
+
+    Pre-activations cover +0.0, negative values and NaN; batch norm's also
+    cover -0.0 (a zero row times a negative gamma, shifted by a -0.0 beta).
+    The affine's cannot be -0.0: its product sums from +0.0, and adding the
+    bias to a +0.0 gives +0.0."""
+
+    @staticmethod
+    def run(op, arrays, upstream, trainable, grads, pool=None):
+        """Output, leaf gradients and node tags of `op(*leaves)`, with
+        `upstream` seeded as the output's gradient and the tape replayed in
+        reverse."""
+        leaves = [Tensor(a.copy(), requires_grad=i in trainable) for i, a in enumerate(arrays)]
+        for t, grad in zip(leaves, grads):
+            if t.requires_grad and grad is not None:
+                t.grad = grad.copy()
+        with Graph(pool=pool) as g:
+            out = op(*leaves)
+        out.grad = upstream.copy()
+        for node in reversed(g.nodes):
+            if node.output.grad is not None:
+                node.backward(node.output.grad)
+        kept = [out.data.copy()] + [None if t.grad is None else t.grad.copy() for t in leaves]
+        if pool is not None:
+            pool.reclaim()
+        return kept, [node.tag for node in g.nodes]
+
+    @staticmethod
+    def upstream_and_grads(rng, out_shape, arrays, trainable):
+        upstream = rng.normal(size=out_shape)
+        upstream[rng.random(out_shape) < 0.2] = -0.0
+        upstream[rng.random(out_shape) < 0.1] = 0.0
+        upstream[rng.random(out_shape) < 0.05] = np.nan
+        grads = []
+        for i, a in enumerate(arrays):
+            grad = None
+            if i in trainable and rng.random() < 0.3:
+                grad = rng.normal(size=a.shape)
+                grad[rng.random(a.shape) < 0.5] = -0.0
+            grads.append(grad)
+        return upstream, grads
+
+    @staticmethod
+    def kinds(pre):
+        """The pre-activation kinds present: +0.0, -0.0, negative, NaN."""
+        zero = pre == 0
+        return {
+            "+0.0": bool((zero & ~np.signbit(pre)).any()),
+            "-0.0": bool((zero & np.signbit(pre)).any()),
+            "negative": bool((pre < 0).any()),
+            "nan": bool(np.isnan(pre).any()),
+        }
+
+    def check(self, fused, chain, arrays, upstream, trainable, grads, pool):
+        got, tags = self.run(fused, arrays, upstream, trainable, grads, pool)
+        want, chain_tags = self.run(chain, arrays, upstream, trainable, grads)
+        for name, a, b in zip(("out", "0", "1", "2"), got, want):
+            assert same_bits(a, b), name
+        assert len(tags) == 1 and chain_tags[-1] == "relu"
+        return tags[0]
+
+    def test_affine(self):
+        rng = np.random.default_rng(80)
+        pool, seen = NaNPool(), set()
+        subsets = [(0, 1, 2), (1, 2), (0,), (2,)]
+        for i in range(400):
+            k, m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 13))
+            if i % 2:  # small integers: exact sums, so many pre-activations are exactly 0
+                x = rng.integers(-2, 3, size=(k, n)).astype(float)
+                w = rng.integers(-2, 3, size=(k, m)).astype(float)
+                b = rng.integers(-3, 4, size=m).astype(float)
+            else:
+                x, w, b = rng.normal(size=(k, n)), rng.normal(size=(k, m)), rng.normal(size=m)
+            zero = rng.random(m) < 0.3  # a zero weight column: the pre-activation is the bias
+            w[:, zero] = 0.0
+            b[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+            if rng.random() < 0.2:
+                x[:, rng.integers(n)] = np.nan
+            if rng.random() < 0.1:
+                b[rng.integers(m)] = np.nan
+            trainable = subsets[i % len(subsets)]
+            upstream, grads = self.upstream_and_grads(rng, (m, n), (x, w, b), trainable)
+            tag = self.check(
+                lambda *t: affine(*t, relu=True), lambda *t: relu(chain_affine(*t)),
+                (x, w, b), upstream, trainable, grads, pool,
+            )
+            assert tag == "affine"
+            seen |= {kind for kind, present in self.kinds(w.T @ x + b[:, None]).items() if present}
+        assert seen == {"+0.0", "negative", "nan"}
+
+    def test_batch_norm(self):
+        rng = np.random.default_rng(81)
+        pool, seen = NaNPool(), set()
+        subsets = [("x", "gamma", "beta"), ("x",), ("gamma", "beta"), ("beta",)]
+        for i in range(400):
+            d = int(rng.integers(3, 13))
+            case = TestBatchNormMatchesChain.draw(rng, int(rng.integers(1, 40)), d)
+            x, gamma, beta = case["x"], case["gamma"], case["beta"]
+            rows = rng.permutation(d)
+            x[rows[0]] = 0.0  # a zero row: +0.0 or -0.0 by the signs of gamma and beta
+            gamma[rows[0]], beta[rows[0]] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), rng.choice([0.0, -0.0])
+            if rng.random() < 0.3:
+                x[rows[1], rng.integers(x.shape[1])] = np.nan
+            names = subsets[i % len(subsets)]
+            trainable = tuple(j for j, name in enumerate(("x", "gamma", "beta")) if name in names)
+            grads = [case[name + "_grad"] for name in ("x", "gamma", "beta")]
+            upstream, eps = case["upstream"], case["eps"]
+            upstream[rng.random(upstream.shape) < 0.05] = np.nan
+            tag = self.check(
+                lambda *t: batch_norm_relu(*t, eps=eps), lambda *t: batch_norm_relu_chain(*t, eps=eps),
+                (x, gamma, beta), upstream, trainable, grads, pool,
+            )
+            assert tag == "batch_norm"
+            pre = batch_norm_chain(Tensor(x), Tensor(gamma), Tensor(beta), eps=eps).data
+            seen |= {kind for kind, present in self.kinds(pre).items() if present}
+        assert seen == {"+0.0", "-0.0", "negative", "nan"}
 
 
 class TestGradCheck:
