@@ -5,7 +5,8 @@ compares its reverse-mode gradient against central differences. The battery
 reports the worst relative error per case name; it backs both the CLI
 self-test and the test suite. Logits and features are feature-major, (c, n)
 and (d, n), as the model makes them; `info_nce` and `entropy_loss` take one
-row per pixel.
+row per pixel. The `entropy_loss` case takes fixed probability rows made with
+numpy; the `affine` cases add CE and entropy with `total_objective`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .heads import HEAD_KINDS, build_head, head_forward
-from .losses import contrastive_combined, cross_entropy, entropy_from_logits, entropy_loss, info_nce
+from .losses import contrastive_combined, cross_entropy, entropy_from_logits, entropy_loss, info_nce, total_objective
 from .membank import MemoryBank
-from .tensor import Tensor, add, affine, grad_check, softmax, transpose
+from .tensor import Tensor, affine, grad_check, transpose
 
 __all__ = ["loss_battery", "BATTERY_CASES"]
 
@@ -46,8 +47,10 @@ def _case_saturated_cross_entropy(rng):
 
 
 def _case_entropy(rng):
-    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    return lambda z: entropy_loss(transpose(softmax(z))), x
+    # fixed positive rows: the column softmax of one (4, 6) draw, transposed
+    z = rng.normal(size=(4, 6))
+    e = np.exp(z - z.max(axis=0))
+    return entropy_loss, Tensor(np.ascontiguousarray((e / e.sum(axis=0)).T), requires_grad=True)
 
 
 def _case_entropy_from_logits(rng):
@@ -124,7 +127,7 @@ def _make_affine_case(part: str):
         def fn(t):
             params = {**layer, part: t}
             z = affine(feats, params["weight"], params["bias"])
-            return add(cross_entropy(z, labels), entropy_from_logits(z))
+            return total_objective(cross_entropy(z, labels), entropy_from_logits(z), Tensor(0.0), 1.0, 0.0)
 
         return fn, x
 

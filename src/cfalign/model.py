@@ -17,8 +17,8 @@ from .adain import to_pixels
 from .config import MAX_ELEMENTS, fits
 from .errors import ConfigError, DimensionError
 from .heads import LinearLayer, linear_layer
-from .kernels import argmax
-from .tensor import Tensor, affine, softmax
+from .kernels import argmax, log_softmax
+from .tensor import Tensor, affine
 
 __all__ = [
     "SegModel",
@@ -90,12 +90,15 @@ def model_logits(model: SegModel, features: Tensor) -> Tensor:
 
 
 def model_probs(model: SegModel, features: Tensor) -> Tensor:
-    """Classifier forward: (feature_dim, n) features to (classes, n) probabilities.
-
-    No run path calls it: it stays for the benchmark's ``model.probs`` site,
-    which wraps ``cfalign.train.model_probs``.
+    """Classifier forward: (feature_dim, n) features to (classes, n)
+    probabilities, the exponentials of `kernels.log_softmax` of the logits,
+    with no tape node of their own. No run path calls it: it stays for the
+    benchmark's ``model.probs`` site, which wraps ``cfalign.train.model_probs``.
     """
-    return softmax(model_logits(model, features))
+    z = model_logits(model, features).data
+    logp = np.empty(z.shape)
+    log_softmax(z, logp, np.empty(z.shape))
+    return Tensor(np.exp(logp, out=logp))
 
 
 def model_parameters(model: SegModel) -> list[Tensor]:

@@ -8,13 +8,14 @@ a valid topological order, and :func:`backward` replays the tape once in
 reverse. Ops executed with no graph active are forward-only, which is what
 evaluation and finite differencing use.
 
-Each layer and loss is one node with a hand-written backward. The per-op
-chains they are pinned against, with the ``EPS`` clamps of log, div and
-sqrt, live in ``tests/chain_ops.py``. Batch norm keeps the chain's guard:
-its standard deviation is clamped below by ``EPS``. A ReLU is the last step
-of the layer it follows, in place on that layer's output: ``affine`` takes
-it on request and ``batch_norm_relu`` always, so each layer with its
-activation is one node and one output array.
+Each layer and loss is one node with a hand-written backward. The tape ops
+here are the layers' `affine` and `batch_norm_relu`, and `transpose`, which
+gives the losses their rows. The per-op chains they are pinned against, with
+the ``EPS`` clamps of log, div and sqrt, live in ``tests/chain_ops.py``.
+Batch norm keeps the chain's guard: its standard deviation is clamped below
+by ``EPS``. A ReLU is the last step of the layer it follows, in place on
+that layer's output: ``affine`` takes it on request and ``batch_norm_relu``
+always, so each layer with its activation is one node and one output array.
 
 Buffer contract. A graph may carry an :class:`ArrayPool`; training gives
 each step's graph the one pool of its run. Under a pooled graph every array
@@ -55,10 +56,8 @@ __all__ = [
     "buffer",
     "zero_grads",
     "grad_check",
-    "add",
     "transpose",
     "affine",
-    "softmax",
     "batch_norm_relu",
     "write_container",
     "read_container",
@@ -207,7 +206,7 @@ def accum_scratch(t: Tensor, g: np.ndarray) -> None:
     t.grad, otherwise it is added in.
 
     Never pass an array the backward was handed, such as its incoming
-    gradient: `add` hands the same one to both of its inputs.
+    gradient: `losses.total_objective` hands that one on to its first input.
     """
     if t.requires_grad and t.grad is None:
         t.grad = np.add(g, 0.0, out=g)  # the `+ 0.0` of accum, in place
@@ -226,30 +225,8 @@ def record(tag: str, inputs: tuple[Tensor, ...], out: Tensor, bwd: Callable) -> 
         g.nodes.append(Node(tag, inputs, out, bwd))
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, extent in enumerate(shape):
-        if extent == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
-# elementwise and linear ops
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        accum(a, _unbroadcast(g, a.data.shape))
-        accum(b, _unbroadcast(g, b.data.shape))
-
-    record("add", (a, b), out, bwd)
-    return out
+# linear ops
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -304,27 +281,6 @@ def _relu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     +0.0 and NaN inputs too), so the subgradient at 0 is taken as 0."""
     gm = np.multiply(g, y > 0, out=buffer(y.shape))
     return np.add(gm, 0.0, out=gm)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax over the leading axis, the classes of a
-    (c, n) tensor; each column sums to 1 up to rounding."""
-    z = x.data
-    # z, exp(z) and p share one buffer: the in-place steps round as the
-    # out-of-place ones do and allocate one array, not three
-    p = np.subtract(z, z.max(axis=0), out=buffer(z.shape))
-    np.exp(p, out=p)
-    np.divide(p, p.sum(axis=0), out=p)
-    out = Tensor(p, x.requires_grad)
-
-    def bwd(g):
-        gx = g * p
-        np.subtract(g, gx.sum(axis=0), out=gx)
-        np.multiply(gx, p, out=gx)
-        accum(x, gx)
-
-    record("softmax", (x,), out, bwd)
-    return out
 
 
 # ---------------------------------------------------------------------------

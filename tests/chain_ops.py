@@ -8,7 +8,10 @@ batch norm run feature-major, on (d, n) tensors, as the package does; the
 loss chains take one row per pixel, and `tensor.transpose` joins the two.
 
 log, div and sqrt clamp their arguments by ``EPS`` so a chain never emits
-NaN from a boundary value; each guard is noted on the op.
+NaN from a boundary value; each guard is noted on the op. The broadcasting
+``add`` and ``softmax`` exist only here: the package adds its loss terms in
+``losses.total_objective`` and reads probabilities through
+``kernels.log_softmax``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,38 @@ from __future__ import annotations
 import numpy as np
 
 from cfalign.errors import ContractError, DimensionError
-from cfalign.tensor import EPS, Tensor, _as_tensor, _unbroadcast, accum, add, record, transpose
+from cfalign.tensor import EPS, Tensor, accum, record, transpose
 
 # ---------------------------------------------------------------------------
 # elementwise and linear ops
+
+
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum g down to `shape`, undoing numpy broadcasting."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, extent in enumerate(shape):
+        if extent == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+def add(a, b) -> Tensor:
+    """a + b with numpy broadcasting; the gradient reaching each input is
+    summed back down to its shape."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+
+    def bwd(g):
+        accum(a, _unbroadcast(g, a.data.shape))
+        accum(b, _unbroadcast(g, b.data.shape))
+
+    record("add", (a, b), out, bwd)
+    return out
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -250,6 +281,14 @@ def stack(xs: list[Tensor]) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reference chains of the fused nodes
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the leading axis, the classes of a (c, n) tensor, as the
+    chain sub, exp, sum, div with the column maximum as a constant shift;
+    the probabilities the probability-row chains below take, transposed."""
+    e = exp(sub(x, x.data.max(axis=0, keepdims=True)))
+    return div(e, reduce_sum(e, axis=0, keepdims=True))
 
 
 def chain_affine(x, w, b):

@@ -6,7 +6,10 @@ sha256 line per split file, so the generator's bytes are compared too.
 Only the header keys that name a `SynthSpec` field are passed on, so a
 dataset whose header echoes a field since removed digests as well.
 Then trains each configuration in `CONFIGS` through the CLI on one dataset and
-prints sha256 values of what each run wrote:
+prints sha256 values of what each run wrote. The first four are the
+ablation's four variants, ``ent`` (the default), ``ent+st``, ``ent+contra``
+and ``full``, which the acceptance gate trains; the rest vary ``full``'s
+head, flags and batch size. For each run the script prints:
 
 - ``metrics.csv`` as written;
 - ``result.json`` without its ``config`` echo;
@@ -21,12 +24,14 @@ precision, so one ``diff`` of two outputs also compares the gradients.
 The per-tensor lines show which tensors kept their bytes when a format
 change adds or drops some. The config echo lists every config field, in
 ``result.json`` and in the checkpoint header, so adding or removing a field
-changes those bytes and nothing else; the digests leave it out. Run the
-script on both trees with the same dataset and compare the two outputs line
-by line:
+changes those bytes and nothing else; the digests leave it out. To compare
+a change with its parent, run the change's script twice on one dataset,
+with ``PYTHONPATH`` at each tree's ``src``, so both trees train the same
+configurations, and compare the two outputs line by line:
 
     PYTHONPATH=src python -m cfalign gen-data --seed 0 --out DATA
-    PYTHONPATH=src python tests/digests.py --data DATA --out RUNS --iterations 2000
+    PYTHONPATH=PARENT/src python tests/digests.py --data DATA --out RUNS-PARENT --iterations 2000 > parent.txt
+    PYTHONPATH=src python tests/digests.py --data DATA --out RUNS --iterations 2000 > change.txt
 
 pytest does not collect this file; `tests/test_digests.py` runs it twice on
 a tiny dataset and checks that both runs print the same lines.
@@ -51,7 +56,9 @@ from cfalign.tensor import read_container
 
 _FULL = ["--style-transfer", "--contrastive"]
 CONFIGS = {
-    "default": [],
+    "default": [],  # the ablation's `ent`
+    "ent+st": ["--style-transfer"],
+    "ent+contra": ["--contrastive"],
     "full": _FULL,
     "full-byol": _FULL + ["--head", "byol"],
     "full-byol-normalize-nopos": _FULL + ["--head", "byol", "--normalize-features", "--no-include-positive"],

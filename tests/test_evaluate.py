@@ -16,7 +16,7 @@ from cfalign.kernels import confusion
 from cfalign.membank import assign_pseudo_labels, pseudo_label_accuracy
 import cfalign.model as model_module
 from cfalign.model import model_features, model_logits, model_probs, predict_labels
-from cfalign.tensor import Tensor
+from cfalign.tensor import Graph, Tensor
 from cfalign.train import init_state, train
 
 
@@ -213,6 +213,26 @@ class TestPredictLabels:
         assert "\n" not in message
         for shape in shapes:
             assert re.search(shape, message), (shape, message)
+
+
+class TestModelProbs:
+    def test_forward_only_columns_and_argmax(self, tiny_setup):
+        # the probabilities are a constant: under a tape, on features that
+        # need a gradient, only the classifier's affine node is recorded
+        data, config, _ = tiny_setup
+        state, _ = train(config.replace(iterations=20), data)
+        images = data.target_eval.images[:2]
+        feats = model_features(state.model, Tensor(to_pixels(images)))
+        feats.requires_grad = True
+        with Graph() as graph:
+            probs = model_probs(state.model, feats)
+        assert [node.tag for node in graph.nodes] == ["affine"]
+        assert not probs.requires_grad
+        np.testing.assert_allclose(probs.data.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            probs.data.argmax(axis=0).reshape(images.shape[0], *images.shape[2:]),
+            predict_labels(state.model, images),
+        )
 
 
 def reference_eval(state, split):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cfalign.errors import ContractError, DimensionError
+from cfalign.gradcheck import BATTERY_CASES, loss_battery
 from cfalign.losses import (
     contrastive_combined,
     cross_entropy,
@@ -16,8 +17,9 @@ from cfalign.losses import (
     total_objective,
 )
 from cfalign.membank import MemoryBank, assign_pseudo_labels
-from cfalign.tensor import ArrayPool, Graph, Tensor, add, backward, grad_check, softmax, transpose
+from cfalign.tensor import ArrayPool, Graph, Tensor, backward, grad_check, transpose
 from chain_ops import (
+    add,
     contrastive_chain,
     cross_entropy_chain,
     entropy_chain,
@@ -25,6 +27,7 @@ from chain_ops import (
     mul,
     reduce_mean,
     scale,
+    softmax,
 )
 
 
@@ -839,3 +842,25 @@ class TestObjectiveMatchesChain:
         for values in ((-0.0, -0.0, -0.0), (0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, 0.0)):
             for lambdas in ((0.0, 0.0), (1e-3, 0.5)):
                 self.compare(values, (True, True, True), lambdas, weight)
+
+
+def test_battery_case_names():
+    # acceptance criterion 1 reports these names; the battery keeps them
+    # and their order
+    names = [
+        "cross_entropy",
+        "entropy_loss",
+        "info_nce",
+        "contrastive_combined/source",
+        "contrastive_combined/target",
+        "info_nce+head[none]",
+        "info_nce+head[byol]",
+        "info_nce/exclude_positive",
+        "info_nce/normalize",
+        "affine/weight",
+        "affine/bias",
+        "cross_entropy/saturated",
+        "entropy_from_logits",
+    ]
+    assert [name for name, _ in BATTERY_CASES] == names
+    assert list(loss_battery(instances=1, seed=0)) == names
