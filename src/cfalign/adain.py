@@ -58,8 +58,8 @@ def adain_transfer(content: np.ndarray, style: ChannelStats, eps: float = 1e-8) 
     batch serves both the variance and the normalisation, and one output
     array holds the squares and then the result.
     """
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ContractError(f"eps must be a finite number above 0, got {eps}")
     if content.ndim != 4:
         raise DimensionError(f"expected a 4-d image batch, got shape {content.shape}")
     s_mean, s_var = style.as_arrays()

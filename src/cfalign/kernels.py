@@ -10,10 +10,8 @@ contiguous rows, never one inner-loop call per pixel.
 `log_softmax` is ``z - m - log(exp(z - m).sum(axis=0))`` with m the column
 maximum, and `nearest_two`'s distances are ``((f - c[:, None]) ** 2).sum(axis=0)``
 for each center c: numpy's own reductions over the leading axis.
-`nearest_two` builds those sums for all k centers at once, as one (k, n)
-array to which the squared differences of feature rows 0, 1, ..., d-1 are
-added in turn: a C-contiguous ``sum(axis=0)`` adds its rows one after
-another in that order, so the bits are the same.
+`nearest_two` takes those sums one center at a time, in one reused (d, n)
+buffer, and scans each center's row as soon as it is made.
 `nearest_two` resolves ties to the lowest index, as ``argmin`` does.
 Inputs must be free of NaN: a NaN column gets an unspecified result.
 
@@ -126,22 +124,24 @@ def nearest_two(features: np.ndarray, centers: np.ndarray):
     if centers.shape[0] == 0:
         raise DimensionError("nearest_two needs at least one center")
     k, n = centers.shape[0], features.shape[1]
-    dist, sq = np.zeros((k, n)), np.empty((k, n))
-    for f, c in zip(features, centers.T[:, :, None]):
-        np.subtract(f, c, out=sq)
-        np.multiply(sq, sq, out=sq)
-        np.add(dist, sq, out=dist)
-    # strict < keeps the lowest index on ties; c is above every index so
-    # far, so max(idx, c * closer) moves idx to c exactly where closer holds,
-    # without the per-element branch of a masked store, and an index of the
-    # narrowest dtype holding k - 1 keeps those updates cheap; the second
-    # smallest of {dmin, dsec, row} is min(dsec, max(dmin, row)), duplicates
-    # included
+    # each center's distances go into one (n,) row that the scan reads at
+    # once, so no (k, n) table is held; strict < keeps the lowest index on
+    # ties; c is above every index so far, so max(idx, c * closer) moves idx
+    # to c exactly where closer holds, without the per-element branch of a
+    # masked store, and an index of the narrowest dtype holding k - 1 keeps
+    # those updates cheap; the second smallest of {dmin, dsec, row} is
+    # min(dsec, max(dmin, row)), duplicates included
     itype = np.min_scalar_type(k - 1)
     idx, at = np.zeros(n, dtype=itype), np.empty(n, dtype=itype)
-    dmin, dsec, top, closer = dist[0], np.full(n, np.inf), sq[0], np.empty(n, dtype=bool)
-    for c in range(1, k):
-        row = dist[c]
+    sq, dmin, dsec = np.empty(features.shape), np.empty(n), np.full(n, np.inf)
+    row, top, closer = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    for c, center in enumerate(centers[:, :, None]):
+        np.subtract(features, center, out=sq)
+        np.multiply(sq, sq, out=sq)
+        if c == 0:
+            np.add.reduce(sq, axis=0, out=dmin)
+            continue
+        np.add.reduce(sq, axis=0, out=row)
         np.less(row, dmin, out=closer)
         np.multiply(closer, itype.type(c), out=at)
         np.maximum(idx, at, out=idx)

@@ -157,8 +157,8 @@ def entropy_from_logits(logits: Tensor) -> Tensor:
 
 
 def _check_tau(tau: float) -> None:
-    if tau <= 0:
-        raise ContractError(f"temperature must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ContractError(f"temperature must be a finite number above 0, got {tau}")
 
 
 def _check_set(x: np.ndarray, labels, centers: np.ndarray, rows: bool = False) -> np.ndarray:
@@ -393,9 +393,9 @@ def total_objective(
     one accumulation per input, as the chain of two adds and two scales
     makes.
     """
-    if lambda_ent < 0 or lambda_contra < 0:
+    if not (0 <= lambda_ent < np.inf and 0 <= lambda_contra < np.inf):
         raise ContractError(
-            f"loss weights must be nonnegative, got {lambda_ent} and {lambda_contra}"
+            f"loss weights must be finite and nonnegative, got {lambda_ent} and {lambda_contra}"
         )
     le, lc = float(lambda_ent), float(lambda_contra)
     requires_grad = ce.requires_grad or entropy.requires_grad or contra.requires_grad

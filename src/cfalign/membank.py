@@ -135,7 +135,7 @@ def assign_pseudo_labels(
     nothing. Needs at least two initialized source rows so the margin is
     defined.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ContractError(f"threshold must be nonnegative, got {threshold}")
     active = np.flatnonzero(bank.init_source)
     if active.size < 2:

@@ -11,7 +11,6 @@ import pytest
 
 from cfalign import kernels
 from cfalign.errors import DimensionError
-from step_reference import log_softmax_fresh
 
 
 def cols(rows):
@@ -186,20 +185,16 @@ class TestRowKernels:
     ``axis=0`` reductions of that array, bit for bit."""
 
     def test_log_softmax_over_row_cases(self):
-        # the scratch starts as NaN, so a read of its old contents shows;
-        # `log_softmax_fresh` is the kernel before it took a scratch array
+        # the scratch starts as NaN, so a read of its old contents shows
         for a in row_cases():
             if np.isfinite(a).all():
                 for entropy in (False, True):
-                    got, want, fresh = (np.empty(a.shape[::-1]) for _ in range(3))
+                    got, want = (np.empty(a.shape[::-1]) for _ in range(2))
                     got_h = kernels.log_softmax(cols(a), got, np.full(got.shape, np.nan), entropy)
                     want_h = log_softmax_numpy(cols(a), want, entropy)
-                    fresh_h = log_softmax_fresh(cols(a), fresh, entropy)
                     assert np.array_equal(bits(got), bits(want)), a.shape
-                    assert np.array_equal(bits(got), bits(fresh)), a.shape
                     if entropy:
                         assert np.array_equal(bits(got_h), bits(want_h)), a.shape
-                        assert np.array_equal(bits(got_h), bits(fresh_h)), a.shape
                     else:
                         assert got_h is None
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cfalign.adain import ChannelStats, adain_transfer
 from cfalign.errors import ContractError, DimensionError
 from cfalign.gradcheck import BATTERY_CASES, loss_battery
 from cfalign.losses import (
@@ -864,3 +865,44 @@ def test_battery_case_names():
     ]
     assert [name for name, _ in BATTERY_CASES] == names
     assert list(loss_battery(instances=1, seed=0)) == names
+
+
+def two_center_bank():
+    """A bank whose two source and two target rows are initialized."""
+    bank = MemoryBank(class_count=2, feature_dim=2)
+    bank.v_source[:] = bank.v_target[:] = [[1.0, 0.0], [0.0, 1.0]]
+    bank.init_source[:] = bank.init_target[:] = True
+    return bank
+
+
+NON_FINITE_CALLS = {
+    "info_nce/tau=nan": lambda: info_nce(Tensor(np.eye(2)), np.arange(2), np.eye(2), tau=math.nan),
+    "info_nce/tau=inf": lambda: info_nce(Tensor(np.eye(2)), np.arange(2), np.eye(2), tau=math.inf),
+    "contrastive_combined/tau=nan": lambda: contrastive_combined(
+        Tensor(np.eye(2)), np.arange(2), Tensor(np.eye(2)), np.arange(2), two_center_bank(), tau=math.nan),
+    "contrastive_combined/tau=inf": lambda: contrastive_combined(
+        Tensor(np.eye(2)), np.arange(2), Tensor(np.eye(2)), np.arange(2), two_center_bank(), tau=math.inf),
+    "total_objective/lambda_ent=nan": lambda: total_objective(
+        Tensor(1.0), Tensor(1.0), Tensor(1.0), math.nan, 1.0),
+    "total_objective/lambda_contra=nan": lambda: total_objective(
+        Tensor(1.0), Tensor(1.0), Tensor(1.0), 1.0, math.nan),
+    "total_objective/lambda_ent=inf": lambda: total_objective(
+        Tensor(1.0), Tensor(1.0), Tensor(1.0), math.inf, 1.0),
+    "total_objective/lambda_contra=inf": lambda: total_objective(
+        Tensor(1.0), Tensor(1.0), Tensor(1.0), 1.0, math.inf),
+    "assign_pseudo_labels/threshold=nan": lambda: assign_pseudo_labels(
+        np.eye(2), two_center_bank(), threshold=math.nan),
+    "adain_transfer/eps=nan": lambda: adain_transfer(
+        np.ones((1, 1, 2, 2)), ChannelStats(np.zeros(1), np.ones(1)), eps=math.nan),
+    "adain_transfer/eps=inf": lambda: adain_transfer(
+        np.ones((1, 1, 2, 2)), ChannelStats(np.zeros(1), np.ones(1)), eps=math.inf),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_non_finite_hyperparameter_rejected(call):
+    # NaN fails every comparison, so each check is written as the negation
+    # of what a valid value satisfies; an infinite threshold stays valid
+    # (test_membank.py::test_infinite_threshold_labels_nothing)
+    with pytest.raises(ContractError):
+        call()

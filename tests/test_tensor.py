@@ -42,7 +42,6 @@ from chain_ops import (
     sqrt,
     take_rows,
 )
-from step_reference import batch_norm_fresh
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -594,17 +593,12 @@ def batch_norm_inputs(rng, case):
     return x, gamma, beta, upstream
 
 
-def batch_norm_relu_fresh(x, gamma, beta, eps=1e-5):
-    return relu(batch_norm_fresh(x, gamma, beta, eps=eps))
-
-
 class TestBatchNormMatchesFresh:
     """The batch norm and ReLU that work in pooled buffers and in place
-    against `step_reference.batch_norm_fresh`, the form with fresh
-    temporaries, followed by `relu`, bit for bit (signed zeros included) on
-    the inputs where signs and guards decide. It runs under one pooled graph
-    for all trials, as training runs it, so every trial after the first
-    reuses dirty buffers."""
+    against `batch_norm_relu_chain`, run on fresh arrays, bit for bit
+    (signed zeros included) on the named cases where signs and guards
+    decide. The node runs under one pool for all trials, as training runs
+    it, so every trial after the first reuses dirty buffers."""
 
     CASES = ["random", "signed-zero-grads", "gamma-zero-negative", "one-pixel", "one-feature", "constant-rows"]
 
@@ -633,7 +627,7 @@ class TestBatchNormMatchesFresh:
             inputs = batch_norm_inputs(rng, case)
             eps = (0.0, 1e-5)[trial % 2]
             got = self.run(batch_norm_relu, inputs, trainable, pool, eps)
-            want = self.run(batch_norm_relu_fresh, inputs, trainable, None, eps)
+            want = self.run(batch_norm_relu_chain, inputs, trainable, None, eps)
             for name, a, b in zip(("out", "x", "gamma", "beta"), got, want):
                 assert same_bits(a, b), (name, trial)
         assert pool.lent == 0

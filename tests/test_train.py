@@ -230,8 +230,9 @@ class TestCallCount:
 
 
 class TestTransientMemory:
-    """Bytes a steady-state `byol` step at batch 8 allocates above what it
-    starts with, by `tracemalloc`, on default-size images.
+    """Bytes a steady-state step of the `full` method allocates above what
+    it starts with, by `tracemalloc`, on default-size images: with the
+    `byol` head at batch 8, and with no head at batch 1.
 
     numpy reports its array allocations to `tracemalloc`, so the peak
     counts every temporary array a step makes and does not jitter. Steps 0
@@ -249,11 +250,18 @@ class TestTransientMemory:
     # Reclaiming every pooled array when the step ends, in place of the
     # nodes' scratch handed back during backward, left it at 3.39 MB.
     BOUND = 5.0e6
+    # The batch-1 step's peak is 0.365 MB under the same versions. Its bound
+    # sits 51% above it, as the batch-8 bound does: a (16, 1,024) float64
+    # hidden-width array is 0.13 MB and an (8, 1,024) feature-width one
+    # 0.066 MB, so about three feature-width temporaries, or one of each
+    # width, coming back fail it.
+    BOUND_B1 = 0.55e6
 
-    def test_byol_batch_eight(self, monkeypatch):
-        data = generate_dataset(SynthSpec(seed=0, train_images=8, eval_images=2))
-        cfg = RunConfig(seed=0, iterations=self.ITERATIONS, style_transfer=True, contrastive=True,
-                        head="byol", batch_source=8, batch_target=8)
+    @classmethod
+    def peaks(cls, monkeypatch, images, **overrides):
+        """The `tracemalloc` peak of each step of a `full` run."""
+        data = generate_dataset(SynthSpec(seed=0, train_images=images, eval_images=2))
+        cfg = RunConfig(seed=0, iterations=cls.ITERATIONS, style_transfer=True, contrastive=True, **overrides)
         peaks = []
         real = train_module._step
 
@@ -270,8 +278,16 @@ class TestTransientMemory:
             train(cfg, data)
         finally:
             tracemalloc.stop()
-        assert len(peaks) == self.ITERATIONS
+        assert len(peaks) == cls.ITERATIONS
+        return peaks
+
+    def test_byol_batch_eight(self, monkeypatch):
+        peaks = self.peaks(monkeypatch, 8, head="byol", batch_source=8, batch_target=8)
         assert max(peaks[2:]) <= self.BOUND, peaks
+
+    def test_full_batch_one(self, monkeypatch):
+        peaks = self.peaks(monkeypatch, 2)
+        assert max(peaks[2:]) <= self.BOUND_B1, peaks
 
 
 def run_bytes(cfg, data):
