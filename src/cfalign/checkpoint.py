@@ -1,10 +1,10 @@
 """Checkpoint persistence.
 
 One container file (see ``tensor.write_container``) holds everything a run
-owns: the header echoes the config and the class/channel counts, and the
-named tensors follow. Loading rebuilds the state structurally from the
-config echo and then overwrites every array in place, so a round-trip
-reproduces evaluation output bit for bit.
+owns, its parameters and the bank: the header echoes the config and the
+class/channel counts, and the named tensors follow. Loading rebuilds the
+state structurally from the config echo and then overwrites every array in
+place, so a round-trip reproduces evaluation output bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .adain import ChannelStats
 from .config import RunConfig
 from .errors import ContractError
 from .tensor import read_container, write_container
@@ -22,7 +21,7 @@ from .train import TrainState, init_state
 __all__ = ["CHECKPOINT_FORMAT", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_FORMAT = "cfalign-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # the byol head's tensors, in `head_parameters` order; the index is the
 # layer's place in Linear, BatchNorm, ReLU, Linear
@@ -41,8 +40,6 @@ def _layout(config: RunConfig, classes: int, channels: int) -> dict[str, tuple[i
     width = feat * (1 if config.head == "none" else 2)
     layout.update({"bank.v_source": (classes, width), "bank.v_target": (classes, width)})
     layout.update({"bank.init_source": (classes,), "bank.init_target": (classes,)})
-    if config.style_transfer:
-        layout["style.stats_mean"] = layout["style.stats_var"] = (channels,)
     return layout
 
 
@@ -58,16 +55,12 @@ def _check_arrays(arrays: dict[str, np.ndarray], layout: dict[str, tuple[int, ..
 def _state_arrays(state: TrainState) -> dict[str, np.ndarray]:
     """Every array a run owns, named by its config's `_layout`. A state that
     layout does not describe raises ContractError naming the mismatch."""
-    bank, style, config = state.bank, state.style, state.config
+    bank, config = state.bank, state.config
     arrays = [p.data for p in state.parameters()]
     arrays += [bank.v_source, bank.v_target, bank.init_source, bank.init_target]
-    arrays += () if style is None else style.as_arrays()
     layout = _layout(config, state.classes, state.channels)
     if len(arrays) != len(layout):
-        raise ContractError(
-            f"state has {len(arrays)} arrays (style statistics {'unset' if style is None else 'set'}), "
-            f"but head {config.head!r} with style_transfer={config.style_transfer} lays out {len(layout)}"
-        )
+        raise ContractError(f"state has {len(arrays)} arrays, but head {config.head!r} lays out {len(layout)}")
     named = dict(zip(layout, arrays))
     _check_arrays(named, layout)
     return named
@@ -112,8 +105,6 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise ContractError(f"checkpoint tensor set mismatch: missing {missing}, unexpected {extra}")
     _check_arrays(stored, layout)
     state = init_state(config, classes, channels)
-    if config.style_transfer:
-        state.style = ChannelStats(mean=np.zeros(channels), var=np.ones(channels))
     targets = _state_arrays(state)
     for name, array in stored.items():
         targets[name][...] = array  # bool flag rows cast back from their 0/1 float form

@@ -259,8 +259,6 @@ def save_split(path: str | Path, split: Split, spec: SynthSpec, name: str) -> No
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "split": name,
-        "count": len(split),
-        "classes": spec.classes,
         "spec": spec.to_dict(),
     }
     write_container(path, header, {"images": split.images, "labels": split.labels})
@@ -269,9 +267,10 @@ def save_split(path: str | Path, split: Split, spec: SynthSpec, name: str) -> No
 def load_split(path: str | Path) -> tuple[Split, dict]:
     """Read one split file; any malformed content raises ConfigError.
 
-    The split holds at least one image. The header's class count is an int
-    equal to its spec's, and labels are integers in [0, classes) shaped
-    (n, height, width) to match the (n, channels, height, width) images.
+    The split holds at least one image, the header's spec passes
+    `SynthSpec` validation, and labels are integers in [0, spec classes)
+    shaped (n, height, width) to match the (n, channels, height, width)
+    images. Header keys other than those `save_split` writes are ignored.
     """
     try:
         header, arrays = read_container(path, DATASET_FORMAT)
@@ -289,11 +288,13 @@ def load_split(path: str | Path) -> tuple[Split, dict]:
     n, _, h, w = images.shape
     if n == 0:
         raise ConfigError(f"{path} holds no images")
-    classes, spec = header.get("classes"), header.get("spec")
-    spec_classes = spec.get("classes") if isinstance(spec, dict) else None
-    # `type(...) is int`: a JSON true is a bool, which isinstance(_, int) lets through
-    if type(classes) is not int or classes != spec_classes:
-        raise ConfigError(f"{path} header has {classes!r} classes, its spec {spec_classes!r}")
+    spec = header.get("spec")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path} header holds no spec object")
+    try:
+        classes = SynthSpec.from_mapping(spec).classes
+    except ConfigError as exc:
+        raise ConfigError(f"{path} spec: {exc}") from exc
     if labels.shape != (n, h, w):
         raise ConfigError(f"{path} labels have shape {labels.shape}, images need {(n, h, w)}")
     integral = labels == np.round(labels)
@@ -318,7 +319,7 @@ def load_dataset(directory: str | Path) -> Dataset:
             raise ConfigError(f"missing dataset file {path}")
         splits[name], header = load_split(path)
         specs.append(header.get("spec"))
-    if not isinstance(specs[0], dict) or any(s != specs[0] for s in specs):
+    if any(s != specs[0] for s in specs):
         raise ConfigError(f"the splits in {directory} do not share one dataset spec")
     spec = SynthSpec.from_mapping(specs[0])
     return Dataset(spec, splits["source_train"], splits["target_train"], splits["target_eval"])

@@ -94,7 +94,7 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
     preds = np.empty(labels.size, dtype=np.intp)
     pseudo = None
     if int(state.bank.init_source.sum()) >= 2:
-        bank = state.feature_bank()
+        bank = state.feature_bank
         pseudo = np.empty(labels.size, dtype=np.int64)
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adain import ChannelStats, adain_transfer, channel_stats, to_pixels
+from .adain import adain_transfer, channel_stats, to_pixels
 from .config import RunConfig
 from .data import Dataset
 from .errors import DivergenceError
@@ -86,7 +86,7 @@ def save_metrics_csv(records: list[MetricsRecord], path: str | Path) -> None:
 
 @dataclass
 class TrainState:
-    """Everything a run owns: parameters, the bank, and the frozen style statistics."""
+    """Everything a run owns: the parameters and the bank."""
 
     config: RunConfig
     classes: int
@@ -94,15 +94,15 @@ class TrainState:
     model: SegModel
     head: Head
     bank: MemoryBank  # rows [backbone features | head outputs]; the backbone alone for head "none"
-    style: ChannelStats | None = None  # target-train image statistics, when transferring
-    # column views of `bank`, built once: they share its rows and flags
-    _feature_bank: MemoryBank = field(init=False, repr=False, compare=False)
-    _head_bank: MemoryBank = field(init=False, repr=False, compare=False)
+    # column views of `bank`, built once: they share its rows and flags.
+    # Pseudo-labeling reads the backbone columns, the contrastive loss the head columns.
+    feature_bank: MemoryBank = field(init=False, repr=False, compare=False)
+    head_bank: MemoryBank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.config.feature_dim
-        self._feature_bank = self.bank.columns(slice(None, d))
-        self._head_bank = self.bank.columns(slice(-d, None))
+        self.feature_bank = self.bank.columns(slice(None, d))
+        self.head_bank = self.bank.columns(slice(-d, None))
 
     def parameters(self):
         return model_parameters(self.model) + head_parameters(self.head)
@@ -111,14 +111,6 @@ class TrainState:
         """Per-pixel (d, n) features laid out like the bank's rows, as blocks
         that are never copied together: (f, h), or (f,) for head "none"."""
         return (f,) if self.config.head == "none" else (f, h)
-
-    def feature_bank(self) -> MemoryBank:
-        """The bank's backbone columns, which pseudo-labeling reads."""
-        return self._feature_bank
-
-    def head_bank(self) -> MemoryBank:
-        """The bank's head-output columns, which the contrastive loss reads."""
-        return self._head_bank
 
 
 def init_state(config: RunConfig, classes: int, channels: int) -> TrainState:
@@ -148,7 +140,7 @@ def _update_bank_and_label(state: TrainState, f_s, h_s, lab_s, f_t, h_t) -> np.n
     means, counts = class_centers(state.bank_rows(f_s.data, h_s.data), lab_s, state.classes)
     update_bank(state.bank, means, counts, "source")
     if int(state.bank.init_source.sum()) >= 2:
-        pseudo = assign_pseudo_labels(f_t.data.T, state.feature_bank(), state.config.threshold)
+        pseudo = assign_pseudo_labels(f_t.data.T, state.feature_bank, state.config.threshold)
     else:
         # margin needs two centers; until then nothing is labeled
         pseudo = np.full(f_t.data.shape[1], -1, dtype=np.int64)
@@ -187,7 +179,7 @@ def _step(
                 lab_s,
                 h_t,
                 pseudo,
-                state.head_bank(),
+                state.head_bank,
                 tau=cfg.tau,
                 include_positive=cfg.include_positive,
                 normalize=cfg.normalize_features,
@@ -225,9 +217,8 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
     """
     config.validate()
     state = init_state(config, data.spec.classes, data.spec.channels)
-    if config.style_transfer:
-        # frozen once, over the whole target training split
-        state.style = channel_stats(data.target_train.images)
+    # frozen once, over the whole target training split
+    style = channel_stats(data.target_train.images) if config.style_transfer else None
     params = state.parameters()
     rng_batch = np.random.default_rng([config.seed, 1])
     n_s = len(data.source_train.images)
@@ -242,8 +233,8 @@ def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRec
         img_t = data.target_train.images[ti]
         # held-out truth: used for the pseudo_acc diagnostic only, never in a loss
         diag_t = data.target_train.labels[ti].reshape(-1)
-        if state.style is not None:
-            img_s = adain_transfer(img_s, state.style)
+        if style is not None:
+            img_s = adain_transfer(img_s, style)
         # an overflow or invalid value ends the run with one DivergenceError
         # naming the iteration, before numpy can print a warning
         try:

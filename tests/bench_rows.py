@@ -34,6 +34,9 @@ gave the right answers.
     python3 tests/bench_rows.py --parent PARENT_TREE --change . \\
         --workload full_b1 --seeds 301-310 --seconds 20
 
+The two tree roots must resolve to paths of equal length; otherwise the
+tool exits 2 before any run, naming both.
+
 pytest does not collect this file; ``tests/test_bench_files.py`` checks the
 committed files' schema.
 """
@@ -134,10 +137,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if len(args.seeds) < 2:
         ap.error("quartiles need at least two seeds")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    # a longer root makes every import and file path longer, which alone
+    # moved ent_b1 iter_ms by 7% between two identical trees
+    lengths = {side: len(str(tree)) for side, tree in trees.items()}
+    if lengths["parent"] != lengths["change"]:
+        print(f"tree roots differ in path length: parent {trees['parent']} ({lengths['parent']}), "
+              f"change {trees['change']} ({lengths['change']})", file=sys.stderr)
+        return 2
     commit = args.parent_commit or subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
     ).stdout.strip()
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     equal = 0  # pairs whose two metrics_csv_sha256 are equal
     for i, seed in enumerate(args.seeds):

@@ -12,6 +12,7 @@ import json
 from numbers import Real
 from pathlib import Path
 
+import bench_rows
 from bench_rows import CHANGE_KEYS, ROW_KEYS, STAT_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +70,18 @@ def test_every_bench_file_follows_the_schema():
             if (parent.get("side"), change.get("side")) != ("parent", "change"):
                 problems.append(f"{path.name}: a pair is not parent then change")
     assert not problems, problems
+
+
+def test_roots_of_different_path_lengths_exit_2(tmp_path, monkeypatch, capsys):
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(bench_rows.subprocess, "run", no_subprocess)
+    parent, change = tmp_path / "p", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "ent_b1", "--seeds", "1-2"]
+    assert bench_rows.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"{parent} ({len(str(parent))})" in err and f"{change} ({len(str(change))})" in err

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfalign.adain import ChannelStats
 from cfalign.checkpoint import (
     _layout,
     _state_arrays,
@@ -97,12 +96,12 @@ class TestOneBank:
         config = RunConfig(head=head, feature_dim=4)
         state = init_state(config, 3, 2)
         assert state.bank.feature_dim == (4 if head == "none" else 4 + 4)
-        assert state.feature_bank().feature_dim == state.head_bank().feature_dim == 4
+        assert state.feature_bank.feature_dim == state.head_bank.feature_dim == 4
 
     @pytest.mark.parametrize("head", ["none", "byol"])
     def test_views_share_rows_and_flags(self, head):
         state = init_state(RunConfig(head=head, feature_dim=4), 3, 2)
-        feat, proj = state.feature_bank(), state.head_bank()
+        feat, proj = state.feature_bank, state.head_bank
         state.bank.v_source[:] = np.arange(state.bank.v_source.size).reshape(3, -1)
         state.bank.v_target[1] = -1.0
         state.bank.init_source[2] = True
@@ -145,7 +144,7 @@ class TestOneBank:
         return path
 
     def test_version_1_checkpoint_rejected(self, version_1_file):
-        with pytest.raises(ContractError, match="checkpoint version 1, expected 3"):
+        with pytest.raises(ContractError, match="checkpoint version 1, expected 4"):
             load_checkpoint(version_1_file)
 
     def test_version_1_checkpoint_exits_2(self, tiny_data, version_1_file, tmp_path, capsys):
@@ -153,7 +152,7 @@ class TestOneBank:
         save_dataset(data_dir, tiny_data)
         assert main(["eval", "--checkpoint", str(version_1_file), "--data", str(data_dir)]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "version 1, expected 3" in err
+        assert len(err.splitlines()) == 1 and "version 1, expected 4" in err
 
     def test_version_2_checkpoint_exits_2(self, tiny_data, tmp_path, capsys):
         """A byol checkpoint as version 2 wrote it, with batch-norm running statistics."""
@@ -168,7 +167,22 @@ class TestOneBank:
         save_dataset(data_dir, tiny_data)
         assert main(["eval", "--checkpoint", str(path), "--data", str(data_dir)]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "version 2, expected 3" in err
+        assert len(err.splitlines()) == 1 and "version 2, expected 4" in err
+
+    def test_version_3_checkpoint_exits_2(self, tiny_data, tmp_path, capsys):
+        """A style-transfer checkpoint as version 3 wrote it, with the target channel statistics."""
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(trained_state(tiny_data, iterations=3), path)
+        header, arrays = read_container(path, "cfalign-checkpoint")
+        header["version"] = 3
+        channels = header["channels"]
+        arrays = {**arrays, "style.stats_mean": np.zeros(channels), "style.stats_var": np.ones(channels)}
+        write_container(path, header, arrays)
+        data_dir = tmp_path / "data"
+        save_dataset(data_dir, tiny_data)
+        assert main(["eval", "--checkpoint", str(path), "--data", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "version 3, expected 4" in err
 
     def test_byol_tensor_list(self, tmp_path):
         path = tmp_path / "ckpt.bin"
@@ -187,8 +201,6 @@ class TestOneBank:
 def test_expected_shapes_match_state(head, style_transfer):
     config = RunConfig(head=head, hidden_dim=5, feature_dim=4, style_transfer=style_transfer)
     state = init_state(config, 3, 2)
-    if style_transfer:
-        state.style = ChannelStats(mean=np.zeros(2), var=np.ones(2))
     got = _layout(config, 3, 2)
     assert got == {name: a.shape for name, a in _state_arrays(state).items()}
 
@@ -199,14 +211,10 @@ MODEL_TENSORS = [
 ]
 HEAD_TENSORS = ["head.0.weight", "head.0.bias", "head.1.gamma", "head.1.beta", "head.3.weight", "head.3.bias"]
 BANK_TENSORS = ["bank.v_source", "bank.v_target", "bank.init_source", "bank.init_target"]
-STYLE_TENSORS = ["style.stats_mean", "style.stats_var"]
 
 
-def styled_state(head="none", style_transfer=True):
-    state = init_state(RunConfig(head=head, hidden_dim=5, feature_dim=4, style_transfer=style_transfer), 3, 2)
-    if style_transfer:
-        state.style = ChannelStats(mean=np.zeros(2), var=np.ones(2))
-    return state
+def small_state(head="none", style_transfer=True):
+    return init_state(RunConfig(head=head, hidden_dim=5, feature_dim=4, style_transfer=style_transfer), 3, 2)
 
 
 class TestSchema:
@@ -215,11 +223,12 @@ class TestSchema:
     @pytest.mark.parametrize("head", HEAD_KINDS)
     @pytest.mark.parametrize("style_transfer", [False, True])
     def test_tensor_names_in_file_order(self, tmp_path, head, style_transfer):
-        state = styled_state(head, style_transfer)
+        # the target statistics a style-transfer run renormalizes toward are
+        # read from the data, so the names do not depend on style_transfer
+        state = small_state(head, style_transfer)
         save_checkpoint(state, tmp_path / "ckpt.bin")
         header, _ = read_container(tmp_path / "ckpt.bin", "cfalign-checkpoint")
         want = MODEL_TENSORS + (HEAD_TENSORS if head == "byol" else []) + BANK_TENSORS
-        want += STYLE_TENSORS if style_transfer else []
         assert header["tensors"] == want
         assert list(_layout(state.config, 3, 2)) == want
 
@@ -227,7 +236,7 @@ class TestSchema:
     def test_each_name_is_the_array_it_names(self, head):
         # a swap of two same-shaped arrays (v_source and v_target) round-trips
         # unchanged, so only identity catches it
-        state = styled_state(head)
+        state = small_state(head)
         model, bank = state.model, state.bank
         owners = {
             "model.enc1.weight": model.enc1.weight.data,
@@ -240,8 +249,6 @@ class TestSchema:
             "bank.v_target": bank.v_target,
             "bank.init_source": bank.init_source,
             "bank.init_target": bank.init_target,
-            "style.stats_mean": state.style.mean,
-            "style.stats_var": state.style.var,
         }
         if head == "byol":
             h = state.head
@@ -268,37 +275,25 @@ class TestSaveRejectsWhatLoadRejects:
             save_checkpoint(state, path)
         assert not path.exists()
 
-    def test_style_transfer_without_style(self, tmp_path):
-        state = init_state(RunConfig(style_transfer=True), 5, 3)
-        self.rejected(tmp_path, state, r"style statistics unset.*style_transfer=True")
-
-    def test_style_without_style_transfer(self, tmp_path):
-        state = styled_state(style_transfer=False)
-        state.style = ChannelStats(mean=np.zeros(2), var=np.ones(2))
-        self.rejected(tmp_path, state, r"style statistics set.*style_transfer=False")
-
-    @pytest.mark.parametrize("field", ["bias", "bank", "style"])
+    @pytest.mark.parametrize("field", ["bias", "bank"])
     def test_shape_against_config_echo(self, tmp_path, field):
-        state = styled_state("byol")
+        state = small_state("byol")
         if field == "bias":
             state.model.enc2.bias.data = np.zeros(3)
             match = r"model.enc2.bias has shape \(3,\), expected \(4,\)"
-        elif field == "bank":
+        else:
             state.bank.v_target = np.zeros((3, 4))
             match = r"bank.v_target has shape \(3, 4\), expected \(3, 8\)"
-        else:
-            state.style = ChannelStats(mean=np.zeros(3), var=np.ones(3))
-            match = r"style.stats_mean has shape \(3,\), expected \(2,\)"
         self.rejected(tmp_path, state, match)
 
     def test_head_against_config_echo(self, tmp_path):
-        state = styled_state("byol")
+        state = small_state("byol")
         state.head = init_state(RunConfig(head="none", hidden_dim=5, feature_dim=4), 3, 2).head
         self.rejected(tmp_path, state, "head 'byol'")
 
 
 class TestStyleEcho:
-    """The config echo's style_transfer alone fixes whether style tensors belong in the file."""
+    """No style tensor belongs in a checkpoint, whatever style settings its config echo holds."""
 
     @pytest.fixture
     def dataset_dir(self, tiny_data, tmp_path):
@@ -311,19 +306,19 @@ class TestStyleEcho:
         header, arrays = read_container(path, "cfalign-checkpoint")
         return path, header, arrays
 
-    def test_style_tensors_without_style_transfer_rejected(self, tiny_data, tmp_path):
+    def test_style_tensors_without_style_transfer_rejected(self, tiny_data, tmp_path, dataset_dir, capsys):
+        # the tensors version 3 stored for a style-transfer run, in a version 4 file
         path, header, arrays = self.saved(tiny_data, tmp_path)
-        header["config"]["style_transfer"] = False
-        write_container(path, header, arrays)
-        with pytest.raises(ContractError, match=r"unexpected \['style.stats_mean', 'style.stats_var'\]"):
-            load_checkpoint(path)
-
-    def test_style_transfer_without_style_tensors_rejected(self, tiny_data, tmp_path):
-        path, header, arrays = self.saved(tiny_data, tmp_path, style_transfer=False)
-        header["config"]["style_transfer"] = True
-        write_container(path, header, arrays)
-        with pytest.raises(ContractError, match=r"missing \['style.stats_mean', 'style.stats_var'\]"):
-            load_checkpoint(path)
+        channels = header["channels"]
+        arrays.update({"style.stats_mean": np.zeros(channels), "style.stats_var": np.ones(channels)})
+        for style_transfer in (False, True):
+            header["config"]["style_transfer"] = style_transfer
+            write_container(path, header, arrays)
+            with pytest.raises(ContractError, match=r"unexpected \['style.stats_mean', 'style.stats_var'\]"):
+                load_checkpoint(path)
+            assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "tensor set mismatch" in err
 
     def test_removed_style_net_keys_in_echo_ignored(self, tiny_data, tmp_path, dataset_dir, capsys):
         # files written before the style-net route was removed echo its five

@@ -441,8 +441,9 @@ class TestTrain:
 
 
 class TestSplitContents:
-    """A split with no images, or a header class count other than its
-    spec's, ends in one ConfigError line and exit 2 before training starts."""
+    """A split with no images, or a spec class count that is not an integer
+    or not the other splits', ends in one ConfigError line and exit 2 before
+    training starts."""
 
     @pytest.mark.parametrize("style", [[], ["--style-transfer"]], ids=["plain", "style-transfer"])
     @pytest.mark.parametrize("split", ["source_train", "target_train"])
@@ -465,7 +466,7 @@ class TestSplitContents:
         # whose pseudo-labels could never match
         def relabel(header, arrays):
             if header["split"] == "target_train":
-                header["classes"] = classes
+                header["spec"]["classes"] = classes
                 if classes == 9:
                     arrays["labels"][:] = 8
 
@@ -474,7 +475,8 @@ class TestSplitContents:
         argv = ["train", "--data", str(data), "--out", str(out), "--contrastive", "--style-transfer"]
         assert main(argv + TINY_RUN_FLAGS) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and f"target_train.bin header has {classes!r} classes" in err
+        message = "do not share one dataset spec" if classes == 9 else "target_train.bin spec: classes must be an integer"
+        assert len(err.splitlines()) == 1 and message in err
         assert not (out / "metrics.csv").exists()
 
 

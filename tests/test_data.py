@@ -252,7 +252,7 @@ class TestFiles:
             header = json.loads(fh.readline())
         assert header["format"] == "cfalign-dataset"
         assert header["tensors"] == ["images", "labels"]
-        assert header["count"] == 12
+        assert "count" not in header and "classes" not in header  # the tensors and the spec state both
 
     def test_non_dataset_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -333,6 +333,14 @@ class TestLoaderRejects:
         del arrays["labels"]
         write_container(path, header, arrays)
         with pytest.raises(ConfigError, match="no labels tensor"):
+            load_split(path)
+
+    @pytest.mark.parametrize("spec", [None, [5]])
+    def test_spec_not_an_object(self, split_file, spec):
+        path, _ = split_file
+        header, arrays = read_container(path, "cfalign-dataset")
+        write_container(path, {**header, "spec": spec}, arrays)
+        with pytest.raises(ConfigError, match="header holds no spec object"):
             load_split(path)
 
     @pytest.mark.parametrize("version", [0, 2, None, "1"])

@@ -242,7 +242,7 @@ def reference_eval(state, split):
     preds = model_probs(state.model, feats).data.argmax(axis=0)
     pseudo = None
     if int(state.bank.init_source.sum()) >= 2:
-        pseudo = assign_pseudo_labels(feats.data.T, state.feature_bank(), state.config.threshold)
+        pseudo = assign_pseudo_labels(feats.data.T, state.feature_bank, state.config.threshold)
     return preds, pseudo
 
 

@@ -501,6 +501,33 @@ def batch_norm_relu_chain(x, gamma, beta, eps=1e-5):
     return relu(batch_norm_chain(x, gamma, beta, eps=eps))
 
 
+def replay(op, arrays, upstream, trainable, grads=None, pool=None):
+    """Output, leaf gradients and node tags of `op(*leaves)`, one leaf per
+    entry of `arrays` (a dict, in order), with `upstream` seeded as the
+    output's gradient and the tape replayed in reverse.
+
+    A leaf takes a gradient when its name is in `trainable`, starting from
+    `grads[name]` when that is not None (a gradient from later nodes). Under
+    a `pool`, forward and backward draw from it; the arrays returned are
+    copies, taken before the pool takes everything back.
+    """
+    grads = grads or {}
+    leaves = [Tensor(a.copy(), requires_grad=k in trainable) for k, a in arrays.items()]
+    for k, t in zip(arrays, leaves):
+        if t.requires_grad and grads.get(k) is not None:
+            t.grad = grads[k].copy()
+    with Graph(pool=pool) as g:
+        out = op(*leaves)
+        out.grad = upstream.copy()
+        for node in reversed(g.nodes):
+            if node.output.grad is not None:
+                node.backward(node.output.grad)
+    kept = [out.data.copy()] + [None if t.grad is None else t.grad.copy() for t in leaves]
+    if pool is not None:
+        pool.reclaim()
+    return kept, [node.tag for node in g.nodes]
+
+
 class TestBatchNormMatchesChain:
     """The one-node batch norm and ReLU against `batch_norm_chain` and
     `relu`, bit for bit: output, gradients, signed zeros included. Cases
@@ -535,28 +562,13 @@ class TestBatchNormMatchesChain:
                 case[k] = np.ascontiguousarray(case[k].T)
         return case
 
-    @staticmethod
-    def run(bn, case, trainable=("x", "gamma", "beta")):
-        """Everything `bn` leaves behind, with `case["upstream"]` seeded as the
-        output's gradient and the tape replayed in reverse."""
-        leaves = {}
-        for k in ("x", "gamma", "beta"):
-            leaves[k] = Tensor(case[k].copy(), requires_grad=k in trainable)
-            if k in trainable and case[k + "_grad"] is not None:
-                leaves[k].grad = case[k + "_grad"].copy()
-        x, gamma, beta = leaves.values()
-        with Graph() as g:
-            out = bn(x, gamma, beta, eps=case["eps"])
-        out.grad = case["upstream"].copy()
-        for node in reversed(g.nodes):
-            if node.output.grad is not None:
-                node.backward(node.output.grad)
-        kept = (out.data, x.grad, gamma.grad, beta.grad)
-        return kept, [node.tag for node in g.nodes]
-
     def check(self, case, trainable=("x", "gamma", "beta")):
-        got, tags = self.run(batch_norm_relu, case, trainable)
-        want, chain_tags = self.run(batch_norm_relu_chain, case, trainable)
+        names = ("x", "gamma", "beta")
+        arrays, grads = {k: case[k] for k in names}, {k: case[k + "_grad"] for k in names}
+        (got, tags), (want, chain_tags) = (
+            replay(lambda *t: bn(*t, eps=case["eps"]), arrays, case["upstream"], trainable, grads)
+            for bn in (batch_norm_relu, batch_norm_relu_chain)
+        )
         for name, a, b in zip(("out", "x", "gamma", "beta"), got, want):
             assert same_bits(a, b), name
         return tags, chain_tags
@@ -602,21 +614,6 @@ class TestBatchNormMatchesFresh:
 
     CASES = ["random", "signed-zero-grads", "gamma-zero-negative", "one-pixel", "one-feature", "constant-rows"]
 
-    @staticmethod
-    def run(bn, inputs, trainable, pool, eps):
-        leaves = [Tensor(a.copy(), requires_grad=k in trainable) for k, a in zip(("x", "gamma", "beta"), inputs)]
-        with Graph(pool=pool) as g:
-            out = bn(*leaves, eps=eps)
-            out.grad = inputs[3].copy()
-            for node in reversed(g.nodes):
-                if node.output.grad is not None:
-                    node.backward(node.output.grad)
-        kept = [a if a is None else a.copy() for a in [out.data] + [t.grad for t in leaves]]
-        if pool is not None:
-            zero_grads(leaves)
-            pool.reclaim()
-        return kept
-
     @pytest.mark.parametrize("trainable", [("x", "gamma", "beta"), ("gamma", "beta"), ("x",)],
                              ids=["all", "no-x-grad", "x-only"])
     @pytest.mark.parametrize("case", CASES)
@@ -624,10 +621,10 @@ class TestBatchNormMatchesFresh:
         rng = np.random.default_rng([72, self.CASES.index(case)])
         pool = ArrayPool()
         for trial in range(20):
-            inputs = batch_norm_inputs(rng, case)
-            eps = (0.0, 1e-5)[trial % 2]
-            got = self.run(batch_norm_relu, inputs, trainable, pool, eps)
-            want = self.run(batch_norm_relu_chain, inputs, trainable, None, eps)
+            x, gamma, beta, upstream = batch_norm_inputs(rng, case)
+            arrays, eps = {"x": x, "gamma": gamma, "beta": beta}, (0.0, 1e-5)[trial % 2]
+            got, _ = replay(lambda *t: batch_norm_relu(*t, eps=eps), arrays, upstream, trainable, pool=pool)
+            want, _ = replay(lambda *t: batch_norm_relu_chain(*t, eps=eps), arrays, upstream, trainable)
             for name, a, b in zip(("out", "x", "gamma", "beta"), got, want):
                 assert same_bits(a, b), (name, trial)
         assert pool.lent == 0
@@ -656,38 +653,18 @@ class TestFusedReluMatchesChain:
     bias to a +0.0 gives +0.0."""
 
     @staticmethod
-    def run(op, arrays, upstream, trainable, grads, pool=None):
-        """Output, leaf gradients and node tags of `op(*leaves)`, with
-        `upstream` seeded as the output's gradient and the tape replayed in
-        reverse."""
-        leaves = [Tensor(a.copy(), requires_grad=i in trainable) for i, a in enumerate(arrays)]
-        for t, grad in zip(leaves, grads):
-            if t.requires_grad and grad is not None:
-                t.grad = grad.copy()
-        with Graph(pool=pool) as g:
-            out = op(*leaves)
-        out.grad = upstream.copy()
-        for node in reversed(g.nodes):
-            if node.output.grad is not None:
-                node.backward(node.output.grad)
-        kept = [out.data.copy()] + [None if t.grad is None else t.grad.copy() for t in leaves]
-        if pool is not None:
-            pool.reclaim()
-        return kept, [node.tag for node in g.nodes]
-
-    @staticmethod
     def upstream_and_grads(rng, out_shape, arrays, trainable):
         upstream = rng.normal(size=out_shape)
         upstream[rng.random(out_shape) < 0.2] = -0.0
         upstream[rng.random(out_shape) < 0.1] = 0.0
         upstream[rng.random(out_shape) < 0.05] = np.nan
-        grads = []
-        for i, a in enumerate(arrays):
+        grads = {}
+        for k, a in arrays.items():
             grad = None
-            if i in trainable and rng.random() < 0.3:
+            if k in trainable and rng.random() < 0.3:
                 grad = rng.normal(size=a.shape)
                 grad[rng.random(a.shape) < 0.5] = -0.0
-            grads.append(grad)
+            grads[k] = grad
         return upstream, grads
 
     @staticmethod
@@ -702,9 +679,9 @@ class TestFusedReluMatchesChain:
         }
 
     def check(self, fused, chain, arrays, upstream, trainable, grads, pool):
-        got, tags = self.run(fused, arrays, upstream, trainable, grads, pool)
-        want, chain_tags = self.run(chain, arrays, upstream, trainable, grads)
-        for name, a, b in zip(("out", "0", "1", "2"), got, want):
+        got, tags = replay(fused, arrays, upstream, trainable, grads, pool)
+        want, chain_tags = replay(chain, arrays, upstream, trainable, grads)
+        for name, a, b in zip(("out", *arrays), got, want):
             assert same_bits(a, b), name
         assert len(tags) == 1 and chain_tags[-1] == "relu"
         return tags[0]
@@ -712,7 +689,7 @@ class TestFusedReluMatchesChain:
     def test_affine(self):
         rng = np.random.default_rng(80)
         pool, seen = NaNPool(), set()
-        subsets = [(0, 1, 2), (1, 2), (0,), (2,)]
+        subsets = [("x", "w", "b"), ("w", "b"), ("x",), ("b",)]
         for i in range(400):
             k, m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 13))
             if i % 2:  # small integers: exact sums, so many pre-activations are exactly 0
@@ -728,11 +705,11 @@ class TestFusedReluMatchesChain:
                 x[:, rng.integers(n)] = np.nan
             if rng.random() < 0.1:
                 b[rng.integers(m)] = np.nan
-            trainable = subsets[i % len(subsets)]
-            upstream, grads = self.upstream_and_grads(rng, (m, n), (x, w, b), trainable)
+            trainable, arrays = subsets[i % len(subsets)], {"x": x, "w": w, "b": b}
+            upstream, grads = self.upstream_and_grads(rng, (m, n), arrays, trainable)
             tag = self.check(
                 lambda *t: affine(*t, relu=True), lambda *t: relu(chain_affine(*t)),
-                (x, w, b), upstream, trainable, grads, pool,
+                arrays, upstream, trainable, grads, pool,
             )
             assert tag == "affine"
             seen |= {kind for kind, present in self.kinds(w.T @ x + b[:, None]).items() if present}
@@ -751,14 +728,13 @@ class TestFusedReluMatchesChain:
             gamma[rows[0]], beta[rows[0]] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), rng.choice([0.0, -0.0])
             if rng.random() < 0.3:
                 x[rows[1], rng.integers(x.shape[1])] = np.nan
-            names = subsets[i % len(subsets)]
-            trainable = tuple(j for j, name in enumerate(("x", "gamma", "beta")) if name in names)
-            grads = [case[name + "_grad"] for name in ("x", "gamma", "beta")]
+            trainable, arrays = subsets[i % len(subsets)], {"x": x, "gamma": gamma, "beta": beta}
+            grads = {k: case[k + "_grad"] for k in arrays}
             upstream, eps = case["upstream"], case["eps"]
             upstream[rng.random(upstream.shape) < 0.05] = np.nan
             tag = self.check(
                 lambda *t: batch_norm_relu(*t, eps=eps), lambda *t: batch_norm_relu_chain(*t, eps=eps),
-                (x, gamma, beta), upstream, trainable, grads, pool,
+                arrays, upstream, trainable, grads, pool,
             )
             assert tag == "batch_norm"
             pre = batch_norm_chain(Tensor(x), Tensor(gamma), Tensor(beta), eps=eps).data
