@@ -141,8 +141,6 @@ class RunConfig(Record):
     alpha: float = 0.9
     threshold: float = 0.05
     head: str = "none"
-    include_positive: bool = True
-    normalize_features: bool = False
     # backbone
     hidden_dim: int = 16
     feature_dim: int = 8
@@ -161,10 +159,6 @@ class RunConfig(Record):
             (0.0 <= self.alpha <= 1.0, "alpha must lie in [0, 1]"),
             (self.threshold >= 0, "threshold must be nonnegative"),
             (self.head in HEAD_KINDS, f"head must be one of {HEAD_KINDS}"),
-            # -pos + logsumexp(negatives) falls without limit as features grow
-            (not self.contrastive or self.include_positive or self.normalize_features,
-             "include_positive=false needs normalize_features: the exclude-positive "
-             "loss has no lower bound without normalization"),
             (self.hidden_dim >= 1, "hidden_dim must be at least 1"),
             (self.feature_dim >= 1, "feature_dim must be at least 1"),
         ] + [

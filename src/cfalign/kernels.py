@@ -60,12 +60,11 @@ def _i64c(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def log_softmax(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, entropy: bool = False) -> np.ndarray | None:
+def log_softmax(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Write the log-softmax columns of the (k, n) logits `z`, k >= 1, into
-    the (k, n) array `out`: ``z - max - log(sum(exp(z - max)))`` per column.
-    The shifted exponentials go into the (k, n) array `scratch`, whose
-    contents are undefined afterwards. With `entropy`, also return each
-    column's ``sum(p * log p)``.
+    the (k, n) array `out`: ``z - max - log(s)`` per column, with s the sum
+    of the shifted exponentials ``exp(z - max)``. Those are left in the
+    (k, n) array `scratch`, and the column sums s are returned.
 
     The shifted exponentials are at most 1 and their sum at least 1, so no
     log is clamped: the column [0, 800] gives log-probabilities -800 and 0
@@ -78,10 +77,7 @@ def log_softmax(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, entropy: bo
     e = np.exp(out, out=scratch)
     s = e.sum(axis=0)
     np.subtract(out, np.log(s), out=out)
-    if not entropy:
-        return None
-    # sum(p * log p) = sum(exp(z - max) * log p) / s
-    return np.multiply(e, out, out=e).sum(axis=0) / s
+    return s
 
 
 def argmax(z: np.ndarray) -> np.ndarray:

@@ -142,7 +142,9 @@ def entropy_from_logits(logits: Tensor) -> Tensor:
     n = z.shape[1]
     k = float(-1.0 / np.log(c))
     logp, e = buffer(z.shape), buffer(z.shape)
-    plogp = log_softmax(z, logp, e, entropy=True)  # -H per pixel
+    s = log_softmax(z, logp, e)
+    # -H per pixel: sum(p * log p) = sum(exp(z - max) * log p) / s
+    plogp = np.multiply(e, logp, out=e).sum(axis=0) / s
     loss = Tensor((plogp * k).mean(), logits.requires_grad)
 
     def bwd(g):
@@ -346,21 +348,20 @@ def contrastive_combined(
     y_target: np.ndarray,
     bank: MemoryBank,
     tau: float = 0.07,
-    include_positive: bool = True,
-    normalize: bool = False,
 ) -> Tensor:
     """Sum of the four cross-domain InfoNCE terms of two (d, n) feature
     sets, as one tape node.
 
-    Both feature sets are pulled toward both domains' center tables. For each
-    term, features whose class row is uninitialized on that side are dropped,
-    and a term with no surviving feature (or no initialized center) adds 0.
+    Both feature sets are pulled toward both domains' center tables. Each
+    term reads the raw features and keeps the positive center in its
+    denominator. For each term, features whose class row is uninitialized
+    on that side are dropped, and a term with no surviving feature (or no
+    initialized center) adds 0.
     """
     _check_tau(tau)
-    needed = 2 if not include_positive else 1
     groups: list[tuple[np.ndarray, list[np.ndarray]]] = []
     for centers, mask in ((bank.v_source, bank.init_source), (bank.v_target, bank.init_target)):
-        if np.count_nonzero(mask) < needed:
+        if not mask.any():
             continue
         # tables with the same initialized rows share one stack
         if groups and (mask == groups[-1][0]).all():
@@ -379,7 +380,7 @@ def contrastive_combined(
                 stacks.append(stack)
     if not stacks:
         return Tensor(0.0)
-    return _nce(stacks, (f_source, f_target), tau, include_positive, normalize)
+    return _nce(stacks, (f_source, f_target), tau, include_positive=True, normalize=False)
 
 
 def total_objective(

@@ -100,7 +100,7 @@ def class_centers(
 
 def update_bank(
     bank: MemoryBank, means: np.ndarray, counts: np.ndarray, domain: str
-) -> MemoryBank:
+) -> None:
     """Fold batch class means into one domain's rows, in place.
 
     Initialized rows move by ``alpha * V + (1 - alpha) * M``; a row seeing its
@@ -119,7 +119,6 @@ def update_bank(
     np.copyto(rows, bank.alpha * rows + (1.0 - bank.alpha) * means, where=seen[:, None])
     np.copyto(rows, means, where=fresh[:, None])
     init |= fresh
-    return bank
 
 
 def assign_pseudo_labels(

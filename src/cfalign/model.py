@@ -34,9 +34,7 @@ __all__ = [
 @dataclass
 class SegModel:
     channels: int
-    hidden_dim: int
     feature_dim: int
-    classes: int
     enc1: LinearLayer
     enc2: LinearLayer
     classifier: LinearLayer
@@ -61,9 +59,7 @@ def build_model(
         rng = np.random.default_rng(rng)
     return SegModel(
         channels=channels,
-        hidden_dim=hidden_dim,
         feature_dim=feature_dim,
-        classes=classes,
         enc1=linear_layer(channels, hidden_dim, rng),
         enc2=linear_layer(hidden_dim, feature_dim, rng),
         classifier=linear_layer(feature_dim, classes, rng),

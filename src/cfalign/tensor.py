@@ -175,10 +175,6 @@ def _active() -> Graph | None:
     return _GRAPH_STACK[-1] if _GRAPH_STACK else None
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def buffer(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float64 array, lent by the active graph's pool when
     there is one."""
@@ -249,7 +245,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     The weight keeps its (d_in, d_out) storage and the product reads it
     through a transposed view.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[0] != w.data.shape[0]:
         raise DimensionError(
             f"affine needs (k,m) weights over (k,n) inputs, got {w.data.shape} and {x.data.shape}"

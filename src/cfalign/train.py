@@ -174,16 +174,7 @@ def _step(
             h_s = head_forward(state.head, f_s)
             h_t = head_forward(state.head, f_t)
             pseudo = _update_bank_and_label(state, f_s, h_s, lab_s, f_t, h_t)
-            contra = contrastive_combined(
-                h_s,
-                lab_s,
-                h_t,
-                pseudo,
-                state.head_bank,
-                tau=cfg.tau,
-                include_positive=cfg.include_positive,
-                normalize=cfg.normalize_features,
-            )
+            contra = contrastive_combined(h_s, lab_s, h_t, pseudo, state.head_bank, tau=cfg.tau)
             acc = pseudo_label_accuracy(pseudo, diag_t)
             pseudo_acc = acc.accuracy
             labeled_frac = acc.assigned / pseudo.size

@@ -350,9 +350,7 @@ def info_nce_chain(features, labels, centers, mask, tau, include_positive=True, 
     return _stack_terms(features, labels, mask, [centers[mask]], tau, include_positive, normalize)[0]
 
 
-def contrastive_chain(
-    f_source, y_source, f_target, y_target, bank, tau=0.07, include_positive=True, normalize=False
-):
+def contrastive_chain(f_source, y_source, f_target, y_target, bank, tau=0.07):
     """The cross-domain InfoNCE terms of two (d, n) feature sets, laid out as
     `losses.contrastive_combined` lays them out; it must match this bit for
     bit.
@@ -364,11 +362,10 @@ def contrastive_chain(
     recorded last first, so their gradients reach a feature set in the fused
     node's order.
     """
-    needed = 1 if include_positive else 2
     tables = [
         (centers, mask)
         for centers, mask in ((bank.v_source, bank.init_source), (bank.v_target, bank.init_target))
-        if int(mask.sum()) >= needed
+        if mask.any()
     ]
     stacks = []  # (features, labels, mask, tables), in the fused node's order
     for f, y in ((f_source, y_source), (f_target, y_target)):
@@ -382,7 +379,9 @@ def contrastive_chain(
     terms = []
     for f, labels, mask, group in reversed(stacks):
         if (labels >= 0).any():
-            terms = _stack_terms(transpose(f), labels, mask, group, tau, include_positive, normalize) + terms
+            terms = _stack_terms(
+                transpose(f), labels, mask, group, tau, include_positive=True, normalize=False
+            ) + terms
     return reduce_sum(stack(terms)) if terms else Tensor(0.0)
 
 

@@ -9,7 +9,7 @@ Then trains each configuration in `CONFIGS` through the CLI on one dataset and
 prints sha256 values of what each run wrote. The first four are the
 ablation's four variants, ``ent`` (the default), ``ent+st``, ``ent+contra``
 and ``full``, which the acceptance gate trains; the rest vary ``full``'s
-head, flags and batch size. For each run the script prints:
+head and batch size. For each run the script prints:
 
 - ``metrics.csv`` as written;
 - ``result.json`` without its ``config`` echo;
@@ -61,8 +61,6 @@ CONFIGS = {
     "ent+contra": ["--contrastive"],
     "full": _FULL,
     "full-byol": _FULL + ["--head", "byol"],
-    "full-byol-normalize-nopos": _FULL + ["--head", "byol", "--normalize-features", "--no-include-positive"],
-    "full-normalize-nopos": _FULL + ["--normalize-features", "--no-include-positive"],
     "full-byol-b8": _FULL + ["--head", "byol", "--batch-source", "8", "--batch-target", "8"],
 }
 

@@ -471,9 +471,11 @@ class TestCorruption:
 
     def test_echo_of_removed_knobs_loads(self, saved):
         """Older checkpoints echo the head widths and AdaIN eps that are now
-        constants; at their default values the file loads as it is."""
+        constants, and the contrastive variants since removed; at their
+        default values the file loads as it is."""
         path, header, arrays = saved
-        echo = {**header["config"], "head_hidden_dim": None, "head_out_dim": None, "adain_eps": 1e-8}
+        echo = {**header["config"], "head_hidden_dim": None, "head_out_dim": None, "adain_eps": 1e-8,
+                "include_positive": True, "normalize_features": False}
         write_container(path, {**header, "config": echo}, arrays)
         loaded = load_checkpoint(path)
         for name, array in _state_arrays(loaded).items():

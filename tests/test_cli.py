@@ -200,7 +200,6 @@ class TestTrain:
     def test_bad_value_exits_2(self, dataset_dir, tmp_path, capsys):
         # "moco" was a head kind once; it now reads as any other bad value
         for flags, needle in ((["--tau", "-1"], "tau"), (["--head", "moco"], "head must be one of"),
-                              (["--contrastive", "--no-include-positive"], "no lower bound"),
                               (["--seed", "-1"], "seed must be nonnegative")):
             # the flags come last, so they win over TINY_RUN_FLAGS' --seed
             code = main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "x")]
@@ -266,7 +265,9 @@ class TestTrain:
         assert len(err.splitlines()) == 1 and f"cannot read config {cfg}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["head_hidden_dim", "head_out_dim", "adain_eps"])
+    @pytest.mark.parametrize(
+        "key", ["head_hidden_dim", "head_out_dim", "adain_eps", "include_positive", "normalize_features"]
+    )
     def test_removed_knob_exits_2(self, dataset_dir, tmp_path, capsys, key):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({key: 1}))

@@ -49,30 +49,29 @@ def info_nce_oracle(f, labels, centers, mask, tau, include_positive=True):
     return sum(per_row) / len(per_row)
 
 
-def combined_oracle(f_s, y_s, f_t, y_t, bank, tau, include_positive=True):
+def combined_oracle(f_s, y_s, f_t, y_t, bank, tau):
     total = 0.0
     for f, y in ((f_s, y_s), (f_t, y_t)):
         for centers, mask in ((bank.v_source, bank.init_source), (bank.v_target, bank.init_target)):
-            if mask.sum() < (1 if include_positive else 2):
+            if not mask.any():
                 continue
             kept = np.array([lab if lab >= 0 and mask[lab] else -1 for lab in y])
             if (kept >= 0).any():
-                total += info_nce_oracle(f, kept, centers, mask, tau, include_positive)
+                total += info_nce_oracle(f, kept, centers, mask, tau)
     return total
 
 
-def dominant_rows(rng, n, tables, tau):
-    """(n, d) unit rows near the unit rows of ``tables[0]``, and their
-    labels: in every table, a row's similarity over `tau` to its own center
-    leads its similarity to each other center by at least 1000."""
-    c, d = tables[0].shape
+def dominant_rows(rng, n, centers, tau):
+    """(n, d) unit rows near the unit rows of `centers`, and their labels: a
+    row's similarity over `tau` to its own center leads its similarity to
+    each other center by at least 1000."""
+    c, d = centers.shape
     labels = rng.integers(0, c, size=n)
-    f = tables[0][labels] + rng.uniform(-0.05, 0.05, size=(n, d))
+    f = centers[labels] + rng.uniform(-0.05, 0.05, size=(n, d))
     f /= np.linalg.norm(f, axis=1, keepdims=True)
     own = np.eye(c, dtype=bool)[labels]
-    for centers in tables:
-        sims = f @ centers.T / tau
-        assert (sims[own] - np.where(own, -np.inf, sims).max(axis=1)).min() >= 1000.0
+    sims = f @ centers.T / tau
+    assert (sims[own] - np.where(own, -np.inf, sims).max(axis=1)).min() >= 1000.0
     return f, labels
 
 
@@ -502,7 +501,7 @@ class TestInfoNCE:
         centers = np.linalg.qr(rng.normal(size=(5, 5)))[0]
         mask = np.ones(5, dtype=bool)
         tau = 5e-4
-        feats, labels = dominant_rows(rng, 30, [centers], tau)
+        feats, labels = dominant_rows(rng, 30, centers, tau)
         outs = []
         with np.errstate(over="raise", invalid="raise"):
             for fused in (True, False):
@@ -676,12 +675,9 @@ class TestContrastiveMatchesChain:
     `info_nce_chain`'s tail per term, and one `stack` and `reduce_sum` over
     the terms."""
 
-    @pytest.mark.parametrize("include_positive", [True, False])
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("shape", CONTRASTIVE_SHAPES)
-    def test_one_node_bitwise(self, shape, include_positive, normalize):
-        rng = np.random.default_rng([51, CONTRASTIVE_SHAPES.index(shape), include_positive, normalize])
-        flags = dict(include_positive=include_positive, normalize=normalize)
+    def test_one_node_bitwise(self, shape):
+        rng = np.random.default_rng([51, CONTRASTIVE_SHAPES.index(shape)])
         for trial in range(12):
             bank, f_s, y_s, f_t, y_t, tau = contrastive_case(rng, shape)
             weight = float(rng.uniform(1e-3, 5.0))
@@ -691,7 +687,7 @@ class TestContrastiveMatchesChain:
                 x_t = x_s if shape.startswith("shared") else columns(f_t, requires_grad=True)
                 # half the cases draw their scratch from a pool, as training does
                 with Graph(pool=ArrayPool() if trial % 2 else None) as g:
-                    loss = fn(x_s, y_s, x_t, y_t, bank, tau, **flags)
+                    loss = fn(x_s, y_s, x_t, y_t, bank, tau)
                     if loss.requires_grad:
                         backward(scale(loss, weight), g)
                 outs.append((loss.data, x_s.grad, x_t.grad, len(g) if loss.requires_grad else None))
@@ -702,14 +698,13 @@ class TestContrastiveMatchesChain:
                 assert (a is None) == (b is None)
                 assert a is None or np.array_equal(a, b)
 
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("labeled", ["all", "some"])
-    def test_sign_bits(self, labeled, normalize):
+    def test_sign_bits(self, labeled):
         # with every pixel labeled the feature gradient is written in place,
         # with some unlabeled it is scattered; both match the chain byte for
         # byte, signed zeros included, under one pool whose buffers are dirty
         # from the trial before
-        rng = np.random.default_rng([55, labeled == "all", normalize])
+        rng = np.random.default_rng([55, labeled == "all"])
         pool = ArrayPool()
         for trial in range(12):
             bank, f_s, y_s, f_t, y_t, tau = contrastive_case(rng, "full")
@@ -725,41 +720,12 @@ class TestContrastiveMatchesChain:
             for fn, p in ((contrastive_combined, pool), (contrastive_chain, None)):
                 x_s, x_t = columns(f_s, requires_grad=True), columns(f_t, requires_grad=True)
                 with Graph(pool=p) as g:
-                    loss = fn(x_s, y_s, x_t, y_t, bank, tau, include_positive=bool(trial % 2), normalize=normalize)
+                    loss = fn(x_s, y_s, x_t, y_t, bank, tau)
                     backward(scale(loss, -0.5), g)
                 outs.append([a.tobytes() for a in (loss.data, x_s.grad, x_t.grad)])
                 if p is not None:
                     pool.reclaim()
             assert outs[0] == outs[1], trial
-
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_dominant_excluded_positive(self, normalize):
-        # each positive leads by at least 1000 in both tables, far past exp's
-        # range, under the error state a training iteration runs in
-        rng = np.random.default_rng([54, normalize])
-        bank = MemoryBank(class_count=4, feature_dim=6)
-        bank.v_source[:] = np.linalg.qr(rng.normal(size=(6, 4)))[0].T
-        target = bank.v_source + rng.uniform(-0.02, 0.02, size=(4, 6))
-        bank.v_target[:] = target / np.linalg.norm(target, axis=1, keepdims=True)
-        bank.init_source[:] = True
-        bank.init_target[:] = True
-        tau = 5e-4
-        f_s, y_s = dominant_rows(rng, 20, [bank.v_source, bank.v_target], tau)
-        f_t, y_t = dominant_rows(rng, 15, [bank.v_source, bank.v_target], tau)
-        outs = []
-        with np.errstate(over="raise", invalid="raise"):
-            for fn in (contrastive_combined, contrastive_chain):
-                x_s, x_t = columns(f_s, requires_grad=True), columns(f_t, requires_grad=True)
-                with Graph() as g:
-                    loss = fn(x_s, y_s, x_t, y_t, bank, tau, include_positive=False, normalize=normalize)
-                    backward(scale(loss, 1e-3), g)
-                outs.append((loss.data, x_s.grad, x_t.grad))
-        (got, got_s, got_t), (want, want_s, want_t) = outs
-        assert np.isfinite(got) and np.isfinite(got_s).all() and np.isfinite(got_t).all()
-        assert np.array_equal(got, want)
-        assert np.array_equal(got_s, want_s) and np.array_equal(got_t, want_t)
-        oracle = combined_oracle(f_s, y_s, f_t, y_t, bank, tau, include_positive=False)
-        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
 
 
 class TestTotalObjective:

@@ -131,18 +131,6 @@ class TestContrastivePath:
         assert not state.bank.init_source.any()
         assert not state.bank.init_target.any()
 
-    def test_normalized_exclude_positive_is_bounded(self, tiny_data):
-        # With unit features and centers every logit lies in [-1/tau, 1/tau].
-        # A term averages -pos/tau + logsumexp(negatives/tau) over rows:
-        # -pos/tau >= -1/tau, and a logsumexp is at least its largest entry,
-        # >= -1/tau. So each term is >= -2/tau, and contra, a sum of at most
-        # four terms, is >= -8/tau. Full weight lets the loss push hardest.
-        cfg = tiny_config(contrastive=True, normalize_features=True, include_positive=False,
-                          lambda_contra=1.0, iterations=60)
-        _, records = train(cfg, tiny_data)
-        assert any(r.contra != 0 for r in records)
-        assert min(r.contra for r in records) >= -8.0 / cfg.tau
-
     def test_head_parameters_move(self, tiny_data):
         cfg = tiny_config(contrastive=True, head="byol", iterations=40, lambda_contra=0.5)
         state, _ = train(cfg, tiny_data)
@@ -409,15 +397,11 @@ class TestWholeStepGradient:
 
     WARM_UP = 3  # loop iterations that fill the bank before the checked step
 
-    @pytest.mark.parametrize("head, extra", [
-        ("none", {}),
-        ("byol", {}),
-        ("byol", {"normalize_features": True, "include_positive": False}),
-    ], ids=["none", "byol", "byol-normalize-nopos"])
-    def test_backward_matches_central_differences(self, data, head, extra, monkeypatch):
+    @pytest.mark.parametrize("head", ["none", "byol"])
+    def test_backward_matches_central_differences(self, data, head, monkeypatch):
         cfg = RunConfig(seed=3, iterations=self.WARM_UP, hidden_dim=4, feature_dim=3, head=head,
                         batch_source=2, batch_target=2, lambda_ent=1.0, lambda_contra=1.0,
-                        style_transfer=True, contrastive=True, **extra)
+                        style_transfer=True, contrastive=True)
         state, _ = train(cfg, data)  # init and a populated bank
         params = state.parameters()
         img_s, lab_s = data.source_train.images[:2], data.source_train.labels[:2].reshape(-1)
