@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, kind_of, load_flat_config, require
-from .data import SPLIT_FILES, SynthSpec, generate_dataset, load_dataset, save_dataset
+from .data import SPLITS, SynthSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ContractError, DimensionError, DivergenceError, GenerationError
 from .evaluate import eval_to_json, evaluate, save_eval_json
 from .experiments import results_table, run_ablation, run_sweep, save_results
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--split", choices=tuple(SPLIT_FILES), default="target_eval")
+    p.add_argument("--split", choices=SPLITS, default="target_eval")
     p.add_argument("--out", type=Path, help="also write the JSON here")
     p.set_defaults(func=_cmd_eval)
 

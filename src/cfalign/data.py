@@ -17,9 +17,10 @@ for target splits with `target_noise > 0` a
 `normal(0, target_noise, (channels, height, width))`. A split that misses a
 class is drawn again from the start, with the generator where the last
 attempt left it. Draws of the same bits may replace these calls (`random`
-times the range, `standard_normal` times the deviation plus 0.0), but none
-may move; `tests/data_reference.py` is the image-by-image loop the bytes
-must equal.
+times the range, `standard_normal` times the deviation), but none may
+move; `tests/data_reference.py` is the image-by-image loop the bytes must
+equal. The images, not the buffers, hold the draws' bits: a buffer may
+lack the zero sign of `0.0 + std * z`, which its next addition erases.
 
 Chunks. The draws go into buffers for a chunk of whole images, and the
 arithmetic runs on the chunk at once: about `config.BLOCK` pixels, and
@@ -29,7 +30,8 @@ step is per pixel or per (image, point), so the chunk size moves no byte.
 
 Target-train labels are still written to disk: the trainer may read them to
 score pseudo-label accuracy for the metrics log, never to compute a loss.
-Files are one JSON header line followed by tensors in the shared binary
+A dataset is one container file, `dataset.bin`: one JSON header line
+holding the spec, then each split's images and labels in the shared binary
 layout, so identical specs produce byte-identical files.
 """
 
@@ -50,21 +52,17 @@ __all__ = [
     "Dataset",
     "default_palette",
     "generate_dataset",
-    "save_split",
-    "load_split",
     "save_dataset",
     "load_dataset",
-    "SPLIT_FILES",
+    "SPLITS",
+    "DATASET_FILE",
 ]
 
-SPLIT_FILES = {
-    "source_train": "source_train.bin",
-    "target_train": "target_train.bin",
-    "target_eval": "target_eval.bin",
-}
+SPLITS = ("source_train", "target_train", "target_eval")  # in generation order
 
+DATASET_FILE = "dataset.bin"
 DATASET_FORMAT = "cfalign-dataset"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 _RETRIES = 20
 
 
@@ -129,9 +127,6 @@ def default_palette(classes: int, channels: int) -> np.ndarray:
 class Split:
     images: np.ndarray  # (n, channels, height, width) float64
     labels: np.ndarray  # (n, height, width) int64
-
-    def __len__(self) -> int:
-        return len(self.images)
 
 
 @dataclass
@@ -205,7 +200,7 @@ def _generate_split(spec: SynthSpec, rng: np.random.Generator, count: int, name:
                 if shift_noise is not None:
                     rng.standard_normal(out=shift_noise[j])
             # uniform(0, high) is 0 + high * u and normal(0, std) is 0 + std * z:
-            # the same products, and `+= 0.0` the same zero signs
+            # the same products, zero signs aside (module docstring)
             pts, noisy = points[:k], noise[:k]
             pts *= (float(h), float(w))
             lab = labels[start : start + k] = _voronoi_labels(pts, classes[:k], h, w)
@@ -214,7 +209,6 @@ def _generate_split(spec: SynthSpec, rng: np.random.Generator, count: int, name:
             # overflows inside numpy's sampler, where it sets no flag
             with np.errstate(over="ignore", invalid="ignore"):
                 noisy *= spec.color_std
-                noisy += 0.0
                 noisy += palette.take(lab, axis=0)
                 if domain == "target":
                     np.multiply(spec.shift_scale, noisy.transpose(0, 3, 1, 2), out=img)
@@ -222,7 +216,6 @@ def _generate_split(spec: SynthSpec, rng: np.random.Generator, count: int, name:
                     if shift_noise is not None:
                         more = shift_noise[:k]
                         more *= spec.target_noise
-                        more += 0.0
                         img += more
                 else:
                     img[...] = noisy.transpose(0, 3, 1, 2)
@@ -244,82 +237,68 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
     """Deterministic by spec.seed: same spec, same arrays, byte for byte."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    counts = {"source_train": spec.train_images, "target_train": spec.train_images,
-              "target_eval": spec.eval_images}
-    splits = {name: _generate_split(spec, rng, count, name) for name, count in counts.items()}
+    counts = (spec.train_images, spec.train_images, spec.eval_images)
+    splits = {name: _generate_split(spec, rng, count, name) for name, count in zip(SPLITS, counts)}
     return Dataset(spec, **splits)
 
 
-# ---------------------------------------------------------------------------
-# split files: a container holding an images tensor and a labels tensor
+def save_dataset(directory: str | Path, data: Dataset) -> None:
+    """Write `directory/dataset.bin`: the spec in its header, then the
+    tensors `<split>.images` and `<split>.labels` for each of `SPLITS`."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    header = {"format": DATASET_FORMAT, "version": DATASET_VERSION, "spec": data.spec.to_dict()}
+    arrays = {}
+    for name in SPLITS:
+        split = getattr(data, name)
+        arrays[f"{name}.images"], arrays[f"{name}.labels"] = split.images, split.labels
+    write_container(directory / DATASET_FILE, header, arrays)
 
 
-def save_split(path: str | Path, split: Split, spec: SynthSpec, name: str) -> None:
-    header = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
-        "split": name,
-        "spec": spec.to_dict(),
-    }
-    write_container(path, header, {"images": split.images, "labels": split.labels})
+def load_dataset(directory: str | Path) -> Dataset:
+    """Read `directory/dataset.bin`; any malformed content raises ConfigError.
 
-
-def load_split(path: str | Path) -> tuple[Split, dict]:
-    """Read one split file; any malformed content raises ConfigError.
-
-    The split holds at least one image, the header's spec passes
-    `SynthSpec` validation, and labels are integers in [0, spec classes)
-    shaped (n, height, width) to match the (n, channels, height, width)
-    images. Header keys other than those `save_split` writes are ignored.
+    The header's spec passes `SynthSpec` validation, and each split holds
+    at least one image, with labels that are integers in [0, spec classes)
+    shaped (n, height, width) to match its (n, channels, height, width)
+    images. Header keys and tensors other than those `save_dataset` writes
+    are ignored.
     """
+    path = Path(directory) / DATASET_FILE
+    if not path.exists():
+        raise ConfigError(f"missing dataset file {path}; run gen-data again (version 1 wrote one file per split)")
     try:
         header, arrays = read_container(path, DATASET_FORMAT)
     except ContractError as exc:
         raise ConfigError(f"bad dataset file: {exc}") from exc
-    if header.get("version") != DATASET_VERSION:
-        raise ConfigError(
-            f"{path} is dataset version {header.get('version')!r}, expected {DATASET_VERSION}"
-        )
-    images, labels = arrays.get("images"), arrays.get("labels")
-    if images is None or images.ndim != 4:
-        raise ConfigError(f"{path} holds no (n, channels, height, width) images tensor")
-    if labels is None:
-        raise ConfigError(f"{path} holds no labels tensor")
-    n, _, h, w = images.shape
-    if n == 0:
-        raise ConfigError(f"{path} holds no images")
-    spec = header.get("spec")
+    version, spec = header.get("version"), header.get("spec")
+    if version != DATASET_VERSION:
+        raise ConfigError(f"{path} is dataset version {version!r}, expected {DATASET_VERSION}; run gen-data again")
     if not isinstance(spec, dict):
         raise ConfigError(f"{path} header holds no spec object")
     try:
-        classes = SynthSpec.from_mapping(spec).classes
+        spec = SynthSpec.from_mapping(spec)
     except ConfigError as exc:
         raise ConfigError(f"{path} spec: {exc}") from exc
-    if labels.shape != (n, h, w):
-        raise ConfigError(f"{path} labels have shape {labels.shape}, images need {(n, h, w)}")
-    integral = labels == np.round(labels)
-    if not np.all(integral & (labels >= 0) & (labels < classes)):
-        raise ConfigError(f"{path} labels are not integers in [0, {classes})")
-    return Split(images=images, labels=labels.astype(np.int64)), header
-
-
-def save_dataset(directory: str | Path, data: Dataset) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, fname in SPLIT_FILES.items():
-        save_split(directory / fname, getattr(data, name), data.spec, name)
-
-
-def load_dataset(directory: str | Path) -> Dataset:
-    directory = Path(directory)
-    splits, specs = {}, []
-    for name, fname in SPLIT_FILES.items():
-        path = directory / fname
-        if not path.exists():
-            raise ConfigError(f"missing dataset file {path}")
-        splits[name], header = load_split(path)
-        specs.append(header.get("spec"))
-    if any(s != specs[0] for s in specs):
-        raise ConfigError(f"the splits in {directory} do not share one dataset spec")
-    spec = SynthSpec.from_mapping(specs[0])
-    return Dataset(spec, splits["source_train"], splits["target_train"], splits["target_eval"])
+    splits = {}
+    for name in SPLITS:
+        where, images, labels = f"{path} {name}", arrays.get(f"{name}.images"), arrays.get(f"{name}.labels")
+        if images is None or images.ndim != 4:
+            raise ConfigError(f"{where} holds no (n, channels, height, width) images tensor")
+        if labels is None:
+            raise ConfigError(f"{where} holds no labels tensor")
+        n, _, h, w = images.shape
+        if n == 0:
+            raise ConfigError(f"{where} holds no images")
+        if labels.shape != (n, h, w):
+            raise ConfigError(f"{where} labels have shape {labels.shape}, images need {(n, h, w)}")
+        # checked and cast to int64 in their own buffer a block at a time, so
+        # loading holds no second copy of the labels beside every split's arrays
+        flat, ints = labels.reshape(-1), labels.view(np.int64).reshape(-1)
+        for i in range(0, flat.size, BLOCK):
+            block = flat[i : i + BLOCK]
+            if not np.all((block == np.round(block)) & (block >= 0) & (block < spec.classes)):
+                raise ConfigError(f"{where} labels are not integers in [0, {spec.classes})")
+            ints[i : i + BLOCK] = block
+        splits[name] = Split(images=images, labels=labels.view(np.int64))
+    return Dataset(spec, **splits)

@@ -9,7 +9,7 @@ A split runs in blocks of whole images, about 8,192 pixels each (8 images
 of 32 x 32), for every image size and layer shape. Activations are
 feature-major, one column per pixel, so a block is a run of columns and
 each layer computes ``w.T @ X`` over it. The output bytes are those of
-these blocks at a given BLAS thread count.
+these blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .adain import to_pixels
 from .config import BLOCK
 from .data import Split
 from .errors import ContractError, DivergenceError
-from .kernels import confusion
+from .kernels import confusion, one_blas_thread
 from .membank import assign_pseudo_labels, pseudo_label_accuracy
 from .model import model_features, predict_labels
 from .tensor import Tensor
@@ -61,6 +61,7 @@ def iou_from_confusion(matrix: np.ndarray) -> tuple[list, float]:
     return per_class, float(np.mean(present))
 
 
+@one_blas_thread()
 def evaluate(state: TrainState, split: Split) -> EvalRecord:
     """Score a trained state on a labeled split.
 
@@ -69,7 +70,7 @@ def evaluate(state: TrainState, split: Split) -> EvalRecord:
     its arrays are still in cache, and each block reuses the memory the last
     one freed, so only the per-pixel outputs grow with the split. Every
     step is local to a pixel's column; the bytes are those of the per-block
-    matmuls at a given BLAS thread count.
+    matmuls, at one BLAS thread (`kernels.one_blas_thread`).
 
     Evaluation images are never style-transferred: the point is performance
     on the raw target domain. Raises DivergenceError when the forward pass

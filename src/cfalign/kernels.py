@@ -29,9 +29,20 @@ a single image.
 `label_sums` adds each class's pixels in pixel order, as ``np.add.at``
 does: one ``np.bincount`` per feature row, with labels below 0 mapped to
 an extra bin that is dropped, so skipped pixels need no gather.
+
+`one_blas_thread` runs `train` and `evaluate` with numpy's bundled
+OpenBLAS at one thread, so their bytes do not depend on the thread count
+the process starts with: a product split across threads may round apart
+from the one-thread product. It restores the count on exit, since the
+setting is process-wide. A numpy built against another BLAS runs as it is.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+from pathlib import Path
 
 import numpy as np
 
@@ -44,12 +55,47 @@ __all__ = [
     "nearest_two",
     "label_sums",
     "confusion",
+    "one_blas_thread",
 ]
 
 
 def get_backend() -> str:
     """Name of the kernel implementation, as benchmark reports print it."""
     return "numpy"
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, found by
+    its `libscipy_openblas*` name in `numpy.libs`, where numpy's wheels put
+    their own libraries, or None."""
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        try:
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body, or the decorated function, with numpy's bundled
+    OpenBLAS at one thread, then restore the count it had."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _f64c(a: np.ndarray) -> np.ndarray:

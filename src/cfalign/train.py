@@ -30,6 +30,7 @@ from .config import RunConfig
 from .data import Dataset
 from .errors import DivergenceError
 from .heads import Head, build_head, head_forward, head_parameters
+from .kernels import one_blas_thread
 from .kernels import label_sums  # noqa: F401  not called here; perfbench/tracer.py wraps cfalign.train.label_sums
 from .losses import contrastive_combined, cross_entropy, entropy_from_logits, total_objective
 from .losses import entropy_loss  # noqa: F401  not called here; perfbench/tracer.py wraps cfalign.train.entropy_loss
@@ -195,11 +196,13 @@ def _step(
     return record
 
 
+@one_blas_thread()
 def train(config: RunConfig, data: Dataset) -> tuple[TrainState, list[MetricsRecord]]:
     """Run the full loop; returns the final state and one record per iteration.
 
     Deterministic given the config: identical config and data give
-    byte-identical metrics. Raises DivergenceError when an iteration's
+    byte-identical metrics, at one BLAS thread (`kernels.one_blas_thread`)
+    whatever the caller's count. Raises DivergenceError when an iteration's
     forward pass, backward pass or step leaves the finite range.
 
     Every step's tape draws its arrays from one pool, which takes all of

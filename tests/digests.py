@@ -1,8 +1,8 @@
 """Byte-identity digests for a change that must leave every output as it was.
 
 First regenerates the dataset spec found in the header of ``--data``'s
-split files with ``gen-data`` into a temporary directory and prints one
-sha256 line per split file, so the generator's bytes are compared too.
+``dataset.bin`` with ``gen-data`` into a temporary directory and prints
+the sha256 of the file it writes, so the generator's bytes are compared too.
 Only the header keys that name a `SynthSpec` field are passed on, so a
 dataset whose header echoes a field since removed digests as well.
 Then trains each configuration in `CONFIGS` through the CLI on one dataset and
@@ -50,7 +50,7 @@ from pathlib import Path
 
 from cfalign.checkpoint import CHECKPOINT_FORMAT
 from cfalign.cli import main as cfalign_main
-from cfalign.data import SPLIT_FILES, SynthSpec
+from cfalign.data import DATASET_FILE, SynthSpec
 from cfalign.gradcheck import loss_battery
 from cfalign.tensor import read_container
 
@@ -86,9 +86,9 @@ def tensor_digests(run: Path) -> dict[str, str]:
     return {name: sha256(array.tobytes()) for name, array in arrays.items()}
 
 
-def dataset_digests(data: Path) -> dict[str, str]:
-    """sha256 of each split file `gen-data` writes for the spec in `data`'s header."""
-    with open(data / SPLIT_FILES["source_train"], "rb") as fh:
+def dataset_digest(data: Path) -> str:
+    """sha256 of the dataset file `gen-data` writes for the spec in `data`'s header."""
+    with open(data / DATASET_FILE, "rb") as fh:
         spec = json.loads(fh.readline())["spec"]
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "spec.json", Path(tmp) / "data"
@@ -97,7 +97,7 @@ def dataset_digests(data: Path) -> dict[str, str]:
             code = cfalign_main(["gen-data", "--config", str(config), "--out", str(out)])
         if code != 0:
             raise SystemExit(f"gen-data exited {code}")
-        return {fname: sha256((out / fname).read_bytes()) for fname in SPLIT_FILES.values()}
+        return sha256((out / DATASET_FILE).read_bytes())
 
 
 def main(argv=None) -> int:
@@ -106,8 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="directory for one run per config")
     parser.add_argument("--iterations", type=int, default=2000)
     args = parser.parse_args(argv)
-    for fname, digest in dataset_digests(args.data).items():
-        print(f"gen-data {fname} {digest}")
+    print(f"gen-data {DATASET_FILE} {dataset_digest(args.data)}")
     for name, flags in CONFIGS.items():
         run = args.out / name
         argv = ["train", "--data", str(args.data), "--out", str(run), "--iterations", str(args.iterations)]

@@ -58,8 +58,8 @@ def quiet_main(argv):
 
 class TestGenData:
     def test_writes_three_splits(self, dataset_dir):
-        names = sorted(p.name for p in dataset_dir.iterdir())
-        assert len(names) == 3
+        # one container holds all three splits
+        assert [p.name for p in dataset_dir.iterdir()] == ["dataset.bin"]
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -150,12 +150,12 @@ class TestGenData:
 
 
 def copy_dataset(dataset_dir, to, edit):
-    """Copy every split, passing each (header, arrays) through `edit` on the way."""
+    """Copy the dataset file, passing its (header, arrays by `<split>.<part>`
+    name) through `edit` on the way."""
     to.mkdir()
-    for src in dataset_dir.iterdir():
-        header, arrays = read_container(src, "cfalign-dataset")
-        edit(header, arrays)
-        write_container(to / src.name, header, arrays)
+    header, arrays = read_container(dataset_dir / "dataset.bin", "cfalign-dataset")
+    edit(header, arrays)
+    write_container(to / "dataset.bin", header, arrays)
     return to
 
 
@@ -373,15 +373,14 @@ class TestTrain:
 
     def test_nan_source_pixel_exits_2(self, dataset_dir, tmp_path, capsys):
         def poison(header, arrays):
-            if header["split"] == "source_train":
-                arrays["images"][1, 0, 2, 3] = np.nan
+            arrays["source_train.images"][1, 0, 2, 3] = np.nan
 
         data = copy_dataset(dataset_dir, tmp_path / "data", poison)
         out = tmp_path / "run"
         assert main(["train", "--data", str(data), "--out", str(out)] + TINY_RUN_FLAGS) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "source_train.bin tensor 'images' holds a NaN or infinite value" in err
+        assert "dataset.bin tensor 'source_train.images' holds a NaN or infinite value" in err
         assert not (out / "metrics.csv").exists()
 
     def test_missing_dataset_exits_2(self, tmp_path):
@@ -392,22 +391,43 @@ class TestTrain:
     def test_truncated_dataset_file_exits_2(self, dataset_dir, tmp_path, capsys):
         cut = tmp_path / "cut"
         cut.mkdir()
-        for src in dataset_dir.iterdir():
-            (cut / src.name).write_bytes(src.read_bytes())
-        blob = (cut / "target_eval.bin").read_bytes()
-        (cut / "target_eval.bin").write_bytes(blob[: len(blob) - 40])
+        blob = (dataset_dir / "dataset.bin").read_bytes()
+        (cut / "dataset.bin").write_bytes(blob[: len(blob) - 40])
         code = main(["train", "--data", str(cut), "--out", str(tmp_path / "x")] + TINY_RUN_FLAGS)
         assert code == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "target_eval.bin" in err
+        assert len(err.splitlines()) == 1 and "dataset.bin tensor 'target_eval.labels' declares" in err
 
+    def test_version_one_directory_exits_2(self, dataset_dir, tmp_path, capsys):
+        # the per-split files of dataset version 1, as gen-data wrote them
+        old = tmp_path / "old"
+        old.mkdir()
+        header, arrays = read_container(dataset_dir / "dataset.bin", "cfalign-dataset")
+        for split in cli.SPLITS:
+            split_header = {"format": "cfalign-dataset", "version": 1, "split": split, "spec": header["spec"]}
+            parts = {part: arrays[f"{split}.{part}"] for part in ("images", "labels")}
+            write_container(old / f"{split}.bin", split_header, parts)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(old), "--out", str(out)] + TINY_RUN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"missing dataset file {old / 'dataset.bin'}; run gen-data again" in err
+        assert not out.exists()
 
-    def test_split_without_labels_exits_2(self, dataset_dir, tmp_path, capsys):
-        data = copy_dataset(dataset_dir, tmp_path / "data", lambda header, arrays: arrays.pop("labels"))
+    def test_other_dataset_version_exits_2(self, dataset_dir, tmp_path, capsys):
+        data = copy_dataset(dataset_dir, tmp_path / "data", lambda header, arrays: header.update(version=3))
         out = tmp_path / "run"
         assert main(["train", "--data", str(data), "--out", str(out)] + TINY_RUN_FLAGS) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "no labels tensor" in err
+        assert len(err.splitlines()) == 1 and "dataset version 3, expected 2; run gen-data again" in err
+        assert not out.exists()
+
+
+    def test_split_without_labels_exits_2(self, dataset_dir, tmp_path, capsys):
+        data = copy_dataset(dataset_dir, tmp_path / "data", lambda header, arrays: arrays.pop("source_train.labels"))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out)] + TINY_RUN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "dataset.bin source_train holds no labels tensor" in err
         assert not (out / "metrics.csv").exists()
 
     def test_wrong_typed_spec_in_split_headers_exits_2(self, dataset_dir, tmp_path, capsys):
@@ -420,7 +440,7 @@ class TestTrain:
         assert len(err.splitlines()) == 1 and "height must be an integer" in err
 
     def test_spec_with_removed_class_means_trains(self, dataset_dir, tmp_path):
-        # every split header written before class_means was removed holds it
+        # every dataset header written before class_means was removed held it
         def add_class_means(header, arrays):
             header["spec"]["class_means"] = None
 
@@ -442,42 +462,35 @@ class TestTrain:
 
 
 class TestSplitContents:
-    """A split with no images, or a spec class count that is not an integer
-    or not the other splits', ends in one ConfigError line and exit 2 before
-    training starts."""
+    """A split with no images, or a spec class count that is not an
+    integer, ends in one ConfigError line and exit 2 before training
+    starts."""
 
     @pytest.mark.parametrize("style", [[], ["--style-transfer"]], ids=["plain", "style-transfer"])
     @pytest.mark.parametrize("split", ["source_train", "target_train"])
     def test_empty_split_exits_2(self, dataset_dir, tmp_path, capsys, split, style):
         def empty(header, arrays):
-            if header["split"] == split:
-                arrays["images"] = arrays["images"][:0]
-                arrays["labels"] = arrays["labels"][:0]
+            for part in ("images", "labels"):
+                arrays[f"{split}.{part}"] = arrays[f"{split}.{part}"][:0]
 
         data = copy_dataset(dataset_dir, tmp_path / "data", empty)
         out = tmp_path / "run"
         assert quiet_main(["train", "--data", str(data), "--out", str(out)] + style + TINY_RUN_FLAGS) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and f"{split}.bin holds no images" in err
+        assert len(err.splitlines()) == 1 and f"dataset.bin {split} holds no images" in err
         assert not (out / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("classes", [9, True, 5.0, "5"])
+    @pytest.mark.parametrize("classes", [True, 5.0, "5"])
     def test_header_classes_must_be_the_specs(self, dataset_dir, tmp_path, capsys, classes):
-        # labels all 8 under a 9-class header once trained a 5-class model
-        # whose pseudo-labels could never match
         def relabel(header, arrays):
-            if header["split"] == "target_train":
-                header["spec"]["classes"] = classes
-                if classes == 9:
-                    arrays["labels"][:] = 8
+            header["spec"]["classes"] = classes
 
         data = copy_dataset(dataset_dir, tmp_path / "data", relabel)
         out = tmp_path / "run"
         argv = ["train", "--data", str(data), "--out", str(out), "--contrastive", "--style-transfer"]
         assert main(argv + TINY_RUN_FLAGS) == 2
         err = capsys.readouterr().err
-        message = "do not share one dataset spec" if classes == 9 else "target_train.bin spec: classes must be an integer"
-        assert len(err.splitlines()) == 1 and message in err
+        assert len(err.splitlines()) == 1 and "dataset.bin spec: classes must be an integer" in err
         assert not (out / "metrics.csv").exists()
 
 
@@ -533,7 +546,7 @@ class TestOutPath:
     @pytest.mark.parametrize(
         "argv, blocked",
         [
-            (["gen-data"] + TINY_DATA_FLAGS, "source_train.bin"),
+            (["gen-data"] + TINY_DATA_FLAGS, "dataset.bin"),
             (["train"] + TINY_RUN_FLAGS, "metrics.csv"),
             (["ablate"] + TINY_RUN_FLAGS, "results.json"),
             (["sweep", "--param", "tau", "--values", "0.1"] + TINY_RUN_FLAGS, "results.json"),
@@ -603,14 +616,13 @@ class TestEval:
         capsys.readouterr()
 
         def blow_up(header, arrays):
-            if header["split"] == "target_eval":
-                arrays["images"][:] = np.inf
+            arrays["target_eval.images"][:] = np.inf
 
         data = copy_dataset(dataset_dir, tmp_path / "data", blow_up)
         code = main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data)])
         assert code == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "target_eval.bin tensor 'images' holds a NaN" in err
+        assert len(err.splitlines()) == 1 and "dataset.bin tensor 'target_eval.images' holds a NaN" in err
 
     def test_other_split(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -641,6 +653,28 @@ class TestAblateAndSweep:
         table = capsys.readouterr().out
         assert "lambda_contra=0.1" in table
         assert "lambda_contra=0.001" in table
+
+    def test_sweep_boolean_values(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main(["sweep", "--data", str(dataset_dir), "--param", "style_transfer", "--values", "off,on",
+                     "--out", str(out), "--iterations", "5", "--hidden-dim", "12", "--feature-dim", "8"])
+        assert code == 0
+        runs = json.loads((out / "results.json").read_text())
+        assert [run["name"] for run in runs] == ["style_transfer=False", "style_transfer=True"]
+        assert [run["config"]["style_transfer"] for run in runs] == [False, True]
+
+    def test_sweep_unreadable_boolean_exits_2_before_training(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a run trained before every value was read")
+
+        monkeypatch.setattr("cfalign.cli.run_sweep", no_run)
+        code = main(["sweep", "--data", str(dataset_dir), "--param", "style_transfer", "--values", "on,maybe",
+                     "--out", str(tmp_path / "sw")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: cannot read 'maybe' as a boolean\n"
+        assert not (tmp_path / "sw").exists()
 
     def test_sweep_bad_param_exits_2(self, dataset_dir):
         assert main(["sweep", "--data", str(dataset_dir), "--param", "nope", "--values", "1"]) == 2
@@ -732,9 +766,9 @@ class TestDivergenceExit:
         data, checkpoint = blocked_run
         bad = tmp_path / "data"
         shutil.copytree(data, bad)
-        header, arrays = read_container(bad / "target_eval.bin", "cfalign-dataset")
-        arrays["images"][-1, :, -1, -1] = 1e200
-        write_container(bad / "target_eval.bin", header, arrays)
+        header, arrays = read_container(bad / "dataset.bin", "cfalign-dataset")
+        arrays["target_eval.images"][-1, :, -1, -1] = 1e200
+        write_container(bad / "dataset.bin", header, arrays)
         capsys.readouterr()
         assert quiet_main(["eval", "--checkpoint", str(checkpoint), "--data", str(bad)]) == 3
         captured = capsys.readouterr()
@@ -744,7 +778,7 @@ class TestDivergenceExit:
 
 
 class TestLoaderFuzz:
-    """Seeded byte mutations of a checkpoint and of an eval split, each run
+    """Seeded byte mutations of a checkpoint and of a dataset file, each run
     through `eval`: at most one stderr line, a documented exit code, no
     exception or warning, and a tracemalloc peak of at most `PEAK_FACTOR`
     times the unmutated run's, so no loader allocates what a file declares
@@ -783,7 +817,7 @@ class TestLoaderFuzz:
         data, checkpoint = blocked_run
         shutil.copytree(data, tmp_path / "data")
         shutil.copy(checkpoint, tmp_path / "checkpoint.bin")
-        targets = [tmp_path / "checkpoint.bin", tmp_path / "data" / "target_eval.bin"]
+        targets = [tmp_path / "checkpoint.bin", tmp_path / "data" / "dataset.bin"]
         originals = {path: path.read_bytes() for path in targets}
         out = tmp_path / "result.json"
         argv = ["eval", "--checkpoint", str(targets[0]), "--data", str(tmp_path / "data"), "--out", str(out)]

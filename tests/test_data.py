@@ -10,19 +10,16 @@ import numpy as np
 import pytest
 
 import data_reference
-from cfalign.config import KINDS, RunConfig
+from cfalign.config import BLOCK, KINDS, RunConfig
 from cfalign.data import (
     _chunk_images,
     _voronoi_labels,
-    Dataset,
-    SPLIT_FILES,
-    Split,
+    DATASET_FILE,
+    SPLITS,
     SynthSpec,
     generate_dataset,
     load_dataset,
-    load_split,
     save_dataset,
-    save_split,
 )
 from cfalign.errors import ConfigError, GenerationError
 from cfalign.tensor import read_container, write_container
@@ -112,8 +109,8 @@ class TestGeneration:
 
 class TestMatchesReference:
     """The chunked generator against the image-by-image loop of
-    `tests/data_reference.py`: the same bytes and dtypes, the same split
-    files, or the same GenerationError."""
+    `tests/data_reference.py`: the same bytes and dtypes, the same dataset
+    file, or the same GenerationError."""
 
     # spec fields beyond the geometry, one set per split-size case
     VARIANTS = [
@@ -134,15 +131,14 @@ class TestMatchesReference:
             assert str(got.value) == str(exc)
             return
         got = generate_dataset(spec)
-        for name in SPLIT_FILES:
+        for name in SPLITS:
             a, b = getattr(got, name), getattr(want, name)
             assert a.images.dtype == b.images.dtype and a.labels.dtype == b.labels.dtype
             assert a.images.tobytes() == b.images.tobytes(), (spec, name)
             assert a.labels.tobytes() == b.labels.tobytes(), (spec, name)
         save_dataset(tmp_path / "got", got)
         save_dataset(tmp_path / "want", want)
-        for fname in SPLIT_FILES.values():
-            assert (tmp_path / "got" / fname).read_bytes() == (tmp_path / "want" / fname).read_bytes()
+        assert (tmp_path / "got" / DATASET_FILE).read_bytes() == (tmp_path / "want" / DATASET_FILE).read_bytes()
 
     @pytest.mark.parametrize("channels", [1, 4])
     @pytest.mark.parametrize("regions", [1, 12])
@@ -239,26 +235,44 @@ class TestFiles:
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         save_dataset(a_dir, generate_dataset(tiny_spec(seed=3)))
         save_dataset(b_dir, generate_dataset(tiny_spec(seed=3)))
-        for name in ("source_train.bin", "target_train.bin", "target_eval.bin"):
-            assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+        assert [p.name for p in a_dir.iterdir()] == [DATASET_FILE]
+        assert (a_dir / DATASET_FILE).read_bytes() == (b_dir / DATASET_FILE).read_bytes()
 
     def test_header_is_json_line(self, tmp_path):
         import json
 
         data = generate_dataset(tiny_spec())
-        path = tmp_path / "split.bin"
-        save_split(path, data.source_train, data.spec, "source_train")
-        with open(path, "rb") as fh:
+        save_dataset(tmp_path, data)
+        with open(tmp_path / DATASET_FILE, "rb") as fh:
             header = json.loads(fh.readline())
-        assert header["format"] == "cfalign-dataset"
-        assert header["tensors"] == ["images", "labels"]
-        assert "count" not in header and "classes" not in header  # the tensors and the spec state both
+        # the tensors and the spec state the counts; no split name or class count
+        assert sorted(header) == ["format", "spec", "tensors", "version"]
+        assert header["format"] == "cfalign-dataset" and header["version"] == 2
+        assert header["spec"] == data.spec.to_dict()
+        assert header["tensors"] == [
+            "source_train.images", "source_train.labels",
+            "target_train.images", "target_train.labels",
+            "target_eval.images", "target_eval.labels",
+        ]
+
+    def test_load_holds_no_second_label_copy(self, tmp_path):
+        # labels are checked and cast in their own buffer, a block at a time:
+        # 0.08 MB above the loaded dataset, where a cast of a whole split
+        # (1.6 MB of train labels) read 0.47 MB one split file at a time
+        save_dataset(tmp_path, generate_dataset(SynthSpec(seed=0)))
+        tracemalloc.start()
+        try:
+            data = load_dataset(tmp_path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < 250_000, peak - current
+        assert data.target_train.labels.dtype == np.int64
 
     def test_non_dataset_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x00\x01\x02")
+        (tmp_path / DATASET_FILE).write_bytes(b"\x00\x01\x02")
         with pytest.raises(ConfigError):
-            load_split(path)
+            load_dataset(tmp_path)
 
     def test_missing_split_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -266,98 +280,99 @@ class TestFiles:
 
 
 class TestLoaderRejects:
-    """Malformed split files end in ConfigError, never a silent load."""
+    """Malformed dataset files end in ConfigError, never a silent load."""
 
     @pytest.fixture
-    def split_file(self, tmp_path):
+    def dataset_file(self, tmp_path):
         data = generate_dataset(tiny_spec())
-        path = tmp_path / "split.bin"
-        save_split(path, data.source_train, data.spec, "source_train")
-        return path, data
+        save_dataset(tmp_path, data)
+        return tmp_path / DATASET_FILE, data
 
-    def rewrite_labels(self, split_file, labels):
-        path, data = split_file
-        save_split(path, Split(data.source_train.images, labels), data.spec, "source_train")
-        with pytest.raises(ConfigError, match="labels"):
-            load_split(path)
+    @staticmethod
+    def edit(path, edit):
+        header, arrays = read_container(path, "cfalign-dataset")
+        edit(header, arrays)
+        write_container(path, header, arrays)
 
-    def test_fractional_label(self, split_file):
-        labels = split_file[1].source_train.labels.astype(float)
+    def rewrite_labels(self, dataset_file, labels):
+        path, _ = dataset_file
+        self.edit(path, lambda header, arrays: arrays.update({"target_train.labels": labels}))
+        with pytest.raises(ConfigError, match=f"{path} target_train labels"):
+            load_dataset(path.parent)
+
+    def test_fractional_label(self, dataset_file):
+        labels = dataset_file[1].target_train.labels.astype(float)
         labels[0, 0, 0] = 2.7
-        self.rewrite_labels(split_file, labels)
+        self.rewrite_labels(dataset_file, labels)
 
     @pytest.mark.parametrize("value", [-1, 5])
-    def test_label_out_of_range(self, split_file, value):
-        labels = split_file[1].source_train.labels.copy()
+    def test_label_out_of_range(self, dataset_file, value):
+        labels = dataset_file[1].target_train.labels.copy()
         labels[0, 0, 0] = value
-        self.rewrite_labels(split_file, labels)
+        self.rewrite_labels(dataset_file, labels)
 
-    def test_label_shape_mismatch(self, split_file):
-        self.rewrite_labels(split_file, split_file[1].source_train.labels[:, :, :-1])
+    def test_label_out_of_range_in_last_block(self, tmp_path):
+        # more labels than one cast block: the last one is checked too
+        data = generate_dataset(tiny_spec(height=32, width=32))
+        assert data.target_train.labels.size > BLOCK
+        save_dataset(tmp_path, data)
+        labels = data.target_train.labels.copy()
+        labels[-1, -1, -1] = 5
+        self.rewrite_labels((tmp_path / DATASET_FILE, data), labels)
 
-    def test_truncated(self, split_file):
-        path, _ = split_file
+    def test_label_shape_mismatch(self, dataset_file):
+        self.rewrite_labels(dataset_file, dataset_file[1].target_train.labels[:, :, :-1])
+
+    def test_truncated(self, dataset_file):
+        path, _ = dataset_file
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(ConfigError, match="declares"):
-            load_split(path)
+            load_dataset(path.parent)
 
-    def test_trailing_bytes(self, split_file):
-        path, _ = split_file
+    def test_trailing_bytes(self, dataset_file):
+        path, _ = dataset_file
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(ConfigError, match="after its last tensor"):
-            load_split(path)
+            load_dataset(path.parent)
 
-    def test_garbled_header(self, split_file):
-        path, _ = split_file
+    def test_garbled_header(self, dataset_file):
+        path, _ = dataset_file
         path.write_bytes(b"\xff\xfe\x00garbage\n" + path.read_bytes())
         with pytest.raises(ConfigError):
-            load_split(path)
+            load_dataset(path.parent)
 
     @pytest.mark.parametrize("line", UNPARSABLE_HEADERS, ids=["over-nested", "long-integer"])
-    def test_unparsable_header(self, split_file, line):
-        path, _ = split_file
+    def test_unparsable_header(self, dataset_file, line):
+        path, _ = dataset_file
         path.write_bytes(line + b"\n")
         with pytest.raises(ConfigError, match=f"{path} does not start with a JSON header line"):
-            load_split(path)
+            load_dataset(path.parent)
 
     def test_huge_extent(self, tmp_path):
-        path = tmp_path / "huge.bin"
-        header = b'{"format": "cfalign-dataset", "tensors": ["images"]}\n'
-        path.write_bytes(header + struct.pack("<II", 1, 0xFFFFFFFF))
+        header = b'{"format": "cfalign-dataset", "tensors": ["source_train.images"]}\n'
+        (tmp_path / DATASET_FILE).write_bytes(header + struct.pack("<II", 1, 0xFFFFFFFF))
         with pytest.raises(ConfigError, match="declares 34359738360 more bytes"):
-            load_split(path)
+            load_dataset(tmp_path)
 
-    def test_labels_missing(self, split_file):
-        path, _ = split_file
-        header, arrays = read_container(path, "cfalign-dataset")
-        del arrays["labels"]
-        write_container(path, header, arrays)
-        with pytest.raises(ConfigError, match="no labels tensor"):
-            load_split(path)
+    def test_labels_missing(self, dataset_file):
+        path, _ = dataset_file
+        self.edit(path, lambda header, arrays: arrays.pop("target_eval.labels"))
+        with pytest.raises(ConfigError, match=f"{path} target_eval holds no labels tensor"):
+            load_dataset(path.parent)
 
     @pytest.mark.parametrize("spec", [None, [5]])
-    def test_spec_not_an_object(self, split_file, spec):
-        path, _ = split_file
-        header, arrays = read_container(path, "cfalign-dataset")
-        write_container(path, {**header, "spec": spec}, arrays)
+    def test_spec_not_an_object(self, dataset_file, spec):
+        path, _ = dataset_file
+        self.edit(path, lambda header, arrays: header.update(spec=spec))
         with pytest.raises(ConfigError, match="header holds no spec object"):
-            load_split(path)
+            load_dataset(path.parent)
 
-    @pytest.mark.parametrize("version", [0, 2, None, "1"])
-    def test_other_version(self, split_file, version):
-        path, _ = split_file
-        header, arrays = read_container(path, "cfalign-dataset")
-        header["version"] = version
-        write_container(path, header, arrays)
-        with pytest.raises(ConfigError, match=f"dataset version {version!r}, expected 1"):
-            load_split(path)
-
-    def test_splits_disagree_on_spec(self, tmp_path):
-        save_dataset(tmp_path, generate_dataset(tiny_spec()))
-        other = generate_dataset(tiny_spec(channels=2))
-        save_split(tmp_path / "target_eval.bin", other.target_eval, other.spec, "target_eval")
-        with pytest.raises(ConfigError, match="spec"):
-            load_dataset(tmp_path)
+    @pytest.mark.parametrize("version", [0, 1, None, "2"])
+    def test_other_version(self, dataset_file, version):
+        path, _ = dataset_file
+        self.edit(path, lambda header, arrays: header.update(version=version))
+        with pytest.raises(ConfigError, match=f"dataset version {version!r}, expected 2; run gen-data again"):
+            load_dataset(path.parent)
 
 
 class TestSynthSpecTypes:

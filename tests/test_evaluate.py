@@ -236,10 +236,10 @@ class TestModelProbs:
 
 
 def reference_eval(state, split):
-    """One backbone pass, probabilities and pseudo-labels over the whole
-    split at once, as `evaluate` runs each block."""
+    """One backbone pass, logits and pseudo-labels over the whole split at
+    once, as `evaluate` runs each block; labels by numpy's argmax."""
     feats = model_features(state.model, Tensor(to_pixels(split.images)))
-    preds = model_probs(state.model, feats).data.argmax(axis=0)
+    preds = model_logits(state.model, feats).data.argmax(axis=0)
     pseudo = None
     if int(state.bank.init_source.sum()) >= 2:
         pseudo = assign_pseudo_labels(feats.data.T, state.feature_bank, state.config.threshold)

@@ -6,10 +6,17 @@ the others are written on the (n, k) rows and their results compared
 through a transpose.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cfalign
 from cfalign import kernels
+from cfalign.cli import main
 from cfalign.errors import DimensionError
 from cfalign.losses import entropy_from_logits
 from cfalign.tensor import Tensor
@@ -376,3 +383,60 @@ class TestConfusion:
     def test_rejects_out_of_range(self):
         with pytest.raises(DimensionError):
             kernels.confusion(np.array([0, 7]), np.array([0, 1]), 4)
+
+
+class TestOneBlasThread:
+    """`train` and `evaluate` run numpy's OpenBLAS at one thread, so output
+    bytes do not depend on the thread count the process starts with."""
+
+    def test_train_bytes_do_not_depend_on_thread_count(self, tmp_path):
+        # layers wide enough that OpenBLAS splits their products across threads
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--height", "7", "--width", "9", "--seed", "0"]) == 0
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cfalign.__file__).parents[1]),
+                                                            os.environ.get("PYTHONPATH", "")])}
+        argv = ["train", "--data", str(data), "--hidden-dim", "40", "--feature-dim", "33", "--style-transfer",
+                "--contrastive", "--batch-source", "8", "--batch-target", "8", "--iterations", "5"]
+        for threads in (1, 2):
+            run = [sys.executable, "-m", "cfalign", *argv, "--out", str(tmp_path / f"run{threads}")]
+            done = subprocess.run(run, env={**env, "OPENBLAS_NUM_THREADS": str(threads)},
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        for name in ("metrics.csv", "checkpoint.bin", "result.json"):
+            assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes(), name
+
+    def test_count_is_one_inside_and_restored_after(self, tmp_path, monkeypatch):
+        blas = kernels._openblas_threads()
+        assert blas is not None, "numpy has no bundled libscipy_openblas"
+        get, put = blas
+        start = get()
+        seen = {}
+        for module, name in (("cfalign.train", "init_state"), ("cfalign.evaluate", "iou_from_confusion")):
+            def spy(*args, _name=name, _inner=getattr(sys.modules[module], name)):
+                seen[_name] = get()
+                return _inner(*args)
+
+            monkeypatch.setattr(f"{module}.{name}", spy)
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--height", "6", "--width", "6", "--train-images", "4",
+                     "--eval-images", "2", "--seed", "0"]) == 0
+        try:
+            put(2)
+            with kernels.one_blas_thread():
+                assert get() == 1
+            assert get() == 2
+            # the library caller's count holds between calls
+            assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--iterations", "2"]) == 0
+            assert get() == 2 and seen == {"init_state": 1, "iou_from_confusion": 1}
+        finally:
+            put(start)
+
+    def test_without_bundled_openblas_runs_unpinned(self, tmp_path, capsys, monkeypatch):
+        # a numpy built against another BLAS: no library found, nothing said
+        monkeypatch.setattr(kernels, "_openblas_threads", lambda: None)
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--height", "6", "--width", "6", "--train-images", "4",
+                     "--eval-images", "2", "--seed", "0"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--iterations", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "run" / "result.json").exists()
