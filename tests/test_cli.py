@@ -15,7 +15,7 @@ from cfalign import cli
 from cfalign.config import BLOCK, RunConfig
 from cfalign.checkpoint import load_checkpoint
 from cfalign.cli import main
-from cfalign.data import SynthSpec
+from cfalign.data import SPLITS, SynthSpec
 from cfalign.tensor import read_container, write_container
 
 TINY_DATA_FLAGS = [
@@ -403,7 +403,7 @@ class TestTrain:
         old = tmp_path / "old"
         old.mkdir()
         header, arrays = read_container(dataset_dir / "dataset.bin", "cfalign-dataset")
-        for split in cli.SPLITS:
+        for split in SPLITS:
             split_header = {"format": "cfalign-dataset", "version": 1, "split": split, "spec": header["spec"]}
             parts = {part: arrays[f"{split}.{part}"] for part in ("images", "labels")}
             write_container(old / f"{split}.bin", split_header, parts)

@@ -3,7 +3,8 @@
 The kernels take feature-major (k, n) arrays, one column per pixel. The
 bitwise references reduce that (k, n) array with numpy's ``axis=0`` sums;
 the others are written on the (n, k) rows and their results compared
-through a transpose.
+through a transpose. `TestOneBlasThread` checks the one-thread BLAS pin
+that `train` and `evaluate` run under.
 """
 
 import os
